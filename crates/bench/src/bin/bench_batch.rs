@@ -21,7 +21,9 @@
 
 use bench::{fb15k_bench, BenchScale};
 use kge_core::loss::{logistic_loss, logistic_loss_grad};
-use kge_core::{BlockScratch, EmbeddingTable, KgeModel, SparseGrad};
+use kge_core::{
+    Adam, AdamOptimizer, BlockScratch, EmbeddingTable, KgeModel, RowOptimizer, SparseGrad,
+};
 use kge_data::synth::{generate, SynthConfig, SynthPreset};
 use kge_data::{Dataset, FilterIndex};
 use kge_train::{
@@ -281,6 +283,66 @@ fn sharded_profile(out: &TrainOutcome) -> serde_json::Value {
     })
 }
 
+/// Time the Adam row kernel under both dispatch arms: a dense step over a
+/// `rows × dim` table and a lazy step over `grad`'s rows, single-threaded.
+/// Each arm owns a table and optimizer and takes the same steps, in
+/// strictly alternating passes (best pass per arm, as for the grad kernels
+/// above), so the arms' final parameters and moments must agree bit for
+/// bit — recorded as `avx_vs_scalar_bit_identical`.
+fn optimizer_kernel_bench(rows: usize, grad: &SparseGrad, seed: u64) -> serde_json::Value {
+    let dim = grad.dim();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let init = EmbeddingTable::xavier(rows, dim, &mut rng);
+    let dense_grad = EmbeddingTable::xavier(rows, dim, &mut rng);
+    let new_arm = || (AdamOptimizer::new(Adam::default(), rows, dim), init.clone());
+    // [scalar, avx], indexed by `!force_scalar`.
+    let mut arms = [new_arm(), new_arm()];
+    let mut best = [[f64::INFINITY; 2]; 2];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
+    pool.install(|| {
+        for pass in 0..=KERNEL_PASSES {
+            for (arm, force_scalar) in [true, false].into_iter().enumerate() {
+                kge_core::simd::set_force_scalar(Some(force_scalar));
+                let (opt, table) = &mut arms[arm];
+                let start = Instant::now();
+                opt.step_dense(table, dense_grad.as_slice(), 1.0);
+                let dense_s = start.elapsed().as_secs_f64();
+                let start = Instant::now();
+                opt.step_lazy(table, grad, 1.0);
+                let lazy_s = start.elapsed().as_secs_f64();
+                if pass > 0 {
+                    // Pass 0 warms the arm.
+                    best[arm][0] = best[arm][0].min(dense_s);
+                    best[arm][1] = best[arm][1].min(lazy_s);
+                }
+            }
+        }
+    });
+    kge_core::simd::set_force_scalar(None);
+    let [(scalar_opt, scalar_table), (avx_opt, avx_table)] = &arms;
+    let bit_identical = scalar_table.as_slice() == avx_table.as_slice()
+        && scalar_opt.state_view() == avx_opt.state_view();
+    let ns_per_elem = |secs: f64, elems: usize| secs * 1e9 / elems as f64;
+    let (dense_elems, lazy_elems) = (rows * dim, grad.nnz() * dim);
+    let report = serde_json::json!({
+        "rows": rows,
+        "dim": dim,
+        "lazy_rows": grad.nnz(),
+        "threads": 1,
+        "passes": KERNEL_PASSES,
+        "adam_dense_ns_per_elem": ns_per_elem(best[1][0], dense_elems),
+        "adam_dense_ns_per_elem_scalar": ns_per_elem(best[0][0], dense_elems),
+        "adam_lazy_ns_per_elem": ns_per_elem(best[1][1], lazy_elems),
+        "adam_lazy_ns_per_elem_scalar": ns_per_elem(best[0][1], lazy_elems),
+        "avx_vs_scalar_bit_identical": bit_identical,
+    });
+    eprintln!("  adam kernel (dim {dim}, {rows} rows dense / {} lazy): {report}", grad.nnz());
+    report
+}
+
 /// Fraction of the total communication price the pipeline hid behind
 /// compute (0 for a synchronous run).
 fn overlap_efficiency(out: &TrainOutcome) -> f64 {
@@ -538,6 +600,10 @@ fn main() {
         simd_dim, simd_tps, scalar_tps, simd_speedup, avx_host, simd_bit_identical
     );
 
+    // The optimizer row kernel, both arms, over the same table shape and
+    // the entity rows the last kernel pass touched.
+    let optimizer_simd = optimizer_kernel_bench(ds.n_entities, &sent_g, config.seed ^ 0x0A7);
+
     // Faulted vs fault-free end-to-end pair on the simulated cluster.
     // Both runs share one seed; the crash time is anchored to the
     // fault-free run's simulated total so the pair stays comparable as
@@ -771,6 +837,7 @@ fn main() {
             "examples_per_pass": n_staged,
             "passes": KERNEL_PASSES,
         }),
+        "optimizer_simd": optimizer_simd,
         "speedup_4_threads_over_1": speedup,
         "speedup_skipped_reason": speedup_skipped_reason,
         "gradients_bit_identical_across_pools": identical,
@@ -848,6 +915,11 @@ fn main() {
     assert!(
         simd_bit_identical,
         "SIMD and forced-scalar fused kernels diverged"
+    );
+    assert_eq!(
+        optimizer_simd["avx_vs_scalar_bit_identical"],
+        serde_json::Value::Bool(true),
+        "AVX and forced-scalar Adam row kernels diverged"
     );
     if avx_host {
         assert!(

@@ -14,7 +14,7 @@
 //! - [`SparseGrad`]: a row-sparse gradient accumulator. KGE batches touch
 //!   only the entity/relation rows that appear in the batch, which is the
 //!   sparsity every strategy in the paper exploits.
-//! - [`Adam`] / [`Sgd`] optimizers with both **dense** and **lazy (row-
+//! - [`Adam`] / [`Adagrad`] optimizers with both **dense** and **lazy (row-
 //!   sparse)** update styles, mirroring the paper's dense (all-reduce) and
 //!   sparse (all-gather) update paths.
 
@@ -36,6 +36,6 @@ pub use model::{
 };
 pub use optim::{
     Adagrad, AdagradOptimizer, AdagradState, Adam, AdamOptimizer, AdamState, OptimStateView,
-    RowOptimizer, Sgd,
+    RowOptimizer,
 };
 pub use scratch::{BlockScratch, ScratchPool};

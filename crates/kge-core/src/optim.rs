@@ -1,4 +1,4 @@
-//! Optimizers: Adam (dense and lazy row-sparse) and SGD.
+//! Optimizers: Adam and AdaGrad, each dense and lazy row-sparse.
 //!
 //! The paper trains with Adam (§3.3). In the all-reduce path the aggregated
 //! gradient arrives as a dense matrix and a **dense** Adam step is applied
@@ -12,19 +12,74 @@
 use crate::grad::SparseGrad;
 use crate::matrix::EmbeddingTable;
 use rayon::par_for_each_index;
+use std::slice::from_raw_parts_mut;
 
-/// Raw-pointer wrapper letting a parallel region hand each worker its own
-/// disjoint region of a buffer. Soundness: every use below partitions the
-/// underlying storage into non-overlapping pieces — unique row ids (rows
-/// stored in a [`SparseGrad`] are distinct) or disjoint element
-/// ranges — and each piece is written by exactly one claimed index.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Sync for SendPtr<T> {}
+/// Base pointer of a buffer that [`par_windows`] cuts into per-worker windows.
+struct SendPtr(*mut f32);
+// SAFETY: only dereferenced inside `par_windows`, which gives every claimed
+// index a window no other index touches.
+unsafe impl Sync for SendPtr {}
 
 /// Elements per work item in parallel dense steps. The update rule is
 /// applied element-by-element in index order inside each chunk, so the
 /// result is bit-identical to the sequential loop for any thread count.
 const DENSE_CHUNK: usize = 8192;
+
+/// Run `f(i, windows)` for every `i in 0..n` across the worker pool, where
+/// `windows[k]` is `bufs[k][window(i)]`; all buffers have one length.
+///
+/// Windows of distinct `i` must not overlap. The two callers, right below,
+/// guarantee it: [`par_chunks`] passes consecutive chunks, [`par_rows`] the
+/// pairwise-distinct rows of a [`SparseGrad`].
+fn par_windows<const K: usize>(
+    bufs: [&mut [f32]; K],
+    n: usize,
+    window: impl Fn(usize) -> std::ops::Range<usize> + Sync,
+    f: impl Fn(usize, [&mut [f32]; K]) + Sync,
+) {
+    let total = bufs[0].len();
+    assert!(bufs.iter().all(|b| b.len() == total));
+    let ptrs = &bufs.map(|b| SendPtr(b.as_mut_ptr()));
+    par_for_each_index(n, move |i| {
+        let w = window(i);
+        assert!(w.start <= w.end && w.end <= total, "bad window {w:?}");
+        // SAFETY: `w` lies inside every buffer (just asserted); the buffers
+        // are distinct `&mut` borrows and windows of distinct `i` are disjoint
+        // (contract above), so each element has exactly one live `&mut`.
+        let cut = |p: &SendPtr| unsafe { from_raw_parts_mut(p.0.add(w.start), w.len()) };
+        f(i, ptrs.each_ref().map(cut));
+    });
+}
+
+/// Dense fan-out: `f(windows, g)` for every [`DENSE_CHUNK`] chunk `g` of
+/// `grad` and the matching windows of `bufs`.
+fn par_chunks<const K: usize>(
+    bufs: [&mut [f32]; K],
+    grad: &[f32],
+    f: impl Fn([&mut [f32]; K], &[f32]) + Sync,
+) {
+    assert_eq!(grad.len(), bufs[0].len());
+    let chunk = |c: usize| c * DENSE_CHUNK..((c + 1) * DENSE_CHUNK).min(grad.len());
+    let n = grad.len().div_ceil(DENSE_CHUNK);
+    par_windows(bufs, n, chunk, |c, w| f(w, &grad[chunk(c)]));
+}
+
+/// Lazy fan-out: `f(row, windows, g)` for every stored row of `grad`, in
+/// insertion order straight off the slab (no per-step collect). Row updates
+/// are disjoint and self-contained, so order does not affect the result bits.
+fn par_rows<const K: usize>(
+    bufs: [&mut [f32]; K],
+    grad: &SparseGrad,
+    f: impl Fn(u32, [&mut [f32]; K], &[f32]) + Sync,
+) {
+    let (dim, rows) = (grad.dim(), bufs[0].len() / grad.dim().max(1));
+    let row = |i: usize| grad.entry(i).0;
+    for i in 0..grad.nnz() {
+        assert!((row(i) as usize) < rows, "gradient row {} out of range", row(i));
+    }
+    let window = |i: usize| row(i) as usize * dim..(row(i) as usize + 1) * dim;
+    par_windows(bufs, grad.nnz(), window, |i, w| f(row(i), w, grad.entry(i).1));
+}
 
 /// Adam hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,7 +135,84 @@ impl AdamState {
     }
 }
 
+/// The Adam row kernel: one update of `p` and its moments `m`, `v` from the
+/// gradient `g` with bias corrections `bc` and the already-scaled rate `lr`,
+/// elementwise in index order. Every Adam step in the workspace — dense
+/// chunks, lazy rows, the sharded store's rows, the parameter server — runs it.
+///
+/// AVX-dispatched: the vector arm uses mul/add/sub/div/sqrt only (never
+/// FMA), in the scalar expression's operation order. IEEE-754 requires all
+/// five to be correctly rounded, `vdivps`/`vsqrtps` included, so each lane
+/// equals the scalar result exactly; the portable loop is both the
+/// `KGE_FORCE_SCALAR` arm and the vector arm's tail.
+#[inline]
+fn adam_row(a: &Adam, bc: [f32; 2], lr: f32, [m, v, p]: [&mut [f32]; 3], g: &[f32]) {
+    let n = p.len();
+    assert!(m.len() == n && v.len() == n && g.len() == n);
+    #[allow(unused_mut)]
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::use_avx() {
+        // SAFETY: AVX presence was just detected at runtime, and all four
+        // slices hold `n` elements (asserted above).
+        done = unsafe { adam_row_avx(a, bc, lr, [m, v, p], g) };
+    }
+    let (omb1, omb2) = (1.0 - a.beta1, 1.0 - a.beta2);
+    for k in done..n {
+        let gv = g[k];
+        m[k] = a.beta1 * m[k] + omb1 * gv;
+        v[k] = a.beta2 * v[k] + omb2 * gv * gv;
+        let mhat = m[k] / bc[0];
+        let vhat = v[k] / bc[1];
+        p[k] -= lr * mhat / (vhat.sqrt() + a.eps);
+    }
+}
+
+/// Vector arm of [`adam_row`] over the largest multiple of 8 elements;
+/// returns how many it updated.
+///
+/// # Safety
+/// The CPU must support AVX, and `m`, `v`, `g` must each hold at least
+/// `p.len()` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn adam_row_avx(
+    a: &Adam,
+    bc: [f32; 2],
+    lr: f32,
+    [m, v, p]: [&mut [f32]; 3],
+    g: &[f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let n8 = p.len() - p.len() % 8;
+    let (beta1, omb1) = (_mm256_set1_ps(a.beta1), _mm256_set1_ps(1.0 - a.beta1));
+    let (beta2, omb2) = (_mm256_set1_ps(a.beta2), _mm256_set1_ps(1.0 - a.beta2));
+    let (bc1, bc2) = (_mm256_set1_ps(bc[0]), _mm256_set1_ps(bc[1]));
+    let (lr, eps) = (_mm256_set1_ps(lr), _mm256_set1_ps(a.eps));
+    for k in (0..n8).step_by(8) {
+        let gv = _mm256_loadu_ps(g.as_ptr().add(k));
+        let mk = _mm256_mul_ps(beta1, _mm256_loadu_ps(m.as_ptr().add(k)));
+        let mk = _mm256_add_ps(mk, _mm256_mul_ps(omb1, gv));
+        let vk = _mm256_mul_ps(beta2, _mm256_loadu_ps(v.as_ptr().add(k)));
+        let vk = _mm256_add_ps(vk, _mm256_mul_ps(_mm256_mul_ps(omb2, gv), gv));
+        _mm256_storeu_ps(m.as_mut_ptr().add(k), mk);
+        _mm256_storeu_ps(v.as_mut_ptr().add(k), vk);
+        let mhat = _mm256_div_ps(mk, bc1);
+        let root = _mm256_add_ps(_mm256_sqrt_ps(_mm256_div_ps(vk, bc2)), eps);
+        let step = _mm256_div_ps(_mm256_mul_ps(lr, mhat), root);
+        let pk = _mm256_sub_ps(_mm256_loadu_ps(p.as_ptr().add(k)), step);
+        _mm256_storeu_ps(p.as_mut_ptr().add(k), pk);
+    }
+    n8
+}
+
 impl Adam {
+    /// `[1 − β1ᵗ, 1 − β2ᵗ]`, the bias corrections at step count `t`.
+    #[inline]
+    fn bias_correction(&self, t: i32) -> [f32; 2] {
+        [1.0 - self.beta1.powi(t), 1.0 - self.beta2.powi(t)]
+    }
+
     /// Dense step: apply `grad` (same shape as the table) everywhere with a
     /// single global step counter. `lr_scale` multiplies the base learning
     /// rate (the paper's capped linear scaling / plateau schedule).
@@ -91,42 +223,18 @@ impl Adam {
         grad: &[f32],
         lr_scale: f32,
     ) {
-        assert_eq!(grad.len(), table.as_slice().len());
-        assert_eq!(grad.len(), state.m.len());
         state.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(state.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(state.t as i32);
-        let lr = self.lr * lr_scale;
-        let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
-        let n = grad.len();
-        let m = SendPtr(state.m.as_mut_ptr());
-        let v = SendPtr(state.v.as_mut_ptr());
-        let p = SendPtr(table.as_mut_slice().as_mut_ptr());
-        let (m, v, p) = (&m, &v, &p);
-        par_for_each_index(n.div_ceil(DENSE_CHUNK), move |c| {
-            let start = c * DENSE_CHUNK;
-            let end = (start + DENSE_CHUNK).min(n);
-            for (j, &g) in grad[start..end].iter().enumerate() {
-                let i = start + j;
-                unsafe {
-                    let mi = &mut *m.0.add(i);
-                    let vi = &mut *v.0.add(i);
-                    *mi = beta1 * *mi + (1.0 - beta1) * g;
-                    *vi = beta2 * *vi + (1.0 - beta2) * g * g;
-                    let mhat = *mi / bc1;
-                    let vhat = *vi / bc2;
-                    *p.0.add(i) -= lr * mhat / (vhat.sqrt() + eps);
-                }
-            }
-        });
+        let (bc, lr) = (self.bias_correction(state.t as i32), self.lr * lr_scale);
+        let bufs = [&mut state.m[..], &mut state.v[..], table.as_mut_slice()];
+        par_chunks(bufs, grad, |w, g| adam_row(self, bc, lr, w, g));
     }
 
     /// The lazy update for a single row: bump its step counter, decay the
     /// moments, apply the bias-corrected step. `lr` is the already-scaled
-    /// learning rate (`self.lr * lr_scale`). This is the exact loop body
-    /// of [`Adam::step_lazy`], exposed so row stores that keep parameters
-    /// outside an [`EmbeddingTable`] (the sharded store's owner arena and
-    /// hot cache) apply bit-identical math.
+    /// learning rate (`self.lr * lr_scale`). This is the exact per-row
+    /// update of [`Adam::step_lazy`], exposed so row stores that keep
+    /// parameters outside an [`EmbeddingTable`] (the sharded store's owner
+    /// arena and hot cache) apply bit-identical math.
     #[inline]
     pub fn step_row_lazy(
         &self,
@@ -137,18 +245,8 @@ impl Adam {
         g: &[f32],
         lr: f32,
     ) {
-        let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
         *rt += 1;
-        let bc1 = 1.0 - beta1.powi(*rt as i32);
-        let bc2 = 1.0 - beta2.powi(*rt as i32);
-        for k in 0..p.len() {
-            let gv = g[k];
-            m[k] = beta1 * m[k] + (1.0 - beta1) * gv;
-            v[k] = beta2 * v[k] + (1.0 - beta2) * gv * gv;
-            let mhat = m[k] / bc1;
-            let vhat = v[k] / bc2;
-            p[k] -= lr * mhat / (vhat.sqrt() + eps);
-        }
+        adam_row(self, self.bias_correction(*rt as i32), lr, [m, v, p], g);
     }
 
     /// Lazy step: update only the rows present in `grad`, with per-row bias
@@ -162,35 +260,19 @@ impl Adam {
         lr_scale: f32,
     ) {
         assert_eq!(grad.dim(), table.dim());
-        let dim = table.dim();
-        let lr = self.lr * lr_scale;
-        let this = *self;
-        // Rows are iterated in insertion order straight off the slab — no
-        // per-step collect. Row updates are disjoint and self-contained, so
-        // iteration order does not affect the result bits.
+        let (lr, row_t) = (self.lr * lr_scale, &mut state.row_t[..]);
+        // The step counters are bumped ahead of the parallel region, which
+        // then only reads them.
         for i in 0..grad.nnz() {
-            let (row, _) = grad.entry(i);
-            assert!((row as usize) < table.rows(), "gradient row {row} out of range");
+            let row = grad.entry(i).0 as usize;
+            assert!(row < row_t.len(), "gradient row {row} out of range");
+            row_t[row] += 1;
         }
-        let m = SendPtr(state.m.as_mut_ptr());
-        let v = SendPtr(state.v.as_mut_ptr());
-        let t = SendPtr(state.row_t.as_mut_ptr());
-        let p = SendPtr(table.as_mut_slice().as_mut_ptr());
-        let (m, v, t, p) = (&m, &v, &t, &p);
-        par_for_each_index(grad.nnz(), move |i| {
-            let (row, g) = grad.entry(i);
-            let r = row as usize;
-            unsafe {
-                let rt = &mut *t.0.add(r);
-                let ms = std::slice::from_raw_parts_mut(m.0.add(r * dim), dim);
-                let vs = std::slice::from_raw_parts_mut(v.0.add(r * dim), dim);
-                let ps = std::slice::from_raw_parts_mut(p.0.add(r * dim), dim);
-                this.step_row_lazy(rt, ms, vs, ps, g, lr);
-            }
-        });
+        let bufs = [&mut state.m[..], &mut state.v[..], table.as_mut_slice()];
+        let bc = |row: u32| self.bias_correction(row_t[row as usize] as i32);
+        par_rows(bufs, grad, |row, w, g| adam_row(self, bc(row), lr, w, g));
     }
 }
-
 
 /// AdaGrad — the optimizer DGL-KE ships for KGE training; simpler state
 /// than Adam (one accumulator) and well-suited to sparse rows because the
@@ -228,6 +310,52 @@ impl AdagradState {
     }
 }
 
+/// The AdaGrad row kernel: accumulate `g²` into `acc` and step `p`,
+/// elementwise and in index order. Same dispatch and bit-identity argument
+/// as [`adam_row`].
+#[inline]
+fn adagrad_row(lr: f32, eps: f32, [acc, p]: [&mut [f32]; 2], g: &[f32]) {
+    let n = p.len();
+    assert!(acc.len() == n && g.len() == n);
+    #[allow(unused_mut)]
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::use_avx() {
+        // SAFETY: AVX presence was just detected at runtime, and all three
+        // slices hold `n` elements (asserted above).
+        done = unsafe { adagrad_row_avx(lr, eps, [acc, p], g) };
+    }
+    for k in done..n {
+        let gv = g[k];
+        acc[k] += gv * gv;
+        p[k] -= lr * gv / (acc[k].sqrt() + eps);
+    }
+}
+
+/// Vector arm of [`adagrad_row`] over the largest multiple of 8 elements;
+/// returns how many it updated.
+///
+/// # Safety
+/// The CPU must support AVX, and `acc` and `g` must each hold at least
+/// `p.len()` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn adagrad_row_avx(lr: f32, eps: f32, [acc, p]: [&mut [f32]; 2], g: &[f32]) -> usize {
+    use std::arch::x86_64::*;
+    let n8 = p.len() - p.len() % 8;
+    let (lr, eps) = (_mm256_set1_ps(lr), _mm256_set1_ps(eps));
+    for k in (0..n8).step_by(8) {
+        let gv = _mm256_loadu_ps(g.as_ptr().add(k));
+        let ak = _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(k)), _mm256_mul_ps(gv, gv));
+        _mm256_storeu_ps(acc.as_mut_ptr().add(k), ak);
+        let root = _mm256_add_ps(_mm256_sqrt_ps(ak), eps);
+        let step = _mm256_div_ps(_mm256_mul_ps(lr, gv), root);
+        let pk = _mm256_sub_ps(_mm256_loadu_ps(p.as_ptr().add(k)), step);
+        _mm256_storeu_ps(p.as_mut_ptr().add(k), pk);
+    }
+    n8
+}
+
 impl Adagrad {
     /// Row-sparse step: update only the rows present in `grad`.
     pub fn step_lazy(
@@ -238,31 +366,9 @@ impl Adagrad {
         lr_scale: f32,
     ) {
         assert_eq!(grad.dim(), table.dim());
-        let dim = table.dim();
-        let lr = self.lr * lr_scale;
-        let eps = self.eps;
-        // Insertion-order iteration off the slab; disjoint rows, so order
-        // does not affect the result bits (see Adam::step_lazy).
-        for i in 0..grad.nnz() {
-            let (row, _) = grad.entry(i);
-            assert!((row as usize) < table.rows(), "gradient row {row} out of range");
-        }
-        let a = SendPtr(state.accum.as_mut_ptr());
-        let p = SendPtr(table.as_mut_slice().as_mut_ptr());
-        let (a, p) = (&a, &p);
-        par_for_each_index(grad.nnz(), move |i| {
-            let (row, g) = grad.entry(i);
-            let r = row as usize;
-            unsafe {
-                let acc = std::slice::from_raw_parts_mut(a.0.add(r * dim), dim);
-                let ps = std::slice::from_raw_parts_mut(p.0.add(r * dim), dim);
-                for k in 0..dim {
-                    let gv = g[k];
-                    acc[k] += gv * gv;
-                    ps[k] -= lr * gv / (acc[k].sqrt() + eps);
-                }
-            }
-        });
+        let (lr, eps) = (self.lr * lr_scale, self.eps);
+        let bufs = [&mut state.accum[..], table.as_mut_slice()];
+        par_rows(bufs, grad, |_, w, g| adagrad_row(lr, eps, w, g));
     }
 
     /// Dense step over the full table.
@@ -273,28 +379,11 @@ impl Adagrad {
         grad: &[f32],
         lr_scale: f32,
     ) {
-        assert_eq!(grad.len(), table.as_slice().len());
-        let lr = self.lr * lr_scale;
-        let eps = self.eps;
-        let n = grad.len();
-        let a = SendPtr(state.accum.as_mut_ptr());
-        let p = SendPtr(table.as_mut_slice().as_mut_ptr());
-        let (a, p) = (&a, &p);
-        par_for_each_index(n.div_ceil(DENSE_CHUNK), move |c| {
-            let start = c * DENSE_CHUNK;
-            let end = (start + DENSE_CHUNK).min(n);
-            for (j, &gv) in grad[start..end].iter().enumerate() {
-                let i = start + j;
-                unsafe {
-                    let acc = &mut *a.0.add(i);
-                    *acc += gv * gv;
-                    *p.0.add(i) -= lr * gv / (acc.sqrt() + eps);
-                }
-            }
-        });
+        let (lr, eps) = (self.lr * lr_scale, self.eps);
+        let bufs = [&mut state.accum[..], table.as_mut_slice()];
+        par_chunks(bufs, grad, |w, g| adagrad_row(lr, eps, w, g));
     }
 }
-
 
 /// Borrowed view of an optimizer's mutable state, used by checkpointing to
 /// read the moments out of (and load them back into) a live optimizer
@@ -414,8 +503,6 @@ impl RowOptimizer for AdamOptimizer {
 pub struct AdagradOptimizer {
     pub cfg: Adagrad,
     pub state: AdagradState,
-    rows: usize,
-    dim: usize,
 }
 
 impl AdagradOptimizer {
@@ -423,8 +510,6 @@ impl AdagradOptimizer {
         AdagradOptimizer {
             cfg,
             state: AdagradState::new(rows, dim),
-            rows,
-            dim,
         }
     }
 }
@@ -439,7 +524,7 @@ impl RowOptimizer for AdagradOptimizer {
     }
 
     fn dense_step_flops(&self) -> f64 {
-        (self.rows * self.dim * 6) as f64
+        (self.state.accum.len() * 6) as f64
     }
 
     fn lazy_step_flops(&self, nnz: usize) -> f64 {
@@ -466,35 +551,6 @@ impl RowOptimizer for AdagradOptimizer {
                 Ok(())
             }
             other => Err(format!("cannot load {other:?} into an Adagrad optimizer")),
-        }
-    }
-}
-
-/// Plain SGD (used in equivalence tests where Adam's statefulness would
-/// obscure the property being checked).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Apply `row -= lr_scale·lr·grad_row` for every stored row.
-    pub fn step_lazy(&self, table: &mut EmbeddingTable, grad: &SparseGrad, lr_scale: f32) {
-        let lr = self.lr * lr_scale;
-        for (row, g) in grad.iter_sorted() {
-            let ps = table.row_mut(row as usize);
-            for (p, &gv) in ps.iter_mut().zip(g) {
-                *p -= lr * gv;
-            }
-        }
-    }
-
-    /// Dense SGD step.
-    pub fn step_dense(&self, table: &mut EmbeddingTable, grad: &[f32], lr_scale: f32) {
-        assert_eq!(grad.len(), table.as_slice().len());
-        let lr = self.lr * lr_scale;
-        for (p, &g) in table.as_mut_slice().iter_mut().zip(grad) {
-            *p -= lr * g;
         }
     }
 }
@@ -575,21 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_steps() {
-        let sgd = Sgd { lr: 0.1 };
-        let mut table = EmbeddingTable::zeros(2, 2);
-        let mut g = SparseGrad::new(2);
-        g.row_mut(0).copy_from_slice(&[1.0, 2.0]);
-        sgd.step_lazy(&mut table, &g, 2.0);
-        assert_eq!(table.row(0), &[-0.2, -0.4]);
-        assert_eq!(table.row(1), &[0.0, 0.0]);
-
-        let dense = vec![1.0, 1.0, 1.0, 1.0];
-        sgd.step_dense(&mut table, &dense, 1.0);
-        assert_eq!(table.row(1), &[-0.1, -0.1]);
-    }
-
-    #[test]
     fn flop_estimates_positive() {
         let s = AdamState::new(10, 4);
         assert!(s.dense_step_flops() > 0.0);
@@ -638,52 +679,6 @@ mod tests {
             let step = (before - table.as_slice()[0]).abs();
             assert!(step < prev);
             prev = step;
-        }
-    }
-
-    #[test]
-    fn parallel_steps_bit_identical_across_thread_counts() {
-        // The parallel fan-out partitions work by row/chunk but applies the
-        // exact sequential per-element update, so results must match bit
-        // for bit at any pool width.
-        let mut g = SparseGrad::new(4);
-        for (i, row) in [3u32, 0, 7, 5, 1].into_iter().enumerate() {
-            let base = (i as f32 + 1.0) * 0.37;
-            g.row_mut(row)
-                .copy_from_slice(&[base, -base * 0.5, base * base, 1.0 / base]);
-        }
-        let dense = g.to_dense(8);
-
-        let run = |threads: usize| -> Vec<f32> {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let mut out = Vec::new();
-                let adam = Adam::default();
-                let mut t = EmbeddingTable::zeros(8, 4);
-                let mut s = AdamState::new(8, 4);
-                for _ in 0..3 {
-                    adam.step_lazy(&mut s, &mut t, &g, 1.0);
-                    adam.step_dense(&mut s, &mut t, &dense, 1.0);
-                }
-                out.extend_from_slice(t.as_slice());
-                let ada = Adagrad::default();
-                let mut t = EmbeddingTable::zeros(8, 4);
-                let mut s = AdagradState::new(8, 4);
-                for _ in 0..3 {
-                    ada.step_lazy(&mut s, &mut t, &g, 1.0);
-                    ada.step_dense(&mut s, &mut t, &dense, 1.0);
-                }
-                out.extend_from_slice(t.as_slice());
-                out
-            })
-        };
-
-        let seq = run(1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(seq, run(threads), "threads={threads}");
         }
     }
 

@@ -4,6 +4,45 @@
 use crate::dataset::Dataset;
 use crate::triple::Triple;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for the filter maps' keys, which are two or three dense `u32`
+/// ids: per id one xor, one multiply by a fixed odd constant and one
+/// xorshift folding the product's well-mixed high half into the low bits
+/// the table indexes with (so ids that share low bits — multiples of 2^16,
+/// say — still spread). It replaces the default SipHash-1-3, whose per-
+/// process random keys buy flood resistance these maps do not need: ids
+/// are assigned densely by this program's own vocabulary, never taken from
+/// input. A side effect is that iteration order is the same in every
+/// process.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        let h = (self.0 ^ id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    /// Not reached by `Triple` or `(u32, u32)` keys, which hash field by
+    /// field through [`Hasher::write_u32`].
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(4) {
+            let mut word = [0u8; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u32(u32::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Index over every triple of a dataset (train + valid + test).
 ///
@@ -14,11 +53,11 @@ use std::collections::{HashMap, HashSet};
 ///   computation without scanning.
 #[derive(Debug, Clone, Default)]
 pub struct FilterIndex {
-    all: HashSet<Triple>,
+    all: IdSet<Triple>,
     /// (rel, head) -> tails
-    tails: HashMap<(u32, u32), Vec<u32>>,
+    tails: IdMap<(u32, u32), Vec<u32>>,
     /// (rel, tail) -> heads
-    heads: HashMap<(u32, u32), Vec<u32>>,
+    heads: IdMap<(u32, u32), Vec<u32>>,
 }
 
 impl FilterIndex {
@@ -76,9 +115,9 @@ impl FilterIndex {
 #[derive(Debug, Clone, Default)]
 pub struct GroupedFilter {
     /// (head, rel) → sorted known tails.
-    tails: HashMap<(u32, u32), Vec<u32>>,
+    tails: IdMap<(u32, u32), Vec<u32>>,
     /// (tail, rel) → sorted known heads.
-    heads: HashMap<(u32, u32), Vec<u32>>,
+    heads: IdMap<(u32, u32), Vec<u32>>,
 }
 
 impl GroupedFilter {
@@ -202,6 +241,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Id patterns chosen against the hasher: ids sharing their low 16
+    /// bits, one `(rel, head)` with 10^4 tails, and plain sequential ids.
+    fn adversarial_triples() -> Vec<Triple> {
+        let mut v = Vec::new();
+        for i in 0..300u32 {
+            for j in 0..20u32 {
+                v.push(Triple::new(i << 16, (j % 3) << 16, (i + j) << 16));
+            }
+        }
+        v.extend((0..10_000u32).map(|t| Triple::new(7, 1, t)));
+        v.extend((0..5_000u32).map(|i| Triple::new(i, i % 5, i + 1)));
+        v.extend((0..500u32).map(|i| Triple::new(i, i % 5, i + 1))); // duplicates
+        v
+    }
+
+    #[test]
+    fn lookups_agree_with_a_btree_oracle_on_adversarial_ids() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let triples = adversarial_triples();
+        let idx = FilterIndex::from_triples(triples.iter().copied());
+        let grouped = GroupedFilter::from_index(&idx);
+
+        let all: BTreeSet<Triple> = triples.iter().copied().collect();
+        // First-seen order per key, as `FilterIndex` documents.
+        let mut tails: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
+        let mut heads: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
+        let mut seen = BTreeSet::new();
+        for t in triples.iter().filter(|t| seen.insert(**t)) {
+            tails.entry((t.rel, t.head)).or_default().push(t.tail);
+            heads.entry((t.rel, t.tail)).or_default().push(t.head);
+        }
+
+        assert_eq!(idx.len(), all.len());
+        for t in &all {
+            assert!(idx.contains(*t));
+            // Near misses: one id off, and the same ids in another slot.
+            let swapped = Triple::new(t.tail, t.rel, t.head);
+            for miss in [t.with_tail(t.tail ^ 1), t.with_head(t.head ^ (1 << 16)), swapped] {
+                assert_eq!(idx.contains(miss), all.contains(&miss), "{miss:?}");
+            }
+        }
+        for (&(rel, head), want) in &tails {
+            assert_eq!(idx.known_tails(rel, head), want.as_slice());
+            let mut sorted = want.clone();
+            sorted.sort_unstable();
+            assert_eq!(grouped.known_tails(head, rel), sorted.as_slice());
+        }
+        for (&(rel, tail), want) in &heads {
+            assert_eq!(idx.known_heads(rel, tail), want.as_slice());
+            let mut sorted = want.clone();
+            sorted.sort_unstable();
+            assert_eq!(grouped.known_heads(tail, rel), sorted.as_slice());
+        }
+        assert_eq!(grouped.n_tail_groups(), tails.len());
+        assert_eq!(idx.known_tails(1, 8), &[] as &[u32]);
+    }
+
+    #[test]
+    fn two_builds_in_one_process_are_identical() {
+        // Includes the maps' iteration order, which the fixed hasher makes a
+        // function of the triples alone.
+        let build = || {
+            let idx = FilterIndex::from_triples(adversarial_triples().into_iter());
+            format!("{:?}", GroupedFilter::from_index(&idx))
+        };
+        assert_eq!(build(), build());
     }
 
     #[test]

@@ -30,8 +30,9 @@
 
 use crate::config::TrainConfig;
 use crate::lr::PlateauSchedule;
-use crate::neg::{sample_negatives, CorruptionBias};
+use crate::neg::sample_negatives;
 use crate::report::{EpochTrace, TrainOutcome, TrainReport};
+use crate::trainer::RunIndexes;
 use kge_compress::codec::{decode_rows, encode_rows, RowPayload};
 use kge_compress::quant::QuantizedRow;
 use kge_compress::WireFormat;
@@ -39,7 +40,7 @@ use kge_core::loss::{logistic_loss, logistic_loss_grad};
 use kge_core::matrix::axpy;
 use kge_core::{Adam, AdamState, EmbeddingTable, KgeModel, SparseGrad};
 use kge_data::batch::{uniform_shards, EpochShuffler};
-use kge_data::{Dataset, FilterIndex, Triple};
+use kge_data::{Dataset, Triple};
 use kge_partition::{entity_owners, partition_for, relation_owners};
 use kge_eval::fast_valid_accuracy;
 use rand::rngs::StdRng;
@@ -66,7 +67,8 @@ pub fn train_ps(
     );
     config.validate().expect("invalid training config");
     dataset.validate().expect("invalid dataset");
-    let mut results = cluster.run(|ctx| run_ps_node(ctx, dataset, config, n_servers));
+    let indexes = RunIndexes::build(dataset, config);
+    let mut results = cluster.run(|ctx| run_ps_node(ctx, dataset, config, n_servers, &indexes));
     let wire_sent: u64 = results.iter().map(|r| r.3).sum();
     let wire_recv: u64 = results.iter().map(|r| r.4).sum();
     let (report, entities, relations, _, _) = results.swap_remove(0);
@@ -149,12 +151,12 @@ fn encode_grad(dim: usize, grad: &SparseGrad, server: usize, owners: &[u32]) -> 
     encode_rows(WireFormat::F32, dim, &rows).expect("encode gradient rows")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_ps_node(
     ctx: &mut NodeCtx,
     dataset: &Dataset,
     config: &TrainConfig,
     n_servers: usize,
+    indexes: &RunIndexes,
 ) -> (Option<TrainReport>, EmbeddingTable, EmbeddingTable, u64, u64) {
     let rank = ctx.rank();
     let p = ctx.size();
@@ -179,12 +181,7 @@ fn run_ps_node(
         worker_shards[rank - n_servers].clone()
     };
 
-    let filter = FilterIndex::build(dataset);
-    let bias = if config.strategy.bern {
-        Some(CorruptionBias::fit(dataset))
-    } else {
-        None
-    };
+    let (filter, bias) = (&indexes.filter, indexes.bias.as_ref());
 
     // Every rank holds full tables: servers treat their owned rows as the
     // source of truth; workers use theirs as a pull-through cache.
@@ -253,8 +250,8 @@ fn run_ps_node(
                         model,
                         &ent,
                         &rel,
-                        &filter,
-                        bias.as_ref(),
+                        filter,
+                        bias,
                         ent.rows(),
                         &mut rng,
                     );
@@ -359,7 +356,7 @@ fn run_ps_node(
             &ent,
             &rel,
             &dataset.valid,
-            &filter,
+            filter,
             dataset.n_entities,
             config.valid_samples,
             config.seed ^ (epoch as u64).wrapping_mul(0x2545F4914F6CDD1D),

@@ -79,7 +79,7 @@ use crate::neg::CorruptionBias;
 use crate::report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
 use crate::trainer::{
     chunk_seed, compute_chunk, distribute, node_pool_threads, stage_chunk, ChunkScratch,
-    GRAD_CHUNK, ZERO_ROW_EPS,
+    RunIndexes, GRAD_CHUNK, ZERO_ROW_EPS,
 };
 use crate::comm_select::PrefetchSelector;
 use crate::CommChoice;
@@ -1950,12 +1950,13 @@ pub fn train_sharded(dataset: &Dataset, cluster: &Cluster, config: &TrainConfig)
         config.sharded.is_some(),
         "train_sharded requires config.sharded"
     );
+    let indexes = RunIndexes::build(dataset, config);
     let mut results = cluster.run(|ctx| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(node_pool_threads(ctx.size()))
             .build()
             .expect("node thread pool");
-        pool.install(|| run_sharded_node(ctx, dataset, config))
+        pool.install(|| run_sharded_node(ctx, dataset, config, &indexes))
     });
     let wire_sent: u64 = results.iter().map(|r| r.wire_sent).sum();
     let wire_recv: u64 = results.iter().map(|r| r.wire_recv).sum();
@@ -1996,7 +1997,12 @@ pub fn train_sharded(dataset: &Dataset, cluster: &Cluster, config: &TrainConfig)
     }
 }
 
-fn run_sharded_node(ctx: &mut NodeCtx, dataset: &Dataset, config: &TrainConfig) -> ShardNodeResult {
+fn run_sharded_node(
+    ctx: &mut NodeCtx,
+    dataset: &Dataset,
+    config: &TrainConfig,
+    indexes: &RunIndexes,
+) -> ShardNodeResult {
     let scfg = config.sharded.expect("caller checked config.sharded");
     let mut rank = ctx.rank();
     let mut p = ctx.size();
@@ -2014,12 +2020,7 @@ fn run_sharded_node(ctx: &mut NodeCtx, dataset: &Dataset, config: &TrainConfig) 
     let (mut base_shard, _owned_rels, mut batches_per_epoch) =
         distribute(dataset, false, rank, p, config.batch_size);
     let mut shard = base_shard.clone();
-    let filter = FilterIndex::build(dataset);
-    let bias = if config.strategy.bern {
-        Some(CorruptionBias::fit(dataset))
-    } else {
-        None
-    };
+    let (filter, bias) = (&indexes.filter, indexes.bias.as_ref());
     let degrees = dataset.stats().entity_degrees;
 
     // Identical Xavier init on every rank (entity table drawn before the
@@ -2107,8 +2108,8 @@ fn run_sharded_node(ctx: &mut NodeCtx, dataset: &Dataset, config: &TrainConfig) 
                 &store,
                 &rel,
                 &shard,
-                &filter,
-                bias.as_ref(),
+                filter,
+                bias,
                 &mut bufs,
                 ring,
                 epoch,
@@ -2131,8 +2132,8 @@ fn run_sharded_node(ctx: &mut NodeCtx, dataset: &Dataset, config: &TrainConfig) 
                         &mut rel,
                         rel_opt.as_mut(),
                         &shard,
-                        &filter,
-                        bias.as_ref(),
+                        filter,
+                        bias,
                         &mut bufs,
                         ring.as_mut().expect("prefetch arm implies a ring"),
                         &mut rng,
@@ -2151,8 +2152,8 @@ fn run_sharded_node(ctx: &mut NodeCtx, dataset: &Dataset, config: &TrainConfig) 
                         &mut rel,
                         rel_opt.as_mut(),
                         &shard,
-                        &filter,
-                        bias.as_ref(),
+                        filter,
+                        bias,
                         &mut bufs,
                         &mut rng,
                         epoch,

@@ -93,7 +93,8 @@ pub fn train_with_snapshots(
     if config.sharded.is_some() {
         return crate::shard::train_sharded(dataset, cluster, config);
     }
-    let mut results = cluster.run(|ctx| run_node(ctx, dataset, config, sink));
+    let indexes = RunIndexes::build(dataset, config);
+    let mut results = cluster.run(|ctx| run_node(ctx, dataset, config, sink, &indexes));
     // Wire-level conservation is global: crashed ranks' pre-crash traffic
     // counts, so sum before discarding the non-reporting nodes.
     let wire_sent: u64 = results.iter().map(|r| r.wire_sent).sum();
@@ -110,6 +111,29 @@ pub fn train_with_snapshots(
         report,
         entities: lead.entities,
         relations: lead.relations,
+    }
+}
+
+/// The read-only lookup structures of one run. They depend on the dataset
+/// and config alone, so each training entry point builds them once, before
+/// `Cluster::run`, and every rank closure borrows them: one build and one
+/// resident copy per run, not one per rank.
+pub(crate) struct RunIndexes {
+    pub(crate) filter: FilterIndex,
+    /// `bern` head-vs-tail corruption bias, when the strategy asks for it.
+    pub(crate) bias: Option<CorruptionBias>,
+    /// The filter grouped for ranking, when per-epoch eval is on.
+    grouped: Option<GroupedFilter>,
+}
+
+impl RunIndexes {
+    pub(crate) fn build(dataset: &Dataset, config: &TrainConfig) -> Self {
+        let filter = FilterIndex::build(dataset);
+        RunIndexes {
+            bias: config.strategy.bern.then(|| CorruptionBias::fit(dataset)),
+            grouped: (config.eval_every > 0).then(|| GroupedFilter::from_index(&filter)),
+            filter,
+        }
     }
 }
 
@@ -160,12 +184,13 @@ fn run_node(
     dataset: &Dataset,
     config: &TrainConfig,
     sink: Option<&dyn SnapshotSink>,
+    indexes: &RunIndexes,
 ) -> NodeResult {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(node_pool_threads(ctx.size()))
         .build()
         .expect("node thread pool");
-    pool.install(|| run_node_inner(ctx, dataset, config, sink))
+    pool.install(|| run_node_inner(ctx, dataset, config, sink, indexes))
 }
 
 /// Recompute everything that depends on the world size: the partition,
@@ -199,6 +224,7 @@ fn run_node_inner(
     dataset: &Dataset,
     config: &TrainConfig,
     sink: Option<&dyn SnapshotSink>,
+    indexes: &RunIndexes,
 ) -> NodeResult {
     let mut rank = ctx.rank();
     let mut p = ctx.size();
@@ -222,20 +248,14 @@ fn run_node_inner(
     );
     let mut shard = base_shard.clone();
 
-    let filter = FilterIndex::build(dataset);
-    // Per-epoch ranking eval (opt-in): the grouped filter and workspace are
-    // built once and reused, so steady-state evaluation allocates only its
-    // per-call query shard.
-    let mut eval_state = if config.eval_every > 0 {
-        Some((GroupedFilter::from_index(&filter), RankingWorkspace::new()))
-    } else {
-        None
-    };
-    let bias = if strategy.bern {
-        Some(CorruptionBias::fit(dataset))
-    } else {
-        None
-    };
+    let (filter, bias) = (&indexes.filter, indexes.bias.as_ref());
+    // Per-epoch ranking eval (opt-in): the workspace is built once and
+    // reused, so steady-state evaluation allocates only its per-call query
+    // shard.
+    let mut eval_state = indexes
+        .grouped
+        .as_ref()
+        .map(|grouped| (grouped, RankingWorkspace::new()));
 
     // --- Model replicas: identical initialization on every node. --------
     let mut init_rng = StdRng::seed_from_u64(config.seed);
@@ -651,7 +671,7 @@ fn run_node_inner(
 
         'batches: for b in 0..batches_per_epoch {
             let (loss, n_examples) = scratch.batch.batch_gradients_into(
-                model, &ent, &rel, &shard, b, config, &filter, bias.as_ref(), rank, epoch,
+                model, &ent, &rel, &shard, b, config, filter, bias, rank, epoch,
             );
             epoch_loss += loss;
             epoch_examples += n_examples;
@@ -1109,7 +1129,7 @@ fn run_node_inner(
             &ent,
             &rel,
             &dataset.valid,
-            &filter,
+            filter,
             dataset.n_entities,
             config.valid_samples,
             config.seed ^ (epoch as u64).wrapping_mul(0x2545F4914F6CDD1D),
@@ -1928,8 +1948,9 @@ mod tests {
         let ds = tiny_dataset(2);
         let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
         let config = quick_config(StrategyConfig::baseline_allgather(2));
+        let indexes = RunIndexes::build(&ds, &config);
         let results = cluster.run(|ctx| {
-            let res = run_node(ctx, &ds, &config, None);
+            let res = run_node(ctx, &ds, &config, None, &indexes);
             (res.entities, res.relations)
         });
         for (ent, rel) in &results[1..] {

@@ -32,7 +32,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgrid::{Cluster, ClusterSpec};
 
+/// The allocation counter is process-global, and the test harness runs the
+/// `#[test]`s of one binary on parallel threads (and allocates itself when
+/// one finishes): two tests here would count each other's set-up. So the
+/// two scenarios run one after the other inside a single test.
 #[test]
+fn steady_state_sharded_loops_allocate_nothing() {
+    steady_state_sharded_batch_loop_allocates_nothing();
+    steady_state_prefetch_ring_allocates_nothing();
+}
+
 fn steady_state_sharded_batch_loop_allocates_nothing() {
     let ds = generate(&SynthConfig {
         name: "sharded-alloc-probe".into(),
@@ -160,7 +169,6 @@ fn steady_state_sharded_batch_loop_allocates_nothing() {
     );
 }
 
-#[test]
 fn steady_state_prefetch_ring_allocates_nothing() {
     // Same contract, prefetch pipeline: after one warm epoch the full
     // ring cycle — staging into a slot, touched-union dedup, launch-time

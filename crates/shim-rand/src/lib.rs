@@ -79,6 +79,18 @@ pub trait SampleRange<T> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// `x mod span` for one 64-bit draw. Every span that fits 64 bits takes a
+/// hardware `u64` remainder (the same value as the 128-bit formula, since
+/// `x < 2^64`); only the full inclusive 64-bit range has `span = 2^64` and
+/// takes the 128-bit remainder.
+#[inline]
+fn reduce(x: u64, span: u128) -> u64 {
+    match u64::try_from(span) {
+        Ok(span) => x % span,
+        Err(_) => ((x as u128) % span) as u64,
+    }
+}
+
 macro_rules! impl_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
@@ -86,7 +98,7 @@ macro_rules! impl_range_int {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "gen_range: empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let r = (rng.next_u64() as u128) % span;
+                let r = reduce(rng.next_u64(), span);
                 (self.start as i128 + r as i128) as $t
             }
         }
@@ -96,7 +108,7 @@ macro_rules! impl_range_int {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "gen_range: empty range");
                 let span = (hi as i128 - lo as i128 + 1) as u128;
-                let r = (rng.next_u64() as u128) % span;
+                let r = reduce(rng.next_u64(), span);
                 (lo as i128 + r as i128) as $t
             }
         }
@@ -227,6 +239,47 @@ mod tests {
             assert!((-2.0..2.0).contains(&f));
             let g = rng.gen_range(-0.5f32..=0.5);
             assert!((-0.5..=0.5).contains(&g));
+        }
+    }
+
+    /// `gen_range` must equal the 128-bit formula it replaced, draw for
+    /// draw: the value is `lo + (x mod span)` with the arithmetic done in
+    /// 128 bits, whichever remainder instruction computed it.
+    #[test]
+    fn gen_range_matches_wide_reference_draw_for_draw() {
+        fn reference(x: u64, lo: i128, span: u128) -> i128 {
+            lo + ((x as u128) % span) as i128
+        }
+        const DRAWS: usize = 100_000;
+        let spans = [1u64, 2, 3, 1_200, 2_242, (1 << 32) - 1, (1 << 63) + 1, u64::MAX];
+        for (i, &span) in spans.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(i as u64);
+            let mut raw = rng.clone();
+            for _ in 0..DRAWS {
+                let want = reference(raw.gen::<u64>(), 0, span as u128);
+                assert_eq!(rng.gen_range(0..span) as i128, want, "span {span}");
+            }
+        }
+        // Span 2^64 — the one case left on the wide path.
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut raw = rng.clone();
+        for _ in 0..DRAWS {
+            let x = raw.gen::<u64>();
+            assert_eq!(rng.gen_range(0..=u64::MAX), x);
+            let want = reference(raw.gen(), i64::MIN as i128, 1 << 64);
+            assert_eq!(rng.gen_range(i64::MIN..=i64::MAX) as i128, want);
+        }
+        // Signed ranges crossing zero.
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut raw = rng.clone();
+        for _ in 0..DRAWS {
+            assert_eq!(rng.gen_range(-5i32..7) as i128, reference(raw.gen(), -5, 12));
+            assert_eq!(rng.gen_range(-3i8..=3) as i128, reference(raw.gen(), -3, 7));
+            let (lo, hi) = (i64::MIN + 1, i64::MAX);
+            let want = reference(raw.gen(), lo as i128, u64::MAX as u128 - 1);
+            assert_eq!(rng.gen_range(lo..hi) as i128, want);
+            let want = reference(raw.gen(), -1200, 2_242);
+            assert_eq!(rng.gen_range(-1200isize..=1041) as i128, want);
         }
     }
 

@@ -55,6 +55,9 @@ REQUIRED = {
         "host_cores",
         "gradients_bit_identical_across_pools",
         "kernel_simd.avx_vs_scalar_bit_identical",
+        "optimizer_simd.avx_vs_scalar_bit_identical",
+        "optimizer_simd.adam_dense_ns_per_elem",
+        "optimizer_simd.adam_lazy_ns_per_elem",
         "fault_injection.faulted_run_bit_reproducible",
         "fault_injection.faulted.recoveries",
         "checkpointing.checkpoint_s_fraction",

@@ -41,15 +41,16 @@ echo "check: benches compile"
 cargo test -p kge-eval --release --test prop_eval --test zero_alloc_eval
 echo "check: eval property + zero-alloc tests pass"
 
-# Training-kernel and codec bit-identity property tests, run under both
-# dispatch arms: the default (AVX where the host supports it) and with
-# KGE_FORCE_SCALAR=1 pinning every kernel to the scalar fallback. Both
-# arms must produce identical bits, so both must pass identically.
-cargo test -p kge-core --release --test prop_train_kernels
+# Training-kernel, optimizer-kernel and codec bit-identity property tests,
+# run under both dispatch arms: the default (AVX where the host supports
+# it) and with KGE_FORCE_SCALAR=1 pinning every kernel to the scalar
+# fallback. Both arms must produce identical bits, so both must pass
+# identically.
+cargo test -p kge-core --release --test prop_train_kernels --test prop_optim_kernels
 cargo test -p kge-compress --release --test prop_roundtrip
-KGE_FORCE_SCALAR=1 cargo test -p kge-core --release --test prop_train_kernels
+KGE_FORCE_SCALAR=1 cargo test -p kge-core --release --test prop_train_kernels --test prop_optim_kernels
 KGE_FORCE_SCALAR=1 cargo test -p kge-compress --release --test prop_roundtrip
-echo "check: kernel + codec bit-identity property tests pass (both dispatch arms)"
+echo "check: kernel, optimizer + codec bit-identity property tests pass (both dispatch arms)"
 
 # Pipelined-exchange determinism: staleness 0 must reproduce the
 # synchronous collectives bit-exactly and staleness >= 1 must be

@@ -226,3 +226,43 @@ fn sample_selection_improves_ranking_quality() {
         "sample selection collapsed ranking quality: {mrr_sel} vs {mrr_uni}"
     );
 }
+
+/// One cell of `kge-core`'s `prop_optim_kernels` suite (which
+/// `scripts/check.sh` runs in full under both dispatch arms), so the tier-1
+/// command exercises both arms of the optimizer row kernels: dense and lazy
+/// Adam and AdaGrad steps over a table with SIMD tails and more than one
+/// dense chunk must give the same bits with scalar kernels forced as with
+/// AVX dispatch.
+#[test]
+fn optimizer_kernels_bit_identical_across_dispatch_arms() {
+    use kge::core::{Adagrad, AdagradOptimizer, Adam, AdamOptimizer, RowOptimizer, SparseGrad};
+    use rand::SeedableRng;
+    const ROWS: usize = 150;
+    const DIM: usize = 61;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+    let init = EmbeddingTable::xavier(ROWS, DIM, &mut rng);
+    let dense = EmbeddingTable::xavier(ROWS, DIM, &mut rng);
+    let mut sparse = SparseGrad::new(DIM);
+    for row in [149u32, 0, 77, 3] {
+        sparse.row_mut(row).copy_from_slice(dense.row(row as usize));
+    }
+    let run = |force_scalar: bool| -> Vec<u32> {
+        kge::core::simd::set_force_scalar(Some(force_scalar));
+        let opts: [Box<dyn RowOptimizer>; 2] = [
+            Box::new(AdamOptimizer::new(Adam::default(), ROWS, DIM)),
+            Box::new(AdagradOptimizer::new(Adagrad::default(), ROWS, DIM)),
+        ];
+        let mut out = Vec::new();
+        for mut opt in opts {
+            let mut table = init.clone();
+            for _ in 0..3 {
+                opt.step_dense(&mut table, dense.as_slice(), 1.0);
+                opt.step_lazy(&mut table, &sparse, 1.0);
+            }
+            out.extend(table.as_slice().iter().map(|x| x.to_bits()));
+        }
+        kge::core::simd::set_force_scalar(None);
+        out
+    };
+    assert_eq!(run(true), run(false));
+}
