@@ -1,11 +1,11 @@
 //! Fused block kernel (`KgeModel::score_grad_block`) vs the scalar
 //! one-triple-at-a-time score/grad/axpy path it replaced, at embedding
 //! dims 64/128/256 (ComplEx ranks 32/64/128). Both variants produce
-//! bit-identical gradients; the fused path gathers the touched rows into
-//! a contiguous scratch arena, scores and differentiates the whole block
-//! in one pass, and scatters straight into the reused sparse
-//! accumulators — one virtual dispatch per block instead of two per
-//! example, and no per-example buffer zeroing. The `fused_forced_scalar`
+//! bit-identical gradients; the fused path scores 16 examples at a time
+//! from tiles built straight out of the table rows and adds each
+//! example's gradient straight into the reused sparse accumulators — no
+//! gathered copy of a row, one virtual dispatch per block instead of two
+//! per example, and no per-example buffer zeroing. The `fused_forced_scalar`
 //! arm runs the same fused path under `KGE_FORCE_SCALAR` dispatch,
 //! isolating the runtime-dispatched AVX kernels' contribution.
 

@@ -452,8 +452,8 @@ fn main() {
     }
 
     // Kernel-level throughput: stage one batch's example list once, then
-    // time the bare fused block kernel (gather → score+grad → scatter)
-    // with no sampling around it.
+    // time the bare fused block kernel (tile → score, grad → slab) with
+    // no sampling around it.
     let n_staged = examples_per_batch;
     let staged: Vec<(u32, u32, u32)> = (0..n_staged)
         .map(|i| {
@@ -513,10 +513,7 @@ fn main() {
     // final pass's loss and both gradient accumulators are compared
     // bitwise, and the speedup of the dispatched arm over the forced
     // scalar fused kernel is reported. Examples are fed in trainer-sized
-    // chunks — one `score_grad_block` call over all ~100k staged examples
-    // would grow the block scratch to tens of MB and turn every pass into
-    // a DRAM stream, which measures memory bandwidth rather than the
-    // kernels under comparison.
+    // chunks, the block shape `compute_chunk` hands the kernel.
     const SIMD_CHUNK: usize = 1024;
     let simd_model = kge_core::ComplEx::new(64);
     let simd_dim = simd_model.storage_dim();

@@ -22,27 +22,31 @@ const EMPTY: u64 = u64::MAX;
 /// can remove rows without changing `rows.len()` validity bookkeeping).
 const STALE: usize = usize::MAX;
 
+/// `(row << 32) | slot`: the index's entry format, and the sorted cache's,
+/// where it makes ascending `u64` order ascending row order.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
+fn pack(row: u32, slot: usize) -> u64 {
+    ((row as u64) << 32) | slot as u64
 }
 
 /// Accumulator of row-sparse gradients for one embedding table.
 #[derive(Debug, Clone)]
 pub struct SparseGrad {
     dim: usize,
-    /// Open-addressed index: `(row << 32) | slot` entries, linear probing.
-    /// Length is always a power of two (or zero before first insert).
+    /// Open-addressed index of [`pack`]ed entries, linear probing from a
+    /// multiply-shift home position. Length is always a power of two (or
+    /// zero before first insert). Slots and every iteration order come
+    /// from `rows`, never from where the hash put an entry.
     index: Vec<u64>,
+    /// `64 - log2(index.len())`: the multiply-shift hash keeps the top bits.
+    shift: u32,
     /// Row ids in insertion order; `rows[slot]` names slot's row.
     rows: Vec<u32>,
     /// Slab: slot `i` spans `i*dim..(i+1)*dim`.
     data: Vec<f32>,
-    /// Cached ascending row order (valid iff `sorted_stamp == rows.len()`).
-    sorted: Vec<u32>,
+    /// Cached [`pack`]ed entries in ascending row order (valid iff
+    /// `sorted_stamp == rows.len()`).
+    sorted: Vec<u64>,
     sorted_stamp: usize,
 }
 
@@ -53,6 +57,7 @@ impl SparseGrad {
         SparseGrad {
             dim,
             index: Vec::new(),
+            shift: 0,
             rows: Vec::new(),
             data: Vec::new(),
             sorted: Vec::new(),
@@ -78,39 +83,42 @@ impl SparseGrad {
         self.rows.is_empty()
     }
 
-    /// Look up the slot of `row` in the open-addressed index.
+    /// Home position of `row` in a non-empty index: Fibonacci
+    /// multiply-shift, which spreads the id patterns a batch produces
+    /// (dense runs, strides of 2^k) instead of mixing them at three
+    /// multiplies per probe.
+    #[inline]
+    fn home(&self, row: u32) -> usize {
+        ((row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Index position holding `row`, or the empty position where it would
+    /// be inserted. The index must be non-empty (and never full: load is
+    /// kept ≤ 0.75).
+    #[inline]
+    fn probe(&self, row: u32) -> usize {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(row);
+        loop {
+            let e = self.index[i];
+            if e == EMPTY || (e >> 32) as u32 == row {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Look up the slot of `row`.
     #[inline]
     fn find(&self, row: u32) -> Option<usize> {
         if self.index.is_empty() {
             return None;
         }
-        let mask = self.index.len() - 1;
-        let mut i = splitmix64(row as u64) as usize & mask;
-        loop {
-            let e = self.index[i];
-            if e == EMPTY {
-                return None;
-            }
-            if (e >> 32) as u32 == row {
-                return Some(e as u32 as usize);
-            }
-            i = (i + 1) & mask;
-        }
+        let e = self.index[self.probe(row)];
+        (e != EMPTY).then_some(e as u32 as usize)
     }
 
-    /// Insert `(row, slot)` into the index (caller guarantees capacity and
-    /// absence of `row`).
-    #[inline]
-    fn index_insert(index: &mut [u64], row: u32, slot: usize) {
-        let mask = index.len() - 1;
-        let mut i = splitmix64(row as u64) as usize & mask;
-        while index[i] != EMPTY {
-            i = (i + 1) & mask;
-        }
-        index[i] = ((row as u64) << 32) | slot as u64;
-    }
-
-    /// Grow (or create) the index so one more entry keeps load ≤ 0.75.
+    /// Grow (or create) the index so `extra` more entries keep load ≤ 0.75.
     fn reserve_index(&mut self, extra: usize) {
         let need = self.rows.len() + extra;
         let cap = self.index.len();
@@ -121,28 +129,64 @@ impl SparseGrad {
         while need * 4 > new_cap * 3 {
             new_cap *= 2;
         }
-        let mut index = vec![EMPTY; new_cap];
-        for (slot, &row) in self.rows.iter().enumerate() {
-            Self::index_insert(&mut index, row, slot);
+        self.index.clear();
+        self.index.resize(new_cap, EMPTY);
+        self.shift = 64 - new_cap.trailing_zeros();
+        self.reindex();
+    }
+
+    /// Re-enter every row into an all-[`EMPTY`] index.
+    fn reindex(&mut self) {
+        for slot in 0..self.rows.len() {
+            let i = self.probe(self.rows[slot]);
+            self.index[i] = pack(self.rows[slot], slot);
         }
-        self.index = index;
+    }
+
+    /// Slot of `row`, creating a zeroed one on first use. Slots number the
+    /// rows in insertion order and stay valid until [`Self::clear`] or
+    /// [`Self::retain`].
+    ///
+    /// `memo` holds `(row, slot)` pairs this accumulator returned since
+    /// then — the training kernel passes the previous example's, so a
+    /// negative that shares its positive's relation and one entity
+    /// resolves them without probing the index.
+    #[inline]
+    pub fn slot_of(&mut self, row: u32, memo: &[Option<(u32, usize)>]) -> usize {
+        if let Some((_, slot)) = memo.iter().flatten().find(|m| m.0 == row) {
+            debug_assert_eq!(self.rows.get(*slot), Some(&row), "stale slot memo");
+            return *slot;
+        }
+        self.reserve_index(1);
+        let i = self.probe(row);
+        if self.index[i] != EMPTY {
+            return self.index[i] as u32 as usize;
+        }
+        let slot = self.rows.len();
+        self.index[i] = pack(row, slot);
+        self.rows.push(row);
+        self.data.resize((slot + 1) * self.dim, 0.0);
+        slot
+    }
+
+    /// Mutable gradient row of `slot` (see [`Self::slot_of`]).
+    #[inline]
+    pub fn slot_mut(&mut self, slot: usize) -> &mut [f32] {
+        &mut self.data[slot * self.dim..(slot + 1) * self.dim]
+    }
+
+    /// The whole slab, slot `i` at `i*dim..(i+1)*dim`: lets one borrow
+    /// reach two slots that may be the same one (a self-loop's head and
+    /// tail).
+    #[inline]
+    pub fn slab_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 
     /// Mutable gradient row for `row`, creating a zeroed slot on first use.
     pub fn row_mut(&mut self, row: u32) -> &mut [f32] {
-        let dim = self.dim;
-        let slot = match self.find(row) {
-            Some(s) => s,
-            None => {
-                self.reserve_index(1);
-                let s = self.rows.len();
-                Self::index_insert(&mut self.index, row, s);
-                self.rows.push(row);
-                self.data.resize((s + 1) * dim, 0.0);
-                s
-            }
-        };
-        &mut self.data[slot * dim..(slot + 1) * dim]
+        let slot = self.slot_of(row, &[]);
+        self.slot_mut(slot)
     }
 
     /// Read a row's accumulated gradient, if present.
@@ -161,10 +205,29 @@ impl SparseGrad {
         (row, &self.data[i * self.dim..(i + 1) * self.dim])
     }
 
+    /// Longest probe sequence any stored row needs (1 = every row sits at
+    /// its home position). A diagnostic for tests of the index hash.
+    pub fn longest_probe(&self) -> usize {
+        let mask = self.index.len().wrapping_sub(1);
+        let occupied = self.index.iter().enumerate().filter(|(_, &e)| e != EMPTY);
+        occupied
+            .map(|(i, &e)| (i.wrapping_sub(self.home((e >> 32) as u32)) & mask) + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Whether the cached ascending order is current.
     #[inline]
     fn sorted_valid(&self) -> bool {
         self.sorted_stamp == self.rows.len()
+    }
+
+    /// Every `(row, slot)` entry of `rows`, [`pack`]ed, in ascending row
+    /// order.
+    fn sort_into(rows: &[u32], out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(rows.iter().enumerate().map(|(slot, &row)| pack(row, slot)));
+        out.sort_unstable();
     }
 
     /// Rebuild the cached ascending row order if stale. Hot paths call
@@ -175,9 +238,7 @@ impl SparseGrad {
         if self.sorted_valid() {
             return;
         }
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&self.rows);
-        self.sorted.sort_unstable();
+        Self::sort_into(&self.rows, &mut self.sorted);
         self.sorted_stamp = self.rows.len();
     }
 
@@ -185,20 +246,23 @@ impl SparseGrad {
     ///
     /// Uses the cached order when valid (see
     /// [`SparseGrad::ensure_sorted`]); otherwise falls back to a one-off
-    /// clone + sort, preserving the old semantics for callers that never
-    /// warm the cache.
+    /// sort, preserving the old semantics for callers that never warm the
+    /// cache. Either way each entry carries its slot, so the walk reads the
+    /// slab directly — no index probe per row.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (u32, &[f32])> + '_ {
-        let order: Cow<'_, [u32]> = if self.sorted_valid() {
+        let order: Cow<'_, [u64]> = if self.sorted_valid() {
             Cow::Borrowed(self.sorted.as_slice())
         } else {
-            let mut v = self.rows.clone();
-            v.sort_unstable();
+            let mut v = Vec::new();
+            Self::sort_into(&self.rows, &mut v);
             Cow::Owned(v)
         };
         (0..order.len()).map(move |i| {
-            let row = order[i];
-            let s = self.find(row).expect("cached row present in index");
-            (row, &self.data[s * self.dim..(s + 1) * self.dim])
+            let s = order[i] as u32 as usize;
+            (
+                (order[i] >> 32) as u32,
+                &self.data[s * self.dim..(s + 1) * self.dim],
+            )
         })
     }
 
@@ -277,9 +341,7 @@ impl SparseGrad {
             self.rows.truncate(w);
             self.data.truncate(w * dim);
             self.index.fill(EMPTY);
-            for (slot, &row) in self.rows.iter().enumerate() {
-                Self::index_insert(&mut self.index, row, slot);
-            }
+            self.reindex();
             self.sorted_stamp = STALE;
         }
         dropped

@@ -453,53 +453,55 @@ fn transe_ova_t_body(
 /// tail.
 pub const BLOCK_T_LANES: usize = 16;
 
-/// Transpose one group of `BLOCK_T_LANES` gathered rows (`src`, row-major
-/// `BLOCK_T_LANES × dim`) into the lane-major tile `dst`
-/// (`dst[k * BLOCK_T_LANES + j]` = element `k` of row `j`). Reads are
+/// Build one lane-major tile straight from the rows `ids` of `table`:
+/// `dst[k * BLOCK_T_LANES + j]` = element `k` of row `ids[j]`. Reads are
 /// contiguous per row; the whole tile stays L1-sized for training dims.
 #[inline]
-fn transpose_group(src: &[f32], dim: usize, dst: &mut [f32]) {
+fn load_tile(table: &EmbeddingTable, ids: [u32; BLOCK_T_LANES], dst: &mut [f32]) {
     const L: usize = BLOCK_T_LANES;
-    debug_assert_eq!(src.len(), L * dim);
-    debug_assert_eq!(dst.len(), dim * L);
+    let dim = table.dim();
+    let rows: [&[f32]; L] = std::array::from_fn(|j| table.row(ids[j] as usize));
+    assert!(rows.iter().all(|r| r.len() == dim) && dst.len() == dim * L);
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx() {
-        // SAFETY: AVX was just detected at runtime; slice bounds are
-        // asserted inside before any raw access.
-        return unsafe { transpose_group_avx(src, dim, dst) };
+        // SAFETY: AVX was just detected at runtime; every row holds `dim`
+        // floats and `dst` holds `dim * L` (asserted above).
+        return unsafe { transpose_rows_avx(&rows, dim, dst) };
     }
-    for (j, row) in src.chunks_exact(dim).enumerate() {
+    for (j, row) in rows.iter().enumerate() {
         for (k, &x) in row.iter().enumerate() {
             dst[k * L + j] = x;
         }
     }
 }
 
-/// AVX [`transpose_group`]: in-register 8x8 transposes (unpack + shuffle +
+/// AVX [`load_tile`]: in-register 8x8 transposes (unpack + shuffle +
 /// 128-bit permute), one lane half at a time, with a scalar column tail.
-/// Pure data movement, so bit-identity to the scalar gather is structural.
+/// Pure data movement, so bit-identity to the scalar copy is structural.
+///
+/// # Safety
+/// The CPU must support AVX, every row must hold at least `dim` floats and
+/// `dst` at least `dim * BLOCK_T_LANES`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn transpose_group_avx(src: &[f32], dim: usize, dst: &mut [f32]) {
+unsafe fn transpose_rows_avx(rows: &[&[f32]; BLOCK_T_LANES], dim: usize, dst: &mut [f32]) {
     use std::arch::x86_64::*;
     const L: usize = BLOCK_T_LANES;
-    assert!(src.len() >= L * dim);
-    assert!(dst.len() >= dim * L);
-    let sp = src.as_ptr();
     let dp = dst.as_mut_ptr();
     let d8 = dim - dim % 8;
     for half in 0..2 {
         let o = half * 8;
+        let sp: [*const f32; 8] = std::array::from_fn(|j| rows[o + j].as_ptr());
         for k0 in (0..d8).step_by(8) {
             // 8 rows (lanes o..o+8) x 8 columns (dims k0..k0+8).
-            let r0 = _mm256_loadu_ps(sp.add(o * dim + k0));
-            let r1 = _mm256_loadu_ps(sp.add((o + 1) * dim + k0));
-            let r2 = _mm256_loadu_ps(sp.add((o + 2) * dim + k0));
-            let r3 = _mm256_loadu_ps(sp.add((o + 3) * dim + k0));
-            let r4 = _mm256_loadu_ps(sp.add((o + 4) * dim + k0));
-            let r5 = _mm256_loadu_ps(sp.add((o + 5) * dim + k0));
-            let r6 = _mm256_loadu_ps(sp.add((o + 6) * dim + k0));
-            let r7 = _mm256_loadu_ps(sp.add((o + 7) * dim + k0));
+            let r0 = _mm256_loadu_ps(sp[0].add(k0));
+            let r1 = _mm256_loadu_ps(sp[1].add(k0));
+            let r2 = _mm256_loadu_ps(sp[2].add(k0));
+            let r3 = _mm256_loadu_ps(sp[3].add(k0));
+            let r4 = _mm256_loadu_ps(sp[4].add(k0));
+            let r5 = _mm256_loadu_ps(sp[5].add(k0));
+            let r6 = _mm256_loadu_ps(sp[6].add(k0));
+            let r7 = _mm256_loadu_ps(sp[7].add(k0));
             let t0 = _mm256_unpacklo_ps(r0, r1);
             let t1 = _mm256_unpackhi_ps(r0, r1);
             let t2 = _mm256_unpacklo_ps(r2, r3);
@@ -526,8 +528,8 @@ unsafe fn transpose_group_avx(src: &[f32], dim: usize, dst: &mut [f32]) {
             _mm256_storeu_ps(dp.add((k0 + 7) * L + o), _mm256_permute2f128_ps::<0x31>(s3, s7));
         }
         for k in d8..dim {
-            for j in 0..8 {
-                *dp.add(k * L + o + j) = *sp.add((o + j) * dim + k);
+            for (j, row) in sp.iter().enumerate() {
+                *dp.add(k * L + o + j) = *row.add(k);
             }
         }
     }
@@ -555,53 +557,6 @@ macro_rules! fwd_t_dispatch {
 fwd_t_dispatch!(complex_fwd_t, complex_fwd_t_avx, complex_fwd_t_body);
 fwd_t_dispatch!(distmult_fwd_t, distmult_fwd_t_avx, distmult_fwd_t_body);
 fwd_t_dispatch!(transe_fwd_t, transe_fwd_t_avx, transe_fwd_t_body);
-
-/// Dispatchers for the vectorized backward block kernels. The backward
-/// pass is elementwise over `dim` — no reductions — so vectorizing the
-/// `k` loop on the row-major arenas is trivially bit-exact: every output
-/// element is computed by the same f32 expression as the scalar loop,
-/// just eight at a time.
-macro_rules! grad_block_dispatch {
-    ($base:ident, $avx:ident, $body:ident) => {
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        fn $base<const FUSE_L2: bool>(
-            rank: usize,
-            h: &[f32],
-            r: &[f32],
-            t: &[f32],
-            coeffs: &[f32],
-            l2: f32,
-            gh: &mut [f32],
-            gr: &mut [f32],
-            gt: &mut [f32],
-        ) {
-            #[cfg(target_arch = "x86_64")]
-            if crate::simd::use_avx() {
-                // SAFETY: the target feature was just detected at runtime;
-                // slice bounds are asserted inside before any raw access.
-                return unsafe { $avx::<FUSE_L2>(rank, h, r, t, coeffs, l2, gh, gr, gt) };
-            }
-            $body::<FUSE_L2>(rank, h, r, t, coeffs, l2, gh, gr, gt)
-        }
-    };
-}
-
-grad_block_dispatch!(
-    complex_grad_block,
-    complex_grad_block_avx,
-    complex_grad_block_body
-);
-grad_block_dispatch!(
-    distmult_grad_block,
-    distmult_grad_block_avx,
-    distmult_grad_block_body
-);
-grad_block_dispatch!(
-    transe_grad_block,
-    transe_grad_block_avx,
-    transe_grad_block_body
-);
 
 /// AVX ComplEx lane-major forward: 16 lanes as two 8-lane halves, each
 /// half's accumulator held in a register across the whole `k` loop. Per
@@ -750,352 +705,254 @@ fn transe_fwd_t_body(rank: usize, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores:
     scores.copy_from_slice(&acc);
 }
 
-/// AVX ComplEx backward block: per example, the six gradient half-rows
-/// are produced eight elements at a time with the scalar loop's exact
-/// per-element expressions (overwrite semantics), scalar tail for
-/// `rank % 8`.
+/// Where one example's gradient lands in the two [`SparseGrad`] slabs.
+/// Head and tail are offsets into one borrow of the entity slab, not two
+/// slices, because a self-loop (`h == t`) names the same row twice.
+pub struct GradDst<'a> {
+    /// The entity accumulator's slab ([`SparseGrad::slab_mut`]).
+    pub ent: &'a mut [f32],
+    /// Offset of the head's row in `ent`.
+    pub h: usize,
+    /// Offset of the tail's row in `ent`.
+    pub t: usize,
+    /// The relation's row.
+    pub rel: &'a mut [f32],
+}
+
+impl GradDst<'_> {
+    /// Panic unless all three rows hold `dim` floats — the bounds the
+    /// vector arms' raw accesses rely on.
+    fn check(&self, dim: usize) {
+        let last = self.ent.len().checked_sub(dim).expect("entity slab shorter than a row");
+        assert!(self.h <= last && self.t <= last && self.rel.len() == dim);
+    }
+}
+
+/// Dispatchers for the accumulating backward kernels: one example's
+/// `coeff · ∂φ/∂x + l2 · x` for `x = h, t, r` is read from the table rows
+/// `src = [h, r, t]` and added into the destination rows — head, then
+/// tail, then relation. The backward is elementwise over `dim`, so the AVX
+/// arm (mul/add/sub only, never FMA) forms each element with the portable
+/// loop's exact expression, eight at a time; the portable loop is the
+/// forced-scalar arm and the vector arm's tail.
 ///
-/// With `FUSE_L2`, the per-row L2 term `l2 * row` is added to the stored
-/// value in the same pass. The addition happens after the gradient
-/// expression is fully formed — the exact operation order of the separate
-/// `axpy` pass it replaces — so fused and unfused results are bit-equal.
+/// Each element is fully formed before it is added, and a destination row
+/// receives its additions in example order, head before tail: the f32
+/// sequence of "form the example's three gradient rows, then `+=` them",
+/// without the rows in between.
+macro_rules! grad_add_dispatch {
+    ($base:ident, $avx:ident, $tail:ident, $floats_per_rank:expr) => {
+        #[inline]
+        #[allow(unused_mut)]
+        fn $base(rank: usize, src: [&[f32]; 3], coeff: f32, l2: f32, mut dst: GradDst<'_>) {
+            let dim = $floats_per_rank * rank;
+            assert!(src.iter().all(|x| x.len() == dim));
+            dst.check(dim);
+            let mut done = 0;
+            #[cfg(target_arch = "x86_64")]
+            if crate::simd::use_avx() {
+                // SAFETY: AVX was just detected at runtime; the three
+                // source rows and the three destination rows hold `dim`
+                // floats (asserted above).
+                done = unsafe { $avx(rank, src, coeff, l2, &mut dst) };
+            }
+            $tail(rank, done, src, coeff, l2, dst)
+        }
+    };
+}
+
+grad_add_dispatch!(complex_grad_add, complex_grad_add_avx, complex_grad_add_tail, 2);
+grad_add_dispatch!(distmult_grad_add, distmult_grad_add_avx, distmult_grad_add_tail, 1);
+grad_add_dispatch!(transe_grad_add, transe_grad_add_avx, transe_grad_add_tail, 1);
+
+/// `p[0..8] += v`.
+///
+/// # Safety
+/// The CPU must support AVX and `p` must be valid for eight floats.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn add8(p: *mut f32, v: std::arch::x86_64::__m256) {
+    use std::arch::x86_64::*;
+    _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), v));
+}
+
+/// The three destination row pointers of `dst`: head, tail, relation.
+/// Head and tail derive from one base pointer, so they may alias.
+///
+/// # Safety
+/// `dst.h` and `dst.t` must lie inside `dst.ent`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+unsafe fn dst_ptrs(dst: &mut GradDst<'_>) -> (*mut f32, *mut f32, *mut f32) {
+    let ent = dst.ent.as_mut_ptr();
+    (ent.add(dst.h), ent.add(dst.t), dst.rel.as_mut_ptr())
+}
+
+/// AVX arm of [`complex_grad_add`] over the largest multiple of 8 of
+/// `rank`, both halves of every row; returns how many it covered.
+///
+/// # Safety
+/// The CPU must support AVX; the rows of `src` must hold `2 * rank` floats
+/// and `dst.check(2 * rank)` must have passed.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn complex_grad_block_avx<const FUSE_L2: bool>(
+unsafe fn complex_grad_add_avx(
     rank: usize,
-    h: &[f32],
-    r: &[f32],
-    t: &[f32],
-    coeffs: &[f32],
+    [h, r, t]: [&[f32]; 3],
+    coeff: f32,
     l2: f32,
-    gh: &mut [f32],
-    gr: &mut [f32],
-    gt: &mut [f32],
-) {
+    dst: &mut GradDst<'_>,
+) -> usize {
     use std::arch::x86_64::*;
     let d = rank;
-    let dim = 2 * d;
-    let len = coeffs.len() * dim;
-    assert!(h.len() >= len && r.len() >= len && t.len() >= len);
-    assert!(gh.len() >= len && gr.len() >= len && gt.len() >= len);
     let d8 = d - d % 8;
-    let vl2 = _mm256_set1_ps(l2);
-    for (i, &coeff) in coeffs.iter().enumerate() {
-        let a = i * dim;
-        let b = a + dim;
-        let (hr, hi) = h[a..b].split_at(d);
-        let (rr, ri) = r[a..b].split_at(d);
-        let (tr, ti) = t[a..b].split_at(d);
-        let (ghr, ghi) = gh[a..b].split_at_mut(d);
-        let (grr, gri) = gr[a..b].split_at_mut(d);
-        let (gtr, gti) = gt[a..b].split_at_mut(d);
-        let vc = _mm256_set1_ps(coeff);
-        for k in (0..d8).step_by(8) {
-            let vhr = _mm256_loadu_ps(hr.as_ptr().add(k));
-            let vhi = _mm256_loadu_ps(hi.as_ptr().add(k));
-            let vrr = _mm256_loadu_ps(rr.as_ptr().add(k));
-            let vri = _mm256_loadu_ps(ri.as_ptr().add(k));
-            let vtr = _mm256_loadu_ps(tr.as_ptr().add(k));
-            let vti = _mm256_loadu_ps(ti.as_ptr().add(k));
-            let mut vghr = _mm256_mul_ps(
-                vc,
-                _mm256_add_ps(_mm256_mul_ps(vrr, vtr), _mm256_mul_ps(vri, vti)),
-            );
-            let mut vghi = _mm256_mul_ps(
-                vc,
-                _mm256_sub_ps(_mm256_mul_ps(vrr, vti), _mm256_mul_ps(vri, vtr)),
-            );
-            let mut vgrr = _mm256_mul_ps(
-                vc,
-                _mm256_add_ps(_mm256_mul_ps(vhr, vtr), _mm256_mul_ps(vhi, vti)),
-            );
-            let mut vgri = _mm256_mul_ps(
-                vc,
-                _mm256_sub_ps(_mm256_mul_ps(vhr, vti), _mm256_mul_ps(vhi, vtr)),
-            );
-            let mut vgtr = _mm256_mul_ps(
-                vc,
-                _mm256_sub_ps(_mm256_mul_ps(vrr, vhr), _mm256_mul_ps(vri, vhi)),
-            );
-            let mut vgti = _mm256_mul_ps(
-                vc,
-                _mm256_add_ps(_mm256_mul_ps(vrr, vhi), _mm256_mul_ps(vri, vhr)),
-            );
-            if FUSE_L2 {
-                vghr = _mm256_add_ps(vghr, _mm256_mul_ps(vl2, vhr));
-                vghi = _mm256_add_ps(vghi, _mm256_mul_ps(vl2, vhi));
-                vgrr = _mm256_add_ps(vgrr, _mm256_mul_ps(vl2, vrr));
-                vgri = _mm256_add_ps(vgri, _mm256_mul_ps(vl2, vri));
-                vgtr = _mm256_add_ps(vgtr, _mm256_mul_ps(vl2, vtr));
-                vgti = _mm256_add_ps(vgti, _mm256_mul_ps(vl2, vti));
-            }
-            _mm256_storeu_ps(ghr.as_mut_ptr().add(k), vghr);
-            _mm256_storeu_ps(ghi.as_mut_ptr().add(k), vghi);
-            _mm256_storeu_ps(grr.as_mut_ptr().add(k), vgrr);
-            _mm256_storeu_ps(gri.as_mut_ptr().add(k), vgri);
-            _mm256_storeu_ps(gtr.as_mut_ptr().add(k), vgtr);
-            _mm256_storeu_ps(gti.as_mut_ptr().add(k), vgti);
-        }
-        for k in d8..d {
-            let mut xhr = coeff * (rr[k] * tr[k] + ri[k] * ti[k]);
-            let mut xhi = coeff * (rr[k] * ti[k] - ri[k] * tr[k]);
-            let mut xrr = coeff * (hr[k] * tr[k] + hi[k] * ti[k]);
-            let mut xri = coeff * (hr[k] * ti[k] - hi[k] * tr[k]);
-            let mut xtr = coeff * (rr[k] * hr[k] - ri[k] * hi[k]);
-            let mut xti = coeff * (rr[k] * hi[k] + ri[k] * hr[k]);
-            if FUSE_L2 {
-                xhr += l2 * hr[k];
-                xhi += l2 * hi[k];
-                xrr += l2 * rr[k];
-                xri += l2 * ri[k];
-                xtr += l2 * tr[k];
-                xti += l2 * ti[k];
-            }
-            ghr[k] = xhr;
-            ghi[k] = xhi;
-            grr[k] = xrr;
-            gri[k] = xri;
-            gtr[k] = xtr;
-            gti[k] = xti;
-        }
+    let (hp, rp, tp) = (h.as_ptr(), r.as_ptr(), t.as_ptr());
+    let (gh, gt, gr) = dst_ptrs(dst);
+    let (vc, vl2) = (_mm256_set1_ps(coeff), _mm256_set1_ps(l2));
+    for k in (0..d8).step_by(8) {
+        let (vhr, vhi) = (_mm256_loadu_ps(hp.add(k)), _mm256_loadu_ps(hp.add(d + k)));
+        let (vrr, vri) = (_mm256_loadu_ps(rp.add(k)), _mm256_loadu_ps(rp.add(d + k)));
+        let (vtr, vti) = (_mm256_loadu_ps(tp.add(k)), _mm256_loadu_ps(tp.add(d + k)));
+        let xhr = _mm256_add_ps(_mm256_mul_ps(vrr, vtr), _mm256_mul_ps(vri, vti));
+        let xhi = _mm256_sub_ps(_mm256_mul_ps(vrr, vti), _mm256_mul_ps(vri, vtr));
+        let xtr = _mm256_sub_ps(_mm256_mul_ps(vrr, vhr), _mm256_mul_ps(vri, vhi));
+        let xti = _mm256_add_ps(_mm256_mul_ps(vrr, vhi), _mm256_mul_ps(vri, vhr));
+        let xrr = _mm256_add_ps(_mm256_mul_ps(vhr, vtr), _mm256_mul_ps(vhi, vti));
+        let xri = _mm256_sub_ps(_mm256_mul_ps(vhr, vti), _mm256_mul_ps(vhi, vtr));
+        add8(gh.add(k), _mm256_add_ps(_mm256_mul_ps(vc, xhr), _mm256_mul_ps(vl2, vhr)));
+        add8(gh.add(d + k), _mm256_add_ps(_mm256_mul_ps(vc, xhi), _mm256_mul_ps(vl2, vhi)));
+        add8(gt.add(k), _mm256_add_ps(_mm256_mul_ps(vc, xtr), _mm256_mul_ps(vl2, vtr)));
+        add8(gt.add(d + k), _mm256_add_ps(_mm256_mul_ps(vc, xti), _mm256_mul_ps(vl2, vti)));
+        add8(gr.add(k), _mm256_add_ps(_mm256_mul_ps(vc, xrr), _mm256_mul_ps(vl2, vrr)));
+        add8(gr.add(d + k), _mm256_add_ps(_mm256_mul_ps(vc, xri), _mm256_mul_ps(vl2, vri)));
     }
+    d8
 }
 
-/// AVX DistMult backward block (see [`complex_grad_block_avx`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn distmult_grad_block_avx<const FUSE_L2: bool>(
-    rank: usize,
-    h: &[f32],
-    r: &[f32],
-    t: &[f32],
-    coeffs: &[f32],
-    l2: f32,
-    gh: &mut [f32],
-    gr: &mut [f32],
-    gt: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    let dim = rank;
-    let len = coeffs.len() * dim;
-    assert!(h.len() >= len && r.len() >= len && t.len() >= len);
-    assert!(gh.len() >= len && gr.len() >= len && gt.len() >= len);
-    let d8 = dim - dim % 8;
-    let vl2 = _mm256_set1_ps(l2);
-    for (i, &coeff) in coeffs.iter().enumerate() {
-        let a = i * dim;
-        let vc = _mm256_set1_ps(coeff);
-        for k in (0..d8).step_by(8) {
-            let p = a + k;
-            let vh = _mm256_loadu_ps(h.as_ptr().add(p));
-            let vr = _mm256_loadu_ps(r.as_ptr().add(p));
-            let vt = _mm256_loadu_ps(t.as_ptr().add(p));
-            // grad: gh = (c·r)·t, gr = (c·h)·t, gt = (c·h)·r
-            let mut vgh = _mm256_mul_ps(_mm256_mul_ps(vc, vr), vt);
-            let mut vgr = _mm256_mul_ps(_mm256_mul_ps(vc, vh), vt);
-            let mut vgt = _mm256_mul_ps(_mm256_mul_ps(vc, vh), vr);
-            if FUSE_L2 {
-                vgh = _mm256_add_ps(vgh, _mm256_mul_ps(vl2, vh));
-                vgr = _mm256_add_ps(vgr, _mm256_mul_ps(vl2, vr));
-                vgt = _mm256_add_ps(vgt, _mm256_mul_ps(vl2, vt));
-            }
-            _mm256_storeu_ps(gh.as_mut_ptr().add(p), vgh);
-            _mm256_storeu_ps(gr.as_mut_ptr().add(p), vgr);
-            _mm256_storeu_ps(gt.as_mut_ptr().add(p), vgt);
-        }
-        for k in a + d8..a + dim {
-            let mut xh = coeff * r[k] * t[k];
-            let mut xr = coeff * h[k] * t[k];
-            let mut xt = coeff * h[k] * r[k];
-            if FUSE_L2 {
-                xh += l2 * h[k];
-                xr += l2 * r[k];
-                xt += l2 * t[k];
-            }
-            gh[k] = xh;
-            gr[k] = xr;
-            gt[k] = xt;
-        }
-    }
-}
-
-/// AVX TransE backward block (see [`complex_grad_block_avx`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn transe_grad_block_avx<const FUSE_L2: bool>(
-    rank: usize,
-    h: &[f32],
-    r: &[f32],
-    t: &[f32],
-    coeffs: &[f32],
-    l2: f32,
-    gh: &mut [f32],
-    gr: &mut [f32],
-    gt: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    let dim = rank;
-    let len = coeffs.len() * dim;
-    assert!(h.len() >= len && r.len() >= len && t.len() >= len);
-    assert!(gh.len() >= len && gr.len() >= len && gt.len() >= len);
-    let d8 = dim - dim % 8;
-    let vm2 = _mm256_set1_ps(-2.0);
-    let vp2 = _mm256_set1_ps(2.0);
-    let vl2 = _mm256_set1_ps(l2);
-    for (i, &coeff) in coeffs.iter().enumerate() {
-        let a = i * dim;
-        let vc = _mm256_set1_ps(coeff);
-        for k in (0..d8).step_by(8) {
-            let p = a + k;
-            let vh = _mm256_loadu_ps(h.as_ptr().add(p));
-            let vr = _mm256_loadu_ps(r.as_ptr().add(p));
-            let vt = _mm256_loadu_ps(t.as_ptr().add(p));
-            // grad: d = (h + r) − t; gh = gr = c·(−2·d), gt = c·(2·d)
-            let vd = _mm256_sub_ps(_mm256_add_ps(vh, vr), vt);
-            let neg = _mm256_mul_ps(vc, _mm256_mul_ps(vm2, vd));
-            let mut vgh = neg;
-            let mut vgr = neg;
-            let mut vgt = _mm256_mul_ps(vc, _mm256_mul_ps(vp2, vd));
-            if FUSE_L2 {
-                vgh = _mm256_add_ps(vgh, _mm256_mul_ps(vl2, vh));
-                vgr = _mm256_add_ps(vgr, _mm256_mul_ps(vl2, vr));
-                vgt = _mm256_add_ps(vgt, _mm256_mul_ps(vl2, vt));
-            }
-            _mm256_storeu_ps(gh.as_mut_ptr().add(p), vgh);
-            _mm256_storeu_ps(gr.as_mut_ptr().add(p), vgr);
-            _mm256_storeu_ps(gt.as_mut_ptr().add(p), vgt);
-        }
-        for k in a + d8..a + dim {
-            let d = h[k] + r[k] - t[k];
-            let mut xh = coeff * (-2.0 * d);
-            let mut xr = coeff * (-2.0 * d);
-            let mut xt = coeff * (2.0 * d);
-            if FUSE_L2 {
-                xh += l2 * h[k];
-                xr += l2 * r[k];
-                xt += l2 * t[k];
-            }
-            gh[k] = xh;
-            gr[k] = xr;
-            gt[k] = xt;
-        }
-    }
-}
-
+/// Portable arm of [`complex_grad_add`], elements `from..rank` of both
+/// halves ([`ComplEx::grad`]'s terms).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn complex_grad_block_body<const FUSE_L2: bool>(
+fn complex_grad_add_tail(
     rank: usize,
-    h: &[f32],
-    r: &[f32],
-    t: &[f32],
-    coeffs: &[f32],
+    from: usize,
+    [h, r, t]: [&[f32]; 3],
+    coeff: f32,
     l2: f32,
-    gh: &mut [f32],
-    gr: &mut [f32],
-    gt: &mut [f32],
+    dst: GradDst<'_>,
 ) {
     let d = rank;
-    let dim = 2 * d;
-    for (i, &coeff) in coeffs.iter().enumerate() {
-        let a = i * dim;
-        let b = a + dim;
-        let (hr, hi) = h[a..b].split_at(d);
-        let (rr, ri) = r[a..b].split_at(d);
-        let (tr, ti) = t[a..b].split_at(d);
-        let (ghr, ghi) = gh[a..b].split_at_mut(d);
-        let (grr, gri) = gr[a..b].split_at_mut(d);
-        let (gtr, gti) = gt[a..b].split_at_mut(d);
-        for k in 0..d {
-            let mut xhr = coeff * (rr[k] * tr[k] + ri[k] * ti[k]);
-            let mut xhi = coeff * (rr[k] * ti[k] - ri[k] * tr[k]);
-            let mut xrr = coeff * (hr[k] * tr[k] + hi[k] * ti[k]);
-            let mut xri = coeff * (hr[k] * ti[k] - hi[k] * tr[k]);
-            let mut xtr = coeff * (rr[k] * hr[k] - ri[k] * hi[k]);
-            let mut xti = coeff * (rr[k] * hi[k] + ri[k] * hr[k]);
-            if FUSE_L2 {
-                xhr += l2 * hr[k];
-                xhi += l2 * hi[k];
-                xrr += l2 * rr[k];
-                xri += l2 * ri[k];
-                xtr += l2 * tr[k];
-                xti += l2 * ti[k];
-            }
-            ghr[k] = xhr;
-            ghi[k] = xhi;
-            grr[k] = xrr;
-            gri[k] = xri;
-            gtr[k] = xtr;
-            gti[k] = xti;
-        }
+    let GradDst { ent, h: gh, t: gt, rel } = dst;
+    for k in from..d {
+        let (hr, hi, rr, ri, tr, ti) = (h[k], h[d + k], r[k], r[d + k], t[k], t[d + k]);
+        ent[gh + k] += coeff * (rr * tr + ri * ti) + l2 * hr;
+        ent[gh + d + k] += coeff * (rr * ti - ri * tr) + l2 * hi;
+        ent[gt + k] += coeff * (rr * hr - ri * hi) + l2 * tr;
+        ent[gt + d + k] += coeff * (rr * hi + ri * hr) + l2 * ti;
+        rel[k] += coeff * (hr * tr + hi * ti) + l2 * rr;
+        rel[d + k] += coeff * (hr * ti - hi * tr) + l2 * ri;
     }
 }
 
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn distmult_grad_block_body<const FUSE_L2: bool>(
+/// AVX arm of [`distmult_grad_add`] (see [`complex_grad_add_avx`]).
+///
+/// # Safety
+/// The CPU must support AVX; the rows of `src` must hold `rank` floats and
+/// `dst.check(rank)` must have passed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn distmult_grad_add_avx(
     rank: usize,
-    h: &[f32],
-    r: &[f32],
-    t: &[f32],
-    coeffs: &[f32],
+    [h, r, t]: [&[f32]; 3],
+    coeff: f32,
     l2: f32,
-    gh: &mut [f32],
-    gr: &mut [f32],
-    gt: &mut [f32],
+    dst: &mut GradDst<'_>,
+) -> usize {
+    use std::arch::x86_64::*;
+    let d8 = rank - rank % 8;
+    let (gh, gt, gr) = dst_ptrs(dst);
+    let (vc, vl2) = (_mm256_set1_ps(coeff), _mm256_set1_ps(l2));
+    for k in (0..d8).step_by(8) {
+        let vh = _mm256_loadu_ps(h.as_ptr().add(k));
+        let vr = _mm256_loadu_ps(r.as_ptr().add(k));
+        let vt = _mm256_loadu_ps(t.as_ptr().add(k));
+        // grad: gh = (c·r)·t, gt = (c·h)·r, gr = (c·h)·t
+        let (vcr, vch) = (_mm256_mul_ps(vc, vr), _mm256_mul_ps(vc, vh));
+        add8(gh.add(k), _mm256_add_ps(_mm256_mul_ps(vcr, vt), _mm256_mul_ps(vl2, vh)));
+        add8(gt.add(k), _mm256_add_ps(_mm256_mul_ps(vch, vr), _mm256_mul_ps(vl2, vt)));
+        add8(gr.add(k), _mm256_add_ps(_mm256_mul_ps(vch, vt), _mm256_mul_ps(vl2, vr)));
+    }
+    d8
+}
+
+/// Portable arm of [`distmult_grad_add`] ([`DistMult::grad`]'s terms).
+#[inline(always)]
+fn distmult_grad_add_tail(
+    rank: usize,
+    from: usize,
+    [h, r, t]: [&[f32]; 3],
+    coeff: f32,
+    l2: f32,
+    dst: GradDst<'_>,
 ) {
-    let dim = rank;
-    for (i, &coeff) in coeffs.iter().enumerate() {
-        let a = i * dim;
-        for k in a..a + dim {
-            let mut xh = coeff * r[k] * t[k];
-            let mut xr = coeff * h[k] * t[k];
-            let mut xt = coeff * h[k] * r[k];
-            if FUSE_L2 {
-                xh += l2 * h[k];
-                xr += l2 * r[k];
-                xt += l2 * t[k];
-            }
-            gh[k] = xh;
-            gr[k] = xr;
-            gt[k] = xt;
-        }
+    let GradDst { ent, h: gh, t: gt, rel } = dst;
+    for k in from..rank {
+        ent[gh + k] += coeff * r[k] * t[k] + l2 * h[k];
+        ent[gt + k] += coeff * h[k] * r[k] + l2 * t[k];
+        rel[k] += coeff * h[k] * t[k] + l2 * r[k];
     }
 }
 
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn transe_grad_block_body<const FUSE_L2: bool>(
+/// AVX arm of [`transe_grad_add`] (see [`complex_grad_add_avx`]).
+///
+/// # Safety
+/// The CPU must support AVX; the rows of `src` must hold `rank` floats and
+/// `dst.check(rank)` must have passed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn transe_grad_add_avx(
     rank: usize,
-    h: &[f32],
-    r: &[f32],
-    t: &[f32],
-    coeffs: &[f32],
+    [h, r, t]: [&[f32]; 3],
+    coeff: f32,
     l2: f32,
-    gh: &mut [f32],
-    gr: &mut [f32],
-    gt: &mut [f32],
+    dst: &mut GradDst<'_>,
+) -> usize {
+    use std::arch::x86_64::*;
+    let d8 = rank - rank % 8;
+    let (gh, gt, gr) = dst_ptrs(dst);
+    let (vc, vl2) = (_mm256_set1_ps(coeff), _mm256_set1_ps(l2));
+    let (vm2, vp2) = (_mm256_set1_ps(-2.0), _mm256_set1_ps(2.0));
+    for k in (0..d8).step_by(8) {
+        let vh = _mm256_loadu_ps(h.as_ptr().add(k));
+        let vr = _mm256_loadu_ps(r.as_ptr().add(k));
+        let vt = _mm256_loadu_ps(t.as_ptr().add(k));
+        // grad: d = (h + r) − t; gh = gr = c·(−2·d), gt = c·(2·d)
+        let vd = _mm256_sub_ps(_mm256_add_ps(vh, vr), vt);
+        let neg = _mm256_mul_ps(vc, _mm256_mul_ps(vm2, vd));
+        let pos = _mm256_mul_ps(vc, _mm256_mul_ps(vp2, vd));
+        add8(gh.add(k), _mm256_add_ps(neg, _mm256_mul_ps(vl2, vh)));
+        add8(gt.add(k), _mm256_add_ps(pos, _mm256_mul_ps(vl2, vt)));
+        add8(gr.add(k), _mm256_add_ps(neg, _mm256_mul_ps(vl2, vr)));
+    }
+    d8
+}
+
+/// Portable arm of [`transe_grad_add`] ([`TransE::grad`]'s terms).
+#[inline(always)]
+fn transe_grad_add_tail(
+    rank: usize,
+    from: usize,
+    [h, r, t]: [&[f32]; 3],
+    coeff: f32,
+    l2: f32,
+    dst: GradDst<'_>,
 ) {
-    let dim = rank;
-    for (i, &coeff) in coeffs.iter().enumerate() {
-        let a = i * dim;
-        for k in a..a + dim {
-            let d = h[k] + r[k] - t[k];
-            let mut xh = coeff * (-2.0 * d);
-            let mut xr = coeff * (-2.0 * d);
-            let mut xt = coeff * (2.0 * d);
-            if FUSE_L2 {
-                xh += l2 * h[k];
-                xr += l2 * r[k];
-                xt += l2 * t[k];
-            }
-            gh[k] = xh;
-            gr[k] = xr;
-            gt[k] = xt;
-        }
+    let GradDst { ent, h: gh, t: gt, rel } = dst;
+    for k in from..rank {
+        let d = h[k] + r[k] - t[k];
+        ent[gh + k] += coeff * (-2.0 * d) + l2 * h[k];
+        ent[gt + k] += coeff * (2.0 * d) + l2 * t[k];
+        rel[k] += coeff * (-2.0 * d) + l2 * r[k];
     }
 }
 
@@ -1136,25 +993,6 @@ pub trait KgeModel: Send + Sync {
     /// clock). A `grad` call is costed at twice this.
     fn score_flops(&self) -> f64 {
         (6 * self.storage_dim()) as f64
-    }
-
-    /// Score `scores.len()` triples whose rows were gathered contiguously
-    /// into `h`/`r`/`t` arenas (example `i` spans
-    /// `i*storage_dim..(i+1)*storage_dim`).
-    ///
-    /// Per-example scores use the exact reduction order of [`Self::score`],
-    /// so the block path is bit-identical to the scalar path. The default
-    /// delegates row by row; since default bodies are monomorphized per
-    /// model, `self.score` is a direct (inlinable) call — the win over the
-    /// scalar path is the contiguous arena and a single virtual dispatch
-    /// per block instead of one per triple.
-    fn score_block(&self, h: &[f32], r: &[f32], t: &[f32], scores: &mut [f32]) {
-        let dim = self.storage_dim();
-        for (i, s) in scores.iter_mut().enumerate() {
-            let a = i * dim;
-            let b = a + dim;
-            *s = self.score(&h[a..b], &r[a..b], &t[a..b]);
-        }
     }
 
     /// Score one query against a contiguous tile of candidate entity rows —
@@ -1230,14 +1068,14 @@ pub trait KgeModel: Send + Sync {
     /// Whether [`Self::score_group_t`] has a fused implementation — the
     /// gate for the lane-major training forward path in
     /// [`Self::score_grad_block`]. Models without one (RotatE, SimplE)
-    /// keep the row-major [`Self::score_block`] sweep.
+    /// score each example with [`Self::score`].
     fn has_train_kernel(&self) -> bool {
         false
     }
 
     /// Forward-score one lane-major group of [`BLOCK_T_LANES`] training
     /// examples: `h_t`/`r_t`/`t_t` hold element `k` of example `j` at
-    /// `k * BLOCK_T_LANES + j` (the gathered rows transposed), and
+    /// `k * BLOCK_T_LANES + j` (the table rows transposed), and
     /// `scores` has exactly [`BLOCK_T_LANES`] slots. Each lane accumulates
     /// its own example's serial sum in [`Self::score`]'s exact operation
     /// order — only independent chains are interleaved — so group scores
@@ -1250,83 +1088,47 @@ pub trait KgeModel: Send + Sync {
         )
     }
 
-    /// Fill the gradient arenas with `coeffs[i] · ∂φ/∂(h,r,t)` for every
-    /// example in the block — **overwrite** semantics, unlike the
-    /// accumulating [`Self::grad`]. Fused implementations write each
-    /// element once (no zero-fill + read-add); the default zero-fills per
-    /// row and delegates to `grad`, which produces the same values.
-    #[allow(clippy::too_many_arguments)]
-    fn grad_block(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        let dim = self.storage_dim();
-        for (i, &c) in coeffs.iter().enumerate() {
-            let a = i * dim;
-            let b = a + dim;
-            gh[a..b].fill(0.0);
-            gr[a..b].fill(0.0);
-            gt[a..b].fill(0.0);
-            self.grad(
-                &h[a..b],
-                &r[a..b],
-                &t[a..b],
-                c,
-                &mut gh[a..b],
-                &mut gr[a..b],
-                &mut gt[a..b],
-            );
-        }
-    }
-
-    /// [`Self::grad_block`] with the per-row L2 term (`g += l2_reg · row`)
-    /// folded into the same pass — one sweep over the gradient arenas
-    /// instead of two. The L2 product is added to the fully formed
-    /// gradient value, which is exactly the operation order of the
-    /// separate `axpy` pass the default performs, so fused overrides are
-    /// bit-identical to it.
-    #[allow(clippy::too_many_arguments)]
-    fn grad_block_l2(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        l2_reg: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        self.grad_block(h, r, t, coeffs, gh, gr, gt);
-        let dim = self.storage_dim();
-        for i in 0..coeffs.len() {
-            let a = i * dim;
-            let b = a + dim;
-            axpy(l2_reg, &h[a..b], &mut gh[a..b]);
-            axpy(l2_reg, &r[a..b], &mut gr[a..b]);
-            axpy(l2_reg, &t[a..b], &mut gt[a..b]);
-        }
-    }
-
-    /// Fused batched kernel for one block of `(head, rel, tail)` triples:
-    /// **gather** the rows into `scratch`'s contiguous arenas, **score**
-    /// the whole block, turn each score into an upstream loss coefficient
-    /// via `coeff_of(example_idx, score)` (called in example order — the
-    /// place to accumulate the loss), compute all gradients in one fused
-    /// pass, apply L2 (`g += l2_reg · row`, always executed, matching the
-    /// scalar path), and **scatter** into the sparse accumulators in
-    /// example order (head, tail, rel — head and tail may collide).
+    /// Backward of one example, accumulating: add
+    /// `coeff · ∂φ/∂x + l2 · x` for `x = h, t, r` — each element fully
+    /// formed first — into the rows `dst` names, head, then tail, then
+    /// relation. `src` is `[h, r, t]`.
     ///
-    /// Every f32 operation sequence matches the one-triple-at-a-time path,
-    /// so chunked results stay bit-identical across thread-pool sizes.
-    /// `scratch` buffers grow to the block high-water mark during warm-up
-    /// and are reused afterwards — steady state allocates nothing.
+    /// The default forms the three gradient rows in `tmp` (`3 ×
+    /// storage_dim()` floats) through [`Self::grad`]; fused overrides add
+    /// the same values element by element straight from the source rows
+    /// and leave `tmp` alone.
+    fn grad_add(&self, src: [&[f32]; 3], coeff: f32, l2: f32, dst: GradDst<'_>, tmp: &mut [f32]) {
+        let dim = self.storage_dim();
+        let [h, r, t] = src;
+        tmp.fill(0.0);
+        let (gh, rest) = tmp.split_at_mut(dim);
+        let (gr, gt) = rest.split_at_mut(dim);
+        self.grad(h, r, t, coeff, gh, gr, gt);
+        axpy(l2, h, gh);
+        axpy(l2, r, gr);
+        axpy(l2, t, gt);
+        axpy(1.0, gh, &mut dst.ent[dst.h..dst.h + dim]);
+        axpy(1.0, gt, &mut dst.ent[dst.t..dst.t + dim]);
+        axpy(1.0, gr, dst.rel);
+    }
+
+    /// Fused batched kernel for one block of `(head, rel, tail)` triples,
+    /// one group of [`BLOCK_T_LANES`] examples at a time: **score** the
+    /// group — through lane-major tiles built straight from the table rows
+    /// where the model has a tile kernel and the group is full, with
+    /// [`Self::score`] otherwise — turn each score into an upstream loss
+    /// coefficient via `coeff_of(example_idx, score)` (called in example
+    /// order — the place to accumulate the loss), then, example by example,
+    /// **add** the regularized gradient ([`Self::grad_add`], L2 always
+    /// executed) to the example's rows of the sparse accumulators. Rows
+    /// enter an accumulator in example order, head before tail.
+    ///
+    /// No embedding row is copied and no gradient row is staged, and every
+    /// destination row receives the f32 additions of the
+    /// one-triple-at-a-time path in its order, so chunked results stay
+    /// bit-identical across thread-pool sizes and dispatch arms. `scratch`
+    /// is sized by `storage_dim()` alone and reused — steady state
+    /// allocates nothing.
     #[allow(clippy::too_many_arguments)]
     fn score_grad_block(
         &self,
@@ -1339,103 +1141,48 @@ pub trait KgeModel: Send + Sync {
         ent_out: &mut SparseGrad,
         rel_out: &mut SparseGrad,
     ) {
+        const L: usize = BLOCK_T_LANES;
         let dim = self.storage_dim();
-        let n = triples.len();
-        scratch.reserve(n, dim);
-        if self.has_train_kernel() && !crate::simd::force_scalar() {
-            // Group-at-a-time fused path: each BLOCK_T_LANES-example group
-            // is gathered, transposed into lane-major tiles, scored with
-            // the AVX group kernel, differentiated, regularized and
-            // scattered while its staging rows are still cache-resident —
-            // one sweep over tens of KB instead of five passes streaming
-            // the whole block. Partial trailing groups take the scalar
-            // score. Every step performs the same operations in the same
-            // order as the row-major arm below, so both sides of the
-            // force-scalar override stay bit-identical.
-            const L: usize = BLOCK_T_LANES;
-            for g0 in (0..n).step_by(L) {
-                let len = L.min(n - g0);
-                let glen = len * dim;
-                scratch.h.clear();
-                scratch.r.clear();
-                scratch.t.clear();
-                for &(h, r, t) in &triples[g0..g0 + len] {
-                    scratch.h.extend_from_slice(ent.row(h as usize));
-                    scratch.r.extend_from_slice(rel.row(r as usize));
-                    scratch.t.extend_from_slice(ent.row(t as usize));
-                }
-                if len == L {
-                    transpose_group(&scratch.h, dim, &mut scratch.ht);
-                    transpose_group(&scratch.r, dim, &mut scratch.rt);
-                    transpose_group(&scratch.t, dim, &mut scratch.tt);
-                    self.score_group_t(
-                        &scratch.ht,
-                        &scratch.rt,
-                        &scratch.tt,
-                        &mut scratch.scores[g0..g0 + L],
-                    );
-                } else {
-                    for i in 0..len {
-                        let a = i * dim;
-                        let b = a + dim;
-                        scratch.scores[g0 + i] =
-                            self.score(&scratch.h[a..b], &scratch.r[a..b], &scratch.t[a..b]);
-                    }
-                }
-                for i in 0..len {
-                    scratch.coeffs[g0 + i] = coeff_of(g0 + i, scratch.scores[g0 + i]);
-                }
-                self.grad_block_l2(
-                    &scratch.h,
-                    &scratch.r,
-                    &scratch.t,
-                    &scratch.coeffs[g0..g0 + len],
-                    l2_reg,
-                    &mut scratch.gh[..glen],
-                    &mut scratch.gr[..glen],
-                    &mut scratch.gt[..glen],
-                );
-                for (i, &(h, r, t)) in triples[g0..g0 + len].iter().enumerate() {
-                    let a = i * dim;
-                    let b = a + dim;
-                    axpy(1.0, &scratch.gh[a..b], ent_out.row_mut(h));
-                    axpy(1.0, &scratch.gt[a..b], ent_out.row_mut(t));
-                    axpy(1.0, &scratch.gr[a..b], rel_out.row_mut(r));
+        assert!(ent.dim() == dim && rel.dim() == dim);
+        assert!(ent_out.dim() == dim && rel_out.dim() == dim);
+        scratch.reserve(dim);
+        let tiled = self.has_train_kernel() && !crate::simd::force_scalar();
+        let mut scores = [0.0f32; L];
+        // The previous example's rows and slots: a negative shares its
+        // positive's relation and one entity, and skips their index probes.
+        let (mut ent_memo, mut rel_memo) = ([None; 2], [None; 1]);
+        for (g, group) in triples.chunks(L).enumerate() {
+            if tiled && group.len() == L {
+                let ids = |of: fn(&(u32, u32, u32)) -> u32| std::array::from_fn(|j| of(&group[j]));
+                load_tile(ent, ids(|x| x.0), &mut scratch.ht);
+                load_tile(rel, ids(|x| x.1), &mut scratch.rt);
+                load_tile(ent, ids(|x| x.2), &mut scratch.tt);
+                self.score_group_t(&scratch.ht, &scratch.rt, &scratch.tt, &mut scores);
+            } else {
+                for (s, &(h, r, t)) in scores.iter_mut().zip(group) {
+                    *s = self.score(ent.row(h as usize), rel.row(r as usize), ent.row(t as usize));
                 }
             }
-            return;
-        }
-        for &(h, r, t) in triples {
-            scratch.h.extend_from_slice(ent.row(h as usize));
-            scratch.r.extend_from_slice(rel.row(r as usize));
-            scratch.t.extend_from_slice(ent.row(t as usize));
-        }
-        self.score_block(&scratch.h, &scratch.r, &scratch.t, &mut scratch.scores[..n]);
-        for i in 0..n {
-            scratch.coeffs[i] = coeff_of(i, scratch.scores[i]);
-        }
-        self.grad_block(
-            &scratch.h,
-            &scratch.r,
-            &scratch.t,
-            &scratch.coeffs[..n],
-            &mut scratch.gh,
-            &mut scratch.gr,
-            &mut scratch.gt,
-        );
-        for i in 0..n {
-            let a = i * dim;
-            let b = a + dim;
-            axpy(l2_reg, &scratch.h[a..b], &mut scratch.gh[a..b]);
-            axpy(l2_reg, &scratch.r[a..b], &mut scratch.gr[a..b]);
-            axpy(l2_reg, &scratch.t[a..b], &mut scratch.gt[a..b]);
-        }
-        for (i, &(h, r, t)) in triples.iter().enumerate() {
-            let a = i * dim;
-            let b = a + dim;
-            axpy(1.0, &scratch.gh[a..b], ent_out.row_mut(h));
-            axpy(1.0, &scratch.gt[a..b], ent_out.row_mut(t));
-            axpy(1.0, &scratch.gr[a..b], rel_out.row_mut(r));
+            // Scores become coefficients in place, the whole group before
+            // its first backward: the loss code and the vector code each
+            // run 16 times in a row instead of alternating.
+            for (i, s) in scores[..group.len()].iter_mut().enumerate() {
+                *s = coeff_of(g * L + i, *s);
+            }
+            for (&coeff, &(h, r, t)) in scores.iter().zip(group) {
+                let hs = ent_out.slot_of(h, &ent_memo);
+                let ts = ent_out.slot_of(t, &[Some((h, hs)), ent_memo[1], ent_memo[0]]);
+                let rs = rel_out.slot_of(r, &rel_memo);
+                (ent_memo, rel_memo) = ([Some((h, hs)), Some((t, ts))], [Some((r, rs))]);
+                let src = [ent.row(h as usize), rel.row(r as usize), ent.row(t as usize)];
+                let dst = GradDst {
+                    ent: ent_out.slab_mut(),
+                    h: hs * dim,
+                    t: ts * dim,
+                    rel: rel_out.slot_mut(rs),
+                };
+                self.grad_add(src, coeff, l2_reg, dst, &mut scratch.tmp);
+            }
         }
     }
 }
@@ -1525,36 +1272,8 @@ impl KgeModel for ComplEx {
         (10 * self.rank) as f64
     }
 
-    /// Fused override: one pass over the contiguous arenas, writing every
-    /// gradient element exactly once (no zero-fill, no read-modify-write),
-    /// AVX-dispatched over `dim` (elementwise, so trivially bit-exact).
-    /// Values match the accumulate-into-zero default bit for bit.
-    fn grad_block(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        complex_grad_block::<false>(self.rank, h, r, t, coeffs, 0.0, gh, gr, gt);
-    }
-
-    /// Fused backward + L2 (see [`complex_grad_block_avx`]).
-    fn grad_block_l2(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        l2_reg: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        complex_grad_block::<true>(self.rank, h, r, t, coeffs, l2_reg, gh, gr, gt);
+    fn grad_add(&self, src: [&[f32]; 3], coeff: f32, l2: f32, dst: GradDst<'_>, _: &mut [f32]) {
+        complex_grad_add(self.rank, src, coeff, l2, dst);
     }
 
     fn has_train_kernel(&self) -> bool {
@@ -1726,34 +1445,8 @@ impl KgeModel for DistMult {
         (3 * self.rank) as f64
     }
 
-    /// Fused override (see [`ComplEx::grad_block`]): single AVX-dispatched
-    /// overwrite pass.
-    fn grad_block(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        distmult_grad_block::<false>(self.rank, h, r, t, coeffs, 0.0, gh, gr, gt);
-    }
-
-    /// Fused backward + L2 (see [`complex_grad_block_avx`]).
-    fn grad_block_l2(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        l2_reg: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        distmult_grad_block::<true>(self.rank, h, r, t, coeffs, l2_reg, gh, gr, gt);
+    fn grad_add(&self, src: [&[f32]; 3], coeff: f32, l2: f32, dst: GradDst<'_>, _: &mut [f32]) {
+        distmult_grad_add(self.rank, src, coeff, l2, dst);
     }
 
     fn has_train_kernel(&self) -> bool {
@@ -1915,34 +1608,8 @@ impl KgeModel for TransE {
         (4 * self.rank) as f64
     }
 
-    /// Fused override (see [`ComplEx::grad_block`]): single AVX-dispatched
-    /// overwrite pass.
-    fn grad_block(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        transe_grad_block::<false>(self.rank, h, r, t, coeffs, 0.0, gh, gr, gt);
-    }
-
-    /// Fused backward + L2 (see [`complex_grad_block_avx`]).
-    fn grad_block_l2(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        coeffs: &[f32],
-        l2_reg: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        transe_grad_block::<true>(self.rank, h, r, t, coeffs, l2_reg, gh, gr, gt);
+    fn grad_add(&self, src: [&[f32]; 3], coeff: f32, l2: f32, dst: GradDst<'_>, _: &mut [f32]) {
+        transe_grad_add(self.rank, src, coeff, l2, dst);
     }
 
     fn has_train_kernel(&self) -> bool {
@@ -2405,57 +2072,42 @@ mod tests {
         assert!(m.score(&[1.0, 0.0], &[0.0, 1.0], &[1.0, 0.0]) < 0.0);
     }
 
-    fn check_block_matches_scalar(model: &dyn KgeModel) {
+    /// `grad_add` against the definition — form the three rows with `grad`
+    /// and the L2 term, then `+=` them head, tail, relation — on distinct
+    /// rows and on a self-loop, where head and tail land in one row.
+    fn check_grad_add_matches_scalar(model: &dyn KgeModel) {
         let mut rng = StdRng::seed_from_u64(33);
         let dim = model.storage_dim();
-        let n = 7;
-        let h: Vec<f32> = rand_vec(&mut rng, n * dim);
-        let r: Vec<f32> = rand_vec(&mut rng, n * dim);
-        let t: Vec<f32> = rand_vec(&mut rng, n * dim);
-        let coeffs: Vec<f32> = rand_vec(&mut rng, n);
-
-        let mut scores = vec![0.0f32; n];
-        model.score_block(&h, &r, &t, &mut scores);
-        // Poison the arenas so overwrite semantics are actually exercised.
-        let mut gh = vec![99.0f32; n * dim];
-        let mut gr = vec![99.0f32; n * dim];
-        let mut gt = vec![99.0f32; n * dim];
-        model.grad_block(&h, &r, &t, &coeffs, &mut gh, &mut gr, &mut gt);
-
-        for i in 0..n {
-            let s = i * dim..(i + 1) * dim;
-            let scalar = model.score(&h[s.clone()], &r[s.clone()], &t[s.clone()]);
-            assert_eq!(
-                scores[i].to_bits(),
-                scalar.to_bits(),
-                "{} block score {i}",
-                model.name()
-            );
-            let mut eh = vec![0.0f32; dim];
-            let mut er = vec![0.0f32; dim];
-            let mut et = vec![0.0f32; dim];
-            model.grad(
-                &h[s.clone()],
-                &r[s.clone()],
-                &t[s.clone()],
-                coeffs[i],
-                &mut eh,
-                &mut er,
-                &mut et,
-            );
-            assert_eq!(&gh[s.clone()], &eh[..], "{} block dφ/dh {i}", model.name());
-            assert_eq!(&gr[s.clone()], &er[..], "{} block dφ/dr {i}", model.name());
-            assert_eq!(&gt[s.clone()], &et[..], "{} block dφ/dt {i}", model.name());
+        let (h, r, t) = (rand_vec(&mut rng, dim), rand_vec(&mut rng, dim), rand_vec(&mut rng, dim));
+        let (coeff, l2) = (0.37f32, 0.011f32);
+        let (mut gh, mut gr, mut gt) = (vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]);
+        model.grad(&h, &r, &t, coeff, &mut gh, &mut gr, &mut gt);
+        axpy(l2, &h, &mut gh);
+        axpy(l2, &r, &mut gr);
+        axpy(l2, &t, &mut gt);
+        for (ho, to) in [(0, dim), (dim, 0), (dim, dim)] {
+            // Non-zero destinations, so accumulation is what is checked.
+            let ent0 = rand_vec(&mut rng, 2 * dim);
+            let rel0 = rand_vec(&mut rng, dim);
+            let (mut want_ent, mut want_rel) = (ent0.clone(), rel0.clone());
+            axpy(1.0, &gh, &mut want_ent[ho..ho + dim]);
+            axpy(1.0, &gt, &mut want_ent[to..to + dim]);
+            axpy(1.0, &gr, &mut want_rel);
+            let (mut ent, mut rel) = (ent0, rel0);
+            let dst = GradDst { ent: &mut ent, h: ho, t: to, rel: &mut rel };
+            model.grad_add([&h, &r, &t], coeff, l2, dst, &mut vec![9.0f32; 3 * dim]);
+            assert_eq!(ent, want_ent, "{} entity rows at ({ho}, {to})", model.name());
+            assert_eq!(rel, want_rel, "{} relation row at ({ho}, {to})", model.name());
         }
     }
 
     #[test]
-    fn block_kernels_match_scalar_for_every_model() {
-        check_block_matches_scalar(&ComplEx::new(5));
-        check_block_matches_scalar(&DistMult::new(8));
-        check_block_matches_scalar(&TransE::new(8));
-        check_block_matches_scalar(&RotatE::new(5)); // default impls
-        check_block_matches_scalar(&SimplE::new(6));
+    fn grad_add_matches_scalar_for_every_model() {
+        check_grad_add_matches_scalar(&ComplEx::new(13)); // one vector step + tail
+        check_grad_add_matches_scalar(&DistMult::new(19));
+        check_grad_add_matches_scalar(&TransE::new(8));
+        check_grad_add_matches_scalar(&RotatE::new(5)); // default impl
+        check_grad_add_matches_scalar(&SimplE::new(6));
     }
 
     fn check_one_vs_all_matches_scalar(model: &dyn KgeModel) {
@@ -2622,8 +2274,7 @@ mod tests {
         assert_eq!(ent_out.nnz(), ref_ent.nnz());
         assert_eq!(rel_out.nnz(), ref_rel.nnz());
 
-        // Second block on the same scratch reuses capacity and still
-        // matches (stale arena contents must not leak through).
+        // A second block on the same scratch reuses it.
         let mut ent_out2 = SparseGrad::new(dim);
         let mut rel_out2 = SparseGrad::new(dim);
         model.score_grad_block(

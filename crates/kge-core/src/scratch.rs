@@ -46,37 +46,23 @@ impl<T> ScratchPool<T> {
     }
 }
 
-/// Arenas for one fused score+gradient block (see
-/// [`crate::model::KgeModel::score_grad_block`]): gathered head/relation/
-/// tail rows, per-example scores and loss coefficients, and the gradient
-/// arenas the fused pass writes. All buffers grow to the block's high-water
-/// mark during warm-up and are reused verbatim afterwards.
+/// Scratch of one [`crate::model::KgeModel::score_grad_block`] call. The
+/// kernel reads embedding rows from the tables and adds gradients straight
+/// into the [`crate::SparseGrad`] slabs, so nothing here scales with the
+/// block: three group-sized forward tiles and one example's gradient rows.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
-    /// Gathered head rows, `n × dim`, contiguous.
-    pub h: Vec<f32>,
-    /// Gathered relation rows.
-    pub r: Vec<f32>,
-    /// Gathered tail rows.
-    pub t: Vec<f32>,
-    /// Per-example scores.
-    pub scores: Vec<f32>,
-    /// Per-example upstream loss coefficients `∂L/∂φ`.
-    pub coeffs: Vec<f32>,
-    /// Gradient arena for head rows (written by the fused pass).
-    pub gh: Vec<f32>,
-    /// Gradient arena for relation rows.
-    pub gr: Vec<f32>,
-    /// Gradient arena for tail rows.
-    pub gt: Vec<f32>,
-    /// Lane-major head tile for the transposed forward kernel: element `k`
+    /// Lane-major head tile of the transposed forward kernel: element `k`
     /// of lane `j` at `ht[k * BLOCK_T_LANES + j]`, one group of
     /// [`crate::model::BLOCK_T_LANES`] examples at a time.
-    pub ht: Vec<f32>,
+    pub(crate) ht: Vec<f32>,
     /// Lane-major relation tile.
-    pub rt: Vec<f32>,
+    pub(crate) rt: Vec<f32>,
     /// Lane-major tail tile.
-    pub tt: Vec<f32>,
+    pub(crate) tt: Vec<f32>,
+    /// Head, relation and tail gradient rows of one example (`3 × dim`),
+    /// for models whose backward goes through [`crate::model::KgeModel::grad`].
+    pub(crate) tmp: Vec<f32>,
 }
 
 impl BlockScratch {
@@ -84,29 +70,21 @@ impl BlockScratch {
         Self::default()
     }
 
-    /// Size every arena for `n` examples of `dim` floats. Keeps existing
-    /// capacity; only grows allocations past the high-water mark. The
-    /// gradient arenas are *not* re-zeroed here — the fused pass
-    /// overwrites them (and the fallback path zero-fills per row).
-    pub fn reserve(&mut self, n: usize, dim: usize) {
-        let len = n * dim;
-        self.h.clear();
-        self.r.clear();
-        self.t.clear();
-        self.h.reserve(len);
-        self.r.reserve(len);
-        self.t.reserve(len);
-        self.scores.resize(n, 0.0);
-        self.coeffs.resize(n, 0.0);
-        self.gh.resize(len, 0.0);
-        self.gr.resize(len, 0.0);
-        self.gt.resize(len, 0.0);
-        // One group-sized tile per operand; the transposed forward pass
-        // overwrites them group by group, so no re-zeroing is needed.
+    /// Size the buffers for rows of `dim` floats; every use overwrites
+    /// what it reads, so nothing is re-zeroed.
+    pub(crate) fn reserve(&mut self, dim: usize) {
         let tile = crate::model::BLOCK_T_LANES * dim;
         self.ht.resize(tile, 0.0);
         self.rt.resize(tile, 0.0);
         self.tt.resize(tile, 0.0);
+        self.tmp.resize(3 * dim, 0.0);
+    }
+
+    /// Bytes of heap this scratch holds.
+    pub fn heap_bytes(&self) -> usize {
+        let floats =
+            self.ht.capacity() + self.rt.capacity() + self.tt.capacity() + self.tmp.capacity();
+        floats * std::mem::size_of::<f32>()
     }
 }
 
@@ -129,15 +107,33 @@ mod tests {
         assert_eq!(pool.idle(), 0);
     }
 
+    /// The kernel's scratch is a function of `dim` alone: a block of 1280
+    /// examples leaves three 16-lane tiles and three rows, no `n × dim`
+    /// arena.
     #[test]
-    fn block_scratch_reserve_grows_once() {
-        let mut s = BlockScratch::new();
-        s.reserve(8, 4);
-        assert_eq!(s.h.capacity(), 32);
-        let caps = (s.h.capacity(), s.scores.capacity());
-        s.reserve(4, 4); // smaller block: no shrink, no realloc
-        assert_eq!((s.h.capacity(), s.scores.capacity()), caps);
-        assert_eq!(s.scores.len(), 4);
-        assert_eq!(s.gh.len(), 16);
+    fn block_scratch_does_not_scale_with_the_block() {
+        use crate::{ComplEx, EmbeddingTable, KgeModel, SparseGrad};
+        let (n, dim) = (1280usize, 64usize);
+        let model = ComplEx::new(dim / 2);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let ent = EmbeddingTable::xavier(50, dim, &mut rng);
+        let rel = EmbeddingTable::xavier(5, dim, &mut rng);
+        let triples: Vec<(u32, u32, u32)> = (0..n as u32)
+            .map(|i| (i % 50, i % 5, (i * 7 + 1) % 50))
+            .collect();
+        let mut scratch = BlockScratch::new();
+        let (mut eg, mut rg) = (SparseGrad::new(dim), SparseGrad::new(dim));
+        model.score_grad_block(
+            &ent,
+            &rel,
+            &triples,
+            1e-3,
+            &mut scratch,
+            &mut |_, s| s,
+            &mut eg,
+            &mut rg,
+        );
+        let floats = 3 * crate::model::BLOCK_T_LANES * dim + 3 * dim;
+        assert_eq!(scratch.heap_bytes(), floats * 4);
     }
 }

@@ -1,17 +1,22 @@
-//! Property test: the blocked training kernel (`score_grad_block`, with
-//! its lane-major AVX forward and vectorized backward) is **bit-identical**
-//! to the scalar per-triple path — every per-example score (hence loss)
-//! and every gradient bit, across the three fused models, dims straddling
-//! the AVX register width, block sizes straddling [`BLOCK_T_LANES`], and
-//! both dispatch arms via the force-scalar override.
+//! Property test: the blocked training kernel (`score_grad_block`: tiles
+//! built from the table rows, accumulating backward straight into the
+//! `SparseGrad` slabs, memoized slots) is **bit-identical** to the scalar
+//! per-triple path — every per-example score (hence loss), every gradient
+//! bit and the insertion order of both accumulators — for every model
+//! constructible from `ModelKind` (RotatE and SimplE through the default
+//! arm), dims straddling the AVX register width, block sizes straddling
+//! [`BLOCK_T_LANES`], the block shapes training produces, and both
+//! dispatch arms via the force-scalar override.
 //!
-//! Toggling `set_force_scalar` from concurrently running tests is safe
-//! precisely because of the property under test: both arms produce the
-//! same bits, so a mid-run flip can only change which code path executes.
+//! `KGE_FORCE_SCALAR=1` on top pins the arm the override cannot reach
+//! (`scripts/check.sh` runs the suite both ways).
 
 use kge_core::loss::logistic_loss_grad;
 use kge_core::matrix::axpy;
-use kge_core::{BlockScratch, ComplEx, DistMult, EmbeddingTable, KgeModel, SparseGrad, TransE};
+use kge_core::{
+    BlockScratch, ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, SparseGrad, TransE,
+    BLOCK_T_LANES,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,18 +25,22 @@ use rand::{Rng, SeedableRng};
 /// (and, for ComplEx, odd half-row widths); 64 and 128 are the bench
 /// configurations.
 const RANKS: [usize; 4] = [15, 64, 127, 128];
-/// Block sizes straddling the 16-lane group width: sub-group (scalar tail
-/// only), exactly one group, group + tail, and multi-group + tail.
+/// Block sizes straddling the 16-lane group width: sub-group (scalar
+/// scores only), exactly one group, group + tail, and multi-group + tail.
 const BLOCKS: [usize; 6] = [1, 7, 15, 16, 17, 33];
 const N_ENT: usize = 40;
 const N_REL: usize = 8;
 const L2: f32 = 1e-3;
 
-fn models(rank: usize) -> [Box<dyn KgeModel>; 3] {
+type Triple = (u32, u32, u32);
+
+fn models(rank: usize) -> [Box<dyn KgeModel>; 5] {
     [
         Box::new(ComplEx::new(rank)),
         Box::new(DistMult::new(rank)),
         Box::new(TransE::new(rank)),
+        Box::new(RotatE::new(rank)),
+        Box::new(SimplE::new(rank)),
     ]
 }
 
@@ -42,17 +51,67 @@ fn tables(model: &dyn KgeModel, seed: u64) -> (EmbeddingTable, EmbeddingTable) {
     (ent, rel)
 }
 
-fn triples(n: usize, seed: u64) -> Vec<(u32, u32, u32)> {
+/// The block shapes the kernel must get right.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Independent uniform triples.
+    Random,
+    /// What `stage_chunk` produces: each positive followed by `k` negatives
+    /// that keep its relation and one of its entities — the slot memo's
+    /// hit pattern.
+    Training { k: usize },
+    /// Every other example has `h == t`: head and tail gradients land in
+    /// one destination row.
+    SelfLoops,
+    /// A three-entity, one-relation pool, and the first example of every
+    /// group repeating the last example of the group before: the same rows
+    /// on both sides of each group boundary.
+    Straddle,
+}
+
+const SHAPES: [Shape; 5] = [
+    Shape::Random,
+    Shape::Training { k: 1 },
+    Shape::Training { k: 4 },
+    Shape::SelfLoops,
+    Shape::Straddle,
+];
+
+fn block(shape: Shape, n: usize, seed: u64) -> Vec<Triple> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
-    (0..n)
-        .map(|_| {
-            (
-                rng.gen_range(0..N_ENT as u32),
-                rng.gen_range(0..N_REL as u32),
-                rng.gen_range(0..N_ENT as u32),
-            )
-        })
-        .collect()
+    let mut uniform = |n_ent: usize, n_rel: usize| {
+        (
+            rng.gen_range(0..n_ent as u32),
+            rng.gen_range(0..n_rel as u32),
+            rng.gen_range(0..n_ent as u32),
+        )
+    };
+    let mut out: Vec<Triple> = Vec::with_capacity(n + 4);
+    match shape {
+        Shape::Random => out.extend((0..n).map(|_| uniform(N_ENT, N_REL))),
+        Shape::Training { k } => {
+            while out.len() < n {
+                let (h, r, t) = uniform(N_ENT, N_REL);
+                out.push((h, r, t));
+                for j in 0..k {
+                    let (c, _, _) = uniform(N_ENT, N_REL);
+                    out.push(if j % 2 == 0 { (c, r, t) } else { (h, r, c) });
+                }
+            }
+            out.truncate(n);
+        }
+        Shape::SelfLoops => out.extend((0..n).map(|i| {
+            let (h, r, t) = uniform(N_ENT, N_REL);
+            (h, r, if i % 2 == 0 { h } else { t })
+        })),
+        Shape::Straddle => {
+            for i in 0..n {
+                let repeat = i > 0 && i % BLOCK_T_LANES == 0;
+                out.push(if repeat { out[i - 1] } else { uniform(3, 1) });
+            }
+        }
+    }
+    out
 }
 
 fn coeff_for(i: usize, score: f32) -> f32 {
@@ -64,7 +123,27 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-type RunBits = (Vec<u32>, Vec<u32>, Vec<u32>);
+/// One run's observable result: score bits, then per accumulator the row
+/// ids in `entry(i)` order and the dense gradient bits.
+#[derive(Debug, PartialEq)]
+struct RunBits {
+    scores: Vec<u32>,
+    ent_order: Vec<u32>,
+    ent: Vec<u32>,
+    rel_order: Vec<u32>,
+    rel: Vec<u32>,
+}
+
+fn run_bits(scores: &[f32], ent_g: &SparseGrad, rel_g: &SparseGrad) -> RunBits {
+    let order = |g: &SparseGrad| (0..g.nnz()).map(|i| g.entry(i).0).collect();
+    RunBits {
+        scores: bits(scores),
+        ent_order: order(ent_g),
+        ent: bits(&ent_g.to_dense(N_ENT)),
+        rel_order: order(rel_g),
+        rel: bits(&rel_g.to_dense(N_REL)),
+    }
+}
 
 /// The pre-blocking semantics, written out triple by triple: score, loss
 /// coefficient, zero-filled accumulating grad, L2 term, scatter in
@@ -73,7 +152,7 @@ fn per_triple_reference(
     model: &dyn KgeModel,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
-    block: &[(u32, u32, u32)],
+    block: &[Triple],
 ) -> RunBits {
     let dim = model.storage_dim();
     let mut ent_g = SparseGrad::new(dim);
@@ -96,11 +175,7 @@ fn per_triple_reference(
         axpy(1.0, &gt, ent_g.row_mut(t));
         axpy(1.0, &gr, rel_g.row_mut(r));
     }
-    (
-        bits(&scores),
-        bits(&ent_g.to_dense(N_ENT)),
-        bits(&rel_g.to_dense(N_REL)),
-    )
+    run_bits(&scores, &ent_g, &rel_g)
 }
 
 /// One fused `score_grad_block` run under the given dispatch arm.
@@ -108,9 +183,13 @@ fn blocked(
     model: &dyn KgeModel,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
-    block: &[(u32, u32, u32)],
+    block: &[Triple],
     force_scalar: bool,
 ) -> RunBits {
+    // Tests run on parallel threads; hold the process-global override for
+    // the whole run so each arm really is the one asked for.
+    static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
     kge_core::simd::set_force_scalar(Some(force_scalar));
     let mut scratch = BlockScratch::new();
     let mut ent_g = SparseGrad::new(model.storage_dim());
@@ -122,40 +201,51 @@ fn blocked(
     };
     model.score_grad_block(ent, rel, block, L2, &mut scratch, &mut coeff, &mut ent_g, &mut rel_g);
     kge_core::simd::set_force_scalar(None);
-    (
-        bits(&scores),
-        bits(&ent_g.to_dense(N_ENT)),
-        bits(&rel_g.to_dense(N_REL)),
-    )
+    run_bits(&scores, &ent_g, &rel_g)
+}
+
+/// Both arms against the reference, for every model at `rank`.
+fn check_all_models(rank: usize, shape: Shape, n: usize, seed: u64) {
+    let block = block(shape, n, seed);
+    for model in models(rank).iter() {
+        let (ent, rel) = tables(model.as_ref(), seed);
+        let reference = per_triple_reference(model.as_ref(), &ent, &rel, &block);
+        for force_scalar in [true, false] {
+            let got = blocked(model.as_ref(), &ent, &rel, &block, force_scalar);
+            assert_eq!(
+                reference,
+                got,
+                "fused kernel diverged: {} rank={rank} {shape:?} n={n} force_scalar={force_scalar}",
+                model.name()
+            );
+        }
+    }
+}
+
+/// Every shape × block size, at ranks with a vector step only (8), a tail
+/// only (5) and both (13) — the grid the random cases below sample from,
+/// walked once in full.
+#[test]
+fn every_shape_and_block_size_matches_the_reference() {
+    for shape in SHAPES {
+        for n in BLOCKS {
+            for rank in [5, 8, 13] {
+                check_all_models(rank, shape, n, 7 + n as u64);
+            }
+        }
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn blocked_kernel_bit_identical_to_scalar_path(
         seed in any::<u64>(),
         rank_idx in 0usize..4,
         block_idx in 0usize..6,
+        shape_idx in 0usize..5,
     ) {
-        let rank = RANKS[rank_idx];
-        let n = BLOCKS[block_idx];
-        for model in models(rank).iter() {
-            let (ent, rel) = tables(model.as_ref(), seed);
-            let block = triples(n, seed);
-            let reference = per_triple_reference(model.as_ref(), &ent, &rel, &block);
-            let scalar_arm = blocked(model.as_ref(), &ent, &rel, &block, true);
-            let simd_arm = blocked(model.as_ref(), &ent, &rel, &block, false);
-            prop_assert_eq!(
-                &reference, &scalar_arm,
-                "forced-scalar fused kernel diverged: {} rank={} n={}",
-                model.name(), rank, n
-            );
-            prop_assert_eq!(
-                &reference, &simd_arm,
-                "dispatched fused kernel diverged: {} rank={} n={}",
-                model.name(), rank, n
-            );
-        }
+        check_all_models(RANKS[rank_idx], SHAPES[shape_idx], BLOCKS[block_idx], seed);
     }
 }

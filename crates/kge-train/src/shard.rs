@@ -78,8 +78,8 @@ use crate::lr::PlateauSchedule;
 use crate::neg::CorruptionBias;
 use crate::report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
 use crate::trainer::{
-    chunk_seed, compute_chunk, distribute, node_pool_threads, stage_chunk, ChunkScratch,
-    RunIndexes, GRAD_CHUNK, ZERO_ROW_EPS,
+    chunk_seed, compute_chunk, distribute, fold_chunk, node_pool_threads, stage_chunk,
+    ChunkScratch, RunIndexes, GRAD_CHUNK, ZERO_ROW_EPS,
 };
 use crate::comm_select::PrefetchSelector;
 use crate::CommChoice;
@@ -943,11 +943,10 @@ fn compute_and_merge(
     rel_grad.clear();
     let mut loss = 0.0f64;
     let mut examples = 0usize;
-    for c in chunks.iter().take(n_chunks) {
-        loss += c.loss;
-        examples += c.examples;
-        ent_grad.merge(&c.ent);
-        rel_grad.merge(&c.rel);
+    for (c, cs) in chunks.iter_mut().take(n_chunks).enumerate() {
+        loss += cs.loss;
+        examples += cs.examples;
+        fold_chunk(c, cs, ent_grad, rel_grad);
     }
     ctx.comm_mut()
         .clock_mut()

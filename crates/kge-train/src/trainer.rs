@@ -1320,7 +1320,7 @@ fn run_node_inner(
 }
 
 /// One chunk's reusable working state: the example staging arrays fed to
-/// the fused block kernel, the kernel's gather/score scratch, the
+/// the fused block kernel, the kernel's tile scratch, the
 /// negative-sampling scratch, and the chunk-local gradient accumulators.
 /// Instances live in a [`ScratchPool`] so every buffer is reused across
 /// chunks, batches, and epochs — after warmup, processing a chunk
@@ -1454,10 +1454,9 @@ fn stage_seed(seed: u64, rank: usize, epoch: usize, batch: usize, stage: u64) ->
 /// kernel. Phase 1 draws positives and negatives in the exact RNG order
 /// of the scalar path, staging `(label, triple)` pairs in example order;
 /// phase 2 makes a single [`KgeModel::score_grad_block`] call that
-/// gathers rows, scores the whole chunk, forms coefficients (accumulating
-/// the f64 loss in example order), and scatters regularized gradients
-/// into the chunk accumulators — bit-identical to per-example
-/// score/grad/axpy.
+/// scores the chunk, forms coefficients (accumulating the f64 loss in
+/// example order), and adds regularized gradients into the chunk
+/// accumulators — bit-identical to per-example score/grad/axpy.
 #[allow(clippy::too_many_arguments)]
 fn process_chunk(
     model: &dyn KgeModel,
@@ -1550,7 +1549,7 @@ pub(crate) fn stage_chunk(
 /// Phase 2 of [`process_chunk`]: the fused kernel call over an
 /// already-staged chunk. The entity ids in `cs.triples` index `ent` —
 /// global ids for the replica path, batch-local ids for the sharded path
-/// (the kernel gathers only the rows the triples name, so the remap is
+/// (the kernel reads only the rows the triples name, so the remap is
 /// value-transparent).
 pub(crate) fn compute_chunk(
     model: &dyn KgeModel,
@@ -1584,6 +1583,28 @@ pub(crate) fn compute_chunk(
         ent_g,
         rel_g,
     );
+}
+
+/// Fold chunk `c`'s accumulators into the batch's, chunks in order. The
+/// first chunk's are handed over by swap — the batch's are empty then, and
+/// adding a chunk sum to a zeroed slab changes no bit: a slab element
+/// starts at +0.0 and `x + y` is −0.0 only when both are, so a chunk sum
+/// is never −0.0 and `0.0 + v == v`. Rows, values and insertion order come
+/// out exactly as a merge leaves them.
+pub(crate) fn fold_chunk(
+    c: usize,
+    cs: &mut ChunkScratch,
+    ent_grad: &mut SparseGrad,
+    rel_grad: &mut SparseGrad,
+) {
+    if c == 0 {
+        debug_assert!(ent_grad.is_empty() && rel_grad.is_empty());
+        std::mem::swap(ent_grad, &mut cs.ent);
+        std::mem::swap(rel_grad, &mut cs.rel);
+    } else {
+        ent_grad.merge(&cs.ent);
+        rel_grad.merge(&cs.rel);
+    }
 }
 
 /// Reusable workspace for the batch-gradient hot path: the per-batch
@@ -1671,8 +1692,7 @@ impl BatchWorkspace {
                 );
                 loss_sum += cs.loss;
                 examples += cs.examples;
-                self.ent_grad.merge(&cs.ent);
-                self.rel_grad.merge(&cs.rel);
+                fold_chunk(c, &mut cs, &mut self.ent_grad, &mut self.rel_grad);
             }
             pool.release(cs);
         } else {
@@ -1697,11 +1717,10 @@ impl BatchWorkspace {
                 );
                 cs
             });
-            for cs in chunks {
+            for (c, mut cs) in chunks.into_iter().enumerate() {
                 loss_sum += cs.loss;
                 examples += cs.examples;
-                self.ent_grad.merge(&cs.ent);
-                self.rel_grad.merge(&cs.rel);
+                fold_chunk(c, &mut cs, &mut self.ent_grad, &mut self.rel_grad);
                 pool.release(cs);
             }
         }

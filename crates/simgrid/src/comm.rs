@@ -543,142 +543,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// Reduce-scatter: element-wise sum across ranks, with rank `i`
-    /// keeping only the `i`-th of `p` contiguous chunks (the first phase
-    /// of a ring all-reduce, exposed for algorithms that only need their
-    /// own shard — e.g. sharded optimizers). Returns this rank's chunk.
-    pub fn reduce_scatter_f32(&mut self, buf: &[f32]) -> Result<Vec<f32>, SimError> {
-        let p = self.size();
-        let n = buf.len();
-        let chunk = |r: usize| -> std::ops::Range<usize> { r * n / p..(r + 1) * n / p };
-        if p == 1 {
-            self.traffic.record(Collective::AllReduce, n * 4, n * 4);
-            return Ok(buf.to_vec());
-        }
-        {
-            let mut slot = self.world.f32_slots[self.rank].lock();
-            slot.clear();
-            slot.extend_from_slice(buf);
-        }
-        // Priced as half a ring all-reduce: (p−1) steps moving m/p each.
-        let bytes = n * 4;
-        *self.world.clock_slots[self.rank].lock() = self.clock.now_s();
-        self.world.barrier.wait();
-        {
-            let mut t_max = f64::NEG_INFINITY;
-            for r in 0..p {
-                t_max = t_max.max(*self.world.clock_slots[r].lock());
-            }
-            self.clock.charge_idle_until(t_max);
-            let price = self.cost.allreduce(p, bytes) / 2.0;
-            let plan = Arc::clone(&self.world.plan);
-            if plan.is_inert() {
-                self.clock.charge_comm_seconds(price);
-            } else {
-                let (lat_mult, bw_div) = plan.link_factors(self.clock.now_s());
-                let degraded = if lat_mult > 1.0 || bw_div > 1.0 {
-                    self.cost.degraded(lat_mult, bw_div).allreduce(p, bytes) / 2.0
-                } else {
-                    price
-                };
-                self.clock.charge_comm_seconds(price);
-                if degraded > price {
-                    self.clock.charge_fault_seconds(degraded - price);
-                }
-            }
-        }
-        if let Err(e) = self.apply_faults(Collective::AllReduce, "reduce_scatter_f32") {
-            self.world.barrier.wait();
-            return Err(e);
-        }
-        let my = chunk(self.rank);
-        let mut out = vec![0.0f32; my.len()];
-        let mut shape_err = None;
-        for r in 0..p {
-            let slot = self.world.f32_slots[r].lock();
-            if slot.len() != n {
-                shape_err = Some(SimError::ShapeMismatch {
-                    op: "reduce_scatter_f32",
-                    expected: n,
-                    got: slot.len(),
-                    rank: r,
-                });
-                break;
-            }
-            for (o, &v) in out.iter_mut().zip(slot[my.clone()].iter()) {
-                *o += v;
-            }
-        }
-        self.traffic.record(Collective::AllReduce, bytes, out.len() * 4);
-        // Reduce-scatter wire traffic: ship everything but the chunk this
-        // rank keeps; take delivery of p−1 copies of the kept chunk.
-        self.traffic.record_wire(
-            Collective::AllReduce,
-            bytes - out.len() * 4,
-            (p - 1) * out.len() * 4,
-        );
-        self.world.barrier.wait();
-        match shape_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Gather variable-size contributions to `root` (other ranks get an
-    /// empty vec). Binomial-tree priced.
-    pub fn gatherv_to_root(
-        &mut self,
-        root: usize,
-        data: &[f32],
-    ) -> Result<Vec<Vec<f32>>, SimError> {
-        if root >= self.size() {
-            return Err(SimError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        if self.size() == 1 {
-            self.traffic
-                .record(Collective::Gather, data.len() * 4, data.len() * 4);
-            return Ok(vec![data.to_vec()]);
-        }
-        {
-            let mut slot = self.world.f32_slots[self.rank].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        *self.world.clock_slots[self.rank].lock() = self.clock.now_s();
-        self.world.barrier.wait();
-        let per_rank: Vec<usize> = (0..self.size())
-            .map(|r| self.world.f32_slots[r].lock().len() * 4)
-            .collect();
-        self.align_and_charge(Collective::Gather, &per_rank);
-        if let Err(e) = self.apply_faults(Collective::Gather, "gatherv_to_root") {
-            self.world.barrier.wait();
-            return Err(e);
-        }
-        let out = if self.rank == root {
-            let mut all = Vec::with_capacity(self.size());
-            let mut total = 0usize;
-            for r in 0..self.size() {
-                let payload = self.world.f32_slots[r].lock().clone();
-                total += payload.len() * 4;
-                all.push(payload);
-            }
-            self.traffic.record(Collective::Gather, data.len() * 4, total);
-            // Root's own contribution never crosses the wire.
-            self.traffic
-                .record_wire(Collective::Gather, 0, total - data.len() * 4);
-            all
-        } else {
-            self.traffic.record(Collective::Gather, data.len() * 4, 0);
-            self.traffic.record_wire(Collective::Gather, data.len() * 4, 0);
-            Vec::new()
-        };
-        self.world.barrier.wait();
-        Ok(out)
-    }
-
     /// Scalar sum all-reduce (f64).
     pub fn allreduce_sum_f64(&mut self, v: f64) -> f64 {
         self.scalar_reduce(v, |a, b| a + b)
@@ -1771,48 +1635,5 @@ mod tests {
             out[0],
             Some(SimError::InvalidRank { rank: 5, size: 1 })
         );
-    }
-
-    #[test]
-    fn reduce_scatter_gives_each_rank_its_summed_chunk() {
-        let cluster = Cluster::new(4, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            let v: Vec<f32> = (0..8).map(|i| (i + ctx.rank() * 10) as f32).collect();
-            ctx.comm_mut().reduce_scatter_f32(&v).unwrap()
-        });
-        // Sum across ranks of element i = 4*i + (0+10+20+30) = 4i + 60.
-        for (rank, chunk) in out.iter().enumerate() {
-            assert_eq!(chunk.len(), 2);
-            for (j, &x) in chunk.iter().enumerate() {
-                let i = rank * 2 + j;
-                assert_eq!(x, (4 * i + 60) as f32, "rank {rank} elem {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_single_rank_is_identity() {
-        let cluster = Cluster::new(1, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| ctx.comm_mut().reduce_scatter_f32(&[1.0, 2.0]).unwrap());
-        assert_eq!(out[0], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn gatherv_root_receives_everything_others_nothing() {
-        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            let mine = vec![ctx.rank() as f32; ctx.rank() + 1];
-            ctx.comm_mut().gatherv_to_root(1, &mine).unwrap()
-        });
-        assert!(out[0].is_empty());
-        assert!(out[2].is_empty());
-        assert_eq!(out[1], vec![vec![0.0], vec![1.0, 1.0], vec![2.0, 2.0, 2.0]]);
-    }
-
-    #[test]
-    fn gatherv_invalid_root_errors() {
-        let cluster = Cluster::new(2, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| ctx.comm_mut().gatherv_to_root(7, &[1.0]).err());
-        assert!(out.iter().all(|e| e.is_some()));
     }
 }

@@ -45,12 +45,23 @@ echo "check: eval property + zero-alloc tests pass"
 # run under both dispatch arms: the default (AVX where the host supports
 # it) and with KGE_FORCE_SCALAR=1 pinning every kernel to the scalar
 # fallback. Both arms must produce identical bits, so both must pass
-# identically.
-cargo test -p kge-core --release --test prop_train_kernels --test prop_optim_kernels
+# identically. With them, the gradient accumulator against its
+# BTreeMap + insertion-order oracle (no dispatch arm to vary).
+cargo test -p kge-core --release --test prop_train_kernels --test prop_optim_kernels --test prop_sparse_grad
 cargo test -p kge-compress --release --test prop_roundtrip
 KGE_FORCE_SCALAR=1 cargo test -p kge-core --release --test prop_train_kernels --test prop_optim_kernels
 KGE_FORCE_SCALAR=1 cargo test -p kge-compress --release --test prop_roundtrip
-echo "check: kernel, optimizer + codec bit-identity property tests pass (both dispatch arms)"
+echo "check: kernel, optimizer, accumulator + codec property tests pass (both dispatch arms)"
+
+# The batch-gradient path around the kernel: a batch's gradients must be
+# bit-identical at any thread count (chunk-ordered fold, first chunk
+# handed over by swap) and a chunked merge must equal sequential
+# accumulation at any split — under both dispatch arms — and the
+# steady-state batch loop (kernel, selection, both exchanges, optimizer)
+# must not allocate.
+cargo test -p kge-train --release --test determinism_threads --test prop_chunked_merge --test zero_alloc
+KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test determinism_threads --test prop_chunked_merge
+echo "check: batch-gradient determinism + zero-alloc tests pass (both dispatch arms)"
 
 # Pipelined-exchange determinism: staleness 0 must reproduce the
 # synchronous collectives bit-exactly and staleness >= 1 must be

@@ -266,3 +266,71 @@ fn optimizer_kernels_bit_identical_across_dispatch_arms() {
     };
     assert_eq!(run(true), run(false));
 }
+
+/// One cell of `kge-core`'s `prop_train_kernels` suite (which
+/// `scripts/check.sh` runs in full under both dispatch arms), so the tier-1
+/// command exercises the training kernel: on a training-shaped block —
+/// positives each followed by negatives that keep the relation and one
+/// entity, a self-loop, more than one 16-lane group plus a tail — the
+/// block kernel gives the bits and the row order of the per-triple
+/// definition, with scalar kernels forced and with AVX dispatch, through a
+/// fused backward (ComplEx) and through the default one (RotatE).
+#[test]
+fn block_kernel_matches_per_triple_path_on_both_dispatch_arms() {
+    use kge::core::matrix::axpy;
+    use kge::core::{BlockScratch, SparseGrad};
+    use rand::SeedableRng;
+    const RANK: usize = 13;
+    const L2: f32 = 1e-3;
+    let mut block: Vec<(u32, u32, u32)> = Vec::new();
+    for p in 0..7u32 {
+        let (h, r, t) = (p * 5 % 23, p % 3, (p * 7 + 2) % 23);
+        block.extend([(h, r, t), ((h + 9) % 23, r, t), (h, r, (t + 4) % 23), (h, r, h), (t, r, t)]);
+    }
+    let coeff = |i: usize, s: f32| (if i.is_multiple_of(5) { 0.3 } else { -0.1 }) * s - 0.05;
+    type Entries = Vec<(u32, Vec<u32>)>;
+    let entries = |g: &SparseGrad| -> Entries {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+        (0..g.nnz()).map(|i| (g.entry(i).0, bits(g.entry(i).1))).collect()
+    };
+    for model in [ModelKind::ComplEx, ModelKind::RotatE] {
+        let model = model.build(RANK);
+        let dim = model.storage_dim();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let ent = EmbeddingTable::xavier(23, dim, &mut rng);
+        let rel = EmbeddingTable::xavier(3, dim, &mut rng);
+
+        let (mut want_ent, mut want_rel) = (SparseGrad::new(dim), SparseGrad::new(dim));
+        for (i, &(h, r, t)) in block.iter().enumerate() {
+            let (hrow, rrow, trow) = (ent.row(h as usize), rel.row(r as usize), ent.row(t as usize));
+            let c = coeff(i, model.score(hrow, rrow, trow));
+            let (mut gh, mut gr, mut gt) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
+            model.grad(hrow, rrow, trow, c, &mut gh, &mut gr, &mut gt);
+            axpy(L2, hrow, &mut gh);
+            axpy(L2, rrow, &mut gr);
+            axpy(L2, trow, &mut gt);
+            axpy(1.0, &gh, want_ent.row_mut(h));
+            axpy(1.0, &gt, want_ent.row_mut(t));
+            axpy(1.0, &gr, want_rel.row_mut(r));
+        }
+
+        for force_scalar in [true, false] {
+            kge::core::simd::set_force_scalar(Some(force_scalar));
+            let (mut got_ent, mut got_rel) = (SparseGrad::new(dim), SparseGrad::new(dim));
+            model.score_grad_block(
+                &ent,
+                &rel,
+                &block,
+                L2,
+                &mut BlockScratch::new(),
+                &mut |i, s| coeff(i, s),
+                &mut got_ent,
+                &mut got_rel,
+            );
+            kge::core::simd::set_force_scalar(None);
+            let arm = format!("{} force_scalar={force_scalar}", model.name());
+            assert_eq!(entries(&got_ent), entries(&want_ent), "entity gradient, {arm}");
+            assert_eq!(entries(&got_rel), entries(&want_rel), "relation gradient, {arm}");
+        }
+    }
+}
