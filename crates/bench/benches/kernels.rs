@@ -2,7 +2,7 @@
 //! one-triple-at-a-time score/grad/axpy path it replaced, at embedding
 //! dims 64/128/256 (ComplEx ranks 32/64/128). Both variants produce
 //! bit-identical gradients; the fused path scores 16 examples at a time
-//! from tiles built straight out of the table rows and adds each
+//! straight from the table rows (`score_triples`) and adds each
 //! example's gradient straight into the reused sparse accumulators — no
 //! gathered copy of a row, one virtual dispatch per block instead of two
 //! per example, and no per-example buffer zeroing. The `fused_forced_scalar`

@@ -452,7 +452,7 @@ fn main() {
     }
 
     // Kernel-level throughput: stage one batch's example list once, then
-    // time the bare fused block kernel (tile → score, grad → slab) with
+    // time the bare fused block kernel (rows → score, grad → slab) with
     // no sampling around it.
     let n_staged = examples_per_batch;
     let staged: Vec<(u32, u32, u32)> = (0..n_staged)

@@ -60,6 +60,13 @@ impl RowSelection {
 
 /// Apply the policy to `grad` in place, dropping (and optionally
 /// rescaling) rows. Returns before/after row counts.
+///
+/// Each row's norm is computed once into `grad`'s per-slot scratch and then
+/// overwritten by the row's weight — `0.0` drops the row, anything else
+/// keeps it scaled by that weight. Whatever depends on an order (the mean's
+/// f32 sum, the Bernoulli draws) walks the rows ascending, off the sorted
+/// cache this builds first. Nothing is allocated once the scratch is warm,
+/// [`RowSelector::TopK`]'s ranking copy aside.
 pub fn select_rows<R: Rng>(
     selector: RowSelector,
     grad: &mut SparseGrad,
@@ -72,60 +79,52 @@ pub fn select_rows<R: Rng>(
             rows_after: rows_before,
         };
     }
+    grad.ensure_sorted();
+    let mut weights = std::mem::take(grad.slot_scratch_mut());
+    weights.clear();
+    weights.extend((0..rows_before).map(|slot| l2_norm(grad.entry(slot).1)));
     // Mean of row 2-norms (the paper's C).
-    let norms = grad.row_norms();
-    let mean: f32 = norms.iter().map(|&(_, n)| n).sum::<f32>() / rows_before as f32;
-    if mean <= 0.0 {
-        // All-zero gradient: nothing worth communicating.
-        grad.clear();
-        return RowSelection {
-            rows_before,
-            rows_after: 0,
-        };
-    }
+    let mean = grad.sorted_slots().map(|s| weights[s]).sum::<f32>() / rows_before as f32;
+    let keep = |kept: bool| if kept { 1.0 } else { 0.0 };
     match selector {
         RowSelector::None => unreachable!(),
+        // All-zero gradient: nothing worth communicating.
+        _ if mean <= 0.0 => weights.fill(0.0),
         RowSelector::Threshold { factor } => {
             let cut = factor * mean;
-            grad.retain(|_, g| l2_norm(g) >= cut);
+            weights.iter_mut().for_each(|w| *w = keep(*w >= cut));
         }
         RowSelector::TopK { keep_fraction } => {
-            let keep = ((rows_before as f32 * keep_fraction).ceil() as usize)
+            let n_keep = ((rows_before as f32 * keep_fraction).ceil() as usize)
                 .clamp(1, rows_before);
-            // Norms are already computed; find the keep-th largest as cut.
-            let mut by_norm: Vec<f32> = norms.iter().map(|&(_, n)| n).collect();
+            // The keep-th largest norm is the cut.
+            let mut by_norm = weights.clone();
             by_norm.sort_by(|a, b| b.partial_cmp(a).expect("finite norms"));
-            let cut = by_norm[keep - 1];
+            let cut = by_norm[n_keep - 1];
             // `>= cut` may keep a few extra ties; acceptable and simple.
-            grad.retain(|_, g| l2_norm(g) >= cut);
+            weights.iter_mut().for_each(|w| *w = keep(*w >= cut));
         }
         RowSelector::Bernoulli { rescale } => {
             // Draw keep decisions in sorted-row order so the outcome is
             // deterministic given the RNG state.
-            let mut keep_scale: std::collections::HashMap<u32, f32> =
-                std::collections::HashMap::with_capacity(rows_before);
-            for &(row, n) in &norms {
-                let p = (n / mean).min(1.0);
-                if p > 0.0 && rng.gen::<f32>() < p {
-                    keep_scale.insert(row, if rescale { 1.0 / p } else { 1.0 });
-                }
-            }
-            grad.retain(|row, _| keep_scale.contains_key(&row));
-            if rescale {
-                // Second pass: scale kept rows by 1/p.
-                let rows: Vec<(u32, f32)> = keep_scale.into_iter().collect();
-                for (row, s) in rows {
-                    if s != 1.0 {
-                        if let Some(_g) = grad.get(row) {
-                            for v in grad.row_mut(row).iter_mut() {
-                                *v *= s;
-                            }
-                        }
-                    }
-                }
+            for s in grad.sorted_slots() {
+                let p = (weights[s] / mean).min(1.0);
+                let kept = p > 0.0 && rng.gen::<f32>() < p;
+                weights[s] = if kept && rescale { 1.0 / p } else { keep(kept) };
             }
         }
     }
+    // `retain` visits the slots in order and compacts the kept rows down
+    // in that order, so the kept weights line up with the kept rows.
+    let mut by_slot = weights.iter();
+    grad.retain(|_, _| *by_slot.next().expect("one weight per slot") != 0.0);
+    let (dim, kept_weights) = (grad.dim(), weights.iter().filter(|&&w| w != 0.0));
+    for (row, &w) in grad.slab_mut().chunks_exact_mut(dim).zip(kept_weights) {
+        if w != 1.0 {
+            row.iter_mut().for_each(|v| *v *= w);
+        }
+    }
+    *grad.slot_scratch_mut() = weights;
     RowSelection {
         rows_before,
         rows_after: grad.nnz(),

@@ -31,6 +31,58 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `select_rows` as it was before it kept norms and keep weights in the
+/// gradient's per-slot scratch — norms collected in ascending row order, a
+/// hashed keep map, norms recomputed inside `retain` — the reference the
+/// in-place version must reproduce row for row and draw for draw.
+fn select_rows_reference(selector: RowSelector, grad: &mut SparseGrad, rng: &mut StdRng) {
+    use kge_core::matrix::l2_norm;
+    use rand::Rng;
+    if grad.is_empty() || selector == RowSelector::None {
+        return;
+    }
+    let norms: Vec<(u32, f32)> = grad.iter_sorted().map(|(row, g)| (row, l2_norm(g))).collect();
+    let mean: f32 = norms.iter().map(|&(_, n)| n).sum::<f32>() / norms.len() as f32;
+    if mean <= 0.0 {
+        return grad.clear();
+    }
+    match selector {
+        RowSelector::None => unreachable!(),
+        RowSelector::Threshold { factor } => {
+            let cut = factor * mean;
+            grad.retain(|_, g| l2_norm(g) >= cut);
+        }
+        RowSelector::TopK { keep_fraction } => {
+            let keep = ((norms.len() as f32 * keep_fraction).ceil() as usize).clamp(1, norms.len());
+            let mut by_norm: Vec<f32> = norms.iter().map(|&(_, n)| n).collect();
+            by_norm.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            let cut = by_norm[keep - 1];
+            grad.retain(|_, g| l2_norm(g) >= cut);
+        }
+        RowSelector::Bernoulli { rescale } => {
+            let mut keep_scale = std::collections::HashMap::new();
+            for &(row, n) in &norms {
+                let p = (n / mean).min(1.0);
+                if p > 0.0 && rng.gen::<f32>() < p {
+                    keep_scale.insert(row, if rescale { 1.0 / p } else { 1.0 });
+                }
+            }
+            grad.retain(|row, _| keep_scale.contains_key(&row));
+            for (row, s) in keep_scale {
+                if s != 1.0 {
+                    grad.row_mut(row).iter_mut().for_each(|v| *v *= s);
+                }
+            }
+        }
+    }
+}
+
+/// Rows in slot order with their value bits: what a selection leaves, and
+/// in which order later insertion-order walks will see it.
+fn entries(g: &SparseGrad) -> Vec<(u32, Vec<u32>)> {
+    (0..g.nnz()).map(|i| (g.entry(i).0, bits(g.entry(i).1))).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -166,6 +218,46 @@ proptest! {
         // Values of surviving rows are untouched (paper RS does not rescale).
         for &r in &after {
             prop_assert_eq!(grad.get(r).unwrap()[0], norms[r as usize]);
+        }
+    }
+
+    #[test]
+    fn selection_keeps_the_reference_rows(
+        rows in proptest::collection::vec((0u32..400, 0usize..4, any::<u64>()), 0..120),
+        seed in any::<u64>(),
+    ) {
+        // Rows inserted in arbitrary order (repeats accumulate), a quarter
+        // of them all-zero and a quarter tiny, so every selector both keeps
+        // and drops and Bernoulli sees p = 0, p < 1 and p = 1.
+        let dim = 5;
+        let mut grad = SparseGrad::new(dim);
+        for &(row, kind, s) in &rows {
+            let scale = [0.0, 1e-3, 1.0, 1.0][kind];
+            for (d, x) in grad.row_mut(row).iter_mut().zip(det_row(dim, s)) {
+                *d += scale * x;
+            }
+        }
+        let selectors = [
+            RowSelector::None,
+            RowSelector::Threshold { factor: 1.0 },
+            RowSelector::Threshold { factor: 0.1 },
+            RowSelector::Bernoulli { rescale: false },
+            RowSelector::Bernoulli { rescale: true },
+            RowSelector::TopK { keep_fraction: 0.25 },
+            RowSelector::TopK { keep_fraction: 0.0 },
+        ];
+        for selector in selectors {
+            let (mut want, mut got) = (grad.clone(), grad.clone());
+            let (mut want_rng, mut got_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            select_rows_reference(selector, &mut want, &mut want_rng);
+            let sel = select_rows(selector, &mut got, &mut got_rng);
+            prop_assert_eq!(entries(&got), entries(&want), "{:?}", selector);
+            prop_assert_eq!(got_rng.state(), want_rng.state(), "RNG after {:?}", selector);
+            prop_assert_eq!((sel.rows_before, sel.rows_after), (grad.nnz(), want.nnz()));
+            // A second pass over what the first kept reuses the scratch.
+            select_rows_reference(selector, &mut want, &mut want_rng);
+            select_rows(selector, &mut got, &mut got_rng);
+            prop_assert_eq!(entries(&got), entries(&want), "second pass, {:?}", selector);
         }
     }
 

@@ -48,6 +48,10 @@ pub struct SparseGrad {
     /// `sorted_stamp == rows.len()`).
     sorted: Vec<u64>,
     sorted_stamp: usize,
+    /// One `f32` per slot for a pass over the rows to park its working
+    /// values in (see [`SparseGrad::slot_scratch_mut`]); kept here, like
+    /// the sorted cache, so its capacity is reused across batches.
+    slot_scratch: Vec<f32>,
 }
 
 impl SparseGrad {
@@ -62,6 +66,7 @@ impl SparseGrad {
             data: Vec::new(),
             sorted: Vec::new(),
             sorted_stamp: 0,
+            slot_scratch: Vec::new(),
         }
     }
 
@@ -266,12 +271,19 @@ impl SparseGrad {
         })
     }
 
-    /// 2-norm of every stored row, in the same (sorted) order as
-    /// [`SparseGrad::iter_sorted`].
-    pub fn row_norms(&self) -> Vec<(u32, f32)> {
-        self.iter_sorted()
-            .map(|(row, g)| (row, crate::matrix::l2_norm(g)))
-            .collect()
+    /// The slot of every stored row in ascending row order, off the cached
+    /// order: call [`SparseGrad::ensure_sorted`] first.
+    pub fn sorted_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        assert!(self.sorted_valid(), "sorted_slots needs ensure_sorted first");
+        self.sorted.iter().map(|&e| e as u32 as usize)
+    }
+
+    /// A reusable buffer for per-slot working values (row selection parks
+    /// its row norms and keep weights here). Contents are the caller's
+    /// business; a caller that needs it next to `&mut self` takes it out
+    /// with `std::mem::take` and puts it back, which moves no heap data.
+    pub fn slot_scratch_mut(&mut self) -> &mut Vec<f32> {
+        &mut self.slot_scratch
     }
 
     /// Scatter into a dense `n_rows × dim` buffer (row-major).
@@ -497,12 +509,10 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_threshold_count() {
+    fn threshold_count() {
         let mut g = SparseGrad::new(2);
         g.row_mut(0).copy_from_slice(&[3.0, 4.0]); // norm 5
         g.row_mut(1).copy_from_slice(&[1e-9, 0.0]);
-        let norms = g.row_norms();
-        assert_eq!(norms[0], (0, 5.0));
         assert_eq!(g.rows_above_norm(1e-6), 1);
         assert_eq!(g.rows_above_norm(10.0), 0);
     }

@@ -32,8 +32,8 @@ pub mod simd;
 pub use grad::SparseGrad;
 pub use matrix::EmbeddingTable;
 pub use model::{
-    ComplEx, DistMult, GradDst, KgeModel, ReplaceDir, RotatE, SimplE, TransE, BLOCK_T_LANES,
-    OVA_T_LANES,
+    ComplEx, DistMult, GradDst, KgeModel, ReplaceDir, RotatE, SimplE, TransE, BLOCK_GROUP,
+    OVA_T_LANES, SCORE_LANES,
 };
 pub use optim::{
     Adagrad, AdagradOptimizer, AdagradState, Adam, AdamOptimizer, AdamState, OptimStateView,

@@ -441,268 +441,123 @@ fn transe_ova_t_body(
     }
 }
 
-/// Lane width of the transposed **training** forward kernels: one group
-/// of 16 examples = two 256-bit accumulator chains. Unlike evaluation,
-/// where only the candidate varies, a training block varies head,
-/// relation *and* tail per example — so the fused forward gathers a group
-/// of examples into lane-major tiles (`tile[k * BLOCK_T_LANES + j]` =
-/// element `k` of example `j`) and sweeps `k` with pure vector loads, no
-/// broadcasts. Each lane is one example's own serial sum in
-/// [`KgeModel::score`]'s exact operation order, so blocked losses are
-/// bit-identical to the scalar path; block remainders take the scalar
-/// tail.
-pub const BLOCK_T_LANES: usize = 16;
+/// Examples per group of [`KgeModel::score_grad_block`]: scores become
+/// loss coefficients a group at a time, so the loss code and the kernel
+/// code each run this many times in a row instead of alternating.
+pub const BLOCK_GROUP: usize = 16;
 
-/// Build one lane-major tile straight from the rows `ids` of `table`:
-/// `dst[k * BLOCK_T_LANES + j]` = element `k` of row `ids[j]`. Reads are
-/// contiguous per row; the whole tile stays L1-sized for training dims.
-#[inline]
-fn load_tile(table: &EmbeddingTable, ids: [u32; BLOCK_T_LANES], dst: &mut [f32]) {
-    const L: usize = BLOCK_T_LANES;
-    let dim = table.dim();
-    let rows: [&[f32]; L] = std::array::from_fn(|j| table.row(ids[j] as usize));
-    assert!(rows.iter().all(|r| r.len() == dim) && dst.len() == dim * L);
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::use_avx() {
-        // SAFETY: AVX was just detected at runtime; every row holds `dim`
-        // floats and `dst` holds `dim * L` (asserted above).
-        return unsafe { transpose_rows_avx(&rows, dim, dst) };
-    }
-    for (j, row) in rows.iter().enumerate() {
-        for (k, &x) in row.iter().enumerate() {
-            dst[k * L + j] = x;
-        }
-    }
-}
+/// Examples summed together by the fused [`KgeModel::score_triples`]: eight
+/// independent add chains run at add throughput where one example's chain
+/// would wait out every add's latency.
+pub const SCORE_LANES: usize = 8;
 
-/// AVX [`load_tile`]: in-register 8x8 transposes (unpack + shuffle +
-/// 128-bit permute), one lane half at a time, with a scalar column tail.
-/// Pure data movement, so bit-identity to the scalar copy is structural.
-///
-/// # Safety
-/// The CPU must support AVX, every row must hold at least `dim` floats and
-/// `dst` at least `dim * BLOCK_T_LANES`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn transpose_rows_avx(rows: &[&[f32]; BLOCK_T_LANES], dim: usize, dst: &mut [f32]) {
-    use std::arch::x86_64::*;
-    const L: usize = BLOCK_T_LANES;
-    let dp = dst.as_mut_ptr();
-    let d8 = dim - dim % 8;
-    for half in 0..2 {
-        let o = half * 8;
-        let sp: [*const f32; 8] = std::array::from_fn(|j| rows[o + j].as_ptr());
-        for k0 in (0..d8).step_by(8) {
-            // 8 rows (lanes o..o+8) x 8 columns (dims k0..k0+8).
-            let r0 = _mm256_loadu_ps(sp[0].add(k0));
-            let r1 = _mm256_loadu_ps(sp[1].add(k0));
-            let r2 = _mm256_loadu_ps(sp[2].add(k0));
-            let r3 = _mm256_loadu_ps(sp[3].add(k0));
-            let r4 = _mm256_loadu_ps(sp[4].add(k0));
-            let r5 = _mm256_loadu_ps(sp[5].add(k0));
-            let r6 = _mm256_loadu_ps(sp[6].add(k0));
-            let r7 = _mm256_loadu_ps(sp[7].add(k0));
-            let t0 = _mm256_unpacklo_ps(r0, r1);
-            let t1 = _mm256_unpackhi_ps(r0, r1);
-            let t2 = _mm256_unpacklo_ps(r2, r3);
-            let t3 = _mm256_unpackhi_ps(r2, r3);
-            let t4 = _mm256_unpacklo_ps(r4, r5);
-            let t5 = _mm256_unpackhi_ps(r4, r5);
-            let t6 = _mm256_unpacklo_ps(r6, r7);
-            let t7 = _mm256_unpackhi_ps(r6, r7);
-            let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-            let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-            let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-            let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-            let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-            let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-            let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-            let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-            _mm256_storeu_ps(dp.add(k0 * L + o), _mm256_permute2f128_ps::<0x20>(s0, s4));
-            _mm256_storeu_ps(dp.add((k0 + 1) * L + o), _mm256_permute2f128_ps::<0x20>(s1, s5));
-            _mm256_storeu_ps(dp.add((k0 + 2) * L + o), _mm256_permute2f128_ps::<0x20>(s2, s6));
-            _mm256_storeu_ps(dp.add((k0 + 3) * L + o), _mm256_permute2f128_ps::<0x20>(s3, s7));
-            _mm256_storeu_ps(dp.add((k0 + 4) * L + o), _mm256_permute2f128_ps::<0x31>(s0, s4));
-            _mm256_storeu_ps(dp.add((k0 + 5) * L + o), _mm256_permute2f128_ps::<0x31>(s1, s5));
-            _mm256_storeu_ps(dp.add((k0 + 6) * L + o), _mm256_permute2f128_ps::<0x31>(s2, s6));
-            _mm256_storeu_ps(dp.add((k0 + 7) * L + o), _mm256_permute2f128_ps::<0x31>(s3, s7));
-        }
-        for k in d8..dim {
-            for (j, row) in sp.iter().enumerate() {
-                *dp.add(k * L + o + j) = *row.add(k);
-            }
-        }
-    }
-}
-
-/// Dispatchers for the lane-major training forward kernels — same
-/// discipline as [`ova_t_dispatch!`]: runtime-detected AVX with only
-/// mul/add/sub intrinsics (never FMA), portable register-blocked body
-/// otherwise, both bit-identical per lane to [`KgeModel::score`].
-macro_rules! fwd_t_dispatch {
-    ($base:ident, $avx:ident, $body:ident) => {
-        #[inline]
-        fn $base(rank: usize, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
+/// The fused [`KgeModel::score_triples`] of a model with a `rank` and the
+/// given summand loop: [`score_triples_body`]'s AVX-compiled copy where the
+/// CPU has AVX (runtime-detected, overridable via
+/// [`crate::simd::force_scalar`]), its baseline copy otherwise.
+macro_rules! fused_score_triples {
+    ($terms:ident) => {
+        fn score_triples(
+            &self,
+            ent: &EmbeddingTable,
+            rel: &EmbeddingTable,
+            triples: &[(u32, u32, u32)],
+            scratch: &mut Vec<f32>,
+            scores: &mut [f32],
+        ) {
+            let tables = (ent, rel);
             #[cfg(target_arch = "x86_64")]
             if crate::simd::use_avx() {
-                // SAFETY: the target feature was just detected at runtime;
-                // slice bounds are asserted inside before any raw access.
-                return unsafe { $avx(rank, h_t, r_t, t_t, scores) };
+                // SAFETY: AVX was just detected at runtime.
+                return unsafe { score_triples_avx(self.rank, $terms, tables, triples, scratch, scores) };
             }
-            $body(rank, h_t, r_t, t_t, scores)
+            score_triples_body(self.rank, $terms, tables, triples, scratch, scores)
         }
     };
 }
 
-fwd_t_dispatch!(complex_fwd_t, complex_fwd_t_avx, complex_fwd_t_body);
-fwd_t_dispatch!(distmult_fwd_t, distmult_fwd_t_avx, distmult_fwd_t_body);
-fwd_t_dispatch!(transe_fwd_t, transe_fwd_t_avx, transe_fwd_t_body);
-
-/// AVX ComplEx lane-major forward: 16 lanes as two 8-lane halves, each
-/// half's accumulator held in a register across the whole `k` loop. Per
-/// `k` every operand is a unit-stride vector load from the tiles — the
-/// expression tree is exactly [`ComplEx::score`]'s per lane.
+/// The same safe code with AVX enabled: the elementwise loops auto-vectorise
+/// eight wide. `avx` alone never licenses a fused multiply-add, which would
+/// round once where [`KgeModel::score`] rounds twice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn complex_fwd_t_avx(rank: usize, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-    use std::arch::x86_64::*;
-    const L: usize = BLOCK_T_LANES;
-    let d = rank;
-    assert_eq!(scores.len(), L);
-    assert!(h_t.len() >= 2 * d * L && r_t.len() >= 2 * d * L && t_t.len() >= 2 * d * L);
-    let (hp, rp, tp) = (h_t.as_ptr(), r_t.as_ptr(), t_t.as_ptr());
-    for half in 0..2 {
-        let o = half * 8;
-        let mut acc = _mm256_setzero_ps();
-        for k in 0..d {
-            let re = k * L + o;
-            let im = (d + k) * L + o;
-            let vhr = _mm256_loadu_ps(hp.add(re));
-            let vhi = _mm256_loadu_ps(hp.add(im));
-            let vrr = _mm256_loadu_ps(rp.add(re));
-            let vri = _mm256_loadu_ps(rp.add(im));
-            let vtr = _mm256_loadu_ps(tp.add(re));
-            let vti = _mm256_loadu_ps(tp.add(im));
-            // score: s += rr·(hr·tr + hi·ti) + ri·(hr·ti − hi·tr)
-            let a = _mm256_add_ps(_mm256_mul_ps(vhr, vtr), _mm256_mul_ps(vhi, vti));
-            let b = _mm256_sub_ps(_mm256_mul_ps(vhr, vti), _mm256_mul_ps(vhi, vtr));
-            acc = _mm256_add_ps(
-                acc,
-                _mm256_add_ps(_mm256_mul_ps(vrr, a), _mm256_mul_ps(vri, b)),
-            );
-        }
-        _mm256_storeu_ps(scores.as_mut_ptr().add(o), acc);
-    }
-}
-
-/// AVX DistMult lane-major forward (see [`complex_fwd_t_avx`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn distmult_fwd_t_avx(
+fn score_triples_avx(
     rank: usize,
-    h_t: &[f32],
-    r_t: &[f32],
-    t_t: &[f32],
+    terms_of: impl Fn(&[f32], &[f32], &[f32], &mut [f32]),
+    tables: (&EmbeddingTable, &EmbeddingTable),
+    triples: &[(u32, u32, u32)],
+    scratch: &mut Vec<f32>,
     scores: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
-    const L: usize = BLOCK_T_LANES;
-    let dim = rank;
-    assert_eq!(scores.len(), L);
-    assert!(h_t.len() >= dim * L && r_t.len() >= dim * L && t_t.len() >= dim * L);
-    let (hp, rp, tp) = (h_t.as_ptr(), r_t.as_ptr(), t_t.as_ptr());
-    for half in 0..2 {
-        let o = half * 8;
-        let mut acc = _mm256_setzero_ps();
-        for k in 0..dim {
-            let vh = _mm256_loadu_ps(hp.add(k * L + o));
-            let vr = _mm256_loadu_ps(rp.add(k * L + o));
-            let vt = _mm256_loadu_ps(tp.add(k * L + o));
-            // score: s += (h·r)·t
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_mul_ps(vh, vr), vt));
-        }
-        _mm256_storeu_ps(scores.as_mut_ptr().add(o), acc);
-    }
+    score_triples_body(rank, terms_of, tables, triples, scratch, scores)
 }
 
-/// AVX TransE lane-major forward (see [`complex_fwd_t_avx`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn transe_fwd_t_avx(rank: usize, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-    use std::arch::x86_64::*;
-    const L: usize = BLOCK_T_LANES;
-    let dim = rank;
-    assert_eq!(scores.len(), L);
-    assert!(h_t.len() >= dim * L && r_t.len() >= dim * L && t_t.len() >= dim * L);
-    let (hp, rp, tp) = (h_t.as_ptr(), r_t.as_ptr(), t_t.as_ptr());
-    for half in 0..2 {
-        let o = half * 8;
-        let mut acc = _mm256_setzero_ps();
-        for k in 0..dim {
-            let vh = _mm256_loadu_ps(hp.add(k * L + o));
-            let vr = _mm256_loadu_ps(rp.add(k * L + o));
-            let vt = _mm256_loadu_ps(tp.add(k * L + o));
-            // score: d = (h + r) − t; s −= d·d
-            let vd = _mm256_sub_ps(_mm256_add_ps(vh, vr), vt);
-            acc = _mm256_sub_ps(acc, _mm256_mul_ps(vd, vd));
-        }
-        _mm256_storeu_ps(scores.as_mut_ptr().add(o), acc);
-    }
-}
-
+/// Score `triples` in groups of [`SCORE_LANES`], two phases per group.
+/// **Terms**: `terms_of(h, r, t, out)` forms one example's per-`k` summands
+/// of [`KgeModel::score`]'s loop, straight from its three table rows into
+/// its `rank` floats of `scratch` — elementwise, so any vector width gives
+/// the scalar expression's bits. **In-order sums**: `acc[j] += terms[j][k]`
+/// for `k` ascending, the group's chains interleaved — every example's
+/// additions are `score`'s, from `0.0` in `score`'s order, and only
+/// independent chains overlap. A short last group sums whatever its unused
+/// lanes hold and drops it.
 #[inline(always)]
-fn complex_fwd_t_body(rank: usize, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-    const L: usize = BLOCK_T_LANES;
-    let d = rank;
-    debug_assert_eq!(scores.len(), L);
-    let mut acc = [0.0f32; L];
+fn score_triples_body(
+    rank: usize,
+    terms_of: impl Fn(&[f32], &[f32], &[f32], &mut [f32]),
+    (ent, rel): (&EmbeddingTable, &EmbeddingTable),
+    triples: &[(u32, u32, u32)],
+    scratch: &mut Vec<f32>,
+    scores: &mut [f32],
+) {
+    const G: usize = SCORE_LANES;
+    assert_eq!(triples.len(), scores.len());
+    scratch.resize(G * rank, 0.0);
+    for (group, out) in triples.chunks(G).zip(scores.chunks_mut(G)) {
+        for (&(h, r, t), terms) in group.iter().zip(scratch.chunks_exact_mut(rank)) {
+            terms_of(ent.row(h as usize), rel.row(r as usize), ent.row(t as usize), terms);
+        }
+        let mut lanes = scratch.chunks_exact(rank);
+        let lanes: [&[f32]; G] = std::array::from_fn(|_| lanes.next().expect("G lanes"));
+        let mut acc = [0.0f32; G];
+        for k in 0..rank {
+            for (a, lane) in acc.iter_mut().zip(&lanes) {
+                *a += lane[k];
+            }
+        }
+        out.copy_from_slice(&acc[..group.len()]);
+    }
+}
+
+/// ComplEx summands: `rr·(hr·tr + hi·ti) + ri·(hr·ti − hi·tr)`.
+#[inline(always)]
+fn complex_terms(h: &[f32], r: &[f32], t: &[f32], out: &mut [f32]) {
+    let d = out.len();
+    let ((hr, hi), (rr, ri), (tr, ti)) = (h.split_at(d), r.split_at(d), t.split_at(d));
+    let (hi, ri, ti) = (&hi[..d], &ri[..d], &ti[..d]);
     for k in 0..d {
-        let (re, im) = (k * L, (d + k) * L);
-        let hr: &[f32; L] = h_t[re..re + L].try_into().unwrap();
-        let hi: &[f32; L] = h_t[im..im + L].try_into().unwrap();
-        let rr: &[f32; L] = r_t[re..re + L].try_into().unwrap();
-        let ri: &[f32; L] = r_t[im..im + L].try_into().unwrap();
-        let tr: &[f32; L] = t_t[re..re + L].try_into().unwrap();
-        let ti: &[f32; L] = t_t[im..im + L].try_into().unwrap();
-        for j in 0..L {
-            acc[j] +=
-                rr[j] * (hr[j] * tr[j] + hi[j] * ti[j]) + ri[j] * (hr[j] * ti[j] - hi[j] * tr[j]);
-        }
+        out[k] = rr[k] * (hr[k] * tr[k] + hi[k] * ti[k]) + ri[k] * (hr[k] * ti[k] - hi[k] * tr[k]);
     }
-    scores.copy_from_slice(&acc);
 }
 
+/// DistMult summands: `(h·r)·t`.
 #[inline(always)]
-fn distmult_fwd_t_body(rank: usize, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-    const L: usize = BLOCK_T_LANES;
-    debug_assert_eq!(scores.len(), L);
-    let mut acc = [0.0f32; L];
-    for k in 0..rank {
-        let h: &[f32; L] = h_t[k * L..k * L + L].try_into().unwrap();
-        let r: &[f32; L] = r_t[k * L..k * L + L].try_into().unwrap();
-        let t: &[f32; L] = t_t[k * L..k * L + L].try_into().unwrap();
-        for j in 0..L {
-            acc[j] += h[j] * r[j] * t[j];
-        }
+fn distmult_terms(h: &[f32], r: &[f32], t: &[f32], out: &mut [f32]) {
+    let (h, r, t) = (&h[..out.len()], &r[..out.len()], &t[..out.len()]);
+    for k in 0..out.len() {
+        out[k] = h[k] * r[k] * t[k];
     }
-    scores.copy_from_slice(&acc);
 }
 
+/// TransE summands: `−(d·d)`, `d = (h + r) − t`; adding the negation is
+/// `score`'s `s -= d·d` to the bit.
 #[inline(always)]
-fn transe_fwd_t_body(rank: usize, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-    const L: usize = BLOCK_T_LANES;
-    debug_assert_eq!(scores.len(), L);
-    let mut acc = [0.0f32; L];
-    for k in 0..rank {
-        let h: &[f32; L] = h_t[k * L..k * L + L].try_into().unwrap();
-        let r: &[f32; L] = r_t[k * L..k * L + L].try_into().unwrap();
-        let t: &[f32; L] = t_t[k * L..k * L + L].try_into().unwrap();
-        for j in 0..L {
-            let d = h[j] + r[j] - t[j];
-            acc[j] -= d * d;
-        }
+fn transe_terms(h: &[f32], r: &[f32], t: &[f32], out: &mut [f32]) {
+    let (h, r, t) = (&h[..out.len()], &r[..out.len()], &t[..out.len()]);
+    for k in 0..out.len() {
+        let d = h[k] + r[k] - t[k];
+        out[k] = -(d * d);
     }
-    scores.copy_from_slice(&acc);
 }
 
 /// Where one example's gradient lands in the two [`SparseGrad`] slabs.
@@ -1065,27 +920,23 @@ pub trait KgeModel: Send + Sync {
         )
     }
 
-    /// Whether [`Self::score_group_t`] has a fused implementation — the
-    /// gate for the lane-major training forward path in
-    /// [`Self::score_grad_block`]. Models without one (RotatE, SimplE)
-    /// score each example with [`Self::score`].
-    fn has_train_kernel(&self) -> bool {
-        false
-    }
-
-    /// Forward-score one lane-major group of [`BLOCK_T_LANES`] training
-    /// examples: `h_t`/`r_t`/`t_t` hold element `k` of example `j` at
-    /// `k * BLOCK_T_LANES + j` (the table rows transposed), and
-    /// `scores` has exactly [`BLOCK_T_LANES`] slots. Each lane accumulates
-    /// its own example's serial sum in [`Self::score`]'s exact operation
-    /// order — only independent chains are interleaved — so group scores
-    /// are bit-identical to the scalar path. The default panics rather
-    /// than silently gathering; check [`Self::has_train_kernel`] first.
-    fn score_group_t(&self, _h_t: &[f32], _r_t: &[f32], _t_t: &[f32], _scores: &mut [f32]) {
-        unimplemented!(
-            "{}: no transposed training kernel; check has_train_kernel()",
-            self.name()
-        )
+    /// Forward-score `(head, rel, tail)` triples straight from the tables —
+    /// the training forward and S5's pool scoring: `scores[i]` receives
+    /// exactly [`Self::score`]'s bits for `triples[i]`. The default calls
+    /// `score` per triple; fused overrides ([`score_triples_body`]) keep one
+    /// group's summands in `scratch` (`SCORE_LANES × rank` floats, reused).
+    fn score_triples(
+        &self,
+        ent: &EmbeddingTable,
+        rel: &EmbeddingTable,
+        triples: &[(u32, u32, u32)],
+        _scratch: &mut Vec<f32>,
+        scores: &mut [f32],
+    ) {
+        assert_eq!(triples.len(), scores.len());
+        for (s, &(h, r, t)) in scores.iter_mut().zip(triples) {
+            *s = self.score(ent.row(h as usize), rel.row(r as usize), ent.row(t as usize));
+        }
     }
 
     /// Backward of one example, accumulating: add
@@ -1113,10 +964,8 @@ pub trait KgeModel: Send + Sync {
     }
 
     /// Fused batched kernel for one block of `(head, rel, tail)` triples,
-    /// one group of [`BLOCK_T_LANES`] examples at a time: **score** the
-    /// group — through lane-major tiles built straight from the table rows
-    /// where the model has a tile kernel and the group is full, with
-    /// [`Self::score`] otherwise — turn each score into an upstream loss
+    /// one group of [`BLOCK_GROUP`] examples at a time: **score** the group
+    /// ([`Self::score_triples`]), turn each score into an upstream loss
     /// coefficient via `coeff_of(example_idx, score)` (called in example
     /// order — the place to accumulate the loss), then, example by example,
     /// **add** the regularized gradient ([`Self::grad_add`], L2 always
@@ -1141,32 +990,21 @@ pub trait KgeModel: Send + Sync {
         ent_out: &mut SparseGrad,
         rel_out: &mut SparseGrad,
     ) {
-        const L: usize = BLOCK_T_LANES;
+        const L: usize = BLOCK_GROUP;
         let dim = self.storage_dim();
         assert!(ent.dim() == dim && rel.dim() == dim);
         assert!(ent_out.dim() == dim && rel_out.dim() == dim);
-        scratch.reserve(dim);
-        let tiled = self.has_train_kernel() && !crate::simd::force_scalar();
+        scratch.tmp.resize(3 * dim, 0.0);
         let mut scores = [0.0f32; L];
         // The previous example's rows and slots: a negative shares its
         // positive's relation and one entity, and skips their index probes.
         let (mut ent_memo, mut rel_memo) = ([None; 2], [None; 1]);
         for (g, group) in triples.chunks(L).enumerate() {
-            if tiled && group.len() == L {
-                let ids = |of: fn(&(u32, u32, u32)) -> u32| std::array::from_fn(|j| of(&group[j]));
-                load_tile(ent, ids(|x| x.0), &mut scratch.ht);
-                load_tile(rel, ids(|x| x.1), &mut scratch.rt);
-                load_tile(ent, ids(|x| x.2), &mut scratch.tt);
-                self.score_group_t(&scratch.ht, &scratch.rt, &scratch.tt, &mut scores);
-            } else {
-                for (s, &(h, r, t)) in scores.iter_mut().zip(group) {
-                    *s = self.score(ent.row(h as usize), rel.row(r as usize), ent.row(t as usize));
-                }
-            }
+            let scores = &mut scores[..group.len()];
+            self.score_triples(ent, rel, group, &mut scratch.terms, scores);
             // Scores become coefficients in place, the whole group before
-            // its first backward: the loss code and the vector code each
-            // run 16 times in a row instead of alternating.
-            for (i, s) in scores[..group.len()].iter_mut().enumerate() {
+            // its first backward.
+            for (i, s) in scores.iter_mut().enumerate() {
                 *s = coeff_of(g * L + i, *s);
             }
             for (&coeff, &(h, r, t)) in scores.iter().zip(group) {
@@ -1276,16 +1114,7 @@ impl KgeModel for ComplEx {
         complex_grad_add(self.rank, src, coeff, l2, dst);
     }
 
-    fn has_train_kernel(&self) -> bool {
-        true
-    }
-
-    /// Lane-major training forward (see [`complex_fwd_t_avx`]): each of
-    /// the 16 lanes accumulates its own example's score in
-    /// [`Self::score`]'s exact per-`k` order.
-    fn score_group_t(&self, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-        complex_fwd_t(self.rank, h_t, r_t, t_t, scores);
-    }
+    fused_score_triples!(complex_terms);
 
     /// Fused one-vs-all: query/relation halves are split once, then the
     /// candidate tile streams through in groups of [`OVA_LANES`] rows with
@@ -1449,14 +1278,7 @@ impl KgeModel for DistMult {
         distmult_grad_add(self.rank, src, coeff, l2, dst);
     }
 
-    fn has_train_kernel(&self) -> bool {
-        true
-    }
-
-    /// Lane-major training forward (see [`ComplEx::score_group_t`]).
-    fn score_group_t(&self, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-        distmult_fwd_t(self.rank, h_t, r_t, t_t, scores);
-    }
+    fused_score_triples!(distmult_terms);
 
     /// Fused one-vs-all (see [`ComplEx::score_one_vs_all`]): the product
     /// keeps [`Self::score`]'s `h·r` then `·t` association in both
@@ -1612,14 +1434,7 @@ impl KgeModel for TransE {
         transe_grad_add(self.rank, src, coeff, l2, dst);
     }
 
-    fn has_train_kernel(&self) -> bool {
-        true
-    }
-
-    /// Lane-major training forward (see [`ComplEx::score_group_t`]).
-    fn score_group_t(&self, h_t: &[f32], r_t: &[f32], t_t: &[f32], scores: &mut [f32]) {
-        transe_fwd_t(self.rank, h_t, r_t, t_t, scores);
-    }
+    fused_score_triples!(transe_terms);
 
     /// Fused one-vs-all (see [`ComplEx::score_one_vs_all`]): the residual
     /// keeps [`Self::score`]'s `(h + r) - t` association. In the tail

@@ -49,17 +49,13 @@ impl<T> ScratchPool<T> {
 /// Scratch of one [`crate::model::KgeModel::score_grad_block`] call. The
 /// kernel reads embedding rows from the tables and adds gradients straight
 /// into the [`crate::SparseGrad`] slabs, so nothing here scales with the
-/// block: three group-sized forward tiles and one example's gradient rows.
+/// block: one forward group's summands and one example's gradient rows.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
-    /// Lane-major head tile of the transposed forward kernel: element `k`
-    /// of lane `j` at `ht[k * BLOCK_T_LANES + j]`, one group of
-    /// [`crate::model::BLOCK_T_LANES`] examples at a time.
-    pub(crate) ht: Vec<f32>,
-    /// Lane-major relation tile.
-    pub(crate) rt: Vec<f32>,
-    /// Lane-major tail tile.
-    pub(crate) tt: Vec<f32>,
+    /// [`crate::model::KgeModel::score_triples`]' scratch: the per-`k`
+    /// summands of [`crate::model::SCORE_LANES`] examples (`8 × rank`),
+    /// sized by the fused forward arms and left empty by the default one.
+    pub(crate) terms: Vec<f32>,
     /// Head, relation and tail gradient rows of one example (`3 × dim`),
     /// for models whose backward goes through [`crate::model::KgeModel::grad`].
     pub(crate) tmp: Vec<f32>,
@@ -70,21 +66,9 @@ impl BlockScratch {
         Self::default()
     }
 
-    /// Size the buffers for rows of `dim` floats; every use overwrites
-    /// what it reads, so nothing is re-zeroed.
-    pub(crate) fn reserve(&mut self, dim: usize) {
-        let tile = crate::model::BLOCK_T_LANES * dim;
-        self.ht.resize(tile, 0.0);
-        self.rt.resize(tile, 0.0);
-        self.tt.resize(tile, 0.0);
-        self.tmp.resize(3 * dim, 0.0);
-    }
-
     /// Bytes of heap this scratch holds.
     pub fn heap_bytes(&self) -> usize {
-        let floats =
-            self.ht.capacity() + self.rt.capacity() + self.tt.capacity() + self.tmp.capacity();
-        floats * std::mem::size_of::<f32>()
+        (self.terms.capacity() + self.tmp.capacity()) * std::mem::size_of::<f32>()
     }
 }
 
@@ -108,8 +92,8 @@ mod tests {
     }
 
     /// The kernel's scratch is a function of `dim` alone: a block of 1280
-    /// examples leaves three 16-lane tiles and three rows, no `n × dim`
-    /// arena.
+    /// examples leaves one 8-lane group of summands and three rows — no
+    /// `n × dim` arena and no row tiles.
     #[test]
     fn block_scratch_does_not_scale_with_the_block() {
         use crate::{ComplEx, EmbeddingTable, KgeModel, SparseGrad};
@@ -133,7 +117,7 @@ mod tests {
             &mut eg,
             &mut rg,
         );
-        let floats = 3 * crate::model::BLOCK_T_LANES * dim + 3 * dim;
+        let floats = crate::model::SCORE_LANES * model.rank() + 3 * dim;
         assert_eq!(scratch.heap_bytes(), floats * 4);
     }
 }

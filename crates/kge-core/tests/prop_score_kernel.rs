@@ -1,0 +1,200 @@
+//! Property test: `KgeModel::score_triples` — the training forward and
+//! S5's pool scoring — gives **exactly** `KgeModel::score`'s bits, triple
+//! for triple, for every model constructible from `ModelKind` (RotatE and
+//! SimplE through the default arm), under both dispatch arms, at ranks
+//! below, at and straddling the vector width, for every length of the last
+//! [`SCORE_LANES`] group, on the shapes training stages and on the values
+//! where a reordered or fused sum would show: signed zeros, denormals and
+//! magnitudes that overflow.
+//!
+//! `KGE_FORCE_SCALAR=1` on top pins the arm the override cannot reach
+//! (`scripts/check.sh` runs the suite both ways).
+
+use kge_core::model::complex_score_oracle;
+use kge_core::{
+    ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, TransE, SCORE_LANES,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const RANKS: [usize; 7] = [1, 3, 8, 31, 32, 33, 64];
+const N_ENT: usize = 24;
+const N_REL: usize = 5;
+
+type Triple = (u32, u32, u32);
+
+fn models(rank: usize) -> [Box<dyn KgeModel>; 5] {
+    [
+        Box::new(ComplEx::new(rank)),
+        Box::new(DistMult::new(rank)),
+        Box::new(TransE::new(rank)),
+        Box::new(RotatE::new(rank)),
+        Box::new(SimplE::new(rank)),
+    ]
+}
+
+/// What the table elements look like.
+#[derive(Debug, Clone, Copy)]
+enum Values {
+    /// Uniform in `(-1, 1)`: the trained-embedding regime, where ComplEx is
+    /// also held to the complex-arithmetic oracle.
+    Unit,
+    /// A third of the elements `+0.0`, a third `-0.0`: summands of either
+    /// zero sign, which a sum started anywhere but `+0.0` gets wrong.
+    SignedZeros,
+    /// Elements around `1e-40` among unit ones: denormal operands and
+    /// products that flush to zero.
+    Denormals,
+    /// Every row scaled by `1e-30`, `1` or `1e30`: products that underflow,
+    /// overflow to `±inf` and cancel to NaN (compared by bits like the rest;
+    /// the tables themselves hold no NaN).
+    Magnitudes,
+}
+
+const VALUES: [Values; 4] =
+    [Values::Unit, Values::SignedZeros, Values::Denormals, Values::Magnitudes];
+
+fn table(rows: usize, dim: usize, values: Values, rng: &mut StdRng) -> EmbeddingTable {
+    let mut t = EmbeddingTable::zeros(rows, dim);
+    for i in 0..rows {
+        let row_scale = [1e-30f32, 1.0, 1e30][rng.gen_range(0..3usize)];
+        for x in t.row_mut(i) {
+            let unit: f32 = rng.gen_range(-1.0..1.0);
+            *x = match (values, rng.gen_range(0..3u32)) {
+                (Values::SignedZeros, 0) => 0.0,
+                (Values::SignedZeros, 1) => -0.0,
+                (Values::Denormals, 0) => unit * 1e-40,
+                (Values::Magnitudes, _) => unit * row_scale,
+                _ => unit,
+            };
+        }
+    }
+    t
+}
+
+/// The triple lists the kernel must get right.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Independent uniform triples.
+    Random,
+    /// What staging produces and what a pool is: runs of triples that share
+    /// the relation and one entity.
+    Training,
+    /// Every other triple has `h == t`.
+    SelfLoops,
+}
+
+const SHAPES: [Shape; 3] = [Shape::Random, Shape::Training, Shape::SelfLoops];
+
+fn triples(shape: Shape, n: usize, rng: &mut StdRng) -> Vec<Triple> {
+    let mut ent = || rng.gen_range(0..N_ENT as u32);
+    let mut out: Vec<Triple> = Vec::with_capacity(n + 5);
+    while out.len() < n {
+        let (h, t) = (ent(), ent());
+        let r = (h + t) % N_REL as u32;
+        match shape {
+            Shape::Random => out.push((h, r, t)),
+            Shape::Training => {
+                out.push((h, r, t));
+                out.extend((0..5).map(|j| if j % 2 == 0 { (ent(), r, t) } else { (h, r, ent()) }));
+            }
+            Shape::SelfLoops => out.extend([(h, r, h), (h, r, t)]),
+        }
+    }
+    out.truncate(n);
+    out
+}
+
+/// `score_triples` under the given dispatch arm.
+fn fused(
+    model: &dyn KgeModel,
+    ent: &EmbeddingTable,
+    rel: &EmbeddingTable,
+    triples: &[Triple],
+    scratch: &mut Vec<f32>,
+    force_scalar: bool,
+) -> Vec<f32> {
+    // Tests run on parallel threads; hold the process-global override for
+    // the whole call so each arm really is the one asked for.
+    static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
+    kge_core::simd::set_force_scalar(Some(force_scalar));
+    // Poisoned, so every score has to be written.
+    let mut scores = vec![f32::from_bits(0x7FC0_BEEF); triples.len()];
+    model.score_triples(ent, rel, triples, scratch, &mut scores);
+    kge_core::simd::set_force_scalar(None);
+    scores
+}
+
+/// Every model at `rank`, both arms, against `score` (and ComplEx on unit
+/// values against the oracle).
+fn check_all_models(rank: usize, values: Values, shape: Shape, n: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let list = triples(shape, n, &mut rng);
+    for model in models(rank).iter() {
+        let dim = model.storage_dim();
+        let ent = table(N_ENT, dim, values, &mut rng);
+        let rel = table(N_REL, dim, values, &mut rng);
+        let row = |t: &Triple| (ent.row(t.0 as usize), rel.row(t.1 as usize), ent.row(t.2 as usize));
+        let want: Vec<f32> = list.iter().map(&row).map(|(h, r, t)| model.score(h, r, t)).collect();
+        // One scratch across both arms and a longer list first: stale
+        // summands from an earlier call must not leak into a short group.
+        let mut scratch = Vec::new();
+        fused(model.as_ref(), &ent, &rel, &triples(Shape::Random, 11, &mut rng), &mut scratch, false);
+        for force_scalar in [true, false] {
+            let got = fused(model.as_ref(), &ent, &rel, &list, &mut scratch, force_scalar);
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits(),
+                    "{} rank={rank} {values:?} {shape:?} n={n} force_scalar={force_scalar} \
+                     triple {i} {:?}: {g:e} ({:#x}) vs score {w:e} ({:#x})",
+                    model.name(),
+                    list[i],
+                    g.to_bits(),
+                    w.to_bits()
+                );
+            }
+            if model.name() == "complex" && matches!(values, Values::Unit) {
+                for (t, &g) in list.iter().zip(&got) {
+                    let (h, r, t) = row(t);
+                    let oracle = complex_score_oracle(rank, h, r, t);
+                    assert!((g - oracle).abs() <= 1e-5 * rank as f32, "{g} vs oracle {oracle}");
+                }
+            }
+        }
+    }
+}
+
+/// The whole grid once: every rank × every length of the last group (none,
+/// `1..SCORE_LANES`, a full one), alone and behind two full groups × every
+/// value regime × every shape.
+#[test]
+fn every_rank_remainder_value_regime_and_shape_matches_score() {
+    for rank in RANKS {
+        for rem in 0..=SCORE_LANES {
+            for n in [rem, 2 * SCORE_LANES + rem] {
+                for values in VALUES {
+                    for shape in SHAPES {
+                        check_all_models(rank, values, shape, n, (rank * 131 + n) as u64);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn score_triples_bit_identical_to_score(
+        seed in any::<u64>(),
+        rank_idx in 0usize..7,
+        n in 0usize..70,
+        values_idx in 0usize..4,
+        shape_idx in 0usize..3,
+    ) {
+        check_all_models(RANKS[rank_idx], VALUES[values_idx], SHAPES[shape_idx], n, seed);
+    }
+}

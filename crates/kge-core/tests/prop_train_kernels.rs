@@ -1,11 +1,11 @@
-//! Property test: the blocked training kernel (`score_grad_block`: tiles
-//! built from the table rows, accumulating backward straight into the
-//! `SparseGrad` slabs, memoized slots) is **bit-identical** to the scalar
+//! Property test: the blocked training kernel (`score_grad_block`: groups
+//! scored straight from the table rows, accumulating backward straight into
+//! the `SparseGrad` slabs, memoized slots) is **bit-identical** to the scalar
 //! per-triple path — every per-example score (hence loss), every gradient
 //! bit and the insertion order of both accumulators — for every model
 //! constructible from `ModelKind` (RotatE and SimplE through the default
 //! arm), dims straddling the AVX register width, block sizes straddling
-//! [`BLOCK_T_LANES`], the block shapes training produces, and both
+//! [`BLOCK_GROUP`], the block shapes training produces, and both
 //! dispatch arms via the force-scalar override.
 //!
 //! `KGE_FORCE_SCALAR=1` on top pins the arm the override cannot reach
@@ -15,7 +15,7 @@ use kge_core::loss::logistic_loss_grad;
 use kge_core::matrix::axpy;
 use kge_core::{
     BlockScratch, ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, SparseGrad, TransE,
-    BLOCK_T_LANES,
+    BLOCK_GROUP,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,8 +25,9 @@ use rand::{Rng, SeedableRng};
 /// (and, for ComplEx, odd half-row widths); 64 and 128 are the bench
 /// configurations.
 const RANKS: [usize; 4] = [15, 64, 127, 128];
-/// Block sizes straddling the 16-lane group width: sub-group (scalar
-/// scores only), exactly one group, group + tail, and multi-group + tail.
+/// Block sizes straddling the 16-example group: sub-group (1 and 7 are one
+/// short 8-lane forward group, 15 a full one plus a short one), exactly
+/// one group, group + tail, and multi-group + tail.
 const BLOCKS: [usize; 6] = [1, 7, 15, 16, 17, 33];
 const N_ENT: usize = 40;
 const N_REL: usize = 8;
@@ -106,7 +107,7 @@ fn block(shape: Shape, n: usize, seed: u64) -> Vec<Triple> {
         })),
         Shape::Straddle => {
             for i in 0..n {
-                let repeat = i > 0 && i % BLOCK_T_LANES == 0;
+                let repeat = i > 0 && i % BLOCK_GROUP == 0;
                 out.push(if repeat { out[i - 1] } else { uniform(3, 1) });
             }
         }

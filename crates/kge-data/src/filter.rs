@@ -44,20 +44,13 @@ impl Hasher for IdHasher {
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
-/// Index over every triple of a dataset (train + valid + test).
-///
-/// Supports the two queries KGE evaluation needs:
-/// - membership (`contains`), for filtered ranking and for rejecting
-///   corrupted triples that are accidentally true;
-/// - the known heads/tails of a `(rel, entity)` pair, for filtered-rank
-///   computation without scanning.
+/// Index over every triple of a dataset (train + valid + test):
+/// membership (`contains`), for rejecting corrupted triples that are
+/// accidentally true. The known completions of a query side, for filtered
+/// ranking without scanning, are [`GroupedFilter`]'s.
 #[derive(Debug, Clone, Default)]
 pub struct FilterIndex {
     all: IdSet<Triple>,
-    /// (rel, head) -> tails
-    tails: IdMap<(u32, u32), Vec<u32>>,
-    /// (rel, tail) -> heads
-    heads: IdMap<(u32, u32), Vec<u32>>,
 }
 
 impl FilterIndex {
@@ -68,30 +61,15 @@ impl FilterIndex {
 
     /// Build from an explicit triple stream.
     pub fn from_triples(triples: impl Iterator<Item = Triple>) -> Self {
-        let mut idx = FilterIndex::default();
-        for t in triples {
-            if idx.all.insert(t) {
-                idx.tails.entry((t.rel, t.head)).or_default().push(t.tail);
-                idx.heads.entry((t.rel, t.tail)).or_default().push(t.head);
-            }
+        FilterIndex {
+            all: triples.collect(),
         }
-        idx
     }
 
     /// Is `(h, r, t)` a known true triple?
     #[inline]
     pub fn contains(&self, t: Triple) -> bool {
         self.all.contains(&t)
-    }
-
-    /// All known tails for `(rel, head)`.
-    pub fn known_tails(&self, rel: u32, head: u32) -> &[u32] {
-        self.tails.get(&(rel, head)).map_or(&[], Vec::as_slice)
-    }
-
-    /// All known heads for `(rel, tail)`.
-    pub fn known_heads(&self, rel: u32, tail: u32) -> &[u32] {
-        self.heads.get(&(rel, tail)).map_or(&[], Vec::as_slice)
     }
 
     /// Number of indexed triples.
@@ -183,20 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn known_tails_and_heads() {
-        let idx = index();
-        assert_eq!(idx.known_tails(0, 0), &[1, 2]);
-        assert_eq!(idx.known_heads(0, 1), &[0, 3]);
-        assert_eq!(idx.known_tails(9, 9), &[] as &[u32]);
-    }
-
-    #[test]
     fn duplicates_are_ignored() {
         let idx = FilterIndex::from_triples(
             [Triple::new(0, 0, 1), Triple::new(0, 0, 1)].into_iter(),
         );
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.known_tails(0, 0), &[1]);
     }
 
     #[test]
@@ -266,11 +235,10 @@ mod tests {
         let grouped = GroupedFilter::from_index(&idx);
 
         let all: BTreeSet<Triple> = triples.iter().copied().collect();
-        // First-seen order per key, as `FilterIndex` documents.
+        // Ascending completions per key, as `GroupedFilter` documents.
         let mut tails: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
         let mut heads: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
-        let mut seen = BTreeSet::new();
-        for t in triples.iter().filter(|t| seen.insert(**t)) {
+        for t in &all {
             tails.entry((t.rel, t.head)).or_default().push(t.tail);
             heads.entry((t.rel, t.tail)).or_default().push(t.head);
         }
@@ -285,19 +253,13 @@ mod tests {
             }
         }
         for (&(rel, head), want) in &tails {
-            assert_eq!(idx.known_tails(rel, head), want.as_slice());
-            let mut sorted = want.clone();
-            sorted.sort_unstable();
-            assert_eq!(grouped.known_tails(head, rel), sorted.as_slice());
+            assert_eq!(grouped.known_tails(head, rel), want.as_slice());
         }
         for (&(rel, tail), want) in &heads {
-            assert_eq!(idx.known_heads(rel, tail), want.as_slice());
-            let mut sorted = want.clone();
-            sorted.sort_unstable();
-            assert_eq!(grouped.known_heads(tail, rel), sorted.as_slice());
+            assert_eq!(grouped.known_heads(tail, rel), want.as_slice());
         }
         assert_eq!(grouped.n_tail_groups(), tails.len());
-        assert_eq!(idx.known_tails(1, 8), &[] as &[u32]);
+        assert_eq!(grouped.known_tails(8, 1), &[] as &[u32]);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! paper's phrasing) are kept for the backward pass. A forward pass is far
 //! cheaper than backward, so discarding `pool − train` candidates after
 //! scoring is a net win when it buys convergence.
+//!
+//! One implementation, [`NegSampler::sample`], serves one positive or a
+//! whole chunk of them: every pool is drawn first, all candidates are
+//! scored in one [`KgeModel::score_triples`] call, and each positive's
+//! hardest are picked without a sort.
 
 use crate::config::NegSampling;
 use kge_core::{EmbeddingTable, KgeModel};
@@ -122,14 +127,117 @@ pub struct NegBatch {
     pub scored_discarded: usize,
 }
 
-/// Reusable candidate-pool buffers for [`sample_negatives_into`]. One per
-/// worker; capacities persist across positives so the steady state
-/// allocates nothing (the stable sort's temp buffer excepted, and only on
-/// the selection path).
+/// Reusable buffers of [`NegSampler::sample`]. One per worker; capacities
+/// persist across calls, so the steady state allocates nothing — with or
+/// without selection.
 #[derive(Debug, Clone, Default)]
 pub struct NegScratch {
-    pool: Vec<Triple>,
-    scored: Vec<(f32, Triple)>,
+    /// Candidates as `(head, rel, tail)`, `stride` per positive in draw
+    /// order; selection moves each positive's kept ones to the front of
+    /// its pool.
+    cands: Vec<(u32, u32, u32)>,
+    /// The candidates' scores (selection only), moved along with them.
+    scores: Vec<f32>,
+    /// [`KgeModel::score_triples`]' summand scratch.
+    terms: Vec<f32>,
+    /// Candidates drawn per positive by the last call.
+    stride: usize,
+    /// Candidates kept per positive by the last call.
+    keep: usize,
+}
+
+impl NegScratch {
+    /// The negatives the last [`NegSampler::sample`] call kept for its
+    /// `i`-th positive — hardest first under selection, draw order
+    /// otherwise.
+    pub fn kept(&self, i: usize) -> &[(u32, u32, u32)] {
+        &self.cands[i * self.stride..][..self.keep]
+    }
+}
+
+/// What a corruption draw and a pool score read.
+#[derive(Clone, Copy)]
+pub struct NegSampler<'a> {
+    pub policy: NegSampling,
+    pub model: &'a dyn KgeModel,
+    pub ent: &'a EmbeddingTable,
+    pub rel: &'a EmbeddingTable,
+    pub filter: &'a FilterIndex,
+    /// `bern` head-vs-tail bias; a fair coin without it.
+    pub bias: Option<&'a CorruptionBias>,
+    /// Corruption range: the global entity count.
+    pub n_entities: usize,
+}
+
+impl NegSampler<'_> {
+    /// Negatives for every positive of `positives`, left in `scratch`
+    /// (read them back with [`NegScratch::kept`]).
+    ///
+    /// Every pool is drawn first, in positive order: [`corrupt`] is the
+    /// only RNG consumer and scoring consumes no randomness, so the draws
+    /// are those of sampling one positive at a time, draw for draw. Under
+    /// selection all `positives × pool` candidates are then scored in one
+    /// [`KgeModel::score_triples`] call, and each positive keeps the first
+    /// `train` entries of its pool's stable descending order — `train`
+    /// rounds of arg-max where the earliest draw wins a tie, each winner
+    /// rotated to the front so the rest keep their draw order.
+    pub fn sample(
+        &self,
+        positives: impl Iterator<Item = Triple>,
+        rng: &mut StdRng,
+        scratch: &mut NegScratch,
+    ) {
+        let NegSampling { pool, train } = self.policy;
+        scratch.cands.clear();
+        for pos in positives {
+            scratch.cands.extend((0..pool).map(|_| {
+                let c = corrupt(pos, self.n_entities, self.filter, self.bias, rng);
+                (c.head, c.rel, c.tail)
+            }));
+        }
+        let select = self.policy.uses_selection();
+        (scratch.stride, scratch.keep) = (pool, if select { train } else { pool });
+        if !select {
+            return;
+        }
+        scratch.scores.resize(scratch.cands.len(), 0.0);
+        let NegScratch { cands, scores, terms, .. } = scratch;
+        self.model.score_triples(self.ent, self.rel, cands, terms, scores);
+        for (cands, scores) in cands.chunks_exact_mut(pool).zip(scores.chunks_exact_mut(pool)) {
+            for round in 0..train {
+                let mut best = round;
+                for i in round + 1..pool {
+                    let order = scores[i].partial_cmp(&scores[best]).expect("finite scores");
+                    if order == std::cmp::Ordering::Greater {
+                        best = i;
+                    }
+                }
+                cands[round..=best].rotate_right(1);
+                scores[round..=best].rotate_right(1);
+            }
+        }
+    }
+
+    /// Stage `positives` and their negatives as the block kernel's input:
+    /// each positive (label `+1`) followed by its kept negatives (label
+    /// `−1`), appended to `labels` and `triples` in example order.
+    pub fn stage(
+        &self,
+        positives: impl Iterator<Item = Triple> + Clone,
+        rng: &mut StdRng,
+        scratch: &mut NegScratch,
+        labels: &mut Vec<f32>,
+        triples: &mut Vec<(u32, u32, u32)>,
+    ) {
+        self.sample(positives.clone(), rng, scratch);
+        for (i, pos) in positives.enumerate() {
+            labels.push(1.0);
+            triples.push((pos.head, pos.rel, pos.tail));
+            let negs = scratch.kept(i);
+            labels.extend(negs.iter().map(|_| -1.0));
+            triples.extend_from_slice(negs);
+        }
+    }
 }
 
 /// Generate negatives for `positive` under `policy`.
@@ -160,10 +268,9 @@ pub fn sample_negatives(
     }
 }
 
-/// Buffer-reusing [`sample_negatives`]: appends the kept negatives to
-/// `out` and returns the number of scored-but-discarded candidates.
-/// Identical results (same RNG draw order, same stable tie-breaking) to
-/// the allocating wrapper.
+/// Buffer-reusing [`sample_negatives`] — the one-positive case of
+/// [`NegSampler::sample`]: appends the kept negatives to `out` and returns
+/// the number of scored-but-discarded candidates.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_negatives_into(
     policy: NegSampling,
@@ -178,34 +285,10 @@ pub fn sample_negatives_into(
     scratch: &mut NegScratch,
     out: &mut Vec<Triple>,
 ) -> usize {
-    scratch.pool.clear();
-    scratch
-        .pool
-        .extend((0..policy.pool).map(|_| corrupt(positive, n_entities, filter, bias, rng)));
-    if !policy.uses_selection() {
-        out.extend_from_slice(&scratch.pool);
-        return 0;
-    }
-    // Score the pool; keep the `train` hardest (highest score). Scoring
-    // consumes no randomness and the sort is stable, so the kept set is
-    // identical to the historical parallel-scoring loop at any thread
-    // count.
-    scratch.scored.clear();
-    scratch.scored.extend(scratch.pool.iter().map(|&t| {
-        let s = model.score(
-            ent.row(t.head as usize),
-            rel.row(t.rel as usize),
-            ent.row(t.tail as usize),
-        );
-        (s, t)
-    }));
-    scratch
-        .scored
-        .sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-    let keep = policy.train.min(scratch.scored.len());
-    let discarded = scratch.scored.len() - keep;
-    out.extend(scratch.scored[..keep].iter().map(|&(_, t)| t));
-    discarded
+    let sampler = NegSampler { policy, model, ent, rel, filter, bias, n_entities };
+    sampler.sample(std::iter::once(positive), rng, scratch);
+    out.extend(scratch.kept(0).iter().copied().map(Triple::from));
+    scratch.stride - scratch.keep
 }
 
 #[cfg(test)]

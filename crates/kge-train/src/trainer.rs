@@ -23,7 +23,7 @@ use crate::exchange::{
     PipelineSlot,
 };
 use crate::lr::PlateauSchedule;
-use crate::neg::{sample_negatives_into, CorruptionBias, NegScratch};
+use crate::neg::{CorruptionBias, NegSampler, NegScratch};
 use crate::report::{EpochTrace, TrainOutcome, TrainReport};
 use crate::snapshot::{PublishedModel, SnapshotSink};
 use kge_compress::codec::{RowDecoder, RowEncoder};
@@ -1320,7 +1320,7 @@ fn run_node_inner(
 }
 
 /// One chunk's reusable working state: the example staging arrays fed to
-/// the fused block kernel, the kernel's tile scratch, the
+/// the fused block kernel, the kernel's scratch, the
 /// negative-sampling scratch, and the chunk-local gradient accumulators.
 /// Instances live in a [`ScratchPool`] so every buffer is reused across
 /// chunks, batches, and epochs — after warmup, processing a chunk
@@ -1334,7 +1334,6 @@ pub(crate) struct ChunkScratch {
     pub(crate) triples: Vec<(u32, u32, u32)>,
     pub(crate) block: BlockScratch,
     pub(crate) neg_scratch: NegScratch,
-    pub(crate) negs: Vec<Triple>,
     pub(crate) ent: SparseGrad,
     pub(crate) rel: SparseGrad,
 }
@@ -1348,7 +1347,6 @@ impl ChunkScratch {
             triples: Vec::new(),
             block: BlockScratch::new(),
             neg_scratch: NegScratch::default(),
-            negs: Vec::new(),
             ent: SparseGrad::new(dim),
             rel: SparseGrad::new(dim),
         }
@@ -1491,8 +1489,9 @@ fn process_chunk(
     compute_chunk(model, ent, rel, inv_batch, config, cs);
 }
 
-/// Phase 1 of [`process_chunk`]: draw positives and negatives and stage
-/// `(label, triple)` pairs in example order. `n_entities` is the
+/// Phase 1 of [`process_chunk`]: draw the chunk's negatives — every pool
+/// first, then one scoring call under selection ([`NegSampler::sample`]) —
+/// and stage `(label, triple)` pairs in example order. `n_entities` is the
 /// corruption range — the replica path passes `ent.rows()`, while the
 /// sharded path stages against placeholder tables before the pull fills
 /// them, so the range must be the global entity count, not the table
@@ -1520,29 +1519,17 @@ pub(crate) fn stage_chunk(
     cs.ent.clear();
     cs.rel.clear();
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    for i in lo..hi {
-        let pos = shard[(start + i) % shard.len()];
-        cs.labels.push(1.0);
-        cs.triples.push((pos.head, pos.rel, pos.tail));
-        cs.negs.clear();
-        sample_negatives_into(
-            config.strategy.neg,
-            pos,
-            model,
-            ent,
-            rel,
-            filter,
-            bias,
-            n_entities,
-            &mut rng,
-            &mut cs.neg_scratch,
-            &mut cs.negs,
-        );
-        for n in &cs.negs {
-            cs.labels.push(-1.0);
-            cs.triples.push((n.head, n.rel, n.tail));
-        }
-    }
+    let sampler = NegSampler {
+        policy: config.strategy.neg,
+        model,
+        ent,
+        rel,
+        filter,
+        bias,
+        n_entities,
+    };
+    let positives = (lo..hi).map(|i| shard[(start + i) % shard.len()]);
+    sampler.stage(positives, &mut rng, &mut cs.neg_scratch, &mut cs.labels, &mut cs.triples);
     cs.examples = cs.triples.len();
 }
 
@@ -1659,7 +1646,7 @@ impl BatchWorkspace {
         let start = batch_idx * config.batch_size;
         let dim = ent.dim();
         // Every positive trains against exactly `neg.train` negatives
-        // (`sample_negatives_into` keeps `train` out of `pool ≥ train`),
+        // (`NegSampler::sample` keeps `train` out of `pool ≥ train`),
         // so the batch normalizer is known before any chunk runs.
         let inv_batch = 1.0f32 / (bs * (1 + config.strategy.neg.train)) as f32;
         let n_chunks = bs.div_ceil(GRAD_CHUNK);

@@ -41,15 +41,17 @@ echo "check: benches compile"
 cargo test -p kge-eval --release --test prop_eval --test zero_alloc_eval
 echo "check: eval property + zero-alloc tests pass"
 
-# Training-kernel, optimizer-kernel and codec bit-identity property tests,
-# run under both dispatch arms: the default (AVX where the host supports
-# it) and with KGE_FORCE_SCALAR=1 pinning every kernel to the scalar
-# fallback. Both arms must produce identical bits, so both must pass
-# identically. With them, the gradient accumulator against its
-# BTreeMap + insertion-order oracle (no dispatch arm to vary).
-cargo test -p kge-core --release --test prop_train_kernels --test prop_optim_kernels --test prop_sparse_grad
+# Forward-kernel (score_triples == score), training-kernel,
+# optimizer-kernel and codec bit-identity property tests, run under both
+# dispatch arms: the default (AVX where the host supports it) and with
+# KGE_FORCE_SCALAR=1 pinning every kernel to the scalar fallback. Both
+# arms must produce identical bits, so both must pass identically. With
+# them, the gradient accumulator against its BTreeMap + insertion-order
+# oracle (no dispatch arm to vary); prop_roundtrip also holds row
+# selection to its reference implementation.
+cargo test -p kge-core --release --test prop_score_kernel --test prop_train_kernels --test prop_optim_kernels --test prop_sparse_grad
 cargo test -p kge-compress --release --test prop_roundtrip
-KGE_FORCE_SCALAR=1 cargo test -p kge-core --release --test prop_train_kernels --test prop_optim_kernels
+KGE_FORCE_SCALAR=1 cargo test -p kge-core --release --test prop_score_kernel --test prop_train_kernels --test prop_optim_kernels
 KGE_FORCE_SCALAR=1 cargo test -p kge-compress --release --test prop_roundtrip
 echo "check: kernel, optimizer, accumulator + codec property tests pass (both dispatch arms)"
 
@@ -58,9 +60,11 @@ echo "check: kernel, optimizer, accumulator + codec property tests pass (both di
 # handed over by swap) and a chunked merge must equal sequential
 # accumulation at any split — under both dispatch arms — and the
 # steady-state batch loop (kernel, selection, both exchanges, optimizer)
-# must not allocate.
-cargo test -p kge-train --release --test determinism_threads --test prop_chunked_merge --test zero_alloc
-KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test determinism_threads --test prop_chunked_merge
+# must not allocate, on the baseline and on the combined-strategy path.
+# S5's chunk-wide pool staging must stage what the per-positive loop it
+# replaced staged, draw for draw.
+cargo test -p kge-train --release --test determinism_threads --test prop_chunked_merge --test prop_neg_selection --test zero_alloc
+KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test determinism_threads --test prop_chunked_merge --test prop_neg_selection
 echo "check: batch-gradient determinism + zero-alloc tests pass (both dispatch arms)"
 
 # Pipelined-exchange determinism: staleness 0 must reproduce the

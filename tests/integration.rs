@@ -334,3 +334,85 @@ fn block_kernel_matches_per_triple_path_on_both_dispatch_arms() {
         }
     }
 }
+
+/// One cell of `kge-train`'s `prop_neg_selection` suite joined to the
+/// kernel's (both run in full, under both dispatch arms, from
+/// `scripts/check.sh`), so the tier-1 command exercises the combined
+/// strategy's gradient path: one `combined(5)` batch — every pool drawn
+/// first, all candidates scored in one `score_triples` call, the hardest
+/// picked by arg-max, the block kernel's forward through the same kernel —
+/// gives the loss, the gradient bits and the row order of the definition
+/// written out here: per positive, five `corrupt` draws, `score` per
+/// candidate, a stable descending sort; then score, loss and gradient one
+/// example at a time.
+#[test]
+fn combined_batch_matches_per_positive_staging_on_both_dispatch_arms() {
+    use kge::core::loss::{logistic_loss, logistic_loss_grad};
+    use kge::core::matrix::axpy;
+    use kge::core::SparseGrad;
+    use kge::train::neg::corrupt;
+    use rand::SeedableRng;
+    let ds = dataset(17);
+    let mut config = TrainConfig::new(13, 200, StrategyConfig::combined(5));
+    config.seed = 17;
+    let model = config.model.build(config.rank);
+    let dim = model.storage_dim();
+    let filter = FilterIndex::build(&ds);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+    let ent = EmbeddingTable::xavier(ds.n_entities, dim, &mut rng);
+    let rel = EmbeddingTable::xavier(ds.n_relations, dim, &mut rng);
+    let score = |t: Triple| model.score(ent.row(t.head as usize), rel.row(t.rel as usize), ent.row(t.tail as usize));
+
+    // The chunk's RNG stream: the seed mixed with (rank, epoch, batch,
+    // chunk) = (0, 0, 0, 0) through splitmix64, as `chunk_seed` does.
+    let mut stream = config.seed;
+    for _ in 0..4 {
+        let mut x = stream.wrapping_add(0x9E3779B97F4A7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
+        stream = x ^ (x >> 31);
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(stream);
+    let mut examples: Vec<(Triple, f32)> = Vec::new();
+    for &pos in &ds.train[..config.batch_size] {
+        examples.push((pos, 1.0));
+        let mut scored: Vec<(f32, Triple)> = (0..5)
+            .map(|_| corrupt(pos, ds.n_entities, &filter, None, &mut rng))
+            .map(|c| (score(c), c))
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+        examples.push((scored[0].1, -1.0));
+    }
+    let inv_batch = 1.0f32 / examples.len() as f32;
+    let l2 = 2.0 * config.l2 * inv_batch;
+    let (mut want_ent, mut want_rel, mut want_loss) = (SparseGrad::new(dim), SparseGrad::new(dim), 0.0f64);
+    for &(t, y) in &examples {
+        let (hrow, rrow, trow) = (ent.row(t.head as usize), rel.row(t.rel as usize), ent.row(t.tail as usize));
+        let s = score(t);
+        want_loss += logistic_loss(y, s) as f64;
+        let (mut gh, mut gr, mut gt) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
+        model.grad(hrow, rrow, trow, logistic_loss_grad(y, s) * inv_batch, &mut gh, &mut gr, &mut gt);
+        axpy(l2, hrow, &mut gh);
+        axpy(l2, rrow, &mut gr);
+        axpy(l2, trow, &mut gt);
+        axpy(1.0, &gh, want_ent.row_mut(t.head));
+        axpy(1.0, &gt, want_ent.row_mut(t.tail));
+        axpy(1.0, &gr, want_rel.row_mut(t.rel));
+    }
+
+    type Entries = Vec<(u32, Vec<u32>)>;
+    let entries = |g: &SparseGrad| -> Entries {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+        (0..g.nnz()).map(|i| (g.entry(i).0, bits(g.entry(i).1))).collect()
+    };
+    for force_scalar in [true, false] {
+        kge::core::simd::set_force_scalar(Some(force_scalar));
+        let (loss, n, got_ent, got_rel) = kge::train::batch_gradients(
+            model.as_ref(), &ent, &rel, &ds.train, 0, &config, &filter, None, 0, 0,
+        );
+        kge::core::simd::set_force_scalar(None);
+        assert_eq!((loss.to_bits(), n), (want_loss.to_bits(), examples.len()), "force_scalar={force_scalar}");
+        assert_eq!(entries(&got_ent), entries(&want_ent), "entity gradient, force_scalar={force_scalar}");
+        assert_eq!(entries(&got_rel), entries(&want_rel), "relation gradient, force_scalar={force_scalar}");
+    }
+}
