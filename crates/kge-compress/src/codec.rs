@@ -237,8 +237,10 @@ impl<'a> RowEncoder<'a> {
     }
 
     /// Append a raw `f32` row under the [`WireFormat::F32`] format without
-    /// materializing a [`QuantizedRow`] (the parameter-server relation
-    /// broadcast path encodes embedding rows straight out of the table).
+    /// materializing a [`QuantizedRow`]: the unquantized gather and the
+    /// table-row gathers encode straight out of the accumulator or the
+    /// embedding table. The row's bytes are sized once and written by a
+    /// fixed-stride loop the compiler turns into wide copies.
     pub fn push_f32(&mut self, row: u32, v: &[f32]) -> Result<(), CodecError> {
         if self.format != WireFormat::F32 {
             return Err(CodecError::WrongVariant { expected: "F32" });
@@ -249,9 +251,12 @@ impl<'a> RowEncoder<'a> {
                 got: v.len(),
             });
         }
-        self.buf.extend_from_slice(&row.to_le_bytes());
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
+        let start = self.buf.len();
+        self.buf.resize(start + 4 + 4 * v.len(), 0);
+        let (id, body) = self.buf[start..].split_at_mut(4);
+        id.copy_from_slice(&row.to_le_bytes());
+        for (b, &x) in body.chunks_exact_mut(4).zip(v) {
+            b.copy_from_slice(&x.to_le_bytes());
         }
         self.n_rows += 1;
         Ok(())

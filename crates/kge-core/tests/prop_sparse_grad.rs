@@ -6,7 +6,9 @@
 //! `iter_sorted` must walk them in ascending row order — for id families
 //! chosen to stress the index hash: dense runs, strides of 2^k, ids just
 //! under `u32::MAX`. A second test bounds the longest probe chain those
-//! families produce (the index keeps load ≤ 0.75).
+//! families produce (the index keeps load ≤ 0.75). A third holds
+//! `rows_above_norm`'s blocked fast path to the in-order `l2_norm(row) >
+//! eps` it stands for, on the rows where the two sums could disagree.
 
 use kge_core::SparseGrad;
 use proptest::prelude::*;
@@ -166,6 +168,90 @@ proptest! {
             pairs[0].assert_matches(&format!("step {step} op {op} (a)"));
             pairs[1].assert_matches(&format!("step {step} op {op} (b)"));
         }
+    }
+}
+
+/// One row of the `kind`-th family `rows_above_norm` must not miscount:
+/// norms within an ulp or two of `eps`, near the `2·eps` hand-over between
+/// the blocked and the in-order test, zeros of both signs, denormals,
+/// sums that overflow, ±inf, and NaN anywhere.
+fn norm_test_row(kind: u32, dim: usize, eps: f32, rng: &mut StdRng) -> Vec<f32> {
+    let random = |rng: &mut StdRng, lo: f32, hi: f32| -> Vec<f32> {
+        (0..dim).map(|_| rng.gen_range(lo..hi)).collect()
+    };
+    let at_norm = |rng: &mut StdRng, target: f32| -> Vec<f32> {
+        let mut v = random(rng, -1.0, 1.0);
+        let norm = kge_core::matrix::l2_norm(&v);
+        for x in v.iter_mut() {
+            *x *= target / norm;
+        }
+        // Nudge one element by up to two ulps either way.
+        let k = rng.gen_range(0..dim);
+        let nudged = v[k].to_bits() as i64 + rng.gen_range(-2i64..3);
+        v[k] = f32::from_bits(nudged.clamp(0, u32::MAX as i64) as u32);
+        v
+    };
+    let with = |rng: &mut StdRng, mut v: Vec<f32>, x: f32| -> Vec<f32> {
+        v[rng.gen_range(0..dim)] = x;
+        v
+    };
+    match kind {
+        0 => random(rng, -2.0, 2.0),
+        1 => at_norm(rng, eps),
+        2 => at_norm(rng, 2.0 * eps),
+        3 => with(rng, vec![0.0; dim], eps), // a single element at the threshold
+        4 => vec![0.0; dim],
+        5 => vec![-0.0; dim],
+        6 => (0..dim)
+            .map(|_| f32::from_bits(rng.gen_range(0..0x0080_0000u32)))
+            .collect(),
+        7 => random(rng, 1.0e19, 2.0e19), // squares overflow
+        8 => {
+            let inf = if rng.gen() {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            };
+            let v = random(rng, -2.0, 2.0);
+            with(rng, v, inf)
+        }
+        _ => {
+            let v = if rng.gen() {
+                random(rng, -2.0, 2.0)
+            } else {
+                vec![f32::INFINITY; dim]
+            };
+            with(rng, v, f32::NAN)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rows_above_norm_counts_what_l2_norm_counts(
+        seed in any::<u64>(),
+        dim_kind in 0usize..23,
+        eps_kind in 0usize..10,
+        n_rows in 1u32..24,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = [64, 128, 257].get(dim_kind).copied().unwrap_or(dim_kind - 2);
+        // The trainer's 1e-6, thresholds whose square is zero, subnormal
+        // or overflowed, and the ones no caller would pass.
+        let eps = [1e-6f32, 1e-3, 1.0, 0.0, 1e-23, 1e-20, 3e19, -1.0, f32::INFINITY, f32::NAN][eps_kind];
+        // Thresholds the straddling rows are built around even when `eps`
+        // itself is degenerate.
+        let around = if eps.is_finite() && eps > 0.0 { eps } else { 1e-6 };
+        let mut g = SparseGrad::new(dim);
+        let mut want = 0usize;
+        for row in 0..n_rows {
+            let v = norm_test_row(rng.gen_range(0..10), dim, around, &mut rng);
+            want += usize::from(kge_core::matrix::l2_norm(&v) > eps);
+            g.row_mut(row).copy_from_slice(&v);
+        }
+        prop_assert_eq!(g.rows_above_norm(eps), want, "eps {}", eps);
     }
 }
 

@@ -3,56 +3,31 @@
 //! Two paths, matching the paper's baseline taxonomy (§3.4):
 //!
 //! - **Dense all-reduce**: the local row-sparse gradient is scattered into
-//!   a dense `rows × dim` matrix (zeros included) and sum-all-reduced.
+//!   a dense `rows × dim` matrix (zeros included) — straight into this
+//!   rank's staging slot — and sum-all-reduced.
 //!   Quantization does not apply here — signs cannot be summed — which is
 //!   exactly why the paper's quantization benefits show up on the gather
 //!   path and why DRS picks all-gather more often once quantization is on.
 //! - **Sparse all-gather**: the non-zero rows (after row selection) are
-//!   encoded — raw `f32`, 1-bit or 2-bit — into a byte payload, gathered
-//!   from every rank, decoded, and summed locally.
+//!   encoded — raw `f32`, 1-bit or 2-bit — into a byte payload in this
+//!   rank's staging slot, and every rank's payload is decoded out of its
+//!   slot and summed locally.
 //!
 //! Both paths return the aggregated gradient **averaged** over ranks.
 
 use kge_compress::codec::{RowDecoder, RowEncoder};
 use kge_compress::quant::{quantize_row_into, QuantScheme, QuantizedRow};
 use kge_compress::{ResidualStore, WireFormat};
-use kge_core::SparseGrad;
+use kge_core::{EmbeddingTable, SparseGrad};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simgrid::{Communicator, OverlapStats, SimError};
+use std::cell::RefCell;
 
 use crate::splitmix64;
 
-/// Aggregated gradient, shaped by the path that produced it.
-#[derive(Debug, Clone)]
-pub enum AggGrad {
-    /// Dense `rows × dim` buffer (all-reduce path).
-    Dense(Vec<f32>),
-    /// Row-sparse gradient (all-gather path).
-    Sparse(SparseGrad),
-}
-
-impl AggGrad {
-    /// View as sparse, converting a dense buffer by extracting rows with
-    /// any non-zero entry (used when the optimizer runs in lazy style).
-    pub fn into_sparse(self, dim: usize) -> SparseGrad {
-        match self {
-            AggGrad::Sparse(g) => g,
-            AggGrad::Dense(buf) => {
-                let mut g = SparseGrad::new(dim);
-                for (row, chunk) in buf.chunks(dim).enumerate() {
-                    if chunk.iter().any(|&x| x != 0.0) {
-                        g.row_mut(row as u32).copy_from_slice(chunk);
-                    }
-                }
-                g
-            }
-        }
-    }
-}
-
 /// Statistics of one exchange.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
     /// Bytes this rank contributed.
     pub bytes_sent: usize,
@@ -62,21 +37,16 @@ pub struct ExchangeStats {
     pub rows_gathered: usize,
 }
 
-/// Dense all-reduce of `grad` scattered over a reusable `dense` buffer of
-/// `rows × dim` floats. Returns the rank-averaged dense gradient in
-/// `dense` and the stats.
+/// Dense all-reduce of `grad` as a `dense.len()`-float matrix: the rows
+/// are scattered straight into this rank's zeroed staging slot, and the
+/// rank-averaged sum lands in `dense` (what it held before is ignored).
 pub fn exchange_allreduce(
     comm: &mut Communicator,
     grad: &SparseGrad,
     dense: &mut [f32],
 ) -> Result<ExchangeStats, SimError> {
-    dense.fill(0.0);
-    grad.scatter_into(dense);
-    comm.allreduce_sum_f32(dense)?;
     let inv = 1.0 / comm.size() as f32;
-    for v in dense.iter_mut() {
-        *v *= inv;
-    }
+    comm.allreduce_staged(dense, inv, None, |_, slot| grad.scatter_into(slot))?;
     Ok(ExchangeStats {
         bytes_sent: std::mem::size_of_val(dense),
         rows_sent: grad.nnz(),
@@ -84,15 +54,14 @@ pub fn exchange_allreduce(
     })
 }
 
-/// Reusable buffers for the all-gather path: the encoded send payload, the
-/// flat receive buffer, per-rank byte counts, one quantization scratch row
+/// Reusable buffers for the all-gather path: the encoded payload of a
+/// pipelined launch (it must outlive the window; the synchronous path
+/// encodes into the staging slot instead), one quantization scratch row
 /// and one dequantize scratch row (error feedback). One per worker; after
 /// the first batch has sized them the steady state allocates nothing.
 #[derive(Debug, Clone)]
 pub struct GatherBufs {
     send: Vec<u8>,
-    recv: Vec<u8>,
-    counts: Vec<usize>,
     qrow: QuantizedRow,
     dequant: Vec<f32>,
 }
@@ -101,8 +70,6 @@ impl GatherBufs {
     pub fn new() -> Self {
         GatherBufs {
             send: Vec::new(),
-            recv: Vec::new(),
-            counts: Vec::new(),
             qrow: QuantizedRow::Full(Vec::new()),
             dequant: Vec::new(),
         }
@@ -115,40 +82,17 @@ impl Default for GatherBufs {
     }
 }
 
-/// Sparse all-gather of `grad` rows under `scheme`.
-///
-/// Test-only convenience wrapper over [`exchange_allgather_into`] that
-/// allocates the wire buffers and aggregate per call; every non-test call
-/// site keeps a [`GatherBufs`] and an aggregate [`SparseGrad`] per worker
-/// and uses the `_into` variant, which allocates nothing in steady state.
-#[cfg(test)]
-pub fn exchange_allgather(
-    comm: &mut Communicator,
-    grad: &SparseGrad,
-    dim: usize,
-    scheme: QuantScheme,
-    residuals: Option<&mut ResidualStore>,
-    rng: &mut StdRng,
-) -> Result<(SparseGrad, ExchangeStats), SimError> {
-    let mut bufs = GatherBufs::new();
-    let mut agg = SparseGrad::new(dim);
-    let stats = exchange_allgather_into(comm, grad, dim, scheme, residuals, rng, &mut bufs, &mut agg)?;
-    Ok((agg, stats))
-}
-
-/// Sparse all-gather of `grad` rows under `scheme`, reusing `bufs` for
-/// every intermediate and writing the rank-averaged aggregate into `agg`
-/// (cleared first; capacity kept).
+/// Sparse all-gather of `grad` rows under `scheme`, writing the
+/// rank-averaged aggregate into `agg` (cleared first; capacity kept).
 ///
 /// Rows are quantized and encoded in one fused pass in sorted row order
-/// straight into the reusable send buffer, and peers' payloads are decoded
-/// and accumulated straight out of the receive buffer via borrowed row
-/// views — no intermediate `QuantizedRow`s or payload vectors. Only the
-/// stochastic 2-bit scheme consumes randomness: one base value drawn from
-/// the node stream seeds an independent per-row stream, so results are
-/// identical at any thread count and the caller's RNG trajectory does not
-/// depend on the row count. Wire bytes are identical to the allocating
-/// path, so simulated time and traffic are unchanged.
+/// straight into this rank's staging slot, and every rank's payload is
+/// decoded and accumulated straight out of its slot via borrowed row
+/// views — no send or receive buffer, no intermediate `QuantizedRow`s.
+/// Only the stochastic 2-bit scheme consumes randomness: one base value
+/// drawn from the node stream seeds an independent per-row stream, so
+/// results are identical at any thread count and the caller's RNG
+/// trajectory does not depend on the row count.
 ///
 /// When `scheme` quantizes and `residuals` is provided, the quantization
 /// error of every transmitted row is accumulated as error feedback
@@ -165,93 +109,132 @@ pub fn exchange_allgather_into(
     bufs: &mut GatherBufs,
     agg: &mut SparseGrad,
 ) -> Result<ExchangeStats, SimError> {
-    let mut stats = encode_gather_payload(grad, dim, scheme, residuals, rng, bufs);
-    stats.rows_gathered = complete_gather_exchange(comm, dim, bufs, agg)?;
+    debug_assert_eq!((grad.dim(), agg.dim()), (dim, dim));
+    let GatherBufs { qrow, dequant, .. } = bufs;
+    let encode =
+        |slot: &mut Vec<u8>| encode_grad_rows(grad, scheme, residuals, rng, qrow, dequant, slot);
+    let (mut stats, rows_gathered, _) = gather_into(comm, None, encode, agg)?;
+    stats.rows_gathered = rows_gathered;
     Ok(stats)
 }
 
 /// Quantize + encode `grad`'s rows into `bufs.send` — the local half of a
 /// sparse all-gather, with no communication. Returns the stats of the
 /// staged payload (`rows_gathered` still 0). The bytes produced are
-/// exactly what [`exchange_allgather_into`] would put on the wire; the
+/// exactly what [`exchange_allgather_into`] puts on the wire; the
 /// pipelined path stages them in a [`PipelineSlot`] at launch and runs
 /// the collective later via [`complete_gather_exchange_overlapped`].
 pub fn encode_gather_payload(
     grad: &SparseGrad,
     dim: usize,
     scheme: QuantScheme,
-    mut residuals: Option<&mut ResidualStore>,
+    residuals: Option<&mut ResidualStore>,
     rng: &mut StdRng,
     bufs: &mut GatherBufs,
 ) -> ExchangeStats {
-    let format = wire_format(scheme);
-    let base: u64 = if matches!(scheme, QuantScheme::TwoBit) {
-        rng.gen()
-    } else {
-        0
-    };
-    let record = residuals.is_some() && !matches!(scheme, QuantScheme::None);
-    if record {
-        bufs.dequant.resize(dim, 0.0);
+    debug_assert_eq!(grad.dim(), dim);
+    let GatherBufs { send, qrow, dequant } = bufs;
+    encode_grad_rows(grad, scheme, residuals, rng, qrow, dequant, send)
+}
+
+/// The encoder behind both entry points; `out` is the staging slot or a
+/// [`GatherBufs`] send buffer.
+fn encode_grad_rows(
+    grad: &SparseGrad,
+    scheme: QuantScheme,
+    mut residuals: Option<&mut ResidualStore>,
+    rng: &mut StdRng,
+    qrow: &mut QuantizedRow,
+    dequant: &mut Vec<f32>,
+    out: &mut Vec<u8>,
+) -> ExchangeStats {
+    let dim = grad.dim();
+    let mut enc = RowEncoder::new(wire_format(scheme), dim, out);
+    if residuals.is_some() {
+        dequant.resize(dim, 0.0);
     }
-    let mut enc = RowEncoder::new(format, dim, &mut bufs.send);
-    let mut rows_sent = 0usize;
-    if let QuantScheme::OneBit { rule } = scheme {
-        // Packed fast path: 1-bit rows quantize straight into the wire
-        // format (SIMD scales + movemask sign packing, no intermediate
-        // sign vec or per-row RNG — OneBit draws nothing from its
-        // stream). Bytes, scales and recorded residuals are bit-identical
-        // to the generic loop below.
-        for (row, g) in grad.iter_sorted() {
-            let (pos, neg) = enc
-                .push_one_bit(row, g, rule)
-                .expect("encode of freshly quantized row");
-            if record {
-                let store = residuals.as_deref_mut().expect("record implies Some");
-                kge_compress::one_bit_dequantize_from(g, pos, neg, &mut bufs.dequant);
-                store.record_row_error(row, g, &bufs.dequant);
+    match scheme {
+        // Raw rows go out as they sit in the accumulator: nothing to
+        // quantize, no error to feed back, no randomness.
+        QuantScheme::None => {
+            for (row, g) in grad.iter_sorted() {
+                enc.push_f32(row, g).expect("encode of a raw row");
             }
-            rows_sent += 1;
         }
-    } else {
-        for (row, g) in grad.iter_sorted() {
-            let mut row_rng = StdRng::seed_from_u64(base ^ splitmix64(row as u64 + 1));
-            quantize_row_into(scheme, g, &mut row_rng, &mut bufs.qrow);
-            if record {
-                let store = residuals.as_deref_mut().expect("record implies Some");
-                bufs.qrow.dequantize_into(&mut bufs.dequant);
-                store.record_row_error(row, g, &bufs.dequant);
+        // Packed path: 1-bit rows quantize straight into the wire format
+        // (SIMD scales + movemask sign packing, no intermediate sign vec;
+        // OneBit draws nothing from its stream).
+        QuantScheme::OneBit { rule } => {
+            for (row, g) in grad.iter_sorted() {
+                let (pos, neg) = enc
+                    .push_one_bit(row, g, rule)
+                    .expect("encode of freshly quantized row");
+                if let Some(store) = residuals.as_deref_mut() {
+                    kge_compress::one_bit_dequantize_from(g, pos, neg, dequant);
+                    store.record_row_error(row, g, dequant);
+                }
             }
-            enc.push(row, &bufs.qrow)
-                .expect("encode of freshly quantized row");
-            rows_sent += 1;
+        }
+        QuantScheme::TwoBit => {
+            let base: u64 = rng.gen();
+            for (row, g) in grad.iter_sorted() {
+                let mut row_rng = StdRng::seed_from_u64(base ^ splitmix64(row as u64 + 1));
+                quantize_row_into(scheme, g, &mut row_rng, qrow);
+                if let Some(store) = residuals.as_deref_mut() {
+                    qrow.dequantize_into(dequant);
+                    store.record_row_error(row, g, dequant);
+                }
+                enc.push(row, qrow)
+                    .expect("encode of freshly quantized row");
+            }
         }
     }
-    let bytes_sent = enc.finish();
     ExchangeStats {
-        bytes_sent,
-        rows_sent,
+        bytes_sent: enc.finish(),
+        rows_sent: grad.nnz(),
         rows_gathered: 0,
     }
 }
 
-/// Run the collective + decode half of a sparse all-gather over a payload
-/// staged in `bufs.send` by [`encode_gather_payload`]. Returns the total
-/// rows gathered. `agg` receives the rank-averaged aggregate.
-pub fn complete_gather_exchange(
-    comm: &mut Communicator,
-    dim: usize,
-    bufs: &mut GatherBufs,
-    agg: &mut SparseGrad,
-) -> Result<usize, SimError> {
-    comm.allgatherv_bytes_into(&bufs.send, &mut bufs.recv, &mut bufs.counts)?;
-    Ok(decode_gathered(comm.size(), dim, bufs, agg))
+/// Decode one encoded gradient payload, adding rows into `agg`. Returns
+/// the number of rows decoded. Payloads come from this program's own
+/// encoder, so a malformed one is a bug and panics, naming `what`.
+pub(crate) fn add_payload_into(payload: &[u8], agg: &mut SparseGrad, what: &str) -> usize {
+    let mut dec = RowDecoder::new(payload).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut rows = 0;
+    while let Some(r) = dec.next_row() {
+        let r = r.unwrap_or_else(|e| panic!("{what}: {e}"));
+        r.add_into(agg.row_mut(r.row));
+        rows += 1;
+    }
+    rows
 }
 
-/// [`complete_gather_exchange`] priced as an overlapped collective that
-/// was launched at simulated time `anchor_s` (see
-/// [`Communicator::allgatherv_bytes_overlapped_into`]). Payload bytes and
-/// the decoded aggregate are bit-identical to the synchronous completion.
+/// Gather the payload `stage` writes into this rank's staging slot, and
+/// decode every rank's rows out of the slots into `agg` — summed in rank
+/// order, so overlapping rows accumulate deterministically, then
+/// rank-averaged. Returns `stage`'s value, the total rows gathered and
+/// the timing split (`anchor`: see [`Communicator::allgatherv_staged`]).
+fn gather_into<S>(
+    comm: &mut Communicator,
+    anchor: Option<f64>,
+    stage: impl FnOnce(&mut Vec<u8>) -> S,
+    agg: &mut SparseGrad,
+) -> Result<(S, usize, OverlapStats), SimError> {
+    agg.clear();
+    let mut rows_gathered = 0usize;
+    let (staged, overlap) = comm.allgatherv_staged(anchor, stage, |_, payload| {
+        rows_gathered += add_payload_into(payload, agg, "gathered payload");
+    })?;
+    agg.scale(1.0 / comm.size() as f32);
+    Ok((staged, rows_gathered, overlap))
+}
+
+/// Run the collective + decode half of a sparse all-gather over a payload
+/// staged in `bufs` by [`encode_gather_payload`], priced as an overlapped
+/// collective that was launched at simulated time `anchor_s`. Returns the
+/// total rows gathered; `agg` receives the rank-averaged aggregate,
+/// bit-identical to [`exchange_allgather_into`]'s.
 pub fn complete_gather_exchange_overlapped(
     comm: &mut Communicator,
     dim: usize,
@@ -259,31 +242,47 @@ pub fn complete_gather_exchange_overlapped(
     agg: &mut SparseGrad,
     anchor_s: f64,
 ) -> Result<(usize, OverlapStats), SimError> {
-    let overlap =
-        comm.allgatherv_bytes_overlapped_into(&bufs.send, &mut bufs.recv, &mut bufs.counts, anchor_s)?;
-    Ok((decode_gathered(comm.size(), dim, bufs, agg), overlap))
+    debug_assert_eq!(agg.dim(), dim);
+    let deposit = |slot: &mut Vec<u8>| slot.extend_from_slice(&bufs.send);
+    let ((), rows_gathered, overlap) = gather_into(comm, Some(anchor_s), deposit, agg)?;
+    Ok((rows_gathered, overlap))
 }
 
-/// Decode and sum every rank's payload in rank order, so overlapping rows
-/// accumulate deterministically; `agg` ends rank-averaged.
-fn decode_gathered(size: usize, dim: usize, bufs: &mut GatherBufs, agg: &mut SparseGrad) -> usize {
-    agg.clear();
-    let mut rows_gathered = 0usize;
-    let mut off = 0usize;
-    for &c in &bufs.counts {
-        let mut dec = RowDecoder::new(&bufs.recv[off..off + c])
-            .expect("peer payload encoded by the same code");
-        debug_assert_eq!(dec.dim(), dim);
-        off += c;
-        while let Some(r) = dec.next_row() {
-            let r = r.expect("peer payload encoded by the same code");
-            rows_gathered += 1;
-            let row = r.row;
-            r.add_into(agg.row_mut(row));
-        }
-    }
-    agg.scale(1.0 / size as f32);
-    rows_gathered
+/// All-gather whole table rows: every rank contributes the rows it `owned`
+/// straight from `table` into its staging slot, and overwrites its copy
+/// of every gathered row straight out of the slots (raw `f32`, so bit for
+/// bit). Afterwards all ranks hold every owner's rows. Propagates the
+/// collective's fault error; a malformed peer payload is a bug and panics.
+pub(crate) fn gather_table_rows(
+    comm: &mut Communicator,
+    table: &mut EmbeddingTable,
+    owned: impl IntoIterator<Item = u32>,
+) -> Result<(), SimError> {
+    let dim = table.dim();
+    // The collective reads the table (staging) strictly before it writes
+    // it (decoding), but holds both closures at once.
+    let table = RefCell::new(table);
+    comm.allgatherv_staged(
+        None,
+        |slot| {
+            let table = table.borrow();
+            let mut enc = RowEncoder::new(WireFormat::F32, dim, slot);
+            for row in owned {
+                enc.push_f32(row, table.row(row as usize))
+                    .expect("encode of a table row");
+            }
+            enc.finish();
+        },
+        |_, payload| {
+            let mut table = table.borrow_mut();
+            let mut dec = RowDecoder::new(payload).expect("peer payload encoded by the same code");
+            while let Some(r) = dec.next_row() {
+                let r = r.expect("peer payload encoded by the same code");
+                r.dequantize_into(table.row_mut(r.row as usize));
+            }
+        },
+    )
+    .map(|_| ())
 }
 
 /// Scatter `grad` into a reusable dense buffer of `len` floats — the
@@ -305,7 +304,7 @@ pub fn stage_allreduce_payload(
     }
 }
 
-/// All-reduce + rank-average a payload staged by
+/// All-reduce + rank-average, in place, a payload staged by
 /// [`stage_allreduce_payload`], priced as an overlapped collective
 /// launched at simulated time `anchor_s`. Numerics match
 /// [`exchange_allreduce`] bit-exactly.
@@ -314,12 +313,10 @@ pub fn complete_allreduce_overlapped(
     dense: &mut [f32],
     anchor_s: f64,
 ) -> Result<OverlapStats, SimError> {
-    let overlap = comm.allreduce_sum_f32_overlapped(dense, anchor_s)?;
     let inv = 1.0 / comm.size() as f32;
-    for v in dense.iter_mut() {
-        *v *= inv;
-    }
-    Ok(overlap)
+    comm.allreduce_staged(dense, inv, Some(anchor_s), |staged, slot| {
+        slot.copy_from_slice(staged)
+    })
 }
 
 /// One in-flight exchange of the pipelined trainer: the staged wire
@@ -367,7 +364,15 @@ pub fn wire_format(scheme: QuantScheme) -> WireFormat {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use simgrid::{Cluster, ClusterSpec};
+    use simgrid::{Cluster, ClusterSpec, NodeCtx};
+
+    const SCHEMES: [QuantScheme; 3] = [
+        QuantScheme::None,
+        QuantScheme::OneBit {
+            rule: kge_compress::ScaleRule::Max,
+        },
+        QuantScheme::TwoBit,
+    ];
 
     fn local_grad(rank: usize, dim: usize) -> SparseGrad {
         let mut g = SparseGrad::new(dim);
@@ -377,7 +382,23 @@ mod tests {
                 *v = (rank + 1) as f32 * 0.1 + k as f32;
             }
         }
+        g.ensure_sorted();
         g
+    }
+
+    /// One synchronous gather with fresh buffers and no error feedback.
+    fn gather_once(
+        ctx: &mut NodeCtx,
+        g: &SparseGrad,
+        scheme: QuantScheme,
+        rng: &mut StdRng,
+    ) -> (SparseGrad, ExchangeStats) {
+        let mut agg = SparseGrad::new(g.dim());
+        let mut bufs = GatherBufs::new();
+        let stats =
+            exchange_allgather_into(ctx.comm_mut(), g, g.dim(), scheme, None, rng, &mut bufs, &mut agg)
+                .unwrap();
+        (agg, stats)
     }
 
     #[test]
@@ -385,7 +406,7 @@ mod tests {
         let cluster = Cluster::new(4, ClusterSpec::cray_xc40());
         let out = cluster.run(|ctx| {
             let g = local_grad(ctx.rank(), 2);
-            let mut dense = vec![0.0f32; 16 * 2];
+            let mut dense = vec![f32::NAN; 16 * 2]; // previous contents are ignored
             let stats = exchange_allreduce(ctx.comm_mut(), &g, &mut dense).unwrap();
             (dense, stats.bytes_sent)
         });
@@ -409,11 +430,8 @@ mod tests {
             let mut dense = vec![0.0f32; 16 * 4];
             exchange_allreduce(ctx.comm_mut(), &g, &mut dense).unwrap();
 
-            let g = local_grad(ctx.rank(), 4);
             let mut rng = StdRng::seed_from_u64(0);
-            let (sparse, stats) =
-                exchange_allgather(ctx.comm_mut(), &g, 4, QuantScheme::None, None, &mut rng)
-                    .unwrap();
+            let (sparse, stats) = gather_once(ctx, &g, QuantScheme::None, &mut rng);
             (dense, sparse.to_dense(16), stats)
         });
         for (dense, sparse_dense, stats) in out {
@@ -435,19 +453,10 @@ mod tests {
             for (k, v) in g.row_mut(7).iter_mut().enumerate() {
                 *v = if k % 2 == 0 { 0.5 } else { -0.5 };
             }
+            g.ensure_sorted();
             let mut rng = StdRng::seed_from_u64(1);
-            let (f32_agg, f32_stats) =
-                exchange_allgather(ctx.comm_mut(), &g, dim, QuantScheme::None, None, &mut rng)
-                    .unwrap();
-            let (q_agg, q_stats) = exchange_allgather(
-                ctx.comm_mut(),
-                &g,
-                dim,
-                QuantScheme::paper_one_bit(),
-                None,
-                &mut rng,
-            )
-            .unwrap();
+            let (f32_agg, f32_stats) = gather_once(ctx, &g, QuantScheme::None, &mut rng);
+            let (q_agg, q_stats) = gather_once(ctx, &g, QuantScheme::paper_one_bit(), &mut rng);
             (f32_agg, f32_stats, q_agg, q_stats)
         });
         for (f32_agg, f32_stats, q_agg, q_stats) in out {
@@ -468,15 +477,18 @@ mod tests {
         let out = cluster.run(|ctx| {
             let mut g = SparseGrad::new(2);
             g.row_mut(0).copy_from_slice(&[1.0, -0.25]);
+            g.ensure_sorted();
             let mut store = ResidualStore::new();
             let mut rng = StdRng::seed_from_u64(0);
-            let _ = exchange_allgather(
+            exchange_allgather_into(
                 ctx.comm_mut(),
                 &g,
                 2,
                 QuantScheme::paper_one_bit(),
                 Some(&mut store),
                 &mut rng,
+                &mut GatherBufs::new(),
+                &mut SparseGrad::new(2),
             )
             .unwrap();
             // Sent [1, -1]; error = original − sent = [0, 0.75].
@@ -490,24 +502,18 @@ mod tests {
     }
 
     #[test]
-    fn allgather_into_reuses_buffers_and_matches_allocating_path() {
+    fn allgather_into_reused_buffers_match_fresh_ones() {
         let cluster = Cluster::new(2, ClusterSpec::cray_xc40());
         let out = cluster.run(|ctx| {
             let mut results = Vec::new();
             // One set of buffers reused across schemes and calls.
             let mut bufs = GatherBufs::new();
             let mut agg = SparseGrad::new(4);
-            for scheme in [
-                QuantScheme::None,
-                QuantScheme::paper_one_bit(),
-                QuantScheme::TwoBit,
-            ] {
-                let mut g = local_grad(ctx.rank(), 4);
-                g.ensure_sorted();
+            for scheme in SCHEMES {
+                let g = local_grad(ctx.rank(), 4);
                 let mut rng_a = StdRng::seed_from_u64(3);
                 let mut rng_b = StdRng::seed_from_u64(3);
-                let (fresh, fresh_stats) =
-                    exchange_allgather(ctx.comm_mut(), &g, 4, scheme, None, &mut rng_a).unwrap();
+                let (fresh, fresh_stats) = gather_once(ctx, &g, scheme, &mut rng_a);
                 let stats = exchange_allgather_into(
                     ctx.comm_mut(),
                     &g,
@@ -519,85 +525,152 @@ mod tests {
                     &mut agg,
                 )
                 .unwrap();
-                results.push((
-                    fresh.to_dense(16),
-                    agg.to_dense(16),
-                    fresh_stats.bytes_sent,
-                    stats.bytes_sent,
-                ));
+                results.push((fresh.to_dense(16), agg.to_dense(16), fresh_stats, stats));
             }
             results
         });
         for per_rank in out {
-            for (fresh, reused, fresh_bytes, reused_bytes) in per_rank {
+            for (fresh, reused, fresh_stats, reused_stats) in per_rank {
                 assert_eq!(fresh, reused, "aggregates must be bit-identical");
-                assert_eq!(fresh_bytes, reused_bytes, "wire bytes must match");
+                assert_eq!(fresh_stats, reused_stats, "stats must match");
             }
         }
     }
 
-    #[test]
-    fn staged_encode_plus_overlapped_complete_matches_fused_path() {
-        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            let mut results = Vec::new();
-            let mut slot = PipelineSlot::default();
-            let mut agg = SparseGrad::new(4);
-            let mut bufs = GatherBufs::new();
-            let mut agg_ref = SparseGrad::new(4);
-            for scheme in [
-                QuantScheme::None,
-                QuantScheme::paper_one_bit(),
-                QuantScheme::TwoBit,
-            ] {
-                let mut g = local_grad(ctx.rank(), 4);
-                g.ensure_sorted();
-                let mut rng_a = StdRng::seed_from_u64(9);
-                let mut rng_b = StdRng::seed_from_u64(9);
-                let ref_stats = exchange_allgather_into(
-                    ctx.comm_mut(),
-                    &g,
-                    4,
-                    scheme,
-                    None,
-                    &mut rng_a,
-                    &mut bufs,
-                    &mut agg_ref,
-                )
-                .unwrap();
-                // Staged path: encode at "launch", complete later as an
-                // overlapped collective.
-                slot.anchor_s = ctx.comm().clock().now_s();
-                let mut stats =
-                    encode_gather_payload(&g, 4, scheme, None, &mut rng_b, &mut slot.ent_gather);
-                let (gathered, overlap) = complete_gather_exchange_overlapped(
-                    ctx.comm_mut(),
-                    4,
-                    &mut slot.ent_gather,
-                    &mut agg,
-                    slot.anchor_s,
-                )
-                .unwrap();
-                stats.rows_gathered = gathered;
-                assert!(overlap.hidden_s >= 0.0 && overlap.visible_s >= 0.0);
-                results.push((
-                    agg_ref.to_dense(16),
-                    agg.to_dense(16),
-                    ref_stats.bytes_sent,
-                    stats.bytes_sent,
-                    ref_stats.rows_gathered,
-                    stats.rows_gathered,
-                ));
-            }
-            results
-        });
-        for per_rank in out {
-            for (a, b, ab, bb, ag, bg) in per_rank {
-                assert_eq!(a, b, "aggregates must be bit-identical");
-                assert_eq!(ab, bb, "wire bytes must match");
-                assert_eq!(ag, bg, "gathered row counts must match");
+    /// What the gather must compute, from the `send`-buffer encoder and a
+    /// copying collective: every rank's `encode_gather_payload` bytes,
+    /// decoded in rank order by an offset walk and rank-averaged.
+    fn reference_gather(
+        ctx: &mut NodeCtx,
+        g: &SparseGrad,
+        scheme: QuantScheme,
+        residuals: Option<&mut ResidualStore>,
+        rng: &mut StdRng,
+    ) -> (SparseGrad, ExchangeStats) {
+        let mut bufs = GatherBufs::new();
+        let mut stats = encode_gather_payload(g, g.dim(), scheme, residuals, rng, &mut bufs);
+        let (mut recv, mut counts) = (Vec::new(), Vec::new());
+        ctx.comm_mut()
+            .allgatherv_bytes_into(&bufs.send, &mut recv, &mut counts)
+            .unwrap();
+        let mut agg = SparseGrad::new(g.dim());
+        let mut off = 0usize;
+        for &c in &counts {
+            let mut dec = RowDecoder::new(&recv[off..off + c]).unwrap();
+            off += c;
+            while let Some(r) = dec.next_row() {
+                let r = r.unwrap();
+                stats.rows_gathered += 1;
+                r.add_into(agg.row_mut(r.row));
             }
         }
+        agg.scale(1.0 / ctx.comm().size() as f32);
+        (agg, stats)
+    }
+
+    fn sorted_bits(g: &mut SparseGrad) -> Vec<(u32, Vec<u32>)> {
+        g.ensure_sorted();
+        g.iter_sorted()
+            .map(|(row, v)| (row, v.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    fn residual_bits(store: &ResidualStore) -> Vec<(u32, Vec<u32>)> {
+        let mut ids = Vec::new();
+        store.sorted_ids_into(&mut ids);
+        ids.iter()
+            .map(|&id| {
+                let row = store.get_row(id).expect("listed row");
+                (id, row.iter().map(|x| x.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    /// The in-slot encode and the `send`-buffer encode cannot drift: for
+    /// every scheme, with and without error feedback, the staged exchange
+    /// and its pipelined completion equal the reference in aggregate
+    /// bits, stats, residual store and caller-RNG state.
+    #[test]
+    fn staged_gather_matches_reference_decode_of_encoded_payloads() {
+        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
+        cluster.run(|ctx| {
+            let dim = 12;
+            let g = local_grad(ctx.rank(), dim);
+            for scheme in SCHEMES {
+                for feedback in [false, true] {
+                    let what = format!("{scheme:?}, feedback {feedback}");
+                    let seed = 40 + ctx.rank() as u64;
+                    let (mut rng_ref, mut rng_sync, mut rng_pipe) = (
+                        StdRng::seed_from_u64(seed),
+                        StdRng::seed_from_u64(seed),
+                        StdRng::seed_from_u64(seed),
+                    );
+                    let mut stores = [(); 3].map(|()| {
+                        let mut s = ResidualStore::new();
+                        s.set_row(5, &vec![0.25; dim]); // a carried-over residual
+                        s
+                    });
+                    let [store_ref, store_sync, store_pipe] = &mut stores;
+                    let (mut want, want_stats) = reference_gather(
+                        ctx,
+                        &g,
+                        scheme,
+                        feedback.then_some(store_ref),
+                        &mut rng_ref,
+                    );
+
+                    let mut bufs = GatherBufs::new();
+                    let mut agg = SparseGrad::new(dim);
+                    let stats = exchange_allgather_into(
+                        ctx.comm_mut(),
+                        &g,
+                        dim,
+                        scheme,
+                        feedback.then_some(store_sync),
+                        &mut rng_sync,
+                        &mut bufs,
+                        &mut agg,
+                    )
+                    .unwrap();
+                    assert_eq!(sorted_bits(&mut agg), sorted_bits(&mut want), "{what}");
+                    assert_eq!(stats, want_stats, "{what}");
+
+                    // Encode at "launch", complete later as an overlapped
+                    // collective.
+                    let mut slot = PipelineSlot {
+                        anchor_s: ctx.comm().clock().now_s(),
+                        ..PipelineSlot::default()
+                    };
+                    let mut staged_stats = encode_gather_payload(
+                        &g,
+                        dim,
+                        scheme,
+                        feedback.then_some(store_pipe),
+                        &mut rng_pipe,
+                        &mut slot.ent_gather,
+                    );
+                    let (gathered, overlap) = complete_gather_exchange_overlapped(
+                        ctx.comm_mut(),
+                        dim,
+                        &mut slot.ent_gather,
+                        &mut agg,
+                        slot.anchor_s,
+                    )
+                    .unwrap();
+                    staged_stats.rows_gathered = gathered;
+                    assert!(overlap.hidden_s >= 0.0 && overlap.visible_s >= 0.0);
+                    assert_eq!(sorted_bits(&mut agg), sorted_bits(&mut want), "{what}");
+                    assert_eq!(staged_stats, want_stats, "{what}");
+
+                    let want_residuals = residual_bits(&stores[0]);
+                    let want_draw: u64 = rng_ref.gen();
+                    for (store, mut rng) in [(&stores[1], rng_sync), (&stores[2], rng_pipe)] {
+                        assert_eq!(residual_bits(store), want_residuals, "{what}");
+                        assert_eq!(rng.gen::<u64>(), want_draw, "{what}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]
@@ -613,8 +686,7 @@ mod tests {
             let stats = stage_allreduce_payload(&g, &mut staged, 16 * 2);
             let overlap =
                 complete_allreduce_overlapped(ctx.comm_mut(), &mut staged, anchor).unwrap();
-            assert_eq!(stats.bytes_sent, ref_stats.bytes_sent);
-            assert_eq!(stats.rows_sent, ref_stats.rows_sent);
+            assert_eq!(stats, ref_stats);
             assert_eq!(overlap.window_s, 0.0, "no compute between launch/complete");
             (dense, staged)
         });
@@ -624,11 +696,25 @@ mod tests {
     }
 
     #[test]
-    fn into_sparse_extracts_nonzero_rows() {
-        let dense = AggGrad::Dense(vec![0.0, 0.0, 1.0, 2.0, 0.0, 0.0]);
-        let sparse = dense.into_sparse(2);
-        assert_eq!(sparse.nnz(), 1);
-        assert_eq!(sparse.get(1).unwrap(), &[1.0, 2.0]);
+    fn gather_table_rows_installs_every_owner_copy() {
+        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
+        let out = cluster.run(|ctx| {
+            let rank = ctx.rank() as u32;
+            // Row r belongs to rank r % 3; every rank's other rows are stale.
+            let mut table = EmbeddingTable::zeros(7, 2);
+            for r in (0..7u32).filter(|r| r % 3 == rank) {
+                table.row_mut(r as usize).copy_from_slice(&[r as f32, -(r as f32)]);
+            }
+            let owned = (0..7u32).filter(|r| r % 3 == rank);
+            gather_table_rows(ctx.comm_mut(), &mut table, owned).unwrap();
+            table.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        });
+        let want: Vec<u32> = (0..7)
+            .flat_map(|r| [(r as f32).to_bits(), (-(r as f32)).to_bits()])
+            .collect();
+        for table in out {
+            assert_eq!(table, want); // row 0's -0.0 included
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use config::{
     CommMode, ModelKind, NegSampling, OptimizerKind, PrefetchMode, ShardedConfig, StrategyConfig,
     TrainConfig, UpdateStyle,
 };
-pub use exchange::{AggGrad, ExchangeStats, GatherBufs, PipelineSlot};
+pub use exchange::{ExchangeStats, GatherBufs, PipelineSlot};
 pub use lr::{LrDecision, PlateauSchedule};
 pub use ps::train_ps;
 pub use report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};

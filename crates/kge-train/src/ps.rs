@@ -29,6 +29,7 @@
 //! schedule identical to the all-reduce trainer's.
 
 use crate::config::TrainConfig;
+use crate::exchange::gather_table_rows;
 use crate::lr::PlateauSchedule;
 use crate::neg::sample_negatives;
 use crate::report::{EpochTrace, TrainOutcome, TrainReport};
@@ -349,7 +350,7 @@ fn run_ps_node(
         }
 
         // ---- Epoch end: assemble the full model on every rank. --------
-        assemble_full_model(ctx, n_servers, dim, &owners, &mut ent, &mut rel);
+        assemble_full_model(ctx, n_servers, &owners, &mut ent, &mut rel);
 
         let acc = fast_valid_accuracy(
             model,
@@ -496,42 +497,16 @@ fn serve_one_round(
 fn assemble_full_model(
     ctx: &mut NodeCtx,
     n_servers: usize,
-    dim: usize,
     owners: &PsOwnership,
     ent: &mut EmbeddingTable,
     rel: &mut EmbeddingTable,
 ) {
     let rank = ctx.rank();
-    for (map, table) in [(&owners.ent, &mut *ent), (&owners.rel, &mut *rel)] {
-        let owned: Vec<u32> = if rank < n_servers {
-            (0..table.rows() as u32)
-                .filter(|&r| owner(r, map) == rank)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let payload = {
-            let rows: Vec<RowPayload> = owned
-                .iter()
-                .map(|&id| RowPayload {
-                    row: id,
-                    data: QuantizedRow::Full(table.row(id as usize).to_vec()),
-                })
-                .collect();
-            encode_rows(WireFormat::F32, dim, &rows).expect("encode shard")
-        };
-        let gathered = ctx
-            .comm_mut()
-            .allgatherv_bytes(&payload)
-            .expect("shard assembly");
-        for peer in gathered {
-            let (rows, _) = decode_rows(&peer).expect("peer shard");
-            for rp in rows {
-                if let QuantizedRow::Full(v) = rp.data {
-                    table.row_mut(rp.row as usize).copy_from_slice(&v);
-                }
-            }
-        }
+    for (map, table) in [(&owners.ent, ent), (&owners.rel, rel)] {
+        // Workers own nothing and contribute an empty payload.
+        let rows = if rank < n_servers { table.rows() as u32 } else { 0 };
+        let owned = (0..rows).filter(|&r| owner(r, map) == rank);
+        gather_table_rows(ctx.comm_mut(), table, owned).expect("shard assembly");
     }
 }
 

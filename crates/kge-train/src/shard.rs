@@ -74,6 +74,7 @@
 //! synchronous path — and therefore to the replica trainer.
 
 use crate::config::{PrefetchMode, TrainConfig};
+use crate::exchange::add_payload_into;
 use crate::lr::PlateauSchedule;
 use crate::neg::CorruptionBias;
 use crate::report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
@@ -641,19 +642,6 @@ impl<T> SendPtr<T> {
     unsafe fn at(&self, i: usize) -> &mut T {
         &mut *self.0.add(i)
     }
-}
-
-/// Decode one encoded gradient payload, adding rows into `agg`. Returns
-/// the number of rows decoded.
-fn add_payload_into(payload: &[u8], agg: &mut SparseGrad, what: &str) -> usize {
-    let mut dec = RowDecoder::new(payload).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut rows = 0;
-    while let Some(r) = dec.next_row() {
-        let r = r.unwrap_or_else(|e| panic!("{what}: {e}"));
-        r.add_into(agg.row_mut(r.row));
-        rows += 1;
-    }
-    rows
 }
 
 // --- Prefetch ring -----------------------------------------------------

@@ -19,14 +19,13 @@ use crate::comm_select::{CommChoice, DynamicCommSelector};
 use crate::config::{CommMode, TrainConfig, UpdateStyle};
 use crate::exchange::{
     complete_allreduce_overlapped, complete_gather_exchange_overlapped, encode_gather_payload,
-    exchange_allgather_into, exchange_allreduce, stage_allreduce_payload, GatherBufs,
-    PipelineSlot,
+    exchange_allgather_into, exchange_allreduce, gather_table_rows, stage_allreduce_payload,
+    GatherBufs, PipelineSlot,
 };
 use crate::lr::PlateauSchedule;
 use crate::neg::{CorruptionBias, NegSampler, NegScratch};
 use crate::report::{EpochTrace, TrainOutcome, TrainReport};
 use crate::snapshot::{PublishedModel, SnapshotSink};
-use kge_compress::codec::{RowDecoder, RowEncoder};
 use kge_compress::quant::QuantScheme;
 use kge_compress::row_select::select_rows;
 use kge_compress::ResidualStore;
@@ -140,8 +139,9 @@ impl RunIndexes {
 /// Per-batch working state that is reused across batches to keep the hot
 /// loop allocation-free in steady state: gradient accumulators and the
 /// chunk-scratch pool live in [`BatchWorkspace`]; the dense all-reduce
-/// buffers, sparse aggregates, gather wire buffers, and relation-assembly
-/// buffers all keep their capacity across batches and epochs.
+/// outputs, sparse aggregates and gather scratch all keep their capacity
+/// across batches and epochs. (The wire buffers are the communicator's
+/// staging slots.)
 struct Scratch {
     batch: BatchWorkspace,
     dense_ent: Vec<f32>,
@@ -149,9 +149,6 @@ struct Scratch {
     ent_agg: SparseGrad,
     rel_agg: SparseGrad,
     gather: GatherBufs,
-    asm_send: Vec<u8>,
-    asm_recv: Vec<u8>,
-    asm_counts: Vec<usize>,
 }
 
 /// Width of the per-node worker pool: an explicit `RAYON_NUM_THREADS`
@@ -297,9 +294,6 @@ fn run_node_inner(
         ent_agg: SparseGrad::new(dim),
         rel_agg: SparseGrad::new(dim),
         gather: GatherBufs::new(),
-        asm_send: Vec::new(),
-        asm_recv: Vec::new(),
-        asm_counts: Vec::new(),
     };
 
     // Slot ring for the pipelined exchange, sized once to the largest
@@ -988,15 +982,7 @@ fn run_node_inner(
         // --- Relation assembly under RP (once per epoch, so validation
         // and the final model see every relation's owner copy). ----------
         if !crashed_this_epoch && strategy.relation_partition && p > 1 {
-            match assemble_relations(
-                ctx,
-                &mut rel,
-                &owned_rels,
-                dim,
-                &mut scratch.asm_send,
-                &mut scratch.asm_recv,
-                &mut scratch.asm_counts,
-            ) {
+            match gather_table_rows(ctx.comm_mut(), &mut rel, owned_rels.iter().copied()) {
                 Ok(()) => {}
                 Err(SimError::RankCrashed { .. }) => crashed_this_epoch = true,
                 Err(e) => panic!("relation assembly allgather: {e}"),
@@ -1845,42 +1831,6 @@ fn sparse_from_dense_into(buf: &[f32], dim: usize, g: &mut SparseGrad) {
             g.row_mut(row as u32).copy_from_slice(chunk);
         }
     }
-}
-
-/// Under relation partition, gather every node's owned relation rows so
-/// all replicas hold the complete relation table (once per epoch). The
-/// wire and count buffers are caller-owned and reused across epochs; rows
-/// are encoded straight from and decoded straight into the embedding
-/// table, so assembly allocates nothing once the buffers are warm.
-/// Propagates the collective's fault error so the caller can run the
-/// crash-recovery policy; local (de)serialization failures are bugs and
-/// still panic.
-fn assemble_relations(
-    ctx: &mut NodeCtx,
-    rel: &mut EmbeddingTable,
-    owned: &[u32],
-    dim: usize,
-    send: &mut Vec<u8>,
-    recv: &mut Vec<u8>,
-    counts: &mut Vec<usize>,
-) -> Result<(), SimError> {
-    let mut enc = RowEncoder::new(kge_compress::WireFormat::F32, dim, send);
-    for &r in owned {
-        enc.push_f32(r, rel.row(r as usize))
-            .expect("encode relation row");
-    }
-    enc.finish();
-    ctx.comm_mut().allgatherv_bytes_into(send, recv, counts)?;
-    let mut off = 0usize;
-    for &c in counts.iter() {
-        let mut dec = RowDecoder::new(&recv[off..off + c]).expect("peer relation payload");
-        off += c;
-        while let Some(row) = dec.next_row() {
-            let row = row.expect("peer relation payload");
-            row.dequantize_into(rel.row_mut(row.row as usize));
-        }
-    }
-    Ok(())
 }
 
 /// Extension trait: total bytes sent across all collectives (used for the

@@ -4,25 +4,29 @@
 //! Installs the counting global allocator from `kge-core` and drives the
 //! exact batch pipeline the trainer runs — fused block-kernel gradient
 //! computation, row selection, the all-reduce *and* all-gather exchanges
-//! (with and without 1-bit quantization), and the optimizer step — on a
-//! single-rank cluster with a single-thread worker pool. After one full
-//! warm-up pass over every batch, a second pass over the same batches
-//! must perform **zero** heap allocations: every arena, wire buffer,
-//! sparse slab, and optimizer structure is reused.
+//! (with and without 1-bit quantization), and the optimizer step — with a
+//! single-thread worker pool per rank. After one full warm-up pass over
+//! every batch, a second pass over the same batches must perform **zero**
+//! heap allocations: every arena, wire buffer, sparse slab, and optimizer
+//! structure is reused.
 //!
-//! Two cells, run one after the other because the allocation counter is
-//! process-global: the all-reduce baseline (`RowSelector::None`, uniform
-//! negatives), and the paper's combined strategies — S5 pool scoring and
-//! Bernoulli row selection in front of the same exchanges and lazy Adam.
-//! Under S5 the negatives a batch trains on depend on the embeddings, so
-//! buffer sizes drift as the model moves; the combined cell therefore
-//! replays its warm-up pass exactly (learning rate scaled to zero, RNG
-//! reseeded per pass): any allocation left is one the code makes per call.
+//! Two strategies, each on one rank and on two, run one after the other
+//! because the allocation counter is process-global: the all-reduce
+//! baseline (`RowSelector::None`, uniform negatives), and the paper's
+//! combined strategies — S5 pool scoring and Bernoulli row selection in
+//! front of the same exchanges and lazy Adam. On one rank every collective
+//! returns before it meets a peer; the two-rank cells put the wire path
+//! proper — staging slots, barriers, result slices, in-place decode of a
+//! peer's payload — under the same guard, counting both ranks' allocations
+//! between two barriers. Under S5 the negatives a batch trains on depend
+//! on the embeddings, so buffer sizes drift as the model moves; the
+//! combined cells therefore replay their warm-up pass exactly (learning
+//! rate scaled to zero, RNG reseeded per pass): any allocation left is one
+//! the code makes per call.
 //!
-//! Scope: the guarantee is per-rank and single-thread. Multi-rank runs
-//! move bytes through channels and multi-thread pools spawn workers, both
-//! of which allocate outside the kernel path by construction (see
-//! DESIGN.md).
+//! Scope: the guarantee is single-thread per rank. Multi-thread pools
+//! spawn workers, and point-to-point messages own their payloads, both of
+//! which allocate outside the kernel path by construction (see DESIGN.md).
 
 #[global_allocator]
 static ALLOC: kge_core::alloc_count::CountingAlloc = kge_core::alloc_count::CountingAlloc;
@@ -39,9 +43,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgrid::{Cluster, ClusterSpec};
 
-/// Allocations of a second pass over every batch under `strategy`. `frozen`
-/// makes that pass an exact replay of the first (see the module docs).
-fn steady_state_allocs(strategy: StrategyConfig, frozen: bool) -> alloc_count::AllocSnapshot {
+/// Allocations, over all `ranks`, of a second pass over every batch under
+/// `strategy`. `frozen` makes that pass an exact replay of the first (see
+/// the module docs).
+fn steady_state_allocs(
+    strategy: StrategyConfig,
+    frozen: bool,
+    ranks: usize,
+) -> alloc_count::AllocSnapshot {
     let ds = generate(&SynthConfig {
         name: "alloc-probe".into(),
         n_entities: 300,
@@ -57,7 +66,7 @@ fn steady_state_allocs(strategy: StrategyConfig, frozen: bool) -> alloc_count::A
     let config = TrainConfig::new(4, 256, strategy);
     let lr_scale = if frozen { 0.0 } else { 1.0 };
 
-    let deltas = Cluster::new(1, ClusterSpec::cray_xc40()).run(|ctx| {
+    let deltas = Cluster::new(ranks, ClusterSpec::cray_xc40()).run(|ctx| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
@@ -100,6 +109,9 @@ fn steady_state_allocs(strategy: StrategyConfig, frozen: bool) -> alloc_count::A
                     *rng = StdRng::seed_from_u64(config.seed ^ 0x5DEECE66D);
                 }
                 for b in 0..batches {
+                    // Ranks walk the batches from different offsets, so
+                    // their payloads differ.
+                    let b = (b + ctx.rank()) % batches;
                     ws.batch_gradients_into(
                         model, ent, rel, &ds.train, b, &config, &filter, None, 0, 0,
                     );
@@ -154,7 +166,10 @@ fn steady_state_allocs(strategy: StrategyConfig, frozen: bool) -> alloc_count::A
                 ctx,
             );
 
-            // Steady-state pass: every buffer must be reused.
+            // Steady-state pass: every buffer must be reused. The counter
+            // is process-wide, so between the two barriers rank 0's delta
+            // holds every rank's allocations.
+            ctx.comm_mut().barrier();
             let start = alloc_count::snapshot();
             epoch(
                 &mut ent,
@@ -169,6 +184,7 @@ fn steady_state_allocs(strategy: StrategyConfig, frozen: bool) -> alloc_count::A
                 rel_opt.as_mut(),
                 ctx,
             );
+            ctx.comm_mut().barrier();
             alloc_count::since(start)
         })
     });
@@ -183,11 +199,13 @@ fn steady_state_batch_loop_allocates_nothing() {
         ("combined(5)", StrategyConfig::combined(5), true),
     ];
     for (name, strategy, frozen) in cells {
-        let delta = steady_state_allocs(strategy, frozen);
-        assert_eq!(
-            delta.allocs, 0,
-            "steady-state {name} batch loop allocated {} times ({} bytes)",
-            delta.allocs, delta.bytes
-        );
+        for ranks in [1, 2] {
+            let delta = steady_state_allocs(strategy, frozen, ranks);
+            assert_eq!(
+                delta.allocs, 0,
+                "steady-state {name} batch loop on {ranks} rank(s) allocated {} times ({} bytes)",
+                delta.allocs, delta.bytes
+            );
+        }
     }
 }

@@ -1,7 +1,8 @@
-//! Offline stand-in for `parking_lot`: poison-free `Mutex` and `Condvar`
-//! built on `std::sync`. Only the surface `simgrid` uses is provided —
-//! `Mutex::lock` returning a guard directly (no `Result`), and
-//! `Condvar::wait` taking `&mut MutexGuard`.
+//! Offline stand-in for `parking_lot`: poison-free `Mutex`, `RwLock` and
+//! `Condvar` built on `std::sync`. Only the surface `simgrid` uses is
+//! provided — `Mutex::lock`, `RwLock::read` and `RwLock::write` returning
+//! a guard directly (no `Result`), and `Condvar::wait` taking
+//! `&mut MutexGuard`.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -66,6 +67,33 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
+/// Reader-writer lock: any number of readers or one writer. The guards are
+/// std's — they deref exactly as parking_lot's do.
+#[derive(Default)]
+pub struct RwLock<T: ?Sized> {
+    inner: std::sync::RwLock<T>,
+}
+
+pub use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+
+impl<T> RwLock<T> {
+    pub const fn new(t: T) -> Self {
+        RwLock {
+            inner: std::sync::RwLock::new(t),
+        }
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.inner.write().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
@@ -106,6 +134,25 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
+    }
+
+    #[test]
+    fn rwlock_shares_reads_and_survives_a_poisoning_writer() {
+        let l = Arc::new(RwLock::new(vec![1, 2]));
+        {
+            let (a, b) = (l.read(), l.read());
+            assert_eq!(a.len() + b.len(), 4);
+        }
+        let l2 = Arc::clone(&l);
+        let _ = std::thread::spawn(move || {
+            let mut w = l2.write();
+            w.push(3);
+            panic!("poison the lock");
+        })
+        .join();
+        assert_eq!(*l.read(), vec![1, 2, 3]);
+        l.write().clear();
+        assert!(l.read().is_empty());
     }
 
     #[test]

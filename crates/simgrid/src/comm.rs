@@ -1,11 +1,36 @@
 //! MPI-style collectives over shared memory, with simulated timing.
 //!
-//! All node threads of a [`crate::Cluster`] share one communication world. Each
-//! collective follows a deposit / barrier / combine / barrier protocol:
-//! contributions are staged in per-rank slots (disjoint writes), a barrier
-//! establishes that all deposits are visible, the combine step runs (a
-//! fixed-order reduction for all-reduce, concatenation-by-rank for
-//! all-gather), and further barriers make the staging area safely reusable.
+//! All node threads of a [`crate::Cluster`] share one communication world,
+//! and its per-rank staging slots are the only wire buffer: a rank writes
+//! its contribution *into* its own slot and reads its peers' *out of*
+//! theirs, under reader-writer locks, with barriers ordering the two. Who
+//! writes what before which barrier, and who reads what after:
+//!
+//! - **Gather** ([`Communicator::allgatherv_staged`]; two barriers). Rank
+//!   `r` writes `byte_slots[r]` and its clock (and launch anchor) deposit.
+//!   *Barrier 1.* Every rank reads all deposits (alignment, pricing, crash
+//!   detection) and then every payload in place, in rank order. *Barrier
+//!   2*, so that nobody's next deposit — into the same slots — can land
+//!   while a slower rank is still reading this one's.
+//! - **All-reduce** ([`Communicator::allreduce_staged`]; two barriers), a
+//!   reduce-scatter followed by a gather of the reduced slices. Rank `r`
+//!   writes `f32_slots[r]` and its deposits. *Barrier 1.* Every rank reads
+//!   the deposits and all slot lengths (same verdict everywhere), then
+//!   reads slice `r` of every slot and writes its sum to `f32_results[r]`.
+//!   *Barrier 2.* Every rank reads all result slices into its output. No
+//!   third barrier: slots and deposits are read only before barrier 2,
+//!   which their owner must cross before it can overwrite them; and
+//!   `f32_results[r]` is rewritten only past the *next* all-reduce's
+//!   barrier 1, which no rank reaches while still copying slices out of
+//!   this one. The all-reduce is the f32 slots' only user, which is what
+//!   keeps that argument this short.
+//! - **Scalar sum and `barrier`** (two barriers): deposit, barrier, read
+//!   all, barrier — the gather's shape on one `f64`.
+//!
+//! An error (induced fault, crash, shape mismatch) is computed from shared
+//! deposits, so every rank reaches the same verdict; each crosses one
+//! barrier before returning it, which protects the deposits it was
+//! computed from exactly as barrier 2 would have.
 //!
 //! Reductions are performed in **fixed rank order**, so results are
 //! bit-for-bit deterministic across runs regardless of thread scheduling.
@@ -21,7 +46,7 @@ use crate::cost::{Collective, CostModel};
 use crate::error::SimError;
 use crate::spec::ClusterSpec;
 use crate::traffic::TrafficStats;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
@@ -61,8 +86,12 @@ impl RejoinLobby {
 pub(crate) struct CommWorld {
     size: usize,
     barrier: Barrier,
-    f32_slots: Vec<Mutex<Vec<f32>>>,
-    byte_slots: Vec<Mutex<Vec<u8>>>,
+    /// All-reduce contributions, one per rank.
+    f32_slots: Vec<RwLock<Vec<f32>>>,
+    /// All-reduce results: rank `r` holds the sum of every slot's slice `r`.
+    f32_results: Vec<RwLock<Vec<f32>>>,
+    /// Gather payloads, one per rank.
+    byte_slots: Vec<RwLock<Vec<u8>>>,
     f64_slots: Vec<Mutex<f64>>,
     clock_slots: Vec<Mutex<f64>>,
     /// Launch-time deposits for overlapped collectives: the simulated time
@@ -70,8 +99,6 @@ pub(crate) struct CommWorld {
     /// `max(clock) − max(anchor)` is the shared overlap window every rank
     /// uses to hide collective price, so clocks stay aligned.
     anchor_slots: Vec<Mutex<f64>>,
-    result_f32: Mutex<Vec<f32>>,
-    error: Mutex<Option<SimError>>,
     post: std::sync::Arc<PostOffice>,
     /// The fault schedule every rank consults (inert by default).
     plan: Arc<FaultPlan>,
@@ -107,13 +134,12 @@ impl CommWorld {
         Arc::new(CommWorld {
             size,
             barrier: Barrier::new(size),
-            f32_slots: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
-            byte_slots: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
+            f32_slots: (0..size).map(|_| RwLock::new(Vec::new())).collect(),
+            f32_results: (0..size).map(|_| RwLock::new(Vec::new())).collect(),
+            byte_slots: (0..size).map(|_| RwLock::new(Vec::new())).collect(),
             f64_slots: (0..size).map(|_| Mutex::new(0.0)).collect(),
             clock_slots: (0..size).map(|_| Mutex::new(0.0)).collect(),
             anchor_slots: (0..size).map(|_| Mutex::new(0.0)).collect(),
-            result_f32: Mutex::new(Vec::new()),
-            error: Mutex::new(None),
             post: PostOffice::new(size),
             plan,
             orig_ranks,
@@ -252,7 +278,7 @@ impl Communicator {
         if self.size() == 1 {
             return;
         }
-        self.sync_clocks(Collective::Barrier, &[0]);
+        self.sync_clocks(Collective::Barrier, &[0], None);
         self.world.barrier.wait(); // release clock slots for reuse
     }
 
@@ -260,319 +286,195 @@ impl Communicator {
     /// element-wise sum of all contributions. Deterministic (fixed-order
     /// reduction). Errors if buffer lengths differ across ranks.
     pub fn allreduce_sum_f32(&mut self, buf: &mut [f32]) -> Result<(), SimError> {
-        self.allreduce_sum_f32_inner(buf, None).map(|_| ())
+        self.allreduce_staged(buf, 1.0, None, |buf, slot| slot.copy_from_slice(buf))
+            .map(|_| ())
     }
 
-    /// [`Communicator::allreduce_sum_f32`] priced as a *pipelined*
-    /// collective: the caller launched the exchange at simulated time
-    /// `anchor_s` and has since charged compute; the shared window
-    /// `max(arrival) − max(anchor)` hides up to that much of the α-β
-    /// price (see [`OverlapStats`]). Numerics are identical to the
-    /// synchronous call — only the timing split differs.
-    pub fn allreduce_sum_f32_overlapped(
+    /// Sum all-reduce whose contribution is written straight into this
+    /// rank's staging slot: `stage(out, slot)` fills the zeroed,
+    /// `out.len()`-long `slot` (it is lent `out` as the caller left it, so
+    /// an in-place caller can copy from it), and afterwards
+    /// `out[i] = (((+0.0 + s₀[i]) + s₁[i]) + … + s_{p−1}[i]) * scale` on
+    /// every rank — the sum in rank order, `scale` applied as a rounding
+    /// of its own (never fused), so `scale = 1/p` is the rank average and
+    /// `scale = 1.0` the plain sum to the bit. Errors, identically on
+    /// every rank, if lengths differ across ranks.
+    ///
+    /// `anchor` prices the call as a *pipelined* collective launched at
+    /// that simulated time: the shared window `max(arrival) − max(anchor)`
+    /// hides up to that much of the α-β price (see [`OverlapStats`]).
+    /// `None` is the synchronous collective, and numerics never depend on
+    /// it. The protocol and why two barriers suffice: module docs.
+    pub fn allreduce_staged(
         &mut self,
-        buf: &mut [f32],
-        anchor_s: f64,
-    ) -> Result<OverlapStats, SimError> {
-        self.allreduce_sum_f32_inner(buf, Some(anchor_s))
-    }
-
-    fn allreduce_sum_f32_inner(
-        &mut self,
-        buf: &mut [f32],
+        out: &mut [f32],
+        scale: f32,
         anchor: Option<f64>,
+        stage: impl FnOnce(&[f32], &mut [f32]),
     ) -> Result<OverlapStats, SimError> {
-        let bytes = std::mem::size_of_val(buf);
-        if self.size() == 1 {
-            self.traffic.record(Collective::AllReduce, bytes, bytes);
-            return Ok(OverlapStats::default());
-        }
-        // Deposit.
+        let (len, p) = (out.len(), self.size());
+        let bytes = std::mem::size_of_val(out);
         {
-            let mut slot = self.world.f32_slots[self.rank].lock();
+            let mut slot = self.world.f32_slots[self.rank].write();
             slot.clear();
-            slot.extend_from_slice(buf);
+            slot.resize(len, 0.0);
+            stage(out, &mut slot);
+            if p == 1 {
+                for (o, &v) in out.iter_mut().zip(slot.iter()) {
+                    *o = v * scale;
+                }
+                self.traffic.record(Collective::AllReduce, bytes, bytes);
+                return Ok(OverlapStats::default());
+            }
         }
-        let stats = self.sync_clocks_uniform_inner(Collective::AllReduce, bytes, anchor);
-        if let Err(e) = self.apply_faults(Collective::AllReduce, "allreduce_sum_f32") {
-            self.world.barrier.wait(); // symmetric error: release staging
+        let stats = self.sync_clocks_uniform(Collective::AllReduce, bytes, anchor);
+        let verdict = self
+            .apply_faults(Collective::AllReduce, "allreduce_sum_f32")
+            .and_then(|()| self.check_f32_slot_lengths());
+        if let Err(e) = verdict {
+            self.world.barrier.wait(); // every rank has read the deposits
             return Err(e);
         }
-        // Rank 0 validates shapes and reduces in rank order.
-        if self.rank == 0 {
-            let expected = buf.len();
-            let mut err = None;
-            let mut acc = self.world.result_f32.lock();
+        // Reduce-scatter: this rank sums slice `rank` of every slot, in
+        // rank order from +0.0.
+        let slice = |r: usize| r * len / p..(r + 1) * len / p;
+        {
+            let mut acc = self.world.f32_results[self.rank].write();
             acc.clear();
-            acc.resize(expected, 0.0);
-            for r in 0..self.size() {
-                let slot = self.world.f32_slots[r].lock();
-                if slot.len() != expected {
-                    err = Some(SimError::ShapeMismatch {
-                        op: "allreduce_sum_f32",
-                        expected,
-                        got: slot.len(),
-                        rank: r,
-                    });
-                    break;
-                }
-                for (a, &v) in acc.iter_mut().zip(slot.iter()) {
+            let first = self.world.f32_slots[0].read();
+            acc.extend(first[slice(self.rank)].iter().map(|&v| 0.0 + v));
+            for r in 1..p {
+                let slot = self.world.f32_slots[r].read();
+                for (a, &v) in acc.iter_mut().zip(&slot[slice(self.rank)]) {
                     *a += v;
                 }
             }
-            *self.world.error.lock() = err;
         }
-        self.world.barrier.wait(); // result ready
-        let status = self.world.error.lock().clone();
-        if let Some(e) = status {
-            self.world.barrier.wait(); // keep protocol aligned
-            return Err(e);
-        }
-        {
-            let result = self.world.result_f32.lock();
-            buf.copy_from_slice(&result);
+        self.world.barrier.wait(); // every slice reduced, every slot read
+        for r in 0..p {
+            let sum = self.world.f32_results[r].read();
+            for (o, &v) in out[slice(r)].iter_mut().zip(sum.iter()) {
+                *o = v * scale;
+            }
         }
         self.traffic.record(Collective::AllReduce, bytes, bytes);
         // Ring-style wire traffic: every rank exchanges its full payload
         // with the rest of the ring; globally Σ sent == Σ received.
-        let wire = bytes * (self.size() - 1);
+        let wire = bytes * (p - 1);
         self.traffic.record_wire(Collective::AllReduce, wire, wire);
-        self.world.barrier.wait(); // staging reusable
         Ok(stats)
     }
 
-    /// Variable-size all-gather of `f32` payloads. Returns the
-    /// concatenation of every rank's contribution in rank order, plus the
-    /// per-rank element counts.
-    pub fn allgatherv_f32(&mut self, data: &[f32]) -> Result<(Vec<f32>, Vec<usize>), SimError> {
-        if self.size() == 1 {
-            let bytes = std::mem::size_of_val(data);
-            self.traffic.record(Collective::AllGatherV, bytes, bytes);
-            return Ok((data.to_vec(), vec![data.len()]));
+    /// Every rank checks every deposit against rank 0's, so all reach the
+    /// same verdict without exchanging it.
+    fn check_f32_slot_lengths(&self) -> Result<(), SimError> {
+        let expected = self.world.f32_slots[0].read().len();
+        for r in 1..self.size() {
+            let got = self.world.f32_slots[r].read().len();
+            if got != expected {
+                return Err(SimError::ShapeMismatch {
+                    op: "allreduce_sum_f32",
+                    expected,
+                    got,
+                    rank: r,
+                });
+            }
         }
-        {
-            let mut slot = self.world.f32_slots[self.rank].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        // Clock sync needs per-rank byte counts, which requires the data
-        // deposits to be visible, so deposit the clock alongside the data
-        // and align after the barrier.
-        *self.world.clock_slots[self.rank].lock() = self.clock.now_s();
-        self.world.barrier.wait();
-        let mut counts = Vec::with_capacity(self.size());
-        let mut total = 0usize;
-        for r in 0..self.size() {
-            let n = self.world.f32_slots[r].lock().len();
-            counts.push(n);
-            total += n;
-        }
-        let per_rank_bytes: Vec<usize> = counts.iter().map(|&n| n * 4).collect();
-        self.align_and_charge(Collective::AllGatherV, &per_rank_bytes);
-        if let Err(e) = self.apply_faults(Collective::AllGatherV, "allgatherv_f32") {
-            self.world.barrier.wait();
-            return Err(e);
-        }
-        let mut out = Vec::with_capacity(total);
-        for r in 0..self.size() {
-            out.extend_from_slice(&self.world.f32_slots[r].lock());
-        }
-        self.traffic
-            .record(Collective::AllGatherV, data.len() * 4, total * 4);
-        // Each rank ships its own payload to p−1 peers and takes delivery
-        // of everyone else's.
-        self.traffic.record_wire(
-            Collective::AllGatherV,
-            data.len() * 4 * (self.size() - 1),
-            (total - data.len()) * 4,
-        );
-        self.world.barrier.wait(); // everyone done reading
-        Ok((out, counts))
-    }
-
-    /// Variable-size all-gather of opaque byte payloads (used for
-    /// quantized / bit-packed gradients). Returns per-rank payloads.
-    ///
-    /// Convenience wrapper over [`Communicator::allgatherv_bytes_into`];
-    /// hot paths should prefer the `_into` variant with a reused buffer,
-    /// which copies each peer's payload exactly once.
-    pub fn allgatherv_bytes(&mut self, data: &[u8]) -> Result<Vec<Vec<u8>>, SimError> {
-        let mut recv = Vec::new();
-        let mut counts = Vec::new();
-        self.allgatherv_bytes_into(data, &mut recv, &mut counts)?;
-        let mut out = Vec::with_capacity(counts.len());
-        let mut off = 0usize;
-        for n in counts {
-            out.push(recv[off..off + n].to_vec());
-            off += n;
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Variable-size all-gather of opaque byte payloads into caller-owned
     /// buffers: `recv` is cleared and filled with every rank's payload
-    /// concatenated in rank order (one copy per peer, straight out of the
-    /// staging slot — no intermediate per-rank allocation), and `counts`
-    /// with the per-rank byte counts; rank `r`'s payload is
-    /// `recv[offsets[r]..offsets[r] + counts[r]]`. Both buffers keep their
-    /// capacity across calls, so the steady state allocates nothing.
+    /// concatenated in rank order, and `counts` with the per-rank byte
+    /// counts. Both buffers keep their capacity across calls, so the
+    /// steady state allocates nothing. A copying wrapper over
+    /// [`Communicator::allgatherv_staged`].
     pub fn allgatherv_bytes_into(
         &mut self,
         data: &[u8],
         recv: &mut Vec<u8>,
         counts: &mut Vec<usize>,
     ) -> Result<(), SimError> {
-        self.allgatherv_bytes_into_inner(data, recv, counts, None)
-            .map(|_| ())
-    }
-
-    /// [`Communicator::allgatherv_bytes_into`] priced as a *pipelined*
-    /// collective launched at simulated time `anchor_s`: the shared window
-    /// `max(arrival) − max(anchor)` hides up to that much of the α-β price
-    /// (see [`OverlapStats`]). Payload movement and determinism are
-    /// identical to the synchronous call — only the timing split differs.
-    pub fn allgatherv_bytes_overlapped_into(
-        &mut self,
-        data: &[u8],
-        recv: &mut Vec<u8>,
-        counts: &mut Vec<usize>,
-        anchor_s: f64,
-    ) -> Result<OverlapStats, SimError> {
-        self.allgatherv_bytes_into_inner(data, recv, counts, Some(anchor_s))
-    }
-
-    fn allgatherv_bytes_into_inner(
-        &mut self,
-        data: &[u8],
-        recv: &mut Vec<u8>,
-        counts: &mut Vec<usize>,
-        anchor: Option<f64>,
-    ) -> Result<OverlapStats, SimError> {
         recv.clear();
         counts.clear();
-        if self.size() == 1 {
-            self.traffic
-                .record(Collective::AllGatherV, data.len(), data.len());
-            recv.extend_from_slice(data);
-            counts.push(data.len());
-            return Ok(OverlapStats::default());
-        }
-        {
-            let mut slot = self.world.byte_slots[self.rank].lock();
+        self.allgatherv_staged(
+            None,
+            |slot| slot.extend_from_slice(data),
+            |_, payload| {
+                recv.extend_from_slice(payload);
+                counts.push(payload.len());
+            },
+        )
+        .map(|_| ())
+    }
+
+    /// Variable-size all-gather of opaque byte payloads (quantized /
+    /// bit-packed gradients, table rows) with no copy on either side:
+    /// `stage` writes this rank's payload straight into its cleared
+    /// staging slot (its return value is handed back), and `each(rank,
+    /// payload)` then reads every rank's payload — this rank's included —
+    /// in place, in rank order. The slots keep their capacity across
+    /// calls, so the steady state allocates nothing.
+    ///
+    /// `anchor` prices the call as a *pipelined* collective launched at
+    /// that simulated time, exactly as for
+    /// [`Communicator::allreduce_staged`]; `None` is the synchronous
+    /// collective. Payload movement and determinism never depend on it.
+    pub fn allgatherv_staged<S>(
+        &mut self,
+        anchor: Option<f64>,
+        stage: impl FnOnce(&mut Vec<u8>) -> S,
+        mut each: impl FnMut(usize, &[u8]),
+    ) -> Result<(S, OverlapStats), SimError> {
+        let (staged, sent) = {
+            let mut slot = self.world.byte_slots[self.rank].write();
             slot.clear();
-            slot.extend_from_slice(data);
-        }
-        if let Some(a) = anchor {
-            *self.world.anchor_slots[self.rank].lock() = a;
-        }
-        *self.world.clock_slots[self.rank].lock() = self.clock.now_s();
+            let staged = stage(&mut slot);
+            if self.size() == 1 {
+                self.traffic.record(Collective::AllGatherV, slot.len(), slot.len());
+                each(0, &slot);
+                return Ok((staged, OverlapStats::default()));
+            }
+            (staged, slot.len())
+        };
+        // Pricing needs every rank's byte count, which only exists once
+        // the deposits are visible: deposit the clock alongside the data
+        // and align after the barrier.
+        self.deposit_clock(anchor);
         self.world.barrier.wait();
-        for r in 0..self.size() {
-            counts.push(self.world.byte_slots[r].lock().len());
-        }
-        let stats = self.align_and_charge_inner(Collective::AllGatherV, counts, anchor.is_some());
+        let mut counts = std::mem::take(&mut self.bytes_scratch);
+        counts.clear();
+        counts.extend(self.world.byte_slots.iter().map(|s| s.read().len()));
+        let total: usize = counts.iter().sum();
+        let stats = self.align_and_charge(Collective::AllGatherV, &counts, anchor.is_some());
+        self.bytes_scratch = counts;
         if let Err(e) = self.apply_faults(Collective::AllGatherV, "allgatherv_bytes") {
             self.world.barrier.wait();
             return Err(e);
         }
-        let total: usize = counts.iter().sum();
-        recv.reserve(total);
-        for r in 0..self.size() {
-            recv.extend_from_slice(&self.world.byte_slots[r].lock());
+        for (r, slot) in self.world.byte_slots.iter().enumerate() {
+            each(r, &slot.read());
         }
-        self.traffic.record(Collective::AllGatherV, data.len(), total);
-        self.traffic.record_wire(
-            Collective::AllGatherV,
-            data.len() * (self.size() - 1),
-            total - data.len(),
-        );
-        self.world.barrier.wait();
-        Ok(stats)
+        self.traffic.record(Collective::AllGatherV, sent, total);
+        // Each rank ships its own payload to p−1 peers and takes delivery
+        // of everyone else's.
+        self.traffic
+            .record_wire(Collective::AllGatherV, sent * (self.size() - 1), total - sent);
+        self.world.barrier.wait(); // everyone done reading
+        Ok((staged, stats))
     }
 
-    /// Broadcast `buf` from `root` to every rank.
-    pub fn broadcast_f32(&mut self, root: usize, buf: &mut [f32]) -> Result<(), SimError> {
-        if root >= self.size() {
-            return Err(SimError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let bytes = std::mem::size_of_val(buf);
-        if self.size() == 1 {
-            self.traffic.record(Collective::Broadcast, bytes, bytes);
-            return Ok(());
-        }
-        if self.rank == root {
-            let mut slot = self.world.f32_slots[root].lock();
-            slot.clear();
-            slot.extend_from_slice(buf);
-        }
-        self.sync_clocks_uniform(Collective::Broadcast, bytes);
-        if let Err(e) = self.apply_faults(Collective::Broadcast, "broadcast_f32") {
-            self.world.barrier.wait();
-            return Err(e);
-        }
-        if self.rank != root {
-            let slot = self.world.f32_slots[root].lock();
-            if slot.len() != buf.len() {
-                // Align protocol before erroring so peers don't deadlock.
-                self.world.barrier.wait();
-                return Err(SimError::ShapeMismatch {
-                    op: "broadcast_f32",
-                    expected: buf.len(),
-                    got: slot.len(),
-                    rank: root,
-                });
-            }
-            buf.copy_from_slice(&slot);
-        }
-        self.traffic.record(
-            Collective::Broadcast,
-            if self.rank == root { bytes } else { 0 },
-            bytes,
-        );
-        // Root ships one copy per receiver; receivers take delivery once.
-        if self.rank == root {
-            self.traffic
-                .record_wire(Collective::Broadcast, bytes * (self.size() - 1), 0);
-        } else {
-            self.traffic.record_wire(Collective::Broadcast, 0, bytes);
-        }
-        self.world.barrier.wait();
-        Ok(())
-    }
-
-    /// Scalar sum all-reduce (f64).
+    /// Scalar sum all-reduce (f64), in rank order.
     pub fn allreduce_sum_f64(&mut self, v: f64) -> f64 {
-        self.scalar_reduce(v, |a, b| a + b)
-    }
-
-    /// Scalar max all-reduce (f64).
-    pub fn allreduce_max_f64(&mut self, v: f64) -> f64 {
-        self.scalar_reduce(v, f64::max)
-    }
-
-    /// Scalar min all-reduce (f64).
-    pub fn allreduce_min_f64(&mut self, v: f64) -> f64 {
-        self.scalar_reduce(v, f64::min)
-    }
-
-    /// Logical AND across ranks (encoded through a min-reduce).
-    pub fn allreduce_and(&mut self, v: bool) -> bool {
-        self.allreduce_min_f64(if v { 1.0 } else { 0.0 }) > 0.5
-    }
-
-    fn scalar_reduce(&mut self, v: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
         if self.size() == 1 {
             self.traffic.record(Collective::AllReduce, 8, 8);
             return v;
         }
         *self.world.f64_slots[self.rank].lock() = v;
-        self.sync_clocks_uniform(Collective::AllReduce, 8);
+        self.sync_clocks_uniform(Collective::AllReduce, 8, None);
         let mut acc = *self.world.f64_slots[0].lock();
         for r in 1..self.size() {
-            acc = f(acc, *self.world.f64_slots[r].lock());
+            acc += *self.world.f64_slots[r].lock();
         }
         self.traffic.record(Collective::AllReduce, 8, 8);
         let wire = 8 * (self.size() - 1);
@@ -802,28 +704,10 @@ impl Communicator {
         Ok((msg, stats))
     }
 
-    /// Non-blocking receive of any pending message (lowest source rank
-    /// first). **Scheduling-dependent**: whether a peer's message is
-    /// visible yet depends on host thread timing; use only in protocols
-    /// that tolerate reordering across sources.
-    pub fn try_recv_bytes_any(&mut self) -> Result<Option<Message>, SimError> {
-        match self.world.post.try_take_any(self.rank) {
-            Some(msg) => {
-                self.charge_receive(&msg, Collective::PointToPoint);
-                Ok(Some(msg))
-            }
-            None => Ok(None),
-        }
-    }
-
     /// [`Communicator::sync_clocks`] for collectives where every rank moves
     /// the same `bytes`, using the communicator's reused count scratch
     /// instead of building a fresh `vec![bytes; size]` per call.
-    fn sync_clocks_uniform(&mut self, op: Collective, bytes: usize) {
-        self.sync_clocks_uniform_inner(op, bytes, None);
-    }
-
-    fn sync_clocks_uniform_inner(
+    fn sync_clocks_uniform(
         &mut self,
         op: Collective,
         bytes: usize,
@@ -833,49 +717,44 @@ impl Communicator {
         let mut scratch = std::mem::take(&mut self.bytes_scratch);
         scratch.clear();
         scratch.resize(size, bytes);
-        let stats = self.sync_clocks_inner(op, &scratch, anchor);
+        let stats = self.sync_clocks(op, &scratch, anchor);
         self.bytes_scratch = scratch;
         stats
     }
 
-    /// Deposit clock, barrier, align to latest arrival, charge the cost of
-    /// `op` moving `per_rank_bytes`.
-    fn sync_clocks(&mut self, op: Collective, per_rank_bytes: &[usize]) {
-        self.sync_clocks_inner(op, per_rank_bytes, None);
-    }
-
-    /// [`Communicator::sync_clocks`], optionally depositing an overlap
-    /// anchor (launch time) alongside the arrival clock.
-    fn sync_clocks_inner(
+    /// Deposit clock (and overlap anchor, when pipelined), barrier, align
+    /// to latest arrival, charge the cost of `op` moving `per_rank_bytes`.
+    fn sync_clocks(
         &mut self,
         op: Collective,
         per_rank_bytes: &[usize],
         anchor: Option<f64>,
     ) -> OverlapStats {
+        self.deposit_clock(anchor);
+        self.world.barrier.wait();
+        self.align_and_charge(op, per_rank_bytes, anchor.is_some())
+    }
+
+    /// Publish this rank's arrival time, and the launch time of the
+    /// exchange it is completing when that exchange was pipelined.
+    fn deposit_clock(&mut self, anchor: Option<f64>) {
         if let Some(a) = anchor {
             *self.world.anchor_slots[self.rank].lock() = a;
         }
         *self.world.clock_slots[self.rank].lock() = self.clock.now_s();
-        self.world.barrier.wait();
-        self.align_and_charge_inner(op, per_rank_bytes, anchor.is_some())
     }
 
-    /// Assumes clock deposits are already visible (a barrier has been
-    /// crossed since every rank wrote its slot).
-    fn align_and_charge(&mut self, op: Collective, per_rank_bytes: &[usize]) {
-        self.align_and_charge_inner(op, per_rank_bytes, false);
-    }
-
-    /// Core clock alignment + pricing. With `overlapped == false` this is
-    /// bit-identical to the historical synchronous behaviour (the whole
-    /// price lands in `comm_s`). With `overlapped == true`, every rank has
-    /// also deposited a launch anchor; the shared window
-    /// `max(arrival) − max(anchor)` hides up to `window` seconds of the
-    /// price (bookkept in `hidden_comm_s`), and only the remainder
-    /// advances the clock. Window and price are computed from shared
-    /// deposits, so all ranks leave at the same simulated time — the
-    /// invariant every synchronous collective relies on.
-    fn align_and_charge_inner(
+    /// Clock alignment + pricing; assumes the deposits are visible (a
+    /// barrier has been crossed since every rank wrote its slots). With
+    /// `overlapped == false` the whole price lands in `comm_s`. With
+    /// `overlapped == true`, every rank has also deposited a launch
+    /// anchor; the shared window `max(arrival) − max(anchor)` hides up to
+    /// `window` seconds of the price (bookkept in `hidden_comm_s`), and
+    /// only the remainder advances the clock. Window and price are
+    /// computed from shared deposits, so all ranks leave at the same
+    /// simulated time — the invariant every synchronous collective relies
+    /// on.
+    fn align_and_charge(
         &mut self,
         op: Collective,
         per_rank_bytes: &[usize],
@@ -1244,51 +1123,49 @@ mod tests {
     }
 
     #[test]
-    fn allgatherv_concatenates_in_rank_order() {
-        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            let rank = ctx.rank();
-            let data: Vec<f32> = (0..=rank).map(|i| (rank * 10 + i) as f32).collect();
-            ctx.comm_mut().allgatherv_f32(&data).unwrap()
-        });
-        for (concat, counts) in out {
-            assert_eq!(counts, vec![1, 2, 3]);
-            assert_eq!(concat, vec![0.0, 10.0, 11.0, 20.0, 21.0, 22.0]);
-        }
-    }
-
-    #[test]
-    fn allgatherv_bytes_roundtrip() {
+    fn allgatherv_bytes_into_concatenates_in_rank_order() {
         let cluster = Cluster::new(4, ClusterSpec::cray_xc40());
         let out = cluster.run(|ctx| {
             let payload = vec![ctx.rank() as u8; ctx.rank() + 1];
-            ctx.comm_mut().allgatherv_bytes(&payload).unwrap()
+            let (mut flat, mut counts) = (vec![9u8; 3], vec![7usize]); // stale
+            ctx.comm_mut()
+                .allgatherv_bytes_into(&payload, &mut flat, &mut counts)
+                .unwrap();
+            (flat, counts)
         });
-        for per_rank in out {
-            assert_eq!(per_rank.len(), 4);
-            for (r, payload) in per_rank.iter().enumerate() {
-                assert_eq!(payload, &vec![r as u8; r + 1]);
-            }
+        for (flat, counts) in out {
+            assert_eq!(counts, vec![1, 2, 3, 4]);
+            assert_eq!(flat, vec![0, 1, 1, 2, 2, 2, 3, 3, 3, 3]);
         }
     }
 
     #[test]
-    fn allgatherv_bytes_into_matches_per_rank_api() {
-        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            let payload = vec![ctx.rank() as u8 + 1; 2 * ctx.rank() + 1];
-            let mut flat = Vec::new();
-            let mut counts = Vec::new();
-            ctx.comm_mut()
-                .allgatherv_bytes_into(&payload, &mut flat, &mut counts)
-                .unwrap();
-            let nested = ctx.comm_mut().allgatherv_bytes(&payload).unwrap();
-            (flat, counts, nested)
-        });
-        for (flat, counts, nested) in out {
-            assert_eq!(counts, vec![1, 3, 5]);
-            let rebuilt: Vec<u8> = nested.concat();
-            assert_eq!(flat, rebuilt);
+    fn allgatherv_staged_reads_every_payload_in_place_in_rank_order() {
+        for p in [1usize, 3] {
+            let cluster = Cluster::new(p, ClusterSpec::cray_xc40());
+            let out = cluster.run(|ctx| {
+                let rank = ctx.rank();
+                let mut seen = Vec::new();
+                let (staged, _) = ctx
+                    .comm_mut()
+                    .allgatherv_staged(
+                        None,
+                        |slot| {
+                            assert!(slot.is_empty(), "slot arrives cleared");
+                            slot.resize(2 * rank + 1, rank as u8 + 1);
+                            slot.len()
+                        },
+                        |r, payload| seen.push((r, payload.to_vec())),
+                    )
+                    .unwrap();
+                assert_eq!(staged, 2 * rank + 1, "stage's value is handed back");
+                seen
+            });
+            let want: Vec<(usize, Vec<u8>)> =
+                (0..p).map(|r| (r, vec![r as u8 + 1; 2 * r + 1])).collect();
+            for seen in out {
+                assert_eq!(seen, want);
+            }
         }
     }
 
@@ -1308,50 +1185,65 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_distributes_root_data() {
-        let cluster = Cluster::new(4, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            let mut buf = if ctx.rank() == 2 {
-                vec![7.0f32; 8]
-            } else {
-                vec![0.0f32; 8]
-            };
-            ctx.comm_mut().broadcast_f32(2, &mut buf).unwrap();
-            buf
-        });
-        for buf in out {
-            assert!(buf.iter().all(|&x| x == 7.0));
-        }
-    }
-
-    #[test]
-    fn scalar_reductions() {
+    fn scalar_sum_reduces_across_ranks() {
         let cluster = Cluster::new(4, ClusterSpec::cray_xc40());
         let out = cluster.run(|ctx| {
             let r = ctx.rank() as f64;
-            let sum = ctx.comm_mut().allreduce_sum_f64(r);
-            let max = ctx.comm_mut().allreduce_max_f64(r);
-            let min = ctx.comm_mut().allreduce_min_f64(r);
-            let not_two = ctx.rank() != 2;
-            let all = ctx.comm_mut().allreduce_and(not_two);
-            (sum, max, min, all)
+            ctx.comm_mut().allreduce_sum_f64(r)
         });
-        for (sum, max, min, all) in out {
-            assert_eq!(sum, 6.0);
-            assert_eq!(max, 3.0);
-            assert_eq!(min, 0.0);
-            assert!(!all);
-        }
+        assert_eq!(out, vec![6.0; 4]);
     }
 
     #[test]
     fn allreduce_shape_mismatch_errors_on_all_ranks() {
-        let cluster = Cluster::new(2, ClusterSpec::cray_xc40());
+        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
         let out = cluster.run(|ctx| {
-            let mut v = vec![1.0f32; 4 + ctx.rank()];
-            ctx.comm_mut().allreduce_sum_f32(&mut v).err()
+            let mut v = vec![1.0f32; 4 + ctx.rank() / 2];
+            let err = ctx.comm_mut().allreduce_sum_f32(&mut v).err();
+            // The world stays usable after the symmetric error.
+            let mut w = vec![1.0f32; 5];
+            ctx.comm_mut().allreduce_sum_f32(&mut w).unwrap();
+            (err, w)
         });
-        assert!(out.iter().all(|e| e.is_some()));
+        let want = SimError::ShapeMismatch {
+            op: "allreduce_sum_f32",
+            expected: 4,
+            got: 5,
+            rank: 2,
+        };
+        for (err, w) in out {
+            assert_eq!(err, Some(want.clone()), "same verdict on every rank");
+            assert_eq!(w, vec![3.0; 5]);
+        }
+    }
+
+    #[test]
+    fn allreduce_staged_scales_as_a_separate_rounding() {
+        // 3 ranks × 7 elements: uneven slices (2, 2, 3).
+        let contrib = |rank: usize, i: usize| (rank as f32 + 0.1) * (i as f32 - 3.0) / 7.0;
+        let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
+        let out = cluster.run(|ctx| {
+            let rank = ctx.rank();
+            let mut sum: Vec<f32> = (0..7).map(|i| contrib(rank, i)).collect();
+            ctx.comm_mut().allreduce_sum_f32(&mut sum).unwrap();
+            let mut avg = vec![f32::NAN; 7];
+            ctx.comm_mut()
+                .allreduce_staged(&mut avg, 1.0 / 3.0, None, |_, slot| {
+                    assert!(slot.iter().all(|v| v.to_bits() == 0), "slot arrives zeroed");
+                    for (i, v) in slot.iter_mut().enumerate() {
+                        *v += contrib(rank, i);
+                    }
+                })
+                .unwrap();
+            (sum, avg)
+        });
+        for (sum, avg) in &out {
+            for i in 0..7 {
+                let want = ((0.0 + contrib(0, i)) + contrib(1, i)) + contrib(2, i);
+                assert_eq!(sum[i].to_bits(), want.to_bits());
+                assert_eq!(avg[i].to_bits(), (want * (1.0 / 3.0)).to_bits());
+            }
+        }
     }
 
     #[test]
@@ -1392,7 +1284,10 @@ mod tests {
         let out = cluster.run(|ctx| {
             let mut v = vec![1.0f32; 100];
             ctx.comm_mut().allreduce_sum_f32(&mut v).unwrap();
-            ctx.comm_mut().allgatherv_f32(&v).unwrap();
+            let payload = vec![0u8; 400];
+            ctx.comm_mut()
+                .allgatherv_staged(None, |slot| slot.extend_from_slice(&payload), |_, _| {})
+                .unwrap();
             ctx.comm().traffic().report()
         });
         let rep = &out[0];
@@ -1411,7 +1306,9 @@ mod tests {
             let anchor = comm.clock().now_s();
             comm.clock_mut().charge_compute_seconds(1.0); // ≫ the price
             let mut v = vec![1.0f32; 1 << 16];
-            let stats = comm.allreduce_sum_f32_overlapped(&mut v, anchor).unwrap();
+            let stats = comm
+                .allreduce_staged(&mut v, 1.0, Some(anchor), |v, slot| slot.copy_from_slice(v))
+                .unwrap();
             (stats, comm.clock().now_s(), comm.clock().breakdown(), v[0])
         });
         let price = CostModel::new(ClusterSpec::cray_xc40()).allreduce(2, 4 << 16);
@@ -1442,7 +1339,7 @@ mod tests {
             let anchor = ctx.comm().clock().now_s();
             let stats = ctx
                 .comm_mut()
-                .allreduce_sum_f32_overlapped(&mut v, anchor)
+                .allreduce_staged(&mut v, 1.0, Some(anchor), |v, slot| slot.copy_from_slice(v))
                 .unwrap();
             assert_eq!(stats.window_s, 0.0);
             assert_eq!(stats.hidden_s, 0.0);
@@ -1463,12 +1360,16 @@ mod tests {
             let window = 1.0e-5; // smaller than the price below
             comm.clock_mut().charge_compute_seconds(window);
             let payload = vec![ctx.rank() as u8; 1 << 20];
-            let (mut recv, mut counts) = (Vec::new(), Vec::new());
-            let stats = ctx
+            let mut total = 0usize;
+            let ((), stats) = ctx
                 .comm_mut()
-                .allgatherv_bytes_overlapped_into(&payload, &mut recv, &mut counts, anchor)
+                .allgatherv_staged(
+                    Some(anchor),
+                    |slot| slot.extend_from_slice(&payload),
+                    |_, peer| total += peer.len(),
+                )
                 .unwrap();
-            (stats, ctx.comm().clock().now_s(), recv.len())
+            (stats, ctx.comm().clock().now_s(), total)
         });
         for (stats, _now, total) in &out {
             assert_eq!(*total, 2 << 20);
@@ -1622,18 +1523,5 @@ mod tests {
         let (s1, s2) = out[1].unwrap();
         assert!((s1.hidden_s - occupancy).abs() < 1e-12);
         assert!((s2.hidden_s - occupancy).abs() < 1e-12, "push lane unaffected");
-    }
-
-    #[test]
-    fn broadcast_invalid_root_errors() {
-        let cluster = Cluster::new(1, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            let mut v = vec![0.0f32; 4];
-            ctx.comm_mut().broadcast_f32(5, &mut v).err()
-        });
-        assert_eq!(
-            out[0],
-            Some(SimError::InvalidRank { rank: 5, size: 1 })
-        );
     }
 }

@@ -7,10 +7,10 @@
 //! A [`Cluster`] runs `p` logical **nodes**, each on its own OS thread with
 //! its own private state (in the KGE trainer: a full model replica). Nodes
 //! communicate exclusively through MPI-style **collectives** on a
-//! [`Communicator`]: `allreduce`, `allgatherv`, `broadcast`, `barrier`,
-//! scalar reductions. The collectives move *real bytes* between the node
-//! threads, so all distributed numerics (gradient averaging, quantization
-//! error, sparsity) are exact.
+//! [`Communicator`]: `allreduce`, `allgatherv`, `barrier`, a scalar sum.
+//! The collectives move *real bytes* between the node threads, so all
+//! distributed numerics (gradient averaging, quantization error,
+//! sparsity) are exact.
 //!
 //! Time, on the other hand, is **simulated**: every collective charges each
 //! participating node's [`SimClock`] according to an α-β (latency/bandwidth)

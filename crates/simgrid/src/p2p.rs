@@ -13,8 +13,7 @@
 //!
 //! `Communicator::recv_bytes_from` receives from a *specific* rank, which
 //! keeps programs deterministic (serving ranks drain peers in a fixed
-//! order); `Communicator::try_recv_bytes_any` exists for intentionally
-//! asynchronous protocols and is documented as scheduling-dependent.
+//! order).
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -71,19 +70,6 @@ impl PostOffice {
             }
             cv.wait(&mut inner);
         }
-    }
-
-    /// Pop any pending message for `dst` (lowest source rank first), if one
-    /// exists right now.
-    pub(crate) fn try_take_any(&self, dst: usize) -> Option<Message> {
-        let (lock, _) = &self.boxes[dst];
-        let mut inner = lock.lock();
-        for q in inner.queues.iter_mut() {
-            if let Some(m) = q.pop_front() {
-                return Some(m);
-            }
-        }
-        None
     }
 }
 
@@ -177,29 +163,6 @@ mod tests {
         let cluster = Cluster::new(1, ClusterSpec::cray_xc40());
         let out = cluster.run(|ctx| ctx.comm_mut().send_bytes(5, b"x").err());
         assert!(out[0].is_some());
-    }
-
-    #[test]
-    fn try_recv_any_returns_none_when_empty() {
-        let cluster = Cluster::new(2, ClusterSpec::cray_xc40());
-        let out = cluster.run(|ctx| {
-            if ctx.rank() == 0 {
-                let empty = ctx.comm_mut().try_recv_bytes_any().unwrap().is_none();
-                // Synchronize, then the message must be there.
-                ctx.comm_mut().barrier();
-                let mut got = None;
-                while got.is_none() {
-                    got = ctx.comm_mut().try_recv_bytes_any().unwrap();
-                }
-                (empty, got.unwrap().payload)
-            } else {
-                ctx.comm_mut().send_bytes(0, b"hi").unwrap();
-                ctx.comm_mut().barrier();
-                (true, Vec::new())
-            }
-        });
-        assert!(out[0].0);
-        assert_eq!(out[0].1, b"hi");
     }
 
     #[test]

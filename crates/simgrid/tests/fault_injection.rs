@@ -18,10 +18,13 @@ fn none_plan_is_bit_identical_to_no_plan() {
             ctx.comm_mut().clock_mut().charge_flops(1.0e7);
             ctx.comm_mut().allreduce_sum_f32(&mut v).unwrap();
             if round % 2 == 0 {
-                let own = 8 * (ctx.rank() + 1);
-                let _ = ctx.comm_mut().allgatherv_f32(&v[..own]).unwrap();
+                let own = vec![round as u8; 32 * (ctx.rank() + 1)];
+                let (mut recv, mut counts) = (Vec::new(), Vec::new());
+                ctx.comm_mut()
+                    .allgatherv_bytes_into(&own, &mut recv, &mut counts)
+                    .unwrap();
             }
-            ctx.comm_mut().broadcast_f32(0, &mut v[..16]).unwrap();
+            ctx.comm_mut().barrier();
         }
         (v, ctx.comm().clock().now_s(), ctx.comm().clock().breakdown())
     };
@@ -305,6 +308,57 @@ fn collective_drops_charge_retries_on_all_ranks() {
     assert!(out[0].0 > 0, "expected some induced retries");
     for o in &out[1..] {
         assert_eq!(o, &out[0]);
+    }
+}
+
+/// With no retry budget every induced drop is an error. Both staged
+/// collectives must fail identically on every rank, leave nothing half
+/// read, and leave the world usable: the next collective that gets through
+/// computes the right values.
+#[test]
+fn exhausted_retries_fail_symmetrically_and_the_world_survives() {
+    let plan = FaultPlan::seeded(9)
+        .with_collective_drop_prob(0.4)
+        .with_retry_policy(RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        });
+    let out = Cluster::new(3, ClusterSpec::cray_xc40())
+        .with_fault_plan(plan)
+        .run(|ctx| {
+            let rank = ctx.rank();
+            let mut verdicts = Vec::new();
+            for round in 0..40usize {
+                let mut v = vec![(rank + round) as f32; 5];
+                match ctx.comm_mut().allreduce_sum_f32(&mut v) {
+                    Ok(()) => assert_eq!(v, vec![(3 * round + 3) as f32; 5]),
+                    Err(e) => assert!(matches!(e, SimError::Timeout { .. }), "{e}"),
+                }
+                verdicts.push(v[0] != (rank + round) as f32);
+                let mut seen = Vec::new();
+                let gathered = ctx.comm_mut().allgatherv_staged(
+                    None,
+                    |slot| slot.extend_from_slice(&[rank as u8, round as u8]),
+                    |r, payload| seen.push((r, payload.to_vec())),
+                );
+                match gathered {
+                    Ok(_) => {
+                        let want: Vec<_> = (0..3).map(|r| (r, vec![r as u8, round as u8])).collect();
+                        assert_eq!(seen, want);
+                    }
+                    Err(e) => {
+                        assert!(matches!(e, SimError::Timeout { .. }), "{e}");
+                        assert!(seen.is_empty(), "a failed gather delivers nothing");
+                    }
+                }
+                verdicts.push(!seen.is_empty());
+            }
+            (verdicts, ctx.comm().clock().now_s().to_bits())
+        });
+    let (verdicts, _) = &out[0];
+    assert!(verdicts.contains(&true) && verdicts.contains(&false), "both outcomes exercised");
+    for o in &out[1..] {
+        assert_eq!(o, &out[0], "same verdicts, same clock, on every rank");
     }
 }
 

@@ -35,6 +35,13 @@ echo "check: clippy clean (warnings denied) for: ${CRATES[*]}"
 cargo bench -p bench --no-run
 echo "check: benches compile"
 
+# The communicator: in-file protocol tests, collectives against the
+# reference to the bit, the dawdling-rank stress test that fails if a
+# barrier the staging protocol needs goes missing, the cost model, and
+# fault injection (crash, shrink, rejoin, retries, symmetric errors).
+cargo test -p simgrid --release
+echo "check: simgrid collectives, stress, cost-model + fault-injection tests pass"
+
 # The evaluation bit-identity property tests: blocked one-vs-all ranking
 # must reproduce the scalar oracle's ranks exactly, and steady-state
 # evaluation must not allocate.
@@ -60,7 +67,8 @@ echo "check: kernel, optimizer, accumulator + codec property tests pass (both di
 # handed over by swap) and a chunked merge must equal sequential
 # accumulation at any split — under both dispatch arms — and the
 # steady-state batch loop (kernel, selection, both exchanges, optimizer)
-# must not allocate, on the baseline and on the combined-strategy path.
+# must not allocate, on the baseline and on the combined-strategy path,
+# on one rank and — the wire path proper — on two.
 # S5's chunk-wide pool staging must stage what the per-positive loop it
 # replaced staged, draw for draw.
 cargo test -p kge-train --release --test determinism_threads --test prop_chunked_merge --test prop_neg_selection --test zero_alloc
@@ -74,6 +82,13 @@ echo "check: batch-gradient determinism + zero-alloc tests pass (both dispatch a
 cargo test -p kge-train --release --test pipeline_determinism --test zero_alloc_pipeline
 KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test pipeline_determinism
 echo "check: pipelined exchange determinism + zero-alloc tests pass (both dispatch arms)"
+
+# The collectives' error paths under the trainer: crashes and induced
+# timeouts mid-exchange (synchronous and pipelined) must shrink, recover
+# and stay bit-reproducible, and every strategy x interconnect cell must
+# conserve wire bytes.
+cargo test -p kge-train --release --test fault_determinism --test fault_tolerance --test strategy_matrix
+echo "check: fault determinism, fault tolerance + strategy matrix pass"
 
 # Checkpoint/restore: the codec roundtrip + corruption property tests,
 # the committed golden fixture, the pooled-buffer zero-alloc guard, and

@@ -416,3 +416,57 @@ fn combined_batch_matches_per_positive_staging_on_both_dispatch_arms() {
         assert_eq!(entries(&got_rel), entries(&want_rel), "relation gradient, force_scalar={force_scalar}");
     }
 }
+
+/// One cell of `kge-train`'s `pipeline_determinism` suite (which
+/// `scripts/check.sh` runs in full under both dispatch arms), on three
+/// ranks so the all-reduce's per-rank slices are uneven: a pipelined mode
+/// with an empty staleness window must reproduce its synchronous
+/// collective in model bytes, epoch trace and simulated clock, and a
+/// one-batch window — the overlapped pricing arm of the same staged
+/// collectives — must repeat bit for bit and put the same bytes on the wire.
+#[test]
+fn pipelined_exchange_matches_synchronous_collectives_on_three_ranks() {
+    let ds = dataset(6);
+    let run = |comm: CommMode| {
+        let mut strategy = StrategyConfig::baseline_allgather(2);
+        strategy.comm = comm;
+        let mut config = quick(strategy, 6);
+        config.max_epochs = 3;
+        train(&ds, &Cluster::new(3, ClusterSpec::cray_xc40()), &config)
+    };
+    let same = |a: &TrainOutcome, b: &TrainOutcome, what: &str| {
+        let bits = |t: &EmbeddingTable| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.entities), bits(&b.entities), "{what}: entity rows");
+        assert_eq!(bits(&a.relations), bits(&b.relations), "{what}: relation rows");
+        assert_eq!(a.report.trace, b.report.trace, "{what}: epoch trace");
+        assert_eq!(
+            a.report.sim_total_seconds.to_bits(),
+            b.report.sim_total_seconds.to_bits(),
+            "{what}: simulated clock"
+        );
+    };
+    for (sync, stale0, stale1) in [
+        (
+            CommMode::AllGather,
+            CommMode::Pipelined { staleness: 0 },
+            CommMode::Pipelined { staleness: 1 },
+        ),
+        (
+            CommMode::AllReduce,
+            CommMode::PipelinedAllReduce { staleness: 0 },
+            CommMode::PipelinedAllReduce { staleness: 1 },
+        ),
+    ] {
+        let reference = run(sync);
+        same(&reference, &run(stale0), &format!("{stale0:?} vs {sync:?}"));
+        let overlapped = run(stale1);
+        assert_eq!(overlapped.report.pipelined_epochs, overlapped.report.epochs);
+        same(&overlapped, &run(stale1), &format!("{stale1:?} twice"));
+        assert_eq!(
+            (overlapped.report.wire_bytes_sent, overlapped.report.wire_bytes_recv),
+            (reference.report.wire_bytes_sent, reference.report.wire_bytes_recv),
+            "{stale1:?}: wire bytes"
+        );
+        assert!(overlapped.report.breakdown.hidden_comm_s > 0.0, "{stale1:?} hides nothing");
+    }
+}
