@@ -291,3 +291,95 @@ fn sharded_crash_mid_ring_discards_in_flight_slots_deterministically() {
         "mid-ring recovery timeline diverged"
     );
 }
+
+/// FNV-1a over a table's f32 bit patterns.
+fn fnv(values: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One line of `sharded_golden.txt`: everything a sharded run reports on
+/// the simulated clock, in bytes or in counters, with floats as bit
+/// patterns so equality is exact.
+fn golden_line(cell: &str, out: &TrainOutcome) -> String {
+    let r = &out.report;
+    let b = &r.breakdown;
+    let sh = r.sharded.as_ref().expect("sharded report attached");
+    let bits = |xs: &[f64]| {
+        let hex: Vec<String> = xs.iter().map(|x| format!("{:016x}", x.to_bits())).collect();
+        hex.join(",")
+    };
+    format!(
+        "{cell} | sim={} breakdown={} ent={:016x} rel={:016x} wire={}/{} hits={}/{}/{} lanes={} hidden={} \
+         prefetch_epochs={} epochs={} recoveries={}",
+        bits(&[r.sim_total_seconds]),
+        bits(&[
+            b.compute_s,
+            b.comm_s,
+            b.idle_s,
+            b.fault_s,
+            b.retry_s,
+            b.checkpoint_s,
+            b.overlap_s,
+            b.hidden_comm_s
+        ]),
+        fnv(out.entities.as_slice()),
+        fnv(out.relations.as_slice()),
+        sh.pull_wire_bytes,
+        sh.push_wire_bytes,
+        sh.cache_hits,
+        sh.cache_accesses,
+        sh.entity_touches,
+        bits(&[sh.pull_lane_s, sh.push_lane_s]),
+        bits(&[sh.hidden_pull_s, sh.hidden_push_s]),
+        sh.prefetch_epochs,
+        r.epochs,
+        r.recoveries,
+    )
+}
+
+#[test]
+fn sharded_golden() {
+    // The contract of the one-step refactor (PR 19), pinned at its parent
+    // commit: 32 cells p x cache x storage x prefetch plus a mid-run
+    // crash + shrink under each mode must reproduce the recorded clock,
+    // breakdown, model, wire bytes, counters and lane seconds to the bit.
+    // The model hashes go through the host's `exp`/`ln`, so the table is
+    // tied to this toolchain and libm; to regenerate it after an
+    // *intended* change of trajectory or pricing:
+    //   1. KGE_BLESS=1 cargo test --release -p kge-train --test sharded_determinism sharded_golden
+    //   2. git diff crates/kge-train/tests/sharded_golden.txt   # every changed cell is a claim
+    //   3. commit the file with the change that explains the diff
+    let mut lines = Vec::new();
+    for p in [1usize, 2, 3, 4] {
+        for cache in [0usize, 32] {
+            for int8 in [false, true] {
+                for mode in [PrefetchMode::Off, PrefetchMode::On] {
+                    let out = run(p, 1, 64, Some(sharded_cfg(cache, int8, mode)), None);
+                    let storage = if int8 { "int8" } else { "f32" };
+                    lines.push(golden_line(&format!("p={p} cache={cache} {storage} {mode:?}"), &out));
+                }
+            }
+        }
+    }
+    let total = run(4, 1, 64, None, None).report.sim_total_seconds;
+    for mode in [PrefetchMode::Off, PrefetchMode::On] {
+        let plan = FaultPlan::seeded(7).with_crash(2, 0.4 * total);
+        let out = run(4, 1, 64, Some(sharded_cfg(32, false, mode)), Some(plan));
+        assert_eq!(out.report.recoveries, 1, "the crash must trigger a shrink");
+        lines.push(golden_line(&format!("p=4 cache=32 f32 {mode:?} crash"), &out));
+    }
+    let actual = lines.join("\n") + "\n";
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/sharded_golden.txt");
+    if std::env::var_os("KGE_BLESS").is_some() {
+        std::fs::write(path, &actual).expect("write golden table");
+    }
+    let golden = std::fs::read_to_string(path).expect("committed golden table");
+    for (want, got) in golden.lines().zip(actual.lines()) {
+        assert_eq!(want, got, "golden cell moved");
+    }
+    assert_eq!(golden.lines().count(), lines.len(), "golden cell count");
+}
