@@ -195,66 +195,6 @@ fn sharded_fb250k_run(ds: &Dataset, hot_cache_rows: usize, cold_int8: bool) -> T
     train(ds, &cluster, &config)
 }
 
-/// Pull-bound dataset for the prefetch A/B: enough entities that batch
-/// unions miss any locality, Zipf skew matching the FB shape.
-fn pull_bound_ds() -> Dataset {
-    generate(&SynthConfig {
-        name: "pull-bound".into(),
-        n_entities: 20_000,
-        n_relations: 200,
-        n_triples: 200_000,
-        relation_zipf: 1.0,
-        entity_zipf: 0.9,
-        noise_frac: 0.05,
-        valid_frac: 0.02,
-        test_frac: 0.02,
-        seed: 5,
-    })
-}
-
-/// One arm of the prefetch A/B: sharded over 4 ranks on the stock Cray
-/// interconnect with the hot cache *disabled*, so every touched row
-/// rides the pull/push lane — the configuration where the synchronous
-/// round-trip hurts most. Cache off also pins the two arms to exactly
-/// equal wire bytes (a warm cache admitted between launch and use would
-/// let the prefetched arm pull a row the synchronous arm reads locally).
-fn sharded_prefetch_run(ds: &Dataset, prefetch: PrefetchMode) -> TrainOutcome {
-    let mut config = TrainConfig::new(32, 2_000, StrategyConfig::baseline_allgather(1));
-    config.max_epochs = 2;
-    config.plateau_tolerance = 1;
-    config.max_lr_drops = 1;
-    config.valid_samples = 0;
-    config.seed = BenchScale::default().seed;
-    config.base_lr = 5e-3;
-    config.sharded = Some(ShardedConfig {
-        hot_cache_rows: 0,
-        cold_int8: false,
-        prefetch,
-    });
-    let cluster = Cluster::new(SHARD_NODES, ClusterSpec::cray_xc40());
-    train(ds, &cluster, &config)
-}
-
-/// JSON profile of one prefetch-A/B arm's lane economics.
-fn prefetch_lane_profile(out: &TrainOutcome) -> serde_json::Value {
-    let sh = out.report.sharded.as_ref().expect("sharded report attached");
-    serde_json::json!({
-        "sim_total_seconds": out.report.sim_total_seconds,
-        "compute_s": out.report.breakdown.compute_s,
-        "comm_s": out.report.breakdown.comm_s,
-        "hidden_comm_s": out.report.breakdown.hidden_comm_s,
-        "pull_lane_s": sh.pull_lane_s,
-        "push_lane_s": sh.push_lane_s,
-        "hidden_pull_s": sh.hidden_pull_s,
-        "hidden_push_s": sh.hidden_push_s,
-        "prefetch_epochs": sh.prefetch_epochs,
-        "pull_wire_bytes": sh.pull_wire_bytes,
-        "push_wire_bytes": sh.push_wire_bytes,
-        "cache_hit_rate": sh.hit_rate(),
-        "cache_lookups": sh.cache_accesses,
-    })
-}
-
 /// JSON profile of one sharded run's memory/wire/cache economics.
 fn sharded_profile(out: &TrainOutcome) -> serde_json::Value {
     let sh = out.report.sharded.as_ref().expect("sharded report attached");
@@ -746,39 +686,6 @@ fn main() {
     let (shard_n_entities, shard_train_len) = (shard_ds.n_entities, shard_ds.train.len());
     drop(shard_ds);
 
-    // Prefetch-ring A/B on the pull-bound shape: synchronous pull/push
-    // lane vs the one-batch-ahead ring, same dataset, same seed, stock
-    // interconnect. f32 arms are bit-identical in what they compute, so
-    // the comparison is pure schedule.
-    eprintln!("bench_batch: sharded prefetch A/B (pull-bound, cold cache, stock cray)");
-    let pf_ds = pull_bound_ds();
-    let pf_sync = sharded_prefetch_run(&pf_ds, PrefetchMode::Off);
-    let pf_ring = sharded_prefetch_run(&pf_ds, PrefetchMode::On);
-    drop(pf_ds);
-    let pf_sync_sh = pf_sync.report.sharded.expect("sharded report");
-    let pf_ring_sh = pf_ring.report.sharded.expect("sharded report");
-    let pf_speedup = pf_sync.report.sim_total_seconds / pf_ring.report.sim_total_seconds;
-    // The saturating resource is either compute or the pull lane; the
-    // ring cannot beat whichever dominates, and 1.15x leaves room for
-    // the un-overlapped epoch-boundary prime and the drain.
-    let pf_lower_bound = pf_sync
-        .report
-        .breakdown
-        .compute_s
-        .max(pf_sync_sh.pull_lane_s);
-    eprintln!(
-        "  sync {:.3} sim-s (pull lane {:.3}, push lane {:.3}) vs prefetch {:.3} sim-s \
-         (hidden pull {:.3}, hidden push {:.3}) -> {:.2}x (lower bound {:.3})",
-        pf_sync.report.sim_total_seconds,
-        pf_sync_sh.pull_lane_s,
-        pf_sync_sh.push_lane_s,
-        pf_ring.report.sim_total_seconds,
-        pf_ring_sh.hidden_pull_s,
-        pf_ring_sh.hidden_push_s,
-        pf_speedup,
-        pf_lower_bound,
-    );
-
     // A 4-thread-over-1 speedup is only meaningful when the host can
     // actually run 4 threads in parallel; on smaller hosts the "parallel"
     // run just time-slices one core and the ratio measures scheduler
@@ -864,16 +771,6 @@ fn main() {
             "batch_size": 10_000,
             "f32_cold": sharded_profile(&sh_f32),
             "int8_cold": sharded_profile(&sh_int8),
-        }),
-        "sharded_prefetch": serde_json::json!({
-            "nodes": SHARD_NODES,
-            "dataset": "pull-bound (20K entities, 200K triples)",
-            "interconnect": "cray_xc40",
-            "hot_cache_rows": 0,
-            "sync": prefetch_lane_profile(&pf_sync),
-            "prefetch": prefetch_lane_profile(&pf_ring),
-            "speedup_prefetch_over_sync": pf_speedup,
-            "lower_bound_s": pf_lower_bound,
         }),
         "pipelined_exchange": serde_json::json!({
             "nodes": FAULT_NODES,
@@ -990,39 +887,5 @@ fn main() {
     assert!(
         f32_report.pull_wire_bytes > 0 && f32_report.push_wire_bytes > 0,
         "sharded wire counters are dead"
-    );
-    // ISSUE acceptance: on the pull-bound configuration the prefetch
-    // ring must hide enough of the pull/push lane to cut simulated time
-    // by >= 20% and land within 15% of max(compute, pull lane), while
-    // moving exactly the synchronous arm's bytes at the same hit rate.
-    assert!(
-        pf_ring.report.sim_total_seconds <= 0.8 * pf_sync.report.sim_total_seconds,
-        "prefetch run {:.4} sim-s exceeds 0.8x sync {:.4} sim-s",
-        pf_ring.report.sim_total_seconds,
-        pf_sync.report.sim_total_seconds
-    );
-    assert!(
-        pf_ring.report.sim_total_seconds <= 1.15 * pf_lower_bound,
-        "prefetch run {:.4} sim-s exceeds 1.15x max(compute, pull lane) = {:.4} sim-s",
-        pf_ring.report.sim_total_seconds,
-        pf_lower_bound
-    );
-    assert_eq!(
-        (pf_ring_sh.pull_wire_bytes, pf_ring_sh.push_wire_bytes),
-        (pf_sync_sh.pull_wire_bytes, pf_sync_sh.push_wire_bytes),
-        "prefetch arm moved different wire bytes than the synchronous arm"
-    );
-    assert_eq!(
-        (pf_ring_sh.cache_hits, pf_ring_sh.cache_accesses),
-        (pf_sync_sh.cache_hits, pf_sync_sh.cache_accesses),
-        "prefetch arm changed the cache hit profile"
-    );
-    assert!(
-        pf_ring_sh.hidden_pull_s > 0.0 && pf_ring_sh.hidden_push_s > 0.0,
-        "prefetch ring hid no lane seconds"
-    );
-    assert_eq!(
-        pf_ring_sh.prefetch_epochs, pf_ring.report.epochs,
-        "PrefetchMode::On must run the ring every epoch"
     );
 }

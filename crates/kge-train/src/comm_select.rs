@@ -221,90 +221,6 @@ impl DynamicCommSelector {
     }
 }
 
-/// DRS for the sharded trainer's prefetch pipeline: a two-arm variant of
-/// [`DynamicCommSelector`] deciding between the synchronous pull/push
-/// lane and the one-batch-ahead prefetch ring.
-///
-/// Starts synchronous; every `check_every`-th epoch it runs one prefetch
-/// probe epoch and commits permanently to whichever arm was faster. The
-/// arms compute bit-identical f32 models (see `shard.rs`), so the probe
-/// is value-safe; and because the compared times are identical simulated
-/// durations on every rank, all ranks take the same arm every epoch —
-/// the wire protocol never desynchronizes. [`PrefetchSelector::reset`]
-/// returns to the baseline after a shrink (old-world timings are stale).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PrefetchState {
-    /// Running the synchronous lane; last epoch time remembered.
-    Baseline,
-    /// Timing one prefetch epoch.
-    Probing,
-    /// Committed: `true` = prefetch from here on, `false` = synchronous.
-    Committed(bool),
-}
-
-/// The prefetch-arm state machine (see [`PrefetchState`]).
-#[derive(Debug, Clone)]
-pub struct PrefetchSelector {
-    state: PrefetchState,
-    check_every: usize,
-    epoch: usize,
-    last_sync_time: Option<f64>,
-}
-
-impl PrefetchSelector {
-    pub fn new(check_every: usize) -> Self {
-        assert!(check_every >= 1);
-        PrefetchSelector {
-            state: PrefetchState::Baseline,
-            check_every,
-            epoch: 0,
-            last_sync_time: None,
-        }
-    }
-
-    /// Whether the upcoming epoch should run the prefetch ring.
-    pub fn prefetch_arm(&self) -> bool {
-        matches!(
-            self.state,
-            PrefetchState::Probing | PrefetchState::Committed(true)
-        )
-    }
-
-    /// True while the permanent commit has not happened.
-    pub fn still_dynamic(&self) -> bool {
-        !matches!(self.state, PrefetchState::Committed(_))
-    }
-
-    /// Forget timings and return to the synchronous baseline (called
-    /// after a communicator shrink; the epoch counter keeps running).
-    pub fn reset(&mut self) {
-        self.state = PrefetchState::Baseline;
-        self.last_sync_time = None;
-    }
-
-    /// Report the epoch that just finished and its simulated duration.
-    pub fn observe_epoch(&mut self, epoch_time_s: f64) {
-        self.epoch += 1;
-        match self.state {
-            PrefetchState::Baseline => {
-                self.last_sync_time = Some(epoch_time_s);
-                if self.epoch.is_multiple_of(self.check_every) {
-                    self.state = PrefetchState::Probing;
-                }
-            }
-            PrefetchState::Probing => {
-                // Ties keep the synchronous lane — deterministic on every
-                // rank because the compared times are identical.
-                let prev = self
-                    .last_sync_time
-                    .expect("a probe always follows a baseline epoch");
-                self.state = PrefetchState::Committed(epoch_time_s < prev);
-            }
-            PrefetchState::Committed(_) => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,62 +397,6 @@ mod tests {
         s.observe_epoch(2.0);
         run_probe_round(&mut s, 1.9, 1.1);
         assert_eq!(s.choice(), CommChoice::PipelinedAllGather);
-        assert!(!s.still_dynamic());
-    }
-
-    #[test]
-    fn prefetch_selector_starts_synchronous_and_probes_on_schedule() {
-        let mut s = PrefetchSelector::new(2);
-        assert!(!s.prefetch_arm());
-        assert!(s.still_dynamic());
-        s.observe_epoch(1.0);
-        assert!(!s.prefetch_arm());
-        s.observe_epoch(1.0); // epoch 2 → probe next
-        assert!(s.prefetch_arm());
-        assert!(s.still_dynamic());
-    }
-
-    #[test]
-    fn prefetch_selector_commits_to_faster_probe() {
-        let mut s = PrefetchSelector::new(1);
-        s.observe_epoch(1.0); // baseline → probe
-        assert!(s.prefetch_arm());
-        s.observe_epoch(0.6); // probe wins
-        assert!(s.prefetch_arm());
-        assert!(!s.still_dynamic());
-        // Later slow epochs don't flip it back.
-        s.observe_epoch(100.0);
-        assert!(s.prefetch_arm());
-    }
-
-    #[test]
-    fn prefetch_selector_commits_to_baseline_when_probe_loses_or_ties() {
-        for probe_t in [1.4, 1.0] {
-            let mut s = PrefetchSelector::new(1);
-            s.observe_epoch(1.0);
-            assert!(s.prefetch_arm());
-            s.observe_epoch(probe_t);
-            assert!(!s.prefetch_arm(), "probe_t={probe_t} must keep sync");
-            assert!(!s.still_dynamic());
-        }
-    }
-
-    #[test]
-    fn prefetch_selector_reset_reprobes_at_the_new_world() {
-        let mut s = PrefetchSelector::new(2);
-        s.observe_epoch(1.0);
-        s.observe_epoch(1.0); // → probe
-        s.observe_epoch(0.5); // commit prefetch
-        assert!(s.prefetch_arm());
-        s.reset();
-        assert!(!s.prefetch_arm());
-        assert!(s.still_dynamic());
-        // Epoch counter kept running (3): one more baseline epoch lands
-        // on a multiple of 2 and triggers a fresh probe.
-        s.observe_epoch(2.0);
-        assert!(s.prefetch_arm());
-        s.observe_epoch(3.0); // slower at the new world → stay sync
-        assert!(!s.prefetch_arm());
         assert!(!s.still_dynamic());
     }
 

@@ -211,18 +211,14 @@ impl OptimizerKind {
 /// Pipelining policy for the sharded pull/push lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum PrefetchMode {
-    /// Synchronous per-batch round-trip: pull, compute, push, every batch
-    /// blocking in turn. Bit-identical to the pre-prefetch code path.
+    /// Lookahead 0 — the synchronous per-batch round-trip: pull, compute,
+    /// push, every batch blocking in turn.
     #[default]
     Off,
-    /// One-batch-ahead prefetch ring: while batch *b* computes, batch
-    /// *b+1*'s touched rows are already requested and in flight and batch
-    /// *b*'s gradient push settles behind the next compute window.
+    /// Lookahead 1 — while batch *b* computes, batch *b+1*'s touched rows
+    /// are already requested and in flight and batch *b*'s gradient push
+    /// settles behind the next compute window.
     On,
-    /// Start synchronous, periodically probe the prefetch arm on the
-    /// simulated epoch clock and commit to whichever is faster (the
-    /// arms are numerically identical, so probing is value-safe).
-    Dynamic,
 }
 
 /// Partitioned entity storage (the "sharded store"): each entity row is
@@ -241,9 +237,8 @@ pub struct ShardedConfig {
     /// full-replica trainer while staying identical run-to-run.
     #[serde(default)]
     pub cold_int8: bool,
-    /// Pull/push pipelining policy: keep the synchronous per-batch
-    /// round-trip, run the one-batch-ahead prefetch ring, or let the
-    /// dynamic selector probe and commit per epoch.
+    /// Pull/push pipelining policy: the synchronous per-batch round-trip
+    /// or the one-batch-ahead prefetch ring.
     #[serde(default)]
     pub prefetch: PrefetchMode,
 }

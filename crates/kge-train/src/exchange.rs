@@ -210,12 +210,24 @@ pub(crate) fn add_payload_into(payload: &[u8], agg: &mut SparseGrad, what: &str)
     rows
 }
 
+/// Decode one payload of raw table rows, overwriting `table`'s copy of
+/// every row in it (raw `f32`, so bit for bit). Same contract as
+/// [`add_payload_into`]: a malformed payload is a bug and panics, naming
+/// `what`.
+pub(crate) fn write_payload_into(payload: &[u8], table: &mut EmbeddingTable, what: &str) {
+    let mut dec = RowDecoder::new(payload).unwrap_or_else(|e| panic!("{what}: {e}"));
+    while let Some(r) = dec.next_row() {
+        let r = r.unwrap_or_else(|e| panic!("{what}: {e}"));
+        r.dequantize_into(table.row_mut(r.row as usize));
+    }
+}
+
 /// Gather the payload `stage` writes into this rank's staging slot, and
 /// decode every rank's rows out of the slots into `agg` — summed in rank
 /// order, so overlapping rows accumulate deterministically, then
 /// rank-averaged. Returns `stage`'s value, the total rows gathered and
 /// the timing split (`anchor`: see [`Communicator::allgatherv_staged`]).
-fn gather_into<S>(
+pub(crate) fn gather_into<S>(
     comm: &mut Communicator,
     anchor: Option<f64>,
     stage: impl FnOnce(&mut Vec<u8>) -> S,
@@ -273,14 +285,7 @@ pub(crate) fn gather_table_rows(
             }
             enc.finish();
         },
-        |_, payload| {
-            let mut table = table.borrow_mut();
-            let mut dec = RowDecoder::new(payload).expect("peer payload encoded by the same code");
-            while let Some(r) = dec.next_row() {
-                let r = r.expect("peer payload encoded by the same code");
-                r.dequantize_into(table.row_mut(r.row as usize));
-            }
-        },
+        |_, payload| write_payload_into(payload, &mut table.borrow_mut(), "gathered table rows"),
     )
     .map(|_| ())
 }

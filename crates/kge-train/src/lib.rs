@@ -39,7 +39,7 @@ pub mod trainer;
 pub use checkpoint::{
     checkpoint_path, Checkpoint, CheckpointError, CheckpointView, OptimSnapshot, Tallies,
 };
-pub use comm_select::{CommChoice, DynamicCommSelector, PrefetchSelector};
+pub use comm_select::{CommChoice, DynamicCommSelector};
 
 /// SplitMix64 finalizer — the seed-derivation mixer used to give each
 /// gradient chunk / quantized row its own independent RNG stream from a

@@ -29,13 +29,12 @@
 //! schedule identical to the all-reduce trainer's.
 
 use crate::config::TrainConfig;
-use crate::exchange::gather_table_rows;
+use crate::exchange::{add_payload_into, gather_table_rows, write_payload_into};
 use crate::lr::PlateauSchedule;
 use crate::neg::sample_negatives;
 use crate::report::{EpochTrace, TrainOutcome, TrainReport};
 use crate::trainer::RunIndexes;
-use kge_compress::codec::{decode_rows, encode_rows, RowPayload};
-use kge_compress::quant::QuantizedRow;
+use kge_compress::codec::RowEncoder;
 use kge_compress::WireFormat;
 use kge_core::loss::{logistic_loss, logistic_loss_grad};
 use kge_core::matrix::axpy;
@@ -130,26 +129,25 @@ fn decode_ids(payload: &[u8]) -> (u8, Vec<u32>) {
 }
 
 fn encode_table_rows(dim: usize, table: &EmbeddingTable, ids: &[u32]) -> Vec<u8> {
-    let rows: Vec<RowPayload> = ids
-        .iter()
-        .map(|&id| RowPayload {
-            row: id,
-            data: QuantizedRow::Full(table.row(id as usize).to_vec()),
-        })
-        .collect();
-    encode_rows(WireFormat::F32, dim, &rows).expect("encode full rows")
+    let mut buf = Vec::with_capacity(WireFormat::F32.payload_bytes(dim, ids.len()));
+    let mut enc = RowEncoder::new(WireFormat::F32, dim, &mut buf);
+    for &id in ids {
+        enc.push_f32(id, table.row(id as usize)).expect("encode full rows");
+    }
+    enc.finish();
+    buf
 }
 
 fn encode_grad(dim: usize, grad: &SparseGrad, server: usize, owners: &[u32]) -> Vec<u8> {
-    let rows: Vec<RowPayload> = grad
-        .iter_sorted()
-        .filter(|(row, _)| owner(*row, owners) == server)
-        .map(|(row, g)| RowPayload {
-            row,
-            data: QuantizedRow::Full(g.to_vec()),
-        })
-        .collect();
-    encode_rows(WireFormat::F32, dim, &rows).expect("encode gradient rows")
+    let mut buf = Vec::new();
+    let mut enc = RowEncoder::new(WireFormat::F32, dim, &mut buf);
+    for (row, g) in grad.iter_sorted() {
+        if owner(row, owners) == server {
+            enc.push_f32(row, g).expect("encode gradient rows");
+        }
+    }
+    enc.finish();
+    buf
 }
 
 fn run_ps_node(
@@ -297,13 +295,8 @@ fn run_ps_node(
             for server in 0..n_servers {
                 for which in 0..2 {
                     let msg = ctx.comm_mut().recv_bytes_from(server).expect("pull reply");
-                    let (rows, _) = decode_rows(&msg.payload).expect("reply payload");
                     let table = if which == 0 { &mut ent } else { &mut rel };
-                    for rp in rows {
-                        if let QuantizedRow::Full(v) = rp.data {
-                            table.row_mut(rp.row as usize).copy_from_slice(&v);
-                        }
-                    }
+                    write_payload_into(&msg.payload, table, "reply payload");
                 }
             }
 
@@ -470,16 +463,8 @@ fn serve_one_round(
         let worker_rank = n_servers + w;
         for table in 0..2 {
             let msg = comm.recv_bytes_from(worker_rank).expect("gradient push");
-            let (rows, _) = decode_rows(&msg.payload).expect("push payload");
             let agg = if table == 0 { &mut ent_agg } else { &mut rel_agg };
-            for rp in rows {
-                if let QuantizedRow::Full(v) = rp.data {
-                    let dst = agg.row_mut(rp.row);
-                    for (d, x) in dst.iter_mut().zip(v) {
-                        *d += x;
-                    }
-                }
-            }
+            add_payload_into(&msg.payload, agg, "push payload");
         }
     }
     let inv = 1.0 / n_workers as f32;

@@ -144,8 +144,8 @@ pub struct ShardedReport {
     /// compute window (always 0 on the synchronous path).
     #[serde(default)]
     pub hidden_push_s: f64,
-    /// Epochs that ran the prefetch ring (equals `epochs` with
-    /// `PrefetchMode::On`; whatever DRS chose with `Dynamic`).
+    /// Epochs that ran one batch ahead (equals `epochs` with
+    /// `PrefetchMode::On`, 0 with `Off`).
     #[serde(default)]
     pub prefetch_epochs: usize,
 }

@@ -58,23 +58,26 @@
 //! optimizer state). Elastic rejoin is not supported in sharded mode —
 //! a crashed rank parks until the survivors close the lobby.
 //!
-//! ## Prefetch pipeline
+//! ## One step, a lookahead
 //!
-//! With [`crate::PrefetchMode`] on, the per-batch pull round-trip is
-//! restructured into a two-slot ring ([`PrefetchRing`]): while batch `b`
-//! computes, batch `b+1` is already staged, its touched union deduped
-//! and classified against the cache state *as of its launch*, and its
-//! pull requests in flight. Responses settle with overlap pricing
-//! against the launch anchor (`Communicator::recv_bytes_from_as_overlapped`),
-//! so a pull-bound epoch approaches `max(compute, pull)`; cold pushes
-//! for batch `b` are consumed in place but priced behind batch `b+1`'s
+//! Every batch runs through the same [`sharded_batch_step`] over a ring
+//! of `lookahead + 1` slots ([`PrefetchRing`]). At lookahead 0
+//! ([`crate::PrefetchMode::Off`]) a batch's slot is launched — staged,
+//! its touched union deduped and classified, its pull requests sent —
+//! answered and used inside the batch itself: the synchronous round-trip.
+//! At lookahead 1 ([`crate::PrefetchMode::On`]) batch `b + 1` launches
+//! while batch `b` computes, classified against the cache state *as of
+//! its launch*. Its responses settle with overlap pricing against the
+//! launch anchor (`Communicator::recv_bytes_from_as_overlapped`), so a
+//! pull-bound epoch approaches `max(compute, pull)`; cold pushes for
+//! batch `b` are consumed in place but priced behind batch `b + 1`'s
 //! compute window. Resident rows are read at *use* time and evictions
 //! between launch and use are captured into the slot ([`EvictSink`]),
-//! which is what keeps f32 prefetch runs bit-identical to the
-//! synchronous path — and therefore to the replica trainer.
+//! which is what keeps f32 runs bit-identical at either lookahead — and
+//! therefore to the replica trainer.
 
 use crate::config::{PrefetchMode, TrainConfig};
-use crate::exchange::add_payload_into;
+use crate::exchange::{add_payload_into, gather_into, gather_table_rows};
 use crate::lr::PlateauSchedule;
 use crate::neg::CorruptionBias;
 use crate::report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
@@ -82,7 +85,6 @@ use crate::trainer::{
     chunk_seed, compute_chunk, distribute, fold_chunk, node_pool_threads, stage_chunk,
     ChunkScratch, RunIndexes, GRAD_CHUNK, ZERO_ROW_EPS,
 };
-use crate::comm_select::PrefetchSelector;
 use crate::CommChoice;
 use kge_compress::codec::{RowDecoder, RowEncoder, WireFormat};
 use kge_compress::quant::QuantScheme;
@@ -94,6 +96,7 @@ use kge_partition::{entity_owners, hot_set, partition_for};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgrid::{Cluster, Collective, NodeCtx, SimError};
+use std::cell::RefCell;
 
 /// Sentinel for "no slot" in the id → slot maps.
 const NO_SLOT: u32 = u32::MAX;
@@ -448,8 +451,8 @@ impl ShardedStore {
     }
 
     /// Admit an eligible row, evicting the LRU row if full. The slot is
-    /// a placeholder (unsynced) until [`ShardedStore::fill_admitted`]
-    /// lands the owner's state in the same batch's admission sync.
+    /// a placeholder (unsynced) until the same batch's admission sync
+    /// lands the owner's state in it.
     pub fn admit(&mut self, id: u32, tick: u64) {
         self.admit_with_sink(id, tick, &mut None);
     }
@@ -473,9 +476,10 @@ impl ShardedStore {
         self.evq_push(tick, id);
     }
 
-    /// Land the owner's post-update state in a freshly admitted slot.
-    pub fn fill_admitted(&mut self, id: u32, t: u32, value: &[f32], m: &[f32], v: &[f32]) {
-        let slot = self.cache_slot[id as usize];
+    /// Land the owner's post-update state in a freshly admitted slot,
+    /// decoding the record's runs straight into the cache.
+    fn fill_admitted(&mut self, rec: &StateRecord) {
+        let slot = self.cache_slot[rec.id as usize];
         if slot == NO_SLOT {
             return; // evicted again before the sync — arena stays authoritative
         }
@@ -484,10 +488,10 @@ impl ShardedStore {
             return;
         }
         let d = self.dim;
-        self.cache_val[s * d..(s + 1) * d].copy_from_slice(value);
-        self.cache_m[s * d..(s + 1) * d].copy_from_slice(m);
-        self.cache_v[s * d..(s + 1) * d].copy_from_slice(v);
-        self.cache_t[s] = t;
+        copy_f32_le(rec.value, &mut self.cache_val[s * d..(s + 1) * d]);
+        copy_f32_le(rec.m, &mut self.cache_m[s * d..(s + 1) * d]);
+        copy_f32_le(rec.v, &mut self.cache_v[s * d..(s + 1) * d]);
+        self.cache_t[s] = rec.t;
         self.cache_synced[s] = true;
     }
 
@@ -550,29 +554,15 @@ impl ShardedStore {
     }
 }
 
-/// Every reusable buffer of the sharded batch pipeline. Steady-state
+/// Every reusable buffer of the sharded batch pipeline that is not tied
+/// to one in-flight batch (those live in the ring's slots). Steady-state
 /// batches allocate nothing once these are warm (single rank; multi-rank
 /// runs move message payloads through channels, which allocate by
 /// construction).
 pub struct ShardedBufs {
-    chunks: Vec<ChunkScratch>,
-    /// Batch-local embedding table: row `i` holds the value of
-    /// `touched[i]`. Sized to the worst-case touched union.
-    local_tab: EmbeddingTable,
-    touched: Vec<u32>,
-    /// Entity id → batch-local id (`NO_SLOT` when untouched); only the
-    /// touched entries are ever written and reset.
-    g2l: Vec<u32>,
-    req_ids: Vec<Vec<u32>>,
     req_wire: Vec<u8>,
     resp_wire: Vec<u8>,
     cold_wire: Vec<Vec<u8>>,
-    hot_send: Vec<u8>,
-    hot_recv: Vec<u8>,
-    hot_counts: Vec<usize>,
-    adm_send: Vec<u8>,
-    adm_recv: Vec<u8>,
-    adm_counts: Vec<usize>,
     admit_ids: Vec<u32>,
     /// Batch-local-id keyed entity gradient (chunk-merge target).
     ent_grad: SparseGrad,
@@ -585,31 +575,17 @@ pub struct ShardedBufs {
     row_buf: Vec<f32>,
     /// Cumulative pull/push lane seconds (visible + hidden), for the
     /// sharded report. Accumulated from clock deltas around the lane
-    /// operations — never from extra charges, so the sync path's clock
-    /// trajectory is untouched.
+    /// operations — never from extra charges, so the clock trajectory is
+    /// untouched.
     lane: LaneTimes,
 }
 
 impl ShardedBufs {
-    pub fn new(dim: usize, n_entities: usize, p: usize, config: &TrainConfig) -> Self {
-        let n_chunks = config.batch_size.div_ceil(GRAD_CHUNK).max(1);
-        let max_touched =
-            (2 * config.batch_size * (1 + config.strategy.neg.train)).min(n_entities).max(1);
+    pub fn new(dim: usize, p: usize) -> Self {
         ShardedBufs {
-            chunks: (0..n_chunks).map(|_| ChunkScratch::new(dim)).collect(),
-            local_tab: EmbeddingTable::zeros(max_touched, dim),
-            touched: Vec::new(),
-            g2l: vec![NO_SLOT; n_entities],
-            req_ids: (0..p).map(|_| Vec::new()).collect(),
             req_wire: Vec::new(),
             resp_wire: Vec::new(),
             cold_wire: (0..p).map(|_| Vec::new()).collect(),
-            hot_send: Vec::new(),
-            hot_recv: Vec::new(),
-            hot_counts: Vec::new(),
-            adm_send: Vec::new(),
-            adm_recv: Vec::new(),
-            adm_counts: Vec::new(),
             admit_ids: Vec::new(),
             ent_grad: SparseGrad::new(dim),
             rel_grad: SparseGrad::new(dim),
@@ -620,12 +596,6 @@ impl ShardedBufs {
             row_buf: vec![0.0; dim],
             lane: LaneTimes::default(),
         }
-    }
-
-    /// Shrink/regrow the per-peer buffer sets after a world-size change.
-    fn resize_world(&mut self, p: usize) {
-        self.req_ids.resize_with(p, Vec::new);
-        self.cold_wire.resize_with(p, Vec::new);
     }
 }
 
@@ -646,22 +616,22 @@ impl<T> SendPtr<T> {
 
 // --- Prefetch ring -----------------------------------------------------
 
-/// Fill classes of a prefetch slot's batch-local rows, fixed when the
-/// slot launches. `REMOTE` rows are requested over the wire; `OWNED` and
+/// Fill classes of a slot's batch-local rows, fixed when the slot
+/// launches. `REMOTE` rows are requested over the wire; `OWNED` and
 /// `CACHED` rows are read from resident state at *use* time (so they
-/// observe the intervening batch's updates, like the synchronous path);
-/// `LIMBO` rows were cached at launch but evicted before use — their
-/// value was captured into the slot at eviction time.
+/// observe every update up to the batch before this one); `LIMBO` rows
+/// were cached at launch but evicted before use — their value was
+/// captured into the slot at eviction time.
 const CLASS_REMOTE: u8 = 0;
 const CLASS_OWNED: u8 = 1;
 const CLASS_CACHED: u8 = 2;
 const CLASS_LIMBO: u8 = 3;
 
-/// Capture target for rows a prefetched batch classified as cached at
-/// launch but that the intervening batch's admission pass evicts before
-/// use. The victim's post-update cache value — bit-for-bit what the
-/// synchronous path would have read (or pulled back from the owner's
-/// write-back) — is copied straight into the slot's batch-local table.
+/// Capture target for rows a launched batch classified as cached but that
+/// the batch before it evicts in its admission pass. The victim's
+/// post-update cache value — bit-for-bit what a batch launched after the
+/// eviction would have read (or pulled back from the owner's write-back)
+/// — is copied straight into the slot's batch-local table.
 pub struct EvictSink<'a> {
     g2l: &'a [u32],
     class: &'a mut [u8],
@@ -697,22 +667,26 @@ pub struct LaneTimes {
     pub hidden_push_s: f64,
 }
 
-/// One in-flight batch of the prefetch ring: staged chunks, the deduped
-/// touched union with its private id map, per-row fill classes, and the
-/// per-owner request lists, all fixed at launch time.
+/// One in-flight batch of the ring: staged chunks, the deduped touched
+/// union with its private id map, per-row fill classes, and the per-owner
+/// request lists, all fixed at launch time.
 struct PrefetchSlot {
     chunks: Vec<ChunkScratch>,
+    /// Batch-local embedding table: row `i` holds the value of
+    /// `touched[i]`. Sized to the worst-case touched union.
     local_tab: EmbeddingTable,
     touched: Vec<u32>,
-    /// Entity id → batch-local id, private to this slot (the shared
-    /// `ShardedBufs` map belongs to whichever batch is computing).
+    /// Entity id → batch-local id (`NO_SLOT` when untouched), private to
+    /// this slot; only the touched entries are ever written and reset.
     g2l: Vec<u32>,
     /// Batch-local id → fill class.
     class: Vec<u8>,
     req_ids: Vec<Vec<u32>>,
-    /// Clock reading just before the pull requests went out — the start
-    /// of the window their responses may hide behind.
-    anchor_s: f64,
+    /// Start of the window the pull responses may hide behind: the clock
+    /// reading just before the requests went out a batch early, or `None`
+    /// when the batch was launched where it is used — then every response
+    /// is a priced synchronous receive.
+    anchor: Option<f64>,
     batch_idx: usize,
     bs: usize,
     n_chunks: usize,
@@ -720,64 +694,86 @@ struct PrefetchSlot {
 }
 
 /// Deferred pricing for the previous batch's cold pushes: the payloads
-/// were consumed (unpriced) exactly where the synchronous path consumes
-/// them, and their occupancy settles against the *next* batch's compute
-/// window via `charge_p2p_deferred`.
+/// were consumed (unpriced) in the batch that sent them, and their
+/// occupancy settles against the *next* batch's compute window via
+/// `charge_p2p_deferred`.
 struct PendingPush {
     anchor_s: f64,
     /// `(arrival_s, bytes)` per received payload.
     items: Vec<(f64, usize)>,
-    live: bool,
 }
 
-/// Two-slot one-batch-ahead prefetch pipeline state for the sharded
-/// trainer. Owned by the epoch loop (not by [`ShardedBufs`]) so a crash
-/// can drop every in-flight slot without touching the batch buffers;
-/// all buffers reach steady size after one warm epoch and are reused.
+/// The batches in flight on the pull/push lane: `lookahead + 1` slots,
+/// batch `b` in slot `b % (lookahead + 1)`. At lookahead 0
+/// ([`PrefetchMode::Off`]) the one slot is launched, answered and used
+/// inside its own batch — the synchronous round-trip; at lookahead 1
+/// ([`PrefetchMode::On`]) batch `b + 1` launches while batch `b`
+/// computes. Owned by the epoch loop (not by [`ShardedBufs`]) so a crash
+/// can drop every in-flight slot without touching the batch buffers; all
+/// buffers reach steady size after one warm epoch and are reused.
 pub struct PrefetchRing {
-    slots: [PrefetchSlot; 2],
-    cur: usize,
-    /// Stashed pull-request payloads for the next batch, popped in FIFO
-    /// position at the cold-aggregation phase and served after the
-    /// admission sync so responses carry post-update rows.
+    slots: Vec<PrefetchSlot>,
+    /// Pull-request payloads per peer, kept between hearing a request and
+    /// answering it (for a batch launched early: popped in FIFO position
+    /// at the cold-aggregation phase and served after the admission sync,
+    /// so responses carry post-update rows).
     req_stash: Vec<Vec<u8>>,
     pending_push: PendingPush,
 }
 
 impl PrefetchRing {
     pub fn new(dim: usize, n_entities: usize, p: usize, config: &TrainConfig) -> Self {
+        let lookahead = match config.sharded.expect("a sharded config").prefetch {
+            PrefetchMode::Off => 0,
+            PrefetchMode::On => 1,
+        };
         let n_chunks = config.batch_size.div_ceil(GRAD_CHUNK).max(1);
         let max_touched =
             (2 * config.batch_size * (1 + config.strategy.neg.train)).min(n_entities).max(1);
-        let slot = || PrefetchSlot {
+        let slot = |_| PrefetchSlot {
             chunks: (0..n_chunks).map(|_| ChunkScratch::new(dim)).collect(),
             local_tab: EmbeddingTable::zeros(max_touched, dim),
             touched: Vec::new(),
             g2l: vec![NO_SLOT; n_entities],
             class: vec![CLASS_REMOTE; max_touched],
             req_ids: (0..p).map(|_| Vec::new()).collect(),
-            anchor_s: 0.0,
+            anchor: None,
             batch_idx: 0,
             bs: 0,
             n_chunks: 0,
             live: false,
         };
         PrefetchRing {
-            slots: [slot(), slot()],
-            cur: 0,
+            slots: (0..=lookahead).map(slot).collect(),
             req_stash: (0..p).map(|_| Vec::new()).collect(),
             pending_push: PendingPush {
                 anchor_s: 0.0,
                 items: Vec::new(),
-                live: false,
             },
         }
+    }
+
+    /// How many batches ahead of the computing one the lane runs.
+    fn lookahead(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// Index of the slot that carries `batch_idx`.
+    fn slot_of(&self, batch_idx: usize) -> usize {
+        batch_idx % self.slots.len()
+    }
+
+    /// The batch to launch while `batch_idx` computes: the one `lookahead`
+    /// ahead, when that is another batch and the epoch still has it.
+    fn batch_ahead(&self, batch_idx: usize, n_batches: usize) -> Option<usize> {
+        let ahead = batch_idx + self.lookahead();
+        (ahead > batch_idx && ahead < n_batches).then_some(ahead)
     }
 
     /// Drop every in-flight slot and deferred charge: the epoch-boundary
     /// drain, and crash recovery (where the shrunken world also drops the
     /// undelivered messages themselves, so nothing dangles).
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         for slot in self.slots.iter_mut() {
             if slot.live {
                 for &id in &slot.touched {
@@ -786,155 +782,330 @@ impl PrefetchRing {
             }
             slot.live = false;
         }
-        self.cur = 0;
         for s in self.req_stash.iter_mut() {
             s.clear();
         }
         self.pending_push.items.clear();
-        self.pending_push.live = false;
-    }
-
-    /// Shrink/regrow the per-peer buffer sets after a world-size change.
-    pub fn resize_world(&mut self, p: usize) {
-        for slot in self.slots.iter_mut() {
-            slot.req_ids.resize_with(p, Vec::new);
-        }
-        self.req_stash.resize_with(p, Vec::new);
     }
 }
 
-// --- Shared batch phases ----------------------------------------------
-//
-// The synchronous step and the prefetch pipeline run the *same*
-// arithmetic in the same order; these helpers are the verbatim phases of
-// the original `sharded_batch_step`, extracted so both paths share them.
+// --- The rank's state and the batch phases ------------------------------
 
-/// Batch extent: `(examples, chunks)`.
-fn batch_shape(config: &TrainConfig, shard: &[Triple]) -> (usize, usize) {
-    if shard.is_empty() {
+/// Read-only inputs of a sharded run, the same for every batch.
+pub struct ShardInputs<'a> {
+    pub model: &'a dyn KgeModel,
+    pub config: &'a TrainConfig,
+    pub filter: &'a FilterIndex,
+    pub bias: Option<&'a CorruptionBias>,
+}
+
+/// Everything one rank mutates while it trains.
+pub struct RankState {
+    pub store: ShardedStore,
+    pub rel: EmbeddingTable,
+    pub rel_opt: Box<dyn RowOptimizer>,
+    pub bufs: ShardedBufs,
+    pub ring: PrefetchRing,
+    pub rng: StdRng,
+    /// This rank's triples, in the running epoch's order.
+    pub shard: Vec<Triple>,
+    /// Global batch counter: the LRU tick. Shared by construction — every
+    /// rank increments it on exactly the same (completed) batches.
+    pub tick: u64,
+}
+
+impl RankState {
+    /// Shrink/regrow the per-peer buffer sets after a world-size change.
+    fn resize_world(&mut self, p: usize) {
+        self.bufs.cold_wire.resize_with(p, Vec::new);
+        for slot in self.ring.slots.iter_mut() {
+            slot.req_ids.resize_with(p, Vec::new);
+        }
+        self.ring.req_stash.resize_with(p, Vec::new);
+    }
+}
+
+fn now_s(ctx: &NodeCtx) -> f64 {
+    ctx.comm().clock().now_s()
+}
+
+/// Every rank but this one, ascending — the fixed order peers are drained
+/// in, which keeps the program deterministic.
+fn peers(ctx: &NodeCtx) -> impl Iterator<Item = usize> {
+    let rank = ctx.rank();
+    (0..ctx.size()).filter(move |&r| r != rank)
+}
+
+/// Stage, classify, and request `batch_idx` into its slot — the launch
+/// half of a batch. Staging is sampling only (placeholder tables,
+/// corruption range = the global entity count). Requests go out
+/// immediately (possibly empty, to keep the protocol uniform) so their
+/// responses can drain behind whatever the rank does next; resident rows
+/// are *not* read yet — owned and cached rows are filled at use time so
+/// they observe every update up to the batch before this one.
+fn launch(
+    ctx: &mut NodeCtx,
+    run: &ShardInputs,
+    st: &mut RankState,
+    epoch: usize,
+    batch_idx: usize,
+) -> Result<(), SimError> {
+    let RankState { store, rel, bufs, ring, shard, .. } = st;
+    let lookahead = ring.lookahead();
+    let slot = ring.slot_of(batch_idx);
+    let slot = &mut ring.slots[slot];
+    let config = run.config;
+    let (bs, n_chunks) = if shard.is_empty() {
         (0, 0)
     } else {
         let bs = config.batch_size.min(shard.len());
         (bs, bs.div_ceil(GRAD_CHUNK))
-    }
-}
-
-/// Stage every chunk (sampling only; placeholder tables, corruption
-/// range = the global entity count).
-#[allow(clippy::too_many_arguments)]
-fn stage_batch(
-    model: &dyn KgeModel,
-    local_tab: &EmbeddingTable,
-    rel: &EmbeddingTable,
-    n_entities: usize,
-    shard: &[Triple],
-    config: &TrainConfig,
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
-    rank: usize,
-    epoch: usize,
-    batch_idx: usize,
-    bs: usize,
-    n_chunks: usize,
-    chunks: &mut [ChunkScratch],
-) {
+    };
     let start = batch_idx * config.batch_size;
-    for (c, chunk) in chunks.iter_mut().enumerate().take(n_chunks) {
+    for (c, chunk) in slot.chunks.iter_mut().enumerate().take(n_chunks) {
         let lo = c * GRAD_CHUNK;
         let hi = (lo + GRAD_CHUNK).min(bs);
         stage_chunk(
-            model,
-            local_tab,
+            run.model,
+            &slot.local_tab,
             rel,
-            n_entities,
+            store.n_entities,
             shard,
             start,
             lo,
             hi,
             config,
-            filter,
-            bias,
-            chunk_seed(config.seed, rank, epoch, batch_idx, c),
+            run.filter,
+            run.bias,
+            chunk_seed(config.seed, ctx.rank(), epoch, batch_idx, c),
             chunk,
         );
     }
-}
 
-/// Touched union + local-id map.
-fn build_touched(
-    chunks: &[ChunkScratch],
-    n_chunks: usize,
-    touched: &mut Vec<u32>,
-    g2l: &mut [u32],
-    cap_rows: usize,
-) {
-    touched.clear();
-    for c in chunks.iter().take(n_chunks) {
+    // Touched union + local-id map.
+    slot.touched.clear();
+    for c in slot.chunks.iter().take(n_chunks) {
         for &(h, _, t) in &c.triples {
-            touched.push(h);
-            touched.push(t);
+            slot.touched.push(h);
+            slot.touched.push(t);
         }
     }
-    touched.sort_unstable();
-    touched.dedup();
-    debug_assert!(touched.len() <= cap_rows);
-    for (li, &id) in touched.iter().enumerate() {
-        g2l[id as usize] = li as u32;
+    slot.touched.sort_unstable();
+    slot.touched.dedup();
+    debug_assert!(slot.touched.len() <= slot.local_tab.rows());
+    for v in slot.req_ids.iter_mut() {
+        v.clear();
     }
+    for (li, &id) in slot.touched.iter().enumerate() {
+        slot.g2l[id as usize] = li as u32;
+        slot.class[li] = if store.is_cached(id) {
+            CLASS_CACHED
+        } else if store.is_owned(id) {
+            CLASS_OWNED
+        } else {
+            slot.req_ids[store.owner_of(id)].push(id);
+            CLASS_REMOTE
+        };
+    }
+
+    // Lookahead branch (iii): a batch launched early hides its responses
+    // behind everything from here on — its own request round included,
+    // when it is the epoch's first; a batch launched where it is used has
+    // no window.
+    slot.anchor = (lookahead > 0).then(|| now_s(ctx));
+    for dst in peers(ctx) {
+        bufs.req_wire.clear();
+        for &id in &slot.req_ids[dst] {
+            bufs.req_wire.extend_from_slice(&id.to_le_bytes());
+        }
+        ctx.comm_mut()
+            .send_bytes_as(dst, &bufs.req_wire, Collective::ShardPull)?;
+    }
+    slot.batch_idx = batch_idx;
+    slot.bs = bs;
+    slot.n_chunks = n_chunks;
+    slot.live = true;
+    Ok(())
+}
+
+/// Hear `src`'s pull request and keep it until it is answered. Per-pair
+/// FIFO guarantees a peer's request is received before its response.
+fn stash_request(ctx: &mut NodeCtx, ring: &mut PrefetchRing, src: usize) -> Result<(), SimError> {
+    ring.req_stash[src] = ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPull)?.payload;
+    Ok(())
+}
+
+/// Answer `src`'s stashed pull request, encoding the owner's *current*
+/// arena state.
+fn serve_one(ctx: &mut NodeCtx, st: &mut RankState, src: usize) -> Result<(), SimError> {
+    let RankState { store, bufs, ring, .. } = st;
+    {
+        let mut enc = RowEncoder::new(WireFormat::F32, store.dim, &mut bufs.resp_wire);
+        for c in ring.req_stash[src].chunks_exact(4) {
+            let id = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            store.read_owned_into(id, &mut bufs.row_buf);
+            enc.push_f32(id, &bufs.row_buf).expect("pull response row");
+        }
+        enc.finish();
+    }
+    ctx.comm_mut()
+        .send_bytes_as(src, &bufs.resp_wire, Collective::ShardPull)
+}
+
+/// Answer every stashed pull request, in ascending source order.
+fn serve_requests(ctx: &mut NodeCtx, st: &mut RankState) -> Result<(), SimError> {
+    let lane_t0 = now_s(ctx);
+    for src in peers(ctx) {
+        serve_one(ctx, st, src)?;
+    }
+    st.bufs.lane.pull_s += now_s(ctx) - lane_t0;
+    Ok(())
+}
+
+/// Launch `batch_idx` when no earlier batch did — every batch at
+/// lookahead 0, an epoch's first at lookahead 1 — and run its
+/// request/answer round in the foreground: there is no earlier compute to
+/// hide it behind. Async deposit keeps it deadlock-free: every rank first
+/// sends all its requests, then hears and answers its peers'. Returns the
+/// clock reading from which the pull lane is still unaccounted.
+fn prime(
+    ctx: &mut NodeCtx,
+    run: &ShardInputs,
+    st: &mut RankState,
+    epoch: usize,
+    batch_idx: usize,
+) -> Result<f64, SimError> {
+    let lane_t0 = now_s(ctx);
+    launch(ctx, run, st, epoch, batch_idx)?;
+    // Lookahead branch (ii): the synchronous round-trip answers each peer
+    // right after hearing from it and is one lane span up to its last
+    // response; the ring's epoch start hears everyone, then answers
+    // everyone, as it does in every later batch. (The clocks differ from
+    // three ranks up.)
+    if st.ring.lookahead() == 0 {
+        for src in peers(ctx) {
+            stash_request(ctx, &mut st.ring, src)?;
+            serve_one(ctx, st, src)?;
+        }
+        return Ok(lane_t0);
+    }
+    st.bufs.lane.pull_s += now_s(ctx) - lane_t0;
+    let lane_t0 = now_s(ctx);
+    for src in peers(ctx) {
+        stash_request(ctx, &mut st.ring, src)?;
+    }
+    st.bufs.lane.pull_s += now_s(ctx) - lane_t0;
+    serve_requests(ctx, st)?;
+    Ok(now_s(ctx))
+}
+
+/// Receive and decode `slot`'s pull responses in ascending source order,
+/// then fill resident rows at use time (limbo rows were captured at
+/// eviction). `lane_t0` is where the pull lane's open span began.
+fn settle_pulls(
+    ctx: &mut NodeCtx,
+    store: &ShardedStore,
+    slot: &mut PrefetchSlot,
+    lane: &mut LaneTimes,
+    lane_t0: f64,
+) -> Result<(), SimError> {
+    if ctx.size() > 1 {
+        let mut hidden = 0.0f64;
+        let mut pulled = 0usize;
+        for src in peers(ctx) {
+            // Lookahead branch (i): "no window" is per message — a priced
+            // receive each; one shared anchor would hide the second peer's
+            // bytes behind the first peer's idle wait and occupancy.
+            let msg = match slot.anchor {
+                None => ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPull)?,
+                Some(anchor_s) => {
+                    let (msg, stats) = ctx.comm_mut().recv_bytes_from_as_overlapped(
+                        src,
+                        Collective::ShardPull,
+                        anchor_s,
+                    )?;
+                    hidden += stats.hidden_s;
+                    msg
+                }
+            };
+            let mut dec = RowDecoder::new(&msg.payload).expect("pull response payload");
+            while let Some(r) = dec.next_row() {
+                let r = r.expect("pull response payload");
+                let li = slot.g2l[r.row as usize];
+                r.dequantize_into(slot.local_tab.row_mut(li as usize));
+                pulled += 1;
+            }
+        }
+        // Lane seconds are a clock delta (idle + visible occupancy), not
+        // an extra charge — the clock trajectory is untouched.
+        lane.pull_s += now_s(ctx) - lane_t0;
+        lane.hidden_pull_s += hidden;
+        // Dequantize-on-pull cost (encode + decode passes).
+        ctx.comm_mut()
+            .clock_mut()
+            .charge_flops((pulled * store.dim * 2) as f64);
+    }
+    for (li, &id) in slot.touched.iter().enumerate() {
+        match slot.class[li] {
+            CLASS_OWNED => store.read_resident_into(id, slot.local_tab.row_mut(li)),
+            CLASS_CACHED => {
+                debug_assert!(store.is_cached(id), "cached-class row lost without limbo capture");
+                store.read_resident_into(id, slot.local_tab.row_mut(li));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// Remap triples to batch-local entity ids, counting cache hits per
 /// touch while the global ids are still in hand.
-fn remap_and_count(
-    chunks: &mut [ChunkScratch],
-    n_chunks: usize,
-    g2l: &[u32],
-    store: &mut ShardedStore,
-) {
-    for c in chunks.iter_mut().take(n_chunks) {
+fn remap_and_count(slot: &mut PrefetchSlot, store: &mut ShardedStore) {
+    for c in slot.chunks.iter_mut().take(slot.n_chunks) {
         for tr in c.triples.iter_mut() {
             let (h, r, t) = *tr;
             store.count_touch(h);
             store.count_touch(t);
-            *tr = (g2l[h as usize], r, g2l[t as usize]);
+            *tr = (slot.g2l[h as usize], r, slot.g2l[t as usize]);
         }
     }
 }
 
 /// Compute chunks in parallel (fixed chunk structure, chunk-ordered
-/// merge — thread-count independent), then merge. Returns
-/// `(loss, examples)`.
-#[allow(clippy::too_many_arguments)]
+/// merge — thread-count independent), then merge into the batch
+/// gradients. Returns `(loss, examples)`.
 fn compute_and_merge(
     ctx: &mut NodeCtx,
-    model: &dyn KgeModel,
-    config: &TrainConfig,
-    chunks: &mut [ChunkScratch],
-    n_chunks: usize,
-    local_tab: &EmbeddingTable,
+    run: &ShardInputs,
+    slot: &mut PrefetchSlot,
     rel: &EmbeddingTable,
-    inv_batch: f32,
-    ent_grad: &mut SparseGrad,
-    rel_grad: &mut SparseGrad,
+    bufs: &mut ShardedBufs,
 ) -> (f64, usize) {
+    let (model, config) = (run.model, run.config);
+    let inv_batch = if slot.bs > 0 {
+        1.0f32 / (slot.bs * (1 + config.strategy.neg.train)) as f32
+    } else {
+        0.0
+    };
+    let local_tab = &slot.local_tab;
+    let chunks = &mut slot.chunks[..slot.n_chunks];
     {
-        let chunks = &mut chunks[..n_chunks];
         let ptr = SendPtr(chunks.as_mut_ptr());
-        rayon::par_for_each_index(n_chunks, |c| {
+        rayon::par_for_each_index(chunks.len(), |c| {
             // SAFETY: each index is claimed by exactly one worker, so the
             // &mut aliases are disjoint.
             let cs = unsafe { ptr.at(c) };
             compute_chunk(model, local_tab, rel, inv_batch, config, cs);
         });
     }
-    ent_grad.clear();
-    rel_grad.clear();
+    bufs.ent_grad.clear();
+    bufs.rel_grad.clear();
     let mut loss = 0.0f64;
     let mut examples = 0usize;
-    for (c, cs) in chunks.iter_mut().take(n_chunks).enumerate() {
+    for (c, cs) in chunks.iter_mut().enumerate() {
         loss += cs.loss;
         examples += cs.examples;
-        fold_chunk(c, cs, ent_grad, rel_grad);
+        fold_chunk(c, cs, &mut bufs.ent_grad, &mut bufs.rel_grad);
     }
     ctx.comm_mut()
         .clock_mut()
@@ -942,31 +1113,18 @@ fn compute_and_merge(
     (loss, examples)
 }
 
-/// Split the entity gradient: hot-set rows into the shared all-gather
-/// payload (ascending global id), cold rows encoded per owner with the
-/// own-rank bucket kept locally. Encoding never touches the clock, so
-/// separating it from the sends is charge-identical.
-fn encode_entity_grads(
+/// Encode the cold rows of the entity gradient per owner, the own-rank
+/// bucket kept locally. `ent_grad` is sorted by local id and the local
+/// order is the global-sorted touched order, so every bucket ascends by
+/// global id. Encoding never touches the clock.
+fn encode_cold_grads(
     store: &ShardedStore,
     touched: &[u32],
     ent_grad: &SparseGrad,
-    dim: usize,
-    hot_send: &mut Vec<u8>,
     cold_wire: &mut [Vec<u8>],
-    p: usize,
 ) {
-    {
-        let mut hot_enc = RowEncoder::new(WireFormat::F32, dim, hot_send);
-        for (lid, g) in ent_grad.iter_sorted() {
-            let id = touched[lid as usize];
-            if store.is_eligible(id) {
-                hot_enc.push_f32(id, g).expect("hot gradient row");
-            }
-        }
-        hot_enc.finish();
-    }
-    for (dst, wire) in cold_wire.iter_mut().enumerate().take(p) {
-        let mut enc = RowEncoder::new(WireFormat::F32, dim, wire);
+    for (dst, wire) in cold_wire.iter_mut().enumerate() {
+        let mut enc = RowEncoder::new(WireFormat::F32, store.dim, wire);
         for (lid, g) in ent_grad.iter_sorted() {
             let id = touched[lid as usize];
             if !store.is_eligible(id) && store.owner_of(id) == dst {
@@ -977,30 +1135,32 @@ fn encode_entity_grads(
     }
 }
 
-/// Hot exchange: all-gather the hot payloads, decode in ascending rank
-/// order, and scale by 1/p — the replica gather-decode arithmetic.
+/// Hot exchange: hot-set rows ride a shared all-gather, encoded straight
+/// into the staging slot (ascending global id) and decoded out of every
+/// rank's slot in ascending rank order, then scaled by 1/p — the replica
+/// gather-decode arithmetic exactly.
 fn hot_exchange(
     ctx: &mut NodeCtx,
-    hot_send: &[u8],
-    hot_recv: &mut Vec<u8>,
-    hot_counts: &mut Vec<usize>,
-    hot_agg: &mut SparseGrad,
-    p: usize,
-    dim: usize,
+    store: &ShardedStore,
+    touched: &[u32],
+    bufs: &mut ShardedBufs,
 ) -> Result<(), SimError> {
-    ctx.comm_mut().allgatherv_bytes_into(hot_send, hot_recv, hot_counts)?;
-    hot_agg.clear();
-    let mut gathered = 0usize;
-    let mut off = 0usize;
-    for &c in hot_counts.iter() {
-        gathered += add_payload_into(&hot_recv[off..off + c], hot_agg, "hot payload");
-        off += c;
-    }
-    hot_agg.scale(1.0 / p as f32);
-    hot_agg.ensure_sorted();
+    let ent_grad = &bufs.ent_grad;
+    let stage = |wire: &mut Vec<u8>| {
+        let mut enc = RowEncoder::new(WireFormat::F32, store.dim, wire);
+        for (lid, g) in ent_grad.iter_sorted() {
+            let id = touched[lid as usize];
+            if store.is_eligible(id) {
+                enc.push_f32(id, g).expect("hot gradient row");
+            }
+        }
+        enc.finish();
+    };
+    let ((), gathered, _) = gather_into(ctx.comm_mut(), None, stage, &mut bufs.hot_agg)?;
+    bufs.hot_agg.ensure_sorted();
     ctx.comm_mut()
         .clock_mut()
-        .charge_flops((gathered * dim) as f64);
+        .charge_flops((gathered * store.dim) as f64);
     Ok(())
 }
 
@@ -1009,21 +1169,19 @@ fn hot_exchange(
 fn relation_exchange(
     ctx: &mut NodeCtx,
     rng: &mut StdRng,
-    rel_grad: &mut SparseGrad,
-    gather: &mut crate::exchange::GatherBufs,
-    rel_agg: &mut SparseGrad,
+    bufs: &mut ShardedBufs,
     dim: usize,
 ) -> Result<(), SimError> {
-    rel_grad.ensure_sorted();
+    bufs.rel_grad.ensure_sorted();
     let stats = crate::exchange::exchange_allgather_into(
         ctx.comm_mut(),
-        rel_grad,
+        &bufs.rel_grad,
         dim,
         QuantScheme::None,
         None,
         rng,
-        gather,
-        rel_agg,
+        &mut bufs.gather,
+        &mut bufs.rel_agg,
     )?;
     ctx.comm_mut()
         .clock_mut()
@@ -1035,21 +1193,10 @@ fn relation_exchange(
 /// eligible-uncached rows step on the owner's arena; cold rows step on
 /// the owner's arena from the p2p aggregate; relation rows mirror the
 /// replica's lazy path.
-#[allow(clippy::too_many_arguments)]
-fn apply_updates(
-    ctx: &mut NodeCtx,
-    store: &mut ShardedStore,
-    rel: &mut EmbeddingTable,
-    rel_opt: &mut dyn RowOptimizer,
-    hot_agg: &SparseGrad,
-    cold_agg: &SparseGrad,
-    rel_agg: &mut SparseGrad,
-    lr: f32,
-    lr_scale: f32,
-    dim: usize,
-) {
+fn apply_updates(ctx: &mut NodeCtx, st: &mut RankState, lr: f32, lr_scale: f32) {
+    let RankState { store, rel, rel_opt, bufs, .. } = st;
     let mut stepped = 0usize;
-    for (id, g) in hot_agg.iter_sorted() {
+    for (id, g) in bufs.hot_agg.iter_sorted() {
         if store.is_cached(id) {
             store.step_cached(id, g, lr);
             stepped += 1;
@@ -1058,24 +1205,24 @@ fn apply_updates(
             stepped += 1;
         }
     }
-    for (id, g) in cold_agg.iter_sorted() {
+    for (id, g) in bufs.cold_agg.iter_sorted() {
         debug_assert!(store.is_owned(id), "cold push routed to non-owner");
         store.step_owned(id, g, lr);
         stepped += 1;
     }
     ctx.comm_mut()
         .clock_mut()
-        .charge_flops((stepped * dim * ADAM_FLOPS_PER_ELEM) as f64);
-    rel_agg.ensure_sorted();
+        .charge_flops((stepped * store.dim * ADAM_FLOPS_PER_ELEM) as f64);
+    bufs.rel_agg.ensure_sorted();
     ctx.comm_mut()
         .clock_mut()
-        .charge_flops(rel_opt.lazy_step_flops(rel_agg.nnz()));
-    rel_opt.step_lazy(rel, rel_agg, lr_scale);
+        .charge_flops(rel_opt.lazy_step_flops(bufs.rel_agg.nnz()));
+    rel_opt.step_lazy(rel, &bufs.rel_agg, lr_scale);
 }
 
 /// Cache admission/eviction, driven only by the shared hot stream so
 /// every rank transitions identically. The optional sink captures
-/// evictions for a launched-but-unused prefetch slot.
+/// evictions for a launched-but-unused slot.
 fn admission(
     store: &mut ShardedStore,
     hot_agg: &SparseGrad,
@@ -1096,492 +1243,108 @@ fn admission(
     }
 }
 
+/// One owner-state record of the admission sync and the shrink migration:
+/// `id u32 | t u32 | value | m | v`, little-endian, the three runs `dim`
+/// f32s each, borrowed from the payload.
+struct StateRecord<'a> {
+    id: u32,
+    t: u32,
+    value: &'a [u8],
+    m: &'a [u8],
+    v: &'a [u8],
+}
+
+fn push_state_record(out: &mut Vec<u8>, id: u32, t: u32, value: &[f32], m: &[f32], v: &[f32]) {
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&t.to_le_bytes());
+    for &x in value.iter().chain(m).chain(v) {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// The records of one payload, in order. Payloads come from this
+/// program's own encoder, so a trailing partial record is a bug and
+/// panics, naming `what`.
+fn state_records<'a>(
+    payload: &'a [u8],
+    dim: usize,
+    what: &str,
+) -> impl Iterator<Item = StateRecord<'a>> {
+    let rec = 8 + 12 * dim;
+    assert!(
+        payload.len().is_multiple_of(rec),
+        "{what}: {} bytes is not a whole number of {rec}-byte records",
+        payload.len()
+    );
+    payload.chunks_exact(rec).map(move |b| {
+        let (value, moments) = b[8..].split_at(4 * dim);
+        let (m, v) = moments.split_at(4 * dim);
+        StateRecord {
+            id: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            t: u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+            value,
+            m,
+            v,
+        }
+    })
+}
+
+/// Decode a record's little-endian f32 run into `out`.
+fn copy_f32_le(src: &[u8], out: &mut [f32]) {
+    debug_assert_eq!(src.len(), 4 * out.len());
+    for (x, b) in out.iter_mut().zip(src.chunks_exact(4)) {
+        *x = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+}
+
 /// Admission sync: owners publish post-update state for their newly
-/// admitted rows; `admit_ids` is a shared quantity, so skipping the
-/// collective when it is empty is itself collective.
-#[allow(clippy::too_many_arguments)]
+/// admitted rows — staged in, and read back out of, the all-gather's
+/// slots. `admit_ids` is a shared quantity, so skipping the collective
+/// when it is empty is itself collective.
 fn admission_sync(
     ctx: &mut NodeCtx,
     store: &mut ShardedStore,
     admit_ids: &[u32],
-    adm_send: &mut Vec<u8>,
-    adm_recv: &mut Vec<u8>,
-    adm_counts: &mut Vec<usize>,
     row_buf: &mut [f32],
-    dim: usize,
 ) -> Result<(), SimError> {
     if admit_ids.is_empty() {
         return Ok(());
     }
-    adm_send.clear();
-    for &id in admit_ids {
-        if store.is_owned(id) && store.is_cached(id) && !store.is_synced(id) {
-            store.read_owned_into(id, row_buf);
-            adm_send.extend_from_slice(&id.to_le_bytes());
-            let (m, v, t) = store.owned_state(id);
-            adm_send.extend_from_slice(&t.to_le_bytes());
-            for &x in row_buf.iter() {
-                adm_send.extend_from_slice(&x.to_le_bytes());
-            }
-            for &x in m {
-                adm_send.extend_from_slice(&x.to_le_bytes());
-            }
-            for &x in v {
-                adm_send.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-    }
-    ctx.comm_mut().allgatherv_bytes_into(adm_send, adm_recv, adm_counts)?;
-    let rec = 8 + 12 * dim;
-    debug_assert_eq!(adm_recv.len() % rec, 0);
-    let mut off = 0usize;
-    while off + rec <= adm_recv.len() {
-        let b = &adm_recv[off..off + rec];
-        let id = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let t = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        // Decode the three dim-length f32 runs into the shared row
-        // buffer one at a time to stay allocation-free.
-        let f32_at = |base: usize, k: usize| {
-            let o = base + 4 * k;
-            f32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]])
-        };
-        for (k, slot) in row_buf.iter_mut().enumerate().take(dim) {
-            *slot = f32_at(8, k);
-        }
-        // Fill value, then moments, directly through a dedicated entry
-        // point so the store can keep its fields private.
-        store.fill_admitted_from_wire(id, t, row_buf, b, dim, f32_at);
-        off += rec;
-    }
-    Ok(())
-}
-
-/// Run one full sharded batch: stage → pull → compute → exchange → push
-/// → apply → cache admission. Returns `(loss, examples, nonzero_rows,
-/// rows_sent)`; a `RankCrashed` from any collective propagates so the
-/// epoch loop can run the recovery policy.
-///
-/// Public so the allocation-regression test drives the exact code the
-/// sharded trainer runs.
-#[allow(clippy::too_many_arguments)]
-pub fn sharded_batch_step(
-    ctx: &mut NodeCtx,
-    model: &dyn KgeModel,
-    config: &TrainConfig,
-    store: &mut ShardedStore,
-    rel: &mut EmbeddingTable,
-    rel_opt: &mut dyn RowOptimizer,
-    shard: &[Triple],
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
-    bufs: &mut ShardedBufs,
-    rng: &mut StdRng,
-    epoch: usize,
-    batch_idx: usize,
-    tick: u64,
-    lr_scale: f32,
-) -> Result<(f64, usize, usize, usize), SimError> {
-    let rank = ctx.rank();
-    let p = ctx.size();
     let dim = store.dim;
-    let n_entities = store.n_entities;
-    let (bs, n_chunks) = batch_shape(config, shard);
-    let inv_batch = if bs > 0 {
-        1.0f32 / (bs * (1 + config.strategy.neg.train)) as f32
-    } else {
-        0.0
-    };
-
-    // --- Phase 1: stage every chunk (sampling only; placeholder tables,
-    // corruption range = the global entity count). ----------------------
-    stage_batch(
-        model,
-        &bufs.local_tab,
-        rel,
-        n_entities,
-        shard,
-        config,
-        filter,
-        bias,
-        rank,
-        epoch,
-        batch_idx,
-        bs,
-        n_chunks,
-        &mut bufs.chunks,
-    );
-
-    // --- Phase 2: touched union + local-id map. -------------------------
-    let cap_rows = bufs.local_tab.rows();
-    build_touched(&bufs.chunks, n_chunks, &mut bufs.touched, &mut bufs.g2l, cap_rows);
-
-    // --- Phase 3: fill the batch-local table — cache, then own arena,
-    // then a pull request to the owner. ----------------------------------
-    for v in bufs.req_ids.iter_mut() {
-        v.clear();
-    }
-    for (li, &id) in bufs.touched.iter().enumerate() {
-        if store.is_cached(id) || store.is_owned(id) {
-            store.read_resident_into(id, bufs.local_tab.row_mut(li));
-        } else {
-            bufs.req_ids[store.owner_of(id)].push(id);
-        }
-    }
-
-    // --- Phase 4: sparse pull. Request/response over `ShardPull`, made
-    // deadlock-free by async deposit: every rank first sends all its
-    // requests (possibly empty, to keep the protocol uniform), then
-    // serves incoming requests in ascending source order, then decodes
-    // responses in the same order. Per-pair FIFO guarantees a peer's
-    // request is received before its response. -----------------------
-    if p > 1 {
-        let lane_t0 = ctx.comm().clock().now_s();
-        for dst in 0..p {
-            if dst == rank {
-                continue;
-            }
-            bufs.req_wire.clear();
-            for &id in &bufs.req_ids[dst] {
-                bufs.req_wire.extend_from_slice(&id.to_le_bytes());
-            }
-            ctx.comm_mut()
-                .send_bytes_as(dst, &bufs.req_wire, Collective::ShardPull)?;
-        }
-        for src in 0..p {
-            if src == rank {
-                continue;
-            }
-            let msg = ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPull)?;
-            {
-                let mut enc = RowEncoder::new(WireFormat::F32, dim, &mut bufs.resp_wire);
-                for c in msg.payload.chunks_exact(4) {
-                    let id = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-                    store.read_owned_into(id, &mut bufs.row_buf);
-                    enc.push_f32(id, &bufs.row_buf).expect("pull response row");
+    // The collective reads the store (staging) strictly before it writes
+    // it (filling), but holds both closures at once.
+    let store = RefCell::new(store);
+    ctx.comm_mut()
+        .allgatherv_staged(
+            None,
+            |wire| {
+                let store = store.borrow();
+                for &id in admit_ids {
+                    if store.is_owned(id) && store.is_cached(id) && !store.is_synced(id) {
+                        store.read_owned_into(id, row_buf);
+                        let (m, v, t) = store.owned_state(id);
+                        push_state_record(wire, id, t, row_buf, m, v);
+                    }
                 }
-                enc.finish();
-            }
-            ctx.comm_mut()
-                .send_bytes_as(src, &bufs.resp_wire, Collective::ShardPull)?;
-        }
-        let mut pulled = 0usize;
-        for src in 0..p {
-            if src == rank {
-                continue;
-            }
-            let msg = ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPull)?;
-            let mut dec = RowDecoder::new(&msg.payload).expect("pull response payload");
-            while let Some(r) = dec.next_row() {
-                let r = r.expect("pull response payload");
-                let li = bufs.g2l[r.row as usize];
-                r.dequantize_into(bufs.local_tab.row_mut(li as usize));
-                pulled += 1;
-            }
-        }
-        // Lane seconds are a clock delta (idle + visible occupancy), not
-        // an extra charge — the clock trajectory is untouched.
-        bufs.lane.pull_s += ctx.comm().clock().now_s() - lane_t0;
-        // Dequantize-on-pull cost (encode + decode passes).
-        ctx.comm_mut()
-            .clock_mut()
-            .charge_flops((pulled * dim * 2) as f64);
-    }
-
-    // --- Phase 5: remap triples to batch-local entity ids, counting
-    // cache hits per touch while the global ids are still in hand. ----
-    remap_and_count(&mut bufs.chunks, n_chunks, &bufs.g2l, store);
-
-    // --- Phase 6: compute chunks in parallel (fixed chunk structure,
-    // chunk-ordered merge — thread-count independent), then merge. ----
-    let (loss, examples) = compute_and_merge(
-        ctx,
-        model,
-        config,
-        &mut bufs.chunks,
-        n_chunks,
-        &bufs.local_tab,
-        rel,
-        inv_batch,
-        &mut bufs.ent_grad,
-        &mut bufs.rel_grad,
-    );
-    let nonzero_rows = bufs.ent_grad.rows_above_norm(ZERO_ROW_EPS);
-    bufs.ent_grad.ensure_sorted();
-    let rows_sent = bufs.ent_grad.nnz();
-
-    // --- Phase 7: split the entity gradient. Hot-set rows ride a shared
-    // all-gather (ascending global id — ent_grad is sorted by local id
-    // and the local order is the global-sorted touched order); cold rows
-    // are encoded per owner, the own-rank bucket kept locally. --------
-    encode_entity_grads(
-        store,
-        &bufs.touched,
-        &bufs.ent_grad,
-        dim,
-        &mut bufs.hot_send,
-        &mut bufs.cold_wire,
-        p,
-    );
-    {
-        let lane_t0 = ctx.comm().clock().now_s();
-        for dst in 0..p {
-            if dst != rank {
-                ctx.comm_mut()
-                    .send_bytes_as(dst, &bufs.cold_wire[dst], Collective::ShardPush)?;
-            }
-        }
-        bufs.lane.push_s += ctx.comm().clock().now_s() - lane_t0;
-    }
-
-    // --- Phase 8: hot exchange. Decode in ascending rank order and
-    // scale by 1/p — the replica gather-decode arithmetic exactly. ----
-    hot_exchange(
-        ctx,
-        &bufs.hot_send,
-        &mut bufs.hot_recv,
-        &mut bufs.hot_counts,
-        &mut bufs.hot_agg,
-        p,
-        dim,
-    )?;
-
-    // --- Phase 9: relation exchange — byte-for-byte the replica
-    // trainer's plain all-gather arm. ---------------------------------
-    relation_exchange(ctx, rng, &mut bufs.rel_grad, &mut bufs.gather, &mut bufs.rel_agg, dim)?;
-
-    // --- Phase 10: cold aggregation at owners. Ascending source order
-    // with the local contribution spliced at this rank's position keeps
-    // the f32 sum order identical to the replica decode. --------------
-    bufs.cold_agg.clear();
-    let lane_t0 = ctx.comm().clock().now_s();
-    for src in 0..p {
-        if src == rank {
-            add_payload_into(&bufs.cold_wire[rank], &mut bufs.cold_agg, "cold payload");
-        } else {
-            let msg = ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPush)?;
-            add_payload_into(&msg.payload, &mut bufs.cold_agg, "cold payload");
-        }
-    }
-    bufs.lane.push_s += ctx.comm().clock().now_s() - lane_t0;
-    bufs.cold_agg.scale(1.0 / p as f32);
-    bufs.cold_agg.ensure_sorted();
-
-    // --- Phase 11: apply. Cached rows step replicated everywhere;
-    // eligible-uncached rows step on the owner's arena; cold rows step
-    // on the owner's arena from the p2p aggregate. Relation rows mirror
-    // the replica's lazy path. ----------------------------------------
-    let lr = config.base_lr * lr_scale;
-    apply_updates(
-        ctx,
-        store,
-        rel,
-        rel_opt,
-        &bufs.hot_agg,
-        &bufs.cold_agg,
-        &mut bufs.rel_agg,
-        lr,
-        lr_scale,
-        dim,
-    );
-
-    // --- Phase 12: cache admission/eviction, driven only by the shared
-    // hot stream so every rank transitions identically. ----------------
-    admission(store, &bufs.hot_agg, &mut bufs.admit_ids, tick, &mut None);
-
-    // --- Phase 13: admission sync. ------------------------------------
-    admission_sync(
-        ctx,
-        store,
-        &bufs.admit_ids,
-        &mut bufs.adm_send,
-        &mut bufs.adm_recv,
-        &mut bufs.adm_counts,
-        &mut bufs.row_buf,
-        dim,
-    )?;
-
-    // --- Phase 14: reset the touched map entries for the next batch. --
-    for &id in &bufs.touched {
-        bufs.g2l[id as usize] = NO_SLOT;
-    }
-
-    Ok((loss, examples, nonzero_rows, rows_sent))
-}
-
-// --- Prefetch pipeline -------------------------------------------------
-
-/// Stage, classify, and request `batch_idx` into `slot` — the launch
-/// half of the prefetch pipeline. Requests go out immediately (anchored
-/// at the pre-send clock) so their responses can drain behind whatever
-/// the rank does next; resident rows are *not* read yet — owned and
-/// cached rows are filled at use time so they observe every update up to
-/// the batch before this one, exactly like the synchronous path.
-#[allow(clippy::too_many_arguments)]
-fn prefetch_launch(
-    ctx: &mut NodeCtx,
-    model: &dyn KgeModel,
-    config: &TrainConfig,
-    store: &ShardedStore,
-    rel: &EmbeddingTable,
-    shard: &[Triple],
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
-    slot: &mut PrefetchSlot,
-    req_wire: &mut Vec<u8>,
-    lane: &mut LaneTimes,
-    epoch: usize,
-    batch_idx: usize,
-) -> Result<(), SimError> {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    let (bs, n_chunks) = batch_shape(config, shard);
-    stage_batch(
-        model,
-        &slot.local_tab,
-        rel,
-        store.n_entities,
-        shard,
-        config,
-        filter,
-        bias,
-        rank,
-        epoch,
-        batch_idx,
-        bs,
-        n_chunks,
-        &mut slot.chunks,
-    );
-    let cap_rows = slot.local_tab.rows();
-    build_touched(&slot.chunks, n_chunks, &mut slot.touched, &mut slot.g2l, cap_rows);
-    for v in slot.req_ids.iter_mut() {
-        v.clear();
-    }
-    for (li, &id) in slot.touched.iter().enumerate() {
-        slot.class[li] = if store.is_cached(id) {
-            CLASS_CACHED
-        } else if store.is_owned(id) {
-            CLASS_OWNED
-        } else {
-            slot.req_ids[store.owner_of(id)].push(id);
-            CLASS_REMOTE
-        };
-    }
-    slot.anchor_s = ctx.comm().clock().now_s();
-    if p > 1 {
-        for dst in 0..p {
-            if dst == rank {
-                continue;
-            }
-            req_wire.clear();
-            for &id in &slot.req_ids[dst] {
-                req_wire.extend_from_slice(&id.to_le_bytes());
-            }
-            ctx.comm_mut().send_bytes_as(dst, req_wire, Collective::ShardPull)?;
-        }
-        lane.pull_s += ctx.comm().clock().now_s() - slot.anchor_s;
-    }
-    slot.batch_idx = batch_idx;
-    slot.bs = bs;
-    slot.n_chunks = n_chunks;
-    slot.live = true;
-    Ok(())
-}
-
-/// Settle `slot`'s prefetched pull responses — receive with overlap
-/// pricing against the launch anchor, decode remote rows — then fill
-/// resident rows at use time (limbo rows were captured at eviction).
-fn prefetch_settle_pulls(
-    ctx: &mut NodeCtx,
-    store: &ShardedStore,
-    slot: &mut PrefetchSlot,
-    lane: &mut LaneTimes,
-) -> Result<(), SimError> {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    let dim = store.dim;
-    if p > 1 {
-        let lane_t0 = ctx.comm().clock().now_s();
-        let mut hidden = 0.0f64;
-        let mut pulled = 0usize;
-        for src in 0..p {
-            if src == rank {
-                continue;
-            }
-            let (msg, stats) = ctx.comm_mut().recv_bytes_from_as_overlapped(
-                src,
-                Collective::ShardPull,
-                slot.anchor_s,
-            )?;
-            hidden += stats.hidden_s;
-            let mut dec = RowDecoder::new(&msg.payload).expect("pull response payload");
-            while let Some(r) = dec.next_row() {
-                let r = r.expect("pull response payload");
-                let li = slot.g2l[r.row as usize];
-                r.dequantize_into(slot.local_tab.row_mut(li as usize));
-                pulled += 1;
-            }
-        }
-        lane.pull_s += ctx.comm().clock().now_s() - lane_t0;
-        lane.hidden_pull_s += hidden;
-        ctx.comm_mut()
-            .clock_mut()
-            .charge_flops((pulled * dim * 2) as f64);
-    }
-    for (li, &id) in slot.touched.iter().enumerate() {
-        match slot.class[li] {
-            CLASS_OWNED => store.read_resident_into(id, slot.local_tab.row_mut(li)),
-            CLASS_CACHED => {
-                debug_assert!(store.is_cached(id), "cached-class row lost without limbo capture");
-                store.read_resident_into(id, slot.local_tab.row_mut(li));
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Serve stashed pull requests in ascending source order, encoding the
-/// owner's *current* arena state — the same point in the update sequence
-/// the synchronous path serves from.
-fn serve_requests(
-    ctx: &mut NodeCtx,
-    store: &ShardedStore,
-    req_stash: &[Vec<u8>],
-    resp_wire: &mut Vec<u8>,
-    row_buf: &mut [f32],
-    lane: &mut LaneTimes,
-) -> Result<(), SimError> {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    let dim = store.dim;
-    let lane_t0 = ctx.comm().clock().now_s();
-    for (src, payload) in req_stash.iter().enumerate().take(p) {
-        if src == rank {
-            continue;
-        }
-        {
-            let mut enc = RowEncoder::new(WireFormat::F32, dim, resp_wire);
-            for c in payload.chunks_exact(4) {
-                let id = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-                store.read_owned_into(id, row_buf);
-                enc.push_f32(id, row_buf).expect("pull response row");
-            }
-            enc.finish();
-        }
-        ctx.comm_mut().send_bytes_as(src, resp_wire, Collective::ShardPull)?;
-    }
-    lane.pull_s += ctx.comm().clock().now_s() - lane_t0;
-    Ok(())
+            },
+            |_, payload| {
+                let mut store = store.borrow_mut();
+                for rec in state_records(payload, dim, "admission payload") {
+                    store.fill_admitted(&rec);
+                }
+            },
+        )
+        .map(|_| ())
 }
 
 /// Settle the deferred cold-push charges against the window that opened
 /// at their send anchor (called right after the next batch's compute,
 /// and at the epoch drain).
 fn settle_pending_push(ctx: &mut NodeCtx, pending: &mut PendingPush, lane: &mut LaneTimes) {
-    if !pending.live {
+    if pending.items.is_empty() {
         return;
     }
-    let lane_t0 = ctx.comm().clock().now_s();
+    let lane_t0 = now_s(ctx);
     let mut hidden = 0.0f64;
     for &(arrival_s, bytes) in pending.items.iter() {
         let stats = ctx.comm_mut().charge_p2p_deferred(
@@ -1592,275 +1355,155 @@ fn settle_pending_push(ctx: &mut NodeCtx, pending: &mut PendingPush, lane: &mut 
         );
         hidden += stats.hidden_s;
     }
-    lane.push_s += ctx.comm().clock().now_s() - lane_t0;
+    lane.push_s += now_s(ctx) - lane_t0;
     lane.hidden_push_s += hidden;
     pending.items.clear();
-    pending.live = false;
 }
 
-/// Prime the prefetch ring at an epoch boundary: launch batch 0's slot,
-/// then run the request/serve round synchronously — there is no earlier
-/// batch to hide it behind, so it is priced like the synchronous path.
-#[allow(clippy::too_many_arguments)]
-pub fn sharded_epoch_prefetch_begin(
+/// Run one full sharded batch: pull → compute → exchange → push → apply →
+/// cache admission, over the ring's slot for `batch_idx`. At lookahead 0
+/// that slot is launched here, at the top of its own batch, and nothing
+/// is in flight between batches; at lookahead 1 it was launched while the
+/// previous batch computed (an epoch's first batch excepted), the next
+/// batch launches before this compute, and this batch's pushes are priced
+/// behind the next compute. The arithmetic — staging seeds, touched
+/// order, gradient summation, admission stream — is the same at either
+/// lookahead; only *when* rows move changes. Returns `(loss, examples,
+/// nonzero_rows, rows_sent)`; a `RankCrashed` from any collective
+/// propagates so the epoch loop can run the recovery policy.
+///
+/// Public so the allocation-regression test drives the exact code the
+/// sharded trainer runs.
+pub fn sharded_batch_step(
     ctx: &mut NodeCtx,
-    model: &dyn KgeModel,
-    config: &TrainConfig,
-    store: &ShardedStore,
-    rel: &EmbeddingTable,
-    shard: &[Triple],
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
-    bufs: &mut ShardedBufs,
-    ring: &mut PrefetchRing,
-    epoch: usize,
-    n_batches: usize,
-) -> Result<(), SimError> {
-    if n_batches == 0 {
-        return Ok(());
-    }
-    ring.cur = 0;
-    prefetch_launch(
-        ctx,
-        model,
-        config,
-        store,
-        rel,
-        shard,
-        filter,
-        bias,
-        &mut ring.slots[0],
-        &mut bufs.req_wire,
-        &mut bufs.lane,
-        epoch,
-        0,
-    )?;
-    let rank = ctx.rank();
-    let p = ctx.size();
-    if p > 1 {
-        let lane_t0 = ctx.comm().clock().now_s();
-        for src in 0..p {
-            if src == rank {
-                continue;
-            }
-            let msg = ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPull)?;
-            ring.req_stash[src].clear();
-            ring.req_stash[src].extend_from_slice(&msg.payload);
-        }
-        bufs.lane.pull_s += ctx.comm().clock().now_s() - lane_t0;
-        serve_requests(ctx, store, &ring.req_stash, &mut bufs.resp_wire, &mut bufs.row_buf, &mut bufs.lane)?;
-    }
-    Ok(())
-}
-
-/// One batch of the prefetch pipeline. The arithmetic — staging seeds,
-/// touched order, gradient summation, admission stream — is identical to
-/// [`sharded_batch_step`]; only *when* rows move changes: this batch's
-/// pulls were requested a batch ago and settle behind the window that
-/// has been open since, the next batch launches before compute, and the
-/// previous batch's push charges settle after this compute.
-#[allow(clippy::too_many_arguments)]
-pub fn sharded_batch_step_prefetch(
-    ctx: &mut NodeCtx,
-    model: &dyn KgeModel,
-    config: &TrainConfig,
-    store: &mut ShardedStore,
-    rel: &mut EmbeddingTable,
-    rel_opt: &mut dyn RowOptimizer,
-    shard: &[Triple],
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
-    bufs: &mut ShardedBufs,
-    ring: &mut PrefetchRing,
-    rng: &mut StdRng,
+    run: &ShardInputs,
+    st: &mut RankState,
     epoch: usize,
     batch_idx: usize,
     n_batches: usize,
-    tick: u64,
     lr_scale: f32,
 ) -> Result<(f64, usize, usize, usize), SimError> {
     let rank = ctx.rank();
     let p = ctx.size();
-    let dim = store.dim;
-    let cur = ring.cur;
-    let nxt = cur ^ 1;
-    debug_assert!(
-        ring.slots[cur].live && ring.slots[cur].batch_idx == batch_idx,
-        "prefetch ring out of step"
-    );
-    let next_live = batch_idx + 1 < n_batches;
+    let dim = st.store.dim;
+    let cur = st.ring.slot_of(batch_idx);
+    let next = st.ring.batch_ahead(batch_idx, n_batches);
 
-    // --- A: settle this batch's prefetched pulls, fill resident rows. --
-    prefetch_settle_pulls(ctx, store, &mut ring.slots[cur], &mut bufs.lane)?;
-
-    // --- B: launch the next batch while this one computes. -------------
-    if next_live {
-        prefetch_launch(
-            ctx,
-            model,
-            config,
-            store,
-            rel,
-            shard,
-            filter,
-            bias,
-            &mut ring.slots[nxt],
-            &mut bufs.req_wire,
-            &mut bufs.lane,
-            epoch,
-            batch_idx + 1,
-        )?;
-    }
-
-    // --- C/D: remap + count, compute + merge (identical arithmetic). ---
-    let (bs, n_chunks) = (ring.slots[cur].bs, ring.slots[cur].n_chunks);
-    let inv_batch = if bs > 0 {
-        1.0f32 / (bs * (1 + config.strategy.neg.train)) as f32
+    // --- Pull: launch this batch now unless the previous one did, then
+    // receive its rows and fill the batch-local table. ------------------
+    let lane_t0 = if st.ring.slots[cur].live {
+        now_s(ctx)
     } else {
-        0.0
+        prime(ctx, run, st, epoch, batch_idx)?
     };
-    let (loss, examples) = {
-        let slot = &mut ring.slots[cur];
-        remap_and_count(&mut slot.chunks, n_chunks, &slot.g2l, store);
-        compute_and_merge(
-            ctx,
-            model,
-            config,
-            &mut slot.chunks,
-            n_chunks,
-            &slot.local_tab,
-            rel,
-            inv_batch,
-            &mut bufs.ent_grad,
-            &mut bufs.rel_grad,
-        )
-    };
-    let nonzero_rows = bufs.ent_grad.rows_above_norm(ZERO_ROW_EPS);
-    bufs.ent_grad.ensure_sorted();
-    let rows_sent = bufs.ent_grad.nnz();
+    debug_assert_eq!(st.ring.slots[cur].batch_idx, batch_idx, "prefetch ring out of step");
+    settle_pulls(ctx, &st.store, &mut st.ring.slots[cur], &mut st.bufs.lane, lane_t0)?;
 
-    // --- E: the previous batch's cold pushes have had a full compute
-    // phase to drain behind — settle their deferred charges now. --------
-    settle_pending_push(ctx, &mut ring.pending_push, &mut bufs.lane);
-
-    // --- F: encode hot + cold gradients; cold pushes go out now and are
-    // priced on the receiver against this anchor. -----------------------
-    encode_entity_grads(
-        store,
-        &ring.slots[cur].touched,
-        &bufs.ent_grad,
-        dim,
-        &mut bufs.hot_send,
-        &mut bufs.cold_wire,
-        p,
-    );
-    ring.pending_push.anchor_s = ctx.comm().clock().now_s();
-    {
-        for dst in 0..p {
-            if dst != rank {
-                ctx.comm_mut()
-                    .send_bytes_as(dst, &bufs.cold_wire[dst], Collective::ShardPush)?;
-            }
-        }
-        bufs.lane.push_s += ctx.comm().clock().now_s() - ring.pending_push.anchor_s;
+    // --- Launch the next batch while this one computes. -----------------
+    if let Some(next) = next {
+        let lane_t0 = now_s(ctx);
+        launch(ctx, run, st, epoch, next)?;
+        st.bufs.lane.pull_s += now_s(ctx) - lane_t0;
     }
 
-    // --- G: hot exchange; H: relation exchange (unchanged collectives).
-    hot_exchange(
-        ctx,
-        &bufs.hot_send,
-        &mut bufs.hot_recv,
-        &mut bufs.hot_counts,
-        &mut bufs.hot_agg,
-        p,
-        dim,
-    )?;
-    relation_exchange(ctx, rng, &mut bufs.rel_grad, &mut bufs.gather, &mut bufs.rel_agg, dim)?;
+    // --- Compute + merge. ------------------------------------------------
+    remap_and_count(&mut st.ring.slots[cur], &mut st.store);
+    let (loss, examples) =
+        compute_and_merge(ctx, run, &mut st.ring.slots[cur], &st.rel, &mut st.bufs);
+    let nonzero_rows = st.bufs.ent_grad.rows_above_norm(ZERO_ROW_EPS);
+    st.bufs.ent_grad.ensure_sorted();
+    let rows_sent = st.bufs.ent_grad.nnz();
 
-    // --- I: cold aggregation. Per-pair FIFO puts the peer's *request*
+    // --- The previous batch's cold pushes have had a full compute phase
+    // to drain behind — settle their deferred charges now. ---------------
+    settle_pending_push(ctx, &mut st.ring.pending_push, &mut st.bufs.lane);
+
+    // --- Push: cold rows go to their owners p2p. -------------------------
+    let touched = &st.ring.slots[cur].touched;
+    encode_cold_grads(&st.store, touched, &st.bufs.ent_grad, &mut st.bufs.cold_wire);
+    st.ring.pending_push.anchor_s = now_s(ctx);
+    for dst in peers(ctx) {
+        ctx.comm_mut()
+            .send_bytes_as(dst, &st.bufs.cold_wire[dst], Collective::ShardPush)?;
+    }
+    st.bufs.lane.push_s += now_s(ctx) - st.ring.pending_push.anchor_s;
+
+    // --- Hot exchange, relation exchange (shared collectives). -----------
+    hot_exchange(ctx, &st.store, touched, &mut st.bufs)?;
+    relation_exchange(ctx, &mut st.rng, &mut st.bufs, dim)?;
+
+    // --- Cold aggregation at owners. Per-pair FIFO puts a peer's request
     // for the next batch (sent at its launch, before its push) ahead in
-    // the mailbox — pop and stash it first, then consume the push
-    // payload unpriced, deferring its occupancy to the next window. -----
-    bufs.cold_agg.clear();
+    // the mailbox — hear and stash those first. ---------------------------
+    if next.is_some() {
+        for src in peers(ctx) {
+            let lane_t0 = now_s(ctx);
+            stash_request(ctx, &mut st.ring, src)?;
+            st.bufs.lane.pull_s += now_s(ctx) - lane_t0;
+        }
+    }
+    // Ascending source order with the local contribution spliced at this
+    // rank's position keeps the f32 sum order identical to the replica
+    // decode.
+    st.bufs.cold_agg.clear();
+    let lane_t0 = now_s(ctx);
     for src in 0..p {
         if src == rank {
-            add_payload_into(&bufs.cold_wire[rank], &mut bufs.cold_agg, "cold payload");
+            add_payload_into(&st.bufs.cold_wire[rank], &mut st.bufs.cold_agg, "cold payload");
             continue;
         }
-        if next_live {
-            let lane_t0 = ctx.comm().clock().now_s();
-            let msg = ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPull)?;
-            bufs.lane.pull_s += ctx.comm().clock().now_s() - lane_t0;
-            ring.req_stash[src].clear();
-            ring.req_stash[src].extend_from_slice(&msg.payload);
-        }
-        let msg = ctx
-            .comm_mut()
-            .recv_bytes_from_as_unpriced(src, Collective::ShardPush)?;
-        ring.pending_push.items.push((msg.arrival_s, msg.payload.len()));
-        add_payload_into(&msg.payload, &mut bufs.cold_agg, "cold payload");
+        // Lookahead branch (iv): with no batch to hide it behind, a push
+        // is priced where it is received; otherwise the payload is
+        // consumed unpriced and its occupancy deferred to the next
+        // batch's window — an epoch's last batch included (the drain
+        // settles it).
+        let msg = if st.ring.lookahead() == 0 {
+            ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPush)?
+        } else {
+            let msg = ctx
+                .comm_mut()
+                .recv_bytes_from_as_unpriced(src, Collective::ShardPush)?;
+            st.ring.pending_push.items.push((msg.arrival_s, msg.payload.len()));
+            msg
+        };
+        add_payload_into(&msg.payload, &mut st.bufs.cold_agg, "cold payload");
     }
-    ring.pending_push.live = !ring.pending_push.items.is_empty();
-    bufs.cold_agg.scale(1.0 / p as f32);
-    bufs.cold_agg.ensure_sorted();
+    st.bufs.lane.push_s += now_s(ctx) - lane_t0;
+    st.bufs.cold_agg.scale(1.0 / p as f32);
+    st.bufs.cold_agg.ensure_sorted();
 
-    // --- J: apply (identical to the synchronous phase 11). -------------
-    let lr = config.base_lr * lr_scale;
-    apply_updates(
-        ctx,
-        store,
-        rel,
-        rel_opt,
-        &bufs.hot_agg,
-        &bufs.cold_agg,
-        &mut bufs.rel_agg,
-        lr,
-        lr_scale,
-        dim,
-    );
+    // --- Apply. ------------------------------------------------------------
+    apply_updates(ctx, st, run.config.base_lr * lr_scale, lr_scale);
 
-    // --- K: admission, with evictions captured into the launched slot
-    // (rows it classified as cached must keep their sync-path value). ---
+    // --- Cache admission/eviction, with evictions captured into the
+    // launched slot (rows it classified as cached must keep the value a
+    // launch after this batch would have read). --------------------------
     {
-        let mut sink = if next_live {
-            let slot = &mut ring.slots[nxt];
-            Some(EvictSink {
+        let mut sink = next.map(|next| {
+            let slot = st.ring.slot_of(next);
+            let slot = &mut st.ring.slots[slot];
+            EvictSink {
                 g2l: &slot.g2l,
                 class: &mut slot.class,
                 local_tab: &mut slot.local_tab,
-            })
-        } else {
-            None
-        };
-        admission(store, &bufs.hot_agg, &mut bufs.admit_ids, tick, &mut sink);
+            }
+        });
+        admission(&mut st.store, &st.bufs.hot_agg, &mut st.bufs.admit_ids, st.tick, &mut sink);
+    }
+    admission_sync(ctx, &mut st.store, &st.bufs.admit_ids, &mut st.bufs.row_buf)?;
+
+    // --- Answer the next batch's requests with post-update rows. ----------
+    if next.is_some() {
+        serve_requests(ctx, st)?;
     }
 
-    // --- L: admission sync (identical collective). ---------------------
-    admission_sync(
-        ctx,
-        store,
-        &bufs.admit_ids,
-        &mut bufs.adm_send,
-        &mut bufs.adm_recv,
-        &mut bufs.adm_counts,
-        &mut bufs.row_buf,
-        dim,
-    )?;
-
-    // --- M: serve the stashed requests with post-update rows. ----------
-    if next_live && p > 1 {
-        serve_requests(ctx, store, &ring.req_stash, &mut bufs.resp_wire, &mut bufs.row_buf, &mut bufs.lane)?;
+    // --- Retire this slot. ---------------------------------------------
+    let slot = &mut st.ring.slots[cur];
+    for &id in &slot.touched {
+        slot.g2l[id as usize] = NO_SLOT;
     }
-
-    // --- N: retire this slot and rotate the ring. ----------------------
-    {
-        let slot = &mut ring.slots[cur];
-        for &id in &slot.touched {
-            slot.g2l[id as usize] = NO_SLOT;
-        }
-        slot.live = false;
-    }
-    ring.cur = nxt;
+    slot.live = false;
+    st.tick += 1;
 
     Ok((loss, examples, nonzero_rows, rows_sent))
 }
@@ -1868,46 +1511,9 @@ pub fn sharded_batch_step_prefetch(
 /// Epoch-boundary drain: settle the last batch's deferred push charges
 /// and clear the ring (every slot was consumed in order, so nothing else
 /// is in flight).
-pub fn sharded_epoch_prefetch_drain(
-    ctx: &mut NodeCtx,
-    bufs: &mut ShardedBufs,
-    ring: &mut PrefetchRing,
-) {
-    settle_pending_push(ctx, &mut ring.pending_push, &mut bufs.lane);
-    ring.reset();
-}
-
-impl ShardedStore {
-    /// Wire-decode helper for the admission sync: `value` is already
-    /// decoded; `m`/`v` runs are decoded straight into the cache slot.
-    fn fill_admitted_from_wire(
-        &mut self,
-        id: u32,
-        t: u32,
-        value: &[f32],
-        record: &[u8],
-        dim: usize,
-        f32_at: impl Fn(usize, usize) -> f32,
-    ) {
-        let _ = record;
-        let slot = self.cache_slot[id as usize];
-        if slot == NO_SLOT {
-            return;
-        }
-        let s = slot as usize;
-        if self.cache_synced[s] {
-            return;
-        }
-        let d = self.dim;
-        debug_assert_eq!(d, dim);
-        self.cache_val[s * d..(s + 1) * d].copy_from_slice(value);
-        for k in 0..d {
-            self.cache_m[s * d + k] = f32_at(8 + 4 * d, k);
-            self.cache_v[s * d + k] = f32_at(8 + 8 * d, k);
-        }
-        self.cache_t[s] = t;
-        self.cache_synced[s] = true;
-    }
+pub fn sharded_epoch_prefetch_drain(ctx: &mut NodeCtx, st: &mut RankState) {
+    settle_pending_push(ctx, &mut st.ring.pending_push, &mut st.bufs.lane);
+    st.ring.reset();
 }
 
 /// Per-node outcome of a sharded run.
@@ -1995,8 +1601,13 @@ fn run_sharded_node(
     let mut p = ctx.size();
     let initial_p = p;
     let model = config.model.build(config.rank);
-    let model: &dyn KgeModel = model.as_ref();
-    let dim = model.storage_dim();
+    let run = ShardInputs {
+        model: model.as_ref(),
+        config,
+        filter: &indexes.filter,
+        bias: indexes.bias.as_ref(),
+    };
+    let dim = run.model.storage_dim();
     let n_entities = dataset.n_entities;
     let kind = if scfg.cold_int8 {
         ArenaKind::Int8
@@ -2006,8 +1617,6 @@ fn run_sharded_node(
 
     let (mut base_shard, _owned_rels, mut batches_per_epoch) =
         distribute(dataset, false, rank, p, config.batch_size);
-    let mut shard = base_shard.clone();
-    let (filter, bias) = (&indexes.filter, indexes.bias.as_ref());
     let degrees = dataset.stats().entity_degrees;
 
     // Identical Xavier init on every rank (entity table drawn before the
@@ -2016,7 +1625,7 @@ fn run_sharded_node(
     // and the replica is dropped before the epoch loop.
     let mut init_rng = StdRng::seed_from_u64(config.seed);
     let ent_init = EmbeddingTable::xavier(n_entities, dim, &mut init_rng);
-    let mut rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
+    let rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
     let mut store = ShardedStore::new(
         kind,
         dim,
@@ -2029,12 +1638,20 @@ fn run_sharded_node(
     store.init_owned_from(&ent_init);
     drop(ent_init);
 
-    let mut rel_opt = config
-        .optimizer
-        .build(config.base_lr, dataset.n_relations, dim);
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
-    );
+    let mut st = RankState {
+        store,
+        rel,
+        rel_opt: config
+            .optimizer
+            .build(config.base_lr, dataset.n_relations, dim),
+        bufs: ShardedBufs::new(dim, p),
+        ring: PrefetchRing::new(dim, n_entities, p, config),
+        rng: StdRng::seed_from_u64(
+            config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
+        ),
+        shard: base_shard.clone(),
+        tick: 0,
+    };
     let shuffler = EpochShuffler::new(config.seed ^ (rank as u64) << 32);
     let mut schedule = PlateauSchedule::new(
         p,
@@ -2043,14 +1660,6 @@ fn run_sharded_node(
         config.plateau_tolerance,
         config.max_lr_drops,
     );
-    let mut bufs = ShardedBufs::new(dim, n_entities, p, config);
-    let mut ring = if scfg.prefetch == PrefetchMode::Off {
-        None
-    } else {
-        Some(PrefetchRing::new(dim, n_entities, p, config))
-    };
-    let mut prefetch_sel = PrefetchSelector::new(2);
-    let mut prefetch_epochs = 0usize;
 
     let mut trace: Vec<EpochTrace> = Vec::new();
     let mut converged = false;
@@ -2058,27 +1667,16 @@ fn run_sharded_node(
     let mut allgather_epochs = 0usize;
     let mut recoveries = 0usize;
     let mut crashed_ranks: Vec<usize> = Vec::new();
-    // Global batch counter: the LRU tick. Shared by construction — every
-    // rank increments it on exactly the same (completed) batches.
-    let mut tick: u64 = 0;
     let mut epoch = 0usize;
 
     while epoch < config.max_epochs {
         ctx.comm_mut().barrier();
         let epoch_start = ctx.comm().clock().now_s();
         let bytes_at_start = sharded_bytes_sent(ctx);
-        shard.copy_from_slice(&base_shard);
-        shuffler.shuffle(&mut shard, epoch as u64);
+        st.shard.copy_from_slice(&base_shard);
+        shuffler.shuffle(&mut st.shard, epoch as u64);
         allgather_epochs += 1;
         let lr_scale = schedule.lr_scale();
-        // The arm is decided at the epoch boundary — every rank computes
-        // the same answer (the selector observes the shared simulated
-        // clock), so the wire protocol agrees globally for the epoch.
-        let use_prefetch = match scfg.prefetch {
-            PrefetchMode::Off => false,
-            PrefetchMode::On => true,
-            PrefetchMode::Dynamic => prefetch_sel.prefetch_arm(),
-        };
 
         let mut epoch_loss = 0.0f64;
         let mut epoch_examples = 0usize;
@@ -2086,83 +1684,19 @@ fn run_sharded_node(
         let mut rows_sent_sum = 0usize;
         let mut crashed_this_epoch = false;
 
-        if use_prefetch {
-            let ring = ring.as_mut().expect("prefetch arm implies a ring");
-            match sharded_epoch_prefetch_begin(
-                ctx,
-                model,
-                config,
-                &store,
-                &rel,
-                &shard,
-                filter,
-                bias,
-                &mut bufs,
-                ring,
-                epoch,
-                batches_per_epoch,
-            ) {
-                Ok(()) => {}
-                Err(SimError::RankCrashed { .. }) => crashed_this_epoch = true,
-                Err(e) => panic!("sharded prefetch prime: {e}"),
-            }
-        }
-
-        if !crashed_this_epoch {
-            'batches: for b in 0..batches_per_epoch {
-                let step = if use_prefetch {
-                    sharded_batch_step_prefetch(
-                        ctx,
-                        model,
-                        config,
-                        &mut store,
-                        &mut rel,
-                        rel_opt.as_mut(),
-                        &shard,
-                        filter,
-                        bias,
-                        &mut bufs,
-                        ring.as_mut().expect("prefetch arm implies a ring"),
-                        &mut rng,
-                        epoch,
-                        b,
-                        batches_per_epoch,
-                        tick,
-                        lr_scale,
-                    )
-                } else {
-                    sharded_batch_step(
-                        ctx,
-                        model,
-                        config,
-                        &mut store,
-                        &mut rel,
-                        rel_opt.as_mut(),
-                        &shard,
-                        filter,
-                        bias,
-                        &mut bufs,
-                        &mut rng,
-                        epoch,
-                        b,
-                        tick,
-                        lr_scale,
-                    )
-                };
-                match step {
-                    Ok((loss, examples, nonzero, rows_sent)) => {
-                        epoch_loss += loss;
-                        epoch_examples += examples;
-                        nonzero_rows_sum += nonzero;
-                        rows_sent_sum += rows_sent;
-                        tick += 1;
-                    }
-                    Err(SimError::RankCrashed { .. }) => {
-                        crashed_this_epoch = true;
-                        break 'batches;
-                    }
-                    Err(e) => panic!("sharded batch step: {e}"),
+        for b in 0..batches_per_epoch {
+            match sharded_batch_step(ctx, &run, &mut st, epoch, b, batches_per_epoch, lr_scale) {
+                Ok((loss, examples, nonzero, rows_sent)) => {
+                    epoch_loss += loss;
+                    epoch_examples += examples;
+                    nonzero_rows_sum += nonzero;
+                    rows_sent_sum += rows_sent;
                 }
+                Err(SimError::RankCrashed { .. }) => {
+                    crashed_this_epoch = true;
+                    break;
+                }
+                Err(e) => panic!("sharded batch step: {e}"),
             }
         }
 
@@ -2170,13 +1704,11 @@ fn run_sharded_node(
             // Aborted epochs yield no trace entry; un-count the tally.
             allgather_epochs -= 1;
             crashed_ranks.extend(ctx.comm().failed_ranks());
-            // Discard in-flight prefetch slots and deferred push charges:
-            // the shrink replaces the whole post office, so the matching
+            // Discard in-flight slots and deferred push charges: the
+            // shrink replaces the whole post office, so the matching
             // wire messages vanish with the old world — conservation
             // holds because both ends drop together.
-            if let Some(r) = ring.as_mut() {
-                r.reset();
-            }
+            st.ring.reset();
             if !config.recover_from_crashes {
                 break;
             }
@@ -2185,16 +1717,12 @@ fn run_sharded_node(
                     recoveries += 1;
                     rank = ctx.rank();
                     p = ctx.size();
-                    migrate_after_shrink(ctx, dataset, config, &degrees, kind, &mut store);
+                    migrate_after_shrink(ctx, dataset, config, &degrees, kind, &mut st.store);
                     let (s, _o, b) = distribute(dataset, false, rank, p, config.batch_size);
                     base_shard = s;
-                    shard.clone_from(&base_shard);
+                    st.shard.clone_from(&base_shard);
                     batches_per_epoch = b;
-                    bufs.resize_world(p);
-                    if let Some(r) = ring.as_mut() {
-                        r.resize_world(p);
-                    }
-                    prefetch_sel.reset();
+                    st.resize_world(p);
                     ctx.comm_mut()
                         .clock_mut()
                         .charge_flops((dataset.train.len() * 8) as f64);
@@ -2217,24 +1745,14 @@ fn run_sharded_node(
 
         // Epoch-boundary ring drain (settles the last batch's deferred
         // push charges), then cache invalidation: owners absorb the cache.
-        if use_prefetch {
-            sharded_epoch_prefetch_drain(
-                ctx,
-                &mut bufs,
-                ring.as_mut().expect("prefetch arm implies a ring"),
-            );
-            prefetch_epochs += 1;
-        }
-        store.flush_epoch();
+        sharded_epoch_prefetch_drain(ctx, &mut st);
+        st.store.flush_epoch();
 
         // `valid_samples == 0` is enforced by validate(), so the plateau
         // signal is the same constant the replica trainer's
         // `fast_valid_accuracy` returns — the LR/stop trajectory matches.
         let acc = 0.0f64;
         let epoch_time = ctx.comm().clock().now_s() - epoch_start;
-        if scfg.prefetch == PrefetchMode::Dynamic {
-            prefetch_sel.observe_epoch(epoch_time);
-        }
         let batches = batches_per_epoch as f64;
         trace.push(EpochTrace {
             epoch,
@@ -2263,6 +1781,7 @@ fn run_sharded_node(
     if survived {
         ctx.comm().close_lobby();
     }
+    let RankState { mut store, rel, bufs, .. } = st;
 
     // --- Final model assembly: a one-shot gather of owned rows over the
     // deterministic init base, so the outcome carries the full table the
@@ -2272,27 +1791,11 @@ fn run_sharded_node(
         store.flush_epoch();
         let mut init_rng = StdRng::seed_from_u64(config.seed);
         let mut full = EmbeddingTable::xavier(n_entities, dim, &mut init_rng);
-        {
-            let mut enc = RowEncoder::new(WireFormat::F32, dim, &mut bufs.adm_send);
-            for i in 0..store.owned_ids().len() {
-                let id = store.owned_ids()[i];
-                store.read_owned_into(id, &mut bufs.row_buf);
-                enc.push_f32(id, &bufs.row_buf).expect("assembly row");
-            }
-            enc.finish();
+        for &id in store.owned_ids() {
+            store.read_owned_into(id, full.row_mut(id as usize));
         }
-        ctx.comm_mut()
-            .allgatherv_bytes_into(&bufs.adm_send, &mut bufs.adm_recv, &mut bufs.adm_counts)
+        gather_table_rows(ctx.comm_mut(), &mut full, store.owned_ids().iter().copied())
             .expect("final sharded model assembly");
-        let mut off = 0usize;
-        for &c in bufs.adm_counts.iter() {
-            let mut dec = RowDecoder::new(&bufs.adm_recv[off..off + c]).expect("assembly payload");
-            off += c;
-            while let Some(r) = dec.next_row() {
-                let r = r.expect("assembly payload");
-                r.dequantize_into(full.row_mut(r.row as usize));
-            }
-        }
         full
     } else {
         EmbeddingTable::zeros(1, dim)
@@ -2316,7 +1819,11 @@ fn run_sharded_node(
         push_lane_s: bufs.lane.push_s,
         hidden_pull_s: bufs.lane.hidden_pull_s,
         hidden_push_s: bufs.lane.hidden_push_s,
-        prefetch_epochs,
+        // Every completed epoch ran at the configured lookahead.
+        prefetch_epochs: match scfg.prefetch {
+            PrefetchMode::Off => 0,
+            PrefetchMode::On => trace.len(),
+        },
     };
 
     let report = if survived && rank == 0 {
@@ -2392,51 +1899,35 @@ fn migrate_after_shrink(
     store.export_cache_into(&mut full_val, &mut full_m, &mut full_v, &mut full_t, &mut have);
 
     // Exchange rows this rank owns that are not globally cached (cached
-    // rows are replicated — every survivor already has them). Record:
-    // id u32 | t u32 | value | m | v.
-    let mut send: Vec<u8> = Vec::new();
+    // rows are replicated — every survivor already has them, harvested
+    // above), staged in and read back out of the all-gather's slots; a
+    // rank's own records come back with everyone else's.
     let mut row = vec![0f32; dim];
-    for &id in store.owned_ids() {
-        let i = id as usize;
-        if have[i] {
-            continue;
-        }
-        store.read_owned_into(id, &mut row);
-        let (m, v, t) = store.owned_state(id);
-        full_val[i * dim..(i + 1) * dim].copy_from_slice(&row);
-        full_m[i * dim..(i + 1) * dim].copy_from_slice(m);
-        full_v[i * dim..(i + 1) * dim].copy_from_slice(v);
-        full_t[i] = t;
-        have[i] = true;
-        send.extend_from_slice(&id.to_le_bytes());
-        send.extend_from_slice(&t.to_le_bytes());
-        for &x in row.iter().chain(m).chain(v) {
-            send.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    let mut recv: Vec<u8> = Vec::new();
-    let mut counts: Vec<usize> = Vec::new();
+    let old: &ShardedStore = store;
     ctx.comm_mut()
-        .allgatherv_bytes_into(&send, &mut recv, &mut counts)
+        .allgatherv_staged(
+            None,
+            |wire| {
+                for &id in old.owned_ids() {
+                    if !old.is_synced(id) {
+                        old.read_owned_into(id, &mut row);
+                        let (m, v, t) = old.owned_state(id);
+                        push_state_record(wire, id, t, &row, m, v);
+                    }
+                }
+            },
+            |_, payload| {
+                for rec in state_records(payload, dim, "migration payload") {
+                    let i = rec.id as usize;
+                    copy_f32_le(rec.value, &mut full_val[i * dim..(i + 1) * dim]);
+                    copy_f32_le(rec.m, &mut full_m[i * dim..(i + 1) * dim]);
+                    copy_f32_le(rec.v, &mut full_v[i * dim..(i + 1) * dim]);
+                    full_t[i] = rec.t;
+                    have[i] = true;
+                }
+            },
+        )
         .expect("a second crash during sharded state migration is unsupported");
-    let rec = 8 + 12 * dim;
-    let mut off = 0usize;
-    while off + rec <= recv.len() {
-        let b = &recv[off..off + rec];
-        let id = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-        full_t[id] = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        for k in 0..dim {
-            let f = |base: usize| {
-                let o = base + 4 * k;
-                f32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]])
-            };
-            full_val[id * dim + k] = f(8);
-            full_m[id * dim + k] = f(8 + 4 * dim);
-            full_v[id * dim + k] = f(8 + 8 * dim);
-        }
-        have[id] = true;
-        off += rec;
-    }
 
     // Rebuild the store at the new world size. Rows nobody recovered
     // (owned by the crashed rank, not cached) restart from the
@@ -2481,6 +1972,25 @@ fn migrate_after_shrink(
 mod tests {
     use super::*;
 
+    /// Land `(t, value, m, v)` in `id`'s freshly admitted slot the way the
+    /// admission sync does: through one wire record.
+    fn fill(s: &mut ShardedStore, id: u32, t: u32, value: &[f32], m: &[f32], v: &[f32]) {
+        let mut wire = Vec::new();
+        push_state_record(&mut wire, id, t, value, m, v);
+        for rec in state_records(&wire, value.len(), "test payload") {
+            s.fill_admitted(&rec);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "admission payload: 21 bytes is not a whole number of 20-byte records")]
+    fn trailing_partial_state_record_panics_naming_the_payload() {
+        let mut wire = Vec::new();
+        push_state_record(&mut wire, 3, 1, &[1.0], &[2.0], &[3.0]);
+        wire.push(0);
+        state_records(&wire, 1, "admission payload").count();
+    }
+
     #[test]
     fn cache_admission_eviction_and_writeback() {
         let dim = 2;
@@ -2498,9 +2008,9 @@ mod tests {
         s.init_owned_from(&t);
 
         s.admit(0, 0);
-        s.fill_admitted(0, 5, &[10.0, 10.0], &[0.5, 0.5], &[0.25, 0.25]);
+        fill(&mut s, 0, 5, &[10.0, 10.0], &[0.5, 0.5], &[0.25, 0.25]);
         s.admit(1, 0);
-        s.fill_admitted(1, 3, &[20.0, 20.0], &[0.0, 0.0], &[0.0, 0.0]);
+        fill(&mut s, 1, 3, &[20.0, 20.0], &[0.0, 0.0], &[0.0, 0.0]);
         assert!(s.is_cached(0) && s.is_cached(1));
 
         // Row 0 is bumped at tick 1; admitting row 2 must evict row 1
@@ -2543,7 +2053,7 @@ mod tests {
         b.admit(0, 0);
         b.read_owned_into(0, &mut vec![0.0; dim]);
         let (m, v, tt) = (vec![0f32; dim], vec![0f32; dim], 0);
-        b.fill_admitted(0, tt, t.row(0), &m, &v);
+        fill(&mut b, 0, tt, t.row(0), &m, &v);
         b.step_cached(0, &g, 5e-3);
         b.flush_epoch();
 
@@ -2572,7 +2082,7 @@ mod tests {
                 s.bump(id, tick);
             } else {
                 s.admit(id, tick);
-                s.fill_admitted(id, 0, &[0.0], &[0.0], &[0.0]);
+                fill(&mut s, id, 0, &[0.0], &[0.0], &[0.0]);
             }
         }
         assert_eq!(s.cache_len, 4);

@@ -2,19 +2,22 @@
 //!
 //! Same contract as `zero_alloc.rs`, extended to the partitioned-storage
 //! path: after a warm-up epoch, a steady-state epoch through
-//! `sharded_batch_step` — staging, touched-union build, batch-local
-//! table fill, gradient split/encode, hot all-gather + decode, relation
-//! exchange, lazy Adam on arena and cache rows, and the cache
-//! admission/eviction machinery — must perform **zero** heap
-//! allocations.
+//! `sharded_batch_step` — staging into a ring slot, touched-union dedup,
+//! launch-time classification, request staging, batch-local table fill,
+//! compute from the slot table, gradient split/encode, hot all-gather +
+//! decode, relation exchange, lazy Adam on arena and cache rows, the
+//! cache admission/eviction machinery and, one batch ahead, eviction
+//! capture into the launched slot, deferred-push settlement and the epoch
+//! drain — must perform **zero** heap allocations, at lookahead 0
+//! (`PrefetchMode::Off`) and at lookahead 1 (`PrefetchMode::On`).
 //!
 //! Scope: per-rank and single-thread, like the replica guarantee.
 //! Multi-rank runs move p2p payloads through channels (`Message` owns
 //! its bytes) and multi-thread pools spawn workers, both of which
 //! allocate by construction. On one rank the pull and push loops skip
 //! self, the own-bucket cold gradient is decoded from its reused wire
-//! buffer, and the single-participant all-gather copies into reused
-//! receive buffers.
+//! buffer, and the single-participant all-gathers stage and read in
+//! place.
 
 #[global_allocator]
 static ALLOC: kge_core::alloc_count::CountingAlloc = kge_core::alloc_count::CountingAlloc;
@@ -24,8 +27,8 @@ use kge_data::synth::{generate, SynthConfig};
 use kge_data::FilterIndex;
 use kge_partition::{entity_owners, partition_for};
 use kge_train::shard::{
-    sharded_batch_step, sharded_batch_step_prefetch, sharded_epoch_prefetch_begin,
-    sharded_epoch_prefetch_drain, PrefetchRing, ShardedBufs, ShardedStore,
+    sharded_batch_step, sharded_epoch_prefetch_drain, PrefetchRing, RankState, ShardInputs,
+    ShardedBufs, ShardedStore,
 };
 use kge_train::{PrefetchMode, ShardedConfig, StrategyConfig, TrainConfig};
 use rand::rngs::StdRng;
@@ -35,14 +38,21 @@ use simgrid::{Cluster, ClusterSpec};
 /// The allocation counter is process-global, and the test harness runs the
 /// `#[test]`s of one binary on parallel threads (and allocates itself when
 /// one finishes): two tests here would count each other's set-up. So the
-/// two scenarios run one after the other inside a single test.
+/// two lookaheads run one after the other inside a single test.
 #[test]
 fn steady_state_sharded_loops_allocate_nothing() {
-    steady_state_sharded_batch_loop_allocates_nothing();
-    steady_state_prefetch_ring_allocates_nothing();
+    for prefetch in [PrefetchMode::Off, PrefetchMode::On] {
+        let delta = steady_state_epoch(prefetch);
+        assert_eq!(
+            delta.allocs, 0,
+            "steady-state sharded batch loop ({prefetch:?}) allocated {} times ({} bytes)",
+            delta.allocs, delta.bytes
+        );
+    }
 }
 
-fn steady_state_sharded_batch_loop_allocates_nothing() {
+/// One warm-up epoch, then the allocations of a second epoch.
+fn steady_state_epoch(prefetch: PrefetchMode) -> alloc_count::AllocSnapshot {
     let ds = generate(&SynthConfig {
         name: "sharded-alloc-probe".into(),
         n_entities: 300,
@@ -60,7 +70,7 @@ fn steady_state_sharded_batch_loop_allocates_nothing() {
     config.sharded = Some(ShardedConfig {
         hot_cache_rows: 48,
         cold_int8: false,
-        prefetch: PrefetchMode::Off,
+        prefetch,
     });
     config.validate().expect("valid sharded config");
 
@@ -71,16 +81,21 @@ fn steady_state_sharded_batch_loop_allocates_nothing() {
             .expect("single-thread pool");
         pool.install(|| {
             let model = config.model.build(config.rank);
-            let model = model.as_ref();
             let dim = model.storage_dim();
             let filter = FilterIndex::build(&ds);
+            let run = ShardInputs {
+                model: model.as_ref(),
+                config: &config,
+                filter: &filter,
+                bias: None,
+            };
             let degrees = ds.stats().entity_degrees;
             let part = partition_for(&ds.train, ds.n_relations, 1, false);
             let owners = entity_owners(&part, ds.n_entities);
 
             let mut init_rng = StdRng::seed_from_u64(config.seed);
             let ent = kge_core::EmbeddingTable::xavier(ds.n_entities, dim, &mut init_rng);
-            let mut rel = kge_core::EmbeddingTable::xavier(ds.n_relations, dim, &mut init_rng);
+            let rel = kge_core::EmbeddingTable::xavier(ds.n_relations, dim, &mut init_rng);
             let mut store = ShardedStore::new(
                 kge_compress::ArenaKind::F32,
                 dim,
@@ -92,218 +107,39 @@ fn steady_state_sharded_batch_loop_allocates_nothing() {
             );
             store.init_owned_from(&ent);
             drop(ent);
-            let mut rel_opt = config.optimizer.build(config.base_lr, ds.n_relations, dim);
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 1);
-            let mut bufs = ShardedBufs::new(dim, ds.n_entities, 1, &config);
+            let mut st = RankState {
+                store,
+                rel,
+                rel_opt: config.optimizer.build(config.base_lr, ds.n_relations, dim),
+                bufs: ShardedBufs::new(dim, 1),
+                ring: PrefetchRing::new(dim, ds.n_entities, 1, &config),
+                rng: StdRng::seed_from_u64(config.seed ^ 1),
+                shard: ds.train.clone(),
+                tick: 0,
+            };
             let batches = ds.train.len().div_ceil(config.batch_size);
 
-            let mut tick = 0u64;
-            let epoch_pass = |epoch: usize,
-                                  tick: &mut u64,
-                                  store: &mut ShardedStore,
-                                  rel: &mut kge_core::EmbeddingTable,
-                                  rel_opt: &mut dyn kge_core::RowOptimizer,
-                                  bufs: &mut ShardedBufs,
-                                  rng: &mut StdRng,
-                                  ctx: &mut simgrid::NodeCtx| {
+            let mut epoch_pass = |epoch: usize, ctx: &mut simgrid::NodeCtx| {
                 for b in 0..batches {
-                    sharded_batch_step(
-                        ctx,
-                        model,
-                        &config,
-                        store,
-                        rel,
-                        rel_opt,
-                        &ds.train,
-                        &filter,
-                        None,
-                        bufs,
-                        rng,
-                        epoch,
-                        b,
-                        *tick,
-                        1.0,
-                    )
-                    .expect("single-rank batch cannot crash");
-                    *tick += 1;
+                    sharded_batch_step(ctx, &run, &mut st, epoch, b, batches, 1.0)
+                        .expect("single-rank batch cannot crash");
                 }
-                store.flush_epoch();
+                sharded_epoch_prefetch_drain(ctx, &mut st);
+                st.store.flush_epoch();
             };
 
-            // Warm-up epoch: allowed (and expected) to allocate — wire
-            // buffers, sparse slabs, the LRU queue all reach steady size.
-            epoch_pass(
-                0,
-                &mut tick,
-                &mut store,
-                &mut rel,
-                rel_opt.as_mut(),
-                &mut bufs,
-                &mut rng,
-                ctx,
-            );
+            // Warm-up epoch: allowed (and expected) to allocate — slot
+            // tables, wire buffers, sparse slabs, the LRU queue all reach
+            // steady size.
+            epoch_pass(0, ctx);
 
             // Steady-state epoch: every buffer must be reused. Cache
             // churn (admissions, evictions, bumps, the epoch flush)
             // happens in-place.
             let start = alloc_count::snapshot();
-            epoch_pass(
-                1,
-                &mut tick,
-                &mut store,
-                &mut rel,
-                rel_opt.as_mut(),
-                &mut bufs,
-                &mut rng,
-                ctx,
-            );
+            epoch_pass(1, ctx);
             alloc_count::since(start)
         })
     });
-
-    let delta = deltas[0];
-    assert_eq!(
-        delta.allocs, 0,
-        "steady-state sharded batch loop allocated {} times ({} bytes)",
-        delta.allocs, delta.bytes
-    );
-}
-
-fn steady_state_prefetch_ring_allocates_nothing() {
-    // Same contract, prefetch pipeline: after one warm epoch the full
-    // ring cycle — staging into a slot, touched-union dedup, launch-time
-    // classification, request staging, compute from the slot table,
-    // eviction capture into the launched slot, deferred-push settlement,
-    // and the epoch drain — must perform zero steady-state allocations.
-    let ds = generate(&SynthConfig {
-        name: "sharded-prefetch-alloc-probe".into(),
-        n_entities: 300,
-        n_relations: 12,
-        n_triples: 3000,
-        relation_zipf: 1.0,
-        entity_zipf: 0.9,
-        noise_frac: 0.05,
-        valid_frac: 0.05,
-        test_frac: 0.05,
-        seed: 9,
-    });
-    let mut config = TrainConfig::new(4, 256, StrategyConfig::baseline_allgather(2));
-    config.valid_samples = 0;
-    config.sharded = Some(ShardedConfig {
-        hot_cache_rows: 48,
-        cold_int8: false,
-        prefetch: PrefetchMode::On,
-    });
-    config.validate().expect("valid sharded config");
-
-    let deltas = Cluster::new(1, ClusterSpec::cray_xc40()).run(|ctx| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("single-thread pool");
-        pool.install(|| {
-            let model = config.model.build(config.rank);
-            let model = model.as_ref();
-            let dim = model.storage_dim();
-            let filter = FilterIndex::build(&ds);
-            let degrees = ds.stats().entity_degrees;
-            let part = partition_for(&ds.train, ds.n_relations, 1, false);
-            let owners = entity_owners(&part, ds.n_entities);
-
-            let mut init_rng = StdRng::seed_from_u64(config.seed);
-            let ent = kge_core::EmbeddingTable::xavier(ds.n_entities, dim, &mut init_rng);
-            let mut rel = kge_core::EmbeddingTable::xavier(ds.n_relations, dim, &mut init_rng);
-            let mut store = ShardedStore::new(
-                kge_compress::ArenaKind::F32,
-                dim,
-                0,
-                owners,
-                &degrees,
-                config.sharded.unwrap().hot_cache_rows,
-                config.base_lr,
-            );
-            store.init_owned_from(&ent);
-            drop(ent);
-            let mut rel_opt = config.optimizer.build(config.base_lr, ds.n_relations, dim);
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 1);
-            let mut bufs = ShardedBufs::new(dim, ds.n_entities, 1, &config);
-            let mut ring = PrefetchRing::new(dim, ds.n_entities, 1, &config);
-            let batches = ds.train.len().div_ceil(config.batch_size);
-
-            let mut tick = 0u64;
-            let mut epoch_pass = |epoch: usize,
-                                  tick: &mut u64,
-                                  store: &mut ShardedStore,
-                                  rel: &mut kge_core::EmbeddingTable,
-                                  rel_opt: &mut dyn kge_core::RowOptimizer,
-                                  bufs: &mut ShardedBufs,
-                                  rng: &mut StdRng,
-                                  ctx: &mut simgrid::NodeCtx| {
-                sharded_epoch_prefetch_begin(
-                    ctx, model, &config, store, rel, &ds.train, &filter, None, bufs, &mut ring,
-                    epoch, batches,
-                )
-                .expect("single-rank prime cannot crash");
-                for b in 0..batches {
-                    sharded_batch_step_prefetch(
-                        ctx,
-                        model,
-                        &config,
-                        store,
-                        rel,
-                        rel_opt,
-                        &ds.train,
-                        &filter,
-                        None,
-                        bufs,
-                        &mut ring,
-                        rng,
-                        epoch,
-                        b,
-                        batches,
-                        *tick,
-                        1.0,
-                    )
-                    .expect("single-rank batch cannot crash");
-                    *tick += 1;
-                }
-                sharded_epoch_prefetch_drain(ctx, bufs, &mut ring);
-                store.flush_epoch();
-            };
-
-            // Warm-up epoch: slot tables, wire buffers, the LRU queue all
-            // reach steady size.
-            epoch_pass(
-                0,
-                &mut tick,
-                &mut store,
-                &mut rel,
-                rel_opt.as_mut(),
-                &mut bufs,
-                &mut rng,
-                ctx,
-            );
-
-            // Steady-state epoch through the full ring cycle.
-            let start = alloc_count::snapshot();
-            epoch_pass(
-                1,
-                &mut tick,
-                &mut store,
-                &mut rel,
-                rel_opt.as_mut(),
-                &mut bufs,
-                &mut rng,
-                ctx,
-            );
-            alloc_count::since(start)
-        })
-    });
-
-    let delta = deltas[0];
-    assert_eq!(
-        delta.allocs, 0,
-        "steady-state prefetch ring allocated {} times ({} bytes)",
-        delta.allocs, delta.bytes
-    );
+    deltas[0]
 }

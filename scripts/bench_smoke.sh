@@ -67,13 +67,6 @@ REQUIRED = {
         "sharded_memory.f32_cold.resident_fraction",
         "sharded_memory.f32_cold.hot_tier_hit_rate",
         "sharded_memory.int8_cold.resident_fraction",
-        "sharded_prefetch.speedup_prefetch_over_sync",
-        "sharded_prefetch.lower_bound_s",
-        "sharded_prefetch.sync.pull_wire_bytes",
-        "sharded_prefetch.sync.pull_lane_s",
-        "sharded_prefetch.prefetch.hidden_pull_s",
-        "sharded_prefetch.prefetch.hidden_push_s",
-        "sharded_prefetch.prefetch.prefetch_epochs",
     ],
     serve: [
         "host_cores",

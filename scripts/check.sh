@@ -104,12 +104,15 @@ KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test resume_determinism
 echo "check: checkpoint codec + resume equivalence pass (both dispatch arms)"
 
 # Sharded storage: f32 sharded runs (with and without the hot cache,
-# synchronous and prefetch-pipelined, fixed and DRS-selected arm) must be
-# bit-identical to the full-replica trainer across world sizes and thread
-# counts, int8-at-rest must be deterministic (prefetch on or off), crash
+# synchronous and prefetch-pipelined) must be bit-identical to the
+# full-replica trainer across world sizes and thread counts,
+# int8-at-rest must be deterministic (prefetch on or off), crash
 # recovery — including a crash mid-prefetch-ring — must shrink and stay
-# reproducible — under both dispatch arms — and the sharded pull/push
-# steady state (both lanes, ring included) must stay allocation-free.
+# reproducible, the 34-cell golden table (clock, breakdown, model, wire,
+# counters, lane seconds) must hold to the bit, and the one-batch-ahead
+# ring must hide the pull-bound lane by the A/B's thresholds — under both
+# dispatch arms — and the one sharded step must stay allocation-free at
+# lookahead 0 and at lookahead 1.
 cargo test -p kge-train --release --test sharded_determinism --test zero_alloc_sharded
 KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test sharded_determinism
 echo "check: sharded storage determinism + zero-alloc tests pass (both dispatch arms)"
@@ -123,3 +126,10 @@ cargo test -p kge-serve --release --test prop_topk --test zero_alloc_serve --tes
 KGE_FORCE_SCALAR=1 cargo test -p kge-serve --release --test prop_topk
 cargo build --release -p bench --bin bench_serve
 echo "check: serve top-k bit-identity + zero-alloc + snapshot tests pass (both dispatch arms)"
+
+# The repo's benchmark is a package of its own with path dependencies on
+# the workspace crates: build it and run its unit tests here, so a public
+# API change that breaks it fails locally and not in the gate.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+echo "check: benchmark/ builds against the workspace and its unit tests pass"

@@ -470,3 +470,36 @@ fn pipelined_exchange_matches_synchronous_collectives_on_three_ranks() {
         assert!(overlapped.report.breakdown.hidden_comm_s > 0.0, "{stale1:?} hides nothing");
     }
 }
+
+/// One cell of `kge-train`'s `sharded_determinism` suite (which
+/// `scripts/check.sh` runs in full under both dispatch arms), on three
+/// ranks, where the synchronous round-trip and the ring's epoch start
+/// answer their peers in a different order: with f32 storage the one
+/// sharded step — at lookahead 0 (`PrefetchMode::Off`) and at lookahead 1
+/// (`On`), cold traffic and hot cache both in play — must train the
+/// replica trainer's model to the bit in the same number of epochs.
+#[test]
+fn sharded_step_matches_replica_at_both_lookaheads_on_three_ranks() {
+    use kge::train::{PrefetchMode, ShardedConfig};
+    let ds = dataset(7);
+    let run = |sharded: Option<ShardedConfig>| {
+        let mut config = quick(StrategyConfig::baseline_allgather(2), 7);
+        config.max_epochs = 3;
+        // Sharded mode defers validation to post-training eval; the
+        // replica reference runs the same (constant) plateau signal.
+        config.valid_samples = 0;
+        config.sharded = sharded;
+        train(&ds, &Cluster::new(3, ClusterSpec::cray_xc40()), &config)
+    };
+    let bits = |t: &EmbeddingTable| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let replica = run(None);
+    for prefetch in [PrefetchMode::Off, PrefetchMode::On] {
+        let sharded = run(Some(ShardedConfig { hot_cache_rows: 24, cold_int8: false, prefetch }));
+        assert_eq!(bits(&sharded.entities), bits(&replica.entities), "{prefetch:?}: entity rows");
+        assert_eq!(bits(&sharded.relations), bits(&replica.relations), "{prefetch:?}: relation rows");
+        assert_eq!(sharded.report.epochs, replica.report.epochs, "{prefetch:?}: epoch count");
+        let sh = sharded.report.sharded.expect("sharded report attached");
+        assert!(sh.pull_wire_bytes > 0 && sh.cache_hits > 0, "{prefetch:?}: a tier was idle");
+        assert_eq!(sh.hidden_pull_s > 0.0, prefetch == PrefetchMode::On, "{prefetch:?}: hidden pull seconds");
+    }
+}
