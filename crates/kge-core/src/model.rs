@@ -5,6 +5,8 @@
 //! with respect to each row. Training composes these with the loss
 //! derivative (chain rule) — no autodiff needed.
 
+use std::cell::Cell;
+
 use crate::matrix::{axpy, dot};
 use crate::scratch::BlockScratch;
 use crate::{EmbeddingTable, SparseGrad};
@@ -809,6 +811,356 @@ fn transe_grad_add_tail(
         ent[gt + k] += coeff * (2.0 * d) + l2 * t[k];
         rel[k] += coeff * (-2.0 * d) + l2 * r[k];
     }
+}
+
+/// The `k`-th summand of a model's [`KgeModel::score`] from element `k` of
+/// each of the `P` parts of the head, relation and tail rows.
+trait Term<const P: usize>: Fn([f32; P], [f32; P], [f32; P]) -> f32 + Copy {}
+impl<const P: usize, F: Fn([f32; P], [f32; P], [f32; P]) -> f32 + Copy> Term<P> for F {}
+
+/// `coeff · ∂term/∂x` for `x = h, r, t` (in that order), per part.
+trait GradTerms<const P: usize>:
+    Fn(f32, [f32; P], [f32; P], [f32; P]) -> [[f32; P]; 3] + Copy
+{
+}
+impl<const P: usize, F> GradTerms<P> for F where
+    F: Fn(f32, [f32; P], [f32; P], [f32; P]) -> [[f32; P]; 3] + Copy
+{
+}
+
+/// A row of `P · rank` floats as its `P` parts of `rank` floats.
+#[inline(always)]
+fn parts<const P: usize, T>(row: &[T], rank: usize) -> [&[T]; P] {
+    std::array::from_fn(|p| &row[p * rank..(p + 1) * rank])
+}
+
+/// Element `k` of every part.
+#[inline(always)]
+fn at<const P: usize>(row: &[&[f32]; P], k: usize) -> [f32; P] {
+    row.map(|part| part[k])
+}
+
+/// The transposed one-vs-all driver of every model: shapes asserted once,
+/// for both arms, then [`ova_t_body`]'s AVX-compiled copy where the CPU has
+/// AVX (runtime-detected, overridable via [`crate::simd::force_scalar`]),
+/// its baseline copy otherwise.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn ova_t<const P: usize>(
+    term: impl Term<P>,
+    rank: usize,
+    query: &[f32],
+    r: &[f32],
+    tile_t: &[f32],
+    rows: usize,
+    dir: ReplaceDir,
+    scores: &mut [f32],
+) {
+    let dim = P * rank;
+    assert!(query.len() == dim && r.len() == dim, "query and relation rows hold {dim} floats");
+    assert_eq!(tile_t.len(), rows * dim, "tile of {rows} candidates");
+    assert_eq!(scores.len(), rows, "one score per candidate");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::use_avx() {
+        // SAFETY: AVX was just detected at runtime.
+        return unsafe { ova_t_avx(term, rank, query, r, tile_t, rows, dir, scores) };
+    }
+    ova_t_body(term, rank, query, r, tile_t, rows, dir, scores)
+}
+
+/// The same safe code with AVX enabled (see [`score_triples_avx`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+fn ova_t_avx<const P: usize>(
+    term: impl Term<P>,
+    rank: usize,
+    query: &[f32],
+    r: &[f32],
+    tile_t: &[f32],
+    rows: usize,
+    dir: ReplaceDir,
+    scores: &mut [f32],
+) {
+    ova_t_body(term, rank, query, r, tile_t, rows, dir, scores)
+}
+
+/// `dir` decides once, outside every loop, which side the candidate takes.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn ova_t_body<const P: usize>(
+    term: impl Term<P>,
+    rank: usize,
+    query: &[f32],
+    r: &[f32],
+    tile_t: &[f32],
+    rows: usize,
+    dir: ReplaceDir,
+    scores: &mut [f32],
+) {
+    match dir {
+        ReplaceDir::Head => ova_t_sweep(|q, r, c| term(c, r, q), rank, query, r, tile_t, rows, scores),
+        ReplaceDir::Tail => ova_t_sweep(|q, r, c| term(q, r, c), rank, query, r, tile_t, rows, scores),
+    }
+}
+
+/// Score every candidate of a column-major tile, [`OVA_T_LANES`] at a time:
+/// a chunk's accumulators start at `+0.0` and take `term(query_k, r_k,
+/// candidate_k)` for `k` ascending — each lane is one candidate's
+/// [`KgeModel::score`] sum, expression and order, and only independent
+/// chains run side by side. Whatever of the term depends on the query and
+/// relation alone is the same f32 value for every lane, so it is formed
+/// once per `k`. The ragged end of the tile goes one candidate at a time.
+#[inline(always)]
+fn ova_t_sweep<const P: usize>(
+    term: impl Term<P>,
+    rank: usize,
+    query: &[f32],
+    r: &[f32],
+    tile_t: &[f32],
+    rows: usize,
+    scores: &mut [f32],
+) {
+    const W: usize = OVA_T_LANES;
+    let (q, r) = (parts::<P, _>(query, rank), parts::<P, _>(r, rank));
+    // Part `p`'s `rank` columns of `rows` candidates each.
+    let cols = parts::<P, _>(tile_t, rank * rows);
+    let n_grouped = rows - rows % W;
+    for (c0, out) in (0..n_grouped).step_by(W).zip(scores.chunks_exact_mut(W)) {
+        let mut acc = [0.0f32; W];
+        for k in 0..rank {
+            let (qk, rk) = (at(&q, k), at(&r, k));
+            let lanes: [&[f32; W]; P] = cols.map(|part| {
+                part[k * rows + c0..k * rows + c0 + W].try_into().expect("W lanes")
+            });
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a += term(qk, rk, lanes.map(|col| col[j]));
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+    for (c, out) in scores.iter_mut().enumerate().skip(n_grouped) {
+        let mut acc = 0.0f32;
+        for k in 0..rank {
+            acc += term(at(&q, k), at(&r, k), cols.map(|part| part[k * rows + c]));
+        }
+        *out = acc;
+    }
+}
+
+/// The accumulating backward driver of every model: shapes asserted once,
+/// for both arms, then [`grad_add_body`]'s AVX-compiled copy or its
+/// baseline copy, as [`ova_t`] chooses.
+#[inline]
+fn grad_add<const P: usize>(
+    grad_terms: impl GradTerms<P>,
+    rank: usize,
+    src: [&[f32]; 3],
+    coeff: f32,
+    l2: f32,
+    dst: GradDst<'_>,
+) {
+    let dim = P * rank;
+    assert!(src.iter().all(|x| x.len() == dim), "source rows hold {dim} floats");
+    let last = dst.ent.len().checked_sub(dim).expect("entity slab shorter than a row");
+    assert!(dst.h <= last && dst.t <= last, "head and tail rows inside the entity slab");
+    assert_eq!(dst.rel.len(), dim, "relation row");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::use_avx() {
+        // SAFETY: AVX was just detected at runtime.
+        return unsafe { grad_add_avx(grad_terms, rank, src, coeff, l2, dst) };
+    }
+    grad_add_body(grad_terms, rank, src, coeff, l2, dst)
+}
+
+/// The same safe code with AVX enabled (see [`score_triples_avx`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn grad_add_avx<const P: usize>(
+    grad_terms: impl GradTerms<P>,
+    rank: usize,
+    src: [&[f32]; 3],
+    coeff: f32,
+    l2: f32,
+    dst: GradDst<'_>,
+) {
+    grad_add_body(grad_terms, rank, src, coeff, l2, dst)
+}
+
+/// Elements formed together by the accumulating backward: one 256-bit
+/// vector.
+const GRAD_LANES: usize = 8;
+
+/// One example's `coeff · ∂φ/∂x + l2 · x` for `x = h, t, r`, read from the
+/// table rows `src = [h, r, t]` and added into the rows `dst` names,
+/// [`GRAD_LANES`] elements of every part at a time and the rest of `rank`
+/// one by one. The backward is elementwise over `k`, so any width forms the
+/// scalar expression's bits.
+///
+/// The destinations are `Cell`s because a self-loop's head and tail rows
+/// are one row: every element is fully formed before it is added, and a row
+/// receives its head addition before its tail addition — the f32 sequence
+/// of "form the example's three gradient rows, then `+=` them head, tail,
+/// relation", without the rows in between.
+#[inline(always)]
+fn grad_add_body<const P: usize>(
+    grad_terms: impl GradTerms<P>,
+    rank: usize,
+    src: [&[f32]; 3],
+    coeff: f32,
+    l2: f32,
+    dst: GradDst<'_>,
+) {
+    const W: usize = GRAD_LANES;
+    let dim = P * rank;
+    let ent = Cell::from_mut(dst.ent).as_slice_of_cells();
+    let rel = Cell::from_mut(dst.rel).as_slice_of_cells();
+    let dst = [&ent[dst.h..dst.h + dim], &ent[dst.t..dst.t + dim], rel];
+    let src = src.map(|row| parts::<P, _>(row, rank).map(|part| part.as_chunks::<W>()));
+    let dst = dst.map(|row| parts::<P, _>(row, rank).map(|part| part.as_chunks::<W>()));
+    for i in 0..rank / W {
+        grad_add_lanes(
+            grad_terms,
+            coeff,
+            l2,
+            src.map(|row| row.map(|(chunks, _)| &chunks[i])),
+            dst.map(|row| row.map(|(chunks, _)| &chunks[i])),
+        );
+    }
+    for k in 0..rank % W {
+        grad_add_lanes(
+            grad_terms,
+            coeff,
+            l2,
+            src.map(|row| row.map(|(_, rest)| std::array::from_ref(&rest[k]))),
+            dst.map(|row| row.map(|(_, rest)| std::array::from_ref(&rest[k]))),
+        );
+    }
+}
+
+/// `W` elements of [`grad_add_body`]: form all `3 · P · W` values from
+/// `[h, r, t]`, then add them to `[head, tail, relation]` in that order.
+#[inline(always)]
+fn grad_add_lanes<const P: usize, const W: usize>(
+    grad_terms: impl GradTerms<P>,
+    coeff: f32,
+    l2: f32,
+    src: [[&[f32; W]; P]; 3],
+    [gh, gt, gr]: [[&[Cell<f32>; W]; P]; 3],
+) {
+    let mut add = [[[0.0f32; W]; P]; 3];
+    for j in 0..W {
+        let x = src.map(|row| row.map(|part| part[j]));
+        let g = grad_terms(coeff, x[0], x[1], x[2]);
+        for (add, (g, x)) in add.iter_mut().zip(g.iter().zip(&x)) {
+            for p in 0..P {
+                add[p][j] = g[p] + l2 * x[p];
+            }
+        }
+    }
+    let [add_h, add_r, add_t] = add;
+    for (row, add) in [(gh, add_h), (gt, add_t), (gr, add_r)] {
+        for (part, add) in row.iter().zip(&add) {
+            for (d, a) in part.iter().zip(add) {
+                d.set(d.get() + a);
+            }
+        }
+    }
+}
+
+/// ComplEx: `rr·(hr·tr + hi·ti) + ri·(hr·ti − hi·tr)`.
+#[inline(always)]
+fn complex_term([hr, hi]: [f32; 2], [rr, ri]: [f32; 2], [tr, ti]: [f32; 2]) -> f32 {
+    rr * (hr * tr + hi * ti) + ri * (hr * ti - hi * tr)
+}
+
+#[inline(always)]
+fn complex_grad_terms(
+    c: f32,
+    [hr, hi]: [f32; 2],
+    [rr, ri]: [f32; 2],
+    [tr, ti]: [f32; 2],
+) -> [[f32; 2]; 3] {
+    [
+        // ∂φ/∂Re(h) = Re(r)Re(t) + Im(r)Im(t), ∂φ/∂Im(h) = Re(r)Im(t) − Im(r)Re(t)
+        [c * (rr * tr + ri * ti), c * (rr * ti - ri * tr)],
+        // ∂φ/∂Re(r) = Re(h)Re(t) + Im(h)Im(t), ∂φ/∂Im(r) = Re(h)Im(t) − Im(h)Re(t)
+        [c * (hr * tr + hi * ti), c * (hr * ti - hi * tr)],
+        // ∂φ/∂Re(t) = Re(r)Re(h) − Im(r)Im(h), ∂φ/∂Im(t) = Re(r)Im(h) + Im(r)Re(h)
+        [c * (rr * hr - ri * hi), c * (rr * hi + ri * hr)],
+    ]
+}
+
+/// DistMult: `(h·r)·t`.
+#[inline(always)]
+fn distmult_term([h]: [f32; 1], [r]: [f32; 1], [t]: [f32; 1]) -> f32 {
+    h * r * t
+}
+
+#[inline(always)]
+fn distmult_grad_terms(c: f32, [h]: [f32; 1], [r]: [f32; 1], [t]: [f32; 1]) -> [[f32; 1]; 3] {
+    [[c * r * t], [c * h * t], [c * h * r]]
+}
+
+/// TransE: `−(d·d)`, `d = (h + r) − t`; adding the negation is `s -= d·d`
+/// to the bit.
+#[inline(always)]
+fn transe_term([h]: [f32; 1], [r]: [f32; 1], [t]: [f32; 1]) -> f32 {
+    let d = h + r - t;
+    -(d * d)
+}
+
+#[inline(always)]
+fn transe_grad_terms(c: f32, [h]: [f32; 1], [r]: [f32; 1], [t]: [f32; 1]) -> [[f32; 1]; 3] {
+    let d = h + r - t;
+    // ∂φ/∂h = −2d, ∂φ/∂r = −2d, ∂φ/∂t = +2d
+    [[c * (-2.0 * d)], [c * (-2.0 * d)], [c * (2.0 * d)]]
+}
+
+/// RotatE: `−|u|²` for the rotation residual `u = h·r − t`.
+#[inline(always)]
+fn rotate_term([hr, hi]: [f32; 2], [rr, ri]: [f32; 2], [tr, ti]: [f32; 2]) -> f32 {
+    let ure = hr * rr - hi * ri - tr;
+    let uim = hr * ri + hi * rr - ti;
+    -(ure * ure + uim * uim)
+}
+
+#[inline(always)]
+fn rotate_grad_terms(
+    coeff: f32,
+    [hr, hi]: [f32; 2],
+    [rr, ri]: [f32; 2],
+    [tr, ti]: [f32; 2],
+) -> [[f32; 2]; 3] {
+    let ure = hr * rr - hi * ri - tr;
+    let uim = hr * ri + hi * rr - ti;
+    let c = -2.0 * coeff;
+    [
+        [c * (ure * rr + uim * ri), c * (-ure * ri + uim * rr)],
+        [c * (ure * hr + uim * hi), c * (-ure * hi + uim * hr)],
+        [-c * ure, -c * uim],
+    ]
+}
+
+/// SimplE: `½(h_head·r·t_tail + t_head·r⁻¹·h_tail)`.
+#[inline(always)]
+fn simple_term([hh, ht]: [f32; 2], [rf, rinv]: [f32; 2], [th, tt]: [f32; 2]) -> f32 {
+    0.5 * (hh * rf * tt + th * rinv * ht)
+}
+
+#[inline(always)]
+fn simple_grad_terms(
+    coeff: f32,
+    [hh, ht]: [f32; 2],
+    [rf, rinv]: [f32; 2],
+    [th, tt]: [f32; 2],
+) -> [[f32; 2]; 3] {
+    let half = 0.5 * coeff;
+    [
+        [half * rf * tt, half * th * rinv],
+        [half * hh * tt, half * th * ht],
+        [half * rinv * ht, half * hh * rf],
+    ]
 }
 
 /// A knowledge-graph embedding scoring model.
@@ -2103,6 +2455,54 @@ mod tests {
             &mut rel_out2,
         );
         assert_eq!(ent_out2.nnz(), 2); // entity rows {0, 5} across both triples
+    }
+
+    /// Temporary (deleted with the kernels it reads): the generic drivers
+    /// reproduce the hand-written kernels' outputs to the bit — one-vs-all
+    /// in both directions over full, ragged and empty tiles, backward on
+    /// distinct rows and on a self-loop — under both dispatch arms.
+    #[test]
+    fn generic_drivers_match_the_hand_written_kernels() {
+        fn check<const P: usize>(
+            model: &dyn KgeModel,
+            term: impl Term<P>,
+            grad_terms: impl GradTerms<P>,
+        ) {
+            let mut rng = StdRng::seed_from_u64(91);
+            let (rank, dim) = (model.rank(), model.storage_dim());
+            for force_scalar in [true, false] {
+                crate::simd::set_force_scalar(Some(force_scalar));
+                for rows in [0usize, 1, 15, 16, 17, 33, 48] {
+                    let (query, r) = (rand_vec(&mut rng, dim), rand_vec(&mut rng, dim));
+                    let tile_t = rand_vec(&mut rng, rows * dim);
+                    for dir in [ReplaceDir::Head, ReplaceDir::Tail] {
+                        let (mut old, mut new) = (vec![9.0f32; rows], vec![7.0f32; rows]);
+                        model.score_one_vs_all_transposed(&query, &r, &tile_t, rows, dir, &mut old);
+                        ova_t(term, rank, &query, &r, &tile_t, rows, dir, &mut new);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&old), bits(&new), "{} {dir:?} rows={rows}", model.name());
+                    }
+                }
+                let (h, r, t) = (rand_vec(&mut rng, dim), rand_vec(&mut rng, dim), rand_vec(&mut rng, dim));
+                for (ho, to) in [(0, dim), (dim, 0), (dim, dim)] {
+                    let (ent0, rel0) = (rand_vec(&mut rng, 2 * dim), rand_vec(&mut rng, dim));
+                    let (mut old_ent, mut old_rel) = (ent0.clone(), rel0.clone());
+                    let dst = GradDst { ent: &mut old_ent, h: ho, t: to, rel: &mut old_rel };
+                    model.grad_add([&h, &r, &t], 0.37, 0.011, dst, &mut []);
+                    let (mut ent, mut rel) = (ent0, rel0);
+                    let dst = GradDst { ent: &mut ent, h: ho, t: to, rel: &mut rel };
+                    grad_add(grad_terms, rank, [&h, &r, &t], 0.37, 0.011, dst);
+                    assert_eq!(old_ent, ent, "{} entity rows at ({ho}, {to})", model.name());
+                    assert_eq!(old_rel, rel, "{} relation row at ({ho}, {to})", model.name());
+                }
+            }
+            crate::simd::set_force_scalar(None);
+        }
+        for rank in [5, 8, 13, 32] {
+            check(&ComplEx::new(rank), complex_term, complex_grad_terms);
+            check(&DistMult::new(rank), distmult_term, distmult_grad_terms);
+            check(&TransE::new(rank), transe_term, transe_grad_terms);
+        }
     }
 
     #[test]
