@@ -49,16 +49,12 @@ impl<T> ScratchPool<T> {
 /// Scratch of one [`crate::model::KgeModel::score_grad_block`] call. The
 /// kernel reads embedding rows from the tables and adds gradients straight
 /// into the [`crate::SparseGrad`] slabs, so nothing here scales with the
-/// block: one forward group's summands and one example's gradient rows.
+/// block: one forward group's summands.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     /// [`crate::model::KgeModel::score_triples`]' scratch: the per-`k`
-    /// summands of [`crate::model::SCORE_LANES`] examples (`8 × rank`),
-    /// sized by the fused forward arms and left empty by the default one.
+    /// summands of [`crate::model::SCORE_LANES`] examples (`8 × rank`).
     pub(crate) terms: Vec<f32>,
-    /// Head, relation and tail gradient rows of one example (`3 × dim`),
-    /// for models whose backward goes through [`crate::model::KgeModel::grad`].
-    pub(crate) tmp: Vec<f32>,
 }
 
 impl BlockScratch {
@@ -68,7 +64,7 @@ impl BlockScratch {
 
     /// Bytes of heap this scratch holds.
     pub fn heap_bytes(&self) -> usize {
-        (self.terms.capacity() + self.tmp.capacity()) * std::mem::size_of::<f32>()
+        self.terms.capacity() * std::mem::size_of::<f32>()
     }
 }
 
@@ -91,9 +87,9 @@ mod tests {
         assert_eq!(pool.idle(), 0);
     }
 
-    /// The kernel's scratch is a function of `dim` alone: a block of 1280
-    /// examples leaves one 8-lane group of summands and three rows — no
-    /// `n × dim` arena and no row tiles.
+    /// The kernel's scratch is a function of `rank` alone: a block of 1280
+    /// examples leaves one 8-lane group of summands — no `n × dim` arena,
+    /// no row tiles and no staged gradient rows.
     #[test]
     fn block_scratch_does_not_scale_with_the_block() {
         use crate::{ComplEx, EmbeddingTable, KgeModel, SparseGrad};
@@ -117,7 +113,7 @@ mod tests {
             &mut eg,
             &mut rg,
         );
-        let floats = crate::model::SCORE_LANES * model.rank() + 3 * dim;
+        let floats = crate::model::SCORE_LANES * model.rank();
         assert_eq!(scratch.heap_bytes(), floats * 4);
     }
 }

@@ -87,12 +87,18 @@ pub fn use_avx2() -> bool {
     }
 }
 
+/// In-crate tests that set the process-global override hold this, so each
+/// runs the arm it asked for while the others run in parallel.
+#[cfg(test)]
+pub(crate) static TEST_ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn override_wins_over_env() {
+        let _arm = TEST_ARM.lock().unwrap_or_else(|e| e.into_inner());
         set_force_scalar(Some(true));
         assert!(force_scalar());
         assert!(!use_avx());

@@ -1,18 +1,19 @@
 //! Property test: `KgeModel::score_triples` — the training forward and
 //! S5's pool scoring — gives **exactly** `KgeModel::score`'s bits, triple
-//! for triple, for every model constructible from `ModelKind` (RotatE and
-//! SimplE through the default arm), under both dispatch arms, at ranks
-//! below, at and straddling the vector width, for every length of the last
-//! [`SCORE_LANES`] group, on the shapes training stages and on the values
-//! where a reordered or fused sum would show: signed zeros, denormals and
-//! magnitudes that overflow.
+//! for triple, for every model constructible from `ModelKind`, under both
+//! dispatch arms, at ranks below, at and straddling the vector width, for
+//! every length of the last [`SCORE_LANES`] group, on the shapes training
+//! stages and on the values where a reordered or fused sum would show:
+//! signed zeros, denormals and magnitudes that overflow. The transposed
+//! one-vs-all driver is held to the same bits per candidate, in both
+//! directions, over empty, ragged and multi-chunk tiles.
 //!
 //! `KGE_FORCE_SCALAR=1` on top pins the arm the override cannot reach
 //! (`scripts/check.sh` runs the suite both ways).
 
 use kge_core::model::complex_score_oracle;
 use kge_core::{
-    ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, TransE, SCORE_LANES,
+    ComplEx, DistMult, EmbeddingTable, KgeModel, ReplaceDir, RotatE, SimplE, TransE, SCORE_LANES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,8 +48,8 @@ enum Values {
     /// products that flush to zero.
     Denormals,
     /// Every row scaled by `1e-30`, `1` or `1e30`: products that underflow,
-    /// overflow to `±inf` and cancel to NaN (compared by bits like the rest;
-    /// the tables themselves hold no NaN).
+    /// overflow to `±inf` and cancel to NaN (the tables themselves hold no
+    /// NaN; see [`same_bits`] for how a NaN score compares).
     Magnitudes,
 }
 
@@ -106,6 +107,21 @@ fn triples(shape: Shape, n: usize, rng: &mut StdRng) -> Vec<Triple> {
     out
 }
 
+/// Bit equality, with NaN equal to NaN. A NaN's sign and payload are outside
+/// every f32 contract Rust gives and nothing downstream reads them (ranking
+/// and top-k ask `is_nan`). They do differ between paths: a distance model's
+/// summand is `-(…)`, and a NaN inside keeps its sign where the compiler
+/// folds the negation into a subtraction (`score`, the one-vs-all driver)
+/// and flips it where the negated summand is staged first (the forward).
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+// Tests run on parallel threads; a call under a chosen arm holds this for
+// as long as it holds the process-global override, so each arm really is
+// the one asked for.
+static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// `score_triples` under the given dispatch arm.
 fn fused(
     model: &dyn KgeModel,
@@ -115,9 +131,6 @@ fn fused(
     scratch: &mut Vec<f32>,
     force_scalar: bool,
 ) -> Vec<f32> {
-    // Tests run on parallel threads; hold the process-global override for
-    // the whole call so each arm really is the one asked for.
-    static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
     kge_core::simd::set_force_scalar(Some(force_scalar));
     // Poisoned, so every score has to be written.
@@ -146,7 +159,7 @@ fn check_all_models(rank: usize, values: Values, shape: Shape, n: usize, seed: u
             let got = fused(model.as_ref(), &ent, &rel, &list, &mut scratch, force_scalar);
             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 assert!(
-                    g.to_bits() == w.to_bits(),
+                    same_bits(g, w),
                     "{} rank={rank} {values:?} {shape:?} n={n} force_scalar={force_scalar} \
                      triple {i} {:?}: {g:e} ({:#x}) vs score {w:e} ({:#x})",
                     model.name(),
@@ -179,6 +192,63 @@ fn every_rank_remainder_value_regime_and_shape_matches_score() {
                         check_all_models(rank, values, shape, n, (rank * 131 + n) as u64);
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The transposed one-vs-all driver: every model × rank × tile height (none,
+/// one candidate, one short of a lane chunk, a chunk, a chunk and one, two
+/// chunks and one) × value regime × direction, both arms — every candidate's
+/// score is `score`'s with the candidate substituted.
+#[test]
+fn transposed_one_vs_all_matches_score_per_candidate() {
+    let mut rng = StdRng::seed_from_u64(0x07A);
+    for rank in [1, 5, 8, 13, 32] {
+        for model in models(rank).iter() {
+            for rows in [0, 1, 15, 16, 17, 33] {
+                for values in VALUES {
+                    check_transposed(model.as_ref(), rows, values, &mut rng);
+                }
+            }
+        }
+    }
+}
+
+fn check_transposed(model: &dyn KgeModel, rows: usize, values: Values, rng: &mut StdRng) {
+    let dim = model.storage_dim();
+    let cand = table(rows, dim, values, rng);
+    let fixed = table(2, dim, values, rng);
+    let (query, r) = (fixed.row(0), fixed.row(1));
+    let mut tile_t = vec![0.0f32; rows * dim];
+    for j in 0..rows {
+        for k in 0..dim {
+            tile_t[k * rows + j] = cand.row(j)[k];
+        }
+    }
+    for dir in [ReplaceDir::Head, ReplaceDir::Tail] {
+        for force_scalar in [true, false] {
+            let arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
+            kge_core::simd::set_force_scalar(Some(force_scalar));
+            // Poisoned, so every score has to be written.
+            let mut got = vec![f32::from_bits(0x7FC0_BEEF); rows];
+            model.score_one_vs_all_transposed(query, r, &tile_t, rows, dir, &mut got);
+            kge_core::simd::set_force_scalar(None);
+            drop(arm);
+            for (j, &g) in got.iter().enumerate() {
+                let w = match dir {
+                    ReplaceDir::Head => model.score(cand.row(j), r, query),
+                    ReplaceDir::Tail => model.score(query, r, cand.row(j)),
+                };
+                assert!(
+                    same_bits(g, w),
+                    "{} rank={} {values:?} {dir:?} rows={rows} force_scalar={force_scalar} \
+                     candidate {j}: {g:e} ({:#x}) vs score {w:e} ({:#x})",
+                    model.name(),
+                    model.rank(),
+                    g.to_bits(),
+                    w.to_bits()
+                );
             }
         }
     }

@@ -3,10 +3,9 @@
 //! the `SparseGrad` slabs, memoized slots) is **bit-identical** to the scalar
 //! per-triple path — every per-example score (hence loss), every gradient
 //! bit and the insertion order of both accumulators — for every model
-//! constructible from `ModelKind` (RotatE and SimplE through the default
-//! arm), dims straddling the AVX register width, block sizes straddling
-//! [`BLOCK_GROUP`], the block shapes training produces, and both
-//! dispatch arms via the force-scalar override.
+//! constructible from `ModelKind`, dims straddling the AVX register width,
+//! block sizes straddling [`BLOCK_GROUP`], the block shapes training
+//! produces, and both dispatch arms via the force-scalar override.
 //!
 //! `KGE_FORCE_SCALAR=1` on top pins the arm the override cannot reach
 //! (`scripts/check.sh` runs the suite both ways).

@@ -6,7 +6,7 @@
 //!   Hits@{1,3,10} and mean rank, replacing heads and tails against every
 //!   entity, with the filtered variant skipping candidates that are known
 //!   true triples. Built on the blocked one-vs-all kernel
-//!   ([`kge_core::KgeModel::score_one_vs_all`]) with a reusable
+//!   ([`kge_core::KgeModel::score_one_vs_all_transposed`]) with a reusable
 //!   [`RankingWorkspace`]; bit-identical to the scalar reference
 //!   [`ranking::rank_of_scalar`].
 //! - [`distributed`]: the same metrics with queries sharded across simgrid

@@ -6,7 +6,7 @@
 //! way the trainer runs its hot path:
 //!
 //! - queries are grouped by relation and swept against the entity table in
-//!   cache-sized tiles through [`KgeModel::score_one_vs_all`], whose
+//!   cache-sized tiles through [`KgeModel::score_one_vs_all_transposed`], whose
 //!   per-candidate reduction order is bit-identical to `score` — so every
 //!   rank (including tie counts) matches the scalar reference path
 //!   [`rank_of_scalar`] exactly;
@@ -185,11 +185,10 @@ pub struct RankingWorkspace {
     /// Work units: `[lo, hi)` ranges of `order`, never crossing a relation
     /// boundary, at most [`UNIT_QUERIES`] long.
     units: Vec<(u32, u32)>,
-    /// Tile-blocked column-major copy of the entity table (models with a
-    /// transposed kernel; empty otherwise). Built **once per evaluation**
-    /// and shared read-only by every unit — the transpose depends only on
-    /// the entity table, not on the queries. The same builder feeds the
-    /// serving layer's published snapshots (`kge-serve`).
+    /// Tile-blocked column-major copy of the entity table. Built **once per
+    /// evaluation** and shared read-only by every unit — the transpose
+    /// depends only on the entity table, not on the queries. The same
+    /// builder feeds the serving layer's published snapshots (`kge-serve`).
     ent_t: TransposedTable,
     head_ranks: Vec<usize>,
     tail_ranks: Vec<usize>,
@@ -251,8 +250,7 @@ pub(crate) fn subsample_into(
 /// Evaluate one unit (queries `order[lo..hi]`, all sharing a relation):
 /// blocked sweep over every entity tile, then the filter post-pass.
 /// `ent_t` is the shared per-tile column-major copy of the entity table
-/// (see [`RankingWorkspace::ent_t`]); empty when the model has no
-/// transposed kernel.
+/// (see [`RankingWorkspace::ent_t`]).
 #[allow(clippy::too_many_arguments)]
 fn process_unit(
     model: &dyn KgeModel,
@@ -288,17 +286,14 @@ fn process_unit(
     s.ties[..2 * q].fill(0);
 
     // Blocked sweep: count better/ties over ALL candidates, tile-major so
-    // each candidate tile (in its shared column-major copy, for models
-    // with a transposed kernel) stays hot across the unit's queries in
-    // both directions. Per-query counts are integer sums, so accumulating
-    // them tile-by-tile is order-independent and the final ranks stay
-    // bit-identical to the scalar path.
-    let transposed = model.has_transposed_kernel();
+    // each candidate tile (in its shared column-major copy) stays hot
+    // across the unit's queries in both directions. Per-query counts are
+    // integer sums, so accumulating them tile-by-tile is order-independent
+    // and the final ranks stay bit-identical to the scalar path.
     let mut e0 = 0usize;
     while e0 < n_ent {
         let e1 = (e0 + tile).min(n_ent);
         let rows = e1 - e0;
-        let cand = &ent.as_slice()[e0 * dim..e1 * dim];
         for (di, dir) in [ReplaceDir::Head, ReplaceDir::Tail].into_iter().enumerate() {
             for (qi, &slot) in slots.iter().enumerate() {
                 let t = sub[slot as usize];
@@ -306,24 +301,14 @@ fn process_unit(
                     ReplaceDir::Head => ent.row(t.tail as usize),
                     ReplaceDir::Tail => ent.row(t.head as usize),
                 };
-                if transposed {
-                    model.score_one_vs_all_transposed(
-                        query_row,
-                        r_row,
-                        &ent_t[e0 * dim..e1 * dim],
-                        rows,
-                        dir,
-                        &mut s.tile_scores[..rows],
-                    );
-                } else {
-                    model.score_one_vs_all(
-                        query_row,
-                        r_row,
-                        cand,
-                        dir,
-                        &mut s.tile_scores[..rows],
-                    );
-                }
+                model.score_one_vs_all_transposed(
+                    query_row,
+                    r_row,
+                    &ent_t[e0 * dim..e1 * dim],
+                    rows,
+                    dir,
+                    &mut s.tile_scores[..rows],
+                );
                 // Branchless: score-vs-true comparisons are effectively
                 // random, so a branchy count would mispredict per
                 // candidate and dominate the fused kernel's cost.
@@ -344,8 +329,8 @@ fn process_unit(
     for (di, dir) in [ReplaceDir::Head, ReplaceDir::Tail].into_iter().enumerate() {
         // Post-pass correction: the sweep counted every entity, including
         // the true one and (in filtered mode) known true competitors. Their
-        // recomputed scores are bit-identical to the sweep's (the
-        // score_one_vs_all contract), so subtracting them from the matching
+        // recomputed scores are bit-identical to the sweep's (the one-vs-all
+        // kernel's contract), so subtracting them from the matching
         // bucket reproduces the scalar skip-before-score counts exactly.
         for (qi, &slot) in slots.iter().enumerate() {
             let t = sub[slot as usize];
@@ -415,11 +400,7 @@ fn evaluate_ranks_into(
     // unit then sweeps the same read-only copy. (Done per unit, the
     // transpose would repeat per unit × per tile and rival the kernel
     // cost for units with few queries.)
-    if model.has_transposed_kernel() {
-        ent_t.build_into(ent);
-    } else {
-        ent_t.clear();
-    }
+    ent_t.build_into(ent);
 
     order.clear();
     order.extend(0..n as u32);

@@ -13,10 +13,9 @@
 
 use kge_core::EmbeddingTable;
 
-/// Candidate-tile size target: one tile of entity rows plus its
-/// column-major copy (models with a transposed kernel keep both live)
-/// should sit in L1 alongside the query rows, so the tile is reused
-/// across every query of a unit or admitted batch without thrashing.
+/// Candidate-tile size target: one column-major tile of entity rows
+/// should sit in L1 alongside the query rows, so the tile is reused across
+/// every query of a unit or admitted batch without thrashing.
 pub const TILE_BYTES: usize = 8 * 1024;
 
 /// Entity rows per tile for a given storage dimension, rounded up to a
@@ -87,13 +86,6 @@ impl TransposedTable {
         }
     }
 
-    /// Drop the contents (used when the model has no transposed kernel);
-    /// capacity is kept for reuse.
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.rows = 0;
-    }
-
     /// The full tile-blocked column-major buffer (`rows·dim` long; the
     /// block for the tile at entity `e0` starts at `e0·dim`).
     pub fn as_slice(&self) -> &[f32] {
@@ -113,10 +105,6 @@ impl TransposedTable {
     /// Storage dimension of the source table.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// The column-major block for the tile starting at entity `e0`
@@ -182,8 +170,5 @@ mod tests {
         let expect_b = TransposedTable::build(&b);
         t.build_into(&b);
         assert_eq!(t.as_slice(), expect_b.as_slice());
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.rows(), 0);
     }
 }

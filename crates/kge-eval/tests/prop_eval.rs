@@ -1,7 +1,7 @@
 //! Property tests for evaluation: metric bounds, filtering monotonicity,
 //! and threshold-fit optimality.
 
-use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel, TransE};
+use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, TransE};
 use kge_data::{FilterIndex, GroupedFilter, Triple};
 use kge_eval::{
     evaluate_ranking, evaluate_ranking_with, rank_of_scalar, triple_classification,
@@ -109,7 +109,7 @@ proptest! {
     /// tie-heavy quantized tables where midpoint tie handling matters.
     #[test]
     fn blocked_ranks_match_scalar_oracle(
-        model_id in 0usize..3,
+        model_id in 0usize..5,
         rank in 2usize..5,
         triples in triples_strategy(25, 3),
         seed in any::<u64>(),
@@ -119,7 +119,9 @@ proptest! {
         let model: Box<dyn KgeModel> = match model_id {
             0 => Box::new(ComplEx::new(rank)),
             1 => Box::new(DistMult::new(rank)),
-            _ => Box::new(TransE::new(rank)),
+            2 => Box::new(TransE::new(rank)),
+            3 => Box::new(RotatE::new(rank)),
+            _ => Box::new(SimplE::new(rank)),
         };
         let dim = model.storage_dim();
         let ent = quantized_table(25, dim, seed);

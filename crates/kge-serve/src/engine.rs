@@ -156,14 +156,8 @@ impl ServeEngine {
         let model = snap.model();
         let ent = snap.ent();
         let rel = snap.rel();
-        let dim = ent.dim();
         let n_ent = ent.rows();
-        let transposed = model.has_transposed_kernel() && !snap.ent_t().is_empty();
-        let tile = if transposed {
-            snap.ent_t().tile_rows()
-        } else {
-            kge_eval::tile_rows_for(dim)
-        };
+        let tile = snap.ent_t().tile_rows();
 
         // Admission coalescing: group the batch by relation so each
         // relation row is fetched once per tile and filter lookups hit
@@ -202,21 +196,16 @@ impl ServeEngine {
                 }
                 let query_row = ent.row(q.head as usize);
                 let scores = &mut self.tile_scores[..rows];
-                if transposed {
-                    let (block, brows) = snap.ent_t().tile(e0);
-                    debug_assert_eq!(brows, rows);
-                    model.score_one_vs_all_transposed(
-                        query_row,
-                        r_row,
-                        block,
-                        rows,
-                        ReplaceDir::Tail,
-                        scores,
-                    );
-                } else {
-                    let cand = &ent.as_slice()[e0 * dim..e1 * dim];
-                    model.score_one_vs_all(query_row, r_row, cand, ReplaceDir::Tail, scores);
-                }
+                let (block, brows) = snap.ent_t().tile(e0);
+                debug_assert_eq!(brows, rows);
+                model.score_one_vs_all_transposed(
+                    query_row,
+                    r_row,
+                    block,
+                    rows,
+                    ReplaceDir::Tail,
+                    scores,
+                );
                 self.heaps[qi as usize].offer_tile(e0 as u32, scores);
             }
             e0 = e1;

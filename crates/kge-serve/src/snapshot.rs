@@ -62,11 +62,7 @@ impl ModelSnapshot {
     fn fill(&mut self, ent: &EmbeddingTable, rel: &EmbeddingTable) {
         copy_table(&mut self.ent, ent);
         copy_table(&mut self.rel, rel);
-        if self.model.has_transposed_kernel() {
-            self.ent_t.build_into(&self.ent);
-        } else {
-            self.ent_t.clear();
-        }
+        self.ent_t.build_into(&self.ent);
     }
 
     /// Epochs of training this snapshot has seen.
@@ -96,8 +92,7 @@ impl ModelSnapshot {
         &self.rel
     }
 
-    /// Pre-built column-major entity tiles; empty when [`Self::model`]
-    /// has no transposed kernel.
+    /// Pre-built column-major entity tiles.
     pub fn ent_t(&self) -> &TransposedTable {
         &self.ent_t
     }
@@ -247,7 +242,7 @@ mod tests {
         assert_eq!(s1.epochs_done(), 1);
         assert_eq!(s1.ent().as_slice(), e1.as_slice());
         assert_eq!(s1.rel().as_slice(), r1.as_slice());
-        assert!(!s1.ent_t().is_empty(), "ComplEx pre-builds the transpose");
+        assert_eq!(s1.ent_t().rows(), e1.rows(), "the transpose is pre-built");
 
         let (e2, r2) = tables(2);
         hub.publish_tables(2, 1.5, &e2, &r2);

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel, TransE};
+use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, TransE};
 use kge_data::{GroupedFilter, Triple};
 use kge_serve::{ModelSnapshot, Query, ServeEngine};
 use proptest::prelude::*;
@@ -22,7 +22,9 @@ fn build_model(model_id: usize, rank: usize) -> Arc<dyn KgeModel> {
     match model_id {
         0 => Arc::new(ComplEx::new(rank)),
         1 => Arc::new(DistMult::new(rank)),
-        _ => Arc::new(TransE::new(rank)),
+        2 => Arc::new(TransE::new(rank)),
+        3 => Arc::new(RotatE::new(rank)),
+        _ => Arc::new(SimplE::new(rank)),
     }
 }
 
@@ -67,13 +69,13 @@ fn assert_batch_matches_oracle(engine: &mut ServeEngine, queries: &[Query]) {
     }
 }
 
-/// Exhaustive pin of the ISSUE matrix: 3 models × dims {15, 64, 128} ×
+/// Exhaustive pin of the ISSUE matrix: 5 models × dims {15, 64, 128} ×
 /// k {1, 10, 100} × filtered/unfiltered, one seeded world each.
 #[test]
 fn full_matrix_matches_scalar_oracle() {
     let n_ent = 150usize;
     let n_rel = 5u32;
-    for model_id in 0..3usize {
+    for model_id in 0..5usize {
         for (di, &rank) in DIMS.iter().enumerate() {
             let model = build_model(model_id, rank);
             let dim = model.storage_dim();
@@ -104,7 +106,7 @@ fn full_matrix_matches_scalar_oracle() {
 /// the heap path and the oracle.
 #[test]
 fn nan_rows_never_ranked() {
-    for model_id in 0..3usize {
+    for model_id in 0..5usize {
         let model = build_model(model_id, 15);
         let dim = model.storage_dim();
         let mut ent = quantized_table(80, dim, 3);
@@ -137,7 +139,7 @@ proptest! {
     /// which the engine unit tests pin separately).
     #[test]
     fn random_batches_match_scalar_oracle(
-        model_id in 0usize..3,
+        model_id in 0usize..5,
         dim_idx in 0usize..3,
         k_idx in 0usize..3,
         filtered in any::<bool>(),

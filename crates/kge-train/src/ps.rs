@@ -37,8 +37,7 @@ use crate::trainer::RunIndexes;
 use kge_compress::codec::RowEncoder;
 use kge_compress::WireFormat;
 use kge_core::loss::{logistic_loss, logistic_loss_grad};
-use kge_core::matrix::axpy;
-use kge_core::{Adam, AdamState, EmbeddingTable, KgeModel, SparseGrad};
+use kge_core::{Adam, AdamState, BlockScratch, EmbeddingTable, KgeModel, SparseGrad};
 use kge_data::batch::{uniform_shards, EpochShuffler};
 use kge_data::{Dataset, Triple};
 use kge_partition::{entity_owners, partition_for, relation_owners};
@@ -208,6 +207,11 @@ fn run_ps_node(
     let mut trace: Vec<EpochTrace> = Vec::new();
     let mut converged = false;
 
+    // A worker's per-batch gradient state, cleared and refilled each batch.
+    let mut block: Vec<(u32, u32, u32)> = Vec::new();
+    let mut scratch = BlockScratch::new();
+    let (mut ent_grad, mut rel_grad) = (SparseGrad::new(dim), SparseGrad::new(dim));
+
     for epoch in 0..config.max_epochs {
         ctx.comm_mut().barrier();
         let epoch_start = ctx.comm().clock().now_s();
@@ -300,35 +304,32 @@ fn run_ps_node(
                 }
             }
 
-            // 3. Compute gradients locally.
-            let mut ent_grad = SparseGrad::new(dim);
-            let mut rel_grad = SparseGrad::new(dim);
-            let mut gh = vec![0.0f32; dim];
-            let mut gr = vec![0.0f32; dim];
-            let mut gt = vec![0.0f32; dim];
+            // 3. Compute gradients locally, through the trainers' block
+            //    kernel: score, loss coefficient, regularized backward.
+            ent_grad.clear();
+            rel_grad.clear();
+            block.clear();
+            block.extend(examples.iter().map(|(t, _)| (t.head, t.rel, t.tail)));
             let inv = if examples.is_empty() {
                 0.0
             } else {
                 1.0 / examples.len() as f32
             };
-            for &(t, y) in &examples {
-                let (h, r, tt) = (t.head as usize, t.rel as usize, t.tail as usize);
-                let score = model.score(ent.row(h), rel.row(r), ent.row(tt));
-                epoch_loss += logistic_loss(y, score) as f64;
-                let coeff = logistic_loss_grad(y, score) * inv;
-                gh.fill(0.0);
-                gr.fill(0.0);
-                gt.fill(0.0);
-                model.grad(ent.row(h), rel.row(r), ent.row(tt), coeff, &mut gh, &mut gr, &mut gt);
-                let reg = 2.0 * config.l2 * inv;
-                axpy(reg, ent.row(h), &mut gh);
-                axpy(reg, rel.row(r), &mut gr);
-                axpy(reg, ent.row(tt), &mut gt);
-                axpy(1.0, &gh, ent_grad.row_mut(t.head));
-                axpy(1.0, &gt, ent_grad.row_mut(t.tail));
-                axpy(1.0, &gr, rel_grad.row_mut(t.rel));
-                epoch_examples += 1;
-            }
+            model.score_grad_block(
+                &ent,
+                &rel,
+                &block,
+                2.0 * config.l2 * inv,
+                &mut scratch,
+                &mut |i, score| {
+                    let y = examples[i].1;
+                    epoch_loss += logistic_loss(y, score) as f64;
+                    logistic_loss_grad(y, score) * inv
+                },
+                &mut ent_grad,
+                &mut rel_grad,
+            );
+            epoch_examples += examples.len();
             ctx.comm_mut()
                 .clock_mut()
                 .charge_flops(examples.len() as f64 * model.score_flops() * 3.0);

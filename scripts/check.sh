@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Lint gate: clippy with warnings denied over every first-party crate.
+# The merge gate: everything `cargo test -q` at the root does not reach.
+# Clippy with warnings denied over every first-party crate, a source check
+# on the model kernels, then the bit-identity, determinism, fault and
+# zero-allocation suites under crates/*/tests — the kernel-facing ones
+# under both dispatch arms (KGE_FORCE_SCALAR=1 pins the baseline-compiled
+# copies) — and a build of benchmark/ against the workspace with its unit
+# tests. About ten minutes.
 #
 # The shim-* crates are offline stand-ins for external dependencies
 # (rand, rayon, serde, ...) and intentionally mirror foreign APIs —
-# idiom lints there are noise, so they are excluded. Everything else
-# (library code, tests, benches, binaries) must be clippy-clean.
+# idiom lints there are noise, so clippy skips them.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -31,6 +36,14 @@ cargo clippy "${ARGS[@]}" --all-targets -- -D warnings
 cargo clippy "${ARGS[@]}" --all-targets --features bench/count-allocs -- -D warnings
 echo "check: clippy clean (warnings denied) for: ${CRATES[*]}"
 
+# The models are one `term` / `grad_terms` pair each under generic drivers
+# compiled twice; a hand-written intrinsics kernel does not come back.
+if grep -nE 'std::arch|unsafe fn' crates/kge-core/src/model.rs; then
+  echo "check: crates/kge-core/src/model.rs must hold no std::arch use and no unsafe fn" >&2
+  exit 1
+fi
+echo "check: model.rs holds no intrinsics and no unsafe fn"
+
 # Criterion benches must at least compile (they are not run in CI).
 cargo bench -p bench --no-run
 echo "check: benches compile"
@@ -43,13 +56,15 @@ cargo test -p simgrid --release
 echo "check: simgrid collectives, stress, cost-model + fault-injection tests pass"
 
 # The evaluation bit-identity property tests: blocked one-vs-all ranking
-# must reproduce the scalar oracle's ranks exactly, and steady-state
-# evaluation must not allocate.
+# must reproduce the scalar oracle's ranks exactly for every model — under
+# both dispatch arms — and steady-state evaluation must not allocate.
 cargo test -p kge-eval --release --test prop_eval --test zero_alloc_eval
-echo "check: eval property + zero-alloc tests pass"
+KGE_FORCE_SCALAR=1 cargo test -p kge-eval --release --test prop_eval
+echo "check: eval property (both dispatch arms) + zero-alloc tests pass"
 
-# Forward-kernel (score_triples == score), training-kernel,
-# optimizer-kernel and codec bit-identity property tests, run under both
+# Forward-kernel (score_triples == score), transposed one-vs-all,
+# training-kernel, optimizer-kernel and codec bit-identity property tests
+# (the model kernels for all five models), run under both
 # dispatch arms: the default (AVX where the host supports it) and with
 # KGE_FORCE_SCALAR=1 pinning every kernel to the scalar fallback. Both
 # arms must produce identical bits, so both must pass identically. With

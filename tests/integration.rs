@@ -273,8 +273,9 @@ fn optimizer_kernels_bit_identical_across_dispatch_arms() {
 /// positives each followed by negatives that keep the relation and one
 /// entity, a self-loop, more than one 16-lane group plus a tail — the
 /// block kernel gives the bits and the row order of the per-triple
-/// definition, with scalar kernels forced and with AVX dispatch, through a
-/// fused backward (ComplEx) and through the default one (RotatE).
+/// definition, with scalar kernels forced and with AVX dispatch, for the
+/// paper's model (ComplEx) and for one that had no kernel of its own before
+/// the generic drivers (RotatE).
 #[test]
 fn block_kernel_matches_per_triple_path_on_both_dispatch_arms() {
     use kge::core::matrix::axpy;
@@ -332,6 +333,73 @@ fn block_kernel_matches_per_triple_path_on_both_dispatch_arms() {
             assert_eq!(entries(&got_ent), entries(&want_ent), "entity gradient, {arm}");
             assert_eq!(entries(&got_rel), entries(&want_rel), "relation gradient, {arm}");
         }
+    }
+}
+
+/// One cell each of `kge-eval`'s `prop_eval` and `kge-serve`'s `prop_topk`
+/// suites (both run in full, under both dispatch arms, from
+/// `scripts/check.sh`), on a model the trainer produced: RotatE — which had
+/// no one-vs-all kernel before the generic transposed driver — trained for
+/// two epochs on two ranks, then, with scalar kernels forced and with AVX
+/// dispatch, (i) the blocked evaluation's filtered ranks equal a ranking by
+/// `score` written out here and (ii) served top-k equals a sort by `score`.
+#[test]
+fn rotate_trains_then_ranks_and_serves_like_scalar_score_on_both_dispatch_arms() {
+    let ds = dataset(21);
+    let cluster = Cluster::new(2, ClusterSpec::cray_xc40());
+    let mut config = quick(StrategyConfig::baseline_allreduce(2), 21);
+    config.model = ModelKind::RotatE;
+    config.max_epochs = 2;
+    let outcome = train(&ds, &cluster, &config);
+    assert_eq!(outcome.report.epochs, 2);
+    let (ent, rel) = (&outcome.entities, &outcome.relations);
+    let model: std::sync::Arc<dyn KgeModel> = std::sync::Arc::new(RotatE::new(8));
+    let score = |h: u32, r: u32, t: u32| model.score(ent.row(h as usize), rel.row(r as usize), ent.row(t as usize));
+
+    // (i) 1 + better + ties/2 over every entity that is neither the true one
+    // nor a known competitor, head direction then tail direction.
+    let filter = FilterIndex::build(&ds);
+    let queries = &ds.test[..ds.test.len().min(40)];
+    let want_ranks: Vec<[usize; 2]> = queries
+        .iter()
+        .map(|&q| {
+            let truth = score(q.head, q.rel, q.tail);
+            [true, false].map(|replace_head| {
+                let (mut better, mut ties) = (0, 0);
+                for e in 0..ds.n_entities as u32 {
+                    let c = if replace_head { q.with_head(e) } else { q.with_tail(e) };
+                    if c != q && !filter.contains(c) {
+                        let s = score(c.head, c.rel, c.tail);
+                        better += usize::from(s > truth);
+                        ties += usize::from(s == truth);
+                    }
+                }
+                1 + better + ties / 2
+            })
+        })
+        .collect();
+    // (ii) every entity by (score descending, id ascending), first k.
+    let served = Query { head: queries[0].head, rel: queries[0].rel, k: 10, filtered: false };
+    let mut all: Vec<(u32, f32)> =
+        (0..ds.n_entities as u32).map(|e| (e, score(served.head, served.rel, e))).collect();
+    all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let want_hits: Vec<(u32, u32)> = all[..served.k].iter().map(|&(e, s)| (e, s.to_bits())).collect();
+
+    let grouped = GroupedFilter::from_index(&filter);
+    let snapshot = std::sync::Arc::new(ModelSnapshot::build(model.clone(), ent, rel, 2));
+    for force_scalar in [true, false] {
+        kge::core::simd::set_force_scalar(Some(force_scalar));
+        let mut ws = RankingWorkspace::new();
+        evaluate_ranking_with(&mut ws, model.as_ref(), ent, rel, queries, &grouped, &RankingOptions::default());
+        let mut engine = ServeEngine::new(snapshot.clone());
+        let hits: Vec<(u32, u32)> =
+            engine.query_one(served).iter().map(|h| (h.entity, h.score.to_bits())).collect();
+        kge::core::simd::set_force_scalar(None);
+        let got_ranks: Vec<[usize; 2]> =
+            ws.head_ranks().iter().zip(ws.tail_ranks()).map(|(&h, &t)| [h, t]).collect();
+        assert_eq!(ws.queries(), queries, "no subsampling");
+        assert_eq!(got_ranks, want_ranks, "filtered ranks, force_scalar={force_scalar}");
+        assert_eq!(hits, want_hits, "top-k, force_scalar={force_scalar}");
     }
 }
 
