@@ -79,6 +79,11 @@ impl<const P: usize, F> GradTerms<P> for F where
 }
 
 /// A row of `P · rank` floats as its `P` parts of `rank` floats.
+///
+/// This and [`at`] are plain index loops on purpose: `array::from_fn` and
+/// `array::map` put closures in the drivers' hot loops that inline late, or
+/// not at all, into the `#[target_feature]` copies, and the loops around
+/// them then keep bounds checks or stop vectorising (DESIGN.md §5).
 #[inline(always)]
 fn parts<const P: usize, T>(row: &[T], rank: usize) -> [&[T]; P] {
     debug_assert_eq!(row.len(), P * rank);
@@ -149,7 +154,6 @@ fn score_triples_avx<const P: usize>(
 /// from `0.0` in `score`'s order, and only independent chains overlap. A
 /// short last group sums whatever its unused lanes hold and drops it.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)]
 fn score_triples_body<const P: usize>(
     term: impl Term<P>,
     rank: usize,
@@ -162,17 +166,7 @@ fn score_triples_body<const P: usize>(
     scratch.resize(G * rank, 0.0);
     for (group, out) in triples.chunks(G).zip(scores.chunks_mut(G)) {
         for (&(h, r, t), terms) in group.iter().zip(scratch.chunks_exact_mut(rank)) {
-            // `terms.len()` is `rank`. Counting a plain index to it, over
-            // parts cut to it, is the form that vectorises whole: under
-            // `iter_mut().enumerate()` a bounds check survives as a second
-            // loop exit and up to 16 elements per example run scalar.
-            let n = terms.len();
-            let h = parts(ent.row(h as usize), n);
-            let r = parts(rel.row(r as usize), n);
-            let t = parts(ent.row(t as usize), n);
-            for k in 0..n {
-                terms[k] = term(at(&h, k), at(&r, k), at(&t, k));
-            }
+            terms_of(term, ent.row(h as usize), rel.row(r as usize), ent.row(t as usize), terms);
         }
         let mut lanes = scratch.chunks_exact(rank);
         let lanes: [&[f32]; G] = std::array::from_fn(|_| lanes.next().expect("G lanes"));
@@ -186,58 +180,72 @@ fn score_triples_body<const P: usize>(
     }
 }
 
+/// One example's summands: `terms[k] = term(h_k, r_k, t_k)`. A function of
+/// its own, with the rows and `terms` as separate reference parameters,
+/// because that is what tells the compiler the stores cannot alias the
+/// loads: written inline in the group loop, the same code pays three
+/// overlap checks per example before it may vectorise.
+///
+/// `terms.len()` is `rank`. Counting a plain index to it, over parts cut to
+/// it, is the form that vectorises whole: under `iter_mut().enumerate()` a
+/// bounds check survives as a second loop exit and up to 16 elements per
+/// example run scalar.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn terms_of<const P: usize>(term: impl Term<P>, h: &[f32], r: &[f32], t: &[f32], terms: &mut [f32]) {
+    let n = terms.len();
+    let (h, r, t) = (parts(h, n), parts(r, n), parts(t, n));
+    for k in 0..n {
+        terms[k] = term(at(&h, k), at(&r, k), at(&t, k));
+    }
+}
+
 /// The transposed one-vs-all driver of every model: shapes asserted once,
 /// for both arms, then [`ova_t_body`]'s AVX-compiled or baseline copy, as
-/// [`score_triples`] chooses.
+/// [`score_triples`] chooses. `fixed` is `[query, r]`.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn ova_t<const P: usize>(
     term: impl Term<P>,
     rank: usize,
-    query: &[f32],
-    r: &[f32],
+    fixed: [&[f32]; 2],
     tile_t: &[f32],
     rows: usize,
     dir: ReplaceDir,
     scores: &mut [f32],
 ) {
     let dim = P * rank;
-    assert!(query.len() == dim && r.len() == dim, "query and relation rows hold {dim} floats");
+    assert!(fixed.iter().all(|x| x.len() == dim), "query and relation rows hold {dim} floats");
     assert_eq!(tile_t.len(), rows * dim, "tile of {rows} candidates");
     assert_eq!(scores.len(), rows, "one score per candidate");
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx() {
         // SAFETY: AVX was just detected at runtime.
-        return unsafe { ova_t_avx(term, rank, query, r, tile_t, rows, dir, scores) };
+        return unsafe { ova_t_avx(term, rank, fixed, tile_t, rows, dir, scores) };
     }
-    ova_t_body(term, rank, query, r, tile_t, rows, dir, scores)
+    ova_t_body(term, rank, fixed, tile_t, rows, dir, scores)
 }
 
 /// The same safe code with AVX enabled (see [`score_triples_avx`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
 fn ova_t_avx<const P: usize>(
     term: impl Term<P>,
     rank: usize,
-    query: &[f32],
-    r: &[f32],
+    fixed: [&[f32]; 2],
     tile_t: &[f32],
     rows: usize,
     dir: ReplaceDir,
     scores: &mut [f32],
 ) {
-    ova_t_body(term, rank, query, r, tile_t, rows, dir, scores)
+    ova_t_body(term, rank, fixed, tile_t, rows, dir, scores)
 }
 
 /// `dir` decides once, outside every loop, which side the candidate takes.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn ova_t_body<const P: usize>(
     term: impl Term<P>,
     rank: usize,
-    query: &[f32],
-    r: &[f32],
+    [query, r]: [&[f32]; 2],
     tile_t: &[f32],
     rows: usize,
     dir: ReplaceDir,
@@ -378,26 +386,30 @@ fn grad_add_body<const P: usize>(
     let ent = Cell::from_mut(dst.ent).as_slice_of_cells();
     let rel = Cell::from_mut(dst.rel).as_slice_of_cells();
     let dst = [&ent[dst.h..dst.h + dim], &ent[dst.t..dst.t + dim], rel];
-    let wide = rank - rank % W;
-    grad_add_chunks::<P, W>(grad_terms, coeff, l2, chunked(src, rank, 0), chunked(dst, rank, 0));
-    grad_add_chunks::<P, 1>(grad_terms, coeff, l2, chunked(src, rank, wide), chunked(dst, rank, wide));
+    let (src_wide, src_rest) = chunked::<P, W, _>(src, rank);
+    let (dst_wide, dst_rest) = chunked::<P, W, _>(dst, rank);
+    grad_add_chunks(grad_terms, coeff, l2, src_wide, dst_wide);
+    grad_add_chunks(grad_terms, coeff, l2, src_rest, dst_rest);
 }
 
-/// Elements `from..` of each of the `P` parts of three rows, as whole chunks
-/// of `W` (what is left past the last whole chunk is not covered).
+/// The `P` parts of three rows, each part as a run of `W`-element chunks.
+type Chunks<'a, T, const P: usize, const W: usize> = [[&'a [[T; W]]; P]; 3];
+
+/// Each of the `P` parts of three rows as its whole chunks of `W`, and what
+/// is left of `rank` past them as chunks of one.
 #[inline(always)]
 fn chunked<const P: usize, const W: usize, T>(
     rows: [&[T]; 3],
     rank: usize,
-    from: usize,
-) -> [[&[[T; W]]; P]; 3] {
-    let mut out = [[&[][..]; P]; 3];
-    for (out, row) in out.iter_mut().zip(rows) {
-        for (p, out) in out.iter_mut().enumerate() {
-            *out = row[p * rank + from..(p + 1) * rank].as_chunks().0;
+) -> (Chunks<'_, T, P, W>, Chunks<'_, T, P, 1>) {
+    let (mut wide, mut rest) = ([[&[][..]; P]; 3], [[&[][..]; P]; 3]);
+    for (i, row) in rows.into_iter().enumerate() {
+        for (p, part) in parts::<P, _>(row, rank).into_iter().enumerate() {
+            let (chunks, tail) = part.as_chunks();
+            (wide[i][p], rest[i][p]) = (chunks, tail.as_chunks().0);
         }
     }
-    out
+    (wide, rest)
 }
 
 /// [`grad_add_body`] over chunks of `W` elements: form a chunk's
@@ -408,16 +420,19 @@ fn grad_add_chunks<const P: usize, const W: usize>(
     grad_terms: impl GradTerms<P>,
     coeff: f32,
     l2: f32,
-    src: [[&[[f32; W]]; P]; 3],
-    [gh, gt, gr]: [[&[[Cell<f32>; W]]; P]; 3],
+    src: Chunks<'_, f32, P, W>,
+    [gh, gt, gr]: Chunks<'_, Cell<f32>, P, W>,
 ) {
     let [h, r, t] = src;
     for i in 0..h[0].len() {
+        // Three staging arrays, not one `[[[f32; W]; P]; 3]`: the compiler
+        // vectorises the `j` loop over these and not over that.
         let (mut add_h, mut add_r, mut add_t) = ([[0.0f32; W]; P], [[0.0f32; W]; P], [[0.0f32; W]; P]);
         for j in 0..W {
-            let hj: [f32; P] = std::array::from_fn(|p| h[p][i][j]);
-            let rj: [f32; P] = std::array::from_fn(|p| r[p][i][j]);
-            let tj: [f32; P] = std::array::from_fn(|p| t[p][i][j]);
+            let (mut hj, mut rj, mut tj) = ([0.0f32; P], [0.0f32; P], [0.0f32; P]);
+            for p in 0..P {
+                (hj[p], rj[p], tj[p]) = (h[p][i][j], r[p][i][j], t[p][i][j]);
+            }
             let [dh, dr, dt] = grad_terms(coeff, hj, rj, tj);
             for p in 0..P {
                 add_h[p][j] = dh[p] + l2 * hj[p];
@@ -664,7 +679,7 @@ macro_rules! kge_model {
                 dir: ReplaceDir,
                 scores: &mut [f32],
             ) {
-                ova_t::<$parts>($term, self.rank, query, r, tile_t, rows, dir, scores)
+                ova_t::<$parts>($term, self.rank, [query, r], tile_t, rows, dir, scores)
             }
 
             fn score_triples(
