@@ -290,7 +290,7 @@ fn ova_t_sweep<const P: usize>(
                 // SAFETY: `k < rank` and `c0 + W <= n_grouped <= rows`, so
                 // the range ends at or before `rank * rows`, the length
                 // `parts` cut `cols[p]` to. A checked range here costs the
-                // sweep 1.1–1.3× (EXPERIMENTS.md, "One definition per model").
+                // sweep 1.1–1.3× (EXPERIMENTS.md, "PR 21").
                 lanes[p] = unsafe { cols[p].get_unchecked(k * rows + c0..k * rows + c0 + W) };
             }
             for (j, a) in acc.iter_mut().enumerate() {
