@@ -16,7 +16,11 @@
 //! same f32 expression and adds the summands in the same order: from
 //! `+0.0`, `k` ascending. That is the bit-identity contract; the drivers
 //! may form independent elements at any vector width, and never fuse a
-//! multiply with an add.
+//! multiply with an add. The contract stops at the sign of a NaN, which no
+//! f32 operation in Rust defines: a `term` that ends in a negation (RotatE's
+//! `-(…)` is the one that can reach `inf − inf`) may be folded into a
+//! subtraction on one path and staged negated on another, so two paths can
+//! both answer NaN with opposite signs. Nothing reads a NaN's sign.
 
 use std::cell::Cell;
 
@@ -521,8 +525,11 @@ pub trait KgeModel: Send + Sync {
 
     /// Forward-score `(head, rel, tail)` triples straight from the tables —
     /// the training forward and S5's pool scoring: `scores[i]` receives
-    /// exactly [`Self::score`]'s bits for `triples[i]`. One group's
-    /// summands live in `scratch` (`SCORE_LANES × rank` floats, reused).
+    /// exactly [`Self::score`]'s bits for `triples[i]` — but a RotatE score
+    /// that is NaN may carry the other sign, because the negated summand is
+    /// staged here and folded into a subtraction there (module docs). One
+    /// group's summands live in `scratch` (`SCORE_LANES × rank` floats,
+    /// reused).
     fn score_triples(
         &self,
         ent: &EmbeddingTable,
