@@ -12,14 +12,18 @@
 //!    `(seed, rank, epoch, batch, stage)` — so 1-thread and 4-thread
 //!    worker pools produce identical bits.
 //!
+//! A third, `replica_golden`, pins the replica trainer's clock, model,
+//! wire bytes and counters to the bit over every exchange mode and world
+//! size, in the style of `sharded_golden`.
+//!
 //! `scripts/check.sh` re-runs this binary under `KGE_FORCE_SCALAR=1`, so
 //! both SIMD dispatch arms are covered.
 
 use kge_compress::quant::QuantScheme;
 use kge_data::synth::{generate, SynthConfig};
-use kge_train::config::{CommMode, ModelKind, StrategyConfig, TrainConfig};
+use kge_train::config::{CommMode, ModelKind, StrategyConfig, TrainConfig, UpdateStyle};
 use kge_train::{train, TrainOutcome};
-use simgrid::{Cluster, ClusterSpec};
+use simgrid::{Cluster, ClusterSpec, FaultPlan};
 use std::sync::Mutex;
 
 /// Tests in one binary run concurrently; every test that flips the
@@ -156,4 +160,167 @@ fn pipelined_run_is_deterministic_across_invocations() {
     let a = run(comm, ModelKind::ComplEx, QuantScheme::paper_one_bit(), 2);
     let b = run(comm, ModelKind::ComplEx, QuantScheme::paper_one_bit(), 2);
     assert_bit_identical(&a, &b, "repeat");
+}
+
+/// FNV-1a over a table's f32 bit patterns.
+fn fnv(values: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One line of `replica_golden.txt`: everything a replica run reports on
+/// the simulated clock, in bytes or in counters, with floats as bit
+/// patterns so equality is exact.
+fn golden_line(cell: &str, out: &TrainOutcome) -> String {
+    let r = &out.report;
+    let b = &r.breakdown;
+    let bits = |xs: &[f64]| {
+        let hex: Vec<String> = xs.iter().map(|x| format!("{:016x}", x.to_bits())).collect();
+        hex.join(",")
+    };
+    let epochs: Vec<String> = r
+        .trace
+        .iter()
+        .map(|t| {
+            let mrr = t.ranking.map_or(0.0, |m| m.mrr);
+            format!(
+                "{}/{}/{}",
+                bits(&[t.train_loss, t.sim_seconds, t.mean_rows_sent, t.valid_acc, mrr]),
+                t.bytes_sent,
+                t.lr_scale.to_bits(),
+            )
+        })
+        .collect();
+    format!(
+        "{cell} | sim={} breakdown={} ent={:016x} rel={:016x} wire={}/{} \
+         tallies={}/{}/{}/{}/{}/{}/{:?} nodes={}/{} epochs={} converged={} | {}",
+        bits(&[r.sim_total_seconds]),
+        bits(&[
+            b.compute_s,
+            b.comm_s,
+            b.idle_s,
+            b.fault_s,
+            b.retry_s,
+            b.checkpoint_s,
+            b.overlap_s,
+            b.hidden_comm_s
+        ]),
+        fnv(out.entities.as_slice()),
+        fnv(out.relations.as_slice()),
+        r.wire_bytes_sent,
+        r.wire_bytes_recv,
+        r.allreduce_epochs,
+        r.allgather_epochs,
+        r.pipelined_epochs,
+        r.recoveries,
+        r.rejoins,
+        r.checkpoints_written,
+        r.crashed_ranks,
+        r.nodes,
+        r.surviving_nodes,
+        r.epochs,
+        r.converged,
+        epochs.join(" "),
+    )
+}
+
+/// The combined strategy as the golden table runs it: RS + 1-bit + EF + RP
+/// + SS under lazy Adam, at the given exchange mode.
+fn combined(comm: CommMode) -> StrategyConfig {
+    let mut s = StrategyConfig::combined(5);
+    s.comm = comm;
+    s.error_feedback = true;
+    s.update_style = UpdateStyle::Lazy;
+    s
+}
+
+fn golden_run(p: usize, strategy: StrategyConfig, epochs: usize, plan: Option<FaultPlan>) -> TrainOutcome {
+    let mut cluster = Cluster::new(p, ClusterSpec::cray_xc40());
+    if let Some(plan) = plan {
+        cluster = cluster.with_fault_plan(plan);
+    }
+    let mut c = TrainConfig::new(4, 64, strategy);
+    c.plateau_tolerance = 3;
+    c.max_lr_drops = 1;
+    c.max_epochs = epochs;
+    c.valid_samples = 64;
+    c.base_lr = 5e-3;
+    train(&dataset(), &cluster, &c)
+}
+
+#[test]
+fn replica_golden() {
+    // The contract of the one-replica-step refactor (PR 22), pinned at its
+    // parent commit: p x exchange mode x {plain all-gather, combined}
+    // plus a 2-bit + EF cell, a crash-shrink and a crash-rejoin cell at
+    // window 0 and window 1, and a per-epoch ranking-eval cell must
+    // reproduce the recorded clock, breakdown, model, wire bytes, tallies
+    // and per-epoch trace to the bit. The model hashes go through the
+    // host's `exp`/`ln`, so the table is tied to this toolchain and libm;
+    // to regenerate it after an *intended* change of trajectory or
+    // pricing:
+    //   1. cargo test --release -p kge-train --test pipeline_determinism replica_golden -- --nocapture \
+    //        | grep '^p=' > /tmp/golden; mv /tmp/golden crates/kge-train/tests/replica_golden.txt
+    //   2. git diff crates/kge-train/tests/replica_golden.txt   # every changed cell is a claim
+    //   3. commit the file with the change that explains the diff
+    let _guard = ENV_LOCK.lock().unwrap();
+    let modes = [
+        CommMode::AllReduce,
+        CommMode::AllGather,
+        CommMode::Pipelined { staleness: 0 },
+        CommMode::Pipelined { staleness: 1 },
+        CommMode::Pipelined { staleness: 2 },
+        CommMode::PipelinedAllReduce { staleness: 1 },
+        CommMode::Dynamic { check_every: 1 },
+    ];
+    let mut lines = Vec::new();
+    for p in [1usize, 2, 3] {
+        for comm in modes {
+            let mut plain = StrategyConfig::baseline_allgather(2);
+            plain.comm = comm;
+            for (name, strategy) in [("allgather", plain), ("combined", combined(comm))] {
+                let out = golden_run(p, strategy, 4, None);
+                lines.push(golden_line(&format!("p={p} {comm:?} {name}"), &out));
+            }
+        }
+    }
+
+    let mut two_bit = combined(CommMode::AllGather);
+    two_bit.quant = QuantScheme::TwoBit;
+    lines.push(golden_line("p=2 AllGather twobit+ef", &golden_run(2, two_bit, 4, None)));
+
+    for comm in [CommMode::AllGather, CommMode::Pipelined { staleness: 1 }] {
+        let total = golden_run(3, combined(comm), 6, None).report.sim_total_seconds;
+        let shrink = FaultPlan::seeded(7).with_crash(2, 0.4 * total);
+        let out = golden_run(3, combined(comm), 6, Some(shrink));
+        assert_eq!(out.report.recoveries, 1, "{comm:?}: the crash must trigger a shrink");
+        lines.push(golden_line(&format!("p=3 {comm:?} combined crash"), &out));
+        let rejoin = FaultPlan::seeded(7).with_crash_and_rejoin(2, 0.4 * total, 0.5 * total);
+        let out = golden_run(3, combined(comm), 6, Some(rejoin));
+        assert_eq!(out.report.rejoins, 1, "{comm:?}: the crashed rank must rejoin");
+        lines.push(golden_line(&format!("p=3 {comm:?} combined rejoin"), &out));
+    }
+
+    let mut cluster_eval = TrainConfig::new(4, 64, StrategyConfig::baseline_allgather(2));
+    cluster_eval.plateau_tolerance = 3;
+    cluster_eval.max_lr_drops = 1;
+    cluster_eval.max_epochs = 2;
+    cluster_eval.valid_samples = 64;
+    cluster_eval.base_lr = 5e-3;
+    cluster_eval.eval_every = 1;
+    let out = train(&dataset(), &Cluster::new(2, ClusterSpec::cray_xc40()), &cluster_eval);
+    assert!(out.report.trace.iter().all(|t| t.ranking.is_some()), "eval ran every epoch");
+    lines.push(golden_line("p=2 AllGather allgather eval", &out));
+
+    for line in &lines {
+        println!("{line}");
+    }
+    let golden = include_str!("replica_golden.txt");
+    for (want, got) in golden.lines().zip(&lines) {
+        assert_eq!(want, got, "golden cell moved");
+    }
+    assert_eq!(golden.lines().count(), lines.len(), "golden cell count");
 }
