@@ -13,7 +13,11 @@
 //!   rank's staging slot, and every rank's payload is decoded out of its
 //!   slot and summed locally.
 //!
-//! Both paths return the aggregated gradient **averaged** over ranks.
+//! Both paths return the aggregated gradient **averaged** over ranks. The
+//! replica step runs them through [`Staged`], one table's half of an
+//! exchange in flight; [`exchange_allreduce`] and
+//! [`exchange_allgather_into`] are the same collectives on a live
+//! gradient, for callers with no slot ring.
 
 use kge_compress::codec::{RowDecoder, RowEncoder};
 use kge_compress::quant::{quantize_row_into, QuantScheme, QuantizedRow};
@@ -54,14 +58,11 @@ pub fn exchange_allreduce(
     })
 }
 
-/// Reusable buffers for the all-gather path: the encoded payload of a
-/// pipelined launch (it must outlive the window; the synchronous path
-/// encodes into the staging slot instead), one quantization scratch row
-/// and one dequantize scratch row (error feedback). One per worker; after
-/// the first batch has sized them the steady state allocates nothing.
+/// Reusable quantization scratch for the all-gather path: one quantized
+/// row and one dequantize row (error feedback). One per worker; after the
+/// first batch has sized them the steady state allocates nothing.
 #[derive(Debug, Clone)]
 pub struct GatherBufs {
-    send: Vec<u8>,
     qrow: QuantizedRow,
     dequant: Vec<f32>,
 }
@@ -69,7 +70,6 @@ pub struct GatherBufs {
 impl GatherBufs {
     pub fn new() -> Self {
         GatherBufs {
-            send: Vec::new(),
             qrow: QuantizedRow::Full(Vec::new()),
             dequant: Vec::new(),
         }
@@ -110,89 +110,84 @@ pub fn exchange_allgather_into(
     agg: &mut SparseGrad,
 ) -> Result<ExchangeStats, SimError> {
     debug_assert_eq!((grad.dim(), agg.dim()), (dim, dim));
-    let GatherBufs { qrow, dequant, .. } = bufs;
-    let encode =
-        |slot: &mut Vec<u8>| encode_grad_rows(grad, scheme, residuals, rng, qrow, dequant, slot);
-    let (mut stats, rows_gathered, _) = gather_into(comm, None, encode, agg)?;
+    let enc = Encoder {
+        scheme,
+        residuals,
+        rng,
+        bufs,
+    };
+    let (mut stats, rows_gathered, _) = gather_into(comm, None, |slot| enc.encode(grad, slot), agg)?;
     stats.rows_gathered = rows_gathered;
     Ok(stats)
 }
 
-/// Quantize + encode `grad`'s rows into `bufs.send` — the local half of a
-/// sparse all-gather, with no communication. Returns the stats of the
-/// staged payload (`rows_gathered` still 0). The bytes produced are
-/// exactly what [`exchange_allgather_into`] puts on the wire; the
-/// pipelined path stages them in a [`PipelineSlot`] at launch and runs
-/// the collective later via [`complete_gather_exchange_overlapped`].
-pub fn encode_gather_payload(
-    grad: &SparseGrad,
-    dim: usize,
-    scheme: QuantScheme,
-    residuals: Option<&mut ResidualStore>,
-    rng: &mut StdRng,
-    bufs: &mut GatherBufs,
-) -> ExchangeStats {
-    debug_assert_eq!(grad.dim(), dim);
-    let GatherBufs { send, qrow, dequant } = bufs;
-    encode_grad_rows(grad, scheme, residuals, rng, qrow, dequant, send)
+/// How a gradient goes on the all-gather wire: the scheme, the
+/// error-feedback store (when on), the stream the 2-bit dithers draw from,
+/// and the quantization scratch.
+pub(crate) struct Encoder<'a> {
+    pub(crate) scheme: QuantScheme,
+    pub(crate) residuals: Option<&'a mut ResidualStore>,
+    pub(crate) rng: &'a mut StdRng,
+    pub(crate) bufs: &'a mut GatherBufs,
 }
 
-/// The encoder behind both entry points; `out` is the staging slot or a
-/// [`GatherBufs`] send buffer.
-fn encode_grad_rows(
-    grad: &SparseGrad,
-    scheme: QuantScheme,
-    mut residuals: Option<&mut ResidualStore>,
-    rng: &mut StdRng,
-    qrow: &mut QuantizedRow,
-    dequant: &mut Vec<f32>,
-    out: &mut Vec<u8>,
-) -> ExchangeStats {
-    let dim = grad.dim();
-    let mut enc = RowEncoder::new(wire_format(scheme), dim, out);
-    if residuals.is_some() {
-        dequant.resize(dim, 0.0);
-    }
-    match scheme {
-        // Raw rows go out as they sit in the accumulator: nothing to
-        // quantize, no error to feed back, no randomness.
-        QuantScheme::None => {
-            for (row, g) in grad.iter_sorted() {
-                enc.push_f32(row, g).expect("encode of a raw row");
-            }
+impl Encoder<'_> {
+    /// Quantize + encode `grad`'s rows, in sorted order, into `out` (a
+    /// staging slot or a [`Staged`] wire buffer). Returns the payload's
+    /// stats (`rows_gathered` 0).
+    pub(crate) fn encode(self, grad: &SparseGrad, out: &mut Vec<u8>) -> ExchangeStats {
+        let Encoder {
+            scheme,
+            mut residuals,
+            rng,
+            bufs: GatherBufs { qrow, dequant },
+        } = self;
+        let dim = grad.dim();
+        let mut enc = RowEncoder::new(wire_format(scheme), dim, out);
+        if residuals.is_some() {
+            dequant.resize(dim, 0.0);
         }
-        // Packed path: 1-bit rows quantize straight into the wire format
-        // (SIMD scales + movemask sign packing, no intermediate sign vec;
-        // OneBit draws nothing from its stream).
-        QuantScheme::OneBit { rule } => {
-            for (row, g) in grad.iter_sorted() {
-                let (pos, neg) = enc
-                    .push_one_bit(row, g, rule)
-                    .expect("encode of freshly quantized row");
-                if let Some(store) = residuals.as_deref_mut() {
-                    kge_compress::one_bit_dequantize_from(g, pos, neg, dequant);
-                    store.record_row_error(row, g, dequant);
+        match scheme {
+            // Raw rows go out as they sit in the accumulator: nothing to
+            // quantize, no error to feed back, no randomness.
+            QuantScheme::None => {
+                for (row, g) in grad.iter_sorted() {
+                    enc.push_f32(row, g).expect("encode of a raw row");
+                }
+            }
+            // Packed path: 1-bit rows quantize straight into the wire
+            // format (SIMD scales + movemask sign packing, no intermediate
+            // sign vec; OneBit draws nothing from its stream).
+            QuantScheme::OneBit { rule } => {
+                for (row, g) in grad.iter_sorted() {
+                    let (pos, neg) = enc
+                        .push_one_bit(row, g, rule)
+                        .expect("encode of freshly quantized row");
+                    if let Some(store) = residuals.as_deref_mut() {
+                        kge_compress::one_bit_dequantize_from(g, pos, neg, dequant);
+                        store.record_row_error(row, g, dequant);
+                    }
+                }
+            }
+            QuantScheme::TwoBit => {
+                let base: u64 = rng.gen();
+                for (row, g) in grad.iter_sorted() {
+                    let mut row_rng = StdRng::seed_from_u64(base ^ splitmix64(row as u64 + 1));
+                    quantize_row_into(scheme, g, &mut row_rng, qrow);
+                    if let Some(store) = residuals.as_deref_mut() {
+                        qrow.dequantize_into(dequant);
+                        store.record_row_error(row, g, dequant);
+                    }
+                    enc.push(row, qrow)
+                        .expect("encode of freshly quantized row");
                 }
             }
         }
-        QuantScheme::TwoBit => {
-            let base: u64 = rng.gen();
-            for (row, g) in grad.iter_sorted() {
-                let mut row_rng = StdRng::seed_from_u64(base ^ splitmix64(row as u64 + 1));
-                quantize_row_into(scheme, g, &mut row_rng, qrow);
-                if let Some(store) = residuals.as_deref_mut() {
-                    qrow.dequantize_into(dequant);
-                    store.record_row_error(row, g, dequant);
-                }
-                enc.push(row, qrow)
-                    .expect("encode of freshly quantized row");
-            }
+        ExchangeStats {
+            bytes_sent: enc.finish(),
+            rows_sent: grad.nnz(),
+            rows_gathered: 0,
         }
-    }
-    ExchangeStats {
-        bytes_sent: enc.finish(),
-        rows_sent: grad.nnz(),
-        rows_gathered: 0,
     }
 }
 
@@ -242,22 +237,76 @@ pub(crate) fn gather_into<S>(
     Ok((staged, rows_gathered, overlap))
 }
 
-/// Run the collective + decode half of a sparse all-gather over a payload
-/// staged in `bufs` by [`encode_gather_payload`], priced as an overlapped
-/// collective that was launched at simulated time `anchor_s`. Returns the
-/// total rows gathered; `agg` receives the rank-averaged aggregate,
-/// bit-identical to [`exchange_allgather_into`]'s.
-pub fn complete_gather_exchange_overlapped(
-    comm: &mut Communicator,
-    dim: usize,
-    bufs: &mut GatherBufs,
-    agg: &mut SparseGrad,
-    anchor_s: f64,
-) -> Result<(usize, OverlapStats), SimError> {
-    debug_assert_eq!(agg.dim(), dim);
-    let deposit = |slot: &mut Vec<u8>| slot.extend_from_slice(&bufs.send);
-    let ((), rows_gathered, overlap) = gather_into(comm, Some(anchor_s), deposit, agg)?;
-    Ok((rows_gathered, overlap))
+/// What one table puts on the wire: the gradient scattered into a dense
+/// `len`-float table (all-reduce), or its rows, encoded (all-gather).
+pub(crate) enum Wire<'a> {
+    Dense { len: usize },
+    Rows(Encoder<'a>),
+}
+
+/// One table's half of an exchange in flight: the payload a launch staged
+/// — the dense table or the encoded rows — and, after an all-reduce, the
+/// rank-averaged result in place of the dense payload. A ring of slots,
+/// one `Staged` per table each, double-buffers the pipelined exchange
+/// with zero steady-state allocation.
+#[derive(Debug, Default)]
+pub(crate) struct Staged {
+    pub(crate) dense: Vec<f32>,
+    bytes: Vec<u8>,
+}
+
+impl Staged {
+    /// Stage `grad`'s payload now for a later [`Staged::collective`].
+    pub(crate) fn stage(&mut self, grad: &SparseGrad, wire: Wire<'_>) {
+        match wire {
+            Wire::Dense { len } => {
+                self.dense.resize(len, 0.0);
+                self.dense.fill(0.0);
+                grad.scatter_into(&mut self.dense);
+            }
+            Wire::Rows(enc) => {
+                enc.encode(grad, &mut self.bytes);
+            }
+        }
+    }
+
+    /// Run the table's collective, priced as launched at `anchor` (`None`
+    /// is the synchronous collective). A `live` gradient is staged straight
+    /// into the communicator's slot inside the collective — scattered, or
+    /// encoded by the wire's encoder — with no copy; without one, the
+    /// payload [`Staged::stage`] left is deposited. An all-reduce leaves
+    /// the rank-averaged table in `dense`, a gather the rank-averaged rows
+    /// in `agg`. Returns the rows gathered (0 for an all-reduce).
+    pub(crate) fn collective(
+        &mut self,
+        comm: &mut Communicator,
+        wire: Wire<'_>,
+        live: Option<&SparseGrad>,
+        anchor: Option<f64>,
+        agg: &mut SparseGrad,
+    ) -> Result<usize, SimError> {
+        match wire {
+            Wire::Dense { len } => {
+                self.dense.resize(len, 0.0);
+                let inv = 1.0 / comm.size() as f32;
+                comm.allreduce_staged(&mut self.dense, inv, anchor, |staged, slot| match live {
+                    Some(grad) => grad.scatter_into(slot),
+                    None => slot.copy_from_slice(staged),
+                })?;
+                Ok(0)
+            }
+            Wire::Rows(enc) => {
+                let staged = &self.bytes;
+                let stage = |slot: &mut Vec<u8>| match live {
+                    Some(grad) => {
+                        enc.encode(grad, slot);
+                    }
+                    None => slot.extend_from_slice(staged),
+                };
+                gather_into(comm, anchor, stage, agg).map(|((), rows, _)| rows)
+            }
+        }
+    }
 }
 
 /// All-gather whole table rows: every rank contributes the rows it `owned`
@@ -288,67 +337,6 @@ pub(crate) fn gather_table_rows(
         |_, payload| write_payload_into(payload, &mut table.borrow_mut(), "gathered table rows"),
     )
     .map(|_| ())
-}
-
-/// Scatter `grad` into a reusable dense buffer of `len` floats — the
-/// local half of a dense all-reduce, with no communication. The pipelined
-/// path stages this in a [`PipelineSlot`] at launch and completes it
-/// later with [`complete_allreduce_overlapped`].
-pub fn stage_allreduce_payload(
-    grad: &SparseGrad,
-    dense: &mut Vec<f32>,
-    len: usize,
-) -> ExchangeStats {
-    dense.resize(len, 0.0);
-    dense.fill(0.0);
-    grad.scatter_into(dense);
-    ExchangeStats {
-        bytes_sent: len * std::mem::size_of::<f32>(),
-        rows_sent: grad.nnz(),
-        rows_gathered: 0,
-    }
-}
-
-/// All-reduce + rank-average, in place, a payload staged by
-/// [`stage_allreduce_payload`], priced as an overlapped collective
-/// launched at simulated time `anchor_s`. Numerics match
-/// [`exchange_allreduce`] bit-exactly.
-pub fn complete_allreduce_overlapped(
-    comm: &mut Communicator,
-    dense: &mut [f32],
-    anchor_s: f64,
-) -> Result<OverlapStats, SimError> {
-    let inv = 1.0 / comm.size() as f32;
-    comm.allreduce_staged(dense, inv, Some(anchor_s), |staged, slot| {
-        slot.copy_from_slice(staged)
-    })
-}
-
-/// One in-flight exchange of the pipelined trainer: the staged wire
-/// payload (encoded gather bytes or scattered dense buffer) for the
-/// entity table and — when relation partitioning is off — the relation
-/// table, plus the launch anchor the overlapped pricing needs. Each slot
-/// owns its buffers, so batch N's payload survives while batch N+1
-/// encodes into the next slot; a ring of `staleness` slots double-buffers
-/// the whole pipeline with zero steady-state allocation.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineSlot {
-    /// Gather-path wire buffers for the entity table.
-    pub ent_gather: GatherBufs,
-    /// Gather-path wire buffers for the relation table.
-    pub rel_gather: GatherBufs,
-    /// Dense all-reduce payload for the entity table.
-    pub ent_dense: Vec<f32>,
-    /// Dense all-reduce payload for the relation table.
-    pub rel_dense: Vec<f32>,
-    /// Simulated time at which this exchange was launched.
-    pub anchor_s: f64,
-    /// Batch index the staged gradients belong to (diagnostics).
-    pub batch: usize,
-    /// Stats of the staged entity payload (completed at drain time).
-    pub ent_stats: ExchangeStats,
-    /// Stats of the staged relation payload.
-    pub rel_stats: ExchangeStats,
 }
 
 /// Wire format implied by a quantization scheme.
@@ -542,8 +530,8 @@ mod tests {
         }
     }
 
-    /// What the gather must compute, from the `send`-buffer encoder and a
-    /// copying collective: every rank's `encode_gather_payload` bytes,
+    /// What the gather must compute, from an encoder writing into a send
+    /// buffer and a copying collective: every rank's encoded bytes,
     /// decoded in rank order by an offset walk and rank-averaged.
     fn reference_gather(
         ctx: &mut NodeCtx,
@@ -552,11 +540,12 @@ mod tests {
         residuals: Option<&mut ResidualStore>,
         rng: &mut StdRng,
     ) -> (SparseGrad, ExchangeStats) {
-        let mut bufs = GatherBufs::new();
-        let mut stats = encode_gather_payload(g, g.dim(), scheme, residuals, rng, &mut bufs);
+        let mut send = Vec::new();
+        let bufs = &mut GatherBufs::new();
+        let mut stats = Encoder { scheme, residuals, rng, bufs }.encode(g, &mut send);
         let (mut recv, mut counts) = (Vec::new(), Vec::new());
         ctx.comm_mut()
-            .allgatherv_bytes_into(&bufs.send, &mut recv, &mut counts)
+            .allgatherv_bytes_into(&send, &mut recv, &mut counts)
             .unwrap();
         let mut agg = SparseGrad::new(g.dim());
         let mut off = 0usize;
@@ -591,10 +580,11 @@ mod tests {
             .collect()
     }
 
-    /// The in-slot encode and the `send`-buffer encode cannot drift: for
-    /// every scheme, with and without error feedback, the staged exchange
-    /// and its pipelined completion equal the reference in aggregate
-    /// bits, stats, residual store and caller-RNG state.
+    /// The in-slot encode and the send-buffer encode cannot drift: for
+    /// every scheme, with and without error feedback, the synchronous
+    /// exchange, a slot's live collective and a slot's staged-then-deposited
+    /// collective equal the reference in aggregate bits, rows gathered,
+    /// residual store and caller-RNG state.
     #[test]
     fn staged_gather_matches_reference_decode_of_encoded_payloads() {
         let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
@@ -605,26 +595,18 @@ mod tests {
                 for feedback in [false, true] {
                     let what = format!("{scheme:?}, feedback {feedback}");
                     let seed = 40 + ctx.rank() as u64;
-                    let (mut rng_ref, mut rng_sync, mut rng_pipe) = (
-                        StdRng::seed_from_u64(seed),
-                        StdRng::seed_from_u64(seed),
-                        StdRng::seed_from_u64(seed),
-                    );
-                    let mut stores = [(); 3].map(|()| {
+                    let mut rngs = [(); 4].map(|()| StdRng::seed_from_u64(seed));
+                    let mut stores = [(); 4].map(|()| {
                         let mut s = ResidualStore::new();
                         s.set_row(5, &vec![0.25; dim]); // a carried-over residual
                         s
                     });
-                    let [store_ref, store_sync, store_pipe] = &mut stores;
-                    let (mut want, want_stats) = reference_gather(
-                        ctx,
-                        &g,
-                        scheme,
-                        feedback.then_some(store_ref),
-                        &mut rng_ref,
-                    );
+                    let [rng_ref, rng_sync, rng_live, rng_pipe] = &mut rngs;
+                    let [store_ref, store_sync, store_live, store_pipe] = &mut stores;
+                    let (mut want, want_stats) =
+                        reference_gather(ctx, &g, scheme, feedback.then_some(store_ref), rng_ref);
 
-                    let mut bufs = GatherBufs::new();
+                    let bufs = &mut GatherBufs::new();
                     let mut agg = SparseGrad::new(dim);
                     let stats = exchange_allgather_into(
                         ctx.comm_mut(),
@@ -632,44 +614,36 @@ mod tests {
                         dim,
                         scheme,
                         feedback.then_some(store_sync),
-                        &mut rng_sync,
-                        &mut bufs,
+                        rng_sync,
+                        bufs,
                         &mut agg,
                     )
                     .unwrap();
                     assert_eq!(sorted_bits(&mut agg), sorted_bits(&mut want), "{what}");
                     assert_eq!(stats, want_stats, "{what}");
 
-                    // Encode at "launch", complete later as an overlapped
-                    // collective.
-                    let mut slot = PipelineSlot {
-                        anchor_s: ctx.comm().clock().now_s(),
-                        ..PipelineSlot::default()
-                    };
-                    let mut staged_stats = encode_gather_payload(
-                        &g,
-                        dim,
-                        scheme,
-                        feedback.then_some(store_pipe),
-                        &mut rng_pipe,
-                        &mut slot.ent_gather,
-                    );
-                    let (gathered, overlap) = complete_gather_exchange_overlapped(
-                        ctx.comm_mut(),
-                        dim,
-                        &mut slot.ent_gather,
-                        &mut agg,
-                        slot.anchor_s,
-                    )
-                    .unwrap();
-                    staged_stats.rows_gathered = gathered;
-                    assert!(overlap.hidden_s >= 0.0 && overlap.visible_s >= 0.0);
+                    // Window 0: the live gradient encoded inside the collective.
+                    let mut slot = Staged::default();
+                    let residuals = feedback.then_some(store_live);
+                    let wire = Wire::Rows(Encoder { scheme, residuals, rng: rng_live, bufs });
+                    let rows = slot.collective(ctx.comm_mut(), wire, Some(&g), None, &mut agg).unwrap();
                     assert_eq!(sorted_bits(&mut agg), sorted_bits(&mut want), "{what}");
-                    assert_eq!(staged_stats, want_stats, "{what}");
+                    assert_eq!(rows, want_stats.rows_gathered, "{what}");
+
+                    // Window >= 1: encoded at launch, deposited later as an
+                    // overlapped collective.
+                    let anchor = ctx.comm().clock().now_s();
+                    let residuals = feedback.then_some(store_pipe);
+                    slot.stage(&g, Wire::Rows(Encoder { scheme, residuals, rng: rng_pipe, bufs }));
+                    let mut unused = StdRng::seed_from_u64(0);
+                    let wire = Wire::Rows(Encoder { scheme, residuals: None, rng: &mut unused, bufs });
+                    let rows = slot.collective(ctx.comm_mut(), wire, None, Some(anchor), &mut agg).unwrap();
+                    assert_eq!(sorted_bits(&mut agg), sorted_bits(&mut want), "{what}");
+                    assert_eq!(rows, want_stats.rows_gathered, "{what}");
 
                     let want_residuals = residual_bits(&stores[0]);
-                    let want_draw: u64 = rng_ref.gen();
-                    for (store, mut rng) in [(&stores[1], rng_sync), (&stores[2], rng_pipe)] {
+                    let want_draw: u64 = rngs[0].gen();
+                    for (store, rng) in stores[1..].iter().zip(&mut rngs[1..]) {
                         assert_eq!(residual_bits(store), want_residuals, "{what}");
                         assert_eq!(rng.gen::<u64>(), want_draw, "{what}");
                     }
@@ -684,18 +658,20 @@ mod tests {
         let out = cluster.run(|ctx| {
             let g = local_grad(ctx.rank(), 2);
             let mut dense = vec![0.0f32; 16 * 2];
-            let ref_stats = exchange_allreduce(ctx.comm_mut(), &g, &mut dense).unwrap();
+            exchange_allreduce(ctx.comm_mut(), &g, &mut dense).unwrap();
 
-            let mut staged = Vec::new();
+            let mut agg = SparseGrad::new(2);
+            let (mut live, mut staged) = (Staged::default(), Staged::default());
+            let wire = Wire::Dense { len: 16 * 2 };
+            live.collective(ctx.comm_mut(), wire, Some(&g), None, &mut agg).unwrap();
             let anchor = ctx.comm().clock().now_s();
-            let stats = stage_allreduce_payload(&g, &mut staged, 16 * 2);
-            let overlap =
-                complete_allreduce_overlapped(ctx.comm_mut(), &mut staged, anchor).unwrap();
-            assert_eq!(stats, ref_stats);
-            assert_eq!(overlap.window_s, 0.0, "no compute between launch/complete");
-            (dense, staged)
+            staged.stage(&g, Wire::Dense { len: 16 * 2 });
+            let wire = Wire::Dense { len: 16 * 2 };
+            staged.collective(ctx.comm_mut(), wire, None, Some(anchor), &mut agg).unwrap();
+            (dense, live.dense, staged.dense)
         });
-        for (dense, staged) in out {
+        for (dense, live, staged) in out {
+            assert_eq!(dense, live, "live all-reduce must be bit-identical");
             assert_eq!(dense, staged, "staged all-reduce must be bit-identical");
         }
     }

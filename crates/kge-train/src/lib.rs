@@ -57,10 +57,10 @@ pub use config::{
     CommMode, ModelKind, NegSampling, OptimizerKind, PrefetchMode, ShardedConfig, StrategyConfig,
     TrainConfig, UpdateStyle,
 };
-pub use exchange::{ExchangeStats, GatherBufs, PipelineSlot};
+pub use exchange::{ExchangeStats, GatherBufs};
 pub use lr::{LrDecision, PlateauSchedule};
 pub use ps::train_ps;
 pub use report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
 pub use shard::train_sharded;
 pub use snapshot::{PublishedModel, RecordedSnapshot, RecordingSink, SnapshotSink};
-pub use trainer::{batch_gradients, train, train_with_snapshots, BatchWorkspace};
+pub use trainer::{batch_gradients, train, train_with_snapshots, BatchWorkspace, StepInputs};

@@ -79,19 +79,18 @@
 use crate::config::{PrefetchMode, TrainConfig};
 use crate::exchange::{add_payload_into, gather_into, gather_table_rows};
 use crate::lr::PlateauSchedule;
-use crate::neg::CorruptionBias;
 use crate::report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
 use crate::trainer::{
-    chunk_seed, compute_chunk, distribute, fold_chunk, node_pool_threads, stage_chunk,
-    ChunkScratch, RunIndexes, GRAD_CHUNK, ZERO_ROW_EPS,
+    chunk_positives, chunk_seed, compute_chunk, distribute, fold_chunk, node_pool_threads,
+    stage_chunk, ChunkScratch, RunIndexes, StepInputs, GRAD_CHUNK, ZERO_ROW_EPS,
 };
 use crate::CommChoice;
 use kge_compress::codec::{RowDecoder, RowEncoder, WireFormat};
 use kge_compress::quant::QuantScheme;
 use kge_compress::{ArenaKind, RowArena};
-use kge_core::{Adam, EmbeddingTable, KgeModel, RowOptimizer, SparseGrad};
+use kge_core::{Adam, EmbeddingTable, RowOptimizer, SparseGrad};
 use kge_data::batch::EpochShuffler;
-use kge_data::{Dataset, FilterIndex, Triple};
+use kge_data::{Dataset, Triple};
 use kge_partition::{entity_owners, hot_set, partition_for};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -791,14 +790,6 @@ impl PrefetchRing {
 
 // --- The rank's state and the batch phases ------------------------------
 
-/// Read-only inputs of a sharded run, the same for every batch.
-pub struct ShardInputs<'a> {
-    pub model: &'a dyn KgeModel,
-    pub config: &'a TrainConfig,
-    pub filter: &'a FilterIndex,
-    pub bias: Option<&'a CorruptionBias>,
-}
-
 /// Everything one rank mutates while it trains.
 pub struct RankState {
     pub store: ShardedStore,
@@ -845,7 +836,7 @@ fn peers(ctx: &NodeCtx) -> impl Iterator<Item = usize> {
 /// they observe every update up to the batch before this one.
 fn launch(
     ctx: &mut NodeCtx,
-    run: &ShardInputs,
+    run: &StepInputs,
     st: &mut RankState,
     epoch: usize,
     batch_idx: usize,
@@ -866,17 +857,11 @@ fn launch(
         let lo = c * GRAD_CHUNK;
         let hi = (lo + GRAD_CHUNK).min(bs);
         stage_chunk(
-            run.model,
+            run,
             &slot.local_tab,
             rel,
             store.n_entities,
-            shard,
-            start,
-            lo,
-            hi,
-            config,
-            run.filter,
-            run.bias,
+            chunk_positives(shard, start + lo..start + hi),
             chunk_seed(config.seed, ctx.rank(), epoch, batch_idx, c),
             chunk,
         );
@@ -970,7 +955,7 @@ fn serve_requests(ctx: &mut NodeCtx, st: &mut RankState) -> Result<(), SimError>
 /// clock reading from which the pull lane is still unaccounted.
 fn prime(
     ctx: &mut NodeCtx,
-    run: &ShardInputs,
+    run: &StepInputs,
     st: &mut RankState,
     epoch: usize,
     batch_idx: usize,
@@ -1076,7 +1061,7 @@ fn remap_and_count(slot: &mut PrefetchSlot, store: &mut ShardedStore) {
 /// gradients. Returns `(loss, examples)`.
 fn compute_and_merge(
     ctx: &mut NodeCtx,
-    run: &ShardInputs,
+    run: &StepInputs,
     slot: &mut PrefetchSlot,
     rel: &EmbeddingTable,
     bufs: &mut ShardedBufs,
@@ -1095,7 +1080,7 @@ fn compute_and_merge(
             // SAFETY: each index is claimed by exactly one worker, so the
             // &mut aliases are disjoint.
             let cs = unsafe { ptr.at(c) };
-            compute_chunk(model, local_tab, rel, inv_batch, config, cs);
+            compute_chunk(run, local_tab, rel, inv_batch, cs);
         });
     }
     bufs.ent_grad.clear();
@@ -1376,7 +1361,7 @@ fn settle_pending_push(ctx: &mut NodeCtx, pending: &mut PendingPush, lane: &mut 
 /// sharded trainer runs.
 pub fn sharded_batch_step(
     ctx: &mut NodeCtx,
-    run: &ShardInputs,
+    run: &StepInputs,
     st: &mut RankState,
     epoch: usize,
     batch_idx: usize,
@@ -1601,7 +1586,7 @@ fn run_sharded_node(
     let mut p = ctx.size();
     let initial_p = p;
     let model = config.model.build(config.rank);
-    let run = ShardInputs {
+    let run = StepInputs {
         model: model.as_ref(),
         config,
         filter: &indexes.filter,

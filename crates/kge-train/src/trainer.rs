@@ -1,12 +1,20 @@
-//! The synchronous data-parallel trainer.
+//! The replica data-parallel trainer.
 //!
 //! [`train`] runs one SPMD program per cluster node. Every node holds a
-//! full replica of the ComplEx model; each batch it computes gradients on
-//! its own triples, exchanges the entity (and, without relation partition,
-//! relation) gradients through the epoch's collective, and applies an
-//! identical optimizer step — so replicas stay bit-identical, which the
-//! integration tests assert. With relation partition, relation rows are
-//! owned and updated node-locally and re-assembled once per epoch.
+//! full replica of the model — any [`ModelKind`](crate::ModelKind); each
+//! batch it computes gradients on its own triples, exchanges the entity
+//! (and, without relation partition, relation) gradients through the
+//! epoch's collective, and applies an identical optimizer step — so
+//! replicas stay bit-identical, which the integration tests assert. With
+//! relation partition, relation rows are owned and updated node-locally
+//! and re-assembled once per epoch.
+//!
+//! One step, a window: [`replica_batch_step`] launches each batch's
+//! exchange into a ring of slots and settles it `window` batches later, so
+//! the collective rides behind the compute in between (the epoch-end
+//! drain settles the rest). Window 0 — every synchronous epoch — settles
+//! the launch in the same batch. A rank's mutable state is one
+//! [`ReplicaState`].
 //!
 //! Simulated time: local compute is charged analytically per batch
 //! (forward/backward/optimizer flops) to each node's clock; collectives
@@ -14,15 +22,11 @@
 //! `TT`/epoch times are those simulated clocks — the real wall time of
 //! the host machine never enters the results.
 
-use crate::checkpoint::{self, CheckpointView, Tallies};
+use crate::checkpoint::{self, Checkpoint, CheckpointView, Tallies};
 use crate::comm_select::{CommChoice, DynamicCommSelector};
-use crate::config::{CommMode, TrainConfig, UpdateStyle};
-use crate::exchange::{
-    complete_allreduce_overlapped, complete_gather_exchange_overlapped, encode_gather_payload,
-    exchange_allgather_into, exchange_allreduce, gather_table_rows, stage_allreduce_payload,
-    GatherBufs, PipelineSlot,
-};
-use crate::lr::PlateauSchedule;
+use crate::config::{CommMode, StrategyConfig, TrainConfig, UpdateStyle};
+use crate::exchange::{gather_table_rows, Encoder, GatherBufs, Staged, Wire};
+use crate::lr::{LrDecision, PlateauSchedule};
 use crate::neg::{CorruptionBias, NegSampler, NegScratch};
 use crate::report::{EpochTrace, TrainOutcome, TrainReport};
 use crate::snapshot::{PublishedModel, SnapshotSink};
@@ -136,19 +140,13 @@ impl RunIndexes {
     }
 }
 
-/// Per-batch working state that is reused across batches to keep the hot
-/// loop allocation-free in steady state: gradient accumulators and the
-/// chunk-scratch pool live in [`BatchWorkspace`]; the dense all-reduce
-/// outputs, sparse aggregates and gather scratch all keep their capacity
-/// across batches and epochs. (The wire buffers are the communicator's
-/// staging slots.)
-struct Scratch {
-    batch: BatchWorkspace,
-    dense_ent: Vec<f32>,
-    dense_rel: Vec<f32>,
-    ent_agg: SparseGrad,
-    rel_agg: SparseGrad,
-    gather: GatherBufs,
+/// Read-only inputs of a batch step, the same for every batch — shared by
+/// the replica and the sharded step.
+pub struct StepInputs<'a> {
+    pub model: &'a dyn KgeModel,
+    pub config: &'a TrainConfig,
+    pub filter: &'a FilterIndex,
+    pub bias: Option<&'a CorruptionBias>,
 }
 
 /// Width of the per-node worker pool: an explicit `RAYON_NUM_THREADS`
@@ -216,6 +214,15 @@ pub(crate) fn distribute(
     (shard, owned_rels, batches_per_epoch)
 }
 
+/// Where a rank adopts a checkpointed state from.
+#[derive(Clone, Copy, PartialEq)]
+enum Adopt {
+    /// Its own checkpoint file (`TrainConfig::resume_from`).
+    Resume,
+    /// The grow leader's image, received when this crashed rank rejoins.
+    Rejoin { leader: usize },
+}
+
 fn run_node_inner(
     ctx: &mut NodeCtx,
     dataset: &Dataset,
@@ -223,29 +230,22 @@ fn run_node_inner(
     sink: Option<&dyn SnapshotSink>,
     indexes: &RunIndexes,
 ) -> NodeResult {
-    let mut rank = ctx.rank();
-    let mut p = ctx.size();
-    let initial_p = p;
+    let initial_p = ctx.size();
     let model = config.model.build(config.rank);
-    let model: &dyn KgeModel = model.as_ref();
-    let dim = model.storage_dim();
+    let inputs = StepInputs {
+        model: model.as_ref(),
+        config,
+        filter: &indexes.filter,
+        bias: indexes.bias.as_ref(),
+    };
+    let model = inputs.model;
     let strategy = config.strategy;
-
-    // --- Data distribution (identical computation on every node). -------
-    // `base_shard` keeps the distribution order; each epoch copies it into
-    // `shard` and shuffles, so an epoch's data order is a pure function of
-    // `(distribution, epoch)` — never of shuffle history. Checkpoint
-    // resume and rank rejoin depend on this: neither replays past epochs.
-    let (mut base_shard, mut owned_rels, mut batches_per_epoch) = distribute(
-        dataset,
-        strategy.relation_partition,
-        rank,
-        p,
-        config.batch_size,
-    );
-    let mut shard = base_shard.clone();
-
-    let (filter, bias) = (&indexes.filter, indexes.bias.as_ref());
+    let mut st = ReplicaState::new(&inputs, dataset, ctx.rank(), ctx.size());
+    // An epoch's data order is a pure function of `(distribution, epoch)`
+    // — never of shuffle history: each epoch copies `base_shard` into the
+    // shard and shuffles. Resume and rejoin depend on this: neither
+    // replays past epochs.
+    let shuffler = EpochShuffler::new(config.seed ^ (ctx.rank() as u64) << 32);
     // Per-epoch ranking eval (opt-in): the workspace is built once and
     // reused, so steady-state evaluation allocates only its per-call query
     // shard.
@@ -253,213 +253,86 @@ fn run_node_inner(
         .grouped
         .as_ref()
         .map(|grouped| (grouped, RankingWorkspace::new()));
+    let mut ckpt = CkptBufs::default();
 
-    // --- Model replicas: identical initialization on every node. --------
-    let mut init_rng = StdRng::seed_from_u64(config.seed);
-    let mut ent = EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng);
-    let mut rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
-    let mut ent_opt = config
-        .optimizer
-        .build(config.base_lr, dataset.n_entities, dim);
-    let mut rel_opt = config
-        .optimizer
-        .build(config.base_lr, dataset.n_relations, dim);
-    let mut ent_residual = ResidualStore::new();
-    let mut rel_residual = ResidualStore::new();
-
-    // Per-node RNG streams (data order / negatives / stochastic strategies
-    // differ per node; model state stays identical because aggregated
-    // gradients are identical).
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
-    );
-    let shuffler = EpochShuffler::new(config.seed ^ (rank as u64) << 32);
-
-    let mut schedule = PlateauSchedule::new(
-        p,
-        config.lr_scale_cap,
-        config.lr_decay,
-        config.plateau_tolerance,
-        config.max_lr_drops,
-    );
-    let mut selector = match strategy.comm {
-        CommMode::Dynamic { check_every } => Some(DynamicCommSelector::new(check_every)),
-        _ => None,
-    };
-
-    let mut scratch = Scratch {
-        batch: BatchWorkspace::new(dim),
-        dense_ent: vec![0.0; dataset.n_entities * dim],
-        dense_rel: vec![0.0; dataset.n_relations * dim],
-        ent_agg: SparseGrad::new(dim),
-        rel_agg: SparseGrad::new(dim),
-        gather: GatherBufs::new(),
-    };
-
-    // Slot ring for the pipelined exchange, sized once to the largest
-    // staleness window any epoch of this run can use, so the steady-state
-    // loop never allocates slots. Each slot owns its wire buffers.
-    let max_window = match strategy.comm {
-        CommMode::Pipelined { staleness } | CommMode::PipelinedAllReduce { staleness } => staleness,
-        CommMode::Dynamic { .. } => 1,
-        _ => 0,
-    };
-    let mut pipeline: Vec<PipelineSlot> =
-        (0..max_window).map(|_| PipelineSlot::default()).collect();
-
-    let mut trace: Vec<EpochTrace> = Vec::new();
+    let (mut base_shard, mut owned_rels, mut batches_per_epoch) = (Vec::new(), Vec::new(), 0);
+    let mut world_changed = true;
+    let mut adopt = config.resume_from.as_ref().map(|_| Adopt::Resume);
+    let mut epoch = 0usize;
     let mut converged = false;
-    let mut tallies = Tallies::default();
     let mut survived = true;
 
-    // Pooled checkpoint buffers: the encoded image, the residual-id
-    // scratch, and the exported traffic table are reused across every
-    // checkpoint (and across rejoin state transfers), so steady-state
-    // checkpointing stops allocating once warm.
-    let mut ckpt_buf: Vec<u8> = Vec::new();
-    let mut ckpt_ids: Vec<u32> = Vec::new();
-    let mut ckpt_traffic: Vec<(Collective, [u64; 6])> = Vec::new();
-
-    // --- Resume: adopt a checkpointed rank state wholesale. -------------
-    // Every piece of state that influences a future draw, update, or clock
-    // charge is restored, which is what makes the resumed run bit-identical
-    // to the uninterrupted one (tests/resume_determinism.rs).
-    let mut epoch = 0usize;
-    if let Some(dir) = config.resume_from.as_ref() {
-        let path = checkpoint::checkpoint_path(dir, rank);
-        let ck = checkpoint::read_file(&path)
-            .unwrap_or_else(|e| panic!("resume rank {rank} from {}: {e}", path.display()));
-        assert_eq!(ck.world_size, p, "checkpoint world size mismatch");
-        assert_eq!(ck.rank, rank, "checkpoint rank mismatch");
-        assert_eq!(ck.seed, config.seed, "checkpoint seed mismatch");
-        assert_eq!(
-            (ck.dim, ck.n_entities, ck.n_relations),
-            (dim, dataset.n_entities, dataset.n_relations),
-            "checkpoint model shape mismatch"
-        );
-        ent.as_mut_slice().copy_from_slice(ck.ent.as_slice());
-        rel.as_mut_slice().copy_from_slice(ck.rel.as_slice());
-        ent_opt
-            .load_state(ck.ent_opt.as_view())
-            .unwrap_or_else(|e| panic!("resume rank {rank}: entity optimizer: {e}"));
-        rel_opt
-            .load_state(ck.rel_opt.as_view())
-            .unwrap_or_else(|e| panic!("resume rank {rank}: relation optimizer: {e}"));
-        ent_residual.clear();
-        for (row, values) in &ck.ent_residual {
-            ent_residual.set_row(*row, values);
+    loop {
+        // --- Adopt a checkpointed rank state: resume from this rank's
+        // file, or a rejoiner's image from the grow leader. -------------
+        let adopted = adopt.take();
+        if let Some(from) = adopted {
+            let ck = match from {
+                Adopt::Resume => read_own_checkpoint(ctx, config),
+                Adopt::Rejoin { leader } => {
+                    let msg = ctx
+                        .comm_mut()
+                        .recv_bytes_from(leader)
+                        .unwrap_or_else(|e| panic!("rejoin state recv: {e}"));
+                    checkpoint::decode(&msg.payload)
+                        .unwrap_or_else(|e| panic!("rejoin state decode: {e}"))
+                }
+            };
+            epoch = st.adopt(ctx, &ck, from == Adopt::Resume);
         }
-        rel_residual.clear();
-        for (row, values) in &ck.rel_residual {
-            rel_residual.set_row(*row, values);
+        if epoch >= config.max_epochs {
+            break;
         }
-        rng = StdRng::from_state(ck.rng_state);
-        schedule = PlateauSchedule::restore(&ck.schedule);
-        if let Some(snap) = &ck.selector {
-            selector = Some(
-                DynamicCommSelector::restore(snap)
-                    .unwrap_or_else(|e| panic!("resume rank {rank}: comm selector: {e}")),
-            );
-        }
-        tallies = ck.tallies.clone();
-        trace = ck.trace.clone();
-        ctx.comm_mut().clock_mut().restore(ck.clock_now_s, ck.breakdown);
-        ctx.comm_mut().traffic_mut().import(&ck.traffic);
-        ctx.comm_mut().restore_sequences(ck.coll_seq, &ck.p2p_seq);
-        epoch = ck.next_epoch;
-    }
 
-    // Set by a rank that was re-admitted mid-loop: it re-enters the epoch
-    // the survivors are about to run, whose grow step already happened.
-    let mut skip_grow = false;
-
-    while epoch < config.max_epochs {
         // --- Elastic re-grow: re-admit recovered ranks at the epoch
         // boundary. Free (no collective) unless the fault plan schedules
         // recoveries. The decision is a pure function of the aligned clock
-        // and the plan, so every survivor takes the same branch.
-        if config.recover_from_crashes && !skip_grow {
-            let rejoined_now = ctx.comm_mut().try_grow();
-            if !rejoined_now.is_empty() {
-                rank = ctx.rank();
-                p = ctx.size();
-                let (s, o, b) = distribute(
-                    dataset,
-                    strategy.relation_partition,
-                    rank,
-                    p,
-                    config.batch_size,
-                );
-                base_shard = s;
-                shard.clone_from(&base_shard);
-                owned_rels = o;
-                batches_per_epoch = b;
-                // Same re-partitioning price as the shrink path.
-                ctx.comm_mut()
-                    .clock_mut()
-                    .charge_flops((dataset.train.len() * 8) as f64);
-                // DRS timings were measured at the old world size; every
-                // rank (the rejoiner included, below) re-probes fresh.
-                if let Some(sel) = selector.as_mut() {
-                    sel.reset();
-                }
-                tallies.rejoins += rejoined_now.len();
-                // The grow leader (lowest surviving original id) ships the
-                // authoritative replica state to each rejoiner; its stale
-                // copy died with the crash. The payload is a checkpoint
-                // image — same codec, pooled buffers.
-                let leader_orig = ctx
-                    .comm()
-                    .orig_ranks()
-                    .iter()
-                    .copied()
-                    .find(|r| !rejoined_now.contains(r))
-                    .expect("at least one survivor leads the grow");
-                let leader = ctx
-                    .comm()
-                    .orig_ranks()
-                    .iter()
-                    .position(|&r| r == leader_orig)
-                    .expect("leader present in grown world");
-                if rank == leader {
-                    for &orig in &rejoined_now {
-                        let dst = ctx
-                            .comm()
-                            .orig_ranks()
-                            .iter()
-                            .position(|&r| r == orig)
-                            .expect("rejoiner present in grown world");
-                        encode_rank_state(
-                            &mut ckpt_buf,
-                            &mut ckpt_ids,
-                            &mut ckpt_traffic,
-                            ctx,
-                            config,
-                            epoch,
-                            p,
-                            rank,
-                            &ent,
-                            &rel,
-                            ent_opt.as_ref(),
-                            rel_opt.as_ref(),
-                            &ent_residual,
-                            &rel_residual,
-                            &rng,
-                            &schedule,
-                            selector.as_ref(),
-                            &tallies,
-                            &trace,
-                        );
-                        let buf = std::mem::take(&mut ckpt_buf);
-                        ctx.comm_mut()
-                            .send_bytes(dst, &buf)
-                            .unwrap_or_else(|e| panic!("rejoin state send: {e}"));
-                        ckpt_buf = buf;
-                    }
+        // and the plan, so every survivor takes the same branch. A
+        // rejoiner re-enters the epoch the survivors are about to run,
+        // whose grow step already happened.
+        let rejoined = if config.recover_from_crashes && !matches!(adopted, Some(Adopt::Rejoin { .. })) {
+            ctx.comm_mut().try_grow()
+        } else {
+            Vec::new()
+        };
+
+        // --- The one redistribution after the world changed (start,
+        // grow, shrink, rejoin). -----------------------------------------
+        if world_changed || !rejoined.is_empty() {
+            (base_shard, owned_rels, batches_per_epoch) =
+                distribute(dataset, strategy.relation_partition, ctx.rank(), ctx.size(), config.batch_size);
+            st.shard.clone_from(&base_shard);
+            world_changed = false;
+        }
+
+        if !rejoined.is_empty() {
+            st.repartition_charge(ctx, dataset);
+            st.tallies.rejoins += rejoined.len();
+            // The grow leader (lowest surviving original id) ships the
+            // authoritative replica state to each rejoiner; its stale copy
+            // died with the crash. The payload is a checkpoint image —
+            // same codec, pooled buffers.
+            let leader = ctx
+                .comm()
+                .orig_ranks()
+                .iter()
+                .position(|r| !rejoined.contains(r))
+                .expect("at least one survivor leads the grow");
+            if ctx.rank() == leader {
+                for orig in &rejoined {
+                    let dst = ctx
+                        .comm()
+                        .orig_ranks()
+                        .iter()
+                        .position(|r| r == orig)
+                        .expect("rejoiner present in grown world");
+                    encode_rank_state(&mut ckpt, ctx, config.seed, epoch, &st);
+                    ctx.comm_mut()
+                        .send_bytes(dst, &ckpt.buf)
+                        .unwrap_or_else(|e| panic!("rejoin state send: {e}"));
                 }
             }
         }
-        skip_grow = false;
 
         // Epoch barrier: aligns every clock so that the per-epoch times —
         // which the dynamic comm selector compares — are identical on all
@@ -467,655 +340,76 @@ fn run_node_inner(
         // quantities, so clocks stay equal through the epoch's end).
         ctx.comm_mut().barrier();
         let epoch_start = ctx.comm().clock().now_s();
-        let bytes_at_start = ctx.comm().traffic().total_sent();
-        shard.copy_from_slice(&base_shard);
-        shuffler.shuffle(&mut shard, epoch as u64);
+        let bytes_at_start = replica_bytes_sent(ctx);
+        st.shard.copy_from_slice(&base_shard);
+        shuffler.shuffle(&mut st.shard, epoch as u64);
+        let plan = EpochPlan::new(strategy.comm, st.selector.as_ref(), epoch, st.schedule.lr_scale());
 
-        // The epoch's collective and its staleness window. `window == 0`
-        // is the synchronous path (bit-identical to the pre-pipelining
-        // trainer); a pipelined choice with staleness 0 degrades to its
-        // synchronous base, so `Pipelined { staleness: 0 }` reproduces
-        // `AllGather` exactly. Dynamic probes pipelined arms at window 1.
-        let (choice, window) = match strategy.comm {
-            CommMode::AllReduce => (CommChoice::AllReduce, 0),
-            CommMode::AllGather => (CommChoice::AllGather, 0),
-            CommMode::Pipelined { staleness } => {
-                if staleness == 0 {
-                    (CommChoice::AllGather, 0)
-                } else {
-                    (CommChoice::PipelinedAllGather, staleness)
-                }
-            }
-            CommMode::PipelinedAllReduce { staleness } => {
-                if staleness == 0 {
-                    (CommChoice::AllReduce, 0)
-                } else {
-                    (CommChoice::PipelinedAllReduce, staleness)
-                }
-            }
-            CommMode::Dynamic { .. } => {
-                let c = selector.as_ref().expect("dynamic selector").choice();
-                (c, if c.is_pipelined() { 1 } else { 0 })
-            }
-        };
-        match choice.base() {
-            CommChoice::AllReduce => tallies.allreduce_epochs += 1,
-            CommChoice::AllGather => tallies.allgather_epochs += 1,
-            _ => unreachable!("base() is synchronous"),
+        // --- The batches, the drain and, under RP, the relation assembly
+        // (once per epoch, so validation and the final model see every
+        // relation's owner copy). A `RankCrashed` error aborts the rest of
+        // the epoch on every rank together. --------------------------------
+        let mut sums = EpochSums::default();
+        let mut crashed = (0..batches_per_epoch)
+            .any(|b| is_crash(replica_batch_step(ctx, &inputs, &mut st, &plan, b, &mut sums)));
+        if !crashed {
+            crashed = is_crash(replica_epoch_drain(ctx, &inputs, &mut st, &plan, batches_per_epoch));
         }
-        if choice.is_pipelined() {
-            tallies.pipelined_epochs += 1;
+        if !crashed && strategy.relation_partition && ctx.size() > 1 {
+            crashed = is_crash(gather_table_rows(ctx.comm_mut(), &mut st.rel, owned_rels.iter().copied()));
         }
 
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_examples = 0usize;
-        let mut nonzero_rows_sum = 0usize;
-        let mut rows_sent_sum = 0usize;
-        let mut rows_before_rs = 0usize;
-        let mut rows_after_rs = 0usize;
-        let lr_scale = schedule.lr_scale();
-
-        // A `RankCrashed` error is observed by every participant at the
-        // same collective (detection derives from shared clock deposits),
-        // so all nodes — survivors and the crashed rank alike — abort the
-        // epoch's batch loop together and the program stays collectively
-        // well-formed. Any other error is a bug and panics as before.
-        let mut crashed_this_epoch = false;
-        macro_rules! try_exchange {
-            ($expr:expr, $what:literal, $batches:lifetime) => {
-                match $expr {
-                    Ok(v) => v,
-                    Err(SimError::RankCrashed { .. }) => {
-                        crashed_this_epoch = true;
-                        break $batches
-                    }
-                    Err(e) => panic!(concat!($what, ": {}"), e),
-                }
-            };
-        }
-
-        // Complete the in-flight exchange held in `pipeline[$idx]`: run the
-        // overlapped collective priced from the slot's launch anchor,
-        // decode/average, and apply the (stale) optimizer step. Used from
-        // inside the batch loop (window full) and from the epoch-end drain;
-        // `$lbl` names the loop a `RankCrashed` error aborts.
-        macro_rules! complete_slot {
-            ($idx:expr, $lbl:lifetime) => {{
-                let idx: usize = $idx;
-                match choice.base() {
-                    CommChoice::AllReduce => {
-                        {
-                            let slot = &mut pipeline[idx];
-                            try_exchange!(
-                                complete_allreduce_overlapped(
-                                    ctx.comm_mut(),
-                                    &mut slot.ent_dense,
-                                    slot.anchor_s,
-                                ),
-                                "pipelined entity allreduce",
-                                $lbl
-                            );
-                        }
-                        if !strategy.relation_partition {
-                            let slot = &mut pipeline[idx];
-                            try_exchange!(
-                                complete_allreduce_overlapped(
-                                    ctx.comm_mut(),
-                                    &mut slot.rel_dense,
-                                    slot.anchor_s,
-                                ),
-                                "pipelined relation allreduce",
-                                $lbl
-                            );
-                        }
-                        apply_update(
-                            ctx,
-                            ent_opt.as_mut(),
-                            strategy.update_style,
-                            choice,
-                            &mut ent,
-                            AggRef::Dense {
-                                buf: &pipeline[idx].ent_dense,
-                                sparse_scratch: &mut scratch.ent_agg,
-                            },
-                            lr_scale,
-                        );
-                        if !strategy.relation_partition {
-                            apply_update(
-                                ctx,
-                                rel_opt.as_mut(),
-                                strategy.update_style,
-                                choice,
-                                &mut rel,
-                                AggRef::Dense {
-                                    buf: &pipeline[idx].rel_dense,
-                                    sparse_scratch: &mut scratch.rel_agg,
-                                },
-                                lr_scale,
-                            );
-                        }
-                    }
-                    CommChoice::AllGather => {
-                        let gathered = {
-                            let slot = &mut pipeline[idx];
-                            let (gathered, _overlap) = try_exchange!(
-                                complete_gather_exchange_overlapped(
-                                    ctx.comm_mut(),
-                                    dim,
-                                    &mut slot.ent_gather,
-                                    &mut scratch.ent_agg,
-                                    slot.anchor_s,
-                                ),
-                                "pipelined entity allgather",
-                                $lbl
-                            );
-                            gathered
-                        };
-                        // Decode + local sum cost (same charge as the
-                        // synchronous gather path; `gathered` is a shared
-                        // quantity, so clocks stay rank-identical).
-                        ctx.comm_mut()
-                            .clock_mut()
-                            .charge_flops((gathered * dim) as f64);
-                        if !strategy.relation_partition {
-                            let slot = &mut pipeline[idx];
-                            let _ = try_exchange!(
-                                complete_gather_exchange_overlapped(
-                                    ctx.comm_mut(),
-                                    dim,
-                                    &mut slot.rel_gather,
-                                    &mut scratch.rel_agg,
-                                    slot.anchor_s,
-                                ),
-                                "pipelined relation allgather",
-                                $lbl
-                            );
-                        }
-                        apply_update(
-                            ctx,
-                            ent_opt.as_mut(),
-                            strategy.update_style,
-                            choice,
-                            &mut ent,
-                            AggRef::Sparse {
-                                grad: &mut scratch.ent_agg,
-                                dense_scratch: &mut scratch.dense_ent,
-                            },
-                            lr_scale,
-                        );
-                        if !strategy.relation_partition {
-                            apply_update(
-                                ctx,
-                                rel_opt.as_mut(),
-                                strategy.update_style,
-                                choice,
-                                &mut rel,
-                                AggRef::Sparse {
-                                    grad: &mut scratch.rel_agg,
-                                    dense_scratch: &mut scratch.dense_rel,
-                                },
-                                lr_scale,
-                            );
-                        }
-                    }
-                    _ => unreachable!("base() is synchronous"),
-                }
-            }};
-        }
-
-        'batches: for b in 0..batches_per_epoch {
-            let (loss, n_examples) = scratch.batch.batch_gradients_into(
-                model, &ent, &rel, &shard, b, config, filter, bias, rank, epoch,
-            );
-            epoch_loss += loss;
-            epoch_examples += n_examples;
-
-            // Charge the batch's forward+backward compute.
-            let fwd_bwd = n_examples as f64 * model.score_flops() * 3.0;
-            let pool_extra = if strategy.neg.uses_selection() {
-                // pool scored per positive; positives = examples / (1+train)
-                let positives = n_examples / (1 + strategy.neg.train);
-                (positives * strategy.neg.pool) as f64 * model.score_flops()
-            } else {
-                0.0
-            };
-            ctx.comm_mut().clock_mut().charge_flops(fwd_bwd + pool_extra);
-
-            nonzero_rows_sum += scratch.batch.ent_grad.rows_above_norm(ZERO_ROW_EPS);
-
-            if window > 0 {
-                // --- Pipelined exchange: complete the slot this batch is
-                // about to reuse (it holds batch `b − window`), then launch
-                // batch `b`'s exchange so its collective rides behind the
-                // compute of the next `window` batches. ---------------------
-                let slot_idx = b % window;
-                if b >= window {
-                    complete_slot!(slot_idx, 'batches);
-                }
-
-                // Stage RNG streams are keyed on (seed, rank, epoch, batch,
-                // stage), so every stochastic draw of the launch (row
-                // selection, quantization dithers) is independent of thread
-                // count and of when the overlapped collective completes.
-                let mut ent_stage_rng =
-                    StdRng::seed_from_u64(stage_seed(config.seed, rank, epoch, b, STAGE_ENT));
-                let mut rel_stage_rng =
-                    StdRng::seed_from_u64(stage_seed(config.seed, rank, epoch, b, STAGE_REL));
-
-                // Anchor before the encode: quantize + encode run on the
-                // comm thread of a real pipelined exchange, so their cost
-                // (charged to this clock below) is part of the window the
-                // collective's price may hide behind.
-                pipeline[slot_idx].anchor_s = ctx.comm().clock().now_s();
-                pipeline[slot_idx].batch = b;
-
-                if strategy.error_feedback && !matches!(strategy.quant, QuantScheme::None) {
-                    ent_residual.add_into(&mut scratch.batch.ent_grad);
-                }
-                let sel =
-                    select_rows(strategy.row_select, &mut scratch.batch.ent_grad, &mut ent_stage_rng);
-                rows_before_rs += sel.rows_before;
-                rows_after_rs += sel.rows_after;
-                ctx.comm_mut()
-                    .clock_mut()
-                    .charge_flops((sel.rows_before * dim * 2) as f64);
-
-                match choice.base() {
-                    CommChoice::AllReduce => {
-                        let slot = &mut pipeline[slot_idx];
-                        slot.ent_stats = stage_allreduce_payload(
-                            &scratch.batch.ent_grad,
-                            &mut slot.ent_dense,
-                            dataset.n_entities * dim,
-                        );
-                        rows_sent_sum += slot.ent_stats.rows_sent;
-                        if !strategy.relation_partition {
-                            slot.rel_stats = stage_allreduce_payload(
-                                &scratch.batch.rel_grad,
-                                &mut slot.rel_dense,
-                                dataset.n_relations * dim,
-                            );
-                        }
-                    }
-                    CommChoice::AllGather => {
-                        // Quantization costs ~2 flops per element.
-                        ctx.comm_mut()
-                            .clock_mut()
-                            .charge_flops((scratch.batch.ent_grad.nnz() * dim * 2) as f64);
-                        let residuals = if strategy.error_feedback
-                            && !matches!(strategy.quant, QuantScheme::None)
-                        {
-                            Some(&mut ent_residual)
-                        } else {
-                            None
-                        };
-                        scratch.batch.ent_grad.ensure_sorted();
-                        let slot = &mut pipeline[slot_idx];
-                        slot.ent_stats = encode_gather_payload(
-                            &scratch.batch.ent_grad,
-                            dim,
-                            strategy.quant,
-                            residuals,
-                            &mut ent_stage_rng,
-                            &mut slot.ent_gather,
-                        );
-                        rows_sent_sum += slot.ent_stats.rows_sent;
-                        if !strategy.relation_partition {
-                            let residuals = if strategy.error_feedback
-                                && !matches!(strategy.quant, QuantScheme::None)
-                            {
-                                Some(&mut rel_residual)
-                            } else {
-                                None
-                            };
-                            scratch.batch.rel_grad.ensure_sorted();
-                            slot.rel_stats = encode_gather_payload(
-                                &scratch.batch.rel_grad,
-                                dim,
-                                strategy.quant,
-                                residuals,
-                                &mut rel_stage_rng,
-                                &mut slot.rel_gather,
-                            );
-                        }
-                    }
-                    _ => unreachable!("base() is synchronous"),
-                }
-
-                // Under RP relation rows never travel; apply them
-                // synchronously — the staleness window covers exchanged
-                // gradients only.
-                if strategy.relation_partition {
-                    apply_update(
-                        ctx,
-                        rel_opt.as_mut(),
-                        strategy.update_style,
-                        choice,
-                        &mut rel,
-                        AggRef::Sparse {
-                            grad: &mut scratch.batch.rel_grad,
-                            dense_scratch: &mut scratch.dense_rel,
-                        },
-                        lr_scale,
-                    );
-                }
-                continue 'batches;
-            }
-
-            // --- Entity gradient pipeline. ---------------------------
-            if strategy.error_feedback && !matches!(strategy.quant, QuantScheme::None) {
-                ent_residual.add_into(&mut scratch.batch.ent_grad);
-            }
-            let sel = select_rows(strategy.row_select, &mut scratch.batch.ent_grad, &mut rng);
-            rows_before_rs += sel.rows_before;
-            rows_after_rs += sel.rows_after;
-            // Norm computation + selection cost.
-            ctx.comm_mut()
-                .clock_mut()
-                .charge_flops((sel.rows_before * dim * 2) as f64);
-
-            // `true` means the aggregate landed in the dense scratch
-            // buffer; `false` means it landed in the sparse aggregate.
-            let ent_dense: bool = match choice {
-                CommChoice::AllReduce => {
-                    let stats = try_exchange!(
-                        exchange_allreduce(
-                            ctx.comm_mut(),
-                            &scratch.batch.ent_grad,
-                            &mut scratch.dense_ent,
-                        ),
-                        "entity allreduce",
-                        'batches
-                    );
-                    rows_sent_sum += stats.rows_sent;
-                    true
-                }
-                CommChoice::AllGather => {
-                    // Quantization costs ~2 flops per element.
-                    ctx.comm_mut()
-                        .clock_mut()
-                        .charge_flops((scratch.batch.ent_grad.nnz() * dim * 2) as f64);
-                    let residuals = if strategy.error_feedback
-                        && !matches!(strategy.quant, QuantScheme::None)
-                    {
-                        Some(&mut ent_residual)
-                    } else {
-                        None
-                    };
-                    // Sort now (cheap, reuses the cached order) so the
-                    // wire iteration below borrows instead of cloning.
-                    scratch.batch.ent_grad.ensure_sorted();
-                    let stats = try_exchange!(
-                        exchange_allgather_into(
-                            ctx.comm_mut(),
-                            &scratch.batch.ent_grad,
-                            dim,
-                            strategy.quant,
-                            residuals,
-                            &mut rng,
-                            &mut scratch.gather,
-                            &mut scratch.ent_agg,
-                        ),
-                        "entity allgather",
-                        'batches
-                    );
-                    rows_sent_sum += stats.rows_sent;
-                    // Decode + local sum cost.
-                    ctx.comm_mut()
-                        .clock_mut()
-                        .charge_flops((stats.rows_gathered * dim) as f64);
-                    false
-                }
-                _ => unreachable!("pipelined choices imply window > 0"),
-            };
-
-            // --- Relation gradient pipeline. --------------------------
-            // With relation partition there is no communication; relation
-            // rows are node-local and stay full precision (the paper's
-            // accuracy argument for RP) — the local gradient is applied
-            // directly below.
-            let rel_dense: bool = if strategy.relation_partition {
-                false
-            } else {
-                match choice {
-                    CommChoice::AllReduce => {
-                        let _ = try_exchange!(
-                            exchange_allreduce(
-                                ctx.comm_mut(),
-                                &scratch.batch.rel_grad,
-                                &mut scratch.dense_rel,
-                            ),
-                            "relation allreduce",
-                            'batches
-                        );
-                        true
-                    }
-                    CommChoice::AllGather => {
-                        let residuals = if strategy.error_feedback
-                            && !matches!(strategy.quant, QuantScheme::None)
-                        {
-                            Some(&mut rel_residual)
-                        } else {
-                            None
-                        };
-                        scratch.batch.rel_grad.ensure_sorted();
-                        let _ = try_exchange!(
-                            exchange_allgather_into(
-                                ctx.comm_mut(),
-                                &scratch.batch.rel_grad,
-                                dim,
-                                strategy.quant,
-                                residuals,
-                                &mut rng,
-                                &mut scratch.gather,
-                                &mut scratch.rel_agg,
-                            ),
-                            "relation allgather",
-                            'batches
-                        );
-                        false
-                    }
-                    _ => unreachable!("pipelined choices imply window > 0"),
-                }
-            };
-
-            // --- Optimizer step. ---------------------------------------
-            let ent_ref = if ent_dense {
-                AggRef::Dense {
-                    buf: &scratch.dense_ent,
-                    sparse_scratch: &mut scratch.ent_agg,
-                }
-            } else {
-                AggRef::Sparse {
-                    grad: &mut scratch.ent_agg,
-                    dense_scratch: &mut scratch.dense_ent,
-                }
-            };
-            apply_update(
-                ctx,
-                ent_opt.as_mut(),
-                strategy.update_style,
-                choice,
-                &mut ent,
-                ent_ref,
-                lr_scale,
-            );
-            let rel_ref = if strategy.relation_partition {
-                AggRef::Sparse {
-                    grad: &mut scratch.batch.rel_grad,
-                    dense_scratch: &mut scratch.dense_rel,
-                }
-            } else if rel_dense {
-                AggRef::Dense {
-                    buf: &scratch.dense_rel,
-                    sparse_scratch: &mut scratch.rel_agg,
-                }
-            } else {
-                AggRef::Sparse {
-                    grad: &mut scratch.rel_agg,
-                    dense_scratch: &mut scratch.dense_rel,
-                }
-            };
-            apply_update(
-                ctx,
-                rel_opt.as_mut(),
-                strategy.update_style,
-                choice,
-                &mut rel,
-                rel_ref,
-                lr_scale,
-            );
-        }
-
-        // --- Pipeline drain: complete every still-in-flight exchange in
-        // launch (FIFO) order, so staleness never crosses an epoch
-        // boundary and the validation signal sees every batch applied.
-        // After a crash the in-flight slots are discarded instead — their
-        // updates were never applied, so dropping them *is* the rollback
-        // of the partial window. ----------------------------------------
-        if window > 0 && !crashed_this_epoch {
-            'drain: for b in batches_per_epoch.saturating_sub(window)..batches_per_epoch {
-                complete_slot!(b % window, 'drain);
-            }
-        }
-
-        // --- Relation assembly under RP (once per epoch, so validation
-        // and the final model see every relation's owner copy). ----------
-        if !crashed_this_epoch && strategy.relation_partition && p > 1 {
-            match gather_table_rows(ctx.comm_mut(), &mut rel, owned_rels.iter().copied()) {
-                Ok(()) => {}
-                Err(SimError::RankCrashed { .. }) => crashed_this_epoch = true,
-                Err(e) => panic!("relation assembly allgather: {e}"),
-            }
-        }
-
-        // --- Degradation policy: drop the aborted epoch, shrink the
-        // communicator to the survivors, rebalance, keep training. -------
-        if crashed_this_epoch {
-            // The aborted epoch yields no trace entry or validation
-            // signal; un-count its collective choice so the tallies keep
-            // matching the trace length.
-            match choice.base() {
-                CommChoice::AllReduce => tallies.allreduce_epochs -= 1,
-                CommChoice::AllGather => tallies.allgather_epochs -= 1,
-                _ => unreachable!("base() is synchronous"),
-            }
-            if choice.is_pipelined() {
-                tallies.pipelined_epochs -= 1;
-            }
-            tallies.crashed_ranks.extend(ctx.comm().failed_ranks());
+        // --- Degradation policy: drop the aborted epoch (no trace entry,
+        // validation signal or tally), shrink the communicator to the
+        // survivors, rebalance, keep training. After a crash the in-flight
+        // slots are discarded — their updates were never applied, so
+        // dropping them *is* the rollback of the partial window. ----------
+        if crashed {
+            st.tallies.crashed_ranks.extend(ctx.comm().failed_ranks());
             if !config.recover_from_crashes {
                 break;
             }
             match ctx.comm_mut().shrink() {
+                // Survivor: the LR schedule keeps its original world-size
+                // scaling (deliberate — see DESIGN.md).
                 Ok(true) => {
-                    // Survivor: adopt the shrunken world and redistribute
-                    // the triples over it. The LR schedule keeps its
-                    // original world-size scaling (deliberate — see
-                    // DESIGN.md); DRS forgets its timings and re-probes
-                    // at the new size.
-                    tallies.recoveries += 1;
-                    rank = ctx.rank();
-                    p = ctx.size();
-                    let (s, o, b) = distribute(
-                        dataset,
-                        strategy.relation_partition,
-                        rank,
-                        p,
-                        config.batch_size,
-                    );
-                    base_shard = s;
-                    shard.clone_from(&base_shard);
-                    owned_rels = o;
-                    batches_per_epoch = b;
-                    // Re-partitioning cost: a sort-like pass over the full
-                    // triple set, identical on every survivor.
-                    ctx.comm_mut()
-                        .clock_mut()
-                        .charge_flops((dataset.train.len() * 8) as f64);
-                    if let Some(sel) = selector.as_mut() {
-                        sel.reset();
-                    }
+                    st.tallies.recoveries += 1;
+                    st.repartition_charge(ctx, dataset);
                     epoch += 1;
-                    continue;
                 }
-                Ok(false) => {
-                    // This is the crashed rank. It parks in the rejoin
-                    // lobby: if the fault plan schedules its recovery, the
-                    // survivors re-admit it at an epoch boundary;
-                    // otherwise they close the lobby when the run ends and
-                    // it leaves the job (its replica is stale; train()
-                    // only uses its wire traffic totals).
-                    match ctx.comm_mut().await_rejoin() {
-                        Some(leader) => {
-                            rank = ctx.rank();
-                            p = ctx.size();
-                            let (s, o, b) = distribute(
-                                dataset,
-                                strategy.relation_partition,
-                                rank,
-                                p,
-                                config.batch_size,
-                            );
-                            base_shard = s;
-                            shard.clone_from(&base_shard);
-                            owned_rels = o;
-                            batches_per_epoch = b;
-                            // Adopt the authoritative replica state from
-                            // the grow leader. Local stream state (RNG,
-                            // clock, traffic, fault cursors) stays this
-                            // rank's own; residuals reset — the error
-                            // feedback died with the crash.
-                            let msg = ctx
-                                .comm_mut()
-                                .recv_bytes_from(leader)
-                                .unwrap_or_else(|e| panic!("rejoin state recv: {e}"));
-                            let ck = checkpoint::decode(&msg.payload)
-                                .unwrap_or_else(|e| panic!("rejoin state decode: {e}"));
-                            ent.as_mut_slice().copy_from_slice(ck.ent.as_slice());
-                            rel.as_mut_slice().copy_from_slice(ck.rel.as_slice());
-                            ent_opt
-                                .load_state(ck.ent_opt.as_view())
-                                .unwrap_or_else(|e| panic!("rejoin: entity optimizer: {e}"));
-                            rel_opt
-                                .load_state(ck.rel_opt.as_view())
-                                .unwrap_or_else(|e| panic!("rejoin: relation optimizer: {e}"));
-                            ent_residual.clear();
-                            rel_residual.clear();
-                            schedule = PlateauSchedule::restore(&ck.schedule);
-                            // Mirror the survivors' post-grow DRS reset.
-                            selector = match strategy.comm {
-                                CommMode::Dynamic { check_every } => {
-                                    Some(DynamicCommSelector::new(check_every))
-                                }
-                                _ => None,
-                            };
-                            tallies = ck.tallies.clone();
-                            trace = ck.trace.clone();
-                            // Re-enter at the epoch the survivors are
-                            // about to run; their grow step this epoch
-                            // already happened.
-                            epoch = ck.next_epoch;
-                            skip_grow = true;
-                            continue;
-                        }
-                        None => {
-                            survived = false;
-                            break;
-                        }
+                // The crashed rank parks in the rejoin lobby: if the fault
+                // plan schedules its recovery, the survivors re-admit it at
+                // an epoch boundary and it adopts the leader's state;
+                // otherwise they close the lobby when the run ends and it
+                // leaves the job (its replica is stale; train() only uses
+                // its wire traffic totals).
+                Ok(false) => match ctx.comm_mut().await_rejoin() {
+                    Some(leader) => adopt = Some(Adopt::Rejoin { leader }),
+                    None => {
+                        survived = false;
+                        break;
                     }
-                }
+                },
                 Err(e) => panic!("communicator shrink: {e}"),
             }
+            world_changed = true;
+            continue;
+        }
+        match plan.choice.base() {
+            CommChoice::AllReduce => st.tallies.allreduce_epochs += 1,
+            _ => st.tallies.allgather_epochs += 1,
+        }
+        if plan.choice.is_pipelined() {
+            st.tallies.pipelined_epochs += 1;
         }
 
         // --- Validation signal + schedule. ------------------------------
         let acc = fast_valid_accuracy(
             model,
-            &ent,
-            &rel,
+            &st.ent,
+            &st.rel,
             &dataset.valid,
-            filter,
+            &indexes.filter,
             dataset.n_entities,
             config.valid_samples,
             config.seed ^ (epoch as u64).wrapping_mul(0x2545F4914F6CDD1D),
@@ -1125,7 +419,7 @@ fn run_node_inner(
         );
 
         let epoch_time = ctx.comm().clock().now_s() - epoch_start;
-        if let Some(sel) = selector.as_mut() {
+        if let Some(sel) = st.selector.as_mut() {
             sel.observe_epoch(epoch_time);
         }
 
@@ -1143,8 +437,8 @@ fn run_node_inner(
                     ctx.comm_mut(),
                     ws,
                     model,
-                    &ent,
-                    &rel,
+                    &st.ent,
+                    &st.rel,
                     &dataset.valid,
                     grouped,
                     &RankingOptions {
@@ -1158,29 +452,29 @@ fn run_node_inner(
         };
 
         let batches = batches_per_epoch as f64;
-        trace.push(EpochTrace {
+        st.trace.push(EpochTrace {
             epoch,
             sim_seconds: epoch_time,
-            comm: choice,
+            comm: plan.choice,
             valid_acc: acc,
-            train_loss: if epoch_examples > 0 {
-                epoch_loss / epoch_examples as f64
+            train_loss: if sums.examples > 0 {
+                sums.loss / sums.examples as f64
             } else {
                 0.0
             },
-            lr_scale,
-            mean_nonzero_rows: nonzero_rows_sum as f64 / batches,
-            mean_rows_sent: rows_sent_sum as f64 / batches,
-            rs_sparsity: if rows_before_rs > 0 {
-                1.0 - rows_after_rs as f64 / rows_before_rs as f64
+            lr_scale: plan.lr_scale,
+            mean_nonzero_rows: sums.nonzero_rows as f64 / batches,
+            mean_rows_sent: sums.rows_sent as f64 / batches,
+            rs_sparsity: if sums.rows_before_rs > 0 {
+                1.0 - sums.rows_after_rs as f64 / sums.rows_before_rs as f64
             } else {
                 0.0
             },
-            bytes_sent: ctx.comm().traffic().total_sent() - bytes_at_start,
+            bytes_sent: replica_bytes_sent(ctx) - bytes_at_start,
             ranking,
         });
 
-        let decision = schedule.observe(acc);
+        let decision = st.schedule.observe(acc);
 
         // --- Periodic checkpoint. ---------------------------------------
         // Written after the schedule has observed this epoch, so a resume
@@ -1194,38 +488,18 @@ fn run_node_inner(
                 .checkpoint_dir
                 .as_ref()
                 .expect("validated: checkpoint_every requires checkpoint_dir");
-            tallies.checkpoints_written += 1;
+            st.tallies.checkpoints_written += 1;
             // Cost model: latency + model + optimizer bytes over the
             // checkpoint device bandwidth. A deterministic function of
             // table shapes only, so every rank charges the same amount
             // and clocks stay aligned.
-            let state_bytes = 2 * (ent.nbytes() + rel.nbytes());
+            let state_bytes = 2 * (st.ent.nbytes() + st.rel.nbytes());
             ctx.comm_mut()
                 .clock_mut()
                 .charge_checkpoint_seconds(CKPT_LATENCY_S + state_bytes as f64 / CKPT_BW_BYTES_S);
-            encode_rank_state(
-                &mut ckpt_buf,
-                &mut ckpt_ids,
-                &mut ckpt_traffic,
-                ctx,
-                config,
-                epoch + 1,
-                p,
-                rank,
-                &ent,
-                &rel,
-                ent_opt.as_ref(),
-                rel_opt.as_ref(),
-                &ent_residual,
-                &rel_residual,
-                &rng,
-                &schedule,
-                selector.as_ref(),
-                &tallies,
-                &trace,
-            );
-            let path = checkpoint::checkpoint_path(dir, rank);
-            checkpoint::write_file(&path, &ckpt_buf)
+            encode_rank_state(&mut ckpt, ctx, config.seed, epoch + 1, &st);
+            let path = checkpoint::checkpoint_path(dir, ctx.rank());
+            checkpoint::write_file(&path, &ckpt.buf)
                 .unwrap_or_else(|e| panic!("checkpoint write {}: {e}", path.display()));
         }
 
@@ -1238,23 +512,22 @@ fn run_node_inner(
         // bit-identical, and after a crash-shrink the lead survivor holds
         // rank 0.
         if config.serve_snapshots > 0 && (epoch + 1).is_multiple_of(config.serve_snapshots) {
-            let model_bytes = ent.nbytes() + rel.nbytes();
+            let model_bytes = st.ent.nbytes() + st.rel.nbytes();
+            let rank = ctx.rank();
             let clock = ctx.comm_mut().clock_mut();
             clock.charge_checkpoint_seconds(SNAP_LATENCY_S + model_bytes as f64 / SNAP_BW_BYTES_S);
             let sim_now_s = clock.now_s();
-            if rank == 0 {
-                if let Some(sink) = sink {
-                    sink.publish(&PublishedModel {
-                        epochs_done: epoch + 1,
-                        sim_now_s,
-                        ent: &ent,
-                        rel: &rel,
-                    });
-                }
+            if let (0, Some(sink)) = (rank, sink) {
+                sink.publish(&PublishedModel {
+                    epochs_done: epoch + 1,
+                    sim_now_s,
+                    ent: &st.ent,
+                    rel: &st.rel,
+                });
             }
         }
 
-        if matches!(decision, crate::lr::LrDecision::Converged) {
+        if matches!(decision, LrDecision::Converged) {
             converged = true;
             break;
         }
@@ -1267,34 +540,30 @@ fn run_node_inner(
         ctx.comm().close_lobby();
     }
 
-    let breakdown = ctx.comm().clock().breakdown();
     // After a shrink the lead survivor holds rank 0 of the new world; the
     // crashed rank never reports even if it was the original rank 0.
-    let report = if survived && rank == 0 {
-        Some(TrainReport {
-            dataset: dataset.name.clone(),
-            nodes: initial_p,
-            epochs: trace.len(),
-            converged,
-            sim_total_seconds: ctx.comm().clock().now_s(),
-            breakdown,
-            trace,
-            allreduce_epochs: tallies.allreduce_epochs,
-            allgather_epochs: tallies.allgather_epochs,
-            pipelined_epochs: tallies.pipelined_epochs,
-            surviving_nodes: p,
-            recoveries: tallies.recoveries,
-            rejoins: tallies.rejoins,
-            checkpoints_written: tallies.checkpoints_written,
-            crashed_ranks: tallies.crashed_ranks,
-            // Filled in by train(), which sums over every rank.
-            wire_bytes_sent: 0,
-            wire_bytes_recv: 0,
-            sharded: None,
-        })
-    } else {
-        None
-    };
+    let ReplicaState { ent, rel, tallies, trace, .. } = st;
+    let report = (survived && ctx.rank() == 0).then(|| TrainReport {
+        dataset: dataset.name.clone(),
+        nodes: initial_p,
+        epochs: trace.len(),
+        converged,
+        sim_total_seconds: ctx.comm().clock().now_s(),
+        breakdown: ctx.comm().clock().breakdown(),
+        trace,
+        allreduce_epochs: tallies.allreduce_epochs,
+        allgather_epochs: tallies.allgather_epochs,
+        pipelined_epochs: tallies.pipelined_epochs,
+        surviving_nodes: ctx.size(),
+        recoveries: tallies.recoveries,
+        rejoins: tallies.rejoins,
+        checkpoints_written: tallies.checkpoints_written,
+        crashed_ranks: tallies.crashed_ranks,
+        // Filled in by train(), which sums over every rank.
+        wire_bytes_sent: 0,
+        wire_bytes_recv: 0,
+        sharded: None,
+    });
     let traffic = ctx.comm().traffic().report();
     NodeResult {
         report,
@@ -1303,6 +572,538 @@ fn run_node_inner(
         wire_sent: traffic.total_wire_sent(),
         wire_recv: traffic.total_wire_recv(),
     }
+}
+
+/// This rank's own checkpoint file, checked against the run it resumes.
+fn read_own_checkpoint(ctx: &NodeCtx, config: &TrainConfig) -> Checkpoint {
+    let rank = ctx.rank();
+    let dir = config.resume_from.as_ref().expect("resuming");
+    let path = checkpoint::checkpoint_path(dir, rank);
+    let ck = checkpoint::read_file(&path)
+        .unwrap_or_else(|e| panic!("resume rank {rank} from {}: {e}", path.display()));
+    assert_eq!(ck.world_size, ctx.size(), "checkpoint world size mismatch");
+    assert_eq!(ck.rank, rank, "checkpoint rank mismatch");
+    assert_eq!(ck.seed, config.seed, "checkpoint seed mismatch");
+    ck
+}
+
+/// Whether `r` failed with the crash every participant observes at the
+/// same collective (detection derives from shared clock deposits), so all
+/// nodes — survivors and the crashed rank alike — abort the epoch together
+/// and the program stays collectively well-formed. Any other error is a
+/// bug and panics.
+fn is_crash<T>(r: Result<T, SimError>) -> bool {
+    match r {
+        Ok(_) => false,
+        Err(SimError::RankCrashed { .. }) => true,
+        Err(e) => panic!("replica exchange: {e}"),
+    }
+}
+
+/// Bytes this rank sent through collectives — the gradient exchanges, the
+/// RP relation assembly and the per-epoch ranking all-reduce — the
+/// replica analogue of the sharded trainer's per-epoch byte accounting.
+fn replica_bytes_sent(ctx: &NodeCtx) -> u64 {
+    let r = ctx.comm().traffic().report();
+    r.bytes_sent(Collective::AllReduce)
+        + r.bytes_sent(Collective::AllGatherV)
+        + r.bytes_sent(Collective::Broadcast)
+        + r.bytes_sent(Collective::Gather)
+}
+
+// --- The rank's state and the batch step --------------------------------
+
+/// Everything one replica rank mutates while it trains: the state a
+/// checkpoint carries (tables, optimizers, residuals, node stream, LR
+/// schedule, DRS selector, tallies, trace), this rank's shard, and the
+/// step's reused buffers.
+pub struct ReplicaState {
+    pub ent: EmbeddingTable,
+    pub rel: EmbeddingTable,
+    pub ent_opt: Box<dyn RowOptimizer>,
+    pub rel_opt: Box<dyn RowOptimizer>,
+    /// Error-feedback residuals (quantizing schemes only).
+    pub ent_residual: ResidualStore,
+    pub rel_residual: ResidualStore,
+    /// The node stream. Data order and negatives have streams of their
+    /// own; this one feeds window-0 row selection and quantization.
+    pub rng: StdRng,
+    pub schedule: PlateauSchedule,
+    pub selector: Option<DynamicCommSelector>,
+    pub tallies: Tallies,
+    pub trace: Vec<EpochTrace>,
+    /// This rank's triples, in the running epoch's order.
+    pub shard: Vec<Triple>,
+    bufs: StepBufs,
+}
+
+/// The step's reused buffers: after the first batches have sized them the
+/// steady state allocates nothing. (The wire buffers of window 0 are the
+/// communicator's staging slots.)
+struct StepBufs {
+    batch: BatchWorkspace,
+    /// The gathered aggregate, or a dense result's rows under lazy updates.
+    ent_agg: SparseGrad,
+    rel_agg: SparseGrad,
+    /// Full-table scratch for a dense step over a sparse aggregate.
+    dense_ent: Vec<f32>,
+    dense_rel: Vec<f32>,
+    gather: GatherBufs,
+    /// One slot per batch in flight — `max(window, 1)` of them, sized once
+    /// to the largest window any epoch of the run can use.
+    ring: Vec<Slot>,
+}
+
+/// One exchange in flight: both tables' staged payloads and the launch
+/// anchor the overlapped pricing needs.
+#[derive(Default)]
+struct Slot {
+    ent: Staged,
+    rel: Staged,
+    anchor: Option<f64>,
+}
+
+impl ReplicaState {
+    /// Rank `rank` of `p`'s fresh state: identical Xavier tables on every
+    /// rank (entity table first), fresh optimizers, an empty trace, a per-
+    /// rank node stream, and buffers for the run's largest window.
+    pub fn new(inputs: &StepInputs, dataset: &Dataset, rank: usize, p: usize) -> Self {
+        let config = inputs.config;
+        let dim = inputs.model.storage_dim();
+        let mut init_rng = StdRng::seed_from_u64(config.seed);
+        let ent = EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng);
+        let rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
+        let max_window = match config.strategy.comm {
+            CommMode::Pipelined { staleness } | CommMode::PipelinedAllReduce { staleness } => staleness,
+            CommMode::Dynamic { .. } => 1,
+            _ => 0,
+        };
+        ReplicaState {
+            ent_opt: config.optimizer.build(config.base_lr, dataset.n_entities, dim),
+            rel_opt: config.optimizer.build(config.base_lr, dataset.n_relations, dim),
+            ent,
+            rel,
+            ent_residual: ResidualStore::new(),
+            rel_residual: ResidualStore::new(),
+            rng: StdRng::seed_from_u64(config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15)),
+            schedule: PlateauSchedule::new(
+                p,
+                config.lr_scale_cap,
+                config.lr_decay,
+                config.plateau_tolerance,
+                config.max_lr_drops,
+            ),
+            selector: match config.strategy.comm {
+                CommMode::Dynamic { check_every } => Some(DynamicCommSelector::new(check_every)),
+                _ => None,
+            },
+            tallies: Tallies::default(),
+            trace: Vec::new(),
+            shard: Vec::new(),
+            bufs: StepBufs {
+                batch: BatchWorkspace::new(dim),
+                ent_agg: SparseGrad::new(dim),
+                rel_agg: SparseGrad::new(dim),
+                dense_ent: Vec::new(),
+                dense_rel: Vec::new(),
+                gather: GatherBufs::new(),
+                ring: (0..max_window.max(1)).map(|_| Slot::default()).collect(),
+            },
+        }
+    }
+
+    /// Adopt a checkpointed state; returns the epoch to run next. Every
+    /// piece of replicated state that influences a future draw, update or
+    /// clock charge is taken over. A resumed rank (`resume`) also takes
+    /// back its own streams — residuals, node RNG, clock, traffic, fault
+    /// cursors — which is what makes the resumed run bit-identical to the
+    /// uninterrupted one (tests/resume_determinism.rs). A rejoiner keeps
+    /// its own streams and drops its residuals: the error feedback died
+    /// with the crash.
+    fn adopt(&mut self, ctx: &mut NodeCtx, ck: &Checkpoint, resume: bool) -> usize {
+        assert_eq!(
+            (ck.dim, ck.n_entities, ck.n_relations),
+            (self.ent.dim(), self.ent.rows(), self.rel.rows()),
+            "checkpoint model shape mismatch"
+        );
+        self.ent.as_mut_slice().copy_from_slice(ck.ent.as_slice());
+        self.rel.as_mut_slice().copy_from_slice(ck.rel.as_slice());
+        self.ent_opt
+            .load_state(ck.ent_opt.as_view())
+            .unwrap_or_else(|e| panic!("adopt: entity optimizer: {e}"));
+        self.rel_opt
+            .load_state(ck.rel_opt.as_view())
+            .unwrap_or_else(|e| panic!("adopt: relation optimizer: {e}"));
+        self.ent_residual.clear();
+        self.rel_residual.clear();
+        self.schedule = PlateauSchedule::restore(&ck.schedule);
+        // A rejoiner takes the leader's selector, reset by the grow step
+        // like every survivor's.
+        if let Some(snap) = &ck.selector {
+            self.selector =
+                Some(DynamicCommSelector::restore(snap).unwrap_or_else(|e| panic!("adopt: comm selector: {e}")));
+        }
+        self.tallies.clone_from(&ck.tallies);
+        self.trace.clone_from(&ck.trace);
+        if resume {
+            for (row, values) in &ck.ent_residual {
+                self.ent_residual.set_row(*row, values);
+            }
+            for (row, values) in &ck.rel_residual {
+                self.rel_residual.set_row(*row, values);
+            }
+            self.rng = StdRng::from_state(ck.rng_state);
+            let comm = ctx.comm_mut();
+            comm.clock_mut().restore(ck.clock_now_s, ck.breakdown);
+            comm.traffic_mut().import(&ck.traffic);
+            comm.restore_sequences(ck.coll_seq, &ck.p2p_seq);
+        }
+        ck.next_epoch
+    }
+
+    /// Price of re-partitioning after the world changed — a sort-like pass
+    /// over the full triple set, identical on every survivor — and DRS
+    /// forgetting timings measured at the old world size.
+    fn repartition_charge(&mut self, ctx: &mut NodeCtx, dataset: &Dataset) {
+        ctx.comm_mut()
+            .clock_mut()
+            .charge_flops((dataset.train.len() * 8) as f64);
+        if let Some(sel) = self.selector.as_mut() {
+            sel.reset();
+        }
+    }
+}
+
+/// How one epoch exchanges.
+#[derive(Debug, Clone, Copy)]
+pub struct EpochPlan {
+    pub epoch: usize,
+    /// The epoch's collective, synchronous or pipelined.
+    pub choice: CommChoice,
+    /// Batches an exchange stays in flight: 0 settles each batch's exchange
+    /// in the batch that launched it.
+    pub window: usize,
+    /// LR multiplier in effect.
+    pub lr_scale: f32,
+}
+
+impl EpochPlan {
+    /// The epoch's collective and staleness window. A pipelined mode with
+    /// staleness 0 is its synchronous base, so `Pipelined { staleness: 0 }`
+    /// reproduces `AllGather` exactly; DRS probes pipelined arms at window 1.
+    pub fn new(comm: CommMode, selector: Option<&DynamicCommSelector>, epoch: usize, lr_scale: f32) -> Self {
+        let (choice, window) = match comm {
+            CommMode::AllReduce => (CommChoice::AllReduce, 0),
+            CommMode::AllGather => (CommChoice::AllGather, 0),
+            CommMode::Pipelined { staleness } => (CommChoice::PipelinedAllGather, staleness),
+            CommMode::PipelinedAllReduce { staleness } => (CommChoice::PipelinedAllReduce, staleness),
+            CommMode::Dynamic { .. } => {
+                let c = selector.expect("dynamic selector").choice();
+                (c, usize::from(c.is_pipelined()))
+            }
+        };
+        let choice = if window == 0 { choice.base() } else { choice };
+        EpochPlan {
+            epoch,
+            choice,
+            window,
+            lr_scale,
+        }
+    }
+}
+
+/// An epoch's running sums over the batches it launched.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EpochSums {
+    pub loss: f64,
+    pub examples: usize,
+    /// Entity-gradient rows above the zero threshold, before selection.
+    pub nonzero_rows: usize,
+    /// Entity rows put on the wire, after selection.
+    pub rows_sent: usize,
+    pub rows_before_rs: usize,
+    pub rows_after_rs: usize,
+}
+
+/// Whether the strategy feeds quantization error back (EF needs a
+/// quantizing scheme).
+fn feedback(s: &StrategyConfig) -> bool {
+    s.error_feedback && !matches!(s.quant, QuantScheme::None)
+}
+
+/// One table's wire under the epoch's collective: the dense table, or its
+/// rows encoded under the strategy's scheme with `residual` as error
+/// feedback (when on) and `rng` for the dithers.
+fn wire<'a>(
+    s: &StrategyConfig,
+    base: CommChoice,
+    table: &EmbeddingTable,
+    residual: &'a mut ResidualStore,
+    rng: &'a mut StdRng,
+    bufs: &'a mut GatherBufs,
+) -> Wire<'a> {
+    match base {
+        CommChoice::AllReduce => Wire::Dense {
+            len: table.as_slice().len(),
+        },
+        _ => Wire::Rows(Encoder {
+            scheme: s.quant,
+            residuals: feedback(s).then_some(residual),
+            rng,
+            bufs,
+        }),
+    }
+}
+
+/// One batch of the replica trainer: compute its gradients (charging the
+/// forward/backward flops), settle the exchange launched `window` batches
+/// ago, launch this batch's, and — under RP — step the node-local
+/// relation rows. Every stochastic draw, f32 summation and clock charge is
+/// fixed by `(plan, b)`, so the result is independent of thread count. A
+/// `RankCrashed` from any collective propagates so the epoch loop can run
+/// the recovery policy. Public so the allocation-regression test drives
+/// the exact code the trainer runs.
+pub fn replica_batch_step(
+    ctx: &mut NodeCtx,
+    inputs: &StepInputs,
+    st: &mut ReplicaState,
+    plan: &EpochPlan,
+    b: usize,
+    sums: &mut EpochSums,
+) -> Result<(), SimError> {
+    let (model, config) = (inputs.model, inputs.config);
+    let s = &config.strategy;
+    let (loss, examples) = st.bufs.batch.batch_gradients_into(
+        model,
+        &st.ent,
+        &st.rel,
+        &st.shard,
+        b,
+        config,
+        inputs.filter,
+        inputs.bias,
+        ctx.rank(),
+        plan.epoch,
+    );
+    sums.loss += loss;
+    sums.examples += examples;
+    let fwd_bwd = examples as f64 * model.score_flops() * 3.0;
+    let pool_extra = if s.neg.uses_selection() {
+        // pool scored per positive; positives = examples / (1+train)
+        let positives = examples / (1 + s.neg.train);
+        (positives * s.neg.pool) as f64 * model.score_flops()
+    } else {
+        0.0
+    };
+    ctx.comm_mut().clock_mut().charge_flops(fwd_bwd + pool_extra);
+    sums.nonzero_rows += st.bufs.batch.ent_grad.rows_above_norm(ZERO_ROW_EPS);
+
+    // Branch (5), when settle runs: at window ≥ 1 the slot this batch is
+    // about to reuse holds batch `b − window`, settled now (the drain
+    // settles the last `window`); at window 0 the batch settles its own
+    // launch.
+    let slot = b % plan.window.max(1);
+    if plan.window > 0 && b >= plan.window {
+        settle(ctx, config, st, plan, slot)?;
+    }
+    launch(ctx, config, st, plan, b, slot, sums);
+    if plan.window == 0 {
+        settle(ctx, config, st, plan, slot)?;
+    }
+
+    // Branch (4): under RP relation rows never travel, and their step runs
+    // here — after the entity step at window 0, at launch at window ≥ 1 —
+    // never in a deferred settle: the local `rel_grad`'s nnz differs per
+    // rank, so moving its charge across a collective moves `idle_s`.
+    if s.relation_partition {
+        let StepBufs { batch, dense_rel, .. } = &mut st.bufs;
+        let agg = AggRef::Sparse {
+            grad: &mut batch.rel_grad,
+            dense_scratch: dense_rel,
+        };
+        apply_update(ctx, st.rel_opt.as_mut(), s.update_style, plan.choice, &mut st.rel, agg, plan.lr_scale);
+    }
+    Ok(())
+}
+
+/// Epoch-end drain: settle every exchange still in flight, in launch
+/// (FIFO) order, so staleness never crosses an epoch boundary and the
+/// validation signal sees every batch applied. Nothing is in flight at
+/// window 0.
+pub fn replica_epoch_drain(
+    ctx: &mut NodeCtx,
+    inputs: &StepInputs,
+    st: &mut ReplicaState,
+    plan: &EpochPlan,
+    n_batches: usize,
+) -> Result<(), SimError> {
+    for b in n_batches.saturating_sub(plan.window)..n_batches {
+        settle(ctx, inputs.config, st, plan, b % plan.window)?;
+    }
+    Ok(())
+}
+
+/// Launch batch `b`'s exchange into ring slot `slot`: error-feedback
+/// residuals, row selection and their flop charges, and at window ≥ 1 the
+/// staged payloads.
+fn launch(
+    ctx: &mut NodeCtx,
+    config: &TrainConfig,
+    st: &mut ReplicaState,
+    plan: &EpochPlan,
+    b: usize,
+    slot: usize,
+    sums: &mut EpochSums,
+) {
+    let s = &config.strategy;
+    let base = plan.choice.base();
+    let ReplicaState { ent, rel, ent_residual, rel_residual, rng, bufs, .. } = st;
+    let StepBufs { batch, gather, ring, .. } = bufs;
+    let slot = &mut ring[slot];
+    let dim = ent.dim();
+
+    // Branch (3), the anchor: a launch at window ≥ 1 is priced as an
+    // overlapped collective from here — before the encode, because
+    // quantize + encode run on the comm thread of a real pipelined
+    // exchange, so their cost is part of the window the collective's price
+    // may hide behind. Window 0 is the synchronous collective.
+    slot.anchor = (plan.window > 0).then(|| ctx.comm().clock().now_s());
+
+    // Branch (1), the RNG source: at window 0 row selection and
+    // quantization draw from the node's checkpointed stream; at window ≥ 1
+    // from streams keyed on (seed, rank, epoch, batch, stage), so every
+    // draw of a launch is independent of thread count and of when the
+    // overlapped collective completes.
+    let [mut ent_stage, mut rel_stage] = [STAGE_ENT, STAGE_REL]
+        .map(|stage| StdRng::seed_from_u64(stage_seed(config.seed, ctx.rank(), plan.epoch, b, stage)));
+    let ent_rng = if plan.window == 0 { rng } else { &mut ent_stage };
+
+    if feedback(s) {
+        ent_residual.add_into(&mut batch.ent_grad);
+    }
+    let sel = select_rows(s.row_select, &mut batch.ent_grad, ent_rng);
+    sums.rows_before_rs += sel.rows_before;
+    sums.rows_after_rs += sel.rows_after;
+    sums.rows_sent += batch.ent_grad.nnz();
+    // Norm computation + selection cost.
+    ctx.comm_mut()
+        .clock_mut()
+        .charge_flops((sel.rows_before * dim * 2) as f64);
+    if base == CommChoice::AllGather {
+        // Quantization costs ~2 flops per element.
+        ctx.comm_mut()
+            .clock_mut()
+            .charge_flops((batch.ent_grad.nnz() * dim * 2) as f64);
+        // Sort now (cheap, reuses the cached order) so the encode borrows.
+        batch.ent_grad.ensure_sorted();
+        batch.rel_grad.ensure_sorted();
+    }
+
+    // Branch (2), the payload source: at window ≥ 1 the payload is staged
+    // into the slot now and deposited at settle; at window 0 settle stages
+    // the live gradient straight into the communicator (no copy).
+    if plan.window > 0 {
+        slot.ent.stage(&batch.ent_grad, wire(s, base, ent, ent_residual, ent_rng, gather));
+        if !s.relation_partition {
+            slot.rel.stage(&batch.rel_grad, wire(s, base, rel, rel_residual, &mut rel_stage, gather));
+        }
+    }
+}
+
+/// Settle the exchange held in ring slot `slot`: the entity collective,
+/// the decode charge, the relation collective (never under RP), then both
+/// optimizer steps.
+fn settle(
+    ctx: &mut NodeCtx,
+    config: &TrainConfig,
+    st: &mut ReplicaState,
+    plan: &EpochPlan,
+    slot: usize,
+) -> Result<(), SimError> {
+    let s = &config.strategy;
+    let base = plan.choice.base();
+    let ReplicaState {
+        ent,
+        rel,
+        ent_opt,
+        rel_opt,
+        ent_residual,
+        rel_residual,
+        rng,
+        bufs,
+        ..
+    } = st;
+    let StepBufs { batch, ent_agg, rel_agg, dense_ent, dense_rel, gather, ring } = bufs;
+    let Slot { ent: ent_slot, rel: rel_slot, anchor } = &mut ring[slot];
+    let dim = ent.dim();
+    // Branch (2): at window 0 the live gradient goes straight into the
+    // communicator's staging slot — PR 18's zero-copy path; staging it
+    // into the ring first would copy the whole dense table per batch.
+    let live = plan.window == 0;
+
+    let ent_wire = wire(s, base, ent, ent_residual, rng, gather);
+    let gathered = ent_slot.collective(ctx.comm_mut(), ent_wire, live.then_some(&batch.ent_grad), *anchor, ent_agg)?;
+    if base == CommChoice::AllGather {
+        // Decode + local sum cost (`gathered` is a shared quantity, so
+        // clocks stay rank-identical).
+        ctx.comm_mut()
+            .clock_mut()
+            .charge_flops((gathered * dim) as f64);
+    }
+    if !s.relation_partition {
+        let rel_wire = wire(s, base, rel, rel_residual, rng, gather);
+        rel_slot.collective(ctx.comm_mut(), rel_wire, live.then_some(&batch.rel_grad), *anchor, rel_agg)?;
+    }
+
+    let dense = base == CommChoice::AllReduce;
+    let agg = AggRef::of(dense, &ent_slot.dense, ent_agg, dense_ent);
+    apply_update(ctx, ent_opt.as_mut(), s.update_style, plan.choice, ent, agg, plan.lr_scale);
+    if !s.relation_partition {
+        let agg = AggRef::of(dense, &rel_slot.dense, rel_agg, dense_rel);
+        apply_update(ctx, rel_opt.as_mut(), s.update_style, plan.choice, rel, agg, plan.lr_scale);
+    }
+    Ok(())
+}
+
+/// Pooled checkpoint buffers: the encoded image, the residual-id scratch
+/// and the exported traffic table are reused across every checkpoint and
+/// rejoin transfer, so steady-state checkpointing stops allocating once
+/// warm.
+#[derive(Default)]
+struct CkptBufs {
+    buf: Vec<u8>,
+    ids: Vec<u32>,
+    traffic: Vec<(Collective, [u64; 6])>,
+}
+
+/// Serialize this rank's full training state into `out.buf`.
+/// `next_epoch` is the first epoch the restored run executes.
+fn encode_rank_state(out: &mut CkptBufs, ctx: &NodeCtx, seed: u64, next_epoch: usize, st: &ReplicaState) {
+    let comm = ctx.comm();
+    comm.traffic().export_into(&mut out.traffic);
+    let view = CheckpointView {
+        world_size: ctx.size(),
+        rank: ctx.rank(),
+        next_epoch,
+        seed,
+        ent: &st.ent,
+        rel: &st.rel,
+        ent_opt: st.ent_opt.state_view(),
+        rel_opt: st.rel_opt.state_view(),
+        ent_residual: &st.ent_residual,
+        rel_residual: &st.rel_residual,
+        rng_state: st.rng.state(),
+        schedule: st.schedule.snapshot(),
+        selector: st.selector.as_ref().map(|s| s.snapshot()),
+        tallies: &st.tallies,
+        trace: &st.trace,
+        clock_now_s: comm.clock().now_s(),
+        breakdown: comm.clock().breakdown(),
+        traffic: &out.traffic,
+        coll_seq: comm.coll_seq(),
+        p2p_seq: comm.p2p_seq(),
+    };
+    checkpoint::encode_into(&view, &mut out.ids, &mut out.buf);
 }
 
 /// One chunk's reusable working state: the example staging arrays fed to
@@ -1337,58 +1138,6 @@ impl ChunkScratch {
             rel: SparseGrad::new(dim),
         }
     }
-}
-
-/// Serialize this rank's full training state into `buf` using the pooled
-/// scratch vectors — no allocations in steady state once the pools have
-/// grown to their high-water marks. `next_epoch` is the first epoch the
-/// restored run executes.
-#[allow(clippy::too_many_arguments)]
-fn encode_rank_state(
-    buf: &mut Vec<u8>,
-    ids: &mut Vec<u32>,
-    traffic_scratch: &mut Vec<(Collective, [u64; 6])>,
-    ctx: &NodeCtx,
-    config: &TrainConfig,
-    next_epoch: usize,
-    world_size: usize,
-    rank: usize,
-    ent: &EmbeddingTable,
-    rel: &EmbeddingTable,
-    ent_opt: &dyn RowOptimizer,
-    rel_opt: &dyn RowOptimizer,
-    ent_residual: &ResidualStore,
-    rel_residual: &ResidualStore,
-    rng: &StdRng,
-    schedule: &PlateauSchedule,
-    selector: Option<&DynamicCommSelector>,
-    tallies: &Tallies,
-    trace: &[EpochTrace],
-) {
-    ctx.comm().traffic().export_into(traffic_scratch);
-    let view = CheckpointView {
-        world_size,
-        rank,
-        next_epoch,
-        seed: config.seed,
-        ent,
-        rel,
-        ent_opt: ent_opt.state_view(),
-        rel_opt: rel_opt.state_view(),
-        ent_residual,
-        rel_residual,
-        rng_state: rng.state(),
-        schedule: schedule.snapshot(),
-        selector: selector.map(|s| s.snapshot()),
-        tallies,
-        trace,
-        clock_now_s: ctx.comm().clock().now_s(),
-        breakdown: ctx.comm().clock().breakdown(),
-        traffic: &*traffic_scratch,
-        coll_seq: ctx.comm().coll_seq(),
-        p2p_seq: ctx.comm().p2p_seq(),
-    };
-    checkpoint::encode_into(&view, ids, buf);
 }
 
 /// RNG seed for one gradient chunk, derived from its structural
@@ -1441,38 +1190,17 @@ fn stage_seed(seed: u64, rank: usize, epoch: usize, batch: usize, stage: u64) ->
 /// scores the chunk, forms coefficients (accumulating the f64 loss in
 /// example order), and adds regularized gradients into the chunk
 /// accumulators — bit-identical to per-example score/grad/axpy.
-#[allow(clippy::too_many_arguments)]
 fn process_chunk(
-    model: &dyn KgeModel,
+    inputs: &StepInputs,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
-    shard: &[Triple],
-    start: usize,
-    lo: usize,
-    hi: usize,
+    positives: impl Iterator<Item = Triple> + Clone,
     inv_batch: f32,
-    config: &TrainConfig,
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
     rng_seed: u64,
     cs: &mut ChunkScratch,
 ) {
-    stage_chunk(
-        model,
-        ent,
-        rel,
-        ent.rows(),
-        shard,
-        start,
-        lo,
-        hi,
-        config,
-        filter,
-        bias,
-        rng_seed,
-        cs,
-    );
-    compute_chunk(model, ent, rel, inv_batch, config, cs);
+    stage_chunk(inputs, ent, rel, ent.rows(), positives, rng_seed, cs);
+    compute_chunk(inputs, ent, rel, inv_batch, cs);
 }
 
 /// Phase 1 of [`process_chunk`]: draw the chunk's negatives — every pool
@@ -1483,19 +1211,12 @@ fn process_chunk(
 /// them, so the range must be the global entity count, not the table
 /// height. The chunk's gradient accumulators are cleared here so a staged
 /// chunk is always ready for [`compute_chunk`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn stage_chunk(
-    model: &dyn KgeModel,
+    inputs: &StepInputs,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
     n_entities: usize,
-    shard: &[Triple],
-    start: usize,
-    lo: usize,
-    hi: usize,
-    config: &TrainConfig,
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
+    positives: impl Iterator<Item = Triple> + Clone,
     rng_seed: u64,
     cs: &mut ChunkScratch,
 ) {
@@ -1506,17 +1227,25 @@ pub(crate) fn stage_chunk(
     cs.rel.clear();
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let sampler = NegSampler {
-        policy: config.strategy.neg,
-        model,
+        policy: inputs.config.strategy.neg,
+        model: inputs.model,
         ent,
         rel,
-        filter,
-        bias,
+        filter: inputs.filter,
+        bias: inputs.bias,
         n_entities,
     };
-    let positives = (lo..hi).map(|i| shard[(start + i) % shard.len()]);
     sampler.stage(positives, &mut rng, &mut cs.neg_scratch, &mut cs.labels, &mut cs.triples);
     cs.examples = cs.triples.len();
+}
+
+/// The positives at `range` of the shard's batch order, wrapping around
+/// the shard.
+pub(crate) fn chunk_positives(
+    shard: &[Triple],
+    range: std::ops::Range<usize>,
+) -> impl Iterator<Item = Triple> + Clone + '_ {
+    range.map(|i| shard[i % shard.len()])
 }
 
 /// Phase 2 of [`process_chunk`]: the fused kernel call over an
@@ -1525,11 +1254,10 @@ pub(crate) fn stage_chunk(
 /// (the kernel reads only the rows the triples name, so the remap is
 /// value-transparent).
 pub(crate) fn compute_chunk(
-    model: &dyn KgeModel,
+    inputs: &StepInputs,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
     inv_batch: f32,
-    config: &TrainConfig,
     cs: &mut ChunkScratch,
 ) {
     let ChunkScratch {
@@ -1546,11 +1274,11 @@ pub(crate) fn compute_chunk(
         *loss += logistic_loss(y, score) as f64;
         logistic_loss_grad(y, score) * inv_batch
     };
-    model.score_grad_block(
+    inputs.model.score_grad_block(
         ent,
         rel,
         triples,
-        2.0 * config.l2 * inv_batch,
+        2.0 * inputs.config.l2 * inv_batch,
         block,
         &mut coeff_of,
         ent_g,
@@ -1637,6 +1365,12 @@ impl BatchWorkspace {
         let inv_batch = 1.0f32 / (bs * (1 + config.strategy.neg.train)) as f32;
         let n_chunks = bs.div_ceil(GRAD_CHUNK);
         let pool = &self.chunk_pool;
+        let inputs = StepInputs {
+            model,
+            config,
+            filter,
+            bias,
+        };
 
         let mut loss_sum = 0.0f64;
         let mut examples = 0usize;
@@ -1649,17 +1383,11 @@ impl BatchWorkspace {
                 let lo = c * GRAD_CHUNK;
                 let hi = (lo + GRAD_CHUNK).min(bs);
                 process_chunk(
-                    model,
+                    &inputs,
                     ent,
                     rel,
-                    shard,
-                    start,
-                    lo,
-                    hi,
+                    chunk_positives(shard, start + lo..start + hi),
                     inv_batch,
-                    config,
-                    filter,
-                    bias,
                     chunk_seed(config.seed, rank, epoch, batch_idx, c),
                     &mut cs,
                 );
@@ -1674,17 +1402,11 @@ impl BatchWorkspace {
                 let lo = c * GRAD_CHUNK;
                 let hi = (lo + GRAD_CHUNK).min(bs);
                 process_chunk(
-                    model,
+                    &inputs,
                     ent,
                     rel,
-                    shard,
-                    start,
-                    lo,
-                    hi,
+                    chunk_positives(shard, start + lo..start + hi),
                     inv_batch,
-                    config,
-                    filter,
-                    bias,
                     chunk_seed(config.seed, rank, epoch, batch_idx, c),
                     &mut cs,
                 );
@@ -1765,6 +1487,24 @@ enum AggRef<'a> {
     },
 }
 
+impl<'a> AggRef<'a> {
+    /// What a settle left: the dense all-reduce result `buf`, or the
+    /// gathered rows `agg`.
+    fn of(dense: bool, buf: &'a [f32], agg: &'a mut SparseGrad, dense_scratch: &'a mut Vec<f32>) -> Self {
+        if dense {
+            AggRef::Dense {
+                buf,
+                sparse_scratch: agg,
+            }
+        } else {
+            AggRef::Sparse {
+                grad: agg,
+                dense_scratch,
+            }
+        }
+    }
+}
+
 /// Apply the optimizer step for one table, honoring the update style, and
 /// charge its simulated compute. Representation conversions (dense↔sparse)
 /// reuse the scratch buffer carried inside [`AggRef`].
@@ -1830,22 +1570,6 @@ fn sparse_from_dense_into(buf: &[f32], dim: usize, g: &mut SparseGrad) {
         if chunk.iter().any(|&x| x != 0.0) {
             g.row_mut(row as u32).copy_from_slice(chunk);
         }
-    }
-}
-
-/// Extension trait: total bytes sent across all collectives (used for the
-/// per-epoch byte accounting in the trace).
-trait TotalSent {
-    fn total_sent(&self) -> u64;
-}
-
-impl TotalSent for simgrid::TrafficStats {
-    fn total_sent(&self) -> u64 {
-        let r = self.report();
-        r.bytes_sent(Collective::AllReduce)
-            + r.bytes_sent(Collective::AllGatherV)
-            + r.bytes_sent(Collective::Broadcast)
-            + r.bytes_sent(Collective::Gather)
     }
 }
 

@@ -27,10 +27,10 @@ use kge_data::synth::{generate, SynthConfig};
 use kge_data::FilterIndex;
 use kge_partition::{entity_owners, partition_for};
 use kge_train::shard::{
-    sharded_batch_step, sharded_epoch_prefetch_drain, PrefetchRing, RankState, ShardInputs,
-    ShardedBufs, ShardedStore,
+    sharded_batch_step, sharded_epoch_prefetch_drain, PrefetchRing, RankState, ShardedBufs,
+    ShardedStore,
 };
-use kge_train::{PrefetchMode, ShardedConfig, StrategyConfig, TrainConfig};
+use kge_train::{PrefetchMode, ShardedConfig, StepInputs, StrategyConfig, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgrid::{Cluster, ClusterSpec};
@@ -83,7 +83,7 @@ fn steady_state_epoch(prefetch: PrefetchMode) -> alloc_count::AllocSnapshot {
             let model = config.model.build(config.rank);
             let dim = model.storage_dim();
             let filter = FilterIndex::build(&ds);
-            let run = ShardInputs {
+            let run = StepInputs {
                 model: model.as_ref(),
                 config: &config,
                 filter: &filter,
