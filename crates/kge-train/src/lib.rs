@@ -1,8 +1,8 @@
 //! # kge-train — the paper's distributed KGE trainer
 //!
 //! Assembles the substrates (`simgrid`, `kge-core`, `kge-data`,
-//! `kge-compress`, `kge-partition`, `kge-eval`) into the synchronous
-//! data-parallel trainer of *"Dynamic Strategies for High Performance
+//! `kge-compress`, `kge-partition`, `kge-eval`) into the data-parallel
+//! trainer of *"Dynamic Strategies for High Performance
 //! Training of Knowledge Graph Embeddings"* (ICPP '22), with all five
 //! strategies toggleable:
 //!

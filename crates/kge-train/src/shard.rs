@@ -449,15 +449,10 @@ impl ShardedStore {
         }
     }
 
-    /// Admit an eligible row, evicting the LRU row if full. The slot is
-    /// a placeholder (unsynced) until the same batch's admission sync
+    /// Admit an eligible row, evicting the LRU row if full — into `sink`,
+    /// the prefetch pipeline's capture target, when there is one. The slot
+    /// is a placeholder (unsynced) until the same batch's admission sync
     /// lands the owner's state in it.
-    pub fn admit(&mut self, id: u32, tick: u64) {
-        self.admit_with_sink(id, tick, &mut None);
-    }
-
-    /// [`ShardedStore::admit`] with an optional eviction capture target
-    /// for the prefetch pipeline.
     fn admit_with_sink(&mut self, id: u32, tick: u64, sink: &mut Option<EvictSink<'_>>) {
         if self.capacity == 0 || self.cache_slot[id as usize] != NO_SLOT {
             return;
@@ -1992,16 +1987,16 @@ mod tests {
         t.row_mut(2).copy_from_slice(&[3.0, 3.0]);
         s.init_owned_from(&t);
 
-        s.admit(0, 0);
+        s.admit_with_sink(0, 0, &mut None);
         fill(&mut s, 0, 5, &[10.0, 10.0], &[0.5, 0.5], &[0.25, 0.25]);
-        s.admit(1, 0);
+        s.admit_with_sink(1, 0, &mut None);
         fill(&mut s, 1, 3, &[20.0, 20.0], &[0.0, 0.0], &[0.0, 0.0]);
         assert!(s.is_cached(0) && s.is_cached(1));
 
         // Row 0 is bumped at tick 1; admitting row 2 must evict row 1
         // (older tick) and write its synced state back to the arena.
         s.bump(0, 1);
-        s.admit(2, 2);
+        s.admit_with_sink(2, 2, &mut None);
         assert!(!s.is_cached(1) && s.is_cached(0) && s.is_cached(2));
         let mut out = [0f32; 2];
         s.read_owned_into(1, &mut out);
@@ -2035,7 +2030,7 @@ mod tests {
         b.init_owned_from(&t);
 
         a.step_owned(0, &g, 5e-3);
-        b.admit(0, 0);
+        b.admit_with_sink(0, 0, &mut None);
         b.read_owned_into(0, &mut vec![0.0; dim]);
         let (m, v, tt) = (vec![0f32; dim], vec![0f32; dim], 0);
         fill(&mut b, 0, tt, t.row(0), &m, &v);
@@ -2066,7 +2061,7 @@ mod tests {
             if s.is_cached(id) {
                 s.bump(id, tick);
             } else {
-                s.admit(id, tick);
+                s.admit_with_sink(id, tick, &mut None);
                 fill(&mut s, id, 0, &[0.0], &[0.0], &[0.0]);
             }
         }

@@ -571,3 +571,41 @@ fn sharded_step_matches_replica_at_both_lookaheads_on_three_ranks() {
         assert_eq!(sh.hidden_pull_s > 0.0, prefetch == PrefetchMode::On, "{prefetch:?}: hidden pull seconds");
     }
 }
+
+/// One cell of `kge-train`'s `resume_determinism` matrix (which
+/// `scripts/check.sh` runs in full under both dispatch arms): the combined
+/// strategy, pipelined one batch deep on two ranks, checkpointed after
+/// epoch 2 and resumed, must equal the uninterrupted four-epoch run in
+/// model bytes, epoch trace and simulated clock — every stream, residual,
+/// schedule and clock charge the replica step reads crosses the checkpoint.
+#[test]
+fn checkpoint_resume_replays_the_uninterrupted_run_to_the_bit() {
+    let ds = dataset(8);
+    let dir = std::env::temp_dir().join(format!("kge-integration-resume-{}", std::process::id()));
+    let run = |max_epochs: usize, ckpt_dir: std::path::PathBuf, resume: bool| {
+        let mut strategy = StrategyConfig::combined(5);
+        strategy.comm = CommMode::Pipelined { staleness: 1 };
+        let mut config = quick(strategy, 8);
+        config.max_epochs = max_epochs;
+        config.checkpoint_every = 2;
+        config.resume_from = resume.then(|| ckpt_dir.clone());
+        config.checkpoint_dir = Some(ckpt_dir);
+        train(&ds, &Cluster::new(2, ClusterSpec::cray_xc40()), &config)
+    };
+    let whole = run(4, dir.join("whole"), false);
+    let first = run(2, dir.join("split"), false);
+    assert_eq!(first.report.checkpoints_written, 1, "the short leg leaves one checkpoint");
+    let resumed = run(4, dir.join("split"), true);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let bits = |t: &EmbeddingTable| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&whole.entities), bits(&resumed.entities), "entity rows");
+    assert_eq!(bits(&whole.relations), bits(&resumed.relations), "relation rows");
+    assert_eq!(whole.report.trace, resumed.report.trace, "epoch trace");
+    assert_eq!(
+        whole.report.sim_total_seconds.to_bits(),
+        resumed.report.sim_total_seconds.to_bits(),
+        "simulated clock"
+    );
+    assert_eq!(whole.report.pipelined_epochs, 4, "every epoch ran pipelined");
+}
