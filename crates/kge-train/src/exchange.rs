@@ -116,7 +116,8 @@ pub fn exchange_allgather_into(
         rng,
         bufs,
     };
-    let (mut stats, rows_gathered, _) = gather_into(comm, None, |slot| enc.encode(grad, slot), agg)?;
+    let stage = |slot: &mut Vec<u8>| enc.encode(grad, slot);
+    let (mut stats, rows_gathered, _) = gather_into(comm, None, stage, agg)?;
     stats.rows_gathered = rows_gathered;
     Ok(stats)
 }
@@ -626,7 +627,8 @@ mod tests {
                     let mut slot = Staged::default();
                     let residuals = feedback.then_some(store_live);
                     let wire = Wire::Rows(Encoder { scheme, residuals, rng: rng_live, bufs });
-                    let rows = slot.collective(ctx.comm_mut(), wire, Some(&g), None, &mut agg).unwrap();
+                    let comm = ctx.comm_mut();
+                    let rows = slot.collective(comm, wire, Some(&g), None, &mut agg).unwrap();
                     assert_eq!(sorted_bits(&mut agg), sorted_bits(&mut want), "{what}");
                     assert_eq!(rows, want_stats.rows_gathered, "{what}");
 
@@ -636,8 +638,10 @@ mod tests {
                     let residuals = feedback.then_some(store_pipe);
                     slot.stage(&g, Wire::Rows(Encoder { scheme, residuals, rng: rng_pipe, bufs }));
                     let mut unused = StdRng::seed_from_u64(0);
-                    let wire = Wire::Rows(Encoder { scheme, residuals: None, rng: &mut unused, bufs });
-                    let rows = slot.collective(ctx.comm_mut(), wire, None, Some(anchor), &mut agg).unwrap();
+                    let rng = &mut unused;
+                    let wire = Wire::Rows(Encoder { scheme, residuals: None, rng, bufs });
+                    let comm = ctx.comm_mut();
+                    let rows = slot.collective(comm, wire, None, Some(anchor), &mut agg).unwrap();
                     assert_eq!(sorted_bits(&mut agg), sorted_bits(&mut want), "{what}");
                     assert_eq!(rows, want_stats.rows_gathered, "{what}");
 

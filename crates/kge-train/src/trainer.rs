@@ -290,7 +290,8 @@ fn run_node_inner(
         // and the plan, so every survivor takes the same branch. A
         // rejoiner re-enters the epoch the survivors are about to run,
         // whose grow step already happened.
-        let rejoined = if config.recover_from_crashes && !matches!(adopted, Some(Adopt::Rejoin { .. })) {
+        let rejoining = matches!(adopted, Some(Adopt::Rejoin { .. }));
+        let rejoined = if config.recover_from_crashes && !rejoining {
             ctx.comm_mut().try_grow()
         } else {
             Vec::new()
@@ -299,9 +300,9 @@ fn run_node_inner(
         // --- The one redistribution after the world changed (start,
         // grow, shrink, rejoin). -----------------------------------------
         if world_changed || !rejoined.is_empty() {
+            let (rank, p) = (ctx.rank(), ctx.size());
             (base_shard, owned_rels, batches_per_epoch) =
-                distribute(dataset, strategy.relation_partition, ctx.rank(), ctx.size(), config.batch_size);
-            st.shard.clone_from(&base_shard);
+                distribute(dataset, strategy.relation_partition, rank, p, config.batch_size);
             world_changed = false;
         }
 
@@ -341,9 +342,10 @@ fn run_node_inner(
         ctx.comm_mut().barrier();
         let epoch_start = ctx.comm().clock().now_s();
         let bytes_at_start = replica_bytes_sent(ctx);
-        st.shard.copy_from_slice(&base_shard);
+        st.shard.clone_from(&base_shard);
         shuffler.shuffle(&mut st.shard, epoch as u64);
-        let plan = EpochPlan::new(strategy.comm, st.selector.as_ref(), epoch, st.schedule.lr_scale());
+        let lr_scale = st.schedule.lr_scale();
+        let plan = EpochPlan::new(strategy.comm, st.selector.as_ref(), epoch, lr_scale);
 
         // --- The batches, the drain and, under RP, the relation assembly
         // (once per epoch, so validation and the final model see every
@@ -353,10 +355,12 @@ fn run_node_inner(
         let mut crashed = (0..batches_per_epoch)
             .any(|b| is_crash(replica_batch_step(ctx, &inputs, &mut st, &plan, b, &mut sums)));
         if !crashed {
-            crashed = is_crash(replica_epoch_drain(ctx, &inputs, &mut st, &plan, batches_per_epoch));
+            let drained = replica_epoch_drain(ctx, &inputs, &mut st, &plan, batches_per_epoch);
+            crashed = is_crash(drained);
         }
         if !crashed && strategy.relation_partition && ctx.size() > 1 {
-            crashed = is_crash(gather_table_rows(ctx.comm_mut(), &mut st.rel, owned_rels.iter().copied()));
+            let owned = owned_rels.iter().copied();
+            crashed = is_crash(gather_table_rows(ctx.comm_mut(), &mut st.rel, owned));
         }
 
         // --- Degradation policy: drop the aborted epoch (no trace entry,
@@ -618,20 +622,20 @@ fn replica_bytes_sent(ctx: &NodeCtx) -> u64 {
 /// schedule, DRS selector, tallies, trace), this rank's shard, and the
 /// step's reused buffers.
 pub struct ReplicaState {
-    pub ent: EmbeddingTable,
-    pub rel: EmbeddingTable,
-    pub ent_opt: Box<dyn RowOptimizer>,
-    pub rel_opt: Box<dyn RowOptimizer>,
+    ent: EmbeddingTable,
+    rel: EmbeddingTable,
+    ent_opt: Box<dyn RowOptimizer>,
+    rel_opt: Box<dyn RowOptimizer>,
     /// Error-feedback residuals (quantizing schemes only).
-    pub ent_residual: ResidualStore,
-    pub rel_residual: ResidualStore,
+    ent_residual: ResidualStore,
+    rel_residual: ResidualStore,
     /// The node stream. Data order and negatives have streams of their
     /// own; this one feeds window-0 row selection and quantization.
     pub rng: StdRng,
-    pub schedule: PlateauSchedule,
-    pub selector: Option<DynamicCommSelector>,
-    pub tallies: Tallies,
-    pub trace: Vec<EpochTrace>,
+    schedule: PlateauSchedule,
+    selector: Option<DynamicCommSelector>,
+    tallies: Tallies,
+    trace: Vec<EpochTrace>,
     /// This rank's triples, in the running epoch's order.
     pub shard: Vec<Triple>,
     bufs: StepBufs,
@@ -674,18 +678,21 @@ impl ReplicaState {
         let ent = EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng);
         let rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
         let max_window = match config.strategy.comm {
-            CommMode::Pipelined { staleness } | CommMode::PipelinedAllReduce { staleness } => staleness,
+            CommMode::Pipelined { staleness } => staleness,
+            CommMode::PipelinedAllReduce { staleness } => staleness,
             CommMode::Dynamic { .. } => 1,
             _ => 0,
         };
         ReplicaState {
-            ent_opt: config.optimizer.build(config.base_lr, dataset.n_entities, dim),
-            rel_opt: config.optimizer.build(config.base_lr, dataset.n_relations, dim),
             ent,
             rel,
+            ent_opt: config.optimizer.build(config.base_lr, dataset.n_entities, dim),
+            rel_opt: config.optimizer.build(config.base_lr, dataset.n_relations, dim),
             ent_residual: ResidualStore::new(),
             rel_residual: ResidualStore::new(),
-            rng: StdRng::seed_from_u64(config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15)),
+            rng: StdRng::seed_from_u64(
+                config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
+            ),
             schedule: PlateauSchedule::new(
                 p,
                 config.lr_scale_cap,
@@ -740,8 +747,9 @@ impl ReplicaState {
         // A rejoiner takes the leader's selector, reset by the grow step
         // like every survivor's.
         if let Some(snap) = &ck.selector {
-            self.selector =
-                Some(DynamicCommSelector::restore(snap).unwrap_or_else(|e| panic!("adopt: comm selector: {e}")));
+            let sel = DynamicCommSelector::restore(snap)
+                .unwrap_or_else(|e| panic!("adopt: comm selector: {e}"));
+            self.selector = Some(sel);
         }
         self.tallies.clone_from(&ck.tallies);
         self.trace.clone_from(&ck.trace);
@@ -791,12 +799,19 @@ impl EpochPlan {
     /// The epoch's collective and staleness window. A pipelined mode with
     /// staleness 0 is its synchronous base, so `Pipelined { staleness: 0 }`
     /// reproduces `AllGather` exactly; DRS probes pipelined arms at window 1.
-    pub fn new(comm: CommMode, selector: Option<&DynamicCommSelector>, epoch: usize, lr_scale: f32) -> Self {
+    pub fn new(
+        comm: CommMode,
+        selector: Option<&DynamicCommSelector>,
+        epoch: usize,
+        lr_scale: f32,
+    ) -> Self {
         let (choice, window) = match comm {
             CommMode::AllReduce => (CommChoice::AllReduce, 0),
             CommMode::AllGather => (CommChoice::AllGather, 0),
             CommMode::Pipelined { staleness } => (CommChoice::PipelinedAllGather, staleness),
-            CommMode::PipelinedAllReduce { staleness } => (CommChoice::PipelinedAllReduce, staleness),
+            CommMode::PipelinedAllReduce { staleness } => {
+                (CommChoice::PipelinedAllReduce, staleness)
+            }
             CommMode::Dynamic { .. } => {
                 let c = selector.expect("dynamic selector").choice();
                 (c, usize::from(c.is_pipelined()))
@@ -921,7 +936,8 @@ pub fn replica_batch_step(
             grad: &mut batch.rel_grad,
             dense_scratch: dense_rel,
         };
-        apply_update(ctx, st.rel_opt.as_mut(), s.update_style, plan.choice, &mut st.rel, agg, plan.lr_scale);
+        let (opt, rel) = (st.rel_opt.as_mut(), &mut st.rel);
+        apply_update(ctx, opt, s.update_style, plan.choice, rel, agg, plan.lr_scale);
     }
     Ok(())
 }
@@ -974,8 +990,9 @@ fn launch(
     // from streams keyed on (seed, rank, epoch, batch, stage), so every
     // draw of a launch is independent of thread count and of when the
     // overlapped collective completes.
-    let [mut ent_stage, mut rel_stage] = [STAGE_ENT, STAGE_REL]
-        .map(|stage| StdRng::seed_from_u64(stage_seed(config.seed, ctx.rank(), plan.epoch, b, stage)));
+    let (seed, rank) = (config.seed, ctx.rank());
+    let stage_rng = |stage| StdRng::seed_from_u64(stage_seed(seed, rank, plan.epoch, b, stage));
+    let (mut ent_stage, mut rel_stage) = (stage_rng(STAGE_ENT), stage_rng(STAGE_REL));
     let ent_rng = if plan.window == 0 { rng } else { &mut ent_stage };
 
     if feedback(s) {
@@ -1005,7 +1022,8 @@ fn launch(
     if plan.window > 0 {
         slot.ent.stage(&batch.ent_grad, wire(s, base, ent, ent_residual, ent_rng, gather));
         if !s.relation_partition {
-            slot.rel.stage(&batch.rel_grad, wire(s, base, rel, rel_residual, &mut rel_stage, gather));
+            let rel_wire = wire(s, base, rel, rel_residual, &mut rel_stage, gather);
+            slot.rel.stage(&batch.rel_grad, rel_wire);
         }
     }
 }
@@ -1042,7 +1060,8 @@ fn settle(
     let live = plan.window == 0;
 
     let ent_wire = wire(s, base, ent, ent_residual, rng, gather);
-    let gathered = ent_slot.collective(ctx.comm_mut(), ent_wire, live.then_some(&batch.ent_grad), *anchor, ent_agg)?;
+    let ent_live = live.then_some(&batch.ent_grad);
+    let gathered = ent_slot.collective(ctx.comm_mut(), ent_wire, ent_live, *anchor, ent_agg)?;
     if base == CommChoice::AllGather {
         // Decode + local sum cost (`gathered` is a shared quantity, so
         // clocks stay rank-identical).
@@ -1052,7 +1071,8 @@ fn settle(
     }
     if !s.relation_partition {
         let rel_wire = wire(s, base, rel, rel_residual, rng, gather);
-        rel_slot.collective(ctx.comm_mut(), rel_wire, live.then_some(&batch.rel_grad), *anchor, rel_agg)?;
+        let rel_live = live.then_some(&batch.rel_grad);
+        rel_slot.collective(ctx.comm_mut(), rel_wire, rel_live, *anchor, rel_agg)?;
     }
 
     let dense = base == CommChoice::AllReduce;
@@ -1078,7 +1098,13 @@ struct CkptBufs {
 
 /// Serialize this rank's full training state into `out.buf`.
 /// `next_epoch` is the first epoch the restored run executes.
-fn encode_rank_state(out: &mut CkptBufs, ctx: &NodeCtx, seed: u64, next_epoch: usize, st: &ReplicaState) {
+fn encode_rank_state(
+    out: &mut CkptBufs,
+    ctx: &NodeCtx,
+    seed: u64,
+    next_epoch: usize,
+    st: &ReplicaState,
+) {
     let comm = ctx.comm();
     comm.traffic().export_into(&mut out.traffic);
     let view = CheckpointView {
@@ -1490,7 +1516,12 @@ enum AggRef<'a> {
 impl<'a> AggRef<'a> {
     /// What a settle left: the dense all-reduce result `buf`, or the
     /// gathered rows `agg`.
-    fn of(dense: bool, buf: &'a [f32], agg: &'a mut SparseGrad, dense_scratch: &'a mut Vec<f32>) -> Self {
+    fn of(
+        dense: bool,
+        buf: &'a [f32],
+        agg: &'a mut SparseGrad,
+        dense_scratch: &'a mut Vec<f32>,
+    ) -> Self {
         if dense {
             AggRef::Dense {
                 buf,

@@ -237,7 +237,12 @@ fn combined(comm: CommMode) -> StrategyConfig {
     s
 }
 
-fn golden_run(p: usize, strategy: StrategyConfig, epochs: usize, plan: Option<FaultPlan>) -> TrainOutcome {
+fn golden_run(
+    p: usize,
+    strategy: StrategyConfig,
+    epochs: usize,
+    plan: Option<FaultPlan>,
+) -> TrainOutcome {
     let mut cluster = Cluster::new(p, ClusterSpec::cray_xc40());
     if let Some(plan) = plan {
         cluster = cluster.with_fault_plan(plan);

@@ -39,7 +39,9 @@ static ALLOC: kge_core::alloc_count::CountingAlloc = kge_core::alloc_count::Coun
 use kge_core::alloc_count;
 use kge_data::synth::{generate, SynthConfig};
 use kge_data::FilterIndex;
-use kge_train::trainer::{replica_batch_step, replica_epoch_drain, EpochPlan, EpochSums, ReplicaState};
+use kge_train::trainer::{
+    replica_batch_step, replica_epoch_drain, EpochPlan, EpochSums, ReplicaState,
+};
 use kge_train::{CommChoice, CommMode, StepInputs, StrategyConfig, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,7 +137,7 @@ fn steady_state_allocs(
 }
 
 #[test]
-fn steady_state_batch_step_allocates_nothing() {
+fn steady_state_batch_loop_allocates_nothing() {
     let cells = [
         ("baseline_allreduce(2)", StrategyConfig::baseline_allreduce(2), false),
         ("combined(5)", StrategyConfig::combined(5), true),
