@@ -14,7 +14,7 @@
 //!   slot and summed locally.
 //!
 //! Both paths return the aggregated gradient **averaged** over ranks. The
-//! replica step runs them through [`Staged`], one table's half of an
+//! replica step runs them through `Staged`, one table's half of an
 //! exchange in flight; [`exchange_allreduce`] and
 //! [`exchange_allgather_into`] are the same collectives on a live
 //! gradient, for callers with no slot ring.

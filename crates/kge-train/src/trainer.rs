@@ -799,7 +799,7 @@ impl EpochPlan {
     /// The epoch's collective and staleness window. A pipelined mode with
     /// staleness 0 is its synchronous base, so `Pipelined { staleness: 0 }`
     /// reproduces `AllGather` exactly; DRS probes pipelined arms at window 1.
-    pub fn new(
+    fn new(
         comm: CommMode,
         selector: Option<&DynamicCommSelector>,
         epoch: usize,
@@ -830,14 +830,14 @@ impl EpochPlan {
 /// An epoch's running sums over the batches it launched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EpochSums {
-    pub loss: f64,
-    pub examples: usize,
+    loss: f64,
+    examples: usize,
     /// Entity-gradient rows above the zero threshold, before selection.
-    pub nonzero_rows: usize,
+    nonzero_rows: usize,
     /// Entity rows put on the wire, after selection.
-    pub rows_sent: usize,
-    pub rows_before_rs: usize,
-    pub rows_after_rs: usize,
+    rows_sent: usize,
+    rows_before_rs: usize,
+    rows_after_rs: usize,
 }
 
 /// Whether the strategy feeds quantization error back (EF needs a
@@ -1751,6 +1751,27 @@ mod tests {
         let out = train(&ds, &cluster, &c);
         assert_eq!(out.report.trace[0].comm, CommChoice::AllReduce);
         assert!(out.report.allreduce_epochs + out.report.allgather_epochs == out.report.epochs);
+    }
+
+    #[test]
+    fn rejoiner_probes_in_step_with_the_survivors() {
+        // A rejoiner adopts the grow leader's (reset) DRS selector. One
+        // built fresh restarts its epoch counter, so under `check_every >
+        // 1` it can probe a different collective than the survivors — the
+        // world then deadlocks in mismatched collectives.
+        let ds = tiny_dataset(11);
+        let mut c = quick_config(StrategyConfig::baseline_allreduce(2));
+        c.strategy.comm = CommMode::Dynamic { check_every: 2 };
+        c.max_epochs = 10;
+        let total = train(&ds, &Cluster::new(4, ClusterSpec::cray_xc40()), &c)
+            .report
+            .sim_total_seconds;
+        let plan = simgrid::FaultPlan::seeded(99).with_crash_and_rejoin(2, 0.2 * total, 0.3 * total);
+        let cluster = Cluster::new(4, ClusterSpec::cray_xc40()).with_fault_plan(plan);
+        let out = train(&ds, &cluster, &c);
+        assert_eq!((out.report.recoveries, out.report.rejoins), (1, 1));
+        assert_eq!(out.report.surviving_nodes, 4);
+        assert_eq!(out.report.allreduce_epochs + out.report.allgather_epochs, out.report.epochs);
     }
 
     #[test]
