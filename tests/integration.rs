@@ -609,3 +609,23 @@ fn checkpoint_resume_replays_the_uninterrupted_run_to_the_bit() {
     );
     assert_eq!(whole.report.pipelined_epochs, 4, "every epoch ran pipelined");
 }
+
+/// One cell of `kge-data`'s `synth_golden` table (which `scripts/check.sh`
+/// runs in full): the benchmark's FB15K-shaped graph must keep its split
+/// lengths and bytes, since every workload trained on it — its
+/// `final_train_loss`, `test_mrr` and simulated clock — starts there.
+#[test]
+fn benchmark_graph_keeps_its_bytes() {
+    let ds = kge::data::synth::generate(&SynthPreset::Fb15kLike.config(0.15, 2022));
+    let fnv = |split: &[Triple]| {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in split.iter().flat_map(|t| [t.head, t.rel, t.tail]).flat_map(u32::to_le_bytes) {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    };
+    assert_eq!((ds.train.len(), ds.valid.len(), ds.test.len()), (80837, 3553, 4441));
+    assert_eq!(fnv(&ds.train), 0x4413_013d_8034_3d35, "train");
+    assert_eq!(fnv(&ds.valid), 0xfe80_0441_acbe_238b, "valid");
+    assert_eq!(fnv(&ds.test), 0xa709_f506_da83_cbfb, "test");
+}
