@@ -23,6 +23,7 @@
 pub mod batch;
 pub mod dataset;
 pub mod filter;
+mod hash;
 pub mod io;
 pub mod powerlaw;
 pub mod synth;

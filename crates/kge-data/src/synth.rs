@@ -23,12 +23,12 @@
 //! Generation is fully deterministic given the config's `seed`.
 
 use crate::dataset::Dataset;
+use crate::hash::{IdMap, IdSet};
 use crate::powerlaw::{zipf_allocation, ZipfSampler};
 use crate::triple::Triple;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Parameters of the synthetic generator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -155,10 +155,13 @@ impl GroundTruth {
     }
 }
 
+/// The most tail candidates any relation kind scores per draw.
+const MAX_CANDIDATES: usize = 48;
+
 /// One relation's sampling pattern: head/tail entity intervals sized to
 /// the relation's budget, plus how concentrated the tail choice is
 /// (the Bordes 1-1 / 1-N / N-1 / N-N mix expressed as score sharpness).
-struct RelPattern {
+struct RelPattern<'a> {
     head_lo: usize,
     // Interval sizes are read by the structural-statistics tests.
     #[cfg_attr(not(test), allow(dead_code))]
@@ -169,12 +172,21 @@ struct RelPattern {
     /// Ground-truth-guided tail choice: candidates scored per draw; more
     /// candidates ⇒ sharper (more functional) relation.
     candidates: usize,
-    head_sampler: ZipfSampler,
-    tail_sampler: ZipfSampler,
+    head_sampler: &'a ZipfSampler,
+    tail_sampler: &'a ZipfSampler,
 }
 
-impl RelPattern {
-    fn build(rel: usize, budget: usize, config: &SynthConfig) -> Self {
+/// Each interval size's sampler, built once per graph: every sampler of a
+/// graph has its `entity_zipf`, and many relations share a size.
+type SamplersBySize = IdMap<usize, ZipfSampler>;
+
+impl<'a> RelPattern<'a> {
+    fn build(
+        rel: usize,
+        budget: usize,
+        config: &SynthConfig,
+        samplers: &'a mut SamplersBySize,
+    ) -> Self {
         let n_e = config.n_entities;
         let kind = RelKind::of(rel);
         // Interval sizes keep the pattern capacity comfortably above the
@@ -190,7 +202,7 @@ impl RelPattern {
             // Nearly functional: few plausible tails per head.
             RelKind::OneToOne => {
                 let s = (budget + budget / 3).clamp(32, n_e);
-                (s, s, 48)
+                (s, s, MAX_CANDIDATES)
             }
             // Few hub heads fanning out to a broad tail set.
             RelKind::OneToMany => {
@@ -219,14 +231,20 @@ impl RelPattern {
                     % (n_e - size + 1)
             }
         };
+        for size in [head_size, tail_size] {
+            samplers
+                .entry(size)
+                .or_insert_with(|| ZipfSampler::new(size, config.entity_zipf));
+        }
+        let samplers: &'a SamplersBySize = samplers;
         RelPattern {
             head_lo: place(0x9E3779B97F4A7C15, head_size),
             head_size,
             tail_lo: place(0xC2B2AE3D27D4EB4F, tail_size),
             tail_size,
             candidates,
-            head_sampler: ZipfSampler::new(head_size, config.entity_zipf),
-            tail_sampler: ZipfSampler::new(tail_size, config.entity_zipf),
+            head_sampler: &samplers[&head_size],
+            tail_sampler: &samplers[&tail_size],
         }
     }
 
@@ -235,10 +253,17 @@ impl RelPattern {
     /// `candidates` popularity-sampled options.
     fn draw(&self, rel: usize, gt: &GroundTruth, rng: &mut StdRng) -> (usize, usize) {
         let h = self.head_lo + self.head_sampler.sample(rng);
-        let mut best_t = self.tail_lo + self.tail_sampler.sample(rng);
+        // Every candidate first, then every score: scoring draws nothing,
+        // so the RNG order is the interleaved one, and independent draws
+        // and independent scores each overlap in the pipeline.
+        let mut tails = [0usize; MAX_CANDIDATES];
+        let tails = &mut tails[..self.candidates];
+        for t in tails.iter_mut() {
+            *t = self.tail_lo + self.tail_sampler.sample(rng);
+        }
+        let mut best_t = tails[0];
         let mut best_s = gt.score(h, rel, best_t);
-        for _ in 1..self.candidates {
-            let t = self.tail_lo + self.tail_sampler.sample(rng);
+        for &t in &tails[1..] {
             let s = gt.score(h, rel, t);
             if s > best_s {
                 best_s = s;
@@ -264,11 +289,16 @@ pub fn generate(config: &SynthConfig) -> Dataset {
     );
 
     let gt = GroundTruth::build(config);
-    let mut seen: HashSet<Triple> = HashSet::with_capacity(config.n_triples * 2);
+    // Triples of different relations never collide, so the dedup set holds
+    // one relation's `(head, tail)` pairs at a time: at most its budget.
+    let mut seen: IdSet<(u32, u32)> = IdSet::default();
     let mut triples: Vec<Triple> = Vec::with_capacity(config.n_triples);
+    let mut samplers = SamplersBySize::default();
 
     for (rel, &budget) in per_relation.iter().enumerate() {
-        let pattern = RelPattern::build(rel, budget, config);
+        seen.clear();
+        seen.reserve(budget);
+        let pattern = RelPattern::build(rel, budget, config, &mut samplers);
         let mut produced = 0usize;
         let mut attempts = 0usize;
         let max_attempts = budget * 20 + 100;
@@ -284,7 +314,7 @@ pub fn generate(config: &SynthConfig) -> Dataset {
                 let (h, t) = pattern.draw(rel, &gt, &mut rng);
                 Triple::new(h as u32, rel as u32, t as u32)
             };
-            if seen.insert(t) {
+            if seen.insert((t.head, t.tail)) {
                 triples.push(t);
                 produced += 1;
             }
@@ -391,6 +421,7 @@ mod tests {
 
     #[test]
     fn no_duplicate_triples() {
+        use std::collections::HashSet;
         let ds = generate(&small_config());
         let set: HashSet<Triple> = ds.all_triples().collect();
         assert_eq!(set.len(), ds.all_triples().count());
@@ -432,6 +463,7 @@ mod tests {
         let cfg = small_config();
         let ds = generate(&cfg);
         let stats = ds.stats();
+        let mut samplers = SamplersBySize::default();
         let head_rel = (0..cfg.n_relations)
             .max_by_key(|&r| stats.relation_counts[r])
             .unwrap() as u32;
@@ -439,6 +471,7 @@ mod tests {
             head_rel as usize,
             stats.relation_counts[head_rel as usize],
             &cfg,
+            &mut samplers,
         );
         let in_pattern = ds
             .train

@@ -285,6 +285,11 @@ impl Communicator {
     /// In-place sum all-reduce over `buf`: afterwards every rank holds the
     /// element-wise sum of all contributions. Deterministic (fixed-order
     /// reduction). Errors if buffer lengths differ across ranks.
+    ///
+    /// A copying wrapper over [`Communicator::allreduce_staged`] with no
+    /// caller in first-party `src` — only tests, the crate-doc example and
+    /// the frozen `benchmark/` package. Kept for `benchmark/`; do not add
+    /// callers.
     pub fn allreduce_sum_f32(&mut self, buf: &mut [f32]) -> Result<(), SimError> {
         self.allreduce_staged(buf, 1.0, None, |buf, slot| slot.copy_from_slice(buf))
             .map(|_| ())
@@ -389,6 +394,9 @@ impl Communicator {
     /// counts. Both buffers keep their capacity across calls, so the
     /// steady state allocates nothing. A copying wrapper over
     /// [`Communicator::allgatherv_staged`].
+    ///
+    /// No caller in first-party `src` — only tests and the frozen
+    /// `benchmark/` package. Kept for `benchmark/`; do not add callers.
     pub fn allgatherv_bytes_into(
         &mut self,
         data: &[u8],

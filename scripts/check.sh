@@ -64,6 +64,13 @@ echo "check: benches compile"
 cargo test -p simgrid --release
 echo "check: simgrid collectives, stress, cost-model + fault-injection tests pass"
 
+# The data layer: the generator's bytes for every graph the benchmark,
+# repro and the root suite build (synth_golden), the guide-table sampler
+# against the binary search it replaced, the generator and filter
+# property tests, and the in-file tests.
+cargo test -p kge-data --release
+echo "check: kge-data golden, sampler equality + property tests pass"
+
 # The evaluation bit-identity property tests: blocked one-vs-all ranking
 # must reproduce the scalar oracle's ranks exactly for every model — under
 # both dispatch arms — and steady-state evaluation must not allocate.
