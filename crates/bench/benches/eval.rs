@@ -2,8 +2,9 @@
 //! scalar one-candidate-at-a-time oracle (`rank_of_scalar`), at embedding
 //! dims 64/128/256 (ComplEx ranks 32/64/128). Both produce bit-identical
 //! ranks; the blocked path scores cache-sized candidate tiles with the
-//! fused one-vs-all kernel and inverts the filter — a post-pass over the
-//! short known-true lists — instead of paying a hash probe per candidate.
+//! fused one-vs-all kernel and inverts the filter — a cursor per query
+//! walks the short known-true lists tile by tile — instead of paying a
+//! hash probe per candidate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kge_core::{ComplEx, EmbeddingTable, KgeModel};

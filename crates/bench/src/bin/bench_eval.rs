@@ -4,7 +4,7 @@
 //! through both paths — the scalar one-candidate-at-a-time oracle
 //! (`rank_of_scalar`: one virtual `score` dispatch plus one filter hash
 //! probe per candidate) and the blocked pipeline (`evaluate_ranking_with`:
-//! fused one-vs-all tile kernels plus a known-true post-pass) — at
+//! fused one-vs-all tile kernels, known-true competitors masked per tile) — at
 //! embedding dims 64/128/256 (ComplEx ranks 32/64/128), verifies the
 //! metrics are bit-identical, and writes `BENCH_eval.json` with
 //! candidates-scored-per-second for each.

@@ -48,9 +48,10 @@ impl FilterIndex {
 ///
 /// `evaluate_ranking`'s scalar path probed `FilterIndex::contains` once per
 /// candidate — a hash lookup inside the O(|queries| × |E|) inner loop. The
-/// blocked path instead sweeps *all* candidates branch-free and then walks
-/// these (short) lists once per query as a post-pass rank correction: one
-/// hash lookup per query instead of one per candidate.
+/// blocked path instead sweeps *all* candidates branch-free and walks
+/// these (short, ascending) lists alongside the tiles, masking each known
+/// completion's score as its tile is scored: one hash lookup per query
+/// instead of one per candidate.
 #[derive(Debug, Clone, Default)]
 pub struct GroupedFilter {
     /// (head, rel) → sorted known tails.

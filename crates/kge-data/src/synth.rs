@@ -158,6 +158,10 @@ impl GroundTruth {
 /// The most tail candidates any relation kind scores per draw.
 const MAX_CANDIDATES: usize = 48;
 
+/// The fewest entities a relation's head or tail interval spans (hub sets
+/// aside), so also the fewest entities [`generate`] accepts.
+const MIN_INTERVAL: usize = 32;
+
 /// One relation's sampling pattern: head/tail entity intervals sized to
 /// the relation's budget, plus how concentrated the tail choice is
 /// (the Bordes 1-1 / 1-N / N-1 / N-N mix expressed as score sharpness).
@@ -201,25 +205,25 @@ impl<'a> RelPattern<'a> {
         let (head_size, tail_size, candidates) = match kind {
             // Nearly functional: few plausible tails per head.
             RelKind::OneToOne => {
-                let s = (budget + budget / 3).clamp(32, n_e);
+                let s = (budget + budget / 3).clamp(MIN_INTERVAL, n_e);
                 (s, s, MAX_CANDIDATES)
             }
             // Few hub heads fanning out to a broad tail set.
             RelKind::OneToMany => {
                 let hubs = (budget / 32).clamp(1, n_e / 4);
-                let tails = (2 * budget / hubs).clamp(32, n_e);
+                let tails = (2 * budget / hubs).clamp(MIN_INTERVAL, n_e);
                 (hubs, tails, 4)
             }
             RelKind::ManyToOne => {
                 let hubs = (budget / 32).clamp(1, n_e / 4);
-                let heads = (2 * budget / hubs).clamp(32, n_e);
+                let heads = (2 * budget / hubs).clamp(MIN_INTERVAL, n_e);
                 (heads, hubs, 4)
             }
             // Broad but latent-structured many-to-many: the GT-guided
             // choice of best-of-`candidates` concentrates tails, so the
             // effective pair space is ≈ s²/candidates.
             RelKind::ManyToMany => {
-                let s = (budget).clamp(32, n_e);
+                let s = (budget).clamp(MIN_INTERVAL, n_e);
                 (s, s, 16)
             }
         };
@@ -276,7 +280,11 @@ impl<'a> RelPattern<'a> {
 
 /// Generate a dataset from `config`.
 pub fn generate(config: &SynthConfig) -> Dataset {
-    assert!(config.n_entities >= 16);
+    assert!(
+        config.n_entities >= MIN_INTERVAL,
+        "n_entities is {}, below the {MIN_INTERVAL} a relation's entity interval spans",
+        config.n_entities
+    );
     assert!(config.n_relations >= 1);
     assert!(config.valid_frac + config.test_frac < 0.5);
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -512,6 +520,16 @@ mod tests {
         let ds = generate(&cfg);
         assert!(ds.validate().is_ok());
         assert!(ds.train.len() > 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_entities")]
+    fn rejects_fewer_entities_than_an_interval_spans() {
+        // The check names the field, not a clamp deep inside the pattern.
+        let _ = generate(&SynthConfig {
+            n_entities: 16,
+            ..small_config()
+        });
     }
 
     #[test]

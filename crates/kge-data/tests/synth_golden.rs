@@ -78,9 +78,9 @@ fn cells() -> Vec<(String, SynthConfig)> {
     cells.push(edge("entity_zipf=1.5", &|c| c.entity_zipf = 1.5));
     cells.push(edge("noise_frac=0", &|c| c.noise_frac = 0.0));
     cells.push(edge("noise_frac=0.3", &|c| c.noise_frac = 0.3));
-    // `generate` accepts 16 entities, but `RelPattern::build` clamps every
-    // interval to at least 32, which panics below 32: the table records
-    // the panic, and 32 as the smallest graph that generates.
+    // `generate` rejects fewer than 32 entities, the smallest interval
+    // `RelPattern::build` clamps to: the table records the panic, and 32 as
+    // the smallest graph that generates.
     for n in [16, 32] {
         cells.push(edge(&format!("n_entities={n}"), &|c| {
             c.n_entities = n;

@@ -77,7 +77,7 @@ fn evaluate_ranking_with(
 
     // Charge the sweep cost: 2 directions × |E| candidates per query, at
     // the per-rank ceiling share so every replica's clock moves equally
-    // (the filter post-pass is negligible next to the sweep).
+    // (the filter is applied inside the sweep and costs no scoring).
     let size = comm.size().max(1);
     let per_rank = n_sub.div_ceil(size);
     comm.clock_mut()

@@ -5,23 +5,26 @@
 //! Freebase-shaped data. This module therefore runs evaluation the same
 //! way the trainer runs its hot path:
 //!
-//! - queries are grouped by relation and swept against the entity table in
-//!   cache-sized tiles through [`KgeModel::score_one_vs_all_transposed`], whose
-//!   per-candidate reduction order is bit-identical to `score` — so every
-//!   rank (including tie counts) matches the scalar reference path
+//! - queries are sorted by relation and cut into units of eight, whatever
+//!   their relations; each unit is swept against the entity table in
+//!   L1-sized tiles through [`KgeModel::score_one_vs_all_transposed`], so one
+//!   tile serves sixteen kernel calls (eight queries, two directions). The
+//!   kernel's per-candidate reduction order is bit-identical to `score`, so
+//!   every rank (including tie counts) matches the scalar reference path
 //!   [`rank_of_scalar`] exactly;
-//! - the per-candidate `FilterIndex::contains` hash probe is gone: the
-//!   blocked sweep counts *all* candidates, then a post-pass walks the
-//!   short [`GroupedFilter`] list for the query and subtracts the known
-//!   true competitors (their recomputed scores are bit-identical, so the
-//!   correction is exact);
+//! - the per-candidate `FilterIndex::contains` hash probe is gone: each
+//!   query side keeps a cursor into its short, sorted [`GroupedFilter`]
+//!   list, and as the sweep reaches a tile it masks the scores it has just
+//!   written for the true entity and the known completions in that tile,
+//!   so they count as neither better nor tied — the scalar path's
+//!   skip-before-score, with nothing scored twice;
 //! - all state lives in a reusable [`RankingWorkspace`] (ScratchPool
 //!   check-in/check-out, same discipline as the training batch loop) —
 //!   steady-state evaluation allocates nothing on the single-thread path
 //!   and runs units in parallel under rayon otherwise, with bit-identical
 //!   results at any thread count.
 
-use crate::transpose::{tile_rows_for, TransposedTable};
+use crate::transpose::TransposedTable;
 use kge_core::{EmbeddingTable, KgeModel, ReplaceDir, ScratchPool};
 use kge_data::{FilterIndex, GroupedFilter, RelationCategory, Triple};
 use rand::rngs::StdRng;
@@ -145,46 +148,35 @@ pub fn rank_of_scalar(
     1 + better + ties / 2
 }
 
-/// Queries per work unit. Each query is O(|E| · dim) work, so even one
-/// query is a chunky parallel task; small units load-balance across the
-/// pool while amortizing the candidate tile over a few queries.
+/// Queries per work unit: one L1-resident candidate tile serves every query
+/// of the unit in both directions (2 × `UNIT_QUERIES` kernel calls) before
+/// the sweep moves on. Each query is O(|E| · dim) work, so small units
+/// still load-balance across the pool.
 const UNIT_QUERIES: usize = 8;
 
-/// Per-worker scratch for one unit of queries (pooled; all buffers grow to
-/// a high-water mark during warm-up and are reused verbatim afterwards).
+/// Per-worker scratch for one unit of queries (pooled; both buffers grow
+/// to a high-water mark during warm-up and are reused verbatim afterwards).
 #[derive(Default)]
 struct EvalScratch {
-    /// Score of the unmodified test triple, per query of the unit.
-    true_scores: Vec<f32>,
-    /// Candidates scoring strictly above `true_scores[q]`, over the full
-    /// entity sweep. Signed: the filter post-pass subtracts.
-    better: Vec<i64>,
-    /// Candidates scoring exactly `true_scores[q]` (incl. the true entity
-    /// itself, removed by the post-pass).
-    ties: Vec<i64>,
     /// One candidate tile's scores.
     tile_scores: Vec<f32>,
-    /// Head-direction ranks of the unit, per query.
-    unit_head_ranks: Vec<usize>,
     /// Output: `(subsample slot, head rank, tail rank)` per query.
     ranks: Vec<(u32, usize, usize)>,
 }
 
-/// Reusable state for [`evaluate_ranking_with`]: the query subsample,
-/// relation-grouped evaluation order, pooled per-worker scratches, and the
-/// per-query rank buffers. Steady-state reuse allocates nothing on the
-/// single-thread path.
+/// Reusable state for [`evaluate_ranking_with`]: the query subsample, the
+/// evaluation order, pooled per-worker scratches, and the per-query rank
+/// buffers. Steady-state reuse allocates nothing on the single-thread path.
 #[derive(Default)]
 pub struct RankingWorkspace {
     pool: ScratchPool<EvalScratch>,
     idx: Vec<usize>,
     subsample: Vec<Triple>,
-    /// Subsample slots sorted by `(rel, slot)` — groups queries that share
-    /// a relation row so a unit hoists it once.
+    /// Subsample slots sorted by `(rel, slot)`, cut into work units of
+    /// [`UNIT_QUERIES`] consecutive slots whatever their relations — so
+    /// queries sharing a relation row sit side by side, and every unit but
+    /// the last is full.
     order: Vec<u32>,
-    /// Work units: `[lo, hi)` ranges of `order`, never crossing a relation
-    /// boundary, at most [`UNIT_QUERIES`] long.
-    units: Vec<(u32, u32)>,
     /// Tile-blocked column-major copy of the entity table. Built **once per
     /// evaluation** and shared read-only by every unit — the transpose
     /// depends only on the entity table, not on the queries. The same
@@ -247,132 +239,123 @@ pub(crate) fn subsample_into(
     }
 }
 
-/// Evaluate one unit (queries `order[lo..hi]`, all sharing a relation):
-/// blocked sweep over every entity tile, then the filter post-pass.
-/// `ent_t` is the shared per-tile column-major copy of the entity table
-/// (see [`RankingWorkspace::ent_t`]).
-#[allow(clippy::too_many_arguments)]
-fn process_unit(
-    model: &dyn KgeModel,
-    ent: &EmbeddingTable,
-    ent_t: &[f32],
-    rel: &EmbeddingTable,
-    sub: &[Triple],
-    order: &[u32],
-    lo: usize,
-    hi: usize,
-    grouped: Option<&GroupedFilter>,
-    s: &mut EvalScratch,
-) {
-    let dim = ent.dim();
-    let n_ent = ent.rows();
-    let tile = tile_rows_for(dim);
-    let q = hi - lo;
-    let slots = &order[lo..hi];
-    let r_row = rel.row(sub[slots[0] as usize].rel as usize);
+/// What every unit of one evaluation reads: the model and its tables, the
+/// shared column-major copy of the entity table (see
+/// [`RankingWorkspace::ent_t`]) and, in filtered mode, the known
+/// completions of every query side.
+struct Sweep<'a> {
+    model: &'a dyn KgeModel,
+    ent: &'a EmbeddingTable,
+    ent_t: &'a TransposedTable,
+    rel: &'a EmbeddingTable,
+    grouped: Option<&'a GroupedFilter>,
+}
 
-    s.ranks.clear();
-    s.true_scores.resize(q, 0.0);
-    s.better.resize(2 * q, 0);
-    s.ties.resize(2 * q, 0);
-    s.tile_scores.resize(tile, 0.0);
-    s.unit_head_ranks.resize(q, 0);
+/// One query in one direction, as the tile loop walks it.
+#[derive(Clone, Copy, Default)]
+struct Side<'a> {
+    /// The kept entity's row (the tail when heads are replaced).
+    fixed: &'a [f32],
+    rel: &'a [f32],
+    /// The true entity on the replaced side.
+    truth: usize,
+    /// Score of the unmodified test triple.
+    true_score: f32,
+    /// The cursor into the side's sorted [`GroupedFilter`] list: the known
+    /// completions the sweep has not reached yet.
+    known: &'a [u32],
+    better: usize,
+    ties: usize,
+}
 
-    for (qi, &slot) in slots.iter().enumerate() {
-        let t = sub[slot as usize];
-        s.true_scores[qi] = model.score(ent.row(t.head as usize), r_row, ent.row(t.tail as usize));
-    }
-    s.better[..2 * q].fill(0);
-    s.ties[..2 * q].fill(0);
-
-    // Blocked sweep: count better/ties over ALL candidates, tile-major so
-    // each candidate tile (in its shared column-major copy) stays hot
-    // across the unit's queries in both directions. Per-query counts are
-    // integer sums, so accumulating them tile-by-tile is order-independent
-    // and the final ranks stay bit-identical to the scalar path.
-    let mut e0 = 0usize;
-    while e0 < n_ent {
-        let e1 = (e0 + tile).min(n_ent);
-        let rows = e1 - e0;
-        for (di, dir) in [ReplaceDir::Head, ReplaceDir::Tail].into_iter().enumerate() {
-            for (qi, &slot) in slots.iter().enumerate() {
-                let t = sub[slot as usize];
-                let query_row = match dir {
-                    ReplaceDir::Head => ent.row(t.tail as usize),
-                    ReplaceDir::Tail => ent.row(t.head as usize),
-                };
-                model.score_one_vs_all_transposed(
-                    query_row,
-                    r_row,
-                    &ent_t[e0 * dim..e1 * dim],
-                    rows,
-                    dir,
-                    &mut s.tile_scores[..rows],
-                );
-                // Branchless: score-vs-true comparisons are effectively
-                // random, so a branchy count would mispredict per
-                // candidate and dominate the fused kernel's cost.
-                let ts = s.true_scores[qi];
-                let mut better = 0i64;
-                let mut ties = 0i64;
-                for &sc in &s.tile_scores[..rows] {
-                    better += i64::from(sc > ts);
-                    ties += i64::from(sc == ts);
-                }
-                s.better[di * q + qi] += better;
-                s.ties[di * q + qi] += ties;
-            }
-        }
-        e0 = e1;
-    }
-
-    for (di, dir) in [ReplaceDir::Head, ReplaceDir::Tail].into_iter().enumerate() {
-        // Post-pass correction: the sweep counted every entity, including
-        // the true one and (in filtered mode) known true competitors. Their
-        // recomputed scores are bit-identical to the sweep's (the one-vs-all
-        // kernel's contract), so subtracting them from the matching
-        // bucket reproduces the scalar skip-before-score counts exactly.
+impl Sweep<'_> {
+    /// Rank the unit of queries `sub[slot]` for `slot` in `slots` (at most
+    /// [`UNIT_QUERIES`], any mix of relations) in both directions, into
+    /// `s.ranks`.
+    fn rank_unit(&self, sub: &[Triple], slots: &[u32], s: &mut EvalScratch) {
+        let Sweep { model, ent, ent_t, rel, grouped } = *self;
+        let q = slots.len();
+        let mut sides = [Side::default(); 2 * UNIT_QUERIES];
         for (qi, &slot) in slots.iter().enumerate() {
             let t = sub[slot as usize];
-            let ts = s.true_scores[qi];
-            let mut better = s.better[di * q + qi];
-            let mut ties = s.ties[di * q + qi];
-            // The true entity tied with itself — unless the true score is
-            // NaN, in which case the sweep counted it nowhere.
-            if !ts.is_nan() {
-                ties -= 1;
-            }
-            if let Some(g) = grouped {
-                let (true_e, known) = match dir {
-                    ReplaceDir::Head => (t.head, g.known_heads(t.tail, t.rel)),
-                    ReplaceDir::Tail => (t.tail, g.known_tails(t.head, t.rel)),
-                };
-                for &e in known {
-                    if e == true_e {
-                        continue; // already removed above
-                    }
-                    let sc = match dir {
-                        ReplaceDir::Head => {
-                            model.score(ent.row(e as usize), r_row, ent.row(t.tail as usize))
-                        }
-                        ReplaceDir::Tail => {
-                            model.score(ent.row(t.head as usize), r_row, ent.row(e as usize))
-                        }
-                    };
-                    if sc > ts {
-                        better -= 1;
-                    } else if sc == ts {
-                        ties -= 1;
-                    }
-                }
-            }
-            debug_assert!(better >= 0 && ties >= 0, "over-corrected rank counts");
-            let rank = (1 + better + ties / 2) as usize;
-            match dir {
-                ReplaceDir::Head => s.unit_head_ranks[qi] = rank,
-                ReplaceDir::Tail => s.ranks.push((slot, s.unit_head_ranks[qi], rank)),
-            }
+            let (head, tail) = (ent.row(t.head as usize), ent.row(t.tail as usize));
+            let r = rel.row(t.rel as usize);
+            let true_score = model.score(head, r, tail);
+            let (known_heads, known_tails) = grouped.map_or((&[][..], &[][..]), |g| {
+                (g.known_heads(t.tail, t.rel), g.known_tails(t.head, t.rel))
+            });
+            sides[qi] = Side {
+                fixed: tail,
+                rel: r,
+                truth: t.head as usize,
+                true_score,
+                known: known_heads,
+                ..Side::default()
+            };
+            sides[q + qi] = Side {
+                fixed: head,
+                rel: r,
+                truth: t.tail as usize,
+                true_score,
+                known: known_tails,
+                ..Side::default()
+            };
         }
+
+        // Tile-major sweep: each candidate tile (in its shared column-major
+        // copy) stays hot across the unit's queries in both directions.
+        // Per-side counts are integer sums, so accumulating them tile by
+        // tile is order-independent and every rank is bit-identical to the
+        // scalar path.
+        s.tile_scores.resize(ent_t.tile_rows(), 0.0);
+        let mut e0 = 0usize;
+        while e0 < ent_t.rows() {
+            let (block, rows) = ent_t.tile(e0);
+            let e1 = e0 + rows;
+            for (i, side) in sides[..2 * q].iter_mut().enumerate() {
+                let dir = if i < q { ReplaceDir::Head } else { ReplaceDir::Tail };
+                let scores = &mut s.tile_scores[..rows];
+                model.score_one_vs_all_transposed(side.fixed, side.rel, block, rows, dir, scores);
+                // The scalar path skips the true entity and every known
+                // completion before scoring; here the sweep's own scores
+                // for those in this tile become NaN, which counts as
+                // neither better nor tied. (The true entity is usually in
+                // its known list as well; masking twice is harmless.)
+                if (e0..e1).contains(&side.truth) {
+                    scores[side.truth - e0] = f32::NAN;
+                }
+                while let Some((&e, rest)) = side.known.split_first() {
+                    if e as usize >= e1 {
+                        break;
+                    }
+                    scores[e as usize - e0] = f32::NAN;
+                    side.known = rest;
+                }
+                // Branchless: score-vs-true comparisons are effectively
+                // random, so a branchy count would mispredict per
+                // candidate and dominate the fused kernel's cost. A tile's
+                // counts fit u32, whose lanes match the f32 scores' (a
+                // usize count widens every comparison mask first).
+                let ts = side.true_score;
+                let (mut better, mut ties) = (0u32, 0u32);
+                for &sc in scores.iter() {
+                    better += u32::from(sc > ts);
+                    ties += u32::from(sc == ts);
+                }
+                side.better += better as usize;
+                side.ties += ties as usize;
+            }
+            e0 = e1;
+        }
+
+        let rank = |side: &Side| 1 + side.better + side.ties / 2;
+        s.ranks.clear();
+        s.ranks.extend(
+            slots
+                .iter()
+                .enumerate()
+                .map(|(qi, &slot)| (slot, rank(&sides[qi]), rank(&sides[q + qi]))),
+        );
     }
 }
 
@@ -388,7 +371,6 @@ fn evaluate_ranks_into(
         pool,
         subsample,
         order,
-        units,
         head_ranks,
         tail_ranks,
         ent_t,
@@ -408,63 +390,40 @@ fn evaluate_ranks_into(
     // allocation-free.
     order.sort_unstable_by_key(|&s| (subsample[s as usize].rel, s));
 
-    units.clear();
-    let mut start = 0usize;
-    while start < n {
-        let r = subsample[order[start] as usize].rel;
-        let mut end = start + 1;
-        while end < n && subsample[order[end] as usize].rel == r {
-            end += 1;
-        }
-        let mut lo = start;
-        while lo < end {
-            let hi = (lo + UNIT_QUERIES).min(end);
-            units.push((lo as u32, hi as u32));
-            lo = hi;
-        }
-        start = end;
-    }
-
     head_ranks.clear();
     head_ranks.resize(n, 0);
     tail_ranks.clear();
     tail_ranks.resize(n, 0);
 
-    // Shared-borrow the transposed table so the closure is `Sync` for the
-    // parallel branch.
-    let ent_t: &[f32] = ent_t.as_slice();
-    let run_unit = |u: usize, s: &mut EvalScratch| {
-        let (lo, hi) = units[u];
-        process_unit(
-            model, ent, ent_t, rel, subsample, order, lo as usize, hi as usize, grouped, s,
-        );
+    let sweep = Sweep { model, ent, ent_t, rel, grouped };
+    let n_units = n.div_ceil(UNIT_QUERIES);
+    let unit = |u: usize| &order[u * UNIT_QUERIES..((u + 1) * UNIT_QUERIES).min(n)];
+    let mut merge = |s: &EvalScratch| {
+        for &(slot, hr, tr) in &s.ranks {
+            head_ranks[slot as usize] = hr;
+            tail_ranks[slot as usize] = tr;
+        }
     };
 
     // Units write disjoint slots, so the merge order is immaterial for the
     // result — ranks are bit-identical at any thread count. The
     // single-thread branch reuses one pooled scratch with no collection
     // (the zero-steady-state-allocation path).
-    if rayon::current_num_threads() <= 1 || units.len() <= 1 {
+    if rayon::current_num_threads() <= 1 || n_units <= 1 {
         let mut s = pool.acquire_with(EvalScratch::default);
-        for u in 0..units.len() {
-            run_unit(u, &mut s);
-            for &(slot, hr, tr) in &s.ranks {
-                head_ranks[slot as usize] = hr;
-                tail_ranks[slot as usize] = tr;
-            }
+        for u in 0..n_units {
+            sweep.rank_unit(subsample, unit(u), &mut s);
+            merge(&s);
         }
         pool.release(s);
     } else {
-        let done: Vec<Box<EvalScratch>> = rayon::par_map_index(units.len(), |u| {
+        let done: Vec<Box<EvalScratch>> = rayon::par_map_index(n_units, |u| {
             let mut s = pool.acquire_with(EvalScratch::default);
-            run_unit(u, &mut s);
+            sweep.rank_unit(subsample, unit(u), &mut s);
             s
         });
         for s in done {
-            for &(slot, hr, tr) in &s.ranks {
-                head_ranks[slot as usize] = hr;
-                tail_ranks[slot as usize] = tr;
-            }
+            merge(&s);
             pool.release(s);
         }
     }
@@ -794,8 +753,8 @@ mod tests {
     #[test]
     fn nan_scores_do_not_underflow_rank_counts() {
         // A NaN true score compares false against everything: the sweep
-        // counts no better/ties, the correction must not subtract below
-        // zero, and the rank comes out 1 — same as the scalar path.
+        // counts no better/ties, and the rank comes out 1 — same as the
+        // scalar path.
         let (model, mut ent, rel) = setup();
         ent.row_mut(0)[0] = f32::NAN;
         let t = Triple::new(0, 0, 1);

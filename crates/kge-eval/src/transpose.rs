@@ -14,9 +14,11 @@
 use kge_core::EmbeddingTable;
 
 /// Candidate-tile size target: one column-major tile of entity rows
-/// should sit in L1 alongside the query rows, so the tile is reused across
-/// every query of a unit or admitted batch without thrashing.
-pub const TILE_BYTES: usize = 8 * 1024;
+/// should sit in L1 alongside the query rows and the tile's scores, so the
+/// tile is reused across every query of a unit or admitted batch without
+/// thrashing. 16 KB is a third of a 48 KB L1d; a smaller tile costs more
+/// kernel calls per candidate.
+pub const TILE_BYTES: usize = 16 * 1024;
 
 /// Entity rows per tile for a given storage dimension, rounded up to a
 /// whole number of transposed-kernel lane groups so the remainder

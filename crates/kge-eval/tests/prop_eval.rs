@@ -4,8 +4,8 @@
 use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, TransE};
 use kge_data::{FilterIndex, GroupedFilter, Triple};
 use kge_eval::{
-    evaluate_ranking, evaluate_ranking_with, rank_of_scalar, triple_classification,
-    RankingMetrics, RankingOptions, RankingWorkspace,
+    evaluate_ranking, evaluate_ranking_with, rank_of_scalar, tile_rows_for,
+    triple_classification, RankingMetrics, RankingOptions, RankingWorkspace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,6 +38,78 @@ fn quantized_table(rows: usize, dim: usize, seed: u64) -> EmbeddingTable {
         }
     }
     t
+}
+
+/// Storage width of the wide cell's model, ComplEx rank 32: 64 floats a
+/// row, so 64 rows to a 16 KB tile.
+const WIDE_DIM: usize = 64;
+/// Relations of the wide cell.
+const WIDE_RELS: u32 = 4;
+
+/// Entities of the wide cell: three full tiles and a ragged fourth.
+fn wide_entities() -> usize {
+    3 * tile_rows_for(WIDE_DIM) + 21
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The filter correction inside the tile loop, at a realistic width:
+    /// ComplEx rank 32 over three full tiles and a ragged last one. Query
+    /// `i` takes relation `i % 4`, so sorted queries change relation inside
+    /// every unit; every query's known lists hold its true entity, both
+    /// sides of every tile boundary, the ragged tile's last entity and a
+    /// few random ones. Each rank equals the scalar oracle's, per query and
+    /// direction, raw and filtered.
+    #[test]
+    fn ranks_match_scalar_oracle_over_ragged_tiles_and_mixed_relation_units(
+        pairs in proptest::collection::vec(
+            (0..wide_entities() as u32, 0..wide_entities() as u32),
+            9..24,
+        ),
+        extra in proptest::collection::vec(0..wide_entities() as u32, 0..12),
+        seed in any::<u64>(),
+        filtered in any::<bool>(),
+    ) {
+        let model = ComplEx::new(WIDE_DIM / 2);
+        let n_ent = wide_entities();
+        let tile = tile_rows_for(WIDE_DIM);
+        let ent = quantized_table(n_ent, WIDE_DIM, seed);
+        let rel = quantized_table(WIDE_RELS as usize, WIDE_DIM, seed ^ 0x9E37_79B9);
+        let queries: Vec<Triple> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(h, t))| Triple::new(h, i as u32 % WIDE_RELS, t))
+            .collect();
+        let edges: Vec<u32> = (1..=3)
+            .flat_map(|i| [i * tile - 1, i * tile])
+            .chain([n_ent - 1])
+            .map(|e| e as u32)
+            .chain(extra.iter().copied())
+            .collect();
+        let mut known = queries.clone();
+        for q in &queries {
+            for &e in &edges {
+                known.push(q.with_head(e));
+                known.push(q.with_tail(e));
+            }
+        }
+        let filter = FilterIndex::from_triples(known.iter().copied());
+        let grouped = GroupedFilter::from_triples(known.iter().copied());
+        let opts = RankingOptions { filtered, ..Default::default() };
+
+        let mut ws = RankingWorkspace::new();
+        evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &opts);
+
+        let f = filtered.then_some(&filter);
+        prop_assert_eq!(ws.queries(), queries.as_slice());
+        for (i, &t) in queries.iter().enumerate() {
+            let head = rank_of_scalar(&model, &ent, &rel, t, true, f);
+            let tail = rank_of_scalar(&model, &ent, &rel, t, false, f);
+            prop_assert_eq!(ws.head_ranks()[i], head, "head rank diverges at query {}", i);
+            prop_assert_eq!(ws.tail_ranks()[i], tail, "tail rank diverges at query {}", i);
+        }
+    }
 }
 
 proptest! {

@@ -6,12 +6,12 @@
 //! **tile-major** — every query scores the current 16-lane column-major
 //! tile before the sweep moves on — so one pass over the (cache-cold,
 //! potentially hundreds of MB) entity table serves the whole batch, and
-//! each ~8 KB tile plus its transposed copy stays L1-resident across all
-//! of it. Queries sharing a relation run consecutively, reusing the
-//! loaded relation row. This is where batched admission beats
-//! query-at-a-time serving by the multiple the bench asserts: a single
-//! query is memory-bound on streaming the table; a batch re-uses every
-//! loaded tile `batch` times.
+//! each 16 KB column-major tile ([`kge_eval::transpose::TILE_BYTES`])
+//! stays L1-resident across all of it. Queries sharing a relation run
+//! consecutively, reusing the loaded relation row. This is where batched
+//! admission beats query-at-a-time serving by the multiple the bench
+//! asserts: a single query is memory-bound on streaming the table; a batch
+//! re-uses every loaded tile `batch` times.
 //!
 //! Selection per query is a pooled [`TopKHeap`]; results are
 //! bit-identical to the scalar full-sort oracle (ids, scores, order —
@@ -156,8 +156,7 @@ impl ServeEngine {
         let model = snap.model();
         let ent = snap.ent();
         let rel = snap.rel();
-        let n_ent = ent.rows();
-        let tile = snap.ent_t().tile_rows();
+        let ent_t = snap.ent_t();
 
         // Admission coalescing: group the batch by relation so each
         // relation row is fetched once per tile and filter lookups hit
@@ -181,11 +180,11 @@ impl ServeEngine {
         // One tile sweep for the whole batch: tile-major outer loop,
         // relation-sorted queries inner, so the column-major tile is
         // reused across every admitted query while L1-hot.
-        self.tile_scores.resize(tile, 0.0);
+        self.tile_scores.resize(ent_t.tile_rows(), 0.0);
         let mut e0 = 0usize;
-        while e0 < n_ent {
-            let e1 = (e0 + tile).min(n_ent);
-            let rows = e1 - e0;
+        while e0 < ent_t.rows() {
+            let (block, rows) = ent_t.tile(e0);
+            let scores = &mut self.tile_scores[..rows];
             let mut cur_rel = u32::MAX;
             let mut r_row: &[f32] = &[];
             for &qi in &self.order {
@@ -195,9 +194,6 @@ impl ServeEngine {
                     r_row = rel.row(q.rel as usize);
                 }
                 let query_row = ent.row(q.head as usize);
-                let scores = &mut self.tile_scores[..rows];
-                let (block, brows) = snap.ent_t().tile(e0);
-                debug_assert_eq!(brows, rows);
                 model.score_one_vs_all_transposed(
                     query_row,
                     r_row,
@@ -208,7 +204,7 @@ impl ServeEngine {
                 );
                 self.heaps[qi as usize].offer_tile(e0 as u32, scores);
             }
-            e0 = e1;
+            e0 += rows;
         }
 
         // Per-query post-pass in submission order: sort the kept set,

@@ -47,11 +47,11 @@ echo "check: model.rs holds no intrinsics and no unsafe fn"
 # Argument counts are a tracked quantity that only goes down: first-party
 # functions take at most seven parameters, bar the allows counted here.
 allows=$({ grep -rn 'allow(clippy::too_many_arguments)' crates/*/src || true; } | grep -vc '^crates/shim-' || true)
-if [ "$allows" -gt 14 ]; then
-  echo "check: $allows #[allow(clippy::too_many_arguments)] in first-party crates/*/src; the ratchet is 14" >&2
+if [ "$allows" -gt 13 ]; then
+  echo "check: $allows #[allow(clippy::too_many_arguments)] in first-party crates/*/src; the ratchet is 13" >&2
   exit 1
 fi
-echo "check: $allows too_many_arguments allows in first-party src (ratchet 14)"
+echo "check: $allows too_many_arguments allows in first-party src (ratchet 13)"
 
 # Criterion benches must at least compile (they are not run in CI).
 cargo bench -p bench --no-run

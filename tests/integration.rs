@@ -403,6 +403,48 @@ fn rotate_trains_then_ranks_and_serves_like_scalar_score_on_both_dispatch_arms()
     }
 }
 
+/// One cell of `kge-eval`'s `prop_eval` suite (which `scripts/check.sh`
+/// runs in full under both dispatch arms) at the paper's model and a
+/// realistic width: ComplEx rank 32 trained for two epochs, so 64-float
+/// rows and more than three 16 KB tiles of entities. With scalar kernels
+/// forced and with AVX dispatch, the filtered ranks of 60 test triples —
+/// units of eight that change relation, known lists corrected tile by tile
+/// as the sweep reaches them — equal `rank_of_scalar`'s.
+#[test]
+fn filtered_ranking_over_several_tiles_matches_scalar_on_both_dispatch_arms() {
+    let ds = dataset(22);
+    let cluster = Cluster::new(2, ClusterSpec::cray_xc40());
+    let mut config = quick(StrategyConfig::baseline_allreduce(2), 22);
+    config.rank = 32;
+    config.max_epochs = 2;
+    let outcome = train(&ds, &cluster, &config);
+    assert_eq!(outcome.report.epochs, 2);
+    let (ent, rel) = (&outcome.entities, &outcome.relations);
+    let model = ComplEx::new(32);
+    assert!(
+        ds.n_entities > 3 * kge::eval::tile_rows_for(model.storage_dim()),
+        "{} entities span fewer than three tiles",
+        ds.n_entities
+    );
+
+    let filter = FilterIndex::build(&ds);
+    let queries = &ds.test[..ds.test.len().min(60)];
+    let want: Vec<[usize; 2]> = queries
+        .iter()
+        .map(|&q| [true, false].map(|head| kge::eval::rank_of_scalar(&model, ent, rel, q, head, Some(&filter))))
+        .collect();
+    let grouped = GroupedFilter::from_index(&filter);
+    for force_scalar in [true, false] {
+        kge::core::simd::set_force_scalar(Some(force_scalar));
+        let mut ws = RankingWorkspace::new();
+        evaluate_ranking_with(&mut ws, &model, ent, rel, queries, &grouped, &RankingOptions::default());
+        kge::core::simd::set_force_scalar(None);
+        let got: Vec<[usize; 2]> = ws.head_ranks().iter().zip(ws.tail_ranks()).map(|(&h, &t)| [h, t]).collect();
+        assert_eq!(ws.queries(), queries, "no subsampling");
+        assert_eq!(got, want, "filtered ranks, force_scalar={force_scalar}");
+    }
+}
+
 /// One cell of `kge-train`'s `prop_neg_selection` suite joined to the
 /// kernel's (both run in full, under both dispatch arms, from
 /// `scripts/check.sh`), so the tier-1 command exercises the combined
