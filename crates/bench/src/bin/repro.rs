@@ -2,14 +2,18 @@
 //!
 //! ```text
 //! repro <experiment>... [--quick] [--out DIR] [--scale15 F] [--scale250 F]
+//!       [--seed N] [--methods a,b] [--nodes 1,2,4]
 //!
 //! experiments: table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5
-//!              fig6 fig7 fig8 fig9 all
+//!              fig6 fig7 fig8 fig9 ablation ps all
 //! ```
 //!
 //! Results print as tables (the paper's TT / N / TCA / MRR columns) and
 //! append to `<out>/results.jsonl` + `<out>/trace.jsonl`. `--quick` runs
-//! a smoke-scale version of everything (seconds per experiment).
+//! a smoke-scale version of everything (seconds per experiment). A bad
+//! command line — an unknown experiment, a flag without its value, or
+//! filters that leave a named experiment nothing to run — exits 2 with
+//! the usage before anything runs.
 //!
 //! Absolute numbers come from the simulated Cray clock and the synthetic
 //! Freebase-shaped datasets; the *shapes* (which method wins, where
@@ -17,12 +21,38 @@
 
 use bench::harness::{fb15k_bench, fb250k_bench, run_one, BenchScale, RunResult};
 use bench::methods::{fb15k_methods, fb250k_methods, Method};
-use bench::reportfmt::{print_table, write_json};
+use bench::reportfmt::{print_table, write_json, write_trace_json};
 use kge_compress::{QuantScheme, RowSelector};
 use kge_train::{NegSampling, StrategyConfig};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 const RANK: usize = 16;
+
+const USAGE: &str = "usage: repro <experiment>... [--quick] [--out DIR] [--scale15 F] [--scale250 F] \
+                     [--seed N] [--methods a,b] [--nodes 1,2,4]
+experiments: table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation ps all";
+
+type Experiment = fn(&Args);
+
+/// Every experiment by name (`all` expands to the ones it runs).
+const EXPERIMENTS: [(&str, Experiment); 15] = [
+    ("table1", table1),
+    ("fig1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("fig7", table4),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("ablation", ablation),
+    ("ps", ps),
+];
 
 struct Args {
     experiments: Vec<String>,
@@ -34,57 +64,69 @@ struct Args {
     nodes: Option<Vec<usize>>,
 }
 
-fn parse_args() -> Args {
-    let mut experiments = Vec::new();
-    let mut scale = BenchScale::default();
-    let mut out = PathBuf::from("results");
-    let mut methods: Option<Vec<String>> = None;
-    let mut nodes: Option<Vec<usize>> = None;
-    let mut argv = std::env::args().skip(1);
+impl Args {
+    /// Whether the `--methods` / `--nodes` filters keep `method` at `p` nodes.
+    fn selects(&self, method: &str, p: usize) -> bool {
+        self.methods
+            .as_ref()
+            .is_none_or(|m| m.iter().any(|f| f == method))
+            && self.nodes.as_ref().is_none_or(|n| n.contains(&p))
+    }
+}
+
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+}
+
+/// Parse and check the command line: every experiment name is known and
+/// every named experiment has a run left after the filters, so a typo
+/// fails before anything runs.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        experiments: Vec::new(),
+        scale: BenchScale::default(),
+        out: PathBuf::from("results"),
+        methods: None,
+        nodes: None,
+    };
+    let list = |flag: &str, v: Option<String>| -> Result<Vec<String>, String> {
+        let v: String = value(flag, v)?;
+        Ok(v.split(',').map(str::to_string).collect())
+    };
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--quick" => {
-                let seed = scale.seed;
-                scale = BenchScale::quick();
-                scale.seed = seed;
+                args.scale = BenchScale {
+                    seed: args.scale.seed,
+                    ..BenchScale::quick()
+                }
             }
-            "--out" => out = PathBuf::from(argv.next().expect("--out needs a value")),
-            "--scale15" => {
-                scale.fb15k_scale = argv.next().expect("--scale15 F").parse().expect("float")
-            }
-            "--scale250" => {
-                scale.fb250k_scale = argv.next().expect("--scale250 F").parse().expect("float")
-            }
-            "--seed" => scale.seed = argv.next().expect("--seed N").parse().expect("u64"),
-            "--methods" => {
-                methods = Some(
-                    argv.next()
-                        .expect("--methods a,b")
-                        .split(',')
-                        .map(str::to_string)
-                        .collect(),
-                )
-            }
+            "--out" => args.out = value::<PathBuf>(&a, argv.next())?,
+            "--scale15" => args.scale.fb15k_scale = value(&a, argv.next())?,
+            "--scale250" => args.scale.fb250k_scale = value(&a, argv.next())?,
+            "--seed" => args.scale.seed = value(&a, argv.next())?,
+            "--methods" => args.methods = Some(list(&a, argv.next())?),
             "--nodes" => {
-                nodes = Some(
-                    argv.next()
-                        .expect("--nodes 1,2,4")
-                        .split(',')
-                        .map(|x| x.parse().expect("node count"))
-                        .collect(),
+                let nodes = list(&a, argv.next())?.into_iter();
+                args.nodes = Some(
+                    nodes
+                        .map(|p| value(&a, Some(p)))
+                        .collect::<Result<_, _>>()?,
                 )
             }
-            other => experiments.push(other.to_string()),
+            other if other == "all" || EXPERIMENTS.iter().any(|(e, _)| *e == other) => {
+                args.experiments.push(a)
+            }
+            other => return Err(format!("unknown experiment: {other}")),
         }
     }
-    if experiments.is_empty() {
-        eprintln!(
-            "usage: repro <table1|table2|table3|table4|fig1..fig9|all> [--quick] [--out DIR]"
-        );
-        std::process::exit(2);
+    if args.experiments.is_empty() {
+        return Err("no experiment named".into());
     }
-    if experiments.iter().any(|e| e == "all") {
-        experiments = [
+    if args.experiments.iter().any(|e| e == "all") {
+        args.experiments = [
             "table1", "table2", "table3", "table4", "fig2", "fig3", "fig4", "fig5", "fig6",
             "fig8", "fig9", "ablation", "ps",
         ]
@@ -92,20 +134,16 @@ fn parse_args() -> Args {
         .map(|s| s.to_string())
         .collect();
     }
-    Args {
-        experiments,
-        scale,
-        out,
-        methods,
-        nodes,
+    if args.experiments.iter().any(|e| e == "fig2") && !args.selects("allgather", 4) {
+        return Err("fig2: no run selected (it runs allgather at p = 4 only)".into());
     }
+    Ok(args)
 }
 
 fn emit(args: &Args, experiment: &str, title: &str, rows: &[RunResult]) {
     print_table(title, rows);
     write_json(&args.out.join("results.jsonl"), experiment, rows).expect("write results");
-    bench::reportfmt::write_trace_json(&args.out.join("trace.jsonl"), experiment, rows)
-        .expect("write traces");
+    write_trace_json(&args.out.join("trace.jsonl"), experiment, rows).expect("write traces");
 }
 
 fn run_sweep(
@@ -117,16 +155,9 @@ fn run_sweep(
 ) -> Vec<RunResult> {
     let mut rows = Vec::new();
     for m in methods {
-        if let Some(filter) = &args.methods {
-            if !filter.iter().any(|f| f == m.name) {
-                continue;
-            }
-        }
         for &p in nodes {
-            if let Some(filter) = &args.nodes {
-                if !filter.contains(&p) {
-                    continue;
-                }
+            if !args.selects(m.name, p) {
+                continue;
             }
             let r = run_one(dataset, batch, p, RANK, m.strategy, m.name, &args.scale);
             println!(
@@ -260,7 +291,8 @@ fn fig2(args: &Args) {
     };
     let rows = run_sweep(args, &ds, batch, &[m], &[4]);
     println!("\n== Fig 2 — non-zero gradient rows per batch over epochs ==");
-    for t in &rows[0].report.trace {
+    // `parse_args` refuses a fig2 whose one run the filters drop.
+    for t in rows.iter().flat_map(|r| &r.report.trace) {
         println!("  epoch {:>3}: {:>10.1} rows", t.epoch, t.mean_nonzero_rows);
     }
     emit(args, "fig2", "Fig 2 — run summary", &rows);
@@ -521,26 +553,18 @@ fn fig9(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
-    for exp in args.experiments.clone() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    for exp in &args.experiments {
+        let (_, run) = EXPERIMENTS
+            .iter()
+            .find(|(e, _)| e == exp)
+            .expect("parse_args checked every name");
         let t0 = std::time::Instant::now();
         println!("\n### running {exp} ###");
-        match exp.as_str() {
-            "table1" | "fig1" => table1(&args),
-            "table2" => table2(&args),
-            "table3" => table3(&args),
-            "table4" | "fig7" => table4(&args),
-            "fig2" => fig2(&args),
-            "fig3" => fig3(&args),
-            "fig4" => fig4(&args),
-            "fig5" => fig5(&args),
-            "fig6" => fig6(&args),
-            "fig8" => fig8(&args),
-            "ablation" => ablation(&args),
-            "ps" => ps(&args),
-            "fig9" => fig9(&args),
-            other => eprintln!("unknown experiment: {other}"),
-        }
+        run(&args);
         println!(
             "### {exp} done in {:.1}s (wall) ###",
             t0.elapsed().as_secs_f64()

@@ -4,15 +4,33 @@
 //! ```text
 //! train_once [--preset fb15k|fb250k] [--scale F] [--nodes P] [--rank R]
 //!            [--batch B] [--epochs E] [--tolerance T] [--neg N] [--pool N]
-//!            [--combined] [--allgather] [--lr F] [--seed S]
+//!            [--combined] [--allgather] [--onebit] [--twobit] [--rs]
+//!            [--no-ef] [--lr F] [--seed S]
 //! ```
+//!
+//! An unknown flag or preset, or a flag without a parsable value, exits 2
+//! with the usage.
 
-use bench::harness::BenchScale;
 use kge_data::synth::SynthPreset;
 use kge_data::FilterIndex;
 use kge_eval::{evaluate_ranking, triple_classification, RankingOptions};
 use kge_train::{train, NegSampling, StrategyConfig, TrainConfig};
 use simgrid::{Cluster, ClusterSpec};
+use std::str::FromStr;
+
+const USAGE: &str = "usage: train_once [--preset fb15k|fb250k] [--scale F] [--nodes P] [--rank R] \
+                     [--batch B] [--epochs E] [--tolerance T] [--neg N] [--pool N] [--combined] \
+                     [--allgather] [--onebit] [--twobit] [--rs] [--no-ef] [--lr F] [--seed S]";
+
+fn refuse(msg: &str) -> ! {
+    eprintln!("train_once: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, v: String) -> T {
+    v.parse().unwrap_or_else(|_| refuse(&format!("{flag}: cannot parse {v:?}")))
+}
 
 fn main() {
     let mut preset = SynthPreset::Fb15kLike;
@@ -35,31 +53,32 @@ fn main() {
 
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
-        let mut next = || argv.next().expect("flag needs a value");
+        let mut next = || argv.next().unwrap_or_else(|| refuse(&format!("{a} needs a value")));
         match a.as_str() {
             "--preset" => {
                 preset = match next().as_str() {
+                    "fb15k" => SynthPreset::Fb15kLike,
                     "fb250k" => SynthPreset::Fb250kLike,
-                    _ => SynthPreset::Fb15kLike,
+                    other => refuse(&format!("unknown preset: {other}")),
                 }
             }
-            "--scale" => scale = next().parse().unwrap(),
-            "--nodes" => nodes = next().parse().unwrap(),
-            "--rank" => rank = next().parse().unwrap(),
-            "--batch" => batch = next().parse().unwrap(),
-            "--epochs" => epochs = next().parse().unwrap(),
-            "--tolerance" => tolerance = next().parse().unwrap(),
-            "--neg" => neg = next().parse().unwrap(),
-            "--pool" => pool = next().parse().unwrap(),
-            "--lr" => lr = next().parse().unwrap(),
-            "--seed" => seed = next().parse().unwrap(),
+            "--scale" => scale = value(&a, next()),
+            "--nodes" => nodes = value(&a, next()),
+            "--rank" => rank = value(&a, next()),
+            "--batch" => batch = value(&a, next()),
+            "--epochs" => epochs = value(&a, next()),
+            "--tolerance" => tolerance = value(&a, next()),
+            "--neg" => neg = value(&a, next()),
+            "--pool" => pool = value(&a, next()),
+            "--lr" => lr = value(&a, next()),
+            "--seed" => seed = value(&a, next()),
             "--combined" => combined = true,
             "--allgather" => allgather = true,
             "--onebit" => onebit = true,
             "--twobit" => twobit = true,
             "--rs" => rs = true,
             "--no-ef" => no_ef = true,
-            other => panic!("unknown flag {other}"),
+            other => refuse(&format!("unknown flag: {other}")),
         }
     }
 
@@ -156,7 +175,6 @@ fn main() {
         ds.n_relations,
         seed,
     );
-    let _ = BenchScale::default();
     println!(
         "MRR={:.4} hits1={:.3} hits10={:.3} meanrank={:.1} TCA={:.1}%",
         m.mrr, m.hits1, m.hits10, m.mean_rank, tca.accuracy_pct

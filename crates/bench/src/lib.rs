@@ -1,12 +1,7 @@
-//! Shared experiment harness for the `repro` binary and the Criterion
-//! benches: bench-scale dataset presets, method configurations matching
-//! the paper's terminology (Table 5), a runner that trains + evaluates,
-//! and table/JSON reporting.
+//! Experiment harness for the `repro` binary: bench-scale dataset
+//! presets, method configurations matching the paper's terminology
+//! (Table 5), a runner that trains + evaluates, and table/JSON reporting.
 
 pub mod harness;
 pub mod methods;
 pub mod reportfmt;
-
-pub use harness::{fb15k_bench, fb250k_bench, run_one, BenchScale, RunResult};
-pub use methods::{fb15k_methods, fb250k_methods, Method};
-pub use reportfmt::{print_table, write_json};

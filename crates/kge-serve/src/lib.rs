@@ -22,7 +22,7 @@
 //!   excludes known true tails via [`kge_data::GroupedFilter`], exactly.
 //! - [`loadgen`]: an open-loop Poisson load generator on simgrid's
 //!   simulated clock with power-law query skew, reporting p50/p99
-//!   latency and QPS (the numbers behind `BENCH_serve.json`).
+//!   latency and QPS.
 
 pub mod engine;
 pub mod loadgen;

@@ -75,8 +75,7 @@ fn published_snapshot_equals_checkpoint_bytes() {
 
 /// Snapshot publishing must not perturb training: the model bytes with
 /// publishing on equal the plain run's exactly, and the simulated-time
-/// overhead at cadence 1 stays ≤ 5% (the ISSUE budget; asserted at full
-/// quick-scale in `bench_serve`).
+/// overhead at cadence 1 stays ≤ 5%.
 #[test]
 fn publishing_is_nonintrusive_and_cheap() {
     let ds = dataset();

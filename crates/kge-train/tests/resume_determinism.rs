@@ -16,9 +16,11 @@
 //! resumed run replays every RNG draw, quantization dither, and f32
 //! summation of the run it replaces. `scripts/check.sh` re-runs this
 //! binary under `KGE_FORCE_SCALAR=1` to cover both SIMD dispatch arms.
+//! Beside the matrix, the insurance premium: what a checkpoint every
+//! other epoch costs on the simulated clock.
 
 use kge_compress::quant::QuantScheme;
-use kge_data::synth::{generate, SynthConfig};
+use kge_data::synth::{generate, SynthConfig, SynthPreset};
 use kge_train::config::{CommMode, ModelKind, OptimizerKind, StrategyConfig, TrainConfig};
 use kge_train::{train, TrainOutcome};
 use simgrid::{Cluster, ClusterSpec};
@@ -273,4 +275,29 @@ fn resume_from_missing_or_mismatched_checkpoint_fails_loudly() {
     let res = std::panic::catch_unwind(move || run_leg(&c, FULL_EPOCHS, &missing, Some(&missing)));
     assert!(res.is_err(), "resume from a missing checkpoint must fail");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn checkpoint_every_two_epochs_costs_under_a_fifth_of_the_clock() {
+    // The write is priced on the simulated clock, so the share is exact.
+    // FB15K-like x0.02, batch 200, rank 8, 4 ranks, 8 epochs.
+    let dir = scratch_dir("share");
+    let ds = generate(&SynthPreset::Fb15kLike.config(0.02, 7));
+    let mut c = TrainConfig::new(8, 200, StrategyConfig::baseline_allreduce(2));
+    c.max_epochs = 8;
+    c.plateau_tolerance = 3;
+    c.max_lr_drops = 1;
+    c.valid_samples = 128;
+    c.seed = 7;
+    c.base_lr = 5e-3;
+    c.checkpoint_every = 2;
+    c.checkpoint_dir = Some(dir.clone());
+    let r = train(&ds, &Cluster::new(4, ClusterSpec::cray_xc40()), &c).report;
+    let _ = std::fs::remove_dir_all(dir);
+    assert!(
+        r.checkpoints_written > 0 && r.breakdown.checkpoint_s > 0.0,
+        "no checkpoint work recorded"
+    );
+    let share = r.breakdown.checkpoint_s / r.sim_total_seconds;
+    assert!(share < 0.2, "checkpoint_s is {:.1} % of simulated time", 100.0 * share);
 }

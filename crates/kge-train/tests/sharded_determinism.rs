@@ -7,9 +7,11 @@
 //! same config, at 1 and 4 worker threads. Int8 cold storage follows a
 //! different (quantized) trajectory but must be deterministic
 //! run-to-run, and crash recovery (shrink + state migration) must both
-//! complete and be deterministic.
+//! complete and be deterministic. One `#[ignore]`d cell (about two minutes;
+//! `scripts/check.sh` runs it with `--ignored`) holds the point of it all:
+//! at the full FB250K shape a rank keeps well under half the replica.
 
-use kge_data::synth::{generate, SynthConfig};
+use kge_data::synth::{generate, SynthConfig, SynthPreset};
 use kge_train::{train, PrefetchMode, ShardedConfig, StrategyConfig, TrainConfig, TrainOutcome};
 use simgrid::{Cluster, ClusterSpec, FaultPlan};
 
@@ -276,9 +278,8 @@ fn sharded_crash_mid_ring_discards_in_flight_slots_deterministically() {
 #[test]
 fn prefetch_hides_the_pull_bound_lane() {
     // The synchronous lane against the one-batch-ahead ring on a
-    // pull-bound shape (moved here from `bench_batch`, thresholds
-    // unchanged: everything asserted is on the simulated clock or in
-    // bytes, so it is exact). 4 ranks on the stock Cray interconnect with
+    // pull-bound shape; everything asserted is on the simulated clock or
+    // in bytes, so it is exact. 4 ranks on the stock Cray interconnect with
     // the hot cache *disabled*, so every touched row rides the pull/push
     // lane — where the synchronous round-trip hurts most. Cache off also
     // pins the two arms to exactly equal wire bytes (a warm cache admitted
@@ -341,6 +342,55 @@ fn prefetch_hides_the_pull_bound_lane() {
         "Off hides nothing"
     );
     assert_eq!(sync.report.breakdown.hidden_comm_s, 0.0, "Off hides nothing");
+}
+
+#[test]
+#[ignore = "full FB250K shape, about two minutes in release; scripts/check.sh runs it"]
+fn sharding_breaks_the_replica_memory_wall_at_fb250k_scale() {
+    // Resident bytes, cache counters and wire bytes are exact. The cell
+    // cannot shrink: at x0.02-x0.1 of the shape, caches scaled to match,
+    // the f32 resident share reads 0.401-0.402 and the hit rate 0.46-0.50.
+    // The preset's triple count is raised so the train split (91 %) clears
+    // 16 M; paper batch, rank 32, 4 ranks, one epoch.
+    let ds = generate(&SynthConfig {
+        n_triples: 17_600_000,
+        ..SynthPreset::Fb250kLike.config(1.0, 8)
+    });
+    assert!(ds.train.len() >= 16_000_000, "train split {} below 16 M", ds.train.len());
+    let arm = |hot_cache_rows, cold_int8| {
+        let mut c = TrainConfig::new(32, 10_000, StrategyConfig::baseline_allgather(1));
+        c.max_epochs = 1;
+        c.plateau_tolerance = 1;
+        c.max_lr_drops = 1;
+        c.valid_samples = 0;
+        c.seed = 7;
+        c.base_lr = 5e-3;
+        c.sharded = Some(sharded_cfg(hot_cache_rows, cold_int8, PrefetchMode::Off));
+        let out = train(&ds, &Cluster::new(4, ClusterSpec::cray_xc40()), &c);
+        assert_eq!(out.report.epochs, 1, "the sharded epoch did not complete");
+        out.report.sharded.expect("sharded report attached")
+    };
+    let f32_cold = arm(24_000, false);
+    assert!(
+        f32_cold.resident_fraction() <= 0.40,
+        "f32 resident share {:.4} exceeds 0.40",
+        f32_cold.resident_fraction()
+    );
+    assert!(
+        f32_cold.hit_rate() >= 0.5,
+        "f32 hot-tier hit rate {:.4} below 0.5",
+        f32_cold.hit_rate()
+    );
+    assert!(
+        f32_cold.pull_wire_bytes > 0 && f32_cold.push_wire_bytes > 0,
+        "sharded wire counters are dead"
+    );
+    let int8_cold = arm(10_000, true);
+    assert!(
+        int8_cold.resident_fraction() <= 0.15,
+        "int8 resident share {:.4} exceeds 0.15",
+        int8_cold.resident_fraction()
+    );
 }
 
 /// FNV-1a over a table's f32 bit patterns.

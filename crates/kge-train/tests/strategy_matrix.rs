@@ -5,10 +5,11 @@
 //! exchange modes, with a monotone simulated clock and exact wire-level
 //! traffic conservation (Σ bytes sent == Σ bytes received across ranks).
 //! Pipelining may only hide communication behind compute, so for every
-//! cell the pipelined run must not take longer than its synchronous twin.
+//! cell the pipelined run must not take longer than its synchronous twin;
+//! on a communication-bound shape it must hide most of the collective.
 
 use kge_compress::quant::QuantScheme;
-use kge_data::synth::{generate, SynthConfig};
+use kge_data::synth::{generate, SynthConfig, SynthPreset};
 use kge_train::config::{CommMode, NegSampling, StrategyConfig, TrainConfig};
 use kge_train::report::TrainOutcome;
 use kge_train::train;
@@ -148,4 +149,58 @@ fn five_strategies_on_two_interconnects_sync_and_pipelined() {
             );
         }
     }
+}
+
+#[test]
+fn pipelined_allreduce_hides_the_comm_bound_collective() {
+    // The synchronous against the pipelined dense exchange; everything
+    // asserted is on the simulated clock, so it is exact. FB15K-like
+    // x0.02, batch 200, rank 32, 4 ranks, 6 epochs.
+    let ds = generate(&SynthPreset::Fb15kLike.config(0.02, 7));
+    let arm = |comm, spec: &ClusterSpec| {
+        let mut strategy = StrategyConfig::baseline_allreduce(2);
+        strategy.comm = comm;
+        let mut c = TrainConfig::new(32, 200, strategy);
+        c.max_epochs = 6;
+        c.plateau_tolerance = 3;
+        c.max_lr_drops = 1;
+        c.valid_samples = 64;
+        c.seed = 7;
+        c.base_lr = 5e-3;
+        train(&ds, &Cluster::new(4, spec.clone()), &c).report
+    };
+    let piped = CommMode::PipelinedAllReduce { staleness: 1 };
+
+    // Communication-bound: on the stock Cray an epoch's collective costs
+    // more than its compute, so batch N's exchange riding behind batch
+    // N+1's compute brings the run toward max(compute, comm) instead of
+    // their sum; 1.15x leaves room for the un-overlapped first launch,
+    // the drain and validation.
+    let stock = ClusterSpec::cray_xc40();
+    let (sync, ring) = (arm(CommMode::AllReduce, &stock), arm(piped, &stock));
+    let (sync_s, ring_s) = (sync.sim_total_seconds, ring.sim_total_seconds);
+    assert!(ring_s <= 0.7 * sync_s, "pipelined {ring_s:.4} sim-s exceeds 0.7x sync {sync_s:.4}");
+    let bound = sync.breakdown.compute_s.max(sync.breakdown.comm_s);
+    assert!(
+        ring_s <= 1.15 * bound,
+        "pipelined {ring_s:.4} sim-s exceeds 1.15x max(compute, comm) = {bound:.4}"
+    );
+
+    // Compute-bound: 4x the bandwidth puts the collective below the
+    // compute; nearly all of it hides and the pipeline is never slower.
+    let fast = ClusterSpec {
+        bandwidth_bps: stock.bandwidth_bps * 4.0,
+        ..stock
+    };
+    let (sync, ring) = (arm(CommMode::AllReduce, &fast), arm(piped, &fast));
+    assert!(
+        sync.breakdown.compute_s > sync.breakdown.comm_s,
+        "4x bandwidth left the run communication-bound"
+    );
+    assert!(
+        ring.sim_total_seconds <= sync.sim_total_seconds * (1.0 + 1e-9),
+        "compute-bound pipelined {} sim-s slower than sync {}",
+        ring.sim_total_seconds,
+        sync.sim_total_seconds
+    );
 }

@@ -86,8 +86,8 @@ impl ClusterSpec {
         }
     }
 
-    /// Override the measured intra-node speedup (builder style), e.g.
-    /// from a `bench_smoke.sh` run on the target host.
+    /// Override the intra-node speedup (builder style), e.g. with the
+    /// scaling the parallel batch kernel shows on the target host.
     pub fn with_intra_node_speedup(mut self, speedup: f64) -> Self {
         assert!(
             speedup.is_finite() && speedup > 0.0,

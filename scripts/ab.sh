@@ -1,0 +1,122 @@
+#!/usr/bin/env bash
+# A/B the repo's benchmark (benchmark/, declared by BENCHMARK.json) between
+# <base-rev> and HEAD: ten pairs per workload, every run a fresh process
+# with the benchmark's command line (--seed 1 --seconds 24 --trace 0), the
+# side that runs first alternating from pair to pair. Each side is a
+# `git archive` export of its commit built with its own CARGO_TARGET_DIR,
+# both in one temporary directory outside the repository and removed at
+# exit, so nothing is built, written or left behind in the working tree
+# (commit the change first: the head side is HEAD, not the working tree).
+#
+# Per (workload, end-to-end metric) it prints both medians, head/base, the
+# base's interquartile range as a share of its median, the pairs head won,
+# and a verdict against BENCHMARK.json's `better` and `bound`: `worse`
+# past the bound, `unresolved` when the base's own IQR exceeds the bound,
+# else `ok`. Per workload it then says whether sim_epoch_s,
+# final_train_loss and test_mrr are bit-equal across all twenty runs, how
+# many runs reported `"correct": true` and how many operations failed.
+# Exit status 1 if any verdict is `worse`, one of those three differs, or a
+# run is missing, incorrect or has a failed operation.
+#
+# Usage: scripts/ab.sh <base-rev> [workload...]   (default: every workload)
+#        scripts/ab.sh HEAD replica_dense         (A/A: the noise floor)
+# About 5 minutes per workload on a 2-vCPU host, plus two builds.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+if [ $# -lt 1 ]; then
+  echo "usage: scripts/ab.sh <base-rev> [workload...]" >&2
+  exit 2
+fi
+base=$(git rev-parse --verify --quiet "$1^{commit}") || { echo "ab: unknown revision $1" >&2; exit 2; }
+head=$(git rev-parse HEAD)
+shift
+workloads=("$@")
+if [ ${#workloads[@]} -eq 0 ]; then
+  mapfile -t workloads < <(python3 -c 'import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
+fi
+PAIRS=10
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/kge-ab.XXXXXX")
+trap 'rm -rf "$tmp"' EXIT
+
+for side in base head; do
+  echo "ab: building $side ${!side}" >&2
+  mkdir -p "$tmp/$side" "$tmp/runs"
+  git archive "${!side}" | tar -x -C "$tmp/$side"
+  CARGO_TARGET_DIR="$tmp/$side.target" cargo build --release --offline --quiet \
+    --manifest-path "$tmp/$side/benchmark/Cargo.toml"
+done
+
+for w in "${workloads[@]}"; do
+  for i in $(seq 1 $PAIRS); do
+    order="base head"
+    [ $((i % 2)) -eq 0 ] && order="head base"
+    for side in $order; do
+      echo "ab: $w pair $i/$PAIRS $side" >&2
+      (cd "$tmp/$side" && "$tmp/$side.target/release/kge-benchmark" --workload "$w" \
+        --seed 1 --seconds 24 --trace 0 --out-dir "$tmp/out") > "$tmp/runs/$w.$side.$i.txt" || true
+    done
+  done
+done
+
+echo "base $base  head $head  ($PAIRS pairs per workload)"
+python3 - "$tmp/runs" "$PAIRS" "${workloads[@]}" <<'PY'
+import json, statistics as st, sys
+
+runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+spec = json.load(open("BENCHMARK.json"))["end_to_end"]
+EXACT = ("sim_epoch_s", "final_train_loss", "test_mrr")
+
+
+def load(w, side, i):
+    """The run's result: the last line of its standard output."""
+    try:
+        with open(f"{runs}/{w}.{side}.{i}.txt") as f:
+            result = json.loads(f.read().splitlines()[-1])
+        return result if "metrics" in result else None
+    except (IndexError, ValueError):
+        return None
+
+
+bad = False
+print(f"{'workload':<17} {'metric':<22} {'base median':>14} {'head median':>14} "
+      f"{'head/base':>9} {'base IQR':>8} {'wins':>5} {'bound':>5}  verdict")
+for w in workloads:
+    sides = {s: [load(w, s, i) for i in range(1, pairs + 1)] for s in ("base", "head")}
+    done = [(b, h) for b, h in zip(sides["base"], sides["head"]) if b and h]
+    bad |= len(done) < pairs
+    for m in spec:
+        name = m["name"]
+        b = [x["metrics"][name]["value"] for x, _ in done]
+        h = [y["metrics"][name]["value"] for _, y in done]
+        if len(b) < 2:
+            print(f"{w:<17} {name:<22} too few complete pairs ({len(b)})")
+            continue
+        bm, hm = st.median(b), st.median(h)
+        q1, _, q3 = st.quantiles(b, n=4, method="inclusive")
+        sign = 1 if m["better"] == "lower" else -1
+        worse = sign * (hm - bm) / bm if bm else 0.0
+        iqr = (q3 - q1) / bm if bm else 0.0
+        wins = sum(sign * (y - x) < 0 for x, y in zip(b, h))
+        if iqr > m["bound"]:
+            verdict = "unresolved"
+        elif worse > m["bound"]:
+            verdict = "worse"
+        else:
+            verdict = "ok"
+        bad |= verdict == "worse"
+        ratio = hm / bm if bm else float("nan")
+        print(f"{w:<17} {name:<22} {bm:>14.6g} {hm:>14.6g} {ratio:>9.4f} {iqr:>7.2%} "
+              f"{wins:>2}/{len(b):<2} {m['bound']:>5}  {verdict}")
+    every = [x for s in sides.values() for x in s if x]
+    for name in EXACT:
+        values = {repr(x["metrics"][name]["value"]) for x in every}
+        bad |= len(values) != 1
+        print(f"{w}: {name} bit-equal over {len(every)} runs: "
+              f"{'yes ' + values.pop() if len(values) == 1 else 'NO ' + ', '.join(sorted(values))}")
+    correct = sum(x["correct"] is True for x in every)
+    failed = sum(x["failed"] for x in every)
+    bad |= correct < 2 * pairs or failed > 0
+    print(f"{w}: correct {correct}/{2 * pairs} runs, failed operations {failed}")
+sys.exit(1 if bad else 0)
+PY

@@ -4,8 +4,9 @@
 # on the model kernels, then the bit-identity, determinism, fault and
 # zero-allocation suites under crates/*/tests — the kernel-facing ones
 # under both dispatch arms (KGE_FORCE_SCALAR=1 pins the baseline-compiled
-# copies) — and a build of benchmark/ against the workspace with its unit
-# tests. About ten minutes.
+# copies) — the full-FB250K sharded footprint cell, the repro CLI tests,
+# and a build of benchmark/ against the workspace with its unit tests.
+# About twelve minutes.
 #
 # The shim-* crates are offline stand-ins for external dependencies
 # (rand, rayon, serde, ...) and intentionally mirror foreign APIs —
@@ -33,7 +34,6 @@ for c in "${CRATES[@]}"; do
 done
 
 cargo clippy "${ARGS[@]}" --all-targets -- -D warnings
-cargo clippy "${ARGS[@]}" --all-targets --features bench/count-allocs -- -D warnings
 echo "check: clippy clean (warnings denied) for: ${CRATES[*]}"
 
 # The models are one `term` / `grad_terms` pair each under generic drivers
@@ -52,10 +52,6 @@ if [ "$allows" -gt 13 ]; then
   exit 1
 fi
 echo "check: $allows too_many_arguments allows in first-party src (ratchet 13)"
-
-# Criterion benches must at least compile (they are not run in CI).
-cargo bench -p bench --no-run
-echo "check: benches compile"
 
 # The communicator: in-file protocol tests, collectives against the
 # reference to the bit, the dawdling-rank stress test that fails if a
@@ -150,17 +146,25 @@ echo "check: checkpoint codec + resume equivalence pass (both dispatch arms)"
 # lookahead 0 and at lookahead 1.
 cargo test -p kge-train --release --test sharded_determinism --test zero_alloc_sharded
 KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test sharded_determinism
-echo "check: sharded storage determinism + zero-alloc tests pass (both dispatch arms)"
+# The memory wall, at the full FB250K shape (16 M train triples, 4 ranks,
+# one epoch): resident model <= 40 % of the replica with f32 cold rows
+# (<= 15 % int8), hot-tier hit rate >= 0.5. About two minutes.
+cargo test -p kge-train --release --test sharded_determinism -- --ignored
+echo "check: sharded storage determinism, footprint + zero-alloc tests pass (both dispatch arms)"
 
 # Serving: top-k must be bit-identical to the scalar full-sort oracle
 # (across models, dims, k, filtered/unfiltered — both dispatch arms),
 # steady-state batch admission must not allocate, and snapshots published
-# mid-training must equal the checkpoint model bytes. The latency
-# benchmark must at least build (scripts/bench_smoke.sh runs it).
+# mid-training must equal the checkpoint model bytes, at a publish
+# overhead of at most 5 % of simulated time.
 cargo test -p kge-serve --release --test prop_topk --test zero_alloc_serve --test serve_train
 KGE_FORCE_SCALAR=1 cargo test -p kge-serve --release --test prop_topk
-cargo build --release -p bench --bin bench_serve
 echo "check: serve top-k bit-identity + zero-alloc + snapshot tests pass (both dispatch arms)"
+
+# The paper harness: its unit tests, and `repro` / `train_once` refusing a
+# bad command line with exit status 2 before any work.
+cargo test -p bench --release
+echo "check: repro harness + CLI tests pass"
 
 # The repo's benchmark is a package of its own with path dependencies on
 # the workspace crates: build it and run its unit tests here, so a public
