@@ -1,8 +1,10 @@
 //! OpenKE-style TSV io so the real FB15K / FB250K drop in when available.
 //!
-//! Format: one triple per line, `head<TAB>relation<TAB>tail`, where fields
-//! are either raw names (interned into a [`Vocab`]) or integer ids. A
-//! dataset directory holds `train.txt`, `valid.txt`, `test.txt`.
+//! Format: one triple per line, exactly `head<TAB>relation<TAB>tail`. Every
+//! field is a name, interned into a [`Vocab`] in order of first appearance:
+//! a file of integer ids (what [`save_dir`] writes) loads as names too, so
+//! it reloads as an isomorphic graph whose ids may be permuted. A dataset
+//! directory holds `train.txt`, `valid.txt`, `test.txt`.
 
 use crate::dataset::Dataset;
 use crate::triple::Triple;
@@ -25,8 +27,8 @@ pub fn parse_tsv<R: BufRead>(
             continue;
         }
         let mut parts = line.split('\t');
-        let (h, r, t) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(h), Some(r), Some(t)) => (h, r, t),
+        let (h, r, t) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
+            (Some(h), Some(r), Some(t), None) => (h, r, t),
             _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -134,6 +136,16 @@ mod tests {
         let mut r = Vocab::new();
         let err = parse_tsv(input.as_bytes(), &mut e, &mut r).unwrap_err();
         assert!(err.to_string().contains("line 1"));
+    }
+
+    #[test]
+    fn parse_rejects_lines_with_more_than_three_fields() {
+        let input = "a\tb\tc\na\tb\tc\td\n";
+        let mut e = Vocab::new();
+        let mut r = Vocab::new();
+        let err = parse_tsv(input.as_bytes(), &mut e, &mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 2: expected 3 tab-separated fields"), "{err}");
     }
 
     #[test]

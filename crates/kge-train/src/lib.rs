@@ -63,4 +63,4 @@ pub use ps::train_ps;
 pub use report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
 pub use shard::train_sharded;
 pub use snapshot::{PublishedModel, RecordedSnapshot, RecordingSink, SnapshotSink};
-pub use trainer::{batch_gradients, train, train_with_snapshots, BatchWorkspace, StepInputs};
+pub use trainer::{train, train_with_snapshots, BatchWorkspace, StepInputs};

@@ -1470,29 +1470,6 @@ impl BatchWorkspace {
     }
 }
 
-/// Public entry point for benches and tests: one batch's chunked-parallel
-/// gradient computation, returning `(loss, examples, ent_grad, rel_grad)`.
-/// Allocates a fresh [`BatchWorkspace`] per call; steady-state callers
-/// should hold a workspace and use [`BatchWorkspace::batch_gradients_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn batch_gradients(
-    model: &dyn KgeModel,
-    ent: &EmbeddingTable,
-    rel: &EmbeddingTable,
-    shard: &[Triple],
-    batch_idx: usize,
-    config: &TrainConfig,
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
-    rank: usize,
-    epoch: usize,
-) -> (f64, usize, SparseGrad, SparseGrad) {
-    let mut ws = BatchWorkspace::new(ent.dim());
-    let (loss, examples) =
-        ws.batch_gradients_into(model, ent, rel, shard, batch_idx, config, filter, bias, rank, epoch);
-    (loss, examples, ws.ent_grad, ws.rel_grad)
-}
-
 /// A borrowed view of one batch's aggregated gradient, paired with the
 /// scratch buffer the *other* representation would need, so the update
 /// step can convert in place without allocating.

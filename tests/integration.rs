@@ -517,13 +517,13 @@ fn combined_batch_matches_per_positive_staging_on_both_dispatch_arms() {
     };
     for force_scalar in [true, false] {
         kge::core::simd::set_force_scalar(Some(force_scalar));
-        let (loss, n, got_ent, got_rel) = kge::train::batch_gradients(
-            model.as_ref(), &ent, &rel, &ds.train, 0, &config, &filter, None, 0, 0,
-        );
+        let mut ws = kge::train::BatchWorkspace::new(dim);
+        let (loss, n) =
+            ws.batch_gradients_into(model.as_ref(), &ent, &rel, &ds.train, 0, &config, &filter, None, 0, 0);
         kge::core::simd::set_force_scalar(None);
         assert_eq!((loss.to_bits(), n), (want_loss.to_bits(), examples.len()), "force_scalar={force_scalar}");
-        assert_eq!(entries(&got_ent), entries(&want_ent), "entity gradient, force_scalar={force_scalar}");
-        assert_eq!(entries(&got_rel), entries(&want_rel), "relation gradient, force_scalar={force_scalar}");
+        assert_eq!(entries(ws.ent_grad()), entries(&want_ent), "entity gradient, force_scalar={force_scalar}");
+        assert_eq!(entries(ws.rel_grad()), entries(&want_rel), "relation gradient, force_scalar={force_scalar}");
     }
 }
 
