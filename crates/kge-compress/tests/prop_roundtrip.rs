@@ -5,6 +5,7 @@ use kge_compress::codec::{decode_rows, encode_rows, RowDecoder, RowEncoder, RowP
 use kge_compress::quant::{quantize_row, QuantScheme, QuantizedRow, ScaleRule};
 use kge_compress::row_select::{select_rows, RowSelector};
 use kge_compress::{ResidualStore, WireFormat};
+use kge_core::simd::{set_level, Level};
 use kge_core::SparseGrad;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -266,10 +267,10 @@ proptest! {
         // The packed fast path (SIMD scales + movemask sign packing,
         // straight into wire bytes) must be byte-identical to quantizing
         // into a `QuantizedRow` and pushing it — for every rule, odd dims,
-        // and both dispatch arms of the force-scalar override.
+        // and every dispatch level the host has.
         let v = det_row(dim, seed);
-        for force in [true, false] {
-            kge_core::simd::set_force_scalar(Some(force));
+        for &level in Level::detected() {
+            set_level(Some(level));
             for rule in RULES {
                 let fmt = fmt_for(rule);
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -280,7 +281,7 @@ proptest! {
                 let mut enc = RowEncoder::new(fmt, dim, &mut buf);
                 let (pos, neg) = enc.push_one_bit(42, &v, rule).unwrap();
                 enc.finish();
-                prop_assert_eq!(&buf, &reference, "rule {:?} force_scalar {}", rule, force);
+                prop_assert_eq!(&buf, &reference, "rule {:?} {:?}", rule, level);
                 // Returned scales and the error-feedback companion match
                 // the QuantizedRow bit for bit.
                 if let QuantizedRow::OneBit { pos_scale, neg_scale, .. } = &q {
@@ -294,21 +295,21 @@ proptest! {
                 prop_assert_eq!(bits(&from_dense), bits(&from_row), "rule {:?}", rule);
             }
         }
-        kge_core::simd::set_force_scalar(None);
+        set_level(None);
     }
 
     #[test]
     fn simd_and_scalar_codec_arms_bit_identical(dim in 1usize..70, seed in any::<u64>()) {
         // Quantize → encode → decode (through the byte-expanded /
-        // AVX2-blend fast paths) under both dispatch arms: wire bytes,
+        // AVX2-blend fast paths) at every dispatch level: wire bytes,
         // dequantized values, accumulated values and error-feedback rows
         // must all be bit-identical.
         let v = det_row(dim, seed);
         for rule in RULES {
             let fmt = fmt_for(rule);
             let mut runs = Vec::new();
-            for force in [true, false] {
-                kge_core::simd::set_force_scalar(Some(force));
+            for &level in Level::detected() {
+                set_level(Some(level));
                 let mut buf = Vec::new();
                 let mut enc = RowEncoder::new(fmt, dim, &mut buf);
                 let (pos, neg) = enc.push_one_bit(9, &v, rule).unwrap();
@@ -323,8 +324,10 @@ proptest! {
                 kge_compress::one_bit_dequantize_from(&v, pos, neg, &mut ef);
                 runs.push((buf.clone(), bits(&deq), bits(&acc), bits(&ef)));
             }
-            kge_core::simd::set_force_scalar(None);
-            prop_assert_eq!(&runs[0], &runs[1], "rule {:?}", rule);
+            set_level(None);
+            for run in &runs[1..] {
+                prop_assert_eq!(&runs[0], run, "rule {:?}", rule);
+            }
         }
     }
 

@@ -42,16 +42,16 @@ pub enum ReplaceDir {
     Tail,
 }
 
-/// Lane width of the transposed one-vs-all driver: 16 accumulators = two
-/// 256-bit (or four 128-bit) vector chains, enough independent adds to hide
-/// FP-add latency while leaving registers for the column loads and
-/// broadcast scalars. Bit-identity to the scalar `score` path forbids
-/// reassociating one candidate's f32 sum, so a single candidate can never
-/// vectorize — its accumulator is one serial add chain; the lanes are that
-/// many *independent* chains, each still summed in its own original order.
-/// Tile row counts are rounded up to a multiple of this so the remainder
-/// path stays cold.
-pub const OVA_T_LANES: usize = 16;
+/// Lane width of the transposed one-vs-all driver: 32 accumulators = two
+/// 512-bit or four 256-bit vector chains, enough independent adds to hide
+/// FP-add latency at either width while leaving registers for the column
+/// loads and broadcast scalars. Bit-identity to the scalar `score` path
+/// forbids reassociating one candidate's f32 sum, so a single candidate can
+/// never vectorize — its accumulator is one serial add chain; the lanes are
+/// that many *independent* chains, each still summed in its own original
+/// order. Tile row counts are rounded up to a multiple of this, so only a
+/// table's last tile has a ragged end.
+pub const OVA_T_LANES: usize = 32;
 
 /// Examples per group of [`KgeModel::score_grad_block`]: scores become
 /// loss coefficients a group at a time, so the loss code and the kernel
@@ -110,10 +110,9 @@ fn at<const P: usize>(row: &[&[f32]; P], k: usize) -> [f32; P] {
     out
 }
 
-/// The forward driver of every model: lengths asserted once, for both arms,
-/// then [`score_triples_body`]'s AVX-compiled copy where the CPU has AVX
-/// (runtime-detected, overridable via [`crate::simd::force_scalar`]), its
-/// baseline copy otherwise.
+/// The forward driver of every model: lengths asserted once, for every
+/// level, then [`score_triples_body`]'s AVX-compiled copy at
+/// [`crate::simd::Level::Avx`] and above, its baseline copy otherwise.
 #[inline]
 fn score_triples<const P: usize>(
     term: impl Term<P>,
@@ -205,8 +204,8 @@ fn terms_of<const P: usize>(term: impl Term<P>, h: &[f32], r: &[f32], t: &[f32],
 }
 
 /// The transposed one-vs-all driver of every model: shapes asserted once,
-/// for both arms, then [`ova_t_body`]'s AVX-compiled or baseline copy, as
-/// [`score_triples`] chooses. `fixed` is `[query, r]`.
+/// for every level, then one of [`ova_t_body`]'s three copies — baseline,
+/// AVX or AVX-512 — by [`crate::simd::level`]. `fixed` is `[query, r]`.
 #[inline]
 fn ova_t<const P: usize>(
     term: impl Term<P>,
@@ -221,18 +220,41 @@ fn ova_t<const P: usize>(
     assert!(fixed.iter().all(|x| x.len() == dim), "query and relation rows hold {dim} floats");
     assert_eq!(tile_t.len(), rows * dim, "tile of {rows} candidates");
     assert_eq!(scores.len(), rows, "one score per candidate");
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::use_avx() {
-        // SAFETY: AVX was just detected at runtime.
-        return unsafe { ova_t_avx(term, rank, fixed, tile_t, rows, dir, scores) };
+    match crate::simd::level() {
+        // SAFETY: the level is never above what the CPU was detected to run.
+        #[cfg(target_arch = "x86_64")]
+        crate::simd::Level::Avx512 => unsafe { ova_t_avx512(term, rank, fixed, tile_t, rows, dir, scores) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        crate::simd::Level::Avx => unsafe { ova_t_avx(term, rank, fixed, tile_t, rows, dir, scores) },
+        _ => ova_t_body(term, rank, fixed, tile_t, rows, dir, scores),
     }
-    ova_t_body(term, rank, fixed, tile_t, rows, dir, scores)
 }
 
 /// The same safe code with AVX enabled (see [`score_triples_avx`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 fn ova_t_avx<const P: usize>(
+    term: impl Term<P>,
+    rank: usize,
+    fixed: [&[f32]; 2],
+    tile_t: &[f32],
+    rows: usize,
+    dir: ReplaceDir,
+    scores: &mut [f32],
+) {
+    ova_t_body(term, rank, fixed, tile_t, rows, dir, scores)
+}
+
+/// The same safe code with AVX-512 enabled: a chunk's 32 accumulators are
+/// two `zmm` chains. `avx512f` makes a fused multiply-add available, but the
+/// compiler never contracts a separate multiply and add into one, so the
+/// bits are the other copies'. Only this driver has a 512-bit copy: compiled
+/// at this width, the training forward and backward measured slower
+/// (EXPERIMENTS.md, "Measured and rejected", (c)).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn ova_t_avx512<const P: usize>(
     term: impl Term<P>,
     rank: usize,
     fixed: [&[f32]; 2],
@@ -268,8 +290,12 @@ fn ova_t_body<const P: usize>(
 /// each lane is one candidate's [`KgeModel::score`] sum, expression and
 /// order, and only independent chains run side by side. Whatever of the
 /// term depends on the query and relation alone is the same f32 value for
-/// every lane, so it is formed once per `k`. The ragged end of the tile
-/// goes one candidate at a time.
+/// every lane, so it is formed once per `k`.
+///
+/// The ragged end of the tile, `rem < W` candidates, runs as one more
+/// chunk: per `k`, its `rem` column elements are copied into a zeroed
+/// stack buffer, the whole chunk is summed, and only `acc[..rem]` is kept.
+/// The padding lanes sum terms of zeros that nothing reads.
 #[inline(always)]
 fn ova_t_sweep<const P: usize>(
     term: impl Term<P>,
@@ -303,12 +329,24 @@ fn ova_t_sweep<const P: usize>(
         }
         out.copy_from_slice(&acc);
     }
-    for (c, out) in scores.iter_mut().enumerate().skip(n_grouped) {
-        let mut acc = 0.0f32;
+    let rem = rows - n_grouped;
+    if rem != 0 {
+        let mut acc = [0.0f32; W];
+        let mut pad = [[0.0f32; W]; P];
         for k in 0..rank {
-            acc += term(at(&q, k), at(&r, k), at(&cols, k * rows + c));
+            let (qk, rk) = (at(&q, k), at(&r, k));
+            for p in 0..P {
+                pad[p][..rem].copy_from_slice(&cols[p][k * rows + n_grouped..][..rem]);
+            }
+            for (j, a) in acc.iter_mut().enumerate() {
+                let mut cj = [0.0f32; P];
+                for p in 0..P {
+                    cj[p] = pad[p][j];
+                }
+                *a += term(qk, rk, cj);
+            }
         }
-        *out = acc;
+        scores[n_grouped..].copy_from_slice(&acc[..rem]);
     }
 }
 
@@ -327,7 +365,7 @@ pub struct GradDst<'a> {
 }
 
 /// The accumulating backward driver of every model: shapes asserted once,
-/// for both arms, then [`grad_add_body`]'s AVX-compiled or baseline copy,
+/// for every level, then [`grad_add_body`]'s AVX-compiled or baseline copy,
 /// as [`score_triples`] chooses.
 #[inline]
 fn grad_add<const P: usize>(
@@ -1130,10 +1168,11 @@ mod tests {
     }
 
     /// Every driver checks its shapes before it dispatches: a wrong length
-    /// panics on both arms, where the baseline copies once left a too-long
-    /// `scores` half-written.
+    /// panics at every level, where the baseline copies once left a
+    /// too-long `scores` half-written.
     #[test]
-    fn drivers_reject_bad_shapes_on_both_arms() {
+    fn drivers_reject_bad_shapes_at_every_level() {
+        use crate::simd::{set_level, Level};
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let _arm = crate::simd::TEST_ARM.lock().unwrap_or_else(|e| e.into_inner());
         let m = ComplEx::new(4);
@@ -1151,15 +1190,15 @@ mod tests {
             }))
             .is_ok()
         };
-        for force_scalar in [true, false] {
-            crate::simd::set_force_scalar(Some(force_scalar));
-            assert!(run(24, 3, 1, 8), "well-formed calls pass (force_scalar={force_scalar})");
-            assert!(!run(23, 3, 1, 8), "short tile (force_scalar={force_scalar})");
-            assert!(!run(24, 4, 1, 8), "long one-vs-all scores (force_scalar={force_scalar})");
-            assert!(!run(24, 3, 2, 8), "long forward scores (force_scalar={force_scalar})");
-            assert!(!run(24, 3, 1, 9), "tail row past the slab (force_scalar={force_scalar})");
+        for &level in Level::detected() {
+            set_level(Some(level));
+            assert!(run(24, 3, 1, 8), "well-formed calls pass ({level:?})");
+            assert!(!run(23, 3, 1, 8), "short tile ({level:?})");
+            assert!(!run(24, 4, 1, 8), "long one-vs-all scores ({level:?})");
+            assert!(!run(24, 3, 2, 8), "long forward scores ({level:?})");
+            assert!(!run(24, 3, 1, 9), "tail row past the slab ({level:?})");
         }
-        crate::simd::set_force_scalar(None);
+        set_level(None);
     }
 
     #[test]

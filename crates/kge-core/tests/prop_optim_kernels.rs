@@ -1,16 +1,17 @@
 //! Property tests for the optimizer row kernels (`adam_row`, `adagrad_row`
-//! behind [`Adam`] / [`Adagrad`]): the AVX arm, the portable arm and an
-//! independent elementwise reference written out here must agree **bit for
-//! bit** — over every row length 1..=200 (so every tail length mod 8),
-//! step counts up to 10 000 and values that include ±0, denormals and
-//! 1e±30; a dense step must equal the same rows stepped one at a time when
-//! the step counters agree; and nothing may depend on the pool width.
+//! behind [`Adam`] / [`Adagrad`]): the kernels at every dispatch level the
+//! host has and an independent elementwise reference written out here must
+//! agree **bit for bit** — over every row length 1..=200 (so every tail
+//! length mod 8), step counts up to 10 000 and values that include ±0,
+//! denormals and 1e±30; a dense step must equal the same rows stepped one
+//! at a time when the step counters agree; and nothing may depend on the
+//! pool width.
 //!
-//! Toggling `set_force_scalar` from concurrently running tests is safe
-//! precisely because of the property under test: both arms produce the
-//! same bits, so a mid-run flip can only change which code path executes.
+//! Changing the level from concurrently running tests is safe precisely
+//! because of the property under test: every level produces the same bits,
+//! so a mid-run change can only change which code path executes.
 
-use kge_core::simd::set_force_scalar;
+use kge_core::simd::{set_level, Level};
 use kge_core::{
     Adagrad, AdagradOptimizer, AdagradState, Adam, AdamOptimizer, EmbeddingTable, OptimStateView,
     RowOptimizer, SparseGrad,
@@ -48,19 +49,22 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Run `f` once per dispatch arm (forced scalar, then AVX where the host
-/// has it) and hand back both results.
-fn both_arms<T>(mut f: impl FnMut() -> T) -> [T; 2] {
-    let out = [true, false].map(|force| {
-        set_force_scalar(Some(force));
-        f()
-    });
-    set_force_scalar(None);
+/// Run `f` once per dispatch level the host has, lowest first, and hand
+/// back every result.
+fn every_level<T>(mut f: impl FnMut() -> T) -> Vec<T> {
+    let out = Level::detected()
+        .iter()
+        .map(|&level| {
+            set_level(Some(level));
+            f()
+        })
+        .collect();
+    set_level(None);
     out
 }
 
-/// Adam's update rule written out element by element — the semantics both
-/// kernel arms must reproduce (§3.3 of the paper; bias-corrected, `eps`
+/// Adam's update rule written out element by element — the semantics every
+/// kernel copy must reproduce (§3.3 of the paper; bias-corrected, `eps`
 /// outside the root).
 fn adam_reference(a: &Adam, t: u32, lr: f32, [m, v, p]: [&mut [f32]; 3], g: &[f32]) {
     let bc1 = 1.0 - a.beta1.powi(t as i32);
@@ -98,7 +102,7 @@ proptest! {
             adam_reference(&adam, t, lr, [&mut m, &mut v, &mut p], &g);
             let want = (bits(&m), bits(&v), bits(&p));
 
-            for got in both_arms(|| {
+            for got in every_level(|| {
                 let (mut m, mut v, mut p) = (m0.clone(), v0.clone(), p0.clone());
                 let mut rt = t - 1;
                 adam.step_row_lazy(&mut rt, &mut m, &mut v, &mut p, &g, lr);
@@ -128,7 +132,7 @@ proptest! {
 
             // Row 1 of a 3-row table through the lazy step, and the same
             // values as a 1-row table through the dense step.
-            for got in both_arms(|| {
+            for got in every_level(|| {
                 let mut table = EmbeddingTable::zeros(3, len);
                 table.row_mut(1).copy_from_slice(&p0);
                 let mut state = AdagradState::new(3, len);
@@ -175,7 +179,7 @@ proptest! {
         }
         let want = (bits(&m), bits(&v), bits(&p));
 
-        for got in both_arms(|| {
+        for got in every_level(|| {
             let mut dense = AdamOptimizer::new(adam, rows, dim);
             let mut lazy = AdamOptimizer::new(adam, rows, dim);
             let mut t_dense = EmbeddingTable::zeros(rows, dim);
@@ -242,9 +246,12 @@ fn steps_are_independent_of_the_thread_count() {
         })
     };
 
-    let [scalar, avx] = both_arms(|| run(1));
-    assert_eq!(scalar, avx, "dispatch arms diverged");
+    let runs = every_level(|| run(1));
+    for (level, got) in Level::detected().iter().zip(&runs) {
+        assert_eq!(got, &runs[0], "{level:?} diverged from Scalar");
+    }
+    let scalar = &runs[0];
     for threads in [2usize, 4, 8] {
-        assert_eq!(scalar, run(threads), "threads={threads}");
+        assert_eq!(*scalar, run(threads), "threads={threads}");
     }
 }

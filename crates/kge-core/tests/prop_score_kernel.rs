@@ -1,18 +1,17 @@
 //! Property test: `KgeModel::score_triples` — the training forward and
 //! S5's pool scoring — gives **exactly** `KgeModel::score`'s bits (but for
 //! the sign of a RotatE NaN, [`same_forward_bits`]), triple for triple, for
-//! every model constructible from `ModelKind`, under both dispatch arms, at
-//! ranks below, at and straddling the vector width, for every length of the
-//! last [`SCORE_LANES`] group, on the shapes training stages and on the
-//! values where a reordered or fused sum would show: signed zeros,
-//! denormals and magnitudes that overflow. The transposed one-vs-all driver
-//! is held to `score`'s bits per candidate with no exception, in both
-//! directions, over empty, ragged and multi-chunk tiles.
-//!
-//! `KGE_FORCE_SCALAR=1` on top pins the arm the override cannot reach
-//! (`scripts/check.sh` runs the suite both ways).
+//! every model constructible from `ModelKind`, at every dispatch level the
+//! host has, at ranks below, at and straddling the vector width, for every
+//! length of the last [`SCORE_LANES`] group, on the shapes training stages
+//! and on the values where a reordered or fused sum would show: signed
+//! zeros, denormals and magnitudes that overflow. The transposed one-vs-all
+//! driver is held to `score`'s bits per candidate with no exception, in
+//! both directions, at every level, over empty tiles, tiles shorter than a
+//! lane chunk, and tiles at, around and between chunk boundaries.
 
 use kge_core::model::complex_score_oracle;
+use kge_core::simd::{set_level, Level};
 use kge_core::{
     ComplEx, DistMult, EmbeddingTable, KgeModel, ReplaceDir, RotatE, SimplE, TransE, SCORE_LANES,
 };
@@ -121,30 +120,36 @@ fn same_forward_bits(model: &dyn KgeModel, got: f32, want: f32) -> bool {
     got.to_bits() == want.to_bits() || (model.name() == "rotate" && got.is_nan() && want.is_nan())
 }
 
-// Tests run on parallel threads; a call under a chosen arm holds this for
-// as long as it holds the process-global override, so each arm really is
+// Tests run on parallel threads; a call at a chosen level holds this for
+// as long as it holds the process-global override, so each level really is
 // the one asked for.
 static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// `score_triples` under the given dispatch arm.
+/// `f` with the dispatch level pinned to `level`.
+fn at_level<T>(level: Level, f: impl FnOnce() -> T) -> T {
+    let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
+    set_level(Some(level));
+    let out = f();
+    set_level(None);
+    out
+}
+
+/// `score_triples` at the given dispatch level.
 fn fused(
     model: &dyn KgeModel,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
     triples: &[Triple],
     scratch: &mut Vec<f32>,
-    force_scalar: bool,
+    level: Level,
 ) -> Vec<f32> {
-    let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
-    kge_core::simd::set_force_scalar(Some(force_scalar));
     // Poisoned, so every score has to be written.
     let mut scores = vec![f32::from_bits(0x7FC0_BEEF); triples.len()];
-    model.score_triples(ent, rel, triples, scratch, &mut scores);
-    kge_core::simd::set_force_scalar(None);
+    at_level(level, || model.score_triples(ent, rel, triples, scratch, &mut scores));
     scores
 }
 
-/// Every model at `rank`, both arms, against `score` (and ComplEx on unit
+/// Every model at `rank`, every level, against `score` (and ComplEx on unit
 /// values against the oracle).
 fn check_all_models(rank: usize, values: Values, shape: Shape, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -155,16 +160,17 @@ fn check_all_models(rank: usize, values: Values, shape: Shape, n: usize, seed: u
         let rel = table(N_REL, dim, values, &mut rng);
         let row = |t: &Triple| (ent.row(t.0 as usize), rel.row(t.1 as usize), ent.row(t.2 as usize));
         let want: Vec<f32> = list.iter().map(&row).map(|(h, r, t)| model.score(h, r, t)).collect();
-        // One scratch across both arms and a longer list first: stale
+        // One scratch across every level and a longer list first: stale
         // summands from an earlier call must not leak into a short group.
         let mut scratch = Vec::new();
-        fused(model.as_ref(), &ent, &rel, &triples(Shape::Random, 11, &mut rng), &mut scratch, false);
-        for force_scalar in [true, false] {
-            let got = fused(model.as_ref(), &ent, &rel, &list, &mut scratch, force_scalar);
+        let widest = *Level::detected().last().expect("Scalar is always detected");
+        fused(model.as_ref(), &ent, &rel, &triples(Shape::Random, 11, &mut rng), &mut scratch, widest);
+        for &level in Level::detected() {
+            let got = fused(model.as_ref(), &ent, &rel, &list, &mut scratch, level);
             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 assert!(
                     same_forward_bits(model.as_ref(), g, w),
-                    "{} rank={rank} {values:?} {shape:?} n={n} force_scalar={force_scalar} \
+                    "{} rank={rank} {values:?} {shape:?} n={n} {level:?} \
                      triple {i} {:?}: {g:e} ({:#x}) vs score {w:e} ({:#x})",
                     model.name(),
                     list[i],
@@ -201,16 +207,21 @@ fn every_rank_remainder_value_regime_and_shape_matches_score() {
     }
 }
 
-/// The transposed one-vs-all driver: every model × rank × tile height (none,
-/// one candidate, one short of a lane chunk, a chunk, a chunk and one, two
-/// chunks and one) × value regime × direction, both arms — every candidate's
-/// score is `score`'s with the candidate substituted.
+/// Tile heights for the transposed driver, against its 32-lane chunks:
+/// none; padded chunks alone (1, 15, 16, 17, 31); one chunk (32); one chunk
+/// and a padded one (33, 47, 48, 63); two chunks (64); two and a padded one
+/// (65); three and a padded one (97).
+const TILE_HEIGHTS: [usize; 14] = [0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 97];
+
+/// The transposed one-vs-all driver: every model × rank × tile height ×
+/// value regime × direction × level — every candidate's score is `score`'s
+/// with the candidate substituted.
 #[test]
 fn transposed_one_vs_all_matches_score_per_candidate() {
     let mut rng = StdRng::seed_from_u64(0x07A);
     for rank in [1, 5, 8, 13, 32] {
         for model in models(rank).iter() {
-            for rows in [0, 1, 15, 16, 17, 33] {
+            for rows in TILE_HEIGHTS {
                 for values in VALUES {
                     check_transposed(model.as_ref(), rows, values, &mut rng);
                 }
@@ -231,14 +242,10 @@ fn check_transposed(model: &dyn KgeModel, rows: usize, values: Values, rng: &mut
         }
     }
     for dir in [ReplaceDir::Head, ReplaceDir::Tail] {
-        for force_scalar in [true, false] {
-            let arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
-            kge_core::simd::set_force_scalar(Some(force_scalar));
+        for &level in Level::detected() {
             // Poisoned, so every score has to be written.
             let mut got = vec![f32::from_bits(0x7FC0_BEEF); rows];
-            model.score_one_vs_all_transposed(query, r, &tile_t, rows, dir, &mut got);
-            kge_core::simd::set_force_scalar(None);
-            drop(arm);
+            at_level(level, || model.score_one_vs_all_transposed(query, r, &tile_t, rows, dir, &mut got));
             for (j, &g) in got.iter().enumerate() {
                 let w = match dir {
                     ReplaceDir::Head => model.score(cand.row(j), r, query),
@@ -246,7 +253,7 @@ fn check_transposed(model: &dyn KgeModel, rows: usize, values: Values, rng: &mut
                 };
                 assert!(
                     g.to_bits() == w.to_bits(),
-                    "{} rank={} {values:?} {dir:?} rows={rows} force_scalar={force_scalar} \
+                    "{} rank={} {values:?} {dir:?} rows={rows} {level:?} \
                      candidate {j}: {g:e} ({:#x}) vs score {w:e} ({:#x})",
                     model.name(),
                     model.rank(),

@@ -5,13 +5,12 @@
 //! bit and the insertion order of both accumulators — for every model
 //! constructible from `ModelKind`, dims straddling the AVX register width,
 //! block sizes straddling [`BLOCK_GROUP`], the block shapes training
-//! produces, and both dispatch arms via the force-scalar override.
-//!
-//! `KGE_FORCE_SCALAR=1` on top pins the arm the override cannot reach
-//! (`scripts/check.sh` runs the suite both ways).
+//! produces, and every dispatch level the host has, through the in-process
+//! override.
 
 use kge_core::loss::logistic_loss_grad;
 use kge_core::matrix::axpy;
+use kge_core::simd::{set_level, Level};
 use kge_core::{
     BlockScratch, ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, SparseGrad, TransE,
     BLOCK_GROUP,
@@ -178,19 +177,19 @@ fn per_triple_reference(
     run_bits(&scores, &ent_g, &rel_g)
 }
 
-/// One fused `score_grad_block` run under the given dispatch arm.
+/// One fused `score_grad_block` run at the given dispatch level.
 fn blocked(
     model: &dyn KgeModel,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
     block: &[Triple],
-    force_scalar: bool,
+    level: Level,
 ) -> RunBits {
     // Tests run on parallel threads; hold the process-global override for
-    // the whole run so each arm really is the one asked for.
+    // the whole run so each level really is the one asked for.
     static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
-    kge_core::simd::set_force_scalar(Some(force_scalar));
+    set_level(Some(level));
     let mut scratch = BlockScratch::new();
     let mut ent_g = SparseGrad::new(model.storage_dim());
     let mut rel_g = SparseGrad::new(model.storage_dim());
@@ -200,22 +199,22 @@ fn blocked(
         coeff_for(i, s)
     };
     model.score_grad_block(ent, rel, block, L2, &mut scratch, &mut coeff, &mut ent_g, &mut rel_g);
-    kge_core::simd::set_force_scalar(None);
+    set_level(None);
     run_bits(&scores, &ent_g, &rel_g)
 }
 
-/// Both arms against the reference, for every model at `rank`.
+/// Every level against the reference, for every model at `rank`.
 fn check_all_models(rank: usize, shape: Shape, n: usize, seed: u64) {
     let block = block(shape, n, seed);
     for model in models(rank).iter() {
         let (ent, rel) = tables(model.as_ref(), seed);
         let reference = per_triple_reference(model.as_ref(), &ent, &rel, &block);
-        for force_scalar in [true, false] {
-            let got = blocked(model.as_ref(), &ent, &rel, &block, force_scalar);
+        for &level in Level::detected() {
+            let got = blocked(model.as_ref(), &ent, &rel, &block, level);
             assert_eq!(
                 reference,
                 got,
-                "fused kernel diverged: {} rank={rank} {shape:?} n={n} force_scalar={force_scalar}",
+                "fused kernel diverged: {} rank={rank} {shape:?} n={n} {level:?}",
                 model.name()
             );
         }

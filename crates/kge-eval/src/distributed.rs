@@ -3,11 +3,12 @@
 //! Full-dataset filtered MRR is O(|queries| × |E|) model evaluations — the
 //! one remaining phase that ran outside the cluster timing model. Here the
 //! (deterministically subsampled) query list is sharded across ranks in
-//! round-robin order, each rank runs the blocked local pipeline
-//! ([`crate::evaluate_ranking_with`]) on its shard, and the f64 metric
-//! *sums* are combined with `allreduce_sum_f64`, so every rank returns the
-//! same [`RankingMetrics`] and the evaluation's compute and collective
-//! time are charged to the simulated clock like a training epoch's.
+//! round-robin order, each rank runs the blocked local pipeline on its
+//! shard, and the f64 metric *sums* are combined with `allreduce_sum_f64`,
+//! so every rank returns the same [`RankingMetrics`] and the evaluation's
+//! compute and collective time are charged to the simulated clock like a
+//! training epoch's. The subsample and the shard live in the
+//! [`RankingWorkspace`], so a warm workspace evaluates without allocating.
 //!
 //! Determinism: the shard assignment, the per-shard rank computation, and
 //! the fixed-rank-order reduction are all deterministic, so results are
@@ -16,7 +17,7 @@
 //! same queries — the f64 sums associate per shard first (same values to
 //! within reduction reordering, typically ~1e-15 relative).
 
-use crate::ranking::{subsample_into, RankingMetrics, RankingOptions, RankingWorkspace};
+use crate::ranking::{RankingMetrics, RankingOptions, RankingWorkspace};
 use kge_core::{EmbeddingTable, KgeModel};
 use kge_data::{GroupedFilter, Triple};
 use simgrid::Communicator;
@@ -39,46 +40,15 @@ pub fn evaluate_ranking_distributed(
     grouped: &GroupedFilter,
     opts: &RankingOptions,
 ) -> RankingMetrics {
-    let rank = comm.rank();
     let size = comm.size().max(1);
-
-    // Subsample identically on every rank, then take a round-robin shard.
-    let mut idx = Vec::new();
-    let mut full = Vec::new();
-    subsample_into(queries, opts, &mut idx, &mut full);
-    let n_sub = full.len();
-    let mine: Vec<Triple> = full
-        .iter()
-        .copied()
-        .skip(rank)
-        .step_by(size)
-        .collect();
-
-    let local_opts = RankingOptions {
-        max_queries: None, // already subsampled above
-        ..opts.clone()
-    };
-    evaluate_ranking_with(comm, ws, model, ent, rel, &mine, grouped, &local_opts, n_sub)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn evaluate_ranking_with(
-    comm: &mut Communicator,
-    ws: &mut RankingWorkspace,
-    model: &dyn KgeModel,
-    ent: &EmbeddingTable,
-    rel: &EmbeddingTable,
-    mine: &[Triple],
-    grouped: &GroupedFilter,
-    local_opts: &RankingOptions,
-    n_sub: usize,
-) -> RankingMetrics {
-    crate::evaluate_ranking_with(ws, model, ent, rel, mine, grouped, local_opts);
+    // Subsample identically on every rank, keep this rank's round-robin
+    // shard, and rank it.
+    let n_sub = ws.subsample_shard(queries, opts, comm.rank(), size);
+    ws.rank_subsample(model, ent, rel, opts.filtered.then_some(grouped));
 
     // Charge the sweep cost: 2 directions × |E| candidates per query, at
     // the per-rank ceiling share so every replica's clock moves equally
     // (the filter is applied inside the sweep and costs no scoring).
-    let size = comm.size().max(1);
     let per_rank = n_sub.div_ceil(size);
     comm.clock_mut()
         .charge_flops((per_rank * 2 * ent.rows()) as f64 * model.score_flops());

@@ -212,30 +212,58 @@ impl RankingWorkspace {
     pub fn ranks(&self) -> &[usize] {
         &self.ranks
     }
-}
 
-/// Deterministic subsample (shuffled index prefix), reusing buffers. The
-/// RNG consumption is identical to the original scalar implementation, so
-/// the selected queries — and therefore the metrics — are unchanged.
-pub(crate) fn subsample_into(
-    queries: &[Triple],
-    opts: &RankingOptions,
-    idx: &mut Vec<usize>,
-    out: &mut Vec<Triple>,
-) {
-    out.clear();
-    match opts.max_queries {
-        Some(k) if k < queries.len() => {
-            idx.clear();
-            idx.extend(0..queries.len());
-            let mut rng = StdRng::seed_from_u64(opts.seed);
-            for i in (1..idx.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                idx.swap(i, j);
+    /// Draw `opts`'s deterministic subsample of `queries` (a shuffled index
+    /// prefix, with the original scalar implementation's RNG draws) and
+    /// keep shard `part` of `parts` of it, round-robin: subsample slots
+    /// `part, part + parts, …`. Returns the subsample's length before
+    /// sharding. Reuses the workspace's buffers.
+    pub(crate) fn subsample_shard(
+        &mut self,
+        queries: &[Triple],
+        opts: &RankingOptions,
+        part: usize,
+        parts: usize,
+    ) -> usize {
+        let (idx, out) = (&mut self.idx, &mut self.subsample);
+        out.clear();
+        match opts.max_queries {
+            Some(k) if k < queries.len() => {
+                idx.clear();
+                idx.extend(0..queries.len());
+                let mut rng = StdRng::seed_from_u64(opts.seed);
+                for i in (1..idx.len()).rev() {
+                    let j = rng.gen_range(0..=i);
+                    idx.swap(i, j);
+                }
+                out.extend(idx[..k].iter().map(|&i| queries[i]));
             }
-            out.extend(idx[..k].iter().map(|&i| queries[i]));
+            _ => out.extend_from_slice(queries),
         }
-        _ => out.extend_from_slice(queries),
+        let n = out.len();
+        let mut slot = 0;
+        out.retain(|_| {
+            slot += 1;
+            (slot - 1) % parts == part
+        });
+        n
+    }
+
+    /// Rank the workspace's subsample in both directions, then interleave
+    /// `[head, tail]` per query into [`Self::ranks`] in subsample order —
+    /// the exact rank order the scalar implementation summed in.
+    pub(crate) fn rank_subsample(
+        &mut self,
+        model: &dyn KgeModel,
+        ent: &EmbeddingTable,
+        rel: &EmbeddingTable,
+        grouped: Option<&GroupedFilter>,
+    ) {
+        evaluate_ranks_into(self, model, ent, rel, grouped);
+        self.ranks.clear();
+        for (&h, &t) in self.head_ranks.iter().zip(&self.tail_ranks) {
+            self.ranks.extend([h, t]);
+        }
     }
 }
 
@@ -443,16 +471,8 @@ pub fn evaluate_ranking_with(
     grouped: &GroupedFilter,
     opts: &RankingOptions,
 ) -> RankingMetrics {
-    subsample_into(queries, opts, &mut ws.idx, &mut ws.subsample);
-    let g = opts.filtered.then_some(grouped);
-    evaluate_ranks_into(ws, model, ent, rel, g);
-    // Interleave [head, tail] per query in subsample order — the exact
-    // rank order the scalar implementation summed in.
-    ws.ranks.clear();
-    for i in 0..ws.subsample.len() {
-        ws.ranks.push(ws.head_ranks[i]);
-        ws.ranks.push(ws.tail_ranks[i]);
-    }
+    ws.subsample_shard(queries, opts, 0, 1);
+    ws.rank_subsample(model, ent, rel, opts.filtered.then_some(grouped));
     RankingMetrics::from_ranks(&ws.ranks)
 }
 
@@ -522,9 +542,8 @@ pub fn evaluate_ranking_by_category_with(
     opts: &RankingOptions,
 ) -> Vec<(RelationCategory, RankingMetrics)> {
     use RelationCategory::*;
-    subsample_into(queries, opts, &mut ws.idx, &mut ws.subsample);
-    let g = opts.filtered.then_some(grouped);
-    evaluate_ranks_into(ws, model, ent, rel, g);
+    ws.subsample_shard(queries, opts, 0, 1);
+    evaluate_ranks_into(ws, model, ent, rel, opts.filtered.then_some(grouped));
     [OneToOne, OneToMany, ManyToOne, ManyToMany]
         .into_iter()
         .map(|cat| {

@@ -3,8 +3,8 @@
 //! consume.
 //!
 //! Both ranking evaluation and online serving sweep the whole entity table
-//! per query group; the transposed copy is what lets the AVX kernels read
-//! 16 candidates per lane-group with unit stride. The copy depends only on
+//! per query group; the transposed copy is what lets the vector kernels
+//! read a 32-candidate lane chunk with unit stride. The copy depends only on
 //! the entity table — not on the queries — so it is built **once** per
 //! evaluation (or once per published serving snapshot) and shared
 //! read-only by every worker.
@@ -20,9 +20,12 @@ use kge_core::EmbeddingTable;
 /// kernel calls per candidate.
 pub const TILE_BYTES: usize = 16 * 1024;
 
-/// Entity rows per tile for a given storage dimension, rounded up to a
-/// whole number of transposed-kernel lane groups so the remainder
-/// (scalar, strided) path only ever sees the final tile.
+/// Entity rows per tile for a given storage dimension: as many as fit in
+/// [`TILE_BYTES`], rounded up to a whole number of the transposed kernel's
+/// 32-lane chunks ([`kge_core::OVA_T_LANES`]), so only a table's last tile
+/// ends in a zero-padded chunk. At 64 floats a row a tile is 64 rows, at
+/// 128 floats 32 rows. Above 128 floats a row, a tile is 32 rows of more
+/// than [`TILE_BYTES`].
 pub fn tile_rows_for(dim: usize) -> usize {
     let rows = (TILE_BYTES / (dim * 4)).max(1);
     rows.div_ceil(kge_core::OVA_T_LANES) * kge_core::OVA_T_LANES

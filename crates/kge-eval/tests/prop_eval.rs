@@ -1,6 +1,10 @@
 //! Property tests for evaluation: metric bounds, filtering monotonicity,
-//! and threshold-fit optimality.
+//! threshold-fit optimality, and blocked ranks equal to the scalar oracle's
+//! at every dispatch level the host has.
 
+use std::sync::Mutex;
+
+use kge_core::simd::{set_level, Level};
 use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, TransE};
 use kge_data::{FilterIndex, GroupedFilter, Triple};
 use kge_eval::{
@@ -40,16 +44,41 @@ fn quantized_table(rows: usize, dim: usize, seed: u64) -> EmbeddingTable {
     t
 }
 
+/// Blocked ranks of `queries` at every dispatch level the host has, each
+/// level's held to `want` (per query: head rank, tail rank), and the
+/// metrics of the last level. Tests run on parallel threads, so the
+/// process-global level is held under a lock.
+fn blocked_ranks_at_every_level(
+    ws: &mut RankingWorkspace,
+    model: &dyn KgeModel,
+    (ent, rel): (&EmbeddingTable, &EmbeddingTable),
+    queries: &[Triple],
+    grouped: &GroupedFilter,
+    opts: &RankingOptions,
+    want: impl Fn(&[Triple]) -> Vec<[usize; 2]>,
+) -> RankingMetrics {
+    static ARM: Mutex<()> = Mutex::new(());
+    let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
+    let mut metrics = None;
+    for &level in Level::detected() {
+        set_level(Some(level));
+        metrics = Some(evaluate_ranking_with(ws, model, ent, rel, queries, grouped, opts));
+        set_level(None);
+        let got: Vec<[usize; 2]> =
+            ws.head_ranks().iter().zip(ws.tail_ranks()).map(|(&h, &t)| [h, t]).collect();
+        assert_eq!(got, want(ws.queries()), "ranks diverge from the scalar oracle at {level:?}");
+    }
+    metrics.expect("Scalar is always detected")
+}
+
 /// Storage width of the wide cell's model, ComplEx rank 32: 64 floats a
 /// row, so 64 rows to a 16 KB tile.
 const WIDE_DIM: usize = 64;
 /// Relations of the wide cell.
 const WIDE_RELS: u32 = 4;
-
-/// Entities of the wide cell: three full tiles and a ragged fourth.
-fn wide_entities() -> usize {
-    3 * tile_rows_for(WIDE_DIM) + 21
-}
+/// Entities past the wide cell's three full tiles: the ragged fourth tile
+/// is one padded lane chunk of 1, 17, 21 or 31 candidates.
+const WIDE_RAGGED: [usize; 4] = [1, 17, 21, 31];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -60,32 +89,31 @@ proptest! {
     /// every unit; every query's known lists hold its true entity, both
     /// sides of every tile boundary, the ragged tile's last entity and a
     /// few random ones. Each rank equals the scalar oracle's, per query and
-    /// direction, raw and filtered.
+    /// direction, raw and filtered, at every level.
     #[test]
     fn ranks_match_scalar_oracle_over_ragged_tiles_and_mixed_relation_units(
-        pairs in proptest::collection::vec(
-            (0..wide_entities() as u32, 0..wide_entities() as u32),
-            9..24,
-        ),
-        extra in proptest::collection::vec(0..wide_entities() as u32, 0..12),
+        pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 9..24),
+        extra in proptest::collection::vec(any::<u32>(), 0..12),
+        ragged in 0..WIDE_RAGGED.len(),
         seed in any::<u64>(),
         filtered in any::<bool>(),
     ) {
         let model = ComplEx::new(WIDE_DIM / 2);
-        let n_ent = wide_entities();
         let tile = tile_rows_for(WIDE_DIM);
+        let n_ent = 3 * tile + WIDE_RAGGED[ragged];
+        let entity = |x: u32| x % n_ent as u32;
         let ent = quantized_table(n_ent, WIDE_DIM, seed);
         let rel = quantized_table(WIDE_RELS as usize, WIDE_DIM, seed ^ 0x9E37_79B9);
         let queries: Vec<Triple> = pairs
             .iter()
             .enumerate()
-            .map(|(i, &(h, t))| Triple::new(h, i as u32 % WIDE_RELS, t))
+            .map(|(i, &(h, t))| Triple::new(entity(h), i as u32 % WIDE_RELS, entity(t)))
             .collect();
         let edges: Vec<u32> = (1..=3)
             .flat_map(|i| [i * tile - 1, i * tile])
             .chain([n_ent - 1])
             .map(|e| e as u32)
-            .chain(extra.iter().copied())
+            .chain(extra.iter().map(|&x| entity(x)))
             .collect();
         let mut known = queries.clone();
         for q in &queries {
@@ -98,17 +126,16 @@ proptest! {
         let grouped = GroupedFilter::from_triples(known.iter().copied());
         let opts = RankingOptions { filtered, ..Default::default() };
 
-        let mut ws = RankingWorkspace::new();
-        evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &opts);
-
         let f = filtered.then_some(&filter);
-        prop_assert_eq!(ws.queries(), queries.as_slice());
-        for (i, &t) in queries.iter().enumerate() {
-            let head = rank_of_scalar(&model, &ent, &rel, t, true, f);
-            let tail = rank_of_scalar(&model, &ent, &rel, t, false, f);
-            prop_assert_eq!(ws.head_ranks()[i], head, "head rank diverges at query {}", i);
-            prop_assert_eq!(ws.tail_ranks()[i], tail, "tail rank diverges at query {}", i);
-        }
+        let want: Vec<[usize; 2]> = queries
+            .iter()
+            .map(|&t| [true, false].map(|head| rank_of_scalar(&model, &ent, &rel, t, head, f)))
+            .collect();
+        let mut ws = RankingWorkspace::new();
+        blocked_ranks_at_every_level(&mut ws, &model, (&ent, &rel), &queries, &grouped, &opts, |sub| {
+            assert_eq!(sub, queries.as_slice(), "no subsampling");
+            want.clone()
+        });
     }
 }
 
@@ -177,8 +204,9 @@ proptest! {
     /// The blocked one-vs-all pipeline (fused kernels, tiling, grouped
     /// filter inversion, unit scheduling) must reproduce the scalar
     /// oracle's ranks *bit-identically* — per query and direction, under
-    /// both raw and filtered protocols, through subsampling, and on
-    /// tie-heavy quantized tables where midpoint tie handling matters.
+    /// both raw and filtered protocols, through subsampling, on tie-heavy
+    /// quantized tables where midpoint tie handling matters, and at every
+    /// dispatch level.
     #[test]
     fn blocked_ranks_match_scalar_oracle(
         model_id in 0usize..5,
@@ -206,22 +234,19 @@ proptest! {
             seed,
         };
 
-        let mut ws = RankingWorkspace::new();
-        let blocked =
-            evaluate_ranking_with(&mut ws, model.as_ref(), &ent, &rel, &triples, &grouped, &opts);
-
         let f = filtered.then_some(&filter);
-        let mut scalar_ranks = Vec::with_capacity(ws.queries().len() * 2);
-        for (i, t) in ws.queries().iter().enumerate() {
-            let head = rank_of_scalar(model.as_ref(), &ent, &rel, *t, true, f);
-            let tail = rank_of_scalar(model.as_ref(), &ent, &rel, *t, false, f);
-            prop_assert_eq!(ws.head_ranks()[i], head, "head rank diverges at query {}", i);
-            prop_assert_eq!(ws.tail_ranks()[i], tail, "tail rank diverges at query {}", i);
-            scalar_ranks.push(head);
-            scalar_ranks.push(tail);
-        }
+        let scalar = |sub: &[Triple]| -> Vec<[usize; 2]> {
+            sub.iter()
+                .map(|&t| [true, false].map(|head| rank_of_scalar(model.as_ref(), &ent, &rel, t, head, f)))
+                .collect()
+        };
+        let mut ws = RankingWorkspace::new();
+        let blocked = blocked_ranks_at_every_level(
+            &mut ws, model.as_ref(), (&ent, &rel), &triples, &grouped, &opts, scalar,
+        );
         // Same ranks in the same interleaved order ⇒ the f64 metric sums
         // must match bit-for-bit too.
+        let scalar_ranks = scalar(ws.queries()).concat();
         prop_assert_eq!(blocked, RankingMetrics::from_ranks(&scalar_ranks));
     }
 

@@ -5,22 +5,28 @@
 //! [`evaluate_ranking_with`] against a reused [`RankingWorkspace`] on a
 //! single-thread worker pool. After one warm-up evaluation per protocol
 //! variant (raw, filtered, and filtered-with-subsampling), repeating the
-//! same evaluations must perform **zero** heap allocations: the tile
-//! score buffers, counter arrays, subsample index buffers, and pooled
-//! per-unit scratch are all checked out of the workspace and reused.
+//! same evaluations must perform **zero** heap allocations, at every
+//! dispatch level the host has: the tile score buffers, counter arrays,
+//! subsample index buffers, and pooled per-unit scratch are all checked
+//! out of the workspace and reused. The distributed entry point
+//! ([`evaluate_ranking_distributed`]) is held to the same on a one-rank
+//! cluster: its subsample and shard live in the workspace too.
 //!
 //! Scope: the guarantee is single-thread, matching the trainer's
 //! zero-alloc test — multi-thread pools spawn scoped workers and collect
 //! per-unit scratch boxes, which allocate by construction (see DESIGN.md).
+//! The counters are process-global, so everything is counted in one test.
 
 #[global_allocator]
 static ALLOC: kge_core::alloc_count::CountingAlloc = kge_core::alloc_count::CountingAlloc;
 
+use kge_core::simd::{set_level, Level};
 use kge_core::{alloc_count, ComplEx, EmbeddingTable};
 use kge_data::{GroupedFilter, Triple};
-use kge_eval::{evaluate_ranking_with, RankingOptions, RankingWorkspace};
+use kge_eval::{evaluate_ranking_distributed, evaluate_ranking_with, RankingOptions, RankingWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use simgrid::{Cluster, ClusterSpec};
 
 #[test]
 fn steady_state_ranking_eval_allocates_nothing() {
@@ -53,7 +59,7 @@ fn steady_state_ranking_eval_allocates_nothing() {
         .num_threads(1)
         .build()
         .expect("single-thread pool");
-    let delta = pool.install(|| {
+    pool.install(|| {
         let mut ws = RankingWorkspace::new();
         // Warm-up: sizes every buffer for the largest shapes each variant
         // touches; allowed (and expected) to allocate.
@@ -63,20 +69,44 @@ fn steady_state_ranking_eval_allocates_nothing() {
             .collect();
 
         // Steady state: no collects, no Vec growth — metrics are Copy.
-        let start = alloc_count::snapshot();
-        let a = evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &variants[0]);
-        let b = evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &variants[1]);
-        let c = evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &variants[2]);
-        let delta = alloc_count::since(start);
+        for &level in Level::detected() {
+            set_level(Some(level));
+            let start = alloc_count::snapshot();
+            let a = evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &variants[0]);
+            let b = evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &variants[1]);
+            let c = evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &variants[2]);
+            let delta = alloc_count::since(start);
+            set_level(None);
 
-        // The reused workspace must not perturb results either.
-        assert_eq!(warm, [a, b, c], "workspace reuse changed the metrics");
-        delta
+            // The reused workspace must not perturb results either.
+            assert_eq!(warm, [a, b, c], "workspace reuse changed the metrics at {level:?}");
+            assert_eq!(
+                delta.allocs, 0,
+                "steady-state ranking eval allocated {} times ({} bytes) at {level:?}",
+                delta.allocs, delta.bytes
+            );
+        }
     });
 
+    // The distributed entry point, one rank: a warm workspace's second call
+    // allocates nothing. The rank runs on a thread of its own, so the
+    // single-thread pool is installed there.
+    let opts = &variants[2];
+    let runs = Cluster::new(1, ClusterSpec::ideal()).run(|ctx| {
+        pool.install(|| {
+            let mut ws = RankingWorkspace::new();
+            let comm = ctx.comm_mut();
+            let warm = evaluate_ranking_distributed(comm, &mut ws, &model, &ent, &rel, &queries, &grouped, opts);
+            let start = alloc_count::snapshot();
+            let again = evaluate_ranking_distributed(comm, &mut ws, &model, &ent, &rel, &queries, &grouped, opts);
+            (warm, again, alloc_count::since(start))
+        })
+    });
+    let (warm, again, delta) = runs[0];
+    assert_eq!(warm, again, "workspace reuse changed the distributed metrics");
     assert_eq!(
         delta.allocs, 0,
-        "steady-state ranking eval allocated {} times ({} bytes)",
+        "steady-state distributed ranking eval allocated {} times ({} bytes)",
         delta.allocs, delta.bytes
     );
 }

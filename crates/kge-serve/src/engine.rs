@@ -3,9 +3,9 @@
 //! Queries are submitted individually ([`ServeEngine::submit`]) and
 //! answered together ([`ServeEngine::drain`]): the drain sorts the
 //! admitted batch by relation, then sweeps the snapshot's entity table
-//! **tile-major** — every query scores the current 16-lane column-major
-//! tile before the sweep moves on — so one pass over the (cache-cold,
-//! potentially hundreds of MB) entity table serves the whole batch, and
+//! **tile-major** — every query scores the current column-major tile, 32
+//! lanes at a time, before the sweep moves on — so one pass over the
+//! (cache-cold, potentially hundreds of MB) entity table serves the batch, and
 //! each 16 KB column-major tile ([`kge_eval::transpose::TILE_BYTES`])
 //! stays L1-resident across all of it. Queries sharing a relation run
 //! consecutively, reusing the loaded relation row. This is where batched

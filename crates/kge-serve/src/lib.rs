@@ -12,9 +12,9 @@
 //!   column-major transposed entity tiles ([`kge_eval::TransposedTable`])
 //!   once, so queries never pay the transpose.
 //! - [`topk`]: the selection kernel — a fixed-capacity partial heap with
-//!   a threshold fast path over the 16-lane score tiles, deterministic
-//!   tie-breaking by entity id, and a scalar full-sort oracle the results
-//!   are bit-identical to.
+//!   a threshold fast path over the score tiles of the 32-lane one-vs-all
+//!   sweep, deterministic tie-breaking by entity id, and a scalar
+//!   full-sort oracle the results are bit-identical to.
 //! - [`engine`]: batched query admission — concurrent queries are
 //!   coalesced, sorted into relation groups, and served by **one**
 //!   tile-major sweep of the entity table, so a batch pays the table

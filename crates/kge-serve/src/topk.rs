@@ -1,10 +1,10 @@
 //! Top-k selection over one-vs-all score sweeps.
 //!
-//! The serving hot path scores every entity against a query in 16-lane
-//! tiles ([`KgeModel::score_one_vs_all_transposed`]) and must keep only
-//! the best `k`. [`TopKHeap`] is a fixed-capacity partial heap with a
-//! two-level threshold filter: per tile, a vectorizable max-reduce
-//! against the worst kept entry rejects whole 16-lane tiles at once
+//! The serving hot path scores every entity against a query tile by tile,
+//! 32 lanes at a time ([`KgeModel::score_one_vs_all_transposed`]), and must
+//! keep only the best `k`. [`TopKHeap`] is a fixed-capacity partial heap
+//! with a two-level threshold filter: per tile, a vectorizable max-reduce
+//! against the worst kept entry rejects whole tiles at once
 //! ([`offer_tile`]); per candidate, a full heap rejects losers with a
 //! single root comparison ([`offer`]) — so in steady state (almost every
 //! tile loses) selection costs a fraction of a comparison per candidate

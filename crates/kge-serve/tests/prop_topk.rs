@@ -1,15 +1,15 @@
 //! Bit-identity of the serving top-k path against the scalar full-sort
 //! oracle: ids, scores, and order, across models × dims × k ×
-//! filtered/unfiltered, batched and single-query admission.
-//!
-//! `scripts/check.sh` runs this suite twice — plain (AVX dispatch where
-//! the host has it) and under `KGE_FORCE_SCALAR=1` — so the equality is
-//! pinned on both kernel paths.
+//! filtered/unfiltered, batched and single-query admission, and entity
+//! counts whose last tile ends in every kind of padded lane chunk — every
+//! drain at every dispatch level the host has.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use kge_core::simd::{set_level, Level};
 use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, TransE};
 use kge_data::{GroupedFilter, Triple};
+use kge_eval::tile_rows_for;
 use kge_serve::{ModelSnapshot, Query, ServeEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,18 +55,32 @@ fn filter_for(n_ent: u32, n_rel: u32, seed: u64) -> Arc<GroupedFilter> {
     Arc::new(GroupedFilter::from_triples(triples.into_iter()))
 }
 
-/// Submit `queries` as one batch and check every slot against the scalar
-/// oracle — exact ids, exact score bits, exact order.
+/// `f` once per dispatch level the host has. Tests run on parallel threads,
+/// so the process-global level is held under a lock while `f` runs.
+fn at_every_level(mut f: impl FnMut(Level)) {
+    static ARM: Mutex<()> = Mutex::new(());
+    let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
+    for &level in Level::detected() {
+        set_level(Some(level));
+        f(level);
+    }
+    set_level(None);
+}
+
+/// Submit `queries` as one batch at every level and check every slot
+/// against the scalar oracle — exact ids, exact score bits, exact order.
 fn assert_batch_matches_oracle(engine: &mut ServeEngine, queries: &[Query]) {
-    for &q in queries {
-        engine.submit(q);
-    }
-    engine.drain();
-    for (i, q) in queries.iter().enumerate() {
-        let got = engine.results().get(i).to_vec();
-        let want = engine.oracle(q);
-        assert_eq!(got, want, "query {i} ({q:?}) diverges from scalar oracle");
-    }
+    at_every_level(|level| {
+        for &q in queries {
+            engine.submit(q);
+        }
+        engine.drain();
+        for (i, q) in queries.iter().enumerate() {
+            let got = engine.results().get(i).to_vec();
+            let want = engine.oracle(q);
+            assert_eq!(got, want, "query {i} ({q:?}) diverges from scalar oracle at {level:?}");
+        }
+    });
 }
 
 /// Exhaustive pin of the ISSUE matrix: 5 models × dims {15, 64, 128} ×
@@ -118,14 +132,47 @@ fn nan_rows_never_ranked() {
         let mut engine = ServeEngine::new(snap);
         // head 5 is finite; heads 0/17/79 give NaN query rows → every
         // candidate scores NaN → empty result set, matching the oracle.
-        for head in [5u32, 0, 17] {
-            let q = Query { head, rel: 0, k: 10, filtered: false };
-            for &e in &[0u32, 17, 79] {
-                engine.submit(q);
-                engine.drain();
-                let got = engine.results().get(0).to_vec();
-                assert!(got.iter().all(|h| h.entity != e), "NaN row {e} ranked");
-                assert_eq!(got, engine.oracle(&q), "model {model_id} head {head}");
+        at_every_level(|level| {
+            for head in [5u32, 0, 17] {
+                let q = Query { head, rel: 0, k: 10, filtered: false };
+                let got = engine.query_one(q).to_vec();
+                for &e in &[0u32, 17, 79] {
+                    assert!(got.iter().all(|h| h.entity != e), "NaN row {e} ranked at {level:?}");
+                }
+                assert_eq!(got, engine.oracle(&q), "model {model_id} head {head} {level:?}");
+            }
+        });
+    }
+}
+
+/// Entity counts of two whole tiles and 1, 17 or 31 more: the last tile is
+/// a padded lane chunk alone, which is where the sweep's zero padding must
+/// never reach a result. Five models at a narrow and a wide rank (ComplEx
+/// rank 64 has 32-row tiles, a single lane chunk each).
+#[test]
+fn ragged_last_tiles_match_scalar_oracle() {
+    let n_rel = 3u32;
+    for model_id in 0..5usize {
+        for rank in [15usize, 64] {
+            let model = build_model(model_id, rank);
+            let dim = model.storage_dim();
+            for extra in [1usize, 17, 31] {
+                let n_ent = 2 * tile_rows_for(dim) + extra;
+                let seed = (model_id * 1000 + rank * 10 + extra) as u64;
+                let ent = quantized_table(n_ent, dim, seed);
+                let rel = quantized_table(n_rel as usize, dim, seed ^ 0x9E37);
+                let snap = Arc::new(ModelSnapshot::build(model.clone(), &ent, &rel, 1));
+                let filter = filter_for(n_ent as u32, n_rel, seed);
+                let mut engine = ServeEngine::with_filter(snap, Some(filter));
+                let queries: Vec<Query> = (0..6u32)
+                    .map(|i| Query {
+                        head: (i * 53 + extra as u32) % n_ent as u32,
+                        rel: i % n_rel,
+                        k: if i % 2 == 0 { 10 } else { 40 },
+                        filtered: i % 3 == 0,
+                    })
+                    .collect();
+                assert_batch_matches_oracle(&mut engine, &queries);
             }
         }
     }
@@ -166,14 +213,6 @@ proptest! {
                 filtered,
             })
             .collect();
-        for &q in &queries {
-            engine.submit(q);
-        }
-        engine.drain();
-        for (i, q) in queries.iter().enumerate() {
-            let got = engine.results().get(i).to_vec();
-            let want = engine.oracle(q);
-            prop_assert_eq!(got, want, "query {} diverges", i);
-        }
+        assert_batch_matches_oracle(&mut engine, &queries);
     }
 }

@@ -5,15 +5,16 @@
 //! submit/drain batches against one [`ServeEngine`]. After one warm-up
 //! drain per admission shape (unfiltered batch, filtered batch, single
 //! query), repeating the same shapes must perform **zero** heap
-//! allocations: the pending queue, relation-sorted order, tile score
-//! buffer, pooled per-query heaps, and flat result storage all keep
-//! their capacity across drains.
+//! allocations, at every dispatch level the host has: the pending queue,
+//! relation-sorted order, tile score buffer, pooled per-query heaps, and
+//! flat result storage all keep their capacity across drains.
 
 #[global_allocator]
 static ALLOC: kge_core::alloc_count::CountingAlloc = kge_core::alloc_count::CountingAlloc;
 
 use std::sync::Arc;
 
+use kge_core::simd::{set_level, Level};
 use kge_core::{alloc_count, ComplEx, EmbeddingTable, KgeModel};
 use kge_data::{GroupedFilter, Triple};
 use kge_serve::{ModelSnapshot, Query, ServeEngine};
@@ -79,17 +80,22 @@ fn steady_state_serve_batches_allocate_nothing() {
     // Warm-up: sizes every pooled buffer; allowed to allocate.
     let warm = run_shapes(&mut engine);
 
-    // Steady state: replaying the same shapes must not touch the heap.
-    let start = alloc_count::snapshot();
-    let a = run_shapes(&mut engine);
-    let b = run_shapes(&mut engine);
-    let delta = alloc_count::since(start);
+    // Steady state: replaying the same shapes must not touch the heap, at
+    // any dispatch level.
+    for &level in Level::detected() {
+        set_level(Some(level));
+        let start = alloc_count::snapshot();
+        let a = run_shapes(&mut engine);
+        let b = run_shapes(&mut engine);
+        let delta = alloc_count::since(start);
+        set_level(None);
 
-    assert_eq!(warm, a, "buffer reuse changed the results");
-    assert_eq!(a, b, "steady-state drains diverged");
-    assert_eq!(
-        delta.allocs, 0,
-        "steady-state serving allocated {} times ({} bytes)",
-        delta.allocs, delta.bytes
-    );
+        assert_eq!(warm, a, "buffer reuse changed the results at {level:?}");
+        assert_eq!(a, b, "steady-state drains diverged at {level:?}");
+        assert_eq!(
+            delta.allocs, 0,
+            "steady-state serving allocated {} times ({} bytes) at {level:?}",
+            delta.allocs, delta.bytes
+        );
+    }
 }

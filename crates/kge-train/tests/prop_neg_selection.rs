@@ -11,10 +11,10 @@
 //! Covered: pools below, at and far above the kernel's 8-lane group, `train`
 //! of 1, 2 and the whole pool (no selection), with and without the `bern`
 //! bias, tables built to tie scores (draw order must win, `+0.0` against
-//! `-0.0` included), and a NaN score, which must still panic.
-//!
-//! `scripts/check.sh` runs the suite under both dispatch arms.
+//! `-0.0` included), and a NaN score, which must still panic. Every
+//! comparison with the reference runs at every dispatch level the host has.
 
+use kge_core::simd::{set_level, Level};
 use kge_core::{ComplEx, DistMult, EmbeddingTable, KgeModel};
 use kge_data::synth::{generate, SynthConfig};
 use kge_data::{Dataset, FilterIndex, Triple};
@@ -79,23 +79,23 @@ fn reference(s: &NegSampler<'_>, positives: &[Triple], rng: &mut StdRng) -> (Sta
 }
 
 /// Chunk-wide staging and the one-positive entry point against the
-/// reference, under both dispatch arms.
+/// reference, at every dispatch level the host has.
 fn check(s: &NegSampler<'_>, positives: &[Triple], seed: u64) {
     // Tests run on parallel threads; hold the process-global override for
-    // the whole check so each arm really is the one asked for.
+    // the whole check so each level really is the one asked for.
     static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
     let mut want_rng = StdRng::seed_from_u64(seed);
     let (want, want_discarded) = reference(s, positives, &mut want_rng);
     let what = format!("{:?} bern={} seed={seed}", s.policy, s.bias.is_some());
     let mut scratch = NegScratch::default();
-    for force_scalar in [true, false] {
-        kge_core::simd::set_force_scalar(Some(force_scalar));
+    for &level in Level::detected() {
+        set_level(Some(level));
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut got: Staged = Default::default();
         s.stage(positives.iter().copied(), &mut rng, &mut scratch, &mut got.0, &mut got.1);
-        assert_eq!(got, want, "chunk-wide staging, {what} force_scalar={force_scalar}");
+        assert_eq!(got, want, "chunk-wide staging, {what} {level:?}");
         assert_eq!(rng.state(), want_rng.state(), "RNG after chunk-wide staging, {what}");
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -113,10 +113,10 @@ fn check(s: &NegSampler<'_>, positives: &[Triple], seed: u64) {
             got.0.extend(negs.iter().map(|_| -1.0));
             got.1.extend(negs.iter().map(|n| (n.head, n.rel, n.tail)));
         }
-        assert_eq!(got, want, "sample_negatives_into, {what} force_scalar={force_scalar}");
+        assert_eq!(got, want, "sample_negatives_into, {what} {level:?}");
         assert_eq!(rng.state(), want_rng.state(), "RNG after sample_negatives_into, {what}");
     }
-    kge_core::simd::set_force_scalar(None);
+    set_level(None);
 }
 
 /// DistMult tables where every score is `h₀·t₀` with `h₀, t₀ ∈ {-1, 0, 1}`:

@@ -3,7 +3,25 @@
 //! strategy of the paper through the public `kge` API.
 
 use kge::compress::{QuantScheme, RowSelector};
+use kge::core::simd::{set_level, Level};
 use kge::prelude::*;
+
+/// `f`'s result at every dispatch level this host has, lowest first. Tests
+/// run on parallel threads, so the process-global level is held under a
+/// lock while `f` runs, and detection is re-armed afterwards.
+fn at_each_level<T>(mut f: impl FnMut(Level) -> T) -> Vec<T> {
+    static PIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _pin = PIN.lock().unwrap_or_else(|e| e.into_inner());
+    let out = Level::detected()
+        .iter()
+        .map(|&level| {
+            set_level(Some(level));
+            f(level)
+        })
+        .collect();
+    set_level(None);
+    out
+}
 
 fn dataset(seed: u64) -> Dataset {
     kge::data::synth::generate(&SynthPreset::Fb15kLike.config(0.015, seed))
@@ -227,12 +245,11 @@ fn sample_selection_improves_ranking_quality() {
     );
 }
 
-/// One cell of `kge-core`'s `prop_optim_kernels` suite (which
-/// `scripts/check.sh` runs in full under both dispatch arms), so the tier-1
-/// command exercises both arms of the optimizer row kernels: dense and lazy
-/// Adam and AdaGrad steps over a table with SIMD tails and more than one
-/// dense chunk must give the same bits with scalar kernels forced as with
-/// AVX dispatch.
+/// One cell of `kge-core`'s `prop_optim_kernels` suite (which runs in full
+/// at every dispatch level from `scripts/check.sh`), so the tier-1 command
+/// exercises every copy of the optimizer row kernels: dense and lazy Adam
+/// and AdaGrad steps over a table with SIMD tails and more than one dense
+/// chunk must give the same bits at every level as at `Scalar`.
 #[test]
 fn optimizer_kernels_bit_identical_across_dispatch_arms() {
     use kge::core::{Adagrad, AdagradOptimizer, Adam, AdamOptimizer, RowOptimizer, SparseGrad};
@@ -246,8 +263,7 @@ fn optimizer_kernels_bit_identical_across_dispatch_arms() {
     for row in [149u32, 0, 77, 3] {
         sparse.row_mut(row).copy_from_slice(dense.row(row as usize));
     }
-    let run = |force_scalar: bool| -> Vec<u32> {
-        kge::core::simd::set_force_scalar(Some(force_scalar));
+    let runs = at_each_level(|_| {
         let opts: [Box<dyn RowOptimizer>; 2] = [
             Box::new(AdamOptimizer::new(Adam::default(), ROWS, DIM)),
             Box::new(AdagradOptimizer::new(Adagrad::default(), ROWS, DIM)),
@@ -261,21 +277,21 @@ fn optimizer_kernels_bit_identical_across_dispatch_arms() {
             }
             out.extend(table.as_slice().iter().map(|x| x.to_bits()));
         }
-        kge::core::simd::set_force_scalar(None);
         out
-    };
-    assert_eq!(run(true), run(false));
+    });
+    for (level, got) in Level::detected().iter().zip(&runs) {
+        assert_eq!(got, &runs[0], "{level:?} against Scalar");
+    }
 }
 
-/// One cell of `kge-core`'s `prop_train_kernels` suite (which
-/// `scripts/check.sh` runs in full under both dispatch arms), so the tier-1
-/// command exercises the training kernel: on a training-shaped block —
-/// positives each followed by negatives that keep the relation and one
-/// entity, a self-loop, more than one 16-lane group plus a tail — the
-/// block kernel gives the bits and the row order of the per-triple
-/// definition, with scalar kernels forced and with AVX dispatch, for the
-/// paper's model (ComplEx) and for one that had no kernel of its own before
-/// the generic drivers (RotatE).
+/// One cell of `kge-core`'s `prop_train_kernels` suite (which runs in full
+/// at every dispatch level from `scripts/check.sh`), so the tier-1 command
+/// exercises the training kernel: on a training-shaped block — positives
+/// each followed by negatives that keep the relation and one entity, a
+/// self-loop, more than one 16-example group plus a tail — the block kernel
+/// gives the bits and the row order of the per-triple definition at every
+/// level, for the paper's model (ComplEx) and for one that had no kernel of
+/// its own before the generic drivers (RotatE).
 #[test]
 fn block_kernel_matches_per_triple_path_on_both_dispatch_arms() {
     use kge::core::matrix::axpy;
@@ -315,8 +331,7 @@ fn block_kernel_matches_per_triple_path_on_both_dispatch_arms() {
             axpy(1.0, &gr, want_rel.row_mut(r));
         }
 
-        for force_scalar in [true, false] {
-            kge::core::simd::set_force_scalar(Some(force_scalar));
+        at_each_level(|level| {
             let (mut got_ent, mut got_rel) = (SparseGrad::new(dim), SparseGrad::new(dim));
             model.score_grad_block(
                 &ent,
@@ -328,21 +343,20 @@ fn block_kernel_matches_per_triple_path_on_both_dispatch_arms() {
                 &mut got_ent,
                 &mut got_rel,
             );
-            kge::core::simd::set_force_scalar(None);
-            let arm = format!("{} force_scalar={force_scalar}", model.name());
+            let arm = format!("{} {level:?}", model.name());
             assert_eq!(entries(&got_ent), entries(&want_ent), "entity gradient, {arm}");
             assert_eq!(entries(&got_rel), entries(&want_rel), "relation gradient, {arm}");
-        }
+        });
     }
 }
 
 /// One cell each of `kge-eval`'s `prop_eval` and `kge-serve`'s `prop_topk`
-/// suites (both run in full, under both dispatch arms, from
+/// suites (both run in full, at every dispatch level, from
 /// `scripts/check.sh`), on a model the trainer produced: RotatE — which had
 /// no one-vs-all kernel before the generic transposed driver — trained for
-/// two epochs on two ranks, then, with scalar kernels forced and with AVX
-/// dispatch, (i) the blocked evaluation's filtered ranks equal a ranking by
-/// `score` written out here and (ii) served top-k equals a sort by `score`.
+/// two epochs on two ranks, then, at every level, (i) the blocked
+/// evaluation's filtered ranks equal a ranking by `score` written out here
+/// and (ii) served top-k equals a sort by `score`.
 #[test]
 fn rotate_trains_then_ranks_and_serves_like_scalar_score_on_both_dispatch_arms() {
     let ds = dataset(21);
@@ -387,29 +401,27 @@ fn rotate_trains_then_ranks_and_serves_like_scalar_score_on_both_dispatch_arms()
 
     let grouped = GroupedFilter::from_index(&filter);
     let snapshot = std::sync::Arc::new(ModelSnapshot::build(model.clone(), ent, rel, 2));
-    for force_scalar in [true, false] {
-        kge::core::simd::set_force_scalar(Some(force_scalar));
+    at_each_level(|level| {
         let mut ws = RankingWorkspace::new();
         evaluate_ranking_with(&mut ws, model.as_ref(), ent, rel, queries, &grouped, &RankingOptions::default());
         let mut engine = ServeEngine::new(snapshot.clone());
         let hits: Vec<(u32, u32)> =
             engine.query_one(served).iter().map(|h| (h.entity, h.score.to_bits())).collect();
-        kge::core::simd::set_force_scalar(None);
         let got_ranks: Vec<[usize; 2]> =
             ws.head_ranks().iter().zip(ws.tail_ranks()).map(|(&h, &t)| [h, t]).collect();
         assert_eq!(ws.queries(), queries, "no subsampling");
-        assert_eq!(got_ranks, want_ranks, "filtered ranks, force_scalar={force_scalar}");
-        assert_eq!(hits, want_hits, "top-k, force_scalar={force_scalar}");
-    }
+        assert_eq!(got_ranks, want_ranks, "filtered ranks, {level:?}");
+        assert_eq!(hits, want_hits, "top-k, {level:?}");
+    });
 }
 
 /// One cell of `kge-eval`'s `prop_eval` suite (which `scripts/check.sh`
-/// runs in full under both dispatch arms) at the paper's model and a
+/// runs in full at every dispatch level) at the paper's model and a
 /// realistic width: ComplEx rank 32 trained for two epochs, so 64-float
-/// rows and more than three 16 KB tiles of entities. With scalar kernels
-/// forced and with AVX dispatch, the filtered ranks of 60 test triples —
-/// units of eight that change relation, known lists corrected tile by tile
-/// as the sweep reaches them — equal `rank_of_scalar`'s.
+/// rows and more than three 16 KB tiles of entities. At every level, the
+/// filtered ranks of 60 test triples — units of eight that change
+/// relation, known lists corrected tile by tile as the sweep reaches them
+/// — equal `rank_of_scalar`'s.
 #[test]
 fn filtered_ranking_over_several_tiles_matches_scalar_on_both_dispatch_arms() {
     let ds = dataset(22);
@@ -434,19 +446,17 @@ fn filtered_ranking_over_several_tiles_matches_scalar_on_both_dispatch_arms() {
         .map(|&q| [true, false].map(|head| kge::eval::rank_of_scalar(&model, ent, rel, q, head, Some(&filter))))
         .collect();
     let grouped = GroupedFilter::from_index(&filter);
-    for force_scalar in [true, false] {
-        kge::core::simd::set_force_scalar(Some(force_scalar));
+    at_each_level(|level| {
         let mut ws = RankingWorkspace::new();
         evaluate_ranking_with(&mut ws, &model, ent, rel, queries, &grouped, &RankingOptions::default());
-        kge::core::simd::set_force_scalar(None);
         let got: Vec<[usize; 2]> = ws.head_ranks().iter().zip(ws.tail_ranks()).map(|(&h, &t)| [h, t]).collect();
         assert_eq!(ws.queries(), queries, "no subsampling");
-        assert_eq!(got, want, "filtered ranks, force_scalar={force_scalar}");
-    }
+        assert_eq!(got, want, "filtered ranks, {level:?}");
+    });
 }
 
 /// One cell of `kge-train`'s `prop_neg_selection` suite joined to the
-/// kernel's (both run in full, under both dispatch arms, from
+/// kernel's (both run in full, at every dispatch level, from
 /// `scripts/check.sh`), so the tier-1 command exercises the combined
 /// strategy's gradient path: one `combined(5)` batch — every pool drawn
 /// first, all candidates scored in one `score_triples` call, the hardest
@@ -515,16 +525,14 @@ fn combined_batch_matches_per_positive_staging_on_both_dispatch_arms() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
         (0..g.nnz()).map(|i| (g.entry(i).0, bits(g.entry(i).1))).collect()
     };
-    for force_scalar in [true, false] {
-        kge::core::simd::set_force_scalar(Some(force_scalar));
+    at_each_level(|level| {
         let mut ws = kge::train::BatchWorkspace::new(dim);
         let (loss, n) =
             ws.batch_gradients_into(model.as_ref(), &ent, &rel, &ds.train, 0, &config, &filter, None, 0, 0);
-        kge::core::simd::set_force_scalar(None);
-        assert_eq!((loss.to_bits(), n), (want_loss.to_bits(), examples.len()), "force_scalar={force_scalar}");
-        assert_eq!(entries(ws.ent_grad()), entries(&want_ent), "entity gradient, force_scalar={force_scalar}");
-        assert_eq!(entries(ws.rel_grad()), entries(&want_rel), "relation gradient, force_scalar={force_scalar}");
-    }
+        assert_eq!((loss.to_bits(), n), (want_loss.to_bits(), examples.len()), "{level:?}");
+        assert_eq!(entries(ws.ent_grad()), entries(&want_ent), "entity gradient, {level:?}");
+        assert_eq!(entries(ws.rel_grad()), entries(&want_rel), "relation gradient, {level:?}");
+    });
 }
 
 /// One cell of `kge-train`'s `pipeline_determinism` suite (which
