@@ -61,6 +61,5 @@ pub use exchange::{ExchangeStats, GatherBufs};
 pub use lr::{LrDecision, PlateauSchedule};
 pub use ps::train_ps;
 pub use report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
-pub use shard::train_sharded;
 pub use snapshot::{PublishedModel, RecordedSnapshot, RecordingSink, SnapshotSink};
 pub use trainer::{train, train_with_snapshots, BatchWorkspace, StepInputs};

@@ -92,7 +92,7 @@ fn steady_state_allocs(
                 filter: &filter,
                 bias: None,
             };
-            let mut st = ReplicaState::new(&inputs, &ds, ctx.rank(), ranks);
+            let mut st = ReplicaState::new(&inputs, &ds, ctx.rank());
             st.shard = ds.train.clone();
             let batches = ds.train.len().div_ceil(config.batch_size);
             assert!(batches > window, "need a steady state deeper than the window");
@@ -109,13 +109,14 @@ fn steady_state_allocs(
                         choice,
                         window,
                         lr_scale,
+                        batches,
                     };
                     let mut sums = EpochSums::default();
                     for b in 0..batches {
                         replica_batch_step(ctx, &inputs, st, &plan, b, &mut sums)
                             .expect("no fault plan, no crash");
                     }
-                    replica_epoch_drain(ctx, &inputs, st, &plan, batches).expect("drain");
+                    replica_epoch_drain(ctx, &inputs, st, &plan).expect("drain");
                 }
             };
 

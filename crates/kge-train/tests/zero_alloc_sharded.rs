@@ -30,7 +30,8 @@ use kge_train::shard::{
     sharded_batch_step, sharded_epoch_prefetch_drain, PrefetchRing, RankState, ShardedBufs,
     ShardedStore,
 };
-use kge_train::{PrefetchMode, ShardedConfig, StepInputs, StrategyConfig, TrainConfig};
+use kge_train::trainer::{EpochPlan, EpochSums};
+use kge_train::{CommChoice, PrefetchMode, ShardedConfig, StepInputs, StrategyConfig, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgrid::{Cluster, ClusterSpec};
@@ -120,8 +121,16 @@ fn steady_state_epoch(prefetch: PrefetchMode) -> alloc_count::AllocSnapshot {
             let batches = ds.train.len().div_ceil(config.batch_size);
 
             let mut epoch_pass = |epoch: usize, ctx: &mut simgrid::NodeCtx| {
+                let plan = EpochPlan {
+                    epoch,
+                    choice: CommChoice::AllGather,
+                    window: 0,
+                    lr_scale: 1.0,
+                    batches,
+                };
+                let mut sums = EpochSums::default();
                 for b in 0..batches {
-                    sharded_batch_step(ctx, &run, &mut st, epoch, b, batches, 1.0)
+                    sharded_batch_step(ctx, &run, &mut st, &plan, b, &mut sums)
                         .expect("single-rank batch cannot crash");
                 }
                 sharded_epoch_prefetch_drain(ctx, &mut st);
