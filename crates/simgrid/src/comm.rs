@@ -538,6 +538,7 @@ impl Communicator {
                 dst,
                 Message {
                     src: self.rank,
+                    op,
                     payload: payload.to_vec(),
                     arrival_s: arrival,
                 },
@@ -583,6 +584,7 @@ impl Communicator {
             dst,
             Message {
                 src: self.rank,
+                op,
                 payload: payload.to_vec(),
                 arrival_s: arrival,
             },
@@ -898,8 +900,10 @@ impl Communicator {
     /// communicator afterwards addresses the shrunken world (with a new,
     /// dense rank id; see [`Communicator::orig_rank`]), and `Ok(false)`
     /// for crashed ranks, which must stop using the communicator. Clock
-    /// and traffic accounts carry over; undelivered p2p messages to or
-    /// from crashed ranks are dropped with the old world.
+    /// and traffic accounts carry over. Undelivered p2p messages die with
+    /// the old world; their senders counted them on the wire, so each
+    /// rank counts the ones still queued to it as received — in their own
+    /// traffic bucket, unpriced — and wire conservation stays exact.
     pub fn shrink(&mut self) -> Result<bool, SimError> {
         let failed: Vec<usize> = self.world.failed.lock().clone();
         if failed.is_empty() {
@@ -918,7 +922,9 @@ impl Communicator {
             );
             *self.world.next_world.lock() = Some(new_world);
         }
-        self.world.barrier.wait(); // staged world visible to all survivors
+        self.world.barrier.wait(); // staged world visible; every old-world send is in
+        let traffic = &mut self.traffic;
+        self.world.post.drain(self.rank, |msg| traffic.record_wire(msg.op, 0, msg.payload.len()));
         if !i_survive {
             return Ok(false);
         }

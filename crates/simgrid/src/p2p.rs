@@ -15,6 +15,7 @@
 //! keeps programs deterministic (serving ranks drain peers in a fixed
 //! order).
 
+use crate::cost::Collective;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,6 +24,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Message {
     pub src: usize,
+    /// The traffic bucket the sender counted it in.
+    pub op: Collective,
     pub payload: Vec<u8>,
     /// Simulated arrival time at the destination.
     pub arrival_s: f64,
@@ -69,6 +72,14 @@ impl PostOffice {
                 return m;
             }
             cv.wait(&mut inner);
+        }
+    }
+
+    /// Pop every message still queued for `dst`, in source order.
+    pub(crate) fn drain(&self, dst: usize, mut each: impl FnMut(Message)) {
+        let mut inner = self.boxes[dst].0.lock();
+        for queue in inner.queues.iter_mut() {
+            queue.drain(..).for_each(&mut each);
         }
     }
 }
