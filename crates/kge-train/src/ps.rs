@@ -181,17 +181,7 @@ fn run_ps_node(
 
     let (filter, bias) = (&indexes.filter, indexes.bias.as_ref());
 
-    // Every rank holds full tables: servers treat their owned rows as the
-    // source of truth; workers use theirs as a pull-through cache.
-    let mut init_rng = StdRng::seed_from_u64(config.seed);
-    let mut ent = EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng);
-    let mut rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
-    let mut ent_adam = AdamState::new(dataset.n_entities, dim);
-    let mut rel_adam = AdamState::new(dataset.n_relations, dim);
-    let adam = Adam {
-        lr: config.base_lr,
-        ..Adam::default()
-    };
+    let mut ps = PsState::new(dataset, config, dim);
     let mut rng = StdRng::seed_from_u64(
         config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
     );
@@ -223,20 +213,10 @@ fn run_ps_node(
 
         for b in 0..batches_per_epoch {
             if is_server {
-                serve_one_round(
-                    ctx.comm_mut(),
-                    n_servers,
-                    n_workers,
-                    &mut ent,
-                    &mut rel,
-                    &mut ent_adam,
-                    &mut rel_adam,
-                    &adam,
-                    dim,
-                    lr_scale,
-                );
+                ps.serve_one_round(ctx.comm_mut(), n_servers, n_workers, lr_scale);
                 continue;
             }
+            let PsState { ent, rel, .. } = &mut ps;
             // ---------------- Worker side. ----------------
             // Assemble the batch and its negative samples up front so the
             // pull covers every row the backward pass touches.
@@ -251,8 +231,8 @@ fn run_ps_node(
                         config.strategy.neg,
                         pos,
                         model,
-                        &ent,
-                        &rel,
+                        ent,
+                        rel,
                         filter,
                         bias,
                         ent.rows(),
@@ -299,7 +279,7 @@ fn run_ps_node(
             for server in 0..n_servers {
                 for which in 0..2 {
                     let msg = ctx.comm_mut().recv_bytes_from(server).expect("pull reply");
-                    let table = if which == 0 { &mut ent } else { &mut rel };
+                    let table = if which == 0 { &mut *ent } else { &mut *rel };
                     write_payload_into(&msg.payload, table, "reply payload");
                 }
             }
@@ -316,8 +296,8 @@ fn run_ps_node(
                 1.0 / examples.len() as f32
             };
             model.score_grad_block(
-                &ent,
-                &rel,
+                ent,
+                rel,
                 &block,
                 2.0 * config.l2 * inv,
                 &mut scratch,
@@ -344,12 +324,12 @@ fn run_ps_node(
         }
 
         // ---- Epoch end: assemble the full model on every rank. --------
-        assemble_full_model(ctx, n_servers, &owners, &mut ent, &mut rel);
+        assemble_full_model(ctx, n_servers, &owners, &mut ps.ent, &mut ps.rel);
 
         let acc = fast_valid_accuracy(
             model,
-            &ent,
-            &rel,
+            &ps.ent,
+            &ps.rel,
             &dataset.valid,
             filter,
             dataset.n_entities,
@@ -421,60 +401,88 @@ fn run_ps_node(
     let traffic = ctx.comm().traffic().report();
     (
         report,
-        ent,
-        rel,
+        ps.ent,
+        ps.rel,
         traffic.total_wire_sent(),
         traffic.total_wire_recv(),
     )
 }
 
-/// One server-side round: answer every worker's pull, then absorb every
-/// worker's push (fixed worker order — deterministic).
-#[allow(clippy::too_many_arguments)]
-fn serve_one_round(
-    comm: &mut Communicator,
-    n_servers: usize,
-    n_workers: usize,
-    ent: &mut EmbeddingTable,
-    rel: &mut EmbeddingTable,
-    ent_adam: &mut AdamState,
-    rel_adam: &mut AdamState,
-    adam: &Adam,
-    dim: usize,
-    lr_scale: f32,
-) {
-    // Pull phase.
-    for w in 0..n_workers {
-        let worker_rank = n_servers + w;
-        for _ in 0..2 {
-            let msg = comm.recv_bytes_from(worker_rank).expect("pull request");
-            let (tag, ids) = decode_ids(&msg.payload);
-            let reply = if tag == TAG_ENTITY {
-                encode_table_rows(dim, ent, &ids)
-            } else {
-                encode_table_rows(dim, rel, &ids)
-            };
-            comm.send_bytes(worker_rank, &reply).expect("pull reply");
+/// One rank's model and what a server's step needs. Every rank holds full
+/// tables: servers treat their owned rows as the source of truth, workers
+/// use theirs as a pull-through cache. The Adam states and the push
+/// aggregates (reused across rounds) are a server's.
+struct PsState {
+    ent: EmbeddingTable,
+    rel: EmbeddingTable,
+    ent_adam: AdamState,
+    rel_adam: AdamState,
+    adam: Adam,
+    ent_agg: SparseGrad,
+    rel_agg: SparseGrad,
+}
+
+impl PsState {
+    /// The same Xavier tables on every rank (entity table first), fresh
+    /// Adam states.
+    fn new(dataset: &Dataset, config: &TrainConfig, dim: usize) -> Self {
+        let mut init_rng = StdRng::seed_from_u64(config.seed);
+        PsState {
+            ent: EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng),
+            rel: EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng),
+            ent_adam: AdamState::new(dataset.n_entities, dim),
+            rel_adam: AdamState::new(dataset.n_relations, dim),
+            adam: Adam {
+                lr: config.base_lr,
+                ..Adam::default()
+            },
+            ent_agg: SparseGrad::new(dim),
+            rel_agg: SparseGrad::new(dim),
         }
     }
-    // Push phase: aggregate all workers, then one optimizer step.
-    let mut ent_agg = SparseGrad::new(dim);
-    let mut rel_agg = SparseGrad::new(dim);
-    for w in 0..n_workers {
-        let worker_rank = n_servers + w;
-        for table in 0..2 {
-            let msg = comm.recv_bytes_from(worker_rank).expect("gradient push");
-            let agg = if table == 0 { &mut ent_agg } else { &mut rel_agg };
-            add_payload_into(&msg.payload, agg, "push payload");
+
+    /// One server-side round: answer every worker's pull, then absorb every
+    /// worker's push (fixed worker order — deterministic).
+    fn serve_one_round(
+        &mut self,
+        comm: &mut Communicator,
+        n_servers: usize,
+        n_workers: usize,
+        lr_scale: f32,
+    ) {
+        let dim = self.ent.dim();
+        // Pull phase.
+        for w in 0..n_workers {
+            let worker_rank = n_servers + w;
+            for _ in 0..2 {
+                let msg = comm.recv_bytes_from(worker_rank).expect("pull request");
+                let (tag, ids) = decode_ids(&msg.payload);
+                let table = if tag == TAG_ENTITY { &self.ent } else { &self.rel };
+                let reply = encode_table_rows(dim, table, &ids);
+                comm.send_bytes(worker_rank, &reply).expect("pull reply");
+            }
         }
+        // Push phase: aggregate all workers, then one optimizer step.
+        self.ent_agg.clear();
+        self.rel_agg.clear();
+        for w in 0..n_workers {
+            let worker_rank = n_servers + w;
+            for table in 0..2 {
+                let msg = comm.recv_bytes_from(worker_rank).expect("gradient push");
+                let agg = if table == 0 { &mut self.ent_agg } else { &mut self.rel_agg };
+                add_payload_into(&msg.payload, agg, "push payload");
+            }
+        }
+        let inv = 1.0 / n_workers as f32;
+        self.ent_agg.scale(inv);
+        self.rel_agg.scale(inv);
+        comm.clock_mut().charge_flops(
+            self.ent_adam.lazy_step_flops(self.ent_agg.nnz())
+                + self.rel_adam.lazy_step_flops(self.rel_agg.nnz()),
+        );
+        self.adam.step_lazy(&mut self.ent_adam, &mut self.ent, &self.ent_agg, lr_scale);
+        self.adam.step_lazy(&mut self.rel_adam, &mut self.rel, &self.rel_agg, lr_scale);
     }
-    let inv = 1.0 / n_workers as f32;
-    ent_agg.scale(inv);
-    rel_agg.scale(inv);
-    comm.clock_mut()
-        .charge_flops(ent_adam.lazy_step_flops(ent_agg.nnz()) + rel_adam.lazy_step_flops(rel_agg.nnz()));
-    adam.step_lazy(ent_adam, ent, &ent_agg, lr_scale);
-    adam.step_lazy(rel_adam, rel, &rel_agg, lr_scale);
 }
 
 /// All-gather each server's owned rows so every rank ends with the full,
