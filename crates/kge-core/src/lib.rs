@@ -32,7 +32,7 @@ pub mod simd;
 pub use grad::SparseGrad;
 pub use matrix::EmbeddingTable;
 pub use model::{
-    ComplEx, DistMult, GradDst, KgeModel, ReplaceDir, RotatE, SimplE, TransE, BLOCK_GROUP,
+    ComplEx, DistMult, Forward, KgeModel, ReplaceDir, RotatE, SimplE, TransE, BLOCK_GROUP,
     OVA_T_LANES, SCORE_LANES,
 };
 pub use optim::{

@@ -39,22 +39,19 @@ pub fn logistic_loss_grad(label: f32, score: f32) -> f32 {
     -label * sigmoid(-label * score)
 }
 
-/// Margin ranking loss `max(0, γ + s_neg − s_pos)` (used by the TransE
-/// baseline; TransE scores are distances so lower is better and the
-/// caller passes negated scores accordingly).
+/// `(`[`logistic_loss`]`, `[`logistic_loss_grad`]`)` from one `exp`: with
+/// `x = −y·φ` and `e = exp(−|x|)`, the loss is `max(x, 0) + ln_1p(e)` and
+/// the sigmoid `1/(1+e)` for `x ≥ 0`, `e/(1+e)` below. The two calls'
+/// exponentials are this `e`, since `−x == −|x|` for `x ≥ 0` and
+/// `x == −|x|` for `x < 0`, so both values carry their bits (a NaN input
+/// gives NaNs, whose signs nothing defines).
 #[inline]
-pub fn margin_loss(margin: f32, pos_score: f32, neg_score: f32) -> f32 {
-    (margin + neg_score - pos_score).max(0.0)
-}
-
-/// Subgradient of [`margin_loss`] w.r.t. `(pos_score, neg_score)`.
-#[inline]
-pub fn margin_loss_grad(margin: f32, pos_score: f32, neg_score: f32) -> (f32, f32) {
-    if margin + neg_score - pos_score > 0.0 {
-        (-1.0, 1.0)
-    } else {
-        (0.0, 0.0)
-    }
+pub fn logistic_loss_and_grad(label: f32, score: f32) -> (f32, f32) {
+    debug_assert!(label == 1.0 || label == -1.0);
+    let x = -label * score;
+    let e = (-x.abs()).exp();
+    let sigmoid = if x >= 0.0 { 1.0 / (1.0 + e) } else { e / (1.0 + e) };
+    (x.max(0.0) + e.ln_1p(), -label * sigmoid)
 }
 
 #[cfg(test)]
@@ -109,11 +106,26 @@ mod tests {
         assert!(logistic_loss_grad(-1.0, 1.0) > 0.0);
     }
 
+    /// One `exp` gives both calls' bits, at both labels, on the inputs
+    /// where the two branches, the sign of zero, underflow, overflow and
+    /// NaN would show a difference.
     #[test]
-    fn margin_loss_and_grad() {
-        assert_eq!(margin_loss(1.0, 5.0, 1.0), 0.0);
-        assert_eq!(margin_loss(1.0, 1.0, 1.0), 1.0);
-        assert_eq!(margin_loss_grad(1.0, 5.0, 1.0), (0.0, 0.0));
-        assert_eq!(margin_loss_grad(1.0, 1.0, 1.0), (-1.0, 1.0));
+    fn loss_and_grad_is_both_calls_to_the_bit() {
+        let smallest = f32::from_bits(1);
+        let magnitudes = [0.0, smallest, 1e-30, 1.0, 20.0, 88.7, 89.0, 1e30, f32::INFINITY];
+        for y in [1.0f32, -1.0] {
+            for score in magnitudes.into_iter().flat_map(|m| [m, -m]) {
+                let got = logistic_loss_and_grad(y, score);
+                let want = (logistic_loss(y, score), logistic_loss_grad(y, score));
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "y={y} score={score:e}"
+                );
+            }
+            let (loss, grad) = logistic_loss_and_grad(y, f32::NAN);
+            assert!(loss.is_nan() && grad.is_nan(), "y={y}: NaN in, NaN out");
+            assert!(logistic_loss(y, f32::NAN).is_nan() && logistic_loss_grad(y, f32::NAN).is_nan());
+        }
     }
 }

@@ -16,15 +16,17 @@
 //! same f32 expression and adds the summands in the same order: from
 //! `+0.0`, `k` ascending. That is the bit-identity contract; the drivers
 //! may form independent elements at any vector width, and never fuse a
-//! multiply with an add. The contract stops at the sign of a NaN, which no
-//! f32 operation in Rust defines: a `term` that ends in a negation (RotatE's
-//! `-(…)` is the one that can reach `inf − inf`) may be folded into a
-//! subtraction on one path and staged negated on another, so two paths can
-//! both answer NaN with opposite signs. Nothing reads a NaN's sign.
+//! multiply with an add. (The AVX copies of the training forward add a
+//! group's summands through `simd::row_sums_8`, which transposes them in
+//! registers: the same additions, one lane per example.) The contract stops
+//! at the sign of a NaN, which no f32 operation in Rust defines: a `term`
+//! that ends in a negation (RotatE's `-(…)` is the one that can reach
+//! `inf − inf`) may be folded into a subtraction on one path and staged
+//! negated on another, so two paths can both answer NaN with opposite
+//! signs. Nothing reads a NaN's sign.
 
 use std::cell::Cell;
 
-use crate::matrix::dot;
 use crate::scratch::BlockScratch;
 use crate::{EmbeddingTable, SparseGrad};
 
@@ -67,6 +69,16 @@ pub const SCORE_LANES: usize = 8;
 /// vector.
 const GRAD_LANES: usize = 8;
 
+/// Where [`KgeModel::grad_block`] takes each example's score from.
+pub enum Forward<'a> {
+    /// Score each group with [`KgeModel::score_triples`], its summands
+    /// staged in the scratch.
+    Score(&'a mut BlockScratch),
+    /// Scores already formed by [`KgeModel::score_triples`] on the same
+    /// tables, one per triple (S5's pool pass): the forward is skipped.
+    Given(&'a [f32]),
+}
+
 /// The `k`-th summand of a model's [`KgeModel::score`] from element `k` of
 /// each of the `P` parts of the head, relation and tail rows.
 trait Term<const P: usize>: Fn([f32; P], [f32; P], [f32; P]) -> f32 + Copy {}
@@ -80,6 +92,30 @@ trait GradTerms<const P: usize>:
 impl<const P: usize, F> GradTerms<P> for F where
     F: Fn(f32, [f32; P], [f32; P], [f32; P]) -> [[f32; P]; 3] + Copy
 {
+}
+
+/// The in-order sums of a forward group's summands, [`SCORE_LANES`] rows
+/// of `rank` floats: [`in_order_sums`], or the transposed
+/// `simd::row_sums_8` in the AVX copies.
+trait Sums: Fn(&[f32], usize) -> [f32; SCORE_LANES] + Copy {}
+impl<F: Fn(&[f32], usize) -> [f32; SCORE_LANES] + Copy> Sums for F {}
+
+/// What a training driver runs: a model's definition and rank, and the
+/// in-order sums of the level it runs at.
+#[derive(Clone, Copy)]
+struct Kernel<T, G, S> {
+    term: T,
+    grad_terms: G,
+    sums: S,
+    rank: usize,
+}
+
+impl<T, G, S> Kernel<T, G, S> {
+    /// The same kernel, summing its forward groups with `sums`.
+    #[inline(always)]
+    fn with_sums<S2>(self, sums: S2) -> Kernel<T, G, S2> {
+        Kernel { term: self.term, grad_terms: self.grad_terms, sums, rank: self.rank }
+    }
 }
 
 /// A row of `P · rank` floats as its `P` parts of `rank` floats.
@@ -115,72 +151,82 @@ fn at<const P: usize>(row: &[&[f32]; P], k: usize) -> [f32; P] {
 /// [`crate::simd::Level::Avx`] and above, its baseline copy otherwise.
 #[inline]
 fn score_triples<const P: usize>(
-    term: impl Term<P>,
-    rank: usize,
+    k: Kernel<impl Term<P>, impl GradTerms<P>, impl Sums>,
     tables: (&EmbeddingTable, &EmbeddingTable),
     triples: &[(u32, u32, u32)],
     scratch: &mut Vec<f32>,
     scores: &mut [f32],
 ) {
     assert_eq!(triples.len(), scores.len(), "one score per triple");
-    assert!(tables.0.dim() == P * rank && tables.1.dim() == P * rank, "table rows");
+    assert!(tables.0.dim() == P * k.rank && tables.1.dim() == P * k.rank, "table rows");
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx() {
         // SAFETY: AVX was just detected at runtime.
-        return unsafe { score_triples_avx(term, rank, tables, triples, scratch, scores) };
+        return unsafe { score_triples_avx(k, tables, triples, scratch, scores) };
     }
-    score_triples_body(term, rank, tables, triples, scratch, scores)
+    score_triples_body(k, tables, triples, scratch, scores)
 }
 
 /// The same safe code with AVX enabled: the elementwise loops auto-vectorise
-/// eight wide. `avx` alone never licenses a fused multiply-add, which would
-/// round once where [`KgeModel::score`] rounds twice.
+/// eight wide, and a group's sums are `simd::row_sums_8`'s transposed ones.
+/// `avx` alone never licenses a fused multiply-add, which would round once
+/// where [`KgeModel::score`] rounds twice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 fn score_triples_avx<const P: usize>(
-    term: impl Term<P>,
-    rank: usize,
+    k: Kernel<impl Term<P>, impl GradTerms<P>, impl Sums>,
     tables: (&EmbeddingTable, &EmbeddingTable),
     triples: &[(u32, u32, u32)],
     scratch: &mut Vec<f32>,
     scores: &mut [f32],
 ) {
-    score_triples_body(term, rank, tables, triples, scratch, scores)
+    let k = k.with_sums(|terms: &[f32], n| crate::simd::row_sums_8(terms, n));
+    score_triples_body(k, tables, triples, scratch, scores)
 }
 
 /// Score `triples` in groups of [`SCORE_LANES`], two phases per group.
 /// **Terms**: one example's `term(h_k, r_k, t_k)` for every `k`, straight
 /// from its three table rows into its `rank` floats of `scratch` —
 /// elementwise, so any vector width gives the scalar expression's bits.
-/// **In-order sums**: `acc[j] += terms[j][k]` for `k` ascending, the
-/// group's chains interleaved — every example's additions are `score`'s,
-/// from `0.0` in `score`'s order, and only independent chains overlap. A
-/// short last group sums whatever its unused lanes hold and drops it.
+/// **In-order sums**: `k.sums`, each example's chain from `+0.0` in
+/// `score`'s order — every example's additions are `score`'s, and only
+/// independent chains overlap. A short last group sums whatever its unused
+/// lanes hold and drops it.
 #[inline(always)]
 fn score_triples_body<const P: usize>(
-    term: impl Term<P>,
-    rank: usize,
+    k: Kernel<impl Term<P>, impl GradTerms<P>, impl Sums>,
     (ent, rel): (&EmbeddingTable, &EmbeddingTable),
     triples: &[(u32, u32, u32)],
     scratch: &mut Vec<f32>,
     scores: &mut [f32],
 ) {
-    const G: usize = SCORE_LANES;
-    scratch.resize(G * rank, 0.0);
-    for (group, out) in triples.chunks(G).zip(scores.chunks_mut(G)) {
+    let rank = k.rank;
+    scratch.resize(SCORE_LANES * rank, 0.0);
+    for (group, out) in triples.chunks(SCORE_LANES).zip(scores.chunks_mut(SCORE_LANES)) {
         for (&(h, r, t), terms) in group.iter().zip(scratch.chunks_exact_mut(rank)) {
-            terms_of(term, ent.row(h as usize), rel.row(r as usize), ent.row(t as usize), terms);
+            terms_of(k.term, ent.row(h as usize), rel.row(r as usize), ent.row(t as usize), terms);
         }
-        let mut lanes = scratch.chunks_exact(rank);
-        let lanes: [&[f32]; G] = std::array::from_fn(|_| lanes.next().expect("G lanes"));
-        let mut acc = [0.0f32; G];
-        for k in 0..rank {
-            for (a, lane) in acc.iter_mut().zip(&lanes) {
-                *a += lane[k];
-            }
+        // Zipped, not `copy_from_slice`: a copy of a length known only at
+        // run time is a `memcpy` call per group.
+        for (o, s) in out.iter_mut().zip((k.sums)(scratch, rank)) {
+            *o = s;
         }
-        out.copy_from_slice(&acc[..group.len()]);
     }
+}
+
+/// The baseline copies' [`Sums`]: `acc[j] += terms[j][k]` for `k`
+/// ascending, the group's chains interleaved.
+#[inline(always)]
+fn in_order_sums(terms: &[f32], rank: usize) -> [f32; SCORE_LANES] {
+    let mut lanes = terms.chunks_exact(rank);
+    let lanes: [&[f32]; SCORE_LANES] = std::array::from_fn(|_| lanes.next().expect("8 lanes"));
+    let mut acc = [0.0f32; SCORE_LANES];
+    for k in 0..rank {
+        for (a, lane) in acc.iter_mut().zip(&lanes) {
+            *a += lane[k];
+        }
+    }
+    acc
 }
 
 /// One example's summands: `terms[k] = term(h_k, r_k, t_k)`. A function of
@@ -353,54 +399,108 @@ fn ova_t_sweep<const P: usize>(
 /// Where one example's gradient lands in the two [`SparseGrad`] slabs.
 /// Head and tail are offsets into one borrow of the entity slab, not two
 /// slices, because a self-loop (`h == t`) names the same row twice.
-pub struct GradDst<'a> {
+struct GradDst<'a> {
     /// The entity accumulator's slab ([`SparseGrad::slab_mut`]).
-    pub ent: &'a mut [f32],
+    ent: &'a mut [f32],
     /// Offset of the head's row in `ent`.
-    pub h: usize,
+    h: usize,
     /// Offset of the tail's row in `ent`.
-    pub t: usize,
+    t: usize,
     /// The relation's row.
-    pub rel: &'a mut [f32],
+    rel: &'a mut [f32],
 }
 
-/// The accumulating backward driver of every model: shapes asserted once,
-/// for every level, then [`grad_add_body`]'s AVX-compiled or baseline copy,
-/// as [`score_triples`] chooses.
+/// The block driver of every model: shapes asserted once per call, for
+/// every level, then [`grad_block_body`]'s AVX-compiled or baseline copy,
+/// as [`score_triples`] chooses — so the level is read once per block and
+/// every group's forward and backward run inside one copy.
 #[inline]
-fn grad_add<const P: usize>(
-    grad_terms: impl GradTerms<P>,
-    rank: usize,
-    src: [&[f32]; 3],
-    coeff: f32,
+fn grad_block<const P: usize>(
+    k: Kernel<impl Term<P>, impl GradTerms<P>, impl Sums>,
+    tables: (&EmbeddingTable, &EmbeddingTable),
+    triples: &[(u32, u32, u32)],
+    forward: Forward<'_>,
     l2: f32,
-    dst: GradDst<'_>,
+    coeff_of: &mut dyn FnMut(usize, f32) -> f32,
+    out: (&mut SparseGrad, &mut SparseGrad),
 ) {
-    let dim = P * rank;
-    assert!(src.iter().all(|x| x.len() == dim), "source rows hold {dim} floats");
-    let last = dst.ent.len().checked_sub(dim).expect("entity slab shorter than a row");
-    assert!(dst.h <= last && dst.t <= last, "head and tail rows inside the entity slab");
-    assert_eq!(dst.rel.len(), dim, "relation row");
+    let dim = P * k.rank;
+    assert!(tables.0.dim() == dim && tables.1.dim() == dim, "table rows");
+    assert!(out.0.dim() == dim && out.1.dim() == dim, "accumulator rows");
+    if let Forward::Given(scores) = &forward {
+        assert_eq!(scores.len(), triples.len(), "one score per triple");
+    }
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx() {
         // SAFETY: AVX was just detected at runtime.
-        return unsafe { grad_add_avx(grad_terms, rank, src, coeff, l2, dst) };
+        return unsafe { grad_block_avx(k, tables, triples, forward, l2, coeff_of, out) };
     }
-    grad_add_body(grad_terms, rank, src, coeff, l2, dst)
+    grad_block_body(k, tables, triples, forward, l2, coeff_of, out)
 }
 
 /// The same safe code with AVX enabled (see [`score_triples_avx`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn grad_add_avx<const P: usize>(
-    grad_terms: impl GradTerms<P>,
-    rank: usize,
-    src: [&[f32]; 3],
-    coeff: f32,
+fn grad_block_avx<const P: usize>(
+    k: Kernel<impl Term<P>, impl GradTerms<P>, impl Sums>,
+    tables: (&EmbeddingTable, &EmbeddingTable),
+    triples: &[(u32, u32, u32)],
+    forward: Forward<'_>,
     l2: f32,
-    dst: GradDst<'_>,
+    coeff_of: &mut dyn FnMut(usize, f32) -> f32,
+    out: (&mut SparseGrad, &mut SparseGrad),
 ) {
-    grad_add_body(grad_terms, rank, src, coeff, l2, dst)
+    let k = k.with_sums(|terms: &[f32], n| crate::simd::row_sums_8(terms, n));
+    grad_block_body(k, tables, triples, forward, l2, coeff_of, out)
+}
+
+/// [`KgeModel::grad_block`], one group of [`BLOCK_GROUP`] examples at a
+/// time: the group's scores ([`score_triples_body`], or the given ones),
+/// then its coefficients in example order, then example by example the
+/// regularized backward ([`grad_add_body`]) into the example's accumulator
+/// rows, head slot before tail slot.
+#[inline(always)]
+fn grad_block_body<const P: usize>(
+    k: Kernel<impl Term<P>, impl GradTerms<P>, impl Sums>,
+    (ent, rel): (&EmbeddingTable, &EmbeddingTable),
+    triples: &[(u32, u32, u32)],
+    mut forward: Forward<'_>,
+    l2: f32,
+    coeff_of: &mut dyn FnMut(usize, f32) -> f32,
+    (ent_out, rel_out): (&mut SparseGrad, &mut SparseGrad),
+) {
+    const L: usize = BLOCK_GROUP;
+    let dim = P * k.rank;
+    let mut scores = [0.0f32; L];
+    // The previous example's rows and slots: a negative shares its
+    // positive's relation and one entity, and skips their index probes.
+    let (mut ent_memo, mut rel_memo) = ([None; 2], [None; 1]);
+    for (g, group) in triples.chunks(L).enumerate() {
+        let scores = &mut scores[..group.len()];
+        match &mut forward {
+            Forward::Score(scratch) => score_triples_body(k, (ent, rel), group, &mut scratch.terms, scores),
+            Forward::Given(given) => scores.copy_from_slice(&given[g * L..][..group.len()]),
+        }
+        // Scores become coefficients in place, the whole group before its
+        // first backward.
+        for (i, s) in scores.iter_mut().enumerate() {
+            *s = coeff_of(g * L + i, *s);
+        }
+        for (&coeff, &(h, r, t)) in scores.iter().zip(group) {
+            let hs = ent_out.slot_of(h, &ent_memo);
+            let ts = ent_out.slot_of(t, &[Some((h, hs)), ent_memo[1], ent_memo[0]]);
+            let rs = rel_out.slot_of(r, &rel_memo);
+            (ent_memo, rel_memo) = ([Some((h, hs)), Some((t, ts))], [Some((r, rs))]);
+            let src = [ent.row(h as usize), rel.row(r as usize), ent.row(t as usize)];
+            let dst = GradDst {
+                ent: ent_out.slab_mut(),
+                h: hs * dim,
+                t: ts * dim,
+                rel: rel_out.slot_mut(rs),
+            };
+            grad_add_body(k.grad_terms, k.rank, src, coeff, l2, dst);
+        }
+    }
 }
 
 /// One example's `coeff · ∂φ/∂x + l2 · x` for `x = h, t, r`, read from the
@@ -577,27 +677,22 @@ pub trait KgeModel: Send + Sync {
         scores: &mut [f32],
     );
 
-    /// Backward of one example, accumulating: add
-    /// `coeff · ∂φ/∂x + l2 · x` for `x = h, t, r` — each element fully
-    /// formed first, straight from the source rows `src = [h, r, t]` —
-    /// into the rows `dst` names, head, then tail, then relation.
-    fn grad_add(&self, src: [&[f32]; 3], coeff: f32, l2: f32, dst: GradDst<'_>);
-
     /// Fused batched kernel for one block of `(head, rel, tail)` triples,
     /// one group of [`BLOCK_GROUP`] examples at a time: **score** the group
     /// ([`Self::score_triples`]), turn each score into an upstream loss
     /// coefficient via `coeff_of(example_idx, score)` (called in example
     /// order — the place to accumulate the loss), then, example by example,
-    /// **add** the regularized gradient ([`Self::grad_add`], L2 always
-    /// executed) to the example's rows of the sparse accumulators. Rows
-    /// enter an accumulator in example order, head before tail.
+    /// **add** the regularized gradient `coeff · ∂φ/∂x + l2_reg · x` for
+    /// `x = h, t, r` (L2 always executed, each element fully formed first)
+    /// to the example's rows of the sparse accumulators. Rows enter an
+    /// accumulator in example order, head before tail.
     ///
     /// No embedding row is copied and no gradient row is staged, and every
     /// destination row receives the f32 additions of the
     /// one-triple-at-a-time path in its order, so chunked results stay
     /// bit-identical across thread-pool sizes and dispatch arms. `scratch`
     /// is sized by `rank()` alone and reused — steady state allocates
-    /// nothing.
+    /// nothing. The same as [`Self::grad_block`] with [`Forward::Score`].
     #[allow(clippy::too_many_arguments)]
     fn score_grad_block(
         &self,
@@ -610,38 +705,23 @@ pub trait KgeModel: Send + Sync {
         ent_out: &mut SparseGrad,
         rel_out: &mut SparseGrad,
     ) {
-        const L: usize = BLOCK_GROUP;
-        let dim = self.storage_dim();
-        assert!(ent.dim() == dim && rel.dim() == dim);
-        assert!(ent_out.dim() == dim && rel_out.dim() == dim);
-        let mut scores = [0.0f32; L];
-        // The previous example's rows and slots: a negative shares its
-        // positive's relation and one entity, and skips their index probes.
-        let (mut ent_memo, mut rel_memo) = ([None; 2], [None; 1]);
-        for (g, group) in triples.chunks(L).enumerate() {
-            let scores = &mut scores[..group.len()];
-            self.score_triples(ent, rel, group, &mut scratch.terms, scores);
-            // Scores become coefficients in place, the whole group before
-            // its first backward.
-            for (i, s) in scores.iter_mut().enumerate() {
-                *s = coeff_of(g * L + i, *s);
-            }
-            for (&coeff, &(h, r, t)) in scores.iter().zip(group) {
-                let hs = ent_out.slot_of(h, &ent_memo);
-                let ts = ent_out.slot_of(t, &[Some((h, hs)), ent_memo[1], ent_memo[0]]);
-                let rs = rel_out.slot_of(r, &rel_memo);
-                (ent_memo, rel_memo) = ([Some((h, hs)), Some((t, ts))], [Some((r, rs))]);
-                let src = [ent.row(h as usize), rel.row(r as usize), ent.row(t as usize)];
-                let dst = GradDst {
-                    ent: ent_out.slab_mut(),
-                    h: hs * dim,
-                    t: ts * dim,
-                    rel: rel_out.slot_mut(rs),
-                };
-                self.grad_add(src, coeff, l2_reg, dst);
-            }
-        }
+        let forward = Forward::Score(scratch);
+        self.grad_block((ent, rel), triples, forward, l2_reg, coeff_of, (ent_out, rel_out));
     }
+
+    /// [`Self::score_grad_block`] over `tables = (ent, rel)` into
+    /// `out = (ent_out, rel_out)`, taking its scores from `forward`: given
+    /// scores are exactly the ones it would form, so the accumulators and
+    /// every `coeff_of` call come out the same to the bit either way.
+    fn grad_block(
+        &self,
+        tables: (&EmbeddingTable, &EmbeddingTable),
+        triples: &[(u32, u32, u32)],
+        forward: Forward<'_>,
+        l2_reg: f32,
+        coeff_of: &mut dyn FnMut(usize, f32) -> f32,
+        out: (&mut SparseGrad, &mut SparseGrad),
+    );
 }
 
 /// A model from its definition: the struct, and a [`KgeModel`] whose every
@@ -663,6 +743,12 @@ macro_rules! kge_model {
             pub fn new(rank: usize) -> Self {
                 assert!(rank > 0);
                 $model { rank }
+            }
+
+            /// The training drivers' kernel, at the baseline level's sums.
+            #[inline(always)]
+            fn kernel(&self) -> Kernel<impl Term<$parts>, impl GradTerms<$parts>, impl Sums> {
+                Kernel { term: $term, grad_terms: $grad_terms, sums: in_order_sums, rank: self.rank }
             }
         }
 
@@ -715,6 +801,18 @@ macro_rules! kge_model {
                 ($flops * self.rank) as f64
             }
 
+            fn grad_block(
+                &self,
+                tables: (&EmbeddingTable, &EmbeddingTable),
+                triples: &[(u32, u32, u32)],
+                forward: Forward<'_>,
+                l2_reg: f32,
+                coeff_of: &mut dyn FnMut(usize, f32) -> f32,
+                out: (&mut SparseGrad, &mut SparseGrad),
+            ) {
+                grad_block::<$parts>(self.kernel(), tables, triples, forward, l2_reg, coeff_of, out)
+            }
+
             fn score_one_vs_all_transposed(
                 &self,
                 query: &[f32],
@@ -735,11 +833,7 @@ macro_rules! kge_model {
                 scratch: &mut Vec<f32>,
                 scores: &mut [f32],
             ) {
-                score_triples::<$parts>($term, self.rank, (ent, rel), triples, scratch, scores)
-            }
-
-            fn grad_add(&self, src: [&[f32]; 3], coeff: f32, l2: f32, dst: GradDst<'_>) {
-                grad_add::<$parts>($grad_terms, self.rank, src, coeff, l2, dst)
+                score_triples::<$parts>(self.kernel(), (ent, rel), triples, scratch, scores)
             }
         }
     };
@@ -885,18 +979,6 @@ fn simple_grad_terms(
     ]
 }
 
-/// Helper for tests and evaluation: score a triple given whole tables.
-pub fn score_rows(
-    model: &dyn KgeModel,
-    ent: &crate::EmbeddingTable,
-    rel: &crate::EmbeddingTable,
-    h: usize,
-    r: usize,
-    t: usize,
-) -> f32 {
-    model.score(ent.row(h), rel.row(r), ent.row(t))
-}
-
 /// Check two slices are elementwise within `tol` (test helper, re-used by
 /// downstream crates' tests).
 pub fn approx_eq(a: &[f32], b: &[f32], tol: f32) -> bool {
@@ -921,12 +1003,6 @@ pub fn complex_score_oracle(rank: usize, h: &[f32], r: &[f32], t: &[f32]) -> f32
         total += x * e - y * f;
     }
     total
-}
-
-/// Convenience: the plain real dot-product triple score used in sanity
-/// tests (`h·t` ignoring the relation).
-pub fn dot_score(h: &[f32], t: &[f32]) -> f32 {
-    dot(h, t)
 }
 
 #[cfg(test)]
@@ -1056,18 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn score_rows_reads_tables() {
-        use crate::EmbeddingTable;
-        let mut ent = EmbeddingTable::zeros(2, 2);
-        let mut rel = EmbeddingTable::zeros(1, 2);
-        ent.row_mut(0).copy_from_slice(&[1.0, 2.0]);
-        ent.row_mut(1).copy_from_slice(&[3.0, 4.0]);
-        rel.row_mut(0).copy_from_slice(&[1.0, 1.0]);
-        let m = DistMult::new(2);
-        assert_eq!(score_rows(&m, &ent, &rel, 0, 0, 1), 1.0 * 3.0 + 2.0 * 4.0);
-    }
-
-    #[test]
     fn rotate_grad_matches_numeric() {
         check_model_grads(&RotatE::new(5));
     }
@@ -1086,42 +1150,52 @@ mod tests {
         assert!(m.score(&[1.0, 0.0], &[0.0, 1.0], &[1.0, 0.0]) < 0.0);
     }
 
-    /// `grad_add` against the definition — form the three rows with `grad`
-    /// and the L2 term, then `+=` them head, tail, relation — on distinct
-    /// rows and on a self-loop, where head and tail land in one row.
-    fn check_grad_add_matches_scalar(model: &dyn KgeModel) {
+    /// The block kernel's backward against the definition — form the three
+    /// rows with `grad` and the L2 term, then `+=` them head, tail, relation
+    /// — into accumulators already holding values, on distinct rows in
+    /// either slot order and on a self-loop, where head and tail land in one
+    /// row.
+    fn check_block_backward_matches_scalar(model: &dyn KgeModel) {
         let mut rng = StdRng::seed_from_u64(33);
         let dim = model.storage_dim();
-        let (h, r, t) = (rand_vec(&mut rng, dim), rand_vec(&mut rng, dim), rand_vec(&mut rng, dim));
+        let (mut ent, mut rel) = (EmbeddingTable::zeros(2, dim), EmbeddingTable::zeros(1, dim));
+        ent.as_mut_slice().copy_from_slice(&rand_vec(&mut rng, 2 * dim));
+        rel.as_mut_slice().copy_from_slice(&rand_vec(&mut rng, dim));
         let (coeff, l2) = (0.37f32, 0.011f32);
-        let (mut gh, mut gr, mut gt) = (vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]);
-        model.grad(&h, &r, &t, coeff, &mut gh, &mut gr, &mut gt);
-        axpy(l2, &h, &mut gh);
-        axpy(l2, &r, &mut gr);
-        axpy(l2, &t, &mut gt);
-        for (ho, to) in [(0, dim), (dim, 0), (dim, dim)] {
+        for (t, slots) in [(1u32, [0u32, 1]), (1, [1, 0]), (0, [0, 1])] {
+            let (hrow, rrow, trow) = (ent.row(0), rel.row(0), ent.row(t as usize));
+            let (mut gh, mut gr, mut gt) = (vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]);
+            model.grad(hrow, rrow, trow, coeff, &mut gh, &mut gr, &mut gt);
+            axpy(l2, hrow, &mut gh);
+            axpy(l2, rrow, &mut gr);
+            axpy(l2, trow, &mut gt);
             // Non-zero destinations, so accumulation is what is checked.
-            let ent0 = rand_vec(&mut rng, 2 * dim);
-            let rel0 = rand_vec(&mut rng, dim);
-            let (mut want_ent, mut want_rel) = (ent0.clone(), rel0.clone());
-            axpy(1.0, &gh, &mut want_ent[ho..ho + dim]);
-            axpy(1.0, &gt, &mut want_ent[to..to + dim]);
-            axpy(1.0, &gr, &mut want_rel);
-            let (mut ent, mut rel) = (ent0, rel0);
-            let dst = GradDst { ent: &mut ent, h: ho, t: to, rel: &mut rel };
-            model.grad_add([&h, &r, &t], coeff, l2, dst);
-            assert_eq!(ent, want_ent, "{} entity rows at ({ho}, {to})", model.name());
-            assert_eq!(rel, want_rel, "{} relation row at ({ho}, {to})", model.name());
+            let (mut ent_out, mut rel_out) = (SparseGrad::new(dim), SparseGrad::new(dim));
+            for row in slots {
+                ent_out.row_mut(row).copy_from_slice(&rand_vec(&mut rng, dim));
+            }
+            rel_out.row_mut(0).copy_from_slice(&rand_vec(&mut rng, dim));
+            let (mut want_ent, mut want_rel) = (ent_out.clone(), rel_out.clone());
+            axpy(1.0, &gh, want_ent.row_mut(0));
+            axpy(1.0, &gt, want_ent.row_mut(t));
+            axpy(1.0, &gr, want_rel.row_mut(0));
+            let forward = Forward::Given(&[f32::NAN]);
+            let out = (&mut ent_out, &mut rel_out);
+            model.grad_block((&ent, &rel), &[(0, 0, t)], forward, l2, &mut |_, _| coeff, out);
+            for row in slots {
+                assert_eq!(ent_out.get(row), want_ent.get(row), "{} entity row {row}, tail {t}", model.name());
+            }
+            assert_eq!(rel_out.get(0), want_rel.get(0), "{} relation row, tail {t}", model.name());
         }
     }
 
     #[test]
-    fn grad_add_matches_scalar_for_every_model() {
-        check_grad_add_matches_scalar(&ComplEx::new(13)); // one vector step + tail
-        check_grad_add_matches_scalar(&DistMult::new(19));
-        check_grad_add_matches_scalar(&TransE::new(8));
-        check_grad_add_matches_scalar(&RotatE::new(5)); // tail only
-        check_grad_add_matches_scalar(&SimplE::new(16)); // vector steps only
+    fn block_backward_matches_scalar_for_every_model() {
+        check_block_backward_matches_scalar(&ComplEx::new(13)); // one vector step + tail
+        check_block_backward_matches_scalar(&DistMult::new(19));
+        check_block_backward_matches_scalar(&TransE::new(8));
+        check_block_backward_matches_scalar(&RotatE::new(5)); // tail only
+        check_block_backward_matches_scalar(&SimplE::new(16)); // vector steps only
     }
 
     fn check_transposed_matches_scalar(model: &dyn KgeModel) {
@@ -1179,24 +1253,25 @@ mod tests {
         let row = [0.5f32; 8];
         let (ent, rel) = (EmbeddingTable::zeros(3, 8), EmbeddingTable::zeros(1, 8));
         // `tile` floats for three candidates into `scores` slots; one forward
-        // triple into `fwd` slots; a tail row at offset `t` of a two-row slab.
-        let run = |tile: usize, scores: usize, fwd: usize, t: usize| {
+        // triple into `fwd` slots; one block triple with `given` scores.
+        let run = |tile: usize, scores: usize, fwd: usize, given: usize| {
             catch_unwind(AssertUnwindSafe(|| {
                 let tile_t = vec![0.25f32; tile];
                 m.score_one_vs_all_transposed(&row, &row, &tile_t, 3, ReplaceDir::Tail, &mut vec![0.0; scores]);
                 m.score_triples(&ent, &rel, &[(0, 0, 1)], &mut Vec::new(), &mut vec![0.0; fwd]);
-                let (mut slab, mut rel_row) = ([0.0f32; 16], [0.0f32; 8]);
-                m.grad_add([&row; 3], 0.5, 0.01, GradDst { ent: &mut slab, h: 0, t, rel: &mut rel_row });
+                let (mut eg, mut rg) = (SparseGrad::new(8), SparseGrad::new(8));
+                let forward = Forward::Given(&[0.5; 2][..given]);
+                m.grad_block((&ent, &rel), &[(0, 0, 1)], forward, 0.01, &mut |_, s| s, (&mut eg, &mut rg));
             }))
             .is_ok()
         };
         for &level in Level::detected() {
             set_level(Some(level));
-            assert!(run(24, 3, 1, 8), "well-formed calls pass ({level:?})");
-            assert!(!run(23, 3, 1, 8), "short tile ({level:?})");
-            assert!(!run(24, 4, 1, 8), "long one-vs-all scores ({level:?})");
-            assert!(!run(24, 3, 2, 8), "long forward scores ({level:?})");
-            assert!(!run(24, 3, 1, 9), "tail row past the slab ({level:?})");
+            assert!(run(24, 3, 1, 1), "well-formed calls pass ({level:?})");
+            assert!(!run(23, 3, 1, 1), "short tile ({level:?})");
+            assert!(!run(24, 4, 1, 1), "long one-vs-all scores ({level:?})");
+            assert!(!run(24, 3, 2, 1), "long forward scores ({level:?})");
+            assert!(!run(24, 3, 1, 2), "long given scores ({level:?})");
         }
         set_level(None);
     }

@@ -6,9 +6,10 @@
 //!
 //! - The model drivers in `model.rs` are safe loops with no intrinsics,
 //!   compiled once as is and once more per level under
-//!   `#[target_feature]`. The forward and backward have `Scalar` and `Avx`
-//!   copies. The one-vs-all sweep (evaluation and serving) has a third,
-//!   `Avx512`, copy.
+//!   `#[target_feature]`. The forward and the block kernel have `Scalar`
+//!   and `Avx` copies; the `Avx` forward adds its groups' summands with
+//!   [`row_sums_8`], the one intrinsic they call. The one-vs-all sweep
+//!   (evaluation and serving) has a third, `Avx512`, copy.
 //! - The optimizer rows, `matrix::axpy` and the quantization codec are
 //!   explicit-AVX functions behind [`use_avx`] / [`use_avx2`], each with a
 //!   portable scalar body that is bit-identical to it.
@@ -118,6 +119,74 @@ pub fn use_avx2() -> bool {
     }
 }
 
+/// The in-order sums of eight rows of `n` floats, row `j` at
+/// `rows[j * n..][..n]`: `out[j]` is `+0.0 + rows[j][0] + rows[j][1] + …`,
+/// added left to right — the training forward's per-example sum
+/// (`model.rs`'s `score_triples`), eight examples at once.
+///
+/// Each 8×8 block of the rows is transposed in registers, so column `k`
+/// holds element `k` of every row, and the columns are added to one vector
+/// accumulator, `k` ascending. Lane `j` is still row `j`'s own chain: the
+/// same additions in the same order as the scalar loop, so the same bits.
+/// The `n % 8` elements past the last block are added after it, in order.
+/// The transpose is the only intrinsic here: the safe loops that keep the
+/// sums in order measured slower than the scalar one (EXPERIMENTS.md, "the
+/// training kernel at its bound").
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+pub(crate) fn row_sums_8(rows: &[f32], n: usize) -> [f32; 8] {
+    use std::arch::x86_64::*;
+    let rows = &rows[..8 * n];
+    let mut acc = _mm256_setzero_ps();
+    let blocks = n / 8;
+    for b in 0..blocks {
+        let mut r = [acc; 8];
+        for (j, r) in r.iter_mut().enumerate() {
+            // SAFETY: `j * n + 8 * b + 8 <= 7 * n + n`, the length of `rows`.
+            *r = unsafe { _mm256_loadu_ps(rows.as_ptr().add(j * n + 8 * b)) };
+        }
+        // Pairs of rows interleaved, then quads: `q[k]` holds columns
+        // `8 * b + k` (low half) and `8 * b + k + 4` (high half) of rows 0–3,
+        // `p[k]` the same of rows 4–7. Their halves joined are the columns.
+        let lo01 = _mm256_unpacklo_ps(r[0], r[1]);
+        let hi01 = _mm256_unpackhi_ps(r[0], r[1]);
+        let lo23 = _mm256_unpacklo_ps(r[2], r[3]);
+        let hi23 = _mm256_unpackhi_ps(r[2], r[3]);
+        let lo45 = _mm256_unpacklo_ps(r[4], r[5]);
+        let hi45 = _mm256_unpackhi_ps(r[4], r[5]);
+        let lo67 = _mm256_unpacklo_ps(r[6], r[7]);
+        let hi67 = _mm256_unpackhi_ps(r[6], r[7]);
+        let q = [
+            _mm256_shuffle_ps::<0x44>(lo01, lo23),
+            _mm256_shuffle_ps::<0xEE>(lo01, lo23),
+            _mm256_shuffle_ps::<0x44>(hi01, hi23),
+            _mm256_shuffle_ps::<0xEE>(hi01, hi23),
+        ];
+        let p = [
+            _mm256_shuffle_ps::<0x44>(lo45, lo67),
+            _mm256_shuffle_ps::<0xEE>(lo45, lo67),
+            _mm256_shuffle_ps::<0x44>(hi45, hi67),
+            _mm256_shuffle_ps::<0xEE>(hi45, hi67),
+        ];
+        for k in 0..4 {
+            acc = _mm256_add_ps(acc, _mm256_permute2f128_ps::<0x20>(q[k], p[k]));
+        }
+        for k in 0..4 {
+            acc = _mm256_add_ps(acc, _mm256_permute2f128_ps::<0x31>(q[k], p[k]));
+        }
+    }
+    let mut out = [0.0f32; 8];
+    // SAFETY: `out` holds eight floats.
+    unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
+    for k in 8 * blocks..n {
+        for (j, o) in out.iter_mut().enumerate() {
+            *o += rows[j * n + k];
+        }
+    }
+    out
+}
+
 /// In-crate tests that set the process-global override hold this, so each
 /// runs the level it asked for while the others run in parallel.
 #[cfg(test)]
@@ -144,6 +213,38 @@ mod tests {
         set_level(None);
         // Re-armed: the next read comes from the env again.
         let _ = level();
+    }
+
+    /// The transposed sums against the scalar loop, to the bit, for every
+    /// tail length: on values of mixed sign and magnitude, where any other
+    /// order rounds differently, and on signed zeros, denormals and
+    /// magnitudes that overflow.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn row_sums_8_adds_each_row_in_order() {
+        use rand::{Rng, SeedableRng};
+        if host() < Level::Avx {
+            return;
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let special = [0.0f32, -0.0, 1e-40, -3e-41, 3e38, -3e38];
+        for n in (0..=35).chain([64, 67]) {
+            let rows: Vec<f32> = (0..8 * n)
+                .map(|_| match rng.gen_range(0..8u32) {
+                    0 => special[rng.gen_range(0..special.len())],
+                    _ => rng.gen_range(-1.0f32..1.0) * [1e-6, 1.0, 1e6][rng.gen_range(0..3usize)],
+                })
+                .collect();
+            let mut want = [0.0f32; 8];
+            for (j, w) in want.iter_mut().enumerate() {
+                for &x in &rows[j * n..][..n] {
+                    *w += x;
+                }
+            }
+            // SAFETY: AVX was detected above.
+            let got = unsafe { row_sums_8(&rows, n) };
+            assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "n = {n}");
+        }
     }
 
     /// Also the line `scripts/check.sh` prints first, so a log shows which

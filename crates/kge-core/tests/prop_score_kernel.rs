@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const RANKS: [usize; 7] = [1, 3, 8, 31, 32, 33, 64];
+const RANKS: [usize; 10] = [1, 3, 7, 8, 9, 16, 31, 32, 33, 64];
 const N_ENT: usize = 24;
 const N_REL: usize = 5;
 
@@ -271,7 +271,7 @@ proptest! {
     #[test]
     fn score_triples_bit_identical_to_score(
         seed in any::<u64>(),
-        rank_idx in 0usize..7,
+        rank_idx in 0usize..RANKS.len(),
         n in 0usize..70,
         values_idx in 0usize..4,
         shape_idx in 0usize..3,

@@ -8,12 +8,12 @@
 //! produces, and every dispatch level the host has, through the in-process
 //! override.
 
-use kge_core::loss::logistic_loss_grad;
+use kge_core::loss::{logistic_loss_and_grad, logistic_loss_grad};
 use kge_core::matrix::axpy;
 use kge_core::simd::{set_level, Level};
 use kge_core::{
-    BlockScratch, ComplEx, DistMult, EmbeddingTable, KgeModel, RotatE, SimplE, SparseGrad, TransE,
-    BLOCK_GROUP,
+    BlockScratch, ComplEx, DistMult, EmbeddingTable, Forward, KgeModel, RotatE, SimplE, SparseGrad,
+    TransE, BLOCK_GROUP,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -177,6 +177,10 @@ fn per_triple_reference(
     run_bits(&scores, &ent_g, &rel_g)
 }
 
+/// Tests run on parallel threads; a run holds the process-global override
+/// for its whole length, so each level really is the one asked for.
+static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// One fused `score_grad_block` run at the given dispatch level.
 fn blocked(
     model: &dyn KgeModel,
@@ -185,9 +189,6 @@ fn blocked(
     block: &[Triple],
     level: Level,
 ) -> RunBits {
-    // Tests run on parallel threads; hold the process-global override for
-    // the whole run so each level really is the one asked for.
-    static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
     set_level(Some(level));
     let mut scratch = BlockScratch::new();
@@ -217,6 +218,67 @@ fn check_all_models(rank: usize, shape: Shape, n: usize, seed: u64) {
                 "fused kernel diverged: {} rank={rank} {shape:?} n={n} {level:?}",
                 model.name()
             );
+        }
+    }
+}
+
+/// One `grad_block` run at `level` and the chunk loss the trainer's
+/// coefficient closure sums. Its scores come from the block's own forward,
+/// or, `prescored`, from one `score_triples` call over a pool the way the
+/// sampler forms one: each example followed by a copy of itself (a tie) and
+/// a corruption, so every example sits in another forward lane than the
+/// block's own forward puts it.
+fn loss_and_bits(
+    model: &dyn KgeModel,
+    (ent, rel): (&EmbeddingTable, &EmbeddingTable),
+    block: &[Triple],
+    prescored: bool,
+    level: Level,
+) -> (u64, RunBits) {
+    let _arm = ARM.lock().unwrap_or_else(|e| e.into_inner());
+    set_level(Some(level));
+    let pool: Vec<Triple> = (block.iter())
+        .flat_map(|&(h, r, t)| [(h, r, t), (h, r, t), (h, r, (t + 1) % N_ENT as u32)])
+        .collect();
+    let mut pool_scores = vec![0.0f32; pool.len()];
+    model.score_triples(ent, rel, &pool, &mut Vec::new(), &mut pool_scores);
+    assert!(pool_scores.chunks(3).all(|c| c[0].to_bits() == c[1].to_bits()), "a tie scores alike");
+    let given: Vec<f32> = pool_scores.iter().step_by(3).copied().collect();
+    let mut scratch = BlockScratch::new();
+    let forward = if prescored { Forward::Given(&given) } else { Forward::Score(&mut scratch) };
+    let (mut ent_g, mut rel_g) = (SparseGrad::new(model.storage_dim()), SparseGrad::new(model.storage_dim()));
+    let (mut scores, mut loss) = (vec![0.0f32; block.len()], 0.0f64);
+    let mut coeff = |i: usize, s: f32| {
+        scores[i] = s;
+        let (l, g) = logistic_loss_and_grad(if i.is_multiple_of(3) { 1.0 } else { -1.0 }, s);
+        loss += f64::from(l);
+        g
+    };
+    model.grad_block((ent, rel), block, forward, L2, &mut coeff, (&mut ent_g, &mut rel_g));
+    set_level(None);
+    (loss.to_bits(), run_bits(&scores, &ent_g, &rel_g))
+}
+
+/// The block handed S5's scores against the block that scores itself: loss
+/// bits and both accumulators' rows, values and insertion order, for all
+/// five models, every shape (self-loops and repeated rows among them) and
+/// block size, at every level.
+#[test]
+fn prescored_block_matches_the_scoring_block() {
+    for shape in SHAPES {
+        for n in BLOCKS {
+            for rank in [5, 8, 13] {
+                let block = block(shape, n, 11 + n as u64);
+                for model in models(rank).iter() {
+                    let tables = tables(model.as_ref(), 5);
+                    let tables = (&tables.0, &tables.1);
+                    for &level in Level::detected() {
+                        let want = loss_and_bits(model.as_ref(), tables, &block, false, level);
+                        let got = loss_and_bits(model.as_ref(), tables, &block, true, level);
+                        assert_eq!(want, got, "{} rank={rank} {shape:?} n={n} {level:?}", model.name());
+                    }
+                }
+            }
         }
     }
 }

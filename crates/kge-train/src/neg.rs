@@ -10,9 +10,10 @@
 //! scoring is a net win when it buys convergence.
 //!
 //! One implementation, [`NegSampler::sample`], serves one positive or a
-//! whole chunk of them: every pool is drawn first, all candidates are
-//! scored in one [`KgeModel::score_triples`] call, and each positive's
-//! hardest are picked without a sort.
+//! whole chunk of them: every pool is drawn first, all candidates and their
+//! positives are scored in one [`KgeModel::score_triples`] call, and each
+//! positive's hardest are picked without a sort. The scores of the kept
+//! examples are the block kernel's forward, which then need not run.
 
 use crate::config::NegSampling;
 use kge_core::{EmbeddingTable, KgeModel};
@@ -107,16 +108,6 @@ pub fn corrupt(
     cand
 }
 
-/// Backwards-compatible uniform corruption.
-pub fn corrupt_uniform(
-    t: Triple,
-    n_entities: usize,
-    filter: &FilterIndex,
-    rng: &mut StdRng,
-) -> Triple {
-    corrupt(t, n_entities, filter, None, rng)
-}
-
 /// Outcome of negative generation for one positive triple.
 #[derive(Debug, Clone, Default)]
 pub struct NegBatch {
@@ -132,16 +123,17 @@ pub struct NegBatch {
 /// without selection.
 #[derive(Debug, Clone, Default)]
 pub struct NegScratch {
-    /// Candidates as `(head, rel, tail)`, `stride` per positive in draw
-    /// order; selection moves each positive's kept ones to the front of
-    /// its pool.
+    /// Examples as `(head, rel, tail)`: each positive, then its pool in
+    /// draw order. Selection moves each positive's kept candidates to the
+    /// front of its pool, then drops the rest, so the last call leaves
+    /// each positive followed by its kept negatives.
     cands: Vec<(u32, u32, u32)>,
-    /// The candidates' scores (selection only), moved along with them.
+    /// The examples' scores (selection only), moved along with them.
     scores: Vec<f32>,
     /// [`KgeModel::score_triples`]' summand scratch.
     terms: Vec<f32>,
     /// Candidates drawn per positive by the last call.
-    stride: usize,
+    pool: usize,
     /// Candidates kept per positive by the last call.
     keep: usize,
 }
@@ -151,7 +143,14 @@ impl NegScratch {
     /// `i`-th positive — hardest first under selection, draw order
     /// otherwise.
     pub fn kept(&self, i: usize) -> &[(u32, u32, u32)] {
-        &self.cands[i * self.stride..][..self.keep]
+        &self.cands[i * (1 + self.keep) + 1..][..self.keep]
+    }
+
+    /// The scores [`NegSampler::stage`] staged, one per example in
+    /// example order: the block kernel's forward on the tables the
+    /// sampler read. Empty without selection, which scores nothing.
+    pub fn scores(&self) -> &[f32] {
+        &self.scores
     }
 }
 
@@ -176,11 +175,12 @@ impl NegSampler<'_> {
     /// Every pool is drawn first, in positive order: [`corrupt`] is the
     /// only RNG consumer and scoring consumes no randomness, so the draws
     /// are those of sampling one positive at a time, draw for draw. Under
-    /// selection all `positives × pool` candidates are then scored in one
-    /// [`KgeModel::score_triples`] call, and each positive keeps the first
-    /// `train` entries of its pool's stable descending order — `train`
-    /// rounds of arg-max where the earliest draw wins a tie, each winner
-    /// rotated to the front so the rest keep their draw order.
+    /// selection the positives and all `positives × pool` candidates are
+    /// then scored in one [`KgeModel::score_triples`] call, and each
+    /// positive keeps the first `train` entries of its pool's stable
+    /// descending order — `train` rounds of arg-max where the earliest draw
+    /// wins a tie, each winner rotated to the front so the rest keep their
+    /// draw order.
     pub fn sample(
         &self,
         positives: impl Iterator<Item = Triple>,
@@ -189,21 +189,25 @@ impl NegSampler<'_> {
     ) {
         let NegSampling { pool, train } = self.policy;
         scratch.cands.clear();
+        scratch.scores.clear();
         for pos in positives {
+            scratch.cands.push((pos.head, pos.rel, pos.tail));
             scratch.cands.extend((0..pool).map(|_| {
                 let c = corrupt(pos, self.n_entities, self.filter, self.bias, rng);
                 (c.head, c.rel, c.tail)
             }));
         }
         let select = self.policy.uses_selection();
-        (scratch.stride, scratch.keep) = (pool, if select { train } else { pool });
+        (scratch.pool, scratch.keep) = (pool, if select { train } else { pool });
         if !select {
             return;
         }
         scratch.scores.resize(scratch.cands.len(), 0.0);
         let NegScratch { cands, scores, terms, .. } = scratch;
         self.model.score_triples(self.ent, self.rel, cands, terms, scores);
-        for (cands, scores) in cands.chunks_exact_mut(pool).zip(scores.chunks_exact_mut(pool)) {
+        let stride = 1 + pool;
+        for (cands, scores) in cands.chunks_exact_mut(stride).zip(scores.chunks_exact_mut(stride)) {
+            let (cands, scores) = (&mut cands[1..], &mut scores[1..]);
             for round in 0..train {
                 let mut best = round;
                 for i in round + 1..pool {
@@ -216,27 +220,35 @@ impl NegSampler<'_> {
                 scores[round..=best].rotate_right(1);
             }
         }
+        // Each positive with its kept candidates, packed in example order:
+        // a copy lands at or before its source, over pools already packed.
+        let n = cands.len() / stride;
+        for i in 0..n {
+            cands.copy_within(i * stride..i * stride + 1 + train, i * (1 + train));
+            scores.copy_within(i * stride..i * stride + 1 + train, i * (1 + train));
+        }
+        cands.truncate(n * (1 + train));
+        scores.truncate(n * (1 + train));
     }
 
     /// Stage `positives` and their negatives as the block kernel's input:
     /// each positive (label `+1`) followed by its kept negatives (label
-    /// `−1`), appended to `labels` and `triples` in example order.
+    /// `−1`), appended to `labels` and `triples` in example order. Under
+    /// selection their scores are left in [`NegScratch::scores`].
     pub fn stage(
         &self,
-        positives: impl Iterator<Item = Triple> + Clone,
+        positives: impl Iterator<Item = Triple>,
         rng: &mut StdRng,
         scratch: &mut NegScratch,
         labels: &mut Vec<f32>,
         triples: &mut Vec<(u32, u32, u32)>,
     ) {
-        self.sample(positives.clone(), rng, scratch);
-        for (i, pos) in positives.enumerate() {
+        self.sample(positives, rng, scratch);
+        for _ in scratch.cands.chunks_exact(1 + scratch.keep) {
             labels.push(1.0);
-            triples.push((pos.head, pos.rel, pos.tail));
-            let negs = scratch.kept(i);
-            labels.extend(negs.iter().map(|_| -1.0));
-            triples.extend_from_slice(negs);
+            labels.extend(std::iter::repeat_n(-1.0, scratch.keep));
         }
+        triples.extend_from_slice(&scratch.cands);
     }
 }
 
@@ -288,7 +300,7 @@ pub fn sample_negatives_into(
     let sampler = NegSampler { policy, model, ent, rel, filter, bias, n_entities };
     sampler.sample(std::iter::once(positive), rng, scratch);
     out.extend(scratch.kept(0).iter().copied().map(Triple::from));
-    scratch.stride - scratch.keep
+    scratch.pool - scratch.keep
 }
 
 #[cfg(test)]
@@ -344,7 +356,7 @@ mod tests {
             let mut rng2 = StdRng::seed_from_u64(seed);
             let policy = NegSampling::select(1, 8);
             let pool: Vec<Triple> = (0..8)
-                .map(|_| corrupt_uniform(Triple::new(1, 0, 2), 10, &filter, &mut rng2))
+                .map(|_| corrupt(Triple::new(1, 0, 2), 10, &filter, None, &mut rng2))
                 .collect();
             let nb = sample_negatives(
                 policy,
@@ -417,8 +429,8 @@ mod tests {
         let mut b = StdRng::seed_from_u64(9);
         for _ in 0..10 {
             assert_eq!(
-                corrupt_uniform(t, 10, &filter, &mut a),
-                corrupt_uniform(t, 10, &filter, &mut b)
+                corrupt(t, 10, &filter, None, &mut a),
+                corrupt(t, 10, &filter, None, &mut b)
             );
         }
     }

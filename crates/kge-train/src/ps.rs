@@ -36,7 +36,7 @@ use crate::report::{EpochTrace, TrainOutcome, TrainReport};
 use crate::trainer::RunIndexes;
 use kge_compress::codec::RowEncoder;
 use kge_compress::WireFormat;
-use kge_core::loss::{logistic_loss, logistic_loss_grad};
+use kge_core::loss::logistic_loss_and_grad;
 use kge_core::{Adam, AdamState, BlockScratch, EmbeddingTable, KgeModel, SparseGrad};
 use kge_data::batch::{uniform_shards, EpochShuffler};
 use kge_data::{Dataset, Triple};
@@ -302,9 +302,9 @@ fn run_ps_node(
                 2.0 * config.l2 * inv,
                 &mut scratch,
                 &mut |i, score| {
-                    let y = examples[i].1;
-                    epoch_loss += logistic_loss(y, score) as f64;
-                    logistic_loss_grad(y, score) * inv
+                    let (loss, grad) = logistic_loss_and_grad(examples[i].1, score);
+                    epoch_loss += loss as f64;
+                    grad * inv
                 },
                 &mut ent_grad,
                 &mut rel_grad,

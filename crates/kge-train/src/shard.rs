@@ -1063,7 +1063,7 @@ fn compute_and_merge(
             // SAFETY: each index is claimed by exactly one worker, so the
             // &mut aliases are disjoint.
             let cs = unsafe { ptr.at(c) };
-            compute_chunk(run, local_tab, rel, inv_batch, cs);
+            compute_chunk(run, (local_tab, rel), inv_batch, false, cs);
         });
     }
     bufs.ent_grad.clear();

@@ -42,8 +42,8 @@ use crate::snapshot::{PublishedModel, SnapshotSink};
 use kge_compress::quant::QuantScheme;
 use kge_compress::row_select::select_rows;
 use kge_compress::ResidualStore;
-use kge_core::loss::{logistic_loss, logistic_loss_grad};
-use kge_core::{BlockScratch, EmbeddingTable, KgeModel, RowOptimizer, ScratchPool, SparseGrad};
+use kge_core::loss::logistic_loss_and_grad;
+use kge_core::{BlockScratch, EmbeddingTable, Forward, KgeModel, RowOptimizer, ScratchPool, SparseGrad};
 use kge_data::batch::EpochShuffler;
 use kge_data::{Dataset, FilterIndex, GroupedFilter, Triple};
 use kge_eval::{evaluate_ranking_distributed, fast_valid_accuracy, RankingOptions, RankingWorkspace};
@@ -1385,10 +1385,11 @@ fn stage_seed(seed: u64, rank: usize, epoch: usize, batch: usize, stage: u64) ->
 /// Stage one chunk's examples and run them through the fused block
 /// kernel. Phase 1 draws positives and negatives in the exact RNG order
 /// of the scalar path, staging `(label, triple)` pairs in example order;
-/// phase 2 makes a single [`KgeModel::score_grad_block`] call that
-/// scores the chunk, forms coefficients (accumulating the f64 loss in
-/// example order), and adds regularized gradients into the chunk
-/// accumulators — bit-identical to per-example score/grad/axpy.
+/// phase 2 makes a single [`KgeModel::grad_block`] call that scores the
+/// chunk — or, under selection, takes phase 1's scores, formed on these
+/// same tables — forms coefficients (accumulating the f64 loss in example
+/// order), and adds regularized gradients into the chunk accumulators —
+/// bit-identical to per-example score/grad/axpy.
 fn process_chunk(
     inputs: &StepInputs,
     ent: &EmbeddingTable,
@@ -1399,7 +1400,7 @@ fn process_chunk(
     cs: &mut ChunkScratch,
 ) {
     stage_chunk(inputs, ent, rel, ent.rows(), positives, rng_seed, cs);
-    compute_chunk(inputs, ent, rel, inv_batch, cs);
+    compute_chunk(inputs, (ent, rel), inv_batch, true, cs);
 }
 
 /// Phase 1 of [`process_chunk`]: draw the chunk's negatives — every pool
@@ -1448,41 +1449,30 @@ pub(crate) fn chunk_positives(
 }
 
 /// Phase 2 of [`process_chunk`]: the fused kernel call over an
-/// already-staged chunk. The entity ids in `cs.triples` index `ent` —
+/// already-staged chunk. The entity ids in `cs.triples` index `tables` —
 /// global ids for the replica path, batch-local ids for the sharded path
 /// (the kernel reads only the rows the triples name, so the remap is
-/// value-transparent).
+/// value-transparent). `staged_tables` says these are the tables phase 1
+/// read, so its selection scores stand in for the forward; the sharded
+/// path staged on placeholders and passes `false`.
 pub(crate) fn compute_chunk(
     inputs: &StepInputs,
-    ent: &EmbeddingTable,
-    rel: &EmbeddingTable,
+    tables: (&EmbeddingTable, &EmbeddingTable),
     inv_batch: f32,
+    staged_tables: bool,
     cs: &mut ChunkScratch,
 ) {
-    let ChunkScratch {
-        loss,
-        labels,
-        triples,
-        block,
-        ent: ent_g,
-        rel: rel_g,
-        ..
-    } = cs;
+    let ChunkScratch { loss, labels, triples, block, neg_scratch, ent: ent_g, rel: rel_g, .. } = cs;
     let mut coeff_of = |i: usize, score: f32| {
-        let y = labels[i];
-        *loss += logistic_loss(y, score) as f64;
-        logistic_loss_grad(y, score) * inv_batch
+        let (l, g) = logistic_loss_and_grad(labels[i], score);
+        *loss += l as f64;
+        g * inv_batch
     };
-    inputs.model.score_grad_block(
-        ent,
-        rel,
-        triples,
-        2.0 * inputs.config.l2 * inv_batch,
-        block,
-        &mut coeff_of,
-        ent_g,
-        rel_g,
-    );
+    let scores = neg_scratch.scores();
+    let given = staged_tables && !scores.is_empty();
+    let forward = if given { Forward::Given(scores) } else { Forward::Score(block) };
+    let l2 = 2.0 * inputs.config.l2 * inv_batch;
+    inputs.model.grad_block(tables, triples, forward, l2, &mut coeff_of, (ent_g, rel_g));
 }
 
 /// Fold chunk `c`'s accumulators into the batch's, chunks in order. The
@@ -1629,17 +1619,6 @@ impl BatchWorkspace {
     /// The relation-gradient accumulator from the last batch.
     pub fn rel_grad(&self) -> &SparseGrad {
         &self.rel_grad
-    }
-
-    /// Mutable access for downstream pipeline stages (selection,
-    /// residual feedback, sort warm-up) that edit the gradient in place.
-    pub fn ent_grad_mut(&mut self) -> &mut SparseGrad {
-        &mut self.ent_grad
-    }
-
-    /// See [`BatchWorkspace::ent_grad_mut`].
-    pub fn rel_grad_mut(&mut self) -> &mut SparseGrad {
-        &mut self.rel_grad
     }
 }
 

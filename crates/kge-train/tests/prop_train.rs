@@ -101,3 +101,59 @@ proptest! {
         prop_assert!(probes >= 2 * (100 / (check_every + 2)) / 2, "probes {probes}");
     }
 }
+
+/// What S5's staging leaves for the block kernel to skip its forward with:
+/// one score per staged example, in example order, each `score`'s bits for
+/// that triple on the tables the sampler read — positives included, and
+/// after the arg-max rounds have moved the kept candidates. Without
+/// selection nothing is scored and nothing is left.
+#[test]
+fn staged_selection_scores_are_the_staged_examples_scores() {
+    use kge_core::{ComplEx, EmbeddingTable, KgeModel};
+    use kge_data::synth::{generate, SynthConfig};
+    use kge_data::FilterIndex;
+    use kge_train::neg::{NegSampler, NegScratch};
+    use kge_train::NegSampling;
+    use rand::SeedableRng;
+
+    let ds = generate(&SynthConfig {
+        name: "staged-scores".into(),
+        n_entities: 48,
+        n_relations: 5,
+        n_triples: 500,
+        relation_zipf: 1.0,
+        entity_zipf: 0.8,
+        noise_frac: 0.05,
+        valid_frac: 0.05,
+        test_frac: 0.05,
+        seed: 21,
+    });
+    let filter = FilterIndex::build(&ds);
+    let model = ComplEx::new(6);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    let ent = EmbeddingTable::xavier(ds.n_entities, 12, &mut rng);
+    let rel = EmbeddingTable::xavier(ds.n_relations, 12, &mut rng);
+    let mut scratch = NegScratch::default();
+    for policy in [NegSampling::select(1, 5), NegSampling::select(3, 16), NegSampling::uniform(4)] {
+        let sampler = NegSampler {
+            policy,
+            model: &model,
+            ent: &ent,
+            rel: &rel,
+            filter: &filter,
+            bias: None,
+            n_entities: ds.n_entities,
+        };
+        let (mut labels, mut triples) = (Vec::new(), Vec::new());
+        sampler.stage(ds.train[..37].iter().copied(), &mut rng, &mut scratch, &mut labels, &mut triples);
+        if !policy.uses_selection() {
+            assert!(scratch.scores().is_empty(), "{policy:?}");
+            continue;
+        }
+        assert_eq!(scratch.scores().len(), triples.len(), "{policy:?}");
+        for (&(h, r, t), s) in triples.iter().zip(scratch.scores()) {
+            let want = model.score(ent.row(h as usize), rel.row(r as usize), ent.row(t as usize));
+            assert_eq!(s.to_bits(), want.to_bits(), "{policy:?} ({h}, {r}, {t})");
+        }
+    }
+}

@@ -2,7 +2,9 @@
 # A/B the repo's benchmark (benchmark/, declared by BENCHMARK.json) between
 # <base-rev> and HEAD: ten pairs per workload, every run a fresh process
 # with the benchmark's command line (--seed 1 --seconds 24 --trace 0), the
-# side that runs first alternating from pair to pair. Each side is a
+# side that runs first alternating from pair to pair. `--seed N` runs both
+# sides at workload seed N instead (the held-out-seed confirmation of a
+# claim), `--pairs N` runs N pairs. Each side is a
 # `git archive` export of its commit built with its own CARGO_TARGET_DIR,
 # both in one temporary directory outside the repository and removed at
 # exit, so nothing is built, written or left behind in the working tree
@@ -15,18 +17,38 @@
 # else `ok`. Per workload it then says whether sim_epoch_s,
 # final_train_loss and test_mrr are bit-equal across all twenty runs, how
 # many runs reported `"correct": true` and how many operations failed.
-# Exit status 1 if any verdict is `worse`, one of those three differs, or a
-# run is missing, incorrect or has a failed operation.
+# `--claim workload:metric` (repeatable) then prints the gain verdict for
+# that pairing (choosing-metrics guide, section 8): `gain` when head won at
+# least nine tenths of the pairs, ties counting for neither, and the
+# medians differ by more than the base's interquartile range, in the
+# metric's `better` direction; `no gain` otherwise.
+# Exit status 1 if any verdict is `worse`, one of those three differs, a
+# claim is not a gain, or a run is missing, incorrect or has a failed
+# operation.
 #
-# Usage: scripts/ab.sh <base-rev> [workload...]   (default: every workload)
+# Usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]...
+#                      <base-rev> [workload...]   (default: every workload)
 #        scripts/ab.sh HEAD replica_dense         (A/A: the noise floor)
 # About 5 minutes per workload on a 2-vCPU host, plus two builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-if [ $# -lt 1 ]; then
-  echo "usage: scripts/ab.sh <base-rev> [workload...]" >&2
+usage() {
+  echo "usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]... <base-rev> [workload...]" >&2
   exit 2
-fi
+}
+SEED=1
+PAIRS=10
+claims=()
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --seed) [[ "${2:-}" =~ ^[0-9]+$ ]] || usage; SEED=$2; shift 2 ;;
+    --pairs) [[ "${2:-}" =~ ^[1-9][0-9]*$ ]] || usage; PAIRS=$2; shift 2 ;;
+    --claim) [[ "${2:-}" == *:* ]] || usage; claims+=("$2"); shift 2 ;;
+    -*) usage ;;
+    *) break ;;
+  esac
+done
+[ $# -ge 1 ] || usage
 base=$(git rev-parse --verify --quiet "$1^{commit}") || { echo "ab: unknown revision $1" >&2; exit 2; }
 head=$(git rev-parse HEAD)
 shift
@@ -35,7 +57,6 @@ if [ ${#workloads[@]} -eq 0 ]; then
   mapfile -t workloads < <(python3 -c 'import json
 for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
 fi
-PAIRS=10
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/kge-ab.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 
@@ -54,16 +75,17 @@ for w in "${workloads[@]}"; do
     for side in $order; do
       echo "ab: $w pair $i/$PAIRS $side" >&2
       (cd "$tmp/$side" && "$tmp/$side.target/release/kge-benchmark" --workload "$w" \
-        --seed 1 --seconds 24 --trace 0 --out-dir "$tmp/out") > "$tmp/runs/$w.$side.$i.txt" || true
+        --seed "$SEED" --seconds 24 --trace 0 --out-dir "$tmp/out") > "$tmp/runs/$w.$side.$i.txt" || true
     done
   done
 done
 
-echo "base $base  head $head  ($PAIRS pairs per workload)"
-python3 - "$tmp/runs" "$PAIRS" "${workloads[@]}" <<'PY'
+echo "base $base  head $head  ($PAIRS pairs per workload, seed $SEED)"
+python3 - "$tmp/runs" "$PAIRS" "$(IFS=,; echo "${claims[*]}")" "${workloads[@]}" <<'PY'
 import json, statistics as st, sys
 
-runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
+claims = {tuple(c.split(":", 1)) for c in sys.argv[3].split(",") if c}
 spec = json.load(open("BENCHMARK.json"))["end_to_end"]
 EXACT = ("sim_epoch_s", "final_train_loss", "test_mrr")
 
@@ -108,6 +130,12 @@ for w in workloads:
         ratio = hm / bm if bm else float("nan")
         print(f"{w:<17} {name:<22} {bm:>14.6g} {hm:>14.6g} {ratio:>9.4f} {iqr:>7.2%} "
               f"{wins:>2}/{len(b):<2} {m['bound']:>5}  {verdict}")
+        if (w, name) in claims:
+            claims.discard((w, name))
+            gain = 10 * wins >= 9 * pairs and sign * (bm - hm) > q3 - q1
+            bad |= not gain
+            print(f"claim {w}:{name}: {'gain' if gain else 'no gain'} — head won {wins}/{pairs} pairs "
+                  f"(needs 9/10), median gap {abs(hm - bm):.6g} against base IQR {q3 - q1:.6g}")
     every = [x for s in sides.values() for x in s if x]
     for name in EXACT:
         values = {repr(x["metrics"][name]["value"]) for x in every}
@@ -118,5 +146,8 @@ for w in workloads:
     failed = sum(x["failed"] for x in every)
     bad |= correct < 2 * pairs or failed > 0
     print(f"{w}: correct {correct}/{2 * pairs} runs, failed operations {failed}")
+for w, name in sorted(claims):
+    bad = True
+    print(f"claim {w}:{name}: no such workload and end-to-end metric in this run")
 sys.exit(1 if bad else 0)
 PY

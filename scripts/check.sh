@@ -60,6 +60,24 @@ if grep -nE 'std::arch|unsafe fn' crates/kge-core/src/model.rs; then
 fi
 echo "check: model.rs holds no intrinsics and no unsafe fn"
 
+# Intrinsics stay where they beat the safe loop, and the list only shrinks:
+# the dispatch module (feature detection and the forward's transposed
+# sums), the optimizer rows, axpy and the two codec files.
+ARCH_ALLOWED=(
+  crates/kge-core/src/simd.rs
+  crates/kge-core/src/optim.rs
+  crates/kge-core/src/matrix.rs
+  crates/kge-compress/src/quant.rs
+  crates/kge-compress/src/codec.rs
+)
+arch_users=$(grep -rlE --include='*.rs' '(std|core)::arch' crates src tests examples benchmark/src | sort)
+if unlisted=$(grep -vxF -f <(printf '%s\n' "${ARCH_ALLOWED[@]}") <<<"$arch_users"); then
+  printf '%s\n' "$unlisted" >&2
+  echo "check: std::arch outside the allow-list (${ARCH_ALLOWED[*]})" >&2
+  exit 1
+fi
+echo "check: std::arch only in its $(wc -l <<<"$arch_users") allow-listed files"
+
 # All CPU feature detection lives in kge-core's simd module.
 if grep -rn --include='*.rs' 'is_x86_feature_detected' crates src tests examples benchmark/src \
   | grep -v '^crates/kge-core/src/simd.rs:'; then
