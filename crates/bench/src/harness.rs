@@ -4,7 +4,6 @@ use kge_data::synth::{generate, SynthPreset};
 use kge_data::{Dataset, FilterIndex};
 use kge_eval::{evaluate_ranking, triple_classification, RankingOptions};
 use kge_train::{train, StrategyConfig, TrainConfig, TrainReport};
-use serde::{Deserialize, Serialize};
 use simgrid::{Cluster, ClusterSpec};
 
 /// Scale factors and budget knobs for bench runs. `quick` shrinks
@@ -67,7 +66,7 @@ pub fn fb250k_bench(s: &BenchScale) -> (Dataset, usize) {
 }
 
 /// One experiment row: the paper's TT / N / TCA / MRR plus extras.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     pub dataset: String,
     pub method: String,

@@ -13,10 +13,9 @@
 //! ```
 
 use crate::quant::QuantizedRow;
-use serde::{Deserialize, Serialize};
 
 /// Wire format selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
     /// Raw sparse f32 rows.
     F32,

@@ -13,10 +13,9 @@
 //! having found it works better for KGE gradients.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the 1-bit scheme derives its per-row scale(s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleRule {
     /// One scale: `max(|v|)` — the paper's choice.
     Max,
@@ -29,7 +28,7 @@ pub enum ScaleRule {
 }
 
 /// A quantization scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QuantScheme {
     /// 32-bit floats, no quantization.
     None,

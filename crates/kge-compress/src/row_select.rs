@@ -14,10 +14,9 @@
 use kge_core::matrix::l2_norm;
 use kge_core::SparseGrad;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Row-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RowSelector {
     /// Keep everything (dense baseline).
     None,
@@ -41,7 +40,7 @@ impl RowSelector {
 }
 
 /// Outcome statistics of one selection pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowSelection {
     pub rows_before: usize,
     pub rows_after: usize,

@@ -1,10 +1,9 @@
 //! Datasets: triples plus vocab sizes and splits.
 
 use crate::triple::Triple;
-use serde::{Deserialize, Serialize};
 
 /// Which split a triple belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Split {
     Train,
     Valid,
@@ -101,7 +100,7 @@ impl Dataset {
 }
 
 /// Summary statistics of a dataset (train split).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetStats {
     pub n_entities: usize,
     pub n_relations: usize,
@@ -115,11 +114,9 @@ pub struct DatasetStats {
     /// relation-partition strategy prefix-sums (§4.4).
     pub relation_counts: Vec<usize>,
     /// Entities with train degree > 0.
-    #[serde(default)]
     pub active_entities: usize,
     /// Train-split degree (head + tail occurrences) per entity id — the
     /// array hot-cache sizing and degree-aware ownership consume.
-    #[serde(default)]
     pub entity_degrees: Vec<usize>,
 }
 
@@ -186,7 +183,7 @@ impl DatasetStats {
 /// Bordes et al. (2013) relation categorization by average fan-out:
 /// a relation is 1-1 / 1-N / N-1 / N-N according to whether its average
 /// tails-per-head and heads-per-tail exceed 1.5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelationCategory {
     OneToOne,
     OneToMany,

@@ -28,10 +28,9 @@ use crate::powerlaw::{zipf_allocation, ZipfSampler};
 use crate::triple::Triple;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthConfig {
     pub name: String,
     pub n_entities: usize,

@@ -1,12 +1,10 @@
 //! The triple type.
 
-use serde::{Deserialize, Serialize};
-
 /// A knowledge-graph fact `(head, relation, tail)`, stored as dense ids.
 ///
 /// 32-bit ids keep a triple at 12 bytes — FB250K-scale datasets (16 M
 /// facts) fit comfortably in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     pub head: u32,
     pub rel: u32,

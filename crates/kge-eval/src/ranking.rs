@@ -29,7 +29,6 @@ use kge_core::{EmbeddingTable, KgeModel, ReplaceDir, ScratchPool};
 use kge_data::{FilterIndex, GroupedFilter, RelationCategory, Triple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Options for a ranking evaluation.
 #[derive(Debug, Clone)]
@@ -55,7 +54,7 @@ impl Default for RankingOptions {
 }
 
 /// Aggregated ranking metrics over both head- and tail-replacement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankingMetrics {
     pub mrr: f64,
     pub mean_rank: f64,

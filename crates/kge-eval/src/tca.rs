@@ -10,10 +10,9 @@ use kge_core::{EmbeddingTable, KgeModel};
 use kge_data::{FilterIndex, Triple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a triple-classification evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TcaResult {
     /// Test accuracy in percent (the paper reports e.g. 90.7).
     pub accuracy_pct: f64,

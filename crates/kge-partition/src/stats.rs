@@ -1,11 +1,10 @@
 //! Balance and disjointness measurements for partitions.
 
 use kge_data::Triple;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Measured properties of a `p`-way triple partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionStats {
     /// Triples per shard.
     pub shard_sizes: Vec<usize>,

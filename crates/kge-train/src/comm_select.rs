@@ -22,10 +22,8 @@
 //! changes (a crash shrank the communicator), [`DynamicCommSelector::reset`]
 //! discards all timings so every arm is re-timed at the new world size.
 
-use serde::{Deserialize, Serialize};
-
 /// Which exchange an epoch should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommChoice {
     AllReduce,
     AllGather,
@@ -77,7 +75,7 @@ enum State {
 /// [`DynamicCommSelector::snapshot`]. `state` is a small tag (0 = reduce,
 /// 1 = probing gather, 2 = probing pipelined, 3 = committed); `arm` is
 /// meaningful for tags 2 and 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectorSnapshot {
     pub state: u8,
     pub arm: CommChoice,

@@ -1,10 +1,9 @@
 //! Trainer configuration.
 
 use kge_compress::{QuantScheme, RowSelector};
-use serde::{Deserialize, Serialize};
 
 /// How gradients are aggregated across nodes each step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CommMode {
     /// Dense all-reduce of the full gradient matrix (baseline "dense").
     AllReduce,
@@ -40,7 +39,7 @@ impl CommMode {
 }
 
 /// Optimizer update style per communication path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateStyle {
     /// Dense Adam after all-reduce, lazy Adam after all-gather — the
     /// framework semantics the paper inherited from Horovod + TF.
@@ -54,7 +53,7 @@ pub enum UpdateStyle {
 /// §4.5 negative sampling: draw `pool` candidates per positive, train on
 /// the `train` hardest (highest-scoring) ones. `pool == train` disables
 /// selection (the "n out of n" baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NegSampling {
     pub pool: usize,
     pub train: usize,
@@ -79,7 +78,7 @@ impl NegSampling {
 }
 
 /// The five strategies plus supporting knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyConfig {
     /// S1 — communication mode.
     pub comm: CommMode,
@@ -148,7 +147,7 @@ impl StrategyConfig {
 /// Which scoring model to train. The paper uses ComplEx throughout and
 /// notes its strategies (except SS, which is model-agnostic here anyway)
 /// apply to other KGE models; DistMult and TransE are provided to check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     ComplEx,
     DistMult,
@@ -172,7 +171,7 @@ impl ModelKind {
 
 /// Optimizer selection. The paper trains with Adam; AdaGrad is what
 /// DGL-KE ships and is included for comparison runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizerKind {
     Adam,
     Adagrad,
@@ -209,7 +208,7 @@ impl OptimizerKind {
 }
 
 /// Pipelining policy for the sharded pull/push lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefetchMode {
     /// Lookahead 0 — the synchronous per-batch round-trip: pull, compute,
     /// push, every batch blocking in turn.
@@ -227,7 +226,7 @@ pub enum PrefetchMode {
 /// owners for the lazy Adam step. A capacity-bounded cache of high-degree
 /// rows is replicated on every rank so the hottest rows are synced once
 /// per admission instead of pulled once per batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedConfig {
     /// Hot-cache capacity in entity rows (0 disables the cache; every
     /// touched row is then pulled from its owner each batch).
@@ -235,16 +234,14 @@ pub struct ShardedConfig {
     /// Store cold (owner-arena) rows 8-bit quantized instead of f32.
     /// Deterministic but lossy: the trajectory diverges from the
     /// full-replica trainer while staying identical run-to-run.
-    #[serde(default)]
     pub cold_int8: bool,
     /// Pull/push pipelining policy: the synchronous per-batch round-trip
     /// or the one-batch-ahead prefetch ring.
-    #[serde(default)]
     pub prefetch: PrefetchMode,
 }
 
 /// Full training configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Scoring model (paper: ComplEx).
     pub model: ModelKind,
@@ -279,39 +276,32 @@ pub struct TrainConfig {
     /// communicator to the survivors, re-partition the triples, and keep
     /// training at the reduced world size. When off, training stops at
     /// the crashed epoch and reports what it has.
-    #[serde(default)]
     pub recover_from_crashes: bool,
     /// Run the full filtered-ranking evaluation on the validation split
     /// every this many epochs (0 = never), sharded across ranks with
     /// allreduced metric sums. Results land in `EpochTrace::ranking`; the
     /// eval's compute and collective time are charged to the simulated
     /// clock.
-    #[serde(default)]
     pub eval_every: usize,
     /// Query cap for the per-epoch ranking eval (deterministic subsample;
     /// `None` = the whole validation split).
-    #[serde(default)]
     pub eval_max_queries: Option<usize>,
     /// Write a versioned per-rank checkpoint (`ckpt-r{rank}.kgc` in
     /// `checkpoint_dir`) at the end of every this-many-th epoch
     /// (0 = never). The latest checkpoint overwrites the previous one;
     /// serialization time is charged to the simulated clock's
     /// `checkpoint_s` bucket.
-    #[serde(default)]
     pub checkpoint_every: usize,
     /// Directory receiving the per-rank checkpoint files.
-    #[serde(default)]
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Resume from the per-rank checkpoint files in this directory
     /// instead of initializing fresh. The resumed run continues at the
     /// checkpointed epoch cursor and is bit-identical to the
     /// uninterrupted run (see `tests/resume_determinism.rs`).
-    #[serde(default)]
     pub resume_from: Option<std::path::PathBuf>,
     /// Train with partitioned entity storage instead of full replicas.
     /// Sharded mode supports the plain all-gather strategy arm only; see
     /// [`TrainConfig::validate`] for the exact compatibility rules.
-    #[serde(default)]
     pub sharded: Option<ShardedConfig>,
     /// Publish a model snapshot to the serving sink (see
     /// [`train_with_snapshots`]) at the end of every this-many-th epoch
@@ -320,7 +310,6 @@ pub struct TrainConfig {
     /// supported in sharded mode.
     ///
     /// [`train_with_snapshots`]: crate::trainer::train_with_snapshots
-    #[serde(default)]
     pub serve_snapshots: usize,
 }
 

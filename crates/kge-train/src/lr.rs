@@ -1,10 +1,8 @@
 //! The paper's learning-rate regime (§3.3/§3.4): capped linear scaling
 //! plus reduce-on-plateau with convergence detection.
 
-use serde::{Deserialize, Serialize};
-
 /// What the schedule decided after observing an epoch's validation signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrDecision {
     /// Keep going at the current LR.
     Continue,
@@ -18,7 +16,7 @@ pub enum LrDecision {
 /// [`PlateauSchedule::snapshot`] and consumed by [`PlateauSchedule::restore`].
 /// Counters are widened to `u64` so the checkpoint byte format is
 /// pointer-width independent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlateauSnapshot {
     pub node_scale: f32,
     pub decay_scale: f32,
@@ -38,7 +36,7 @@ pub struct PlateauSnapshot {
 /// and `decay_scale` shrinks by `decay` whenever the validation metric
 /// fails to improve for `tolerance` consecutive epochs. After
 /// `max_drops` decays, the next plateau declares convergence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlateauSchedule {
     node_scale: f32,
     decay_scale: f32,

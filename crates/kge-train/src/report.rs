@@ -3,12 +3,11 @@
 use crate::comm_select::CommChoice;
 use kge_core::EmbeddingTable;
 use kge_eval::RankingMetrics;
-use serde::{Deserialize, Serialize};
 use simgrid::TimeBreakdown;
 
 /// One epoch's worth of measurements (identical on every node; recorded
 /// on rank 0).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochTrace {
     pub epoch: usize,
     /// Simulated duration of this epoch (seconds).
@@ -35,12 +34,11 @@ pub struct EpochTrace {
     pub bytes_sent: u64,
     /// Full filtered-ranking metrics, present on epochs where the opt-in
     /// distributed evaluation ran (`TrainConfig::eval_every`).
-    #[serde(default)]
     pub ranking: Option<RankingMetrics>,
 }
 
 /// Summary of a training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     pub dataset: String,
     pub nodes: usize,
@@ -59,36 +57,27 @@ pub struct TrainReport {
     pub allreduce_epochs: usize,
     pub allgather_epochs: usize,
     /// Of those, epochs whose exchange was pipelined behind compute.
-    #[serde(default)]
     pub pipelined_epochs: usize,
     /// Nodes still alive at the end of the run (== `nodes` unless a
     /// fault plan crashed ranks mid-training).
-    #[serde(default)]
     pub surviving_nodes: usize,
     /// Communicator shrink + re-partition cycles performed.
-    #[serde(default)]
     pub recoveries: usize,
     /// Crashed-then-recovered ranks re-admitted at an epoch boundary
     /// (elastic re-grow cycles).
-    #[serde(default)]
     pub rejoins: usize,
     /// Periodic checkpoints written by rank 0 over the run.
-    #[serde(default)]
     pub checkpoints_written: usize,
     /// Original rank ids that crashed, in crash order.
-    #[serde(default)]
     pub crashed_ranks: Vec<usize>,
     /// Wire-level bytes actually moved by collectives, summed over every
     /// rank that participated (including crashed ranks' pre-crash
     /// traffic). Sent equals received globally — see `simgrid::traffic`.
-    #[serde(default)]
     pub wire_bytes_sent: u64,
-    #[serde(default)]
     pub wire_bytes_recv: u64,
     /// Sharded-storage measurements, present when the run used
     /// `TrainConfig::sharded` (partitioned entity storage with a hot
     /// cache); `None` for full-replica runs.
-    #[serde(default)]
     pub sharded: Option<ShardedReport>,
 }
 
@@ -96,7 +85,7 @@ pub struct TrainReport {
 /// touch counters are summed over all ranks; resident sizes are the
 /// maximum over ranks (the per-node memory bound is what sharding is
 /// for).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ShardedReport {
     /// Wire bytes of pull requests plus row responses (`ShardPull`).
     pub pull_wire_bytes: u64,
@@ -112,7 +101,6 @@ pub struct ShardedReport {
     /// All entity-row touches (2 per staged example, duplicates count) —
     /// `cache_accesses / entity_touches` is the hot tier's coverage of
     /// the access stream.
-    #[serde(default)]
     pub entity_touches: u64,
     /// Largest per-rank resident model bytes: owner arena + hot-cache
     /// values + the (replicated) relation table.
@@ -133,23 +121,18 @@ pub struct ShardedReport {
     /// (request sends + response receives + serving), visible *and*
     /// hidden seconds. Measured from clock deltas around the lane
     /// operations, so recording it never perturbs the clock.
-    #[serde(default)]
     pub pull_lane_s: f64,
     /// Slowest rank's cumulative `ShardPush` lane occupancy (cold
     /// gradient sends/receives plus deferred settlement).
-    #[serde(default)]
     pub push_lane_s: f64,
     /// Of `pull_lane_s`, the seconds hidden behind compute by the
     /// prefetch ring (always 0 on the synchronous path).
-    #[serde(default)]
     pub hidden_pull_s: f64,
     /// Of `push_lane_s`, the seconds hidden behind the next batch's
     /// compute window (always 0 on the synchronous path).
-    #[serde(default)]
     pub hidden_push_s: f64,
     /// Epochs that ran one batch ahead (equals `epochs` with
     /// `PrefetchMode::On`, 0 with `Off`).
-    #[serde(default)]
     pub prefetch_epochs: usize,
 }
 

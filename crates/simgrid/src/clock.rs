@@ -2,11 +2,10 @@
 
 use crate::fault::FaultPlan;
 use crate::spec::ClusterSpec;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Breakdown of where a node's simulated time went.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimeBreakdown {
     /// Seconds spent in local computation.
     pub compute_s: f64,
@@ -17,28 +16,23 @@ pub struct TimeBreakdown {
     /// Extra seconds lost to injected faults: straggler slowdown beyond
     /// the healthy compute time, link degradation beyond the healthy
     /// collective price, and failure-detection timeouts on crashed peers.
-    #[serde(default)]
     pub fault_s: f64,
     /// Seconds spent in timeout + backoff before retransmitting messages
     /// or collective attempts lost to injected faults.
-    #[serde(default)]
     pub retry_s: f64,
     /// Seconds spent serializing checkpoint snapshots (the synchronous
     /// part of periodic checkpointing; the disk drain itself is
     /// asynchronous and hidden behind subsequent compute).
-    #[serde(default)]
     pub checkpoint_s: f64,
     /// Informational: width of the compute windows that pipelined
     /// (overlapped) collectives had available to hide behind. Not part of
     /// [`TimeBreakdown::total_s`] — the window itself is already counted
     /// as `compute_s` of the work that filled it.
-    #[serde(default)]
     pub overlap_s: f64,
     /// Informational: seconds of collective price that were hidden behind
     /// compute by pipelined exchanges and therefore never advanced the
     /// clock. Not part of [`TimeBreakdown::total_s`]; the *visible*
     /// remainder of an overlapped collective still lands in `comm_s`.
-    #[serde(default)]
     pub hidden_comm_s: f64,
 }
 

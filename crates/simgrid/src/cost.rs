@@ -8,10 +8,9 @@
 //! collectives finish together, so one number suffices.
 
 use crate::spec::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// The collective operations the model can price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Collective {
     /// Sum-reduce a buffer of `m` bytes, result everywhere.
     AllReduce,

@@ -19,8 +19,6 @@
 //! simulation is bit-identical to one built without a plan at all (the
 //! `fault_free_plan_is_bitwise_inert` tests pin this down).
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 finalizer: the mixing function behind every fault decision.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -84,7 +82,7 @@ const TAG_COLLECTIVE: u64 = 0xC0_11EC;
 
 /// One rank computes slower over a window of simulated time (a straggler:
 /// thermal throttling, a noisy neighbour, a failing DIMM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerWindow {
     /// Original (pre-shrink) rank id.
     pub rank: usize,
@@ -98,7 +96,7 @@ pub struct StragglerWindow {
 
 /// The interconnect degrades over a window of simulated time (congestion,
 /// a flapping switch, an adaptive-routing storm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDegradation {
     pub start_s: f64,
     pub end_s: f64,
@@ -116,14 +114,13 @@ pub struct LinkDegradation {
 /// comes back up at that simulated time and may rejoin the world at the
 /// next epoch boundary the survivors reach after it (the elastic re-grow
 /// path); `None` means the failure is permanent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankCrash {
     /// Original (pre-shrink) rank id.
     pub rank: usize,
     /// Simulated time of death.
     pub at_s: f64,
     /// Simulated time the node is healthy again, if it ever is.
-    #[serde(default)]
     pub recover_at_s: Option<f64>,
 }
 
@@ -132,7 +129,7 @@ pub struct RankCrash {
 /// backoff_factor^i` of simulated time before retransmitting; after
 /// `max_retries` failed retries the operation surfaces
 /// [`crate::SimError::Timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     pub max_retries: u32,
     /// Seconds waited before concluding an attempt was lost (also the
@@ -167,7 +164,7 @@ impl RetryPolicy {
 /// Attach to a cluster with [`crate::Cluster::with_fault_plan`]. Ranks in
 /// the plan are **original** rank ids: they keep addressing the same
 /// logical node even after a crash shrinks the communicator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the SplitMix64 decision streams.
     pub seed: u64,

@@ -1,12 +1,10 @@
 //! Hardware description of the simulated cluster.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the simulated machine: interconnect parameters for
 /// the α-β cost model and per-node compute throughput.
 ///
 /// All times are in seconds, bandwidths in bytes/second, compute in flop/s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Per-message latency of the interconnect (the `α` term), seconds.
     pub latency_s: f64,

@@ -1,7 +1,6 @@
 //! Per-rank accounting of communication traffic.
 
 use crate::cost::Collective;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Mutable per-rank traffic counters, updated by the communicator.
@@ -10,7 +9,7 @@ pub struct TrafficStats {
     entries: BTreeMap<Collective, Counter>,
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Counter {
     ops: u64,
     bytes_sent: u64,
@@ -20,13 +19,10 @@ struct Counter {
     /// Unlike `bytes_sent`/`bytes_recv` (which describe the logical
     /// payload of the call), wire counters satisfy exact conservation:
     /// summed over all ranks, `wire_sent == wire_recv`.
-    #[serde(default)]
     wire_sent: u64,
     /// Bytes delivered to this rank over the wire from other ranks.
-    #[serde(default)]
     wire_recv: u64,
     /// Retransmission attempts absorbed by the retry policy.
-    #[serde(default)]
     retries: u64,
 }
 
@@ -108,7 +104,7 @@ impl TrafficStats {
 }
 
 /// Immutable snapshot of [`TrafficStats`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrafficReport {
     entries: BTreeMap<Collective, Counter>,
 }
