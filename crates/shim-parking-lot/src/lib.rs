@@ -4,8 +4,8 @@
 //! a guard directly (no `Result`), and `Condvar::wait` taking
 //! `&mut MutexGuard`.
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
@@ -17,10 +17,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(t),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -28,22 +24,6 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard {
             guard: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
     }
 }
 
@@ -69,12 +49,9 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 /// Reader-writer lock: any number of readers or one writer. The guards are
 /// std's — they deref exactly as parking_lot's do.
-#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
     inner: std::sync::RwLock<T>,
 }
-
-pub use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 impl<T> RwLock<T> {
     pub const fn new(t: T) -> Self {
@@ -113,14 +90,8 @@ impl Condvar {
         guard.guard = Some(g);
     }
 
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
+    pub fn notify_all(&self) {
         self.inner.notify_all();
-        0
     }
 }
 

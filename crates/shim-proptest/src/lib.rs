@@ -69,18 +69,7 @@ macro_rules! impl_range_strategy {
         }
     )*};
 }
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
-
-/// Always yields a clone of the given value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut StdRng) -> T {
-        self.0.clone()
-    }
-}
+impl_range_strategy!(u8, u32, u64, usize, i8, f32, f64);
 
 pub struct Map<S, F> {
     base: S,
@@ -118,7 +107,6 @@ macro_rules! impl_tuple_strategy {
         }
     };
 }
-impl_tuple_strategy!(A);
 impl_tuple_strategy!(A, B);
 impl_tuple_strategy!(A, B, C);
 impl_tuple_strategy!(A, B, C, D);
@@ -140,30 +128,11 @@ macro_rules! impl_arbitrary_int {
         }
     )*};
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_arbitrary_int!(u32, u64);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut StdRng) -> Self {
         rng.gen::<bool>()
-    }
-}
-
-impl Arbitrary for f32 {
-    /// Finite floats spread over a wide magnitude range (upstream's
-    /// `any::<f32>` includes specials; the repo's properties assume
-    /// finite inputs).
-    fn arbitrary(rng: &mut StdRng) -> Self {
-        let mag = rng.gen_range(-30.0f32..30.0);
-        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-        sign * mag.exp2() * rng.gen::<f32>()
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut StdRng) -> Self {
-        let mag = rng.gen_range(-60.0f64..60.0);
-        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-        sign * mag.exp2() * rng.gen::<f64>()
     }
 }
 
@@ -190,12 +159,6 @@ pub fn any<T: Arbitrary>() -> AnyStrategy<T> {
 pub struct SizeRange {
     pub lo: usize,
     pub hi: usize,
-}
-
-impl From<usize> for SizeRange {
-    fn from(n: usize) -> Self {
-        SizeRange { lo: n, hi: n }
-    }
 }
 
 impl From<std::ops::Range<usize>> for SizeRange {
@@ -246,7 +209,7 @@ pub mod collection {
 
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assume, proptest, Just, ProptestConfig, Strategy,
+        any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig, Strategy,
     };
 }
 
@@ -319,11 +282,6 @@ macro_rules! prop_assert_eq {
 #[macro_export]
 macro_rules! prop_assume {
     ($cond:expr) => {
-        if !($cond) {
-            return;
-        }
-    };
-    ($cond:expr, $($fmt:tt)*) => {
         if !($cond) {
             return;
         }

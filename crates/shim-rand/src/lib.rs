@@ -15,18 +15,6 @@
 /// Low-level generator interface: a source of uniform `u64`s.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// Seedable construction (the repo only uses `seed_from_u64`).
@@ -39,17 +27,12 @@ pub trait Standard: Sized {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-macro_rules! impl_standard_int {
-    ($($t:ty),*) => {$(
-        impl Standard for $t {
-            #[inline]
-            fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
+impl Standard for u64 {
+    #[inline]
+    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64()
+    }
 }
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Standard for bool {
     #[inline]

@@ -1,14 +1,18 @@
-//! Offline stand-in for `rayon`: real intra-process data parallelism with
-//! a deterministic, thread-count-independent result contract.
+//! Offline stand-in for the slice of `rayon` the workspace uses: real
+//! intra-process data parallelism with a deterministic,
+//! thread-count-independent result contract. The surface is two index
+//! primitives ([`par_for_each_index`], [`par_map_index`]),
+//! [`current_num_threads`] and a [`ThreadPoolBuilder`] whose pool scopes
+//! the thread count through [`ThreadPool::install`].
 //!
 //! The execution model is simpler than rayon's work-stealing deques —
 //! each parallel region spawns scoped `std` threads that claim item
 //! indices from a shared atomic counter — but the *output* contract is
 //! the one this repo's determinism tests rely on and is stronger than
-//! a naive port: results are always assembled **in item order**, so a
-//! `par_iter().map(f).collect()` is bit-identical to the sequential
-//! `iter().map(f).collect()` for any thread count, provided `f` itself
-//! is a pure function of the item.
+//! a naive port: results are always assembled **in index order**, so
+//! `par_map_index(n, f)` is bit-identical to the sequential
+//! `(0..n).map(f).collect()` for any thread count, provided `f` itself
+//! is a pure function of the index.
 //!
 //! Thread-count resolution, in priority order:
 //! 1. the innermost [`ThreadPool::install`] scope on this thread,
@@ -78,8 +82,7 @@ pub fn par_for_each_index<F: Fn(usize) + Sync>(n: usize, f: F) {
 }
 
 /// Compute `f(i)` for every index in parallel and return the results in
-/// index order — the deterministic-collect primitive everything else in
-/// this shim is built on.
+/// index order — the deterministic-collect primitive.
 pub fn par_map_index<U: Send, F: Fn(usize) -> U + Sync>(n: usize, f: F) -> Vec<U> {
     use std::mem::MaybeUninit;
 
@@ -118,10 +121,6 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
     /// Run `f` with this pool's thread count governing parallel regions.
     pub fn install<R, F: FnOnce() -> R>(&self, f: F) -> R {
         let prev = INSTALLED.with(|c| c.replace(Some(self.num_threads)));
@@ -145,14 +144,6 @@ pub struct ThreadPoolBuilder {
 #[derive(Debug)]
 pub struct ThreadPoolBuildError;
 
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
 impl ThreadPoolBuilder {
     pub fn new() -> Self {
         Self::default()
@@ -172,218 +163,29 @@ impl ThreadPoolBuilder {
     }
 }
 
-pub mod prelude {
-    pub use crate::{ParallelSliceExt, ParallelSliceMutExt};
-}
-
-/// `par_iter`/`par_chunks` entry points on slices.
-pub trait ParallelSliceExt<T: Sync> {
-    fn par_iter(&self) -> ParIter<'_, T>;
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
-}
-
-impl<T: Sync> ParallelSliceExt<T> for [T] {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { items: self }
-    }
-
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunks {
-            items: self,
-            chunk_size,
-        }
-    }
-}
-
-/// `par_chunks_mut` entry point on mutable slices.
-pub trait ParallelSliceMutExt<T: Send> {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMutExt<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunksMut {
-            items: self,
-            chunk_size,
-        }
-    }
-}
-
-pub struct ParIter<'a, T> {
-    items: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    pub fn map<U, F>(self, f: F) -> ParMap<'a, T, F>
-    where
-        U: Send,
-        F: Fn(&'a T) -> U + Sync,
-    {
-        ParMap {
-            items: self.items,
-            f,
-        }
-    }
-
-    pub fn flat_map_iter<I, F>(self, f: F) -> ParFlatMapIter<'a, T, F>
-    where
-        I: IntoIterator,
-        I::Item: Send,
-        F: Fn(&'a T) -> I + Sync,
-    {
-        ParFlatMapIter {
-            items: self.items,
-            f,
-        }
-    }
-
-    pub fn for_each<F: Fn(&'a T) + Sync>(self, f: F) {
-        let items = self.items;
-        par_for_each_index(items.len(), |i| f(&items[i]));
-    }
-}
-
-pub struct ParMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T: Sync, U: Send, F: Fn(&'a T) -> U + Sync> ParMap<'a, T, F> {
-    pub fn collect<C: FromIterator<U>>(self) -> C {
-        let items = self.items;
-        let f = &self.f;
-        par_map_index(items.len(), |i| f(&items[i]))
-            .into_iter()
-            .collect()
-    }
-}
-
-pub struct ParFlatMapIter<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T, I, F> ParFlatMapIter<'a, T, F>
-where
-    T: Sync,
-    I: IntoIterator,
-    I::Item: Send,
-    F: Fn(&'a T) -> I + Sync,
-{
-    pub fn collect<C: FromIterator<I::Item>>(self) -> C {
-        let items = self.items;
-        let f = &self.f;
-        let nested: Vec<Vec<I::Item>> =
-            par_map_index(items.len(), |i| f(&items[i]).into_iter().collect());
-        nested.into_iter().flatten().collect()
-    }
-}
-
-pub struct ParChunks<'a, T> {
-    items: &'a [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Sync> ParChunks<'a, T> {
-    pub fn map<U, F>(self, f: F) -> ParChunksMap<'a, T, F>
-    where
-        U: Send,
-        F: Fn(&'a [T]) -> U + Sync,
-    {
-        ParChunksMap {
-            items: self.items,
-            chunk_size: self.chunk_size,
-            f,
-        }
-    }
-}
-
-pub struct ParChunksMap<'a, T, F> {
-    items: &'a [T],
-    chunk_size: usize,
-    f: F,
-}
-
-impl<'a, T: Sync, U: Send, F: Fn(&'a [T]) -> U + Sync> ParChunksMap<'a, T, F> {
-    pub fn collect<C: FromIterator<U>>(self) -> C {
-        let n = self.items.len().div_ceil(self.chunk_size);
-        let f = &self.f;
-        let items = self.items;
-        let size = self.chunk_size;
-        par_map_index(n, |i| {
-            let start = i * size;
-            let end = (start + size).min(items.len());
-            f(&items[start..end])
-        })
-        .into_iter()
-        .collect()
-    }
-}
-
-pub struct ParChunksMut<'a, T> {
-    items: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<T: Send + Sync> ParChunksMut<'_, T> {
-    /// Apply `f` to each chunk in parallel. Chunks are disjoint sub-slices
-    /// reconstructed from the base pointer, so handing each claimed index
-    /// its own `&mut [T]` is sound.
-    pub fn for_each<F: Fn(&mut [T]) + Sync>(self, f: F) {
-        let len = self.items.len();
-        let size = self.chunk_size;
-        let n = len.div_ceil(size);
-        struct BasePtr<T>(*mut T);
-        unsafe impl<T: Send> Sync for BasePtr<T> {}
-        let base = BasePtr(self.items.as_mut_ptr());
-        let base = &base;
-        par_for_each_index(n, move |i| {
-            let start = i * size;
-            let end = (start + size).min(len);
-            let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
-            f(chunk);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
+    use std::sync::atomic::AtomicU32;
 
     #[test]
-    fn map_collect_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let par: Vec<u64> = pool.install(|| items.par_iter().map(|&x| x * 3 + 1).collect());
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn flat_map_iter_matches_sequential() {
-        let items: Vec<usize> = (0..257).collect();
-        let seq: Vec<usize> = items.iter().flat_map(|&x| [x, x + 10]).collect();
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let par: Vec<usize> =
-            pool.install(|| items.par_iter().flat_map_iter(|&x| [x, x + 10]).collect());
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn chunks_mut_touches_every_element_once() {
-        let mut data = vec![1i64; 1003];
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        pool.install(|| {
-            data.par_chunks_mut(17).for_each(|c| {
-                for x in c {
-                    *x += 41;
-                }
-            })
-        });
-        assert!(data.iter().all(|&x| x == 42));
+    fn par_for_each_index_visits_every_index_once() {
+        for threads in [1usize, 2, 4, 8] {
+            let hits: Vec<AtomicU32> = (0..1003).map(|_| AtomicU32::new(0)).collect();
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                par_for_each_index(hits.len(), |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                })
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
@@ -396,10 +198,8 @@ mod tests {
     #[test]
     fn nested_regions_run_sequentially() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let nested_counts: Vec<usize> = pool.install(|| {
-            let items = [0usize; 8];
-            items.par_iter().map(|_| current_num_threads()).collect()
-        });
+        let nested_counts: Vec<usize> =
+            pool.install(|| par_map_index(8, |_| current_num_threads()));
         // Inside a worker, nested parallelism is sequential.
         assert!(nested_counts.iter().all(|&n| n == 1));
     }
@@ -407,7 +207,10 @@ mod tests {
     #[test]
     fn par_map_index_is_order_stable_under_threads() {
         for threads in [1usize, 2, 4, 8] {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
             let got = pool.install(|| par_map_index(100, |i| i * i));
             let want: Vec<usize> = (0..100).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
