@@ -52,7 +52,9 @@ const TAG_RELATION: u8 = 1;
 
 /// Train with `n_servers` parameter servers; the remaining
 /// `cluster.size() − n_servers` ranks are workers. Returns the report
-/// from rank 0 (a server) and the assembled model.
+/// from rank 0 (a server) and the assembled model; the report's wire
+/// totals are summed over all ranks and its per-epoch row counts are the
+/// mean over workers (servers pull nothing).
 pub fn train_ps(
     dataset: &Dataset,
     cluster: &Cluster,
@@ -68,17 +70,37 @@ pub fn train_ps(
     dataset.validate().expect("invalid dataset");
     let indexes = RunIndexes::build(dataset, config);
     let mut results = cluster.run(|ctx| run_ps_node(ctx, dataset, config, n_servers, &indexes));
-    let wire_sent: u64 = results.iter().map(|r| r.3).sum();
-    let wire_recv: u64 = results.iter().map(|r| r.4).sum();
-    let (report, entities, relations, _, _) = results.swap_remove(0);
-    let mut report = report.expect("rank 0 returns the report");
+    let wire_sent: u64 = results.iter().map(|r| r.wire_sent).sum();
+    let wire_recv: u64 = results.iter().map(|r| r.wire_recv).sum();
+    let workers = &results[n_servers..];
+    let mean_rows_pulled: Vec<f64> = (0..workers[0].rows_pulled.len())
+        .map(|e| workers.iter().map(|w| w.rows_pulled[e]).sum::<f64>() / workers.len() as f64)
+        .collect();
+    let rank0 = results.swap_remove(0);
+    let mut report = rank0.report.expect("rank 0 returns the report");
     report.wire_bytes_sent = wire_sent;
     report.wire_bytes_recv = wire_recv;
+    for (t, &rows) in report.trace.iter_mut().zip(&mean_rows_pulled) {
+        t.mean_nonzero_rows = rows;
+        t.mean_rows_sent = rows;
+    }
     TrainOutcome {
         report,
-        entities,
-        relations,
+        entities: rank0.entities,
+        relations: rank0.relations,
     }
+}
+
+/// What one rank hands back to [`train_ps`].
+struct PsNodeResult {
+    /// Rank 0's report; `None` elsewhere.
+    report: Option<TrainReport>,
+    entities: EmbeddingTable,
+    relations: EmbeddingTable,
+    wire_sent: u64,
+    wire_recv: u64,
+    /// Rows pulled per batch, one entry per epoch (0 on a server).
+    rows_pulled: Vec<f64>,
 }
 
 /// Row → owning-server maps for both tables, derived from the same
@@ -155,7 +177,7 @@ fn run_ps_node(
     config: &TrainConfig,
     n_servers: usize,
     indexes: &RunIndexes,
-) -> (Option<TrainReport>, EmbeddingTable, EmbeddingTable, u64, u64) {
+) -> PsNodeResult {
     let rank = ctx.rank();
     let p = ctx.size();
     let n_workers = p - n_servers;
@@ -195,6 +217,7 @@ fn run_ps_node(
     );
 
     let mut trace: Vec<EpochTrace> = Vec::new();
+    let mut pulls_per_epoch: Vec<f64> = Vec::new();
     let mut converged = false;
 
     // A worker's per-batch gradient state, cleared and refilled each batch.
@@ -345,6 +368,7 @@ fn run_ps_node(
         let epoch_time = ctx.comm().clock().now_s() - epoch_start;
         let loss_sum = ctx.comm_mut().allreduce_sum_f64(epoch_loss);
         let examples_sum = ctx.comm_mut().allreduce_sum_f64(epoch_examples as f64);
+        pulls_per_epoch.push(rows_pulled as f64 / batches_per_epoch as f64);
 
         trace.push(EpochTrace {
             epoch,
@@ -357,8 +381,9 @@ fn run_ps_node(
                 0.0
             },
             lr_scale,
-            mean_nonzero_rows: rows_pulled as f64 / batches_per_epoch as f64,
-            mean_rows_sent: rows_pulled as f64 / batches_per_epoch as f64,
+            // Filled in by train_ps: the mean over workers.
+            mean_nonzero_rows: 0.0,
+            mean_rows_sent: 0.0,
             rs_sparsity: 0.0,
             bytes_sent: 0,
             // The PS topology has no symmetric communicator for the
@@ -399,13 +424,14 @@ fn run_ps_node(
         None
     };
     let traffic = ctx.comm().traffic().report();
-    (
+    PsNodeResult {
         report,
-        ps.ent,
-        ps.rel,
-        traffic.total_wire_sent(),
-        traffic.total_wire_recv(),
-    )
+        entities: ps.ent,
+        relations: ps.rel,
+        wire_sent: traffic.total_wire_sent(),
+        wire_recv: traffic.total_wire_recv(),
+        rows_pulled: pulls_per_epoch,
+    }
 }
 
 /// One rank's model and what a server's step needs. Every rank holds full
@@ -546,6 +572,10 @@ mod tests {
         let last = out.report.trace.last().unwrap().train_loss;
         assert!(last < first, "loss should fall: {first} -> {last}");
         assert!(out.report.sim_total_seconds > 0.0);
+        for t in &out.report.trace {
+            assert!(t.mean_nonzero_rows > 0.0, "epoch {}: no rows pulled", t.epoch);
+            assert!(t.mean_rows_sent > 0.0, "epoch {}: no rows sent", t.epoch);
+        }
     }
 
     #[test]
