@@ -47,7 +47,7 @@ impl WireFormat {
     }
 
     /// Bytes of one encoded row of width `dim`.
-    pub fn row_bytes(self, dim: usize) -> usize {
+    fn row_bytes(self, dim: usize) -> usize {
         4 + match self {
             WireFormat::F32 => 4 * dim,
             WireFormat::OneBit { two_scales } => (if two_scales { 8 } else { 4 }) + dim.div_ceil(8),
@@ -385,7 +385,7 @@ impl RowRef<'_> {
 
     /// Materialize the payload as an owned [`QuantizedRow`] (allocates;
     /// the compatibility path used by [`decode_rows`]).
-    pub fn to_quantized(&self) -> QuantizedRow {
+    fn to_quantized(self) -> QuantizedRow {
         match self.data {
             RowBytes::Full(bytes) => QuantizedRow::Full(
                 bytes

@@ -43,15 +43,6 @@ impl QuantScheme {
     pub fn paper_one_bit() -> Self {
         QuantScheme::OneBit { rule: ScaleRule::Max }
     }
-
-    /// Bits per element on the wire (excluding per-row scales/ids).
-    pub fn bits_per_element(&self) -> u32 {
-        match self {
-            QuantScheme::None => 32,
-            QuantScheme::OneBit { .. } => 1,
-            QuantScheme::TwoBit => 2,
-        }
-    }
 }
 
 /// A quantized gradient row in structural (pre-codec) form.
@@ -452,7 +443,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let q = quantize_row(QuantScheme::None, &V, &mut rng);
         assert_eq!(q.dequantize(), V.to_vec());
-        assert_eq!(QuantScheme::None.bits_per_element(), 32);
     }
 
     #[test]
@@ -611,12 +601,6 @@ mod tests {
             quantize_row_into(scheme, &V, &mut rng_b, &mut scratch);
             assert_eq!(scratch, fresh, "{scheme:?}");
         }
-    }
-
-    #[test]
-    fn bits_per_element() {
-        assert_eq!(QuantScheme::paper_one_bit().bits_per_element(), 1);
-        assert_eq!(QuantScheme::TwoBit.bits_per_element(), 2);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl ResidualStore {
     }
 
     /// Record the whole original value for a row dropped from transmission.
-    pub fn record_row_dropped(&mut self, row: u32, orig: &[f32]) {
+    fn record_row_dropped(&mut self, row: u32, orig: &[f32]) {
         let entry = self
             .rows
             .entry(row)

@@ -7,14 +7,14 @@
 
 /// Numerically stable `log(1 + exp(x))`.
 #[inline]
-pub fn softplus(x: f32) -> f32 {
+fn softplus(x: f32) -> f32 {
     // max(x, 0) + ln(1 + exp(-|x|))
     x.max(0.0) + (-x.abs()).exp().ln_1p()
 }
 
 /// Numerically stable logistic sigmoid.
 #[inline]
-pub fn sigmoid(x: f32) -> f32 {
+fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {

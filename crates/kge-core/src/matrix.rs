@@ -87,13 +87,6 @@ pub fn l2_norm(v: &[f32]) -> f32 {
     v.iter().map(|&x| x * x).sum::<f32>().sqrt()
 }
 
-/// Dot product.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
 /// `out += alpha * v`.
 ///
 /// AVX-dispatched: elementwise `o + alpha·x` with mul then add (never
@@ -174,7 +167,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(l2_norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         let mut out = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 2.0], &mut out);
         assert_eq!(out, vec![3.0, 5.0]);

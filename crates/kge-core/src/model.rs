@@ -979,12 +979,6 @@ fn simple_grad_terms(
     ]
 }
 
-/// Check two slices are elementwise within `tol` (test helper, re-used by
-/// downstream crates' tests).
-pub fn approx_eq(a: &[f32], b: &[f32], tol: f32) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= tol)
-}
-
 /// ComplEx score expressed via complex-number arithmetic; slow oracle used
 /// by tests to validate the fused implementation.
 pub fn complex_score_oracle(rank: usize, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
@@ -1014,6 +1008,11 @@ mod tests {
 
     fn rand_vec(rng: &mut StdRng, n: usize) -> Vec<f32> {
         (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// Whether two slices are elementwise within `tol`.
+    fn approx_eq(a: &[f32], b: &[f32], tol: f32) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= tol)
     }
 
     fn numeric_grad(

@@ -61,11 +61,6 @@ impl BlockScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Bytes of heap this scratch holds.
-    pub fn heap_bytes(&self) -> usize {
-        self.terms.capacity() * std::mem::size_of::<f32>()
-    }
 }
 
 #[cfg(test)]
@@ -114,6 +109,6 @@ mod tests {
             &mut rg,
         );
         let floats = crate::model::SCORE_LANES * model.rank();
-        assert_eq!(scratch.heap_bytes(), floats * 4);
+        assert_eq!(scratch.terms.capacity(), floats);
     }
 }

@@ -129,56 +129,7 @@ impl DatasetStats {
         let mean = self.n_train as f64 / self.nonempty_relations as f64;
         self.max_relation_count as f64 / mean
     }
-
-    /// Skew of the entity degree distribution: max degree / mean degree
-    /// over active (degree > 0) entities. Mirrors [`relation_skew`]; every
-    /// train triple contributes two endpoint occurrences.
-    ///
-    /// [`relation_skew`]: DatasetStats::relation_skew
-    pub fn entity_skew(&self) -> f64 {
-        if self.active_entities == 0 {
-            return 0.0;
-        }
-        let mean = (2 * self.n_train) as f64 / self.active_entities as f64;
-        self.max_entity_degree as f64 / mean
-    }
-
-    /// Log2-bucketed entity degree histogram: `hist[0]` counts degree-0
-    /// entities and `hist[i]` (i >= 1) counts entities whose degree lies in
-    /// `[2^(i-1), 2^i)`. Compact summary of the power-law tail used to pick
-    /// a hot-cache capacity.
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let buckets = 2 + self
-            .entity_degrees
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .checked_ilog2()
-            .unwrap_or(0) as usize;
-        let mut hist = vec![0usize; buckets];
-        for &d in &self.entity_degrees {
-            let b = if d == 0 { 0 } else { 1 + d.ilog2() as usize };
-            hist[b] += 1;
-        }
-        hist
-    }
-
-    /// Fraction of train endpoint touches (2 per triple) covered by the
-    /// `k` highest-degree entities — an upper bound on the hot-cache hit
-    /// rate a capacity-`k` cache can reach, used for sizing.
-    pub fn top_degree_coverage(&self, k: usize) -> f64 {
-        if self.n_train == 0 || k == 0 {
-            return 0.0;
-        }
-        let mut degs = self.entity_degrees.clone();
-        degs.sort_unstable_by(|a, b| b.cmp(a));
-        degs.truncate(k);
-        let covered: usize = degs.iter().sum();
-        covered as f64 / (2 * self.n_train) as f64
-    }
 }
-
 
 /// Bordes et al. (2013) relation categorization by average fan-out:
 /// a relation is 1-1 / 1-N / N-1 / N-N according to whether its average
@@ -297,38 +248,6 @@ mod tests {
         assert!(s.relation_skew() > 1.0);
         assert_eq!(s.entity_degrees, vec![1, 2, 2, 1]);
         assert_eq!(s.active_entities, 4);
-        // mean degree = 6/4 = 1.5, max = 2
-        assert!((s.entity_skew() - 2.0 / 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_histogram_buckets_by_log2() {
-        let mut d = tiny();
-        // Push entity 0's degree to 5: bucket index 1 + floor(log2 5) = 3.
-        for _ in 0..4 {
-            d.train.push(Triple::new(0, 0, 0));
-        }
-        let s = d.stats();
-        // degrees: e0 = 1 + 8 = 9, e1 = 2, e2 = 2, e3 = 1
-        assert_eq!(s.entity_degrees[0], 9);
-        let hist = s.degree_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), s.n_entities);
-        assert_eq!(hist[0], 0); // no isolated entities
-        assert_eq!(hist[1], 1); // degree 1
-        assert_eq!(hist[2], 2); // degree 2..3
-        assert_eq!(hist[4], 1); // degree 8..15
-    }
-
-    #[test]
-    fn top_degree_coverage_is_monotone_and_bounded() {
-        let s = tiny().stats();
-        assert_eq!(s.top_degree_coverage(0), 0.0);
-        let c1 = s.top_degree_coverage(1);
-        let c4 = s.top_degree_coverage(s.n_entities);
-        assert!(c1 > 0.0 && c1 <= c4);
-        assert!((c4 - 1.0).abs() < 1e-12);
-        // top-1 entity has degree 2 of 6 endpoint touches
-        assert!((c1 - 2.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -339,14 +258,16 @@ mod tests {
         let cfg = crate::synth::SynthPreset::Fb15kLike.config(0.02, 7);
         let ds = crate::synth::generate(&cfg);
         let s = ds.stats();
-        assert!(s.entity_skew() > 3.0, "entity_skew = {}", s.entity_skew());
+        // Max degree over mean degree of the active entities.
+        let skew = s.max_entity_degree as f64 * s.active_entities as f64 / (2 * s.n_train) as f64;
+        assert!(skew > 3.0, "entity skew = {skew}");
         // Top-10% of entities must cover well over 10% of the touch mass
         // (uniform would give exactly 10%).
-        let hot = s.n_entities / 10;
-        let cov = s.top_degree_coverage(hot);
+        let mut degs = s.entity_degrees.clone();
+        degs.sort_unstable_by(|a, b| b.cmp(a));
+        let hot: usize = degs[..s.n_entities / 10].iter().sum();
+        let cov = hot as f64 / (2 * s.n_train) as f64;
         assert!(cov > 0.18, "top-10% coverage = {cov}");
-        let hist = s.degree_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), s.n_entities);
     }
 
     #[test]

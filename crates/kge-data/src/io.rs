@@ -14,7 +14,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 /// Parse one split's worth of TSV lines, interning names.
-pub fn parse_tsv<R: BufRead>(
+fn parse_tsv<R: BufRead>(
     reader: R,
     entities: &mut Vocab,
     relations: &mut Vocab,
@@ -83,7 +83,7 @@ pub fn load_dir(dir: &Path) -> io::Result<(Dataset, Vocab, Vocab)> {
 }
 
 /// Write a split as TSV of numeric ids.
-pub fn write_tsv<W: Write>(mut w: W, triples: &[Triple]) -> io::Result<()> {
+fn write_tsv<W: Write>(mut w: W, triples: &[Triple]) -> io::Result<()> {
     for t in triples {
         writeln!(w, "{}\t{}\t{}", t.head, t.rel, t.tail)?;
     }

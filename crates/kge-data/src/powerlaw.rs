@@ -98,7 +98,7 @@ impl ZipfSampler {
     }
 
     /// Probability mass of item `i`.
-    pub fn pmf(&self, i: usize) -> f64 {
+    fn pmf(&self, i: usize) -> f64 {
         if i == 0 {
             self.cdf[0]
         } else {
@@ -161,7 +161,8 @@ impl PermutedZipf {
     }
 
     /// The id holding popularity rank `r` (0 = hottest).
-    pub fn id_at_rank(&self, r: usize) -> u32 {
+    #[cfg(test)]
+    fn id_at_rank(&self, r: usize) -> u32 {
         self.ids[r]
     }
 }

@@ -6,11 +6,10 @@
 //! with a two-level threshold filter: per tile, a vectorizable max-reduce
 //! against the worst kept entry rejects whole tiles at once
 //! ([`offer_tile`]); per candidate, a full heap rejects losers with a
-//! single root comparison ([`offer`]) — so in steady state (almost every
+//! single root comparison (`offer`) — so in steady state (almost every
 //! tile loses) selection costs a fraction of a comparison per candidate
 //! on top of the SIMD scoring sweep.
 //!
-//! [`offer`]: TopKHeap::offer
 //! [`offer_tile`]: TopKHeap::offer_tile
 //!
 //! Ordering is total and deterministic: higher score wins, ties break
@@ -83,7 +82,7 @@ impl TopKHeap {
     /// Offer one candidate. NaN scores are ignored; a full heap rejects
     /// losers with a single root comparison.
     #[inline]
-    pub fn offer(&mut self, entity: u32, score: f32) {
+    fn offer(&mut self, entity: u32, score: f32) {
         if score.is_nan() || self.k == 0 {
             return;
         }
@@ -104,13 +103,11 @@ impl TopKHeap {
     /// max-reduce over the tile decides whether any candidate *can*
     /// enter — strictly-below-threshold tiles (the steady state) are
     /// rejected without touching the heap at all. Exact: a candidate
-    /// with `score < root score` is rejected by [`offer`] anyway, and a
+    /// with `score < root score` is rejected by `offer` anyway, and a
     /// tile whose max ties the threshold falls through to the per-entry
     /// path where id tie-breaking applies. `f32::max` ignores NaN, so an
-    /// all-NaN tile reduces to `-inf` and is skipped — [`offer`] drops
+    /// all-NaN tile reduces to `-inf` and is skipped — `offer` drops
     /// NaN candidates too.
-    ///
-    /// [`offer`]: TopKHeap::offer
     #[inline]
     pub fn offer_tile(&mut self, e0: u32, scores: &[f32]) {
         if let Some(threshold) = self.threshold() {

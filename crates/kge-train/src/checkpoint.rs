@@ -142,7 +142,7 @@ const fn crc_table() -> [u32; 256] {
 const CRC_TABLE: [u32; 256] = crc_table();
 
 /// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

@@ -83,11 +83,6 @@ impl PlateauSchedule {
         self.drops
     }
 
-    /// Best validation metric observed.
-    pub fn best_metric(&self) -> f64 {
-        self.best
-    }
-
     /// Capture the schedule's complete state for checkpointing.
     pub fn snapshot(&self) -> PlateauSnapshot {
         PlateauSnapshot {
@@ -196,7 +191,7 @@ mod tests {
         s.observe(0.0);
         assert!((s.lr_scale() - 1.0).abs() < 1e-6);
         assert_eq!(s.drops(), 2);
-        assert_eq!(s.best_metric(), 1.0);
+        assert_eq!(s.best, 1.0);
     }
 
     #[test]

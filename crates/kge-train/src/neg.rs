@@ -76,7 +76,7 @@ impl CorruptionBias {
 
     /// P(corrupt the head) for relation `rel`.
     #[inline]
-    pub fn head_prob(&self, rel: u32) -> f64 {
+    fn head_prob(&self, rel: u32) -> f64 {
         self.head_prob.get(rel as usize).copied().unwrap_or(0.5)
     }
 }

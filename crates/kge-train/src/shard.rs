@@ -240,23 +240,23 @@ impl ShardedStore {
         self.owned.len()
     }
 
-    pub fn owned_ids(&self) -> &[u32] {
+    fn owned_ids(&self) -> &[u32] {
         &self.owned
     }
 
-    pub fn owner_of(&self, id: u32) -> usize {
+    fn owner_of(&self, id: u32) -> usize {
         self.owners[id as usize] as usize
     }
 
-    pub fn is_owned(&self, id: u32) -> bool {
+    fn is_owned(&self, id: u32) -> bool {
         self.owners[id as usize] as usize == self.rank
     }
 
-    pub fn is_eligible(&self, id: u32) -> bool {
+    fn is_eligible(&self, id: u32) -> bool {
         self.eligible[id as usize]
     }
 
-    pub fn is_cached(&self, id: u32) -> bool {
+    fn is_cached(&self, id: u32) -> bool {
         self.cache_slot[id as usize] != NO_SLOT
     }
 
@@ -275,7 +275,7 @@ impl ShardedStore {
 
     /// Install an owned row with explicit optimizer state (recovery /
     /// migration path).
-    pub fn set_owned_row(&mut self, id: u32, value: &[f32], m: &[f32], v: &[f32], t: u32) {
+    fn set_owned_row(&mut self, id: u32, value: &[f32], m: &[f32], v: &[f32], t: u32) {
         let slot = self.arena_slot[id as usize] as usize;
         let d = self.dim;
         self.arena.store(slot, value);
@@ -285,13 +285,13 @@ impl ShardedStore {
     }
 
     /// Read an owned row's arena value (dequantized) into `out`.
-    pub fn read_owned_into(&self, id: u32, out: &mut [f32]) {
+    fn read_owned_into(&self, id: u32, out: &mut [f32]) {
         self.arena
             .load_into(self.arena_slot[id as usize] as usize, out);
     }
 
     /// Owned row's Adam state `(m, v, t)`.
-    pub fn owned_state(&self, id: u32) -> (&[f32], &[f32], u32) {
+    fn owned_state(&self, id: u32) -> (&[f32], &[f32], u32) {
         let slot = self.arena_slot[id as usize] as usize;
         let d = self.dim;
         (
@@ -304,7 +304,7 @@ impl ShardedStore {
     /// Read a row for compute: cache copy if cached, else the owned
     /// arena copy. Callers guarantee non-cached non-owned rows are
     /// pulled instead.
-    pub fn read_resident_into(&self, id: u32, out: &mut [f32]) {
+    fn read_resident_into(&self, id: u32, out: &mut [f32]) {
         let slot = self.cache_slot[id as usize];
         if slot != NO_SLOT {
             let s = slot as usize;
@@ -321,7 +321,7 @@ impl ShardedStore {
     /// consult the cache. A **hit** is a lookup that found the row
     /// cached. `touches` counts everything, so `lookups / touches` is
     /// the hot tier's coverage of the access stream.
-    pub fn count_touch(&mut self, id: u32) {
+    fn count_touch(&mut self, id: u32) {
         self.touches += 1;
         if self.eligible[id as usize] {
             self.lookups += 1;
@@ -332,13 +332,13 @@ impl ShardedStore {
     }
 
     /// `(hits, lookups, touches)` — see [`ShardedStore::count_touch`].
-    pub fn hit_counters(&self) -> (u64, u64, u64) {
+    fn hit_counters(&self) -> (u64, u64, u64) {
         (self.hits, self.lookups, self.touches)
     }
 
     /// Lazy Adam step on a cached row (replicated: every rank applies
     /// the identical step to its copy).
-    pub fn step_cached(&mut self, id: u32, g: &[f32], lr: f32) {
+    fn step_cached(&mut self, id: u32, g: &[f32], lr: f32) {
         let s = self.cache_slot[id as usize] as usize;
         debug_assert!(self.cache_synced[s], "step on unsynced cache row");
         let d = self.dim;
@@ -354,7 +354,7 @@ impl ShardedStore {
     }
 
     /// Lazy Adam step on an owned arena row (owner-only).
-    pub fn step_owned(&mut self, id: u32, g: &[f32], lr: f32) {
+    fn step_owned(&mut self, id: u32, g: &[f32], lr: f32) {
         let slot = self.arena_slot[id as usize] as usize;
         let d = self.dim;
         self.arena.load_into(slot, &mut self.row_buf);

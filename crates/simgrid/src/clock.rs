@@ -26,19 +26,21 @@ pub struct TimeBreakdown {
     pub checkpoint_s: f64,
     /// Informational: width of the compute windows that pipelined
     /// (overlapped) collectives had available to hide behind. Not part of
-    /// [`TimeBreakdown::total_s`] — the window itself is already counted
-    /// as `compute_s` of the work that filled it.
+    /// the clock's total — the window itself is already counted as
+    /// `compute_s` of the work that filled it.
     pub overlap_s: f64,
     /// Informational: seconds of collective price that were hidden behind
     /// compute by pipelined exchanges and therefore never advanced the
-    /// clock. Not part of [`TimeBreakdown::total_s`]; the *visible*
+    /// clock. Not part of the clock's total; the *visible*
     /// remainder of an overlapped collective still lands in `comm_s`.
     pub hidden_comm_s: f64,
 }
 
+#[cfg(test)]
 impl TimeBreakdown {
-    /// Total simulated seconds.
-    pub fn total_s(&self) -> f64 {
+    /// Total simulated seconds: every bucket but the two informational
+    /// ones, so it tracks [`SimClock::now_s`].
+    fn total_s(&self) -> f64 {
         self.compute_s + self.comm_s + self.idle_s + self.fault_s + self.retry_s + self.checkpoint_s
     }
 }

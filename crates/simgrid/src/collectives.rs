@@ -29,15 +29,6 @@ pub fn reference_allreduce(inputs: &[Vec<f32>]) -> Vec<f32> {
     acc
 }
 
-/// Number of point-to-point messages per node a ring all-reduce sends.
-pub fn ring_allreduce_steps(p: usize) -> usize {
-    if p <= 1 {
-        0
-    } else {
-        2 * (p - 1)
-    }
-}
-
 /// Bandwidth-optimal ring all-reduce executed on `p` rank buffers.
 ///
 /// Phase 1 (reduce-scatter): in step `s`, rank `r` sends chunk
@@ -218,12 +209,5 @@ mod tests {
         for o in out {
             assert_eq!(o, vec![1.0, 2.0, 3.0]);
         }
-    }
-
-    #[test]
-    fn step_counts() {
-        assert_eq!(ring_allreduce_steps(1), 0);
-        assert_eq!(ring_allreduce_steps(2), 2);
-        assert_eq!(ring_allreduce_steps(8), 14);
     }
 }

@@ -265,13 +265,6 @@ impl Communicator {
         &self.traffic
     }
 
-    /// The cost model used for simulated timing, for what-if queries
-    /// (e.g. the dynamic all-reduce/all-gather selection strategy).
-    #[inline]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Align clocks with all peers (everyone leaves at the max arrival time
     /// plus the barrier cost) without moving data.
     pub fn barrier(&mut self) {

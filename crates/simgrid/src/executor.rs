@@ -78,11 +78,6 @@ impl Cluster {
         self
     }
 
-    /// The attached fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Number of nodes.
     pub fn size(&self) -> usize {
         self.size

@@ -50,12 +50,12 @@ impl SplitMix64Stream {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn next_range(&mut self, lo: f64, hi: f64) -> f64 {
+    fn next_range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + self.next_f64() * (hi - lo)
     }
 }
@@ -361,16 +361,6 @@ impl FaultPlan {
         })
     }
 
-    /// Simulated time at which `rank` comes back up after its earliest
-    /// crash, if a recovery is scheduled.
-    pub fn recovery_time(&self, rank: usize) -> Option<f64> {
-        self.crashes
-            .iter()
-            .filter(|c| c.rank == rank)
-            .filter_map(|c| c.recover_at_s)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
-    }
-
     /// Whether any scheduled crash has a recovery — the gate for the
     /// trainer's epoch-boundary rejoin checks (zero overhead otherwise).
     pub fn has_recoveries(&self) -> bool {
@@ -473,14 +463,11 @@ mod tests {
         assert!(plan.is_down(1, 4.9), "still down before recovery");
         assert!(!plan.is_down(1, 5.0), "healthy again at recover_at_s");
         assert!(!plan.is_down(0, 3.0), "other ranks unaffected");
-        assert_eq!(plan.recovery_time(1), Some(5.0));
-        assert_eq!(plan.recovery_time(0), None);
         assert!(plan.has_recoveries());
 
         let permanent = FaultPlan::seeded(5).with_crash(1, 2.0);
         assert!(permanent.is_down(1, 1e9), "no recovery → down forever");
         assert!(!permanent.has_recoveries());
-        assert_eq!(permanent.recovery_time(1), None);
     }
 
     #[test]

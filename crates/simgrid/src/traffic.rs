@@ -125,14 +125,6 @@ impl TrafficReport {
         self.entries.get(&op).map_or(0, |c| c.bytes_recv)
     }
 
-    /// Total bytes moved (sent + received) over all collectives.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .map(|c| c.bytes_sent + c.bytes_recv)
-            .sum()
-    }
-
     /// Bytes this rank transmitted over the wire in collectives of kind
     /// `op` (conservation-exact; see [`TrafficStats::record_wire`]).
     pub fn wire_sent(&self, op: Collective) -> u64 {
@@ -181,14 +173,16 @@ mod tests {
         assert_eq!(r.ops(Collective::AllReduce), 2);
         assert_eq!(r.bytes_sent(Collective::AllReduce), 150);
         assert_eq!(r.bytes_recv(Collective::AllGatherV), 40);
-        assert_eq!(r.total_bytes(), 150 + 150 + 10 + 40);
+        assert_eq!(r.bytes_recv(Collective::AllReduce), 150);
+        assert_eq!(r.bytes_sent(Collective::AllGatherV), 10);
     }
 
     #[test]
     fn unknown_ops_report_zero() {
         let r = TrafficStats::default().report();
         assert_eq!(r.ops(Collective::Broadcast), 0);
-        assert_eq!(r.total_bytes(), 0);
+        assert_eq!(r.bytes_sent(Collective::Broadcast), 0);
+        assert_eq!(r.bytes_recv(Collective::Broadcast), 0);
     }
 
     #[test]
