@@ -472,9 +472,10 @@ fn grad_block_body<const P: usize>(
     const L: usize = BLOCK_GROUP;
     let dim = P * k.rank;
     let mut scores = [0.0f32; L];
-    // The previous example's rows and slots: a negative shares its
-    // positive's relation and one entity, and skips their index probes.
-    let (mut ent_memo, mut rel_memo) = ([None; 2], [None; 1]);
+    // Every row the block names is below its table's height: declared as
+    // the accumulators' bound, each lookup is one load from the row map.
+    ent_out.reserve_rows(ent.rows());
+    rel_out.reserve_rows(rel.rows());
     for (g, group) in triples.chunks(L).enumerate() {
         let scores = &mut scores[..group.len()];
         match &mut forward {
@@ -487,10 +488,7 @@ fn grad_block_body<const P: usize>(
             *s = coeff_of(g * L + i, *s);
         }
         for (&coeff, &(h, r, t)) in scores.iter().zip(group) {
-            let hs = ent_out.slot_of(h, &ent_memo);
-            let ts = ent_out.slot_of(t, &[Some((h, hs)), ent_memo[1], ent_memo[0]]);
-            let rs = rel_out.slot_of(r, &rel_memo);
-            (ent_memo, rel_memo) = ([Some((h, hs)), Some((t, ts))], [Some((r, rs))]);
+            let (hs, ts, rs) = (ent_out.slot_of(h), ent_out.slot_of(t), rel_out.slot_of(r));
             let src = [ent.row(h as usize), rel.row(r as usize), ent.row(t as usize)];
             let dst = GradDst {
                 ent: ent_out.slab_mut(),

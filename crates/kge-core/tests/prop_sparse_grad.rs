@@ -1,14 +1,18 @@
 //! Property test: `SparseGrad` against an oracle that is a `BTreeMap` of
 //! rows plus the order they first appeared in. Random interleavings of
-//! `row_mut`, the slot API (with and without a memo), `merge`, the
-//! first-chunk swap, `retain`, `ensure_sorted` and `clear` must leave the
-//! same rows, the same value bits and the same insertion order, and
-//! `iter_sorted` must walk them in ascending row order — for id families
-//! chosen to stress the index hash: dense runs, strides of 2^k, ids just
-//! under `u32::MAX`. A second test bounds the longest probe chain those
-//! families produce (the index keeps load ≤ 0.75). A third holds
-//! `rows_above_norm`'s blocked fast path to the in-order `l2_norm(row) >
-//! eps` it stands for, on the rows where the two sums could disagree.
+//! `row_mut`, the slot API, `merge`, the first-chunk swap, `retain`,
+//! `ensure_sorted` and `clear` must leave the same rows, the same value
+//! bits and the same insertion order, and `iter_sorted` must walk them in
+//! ascending row order — for id families chosen to stress the index hash:
+//! dense runs, strides of 2^k, ids just under `u32::MAX` — with a row
+//! bound declared mid-stream (`reserve_rows`), so rows looked up through
+//! the map and rows looked up through the index share one accumulator. A
+//! second test bounds the longest probe chain those families produce (the
+//! index keeps load ≤ 0.75). A third holds `rows_above_norm`'s blocked fast
+//! path to the in-order `l2_norm(row) > eps` it stands for, on the rows
+//! where the two sums could disagree. A fourth holds the ascending order
+//! `ensure_sorted` reads off the map to the one it sorts, at densities
+//! around the switch between the two.
 
 use kge_core::SparseGrad;
 use proptest::prelude::*;
@@ -26,6 +30,20 @@ fn family_id(family: usize, i: u32) -> u32 {
         2 => 1_000_003u32.wrapping_mul(i + 1), // scattered
         k => i << (k - 2),                     // multiples of 2^(k-2), k = 3..
     }
+}
+
+/// Row bounds past 2^20 would cost a 4 MB map per accumulator, so the
+/// declared bound is capped there: the families whose ids lie beyond it
+/// (`u32::MAX − i`, the scattered ids, the widest strides) keep every row
+/// on the index at every bound, as an undeclared accumulator does.
+const BOUND_CAP: usize = 1 << 20;
+
+/// The bound the `kind`-th case declares over the ids `family_id(family,
+/// 0..pool)`: none (0), the middle of their span, or past all of them.
+fn declared_bound(family: usize, pool: u32, kind: usize) -> usize {
+    let ids = (0..pool).map(|i| family_id(family, i) as usize);
+    let (lo, hi) = (ids.clone().min().unwrap(), ids.max().unwrap());
+    [0, lo + (hi - lo) / 2, hi + 1][kind].min(BOUND_CAP)
 }
 
 /// `BTreeMap` + insertion order: what a `SparseGrad` must look like.
@@ -53,12 +71,10 @@ impl Oracle {
     }
 }
 
-/// An accumulator under test, its oracle, and the `(row, slot)` pairs its
-/// last slot lookups returned (dropped whenever slots are renumbered).
+/// An accumulator under test and its oracle.
 struct Pair {
     grad: SparseGrad,
     oracle: Oracle,
-    memo: [Option<(u32, usize)>; 2],
 }
 
 impl Pair {
@@ -66,7 +82,6 @@ impl Pair {
         Pair {
             grad: SparseGrad::new(DIM),
             oracle: Oracle::default(),
-            memo: [None; 2],
         }
     }
 
@@ -99,10 +114,22 @@ proptest! {
         family in 0usize..24,
         pool in 1u32..200,
         n_ops in 1usize..400,
+        bound_kind in 0usize..3,
+        reserve_at in (0usize..400, 0usize..400),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pairs = [Pair::new(), Pair::new()];
+        let bound = declared_bound(family, pool, bound_kind);
+        let reserve_at = [reserve_at.0 % n_ops, reserve_at.1 % n_ops];
         for step in 0..n_ops {
+            // Each accumulator declares the bound at its own step; merges
+            // pass it on before that.
+            for (p, &at) in pairs.iter_mut().zip(&reserve_at) {
+                if step == at {
+                    p.grad.reserve_rows(bound);
+                    p.assert_matches(&format!("step {step}: after reserve_rows({bound})"));
+                }
+            }
             let which = rng.gen_range(0..2usize);
             let row = family_id(family, rng.gen_range(0..pool));
             let (k, v) = (rng.gen_range(0..DIM), rng.gen_range(-2.0f32..2.0));
@@ -114,10 +141,9 @@ proptest! {
                     p.oracle.row_mut(row)[k] += v;
                 }
                 35..=69 => {
-                    // The kernel's access pattern: resolve through the
-                    // memo, then add through the slot or the slab.
-                    let slot = p.grad.slot_of(row, &p.memo);
-                    p.memo = [Some((row, slot)), p.memo[0]];
+                    // The kernel's access pattern: resolve the slot, then
+                    // add through the slot or the slab.
+                    let slot = p.grad.slot_of(row);
                     if op % 2 == 0 {
                         p.grad.slot_mut(slot)[k] += v;
                     } else {
@@ -142,7 +168,6 @@ proptest! {
                     merged.merge(&src.grad);
                     std::mem::swap(&mut dst.grad, &mut src.grad);
                     std::mem::swap(&mut dst.oracle, &mut src.oracle);
-                    (dst.memo, src.memo) = ([None; 2], [None; 2]);
                     prop_assert_eq!(merged.nnz(), dst.grad.nnz());
                     for i in 0..merged.nnz() {
                         let bits = |(r, v): (u32, &[f32])| (r, v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
@@ -156,13 +181,11 @@ proptest! {
                     p.oracle.order.retain(|r| r % m != 0);
                     p.oracle.rows.retain(|r, _| r % m != 0);
                     prop_assert_eq!(dropped, before - p.oracle.order.len());
-                    p.memo = [None; 2];
                 }
                 90..=96 => p.grad.ensure_sorted(),
                 _ => {
                     p.grad.clear();
                     p.oracle = Oracle::default();
-                    p.memo = [None; 2];
                 }
             }
             pairs[0].assert_matches(&format!("step {step} op {op} (a)"));
@@ -277,6 +300,60 @@ fn structured_ids_keep_probe_chains_short() {
                 "family {family} n {n}: longest probe {}",
                 g.longest_probe()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `ensure_sorted` reads the ascending order off the map when the map
+    /// holds every row and they fill at least 1/16 of it, and sorts
+    /// otherwise. At densities either side of that switch, with and
+    /// without a row past the bound (which forces the sort), and again
+    /// after a `clear`, its order is the one an accumulator with no bound
+    /// sorts: same rows, same slots, same value bits.
+    #[test]
+    fn sorted_order_off_the_map_is_the_sorted_order(
+        seed in any::<u64>(),
+        bound in 1usize..4096,
+        around in 0usize..9,
+        past in 0usize..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut walked = SparseGrad::new(DIM);
+        walked.reserve_rows(bound);
+        let mut sorted = SparseGrad::new(DIM);
+        let mut ids: Vec<u32> = (0..bound as u32).collect();
+        for round in 0..2 {
+            walked.clear();
+            sorted.clear();
+            let n = (bound / 16 + around).saturating_sub(4 + round).clamp(1, bound);
+            for i in 0..n {
+                let j = rng.gen_range(i..bound);
+                ids.swap(i, j);
+            }
+            let mut rows = ids[..n].to_vec();
+            if past == 1 {
+                rows.insert(rng.gen_range(0..=n), bound as u32 + rng.gen_range(0..1000u32));
+            }
+            for (i, &row) in rows.iter().enumerate() {
+                for g in [&mut walked, &mut sorted] {
+                    g.row_mut(row)[i % DIM] += i as f32 + 0.5;
+                }
+            }
+            walked.ensure_sorted();
+            sorted.ensure_sorted();
+            let slots = |g: &SparseGrad| g.sorted_slots().collect::<Vec<_>>();
+            prop_assert_eq!(slots(&walked), slots(&sorted), "round {} n {}", round, n);
+            let order = |g: &SparseGrad| {
+                g.iter_sorted()
+                    .map(|(r, v)| (r, v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()))
+                    .collect::<Vec<_>>()
+            };
+            let want = order(&sorted);
+            prop_assert!(want.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert_eq!(order(&walked), want, "round {} n {}", round, n);
         }
     }
 }

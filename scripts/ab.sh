@@ -22,28 +22,35 @@
 # least nine tenths of the pairs, ties counting for neither, and the
 # medians differ by more than the base's interquartile range, in the
 # metric's `better` direction; `no gain` otherwise.
+# `--layers` then runs one traced pass (--trace 1) per side and workload,
+# after the pairs, and prints BENCHMARK.json's per-layer metrics side by
+# side: both values, head/base and the direction that is better. One pass
+# each carries no noise band; it attributes a change, it does not judge one.
 # Exit status 1 if any verdict is `worse`, one of those three differs, a
 # claim is not a gain, or a run is missing, incorrect or has a failed
 # operation.
 #
-# Usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]...
+# Usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]... [--layers]
 #                      <base-rev> [workload...]   (default: every workload)
 #        scripts/ab.sh HEAD replica_dense         (A/A: the noise floor)
-# About 5 minutes per workload on a 2-vCPU host, plus two builds.
+# About 5 minutes per workload on a 2-vCPU host, plus two builds (and
+# about a minute per workload for --layers).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage() {
-  echo "usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]... <base-rev> [workload...]" >&2
+  echo "usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]... [--layers] <base-rev> [workload...]" >&2
   exit 2
 }
 SEED=1
 PAIRS=10
+LAYERS=0
 claims=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --seed) [[ "${2:-}" =~ ^[0-9]+$ ]] || usage; SEED=$2; shift 2 ;;
     --pairs) [[ "${2:-}" =~ ^[1-9][0-9]*$ ]] || usage; PAIRS=$2; shift 2 ;;
     --claim) [[ "${2:-}" == *:* ]] || usage; claims+=("$2"); shift 2 ;;
+    --layers) LAYERS=1; shift ;;
     -*) usage ;;
     *) break ;;
   esac
@@ -80,13 +87,24 @@ for w in "${workloads[@]}"; do
   done
 done
 
+if [ "$LAYERS" -eq 1 ]; then
+  for w in "${workloads[@]}"; do
+    for side in base head; do
+      echo "ab: $w traced pass $side" >&2
+      (cd "$tmp/$side" && "$tmp/$side.target/release/kge-benchmark" --workload "$w" \
+        --seed "$SEED" --seconds 24 --trace 1 --out-dir "$tmp/out") > "$tmp/runs/$w.$side.trace.txt" || true
+    done
+  done
+fi
+
 echo "base $base  head $head  ($PAIRS pairs per workload, seed $SEED)"
-python3 - "$tmp/runs" "$PAIRS" "$(IFS=,; echo "${claims[*]}")" "${workloads[@]}" <<'PY'
+python3 - "$tmp/runs" "$PAIRS" "$(IFS=,; echo "${claims[*]}")" "$LAYERS" "${workloads[@]}" <<'PY'
 import json, statistics as st, sys
 
-runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
+runs, pairs, layers, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[4] == "1", sys.argv[5:]
 claims = {tuple(c.split(":", 1)) for c in sys.argv[3].split(",") if c}
-spec = json.load(open("BENCHMARK.json"))["end_to_end"]
+benchmark = json.load(open("BENCHMARK.json"))
+spec = benchmark["end_to_end"]
 EXACT = ("sim_epoch_s", "final_train_loss", "test_mrr")
 
 
@@ -149,5 +167,19 @@ for w in workloads:
 for w, name in sorted(claims):
     bad = True
     print(f"claim {w}:{name}: no such workload and end-to-end metric in this run")
+if layers:
+    print("\nper-layer metrics, one traced pass per side (--trace 1, same seed)")
+    print(f"{'workload':<17} {'metric':<42} {'base':>14} {'head':>14} {'head/base':>9}  better")
+    for w in workloads:
+        b, h = load(w, "base", "trace"), load(w, "head", "trace")
+        if not (b and h):
+            bad = True
+            print(f"{w:<17} traced pass missing ({'base' if not b else 'head'})")
+            continue
+        for m in benchmark["per_layer"]:
+            name = m["name"]
+            x, y = b["metrics"][name]["value"], h["metrics"][name]["value"]
+            ratio = f"{y / x:>9.4f}" if x else f"{'-':>9}"
+            print(f"{w:<17} {name:<42} {x:>14.6g} {y:>14.6g} {ratio}  {m['better']}")
 sys.exit(1 if bad else 0)
 PY

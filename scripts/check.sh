@@ -171,10 +171,11 @@ echo "check: sharded FB250K footprint cell passes"
 # The repo's benchmark is a package of its own with path dependencies on
 # the workspace crates: build it and run its unit tests here, so a public
 # API change that breaks it fails locally and not in the gate.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test --offline --manifest-path benchmark/Cargo.toml
 # benchmark/ is frozen, and its Cargo.lock still lists the deleted
 # shim-bytes, serde and serde_derive crates (and dependency edges the
-# manifests dropped since), which cargo prunes on every build: put it back.
-git checkout -- benchmark/Cargo.lock
+# manifests dropped since), which cargo prunes on every build: put it back
+# on the way out, also when the build or a test fails below.
+trap 'git checkout -- benchmark/Cargo.lock' EXIT
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "check: benchmark/ builds against the workspace and its unit tests pass"
