@@ -64,7 +64,7 @@
 //! Every batch runs through the same [`sharded_batch_step`] over a ring
 //! of `lookahead + 1` slots ([`PrefetchRing`]). At lookahead 0
 //! ([`crate::PrefetchMode::Off`]) a batch's slot is launched — staged,
-//! its touched union deduped and classified, its pull requests sent —
+//! its touched union collected and classified, its pull requests sent —
 //! answered and used inside the batch itself: the synchronous round-trip.
 //! At lookahead 1 ([`crate::PrefetchMode::On`]) batch `b + 1` launches
 //! while batch `b` computes, classified against the cache state *as of
@@ -591,21 +591,6 @@ impl ShardedBufs {
     }
 }
 
-/// `&mut T` wrapper asserting cross-thread safety for the disjoint-index
-/// access pattern of the parallel chunk loop (each index claimed by
-/// exactly one worker).
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// # Safety
-    /// Callers must guarantee no two live references share an index.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(&self, i: usize) -> &mut T {
-        &mut *self.0.add(i)
-    }
-}
-
 // --- Prefetch ring -----------------------------------------------------
 
 /// Fill classes of a slot's batch-local rows, fixed when the slot
@@ -659,8 +644,8 @@ pub struct LaneTimes {
     pub hidden_push_s: f64,
 }
 
-/// One in-flight batch of the ring: staged chunks, the deduped touched
-/// union with its private id map, per-row fill classes, and the per-owner
+/// One in-flight batch of the ring: staged chunks, the touched union (in
+/// ascending id order) with its private id map, per-row fill classes, and the per-owner
 /// request lists, all fixed at launch time.
 struct PrefetchSlot {
     chunks: Vec<ChunkScratch>,
@@ -668,6 +653,9 @@ struct PrefetchSlot {
     /// `touched[i]`. Sized to the worst-case touched union.
     local_tab: EmbeddingTable,
     touched: Vec<u32>,
+    /// One bit per entity, set while `launch` collects the touched union
+    /// and all zero between launches.
+    seen: Vec<u64>,
     /// Entity id → batch-local id (`NO_SLOT` when untouched), private to
     /// this slot; only the touched entries are ever written and reset.
     g2l: Vec<u32>,
@@ -683,6 +671,16 @@ struct PrefetchSlot {
     bs: usize,
     n_chunks: usize,
     live: bool,
+}
+
+impl PrefetchSlot {
+    /// Unmap the touched rows and free the slot.
+    fn retire(&mut self) {
+        for &id in &self.touched {
+            self.g2l[id as usize] = NO_SLOT;
+        }
+        self.live = false;
+    }
 }
 
 /// Deferred pricing for the previous batch's cold pushes: the payloads
@@ -726,6 +724,7 @@ impl PrefetchRing {
             chunks: (0..n_chunks).map(|_| ChunkScratch::new(dim)).collect(),
             local_tab: EmbeddingTable::zeros(max_touched, dim),
             touched: Vec::new(),
+            seen: vec![0; n_entities.div_ceil(64)],
             g2l: vec![NO_SLOT; n_entities],
             class: vec![CLASS_REMOTE; max_touched],
             req_ids: (0..p).map(|_| Vec::new()).collect(),
@@ -767,14 +766,7 @@ impl PrefetchRing {
     /// messages themselves, so nothing dangles; each is counted received
     /// by its addressee, so wire bytes stay conserved).
     fn reset(&mut self) {
-        for slot in self.slots.iter_mut() {
-            if slot.live {
-                for &id in &slot.touched {
-                    slot.g2l[id as usize] = NO_SLOT;
-                }
-            }
-            slot.live = false;
-        }
+        self.slots.iter_mut().for_each(PrefetchSlot::retire);
         for s in self.req_stash.iter_mut() {
             s.clear();
         }
@@ -828,6 +820,7 @@ fn launch(
     let lookahead = ring.lookahead();
     let slot = ring.slot_of(batch_idx);
     let slot = &mut ring.slots[slot];
+    debug_assert!(slot.seen.iter().all(|&w| w == 0));
     let config = run.config;
     let (bs, n_chunks) = if shard.is_empty() {
         (0, 0)
@@ -851,15 +844,8 @@ fn launch(
     }
 
     // Touched union + local-id map.
-    slot.touched.clear();
-    for c in slot.chunks.iter().take(n_chunks) {
-        for &(h, _, t) in &c.triples {
-            slot.touched.push(h);
-            slot.touched.push(t);
-        }
-    }
-    slot.touched.sort_unstable();
-    slot.touched.dedup();
+    let triples = slot.chunks[..n_chunks].iter().flat_map(|c| &c.triples);
+    touched_union(&mut slot.seen, triples, &mut slot.touched);
     debug_assert!(slot.touched.len() <= slot.local_tab.rows());
     for v in slot.req_ids.iter_mut() {
         v.clear();
@@ -894,6 +880,28 @@ fn launch(
     slot.n_chunks = n_chunks;
     slot.live = true;
     Ok(())
+}
+
+/// The distinct entity ids of `triples`' heads and tails into `out`, in
+/// ascending order: each id sets its bit in `seen`, then one pass over the
+/// words reads the set bits out and zeroes them, leaving `seen` all zero.
+fn touched_union<'a>(
+    seen: &mut [u64],
+    triples: impl Iterator<Item = &'a (u32, u32, u32)>,
+    out: &mut Vec<u32>,
+) {
+    for &(h, _, t) in triples {
+        seen[h as usize / 64] |= 1 << (h % 64);
+        seen[t as usize / 64] |= 1 << (t % 64);
+    }
+    out.clear();
+    for (w, word) in seen.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            out.push((w * 64) as u32 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
 }
 
 /// Hear `src`'s pull request and keep it until it is answered. Per-pair
@@ -1057,15 +1065,9 @@ fn compute_and_merge(
     };
     let local_tab = &slot.local_tab;
     let chunks = &mut slot.chunks[..slot.n_chunks];
-    {
-        let ptr = SendPtr(chunks.as_mut_ptr());
-        rayon::par_for_each_index(chunks.len(), |c| {
-            // SAFETY: each index is claimed by exactly one worker, so the
-            // &mut aliases are disjoint.
-            let cs = unsafe { ptr.at(c) };
-            compute_chunk(run, (local_tab, rel), inv_batch, false, cs);
-        });
-    }
+    rayon::par_for_each_mut(chunks, |_, cs| {
+        compute_chunk(run, (local_tab, rel), inv_batch, false, cs)
+    });
     bufs.ent_grad.clear();
     bufs.rel_grad.clear();
     let mut loss = 0.0f64;
@@ -1465,12 +1467,7 @@ pub fn sharded_batch_step(
         serve_requests(ctx, st)?;
     }
 
-    // --- Retire this slot. ---------------------------------------------
-    let slot = &mut st.ring.slots[cur];
-    for &id in &slot.touched {
-        slot.g2l[id as usize] = NO_SLOT;
-    }
-    slot.live = false;
+    st.ring.slots[cur].retire();
     st.tick += 1;
 
     sums.loss += loss;
@@ -1488,20 +1485,16 @@ pub fn sharded_epoch_prefetch_drain(ctx: &mut NodeCtx, st: &mut RankState) {
     st.ring.reset();
 }
 
-/// Entity ownership for a world of `p` ranks, derived from the same
-/// triple partition the trainer shards with.
-fn owners_for(dataset: &Dataset, p: usize) -> Vec<u32> {
+/// Rank `rank` of `p`'s empty store: entity ownership derived from the same
+/// triple partition the trainer shards with, the cold tier in its
+/// configured at-rest format and the configured hot cache.
+fn store_for(dataset: &Dataset, config: &TrainConfig, dim: usize, rank: usize, p: usize) -> ShardedStore {
+    let scfg = config.sharded.expect("a sharded config");
+    let kind = if scfg.cold_int8 { ArenaKind::Int8 } else { ArenaKind::F32 };
     let part = partition_for(&dataset.train, dataset.n_relations, p, false);
-    entity_owners(&part, dataset.n_entities)
-}
-
-/// The cold tier's at-rest format.
-fn arena_kind(config: &TrainConfig) -> ArenaKind {
-    if config.sharded.expect("a sharded config").cold_int8 {
-        ArenaKind::Int8
-    } else {
-        ArenaKind::F32
-    }
+    let owners = entity_owners(&part, dataset.n_entities);
+    let degrees = &dataset.stats().entity_degrees;
+    ShardedStore::new(kind, dim, rank, owners, degrees, scfg.hot_cache_rows, config.base_lr)
 }
 
 /// The run's store report, folded from every rank's: byte and touch
@@ -1545,15 +1538,7 @@ impl RankState {
         let mut init_rng = StdRng::seed_from_u64(config.seed);
         let ent_init = EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng);
         let rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
-        let mut store = ShardedStore::new(
-            arena_kind(config),
-            dim,
-            rank,
-            owners_for(dataset, p),
-            &dataset.stats().entity_degrees,
-            config.sharded.expect("a sharded config").hot_cache_rows,
-            config.base_lr,
-        );
+        let mut store = store_for(dataset, config, dim, rank, p);
         store.init_owned_from(&ent_init);
         drop(ent_init);
         RankState {
@@ -1657,7 +1642,6 @@ fn migrate_after_shrink(
     config: &TrainConfig,
     store: &mut ShardedStore,
 ) {
-    let scfg = config.sharded.expect("sharded migration");
     let rank = ctx.rank();
     let p = ctx.size();
     let dim = store.dim;
@@ -1710,15 +1694,7 @@ fn migrate_after_shrink(
     // crashed rank's shard contribution.
     let mut init_rng = StdRng::seed_from_u64(config.seed);
     let ent_init = EmbeddingTable::xavier(n, dim, &mut init_rng);
-    let mut new_store = ShardedStore::new(
-        arena_kind(config),
-        dim,
-        rank,
-        owners_for(dataset, p),
-        &dataset.stats().entity_degrees,
-        scfg.hot_cache_rows,
-        config.base_lr,
-    );
+    let mut new_store = store_for(dataset, config, dim, rank, p);
     let zeros = vec![0f32; dim];
     for i in 0..new_store.owned_ids().len() {
         let id = new_store.owned_ids()[i];
@@ -1753,6 +1729,29 @@ mod tests {
         push_state_record(&mut wire, id, t, value, m, v);
         for rec in state_records(&wire, value.len(), "test payload") {
             s.fill_admitted(&rec);
+        }
+    }
+
+    #[test]
+    fn touched_union_matches_sort_and_dedup() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(7);
+        for e in [1u32, 64, 65, 130, 1000] {
+            let mut seen = vec![0u64; (e as usize).div_ceil(64)];
+            let mut out = vec![e];
+            for n in [0usize, 1, 17, 500] {
+                let mut ids: Vec<u32> = (0..n).map(|_| rng.gen_range(0..e)).collect();
+                if n > 0 {
+                    ids.extend([0, 63, 64, e - 1].into_iter().filter(|&id| id < e));
+                }
+                // Every id once as a head and once as a tail.
+                let triples: Vec<_> = ids.iter().zip(ids.iter().rev()).map(|(&h, &t)| (h, 0, t)).collect();
+                touched_union(&mut seen, triples.iter(), &mut out);
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(out, ids, "e={e} n={n}");
+                assert!(seen.iter().all(|&w| w == 0), "e={e} n={n}");
+            }
         }
     }
 

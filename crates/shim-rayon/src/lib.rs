@@ -1,9 +1,10 @@
 //! Offline stand-in for the slice of `rayon` the workspace uses: real
 //! intra-process data parallelism with a deterministic,
 //! thread-count-independent result contract. The surface is two index
-//! primitives ([`par_for_each_index`], [`par_map_index`]),
-//! [`current_num_threads`] and a [`ThreadPoolBuilder`] whose pool scopes
-//! the thread count through [`ThreadPool::install`].
+//! primitives ([`par_for_each_index`], [`par_map_index`]), one slice
+//! primitive ([`par_for_each_mut`]), [`current_num_threads`] and a
+//! [`ThreadPoolBuilder`] whose pool scopes the thread count through
+//! [`ThreadPool::install`].
 //!
 //! The execution model is simpler than rayon's work-stealing deques —
 //! each parallel region spawns scoped `std` threads that claim item
@@ -75,6 +76,31 @@ pub fn par_for_each_index<F: Fn(usize) + Sync>(n: usize, f: F) {
                         break;
                     }
                     f(i);
+                }
+            });
+        }
+    });
+}
+
+/// Run `f(i, &mut items[i])` for every item, fanning out across worker
+/// threads: `items` is split into one contiguous run per thread, so each
+/// item is visited by exactly one thread and no `unsafe` is needed.
+pub fn par_for_each_mut<T: Send, F: Fn(usize, &mut T) + Sync>(items: &mut [T], f: F) {
+    let threads = current_num_threads().min(items.len());
+    if threads <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let run = items.len().div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|s| {
+        for (r, part) in items.chunks_mut(run).enumerate() {
+            s.spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
+                for (j, item) in part.iter_mut().enumerate() {
+                    f(r * run + j, item);
                 }
             });
         }
@@ -185,6 +211,22 @@ mod tests {
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn par_for_each_mut_visits_every_item_once() {
+        for threads in [1usize, 2, 4, 8] {
+            for n in [0usize, 1, 3, 1003] {
+                let mut items = vec![0usize; n];
+                let pool = ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| par_for_each_mut(&mut items, |i, x| *x += i + 1));
+                let want: Vec<usize> = (1..=n).collect();
+                assert_eq!(items, want, "threads={threads} n={n}");
+            }
         }
     }
 
