@@ -644,9 +644,9 @@ pub struct LaneTimes {
     pub hidden_push_s: f64,
 }
 
-/// One in-flight batch of the ring: staged chunks, the touched union (in
-/// ascending id order) with its private id map, per-row fill classes, and the per-owner
-/// request lists, all fixed at launch time.
+/// One in-flight batch of the ring: staged chunks, the touched union
+/// (ascending ids) with its private id map, per-row fill classes, and the
+/// per-owner request lists, all fixed at launch time.
 struct PrefetchSlot {
     chunks: Vec<ChunkScratch>,
     /// Batch-local embedding table: row `i` holds the value of
@@ -761,10 +761,10 @@ impl PrefetchRing {
         (ahead > batch_idx && ahead < n_batches).then_some(ahead)
     }
 
-    /// Drop every in-flight slot and deferred charge: the epoch-boundary
-    /// drain, and crash recovery (where the shrink drops the undelivered
-    /// messages themselves, so nothing dangles; each is counted received
-    /// by its addressee, so wire bytes stay conserved).
+    /// Drop every slot and deferred charge — a slot whose launch a crash cut
+    /// short at its request send too (its ids are mapped, it is not live):
+    /// the epoch-boundary drain, and crash recovery (where the shrink drops
+    /// the undelivered messages, each counted received by its addressee).
     fn reset(&mut self) {
         self.slots.iter_mut().for_each(PrefetchSlot::retire);
         for s in self.req_stash.iter_mut() {
