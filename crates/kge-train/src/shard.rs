@@ -761,12 +761,12 @@ impl PrefetchRing {
         (ahead > batch_idx && ahead < n_batches).then_some(ahead)
     }
 
-    /// Drop every slot and deferred charge — a slot whose launch a crash cut
-    /// short at its request send too (its ids are mapped, it is not live):
-    /// the epoch-boundary drain, and crash recovery (where the shrink drops
-    /// the undelivered messages, each counted received by its addressee).
+    /// Drop every in-flight slot and deferred charge: the epoch-boundary
+    /// drain, and crash recovery (where the shrink drops the undelivered
+    /// messages themselves, so nothing dangles; each is counted received
+    /// by its addressee, so wire bytes stay conserved).
     fn reset(&mut self) {
-        self.slots.iter_mut().for_each(PrefetchSlot::retire);
+        self.slots.iter_mut().filter(|s| s.live).for_each(PrefetchSlot::retire);
         for s in self.req_stash.iter_mut() {
             s.clear();
         }
