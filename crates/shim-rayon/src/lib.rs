@@ -8,7 +8,8 @@
 //!
 //! The execution model is simpler than rayon's work-stealing deques —
 //! each parallel region spawns scoped `std` threads that claim item
-//! indices from a shared atomic counter — but the *output* contract is
+//! indices from a shared atomic counter, or, for the slice primitive, take
+//! one contiguous run of the slice each — but the *output* contract is
 //! the one this repo's determinism tests rely on and is stronger than
 //! a naive port: results are always assembled **in index order**, so
 //! `par_map_index(n, f)` is bit-identical to the sequential
