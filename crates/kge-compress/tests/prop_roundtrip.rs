@@ -264,69 +264,115 @@ proptest! {
 
     #[test]
     fn packed_one_bit_encode_matches_scalar_codec(dim in 1usize..70, seed in any::<u64>()) {
-        // The packed fast path (SIMD scales + movemask sign packing,
-        // straight into wire bytes) must be byte-identical to quantizing
-        // into a `QuantizedRow` and pushing it — for every rule, odd dims,
-        // and every dispatch level the host has.
-        let v = det_row(dim, seed);
-        for &level in Level::detected() {
-            set_level(Some(level));
-            for rule in RULES {
-                let fmt = fmt_for(rule);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let q = quantize_row(QuantScheme::OneBit { rule }, &v, &mut rng);
-                let reference =
-                    encode_rows(fmt, dim, &[RowPayload { row: 42, data: q.clone() }]).unwrap();
-                let mut buf = Vec::new();
-                let mut enc = RowEncoder::new(fmt, dim, &mut buf);
-                let (pos, neg) = enc.push_one_bit(42, &v, rule).unwrap();
-                enc.finish();
-                prop_assert_eq!(&buf, &reference, "rule {:?} {:?}", rule, level);
-                // Returned scales and the error-feedback companion match
-                // the QuantizedRow bit for bit.
-                if let QuantizedRow::OneBit { pos_scale, neg_scale, .. } = &q {
-                    prop_assert_eq!(pos.to_bits(), pos_scale.to_bits(), "rule {:?}", rule);
-                    prop_assert_eq!(neg.to_bits(), neg_scale.to_bits(), "rule {:?}", rule);
+        // The packed fast path (scales + sign packing straight into wire
+        // bytes) must be byte-identical to quantizing into a `QuantizedRow`
+        // and pushing it, and to the portable loops written out in
+        // `scalar` — for every rule, odd dims, rows with signed zeros,
+        // denormals and NaNs, and every dispatch level the host has.
+        for v in [det_row(dim, seed), special_row(dim, seed)] {
+            for &level in Level::detected() {
+                set_level(Some(level));
+                for rule in RULES {
+                    let fmt = fmt_for(rule);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let q = quantize_row(QuantScheme::OneBit { rule }, &v, &mut rng);
+                    let reference =
+                        encode_rows(fmt, dim, &[RowPayload { row: 42, data: q.clone() }]);
+                    let (want_pos, want_neg) = scalar::scales(rule, &v);
+                    let want = QuantizedRow::OneBit {
+                        signs: v.iter().map(|&x| x >= 0.0).collect(),
+                        pos_scale: want_pos,
+                        neg_scale: want_neg,
+                    };
+                    let written_out = encode_rows(fmt, dim, &[RowPayload { row: 42, data: want }]);
+                    let mut buf = Vec::new();
+                    let mut enc = RowEncoder::new(fmt, dim, &mut buf);
+                    let packed = enc.push_one_bit(42, &v, rule);
+                    // A NaN mean is not one scale (`NaN != NaN`): every path
+                    // rejects the row under the one-scale format.
+                    let rejected = (packed.is_err(), written_out.is_err());
+                    prop_assert_eq!(rejected.0, rejected.1, "rule {:?} {:?}", rule, level);
+                    let Ok((pos, neg)) = packed else {
+                        prop_assert!(reference.is_err(), "rule {:?} {:?}", rule, level);
+                        continue;
+                    };
+                    enc.finish();
+                    prop_assert_eq!(&buf, &reference.unwrap(), "rule {:?} {:?}", rule, level);
+                    prop_assert_eq!(&buf, &written_out.unwrap(), "rule {:?} {:?}", rule, level);
+                    // Returned scales and the error-feedback companion match
+                    // the QuantizedRow and the portable loops bit for bit.
+                    prop_assert_eq!(
+                        (pos.to_bits(), neg.to_bits()),
+                        (want_pos.to_bits(), want_neg.to_bits()),
+                        "rule {:?} {:?}", rule, level
+                    );
+                    if let QuantizedRow::OneBit { pos_scale, neg_scale, .. } = &q {
+                        prop_assert_eq!(pos.to_bits(), pos_scale.to_bits(), "rule {:?}", rule);
+                        prop_assert_eq!(neg.to_bits(), neg_scale.to_bits(), "rule {:?}", rule);
+                    }
+                    let mut signs = Vec::new();
+                    kge_compress::quant::pack_signs_into(&v, &mut signs);
+                    prop_assert_eq!(&signs, &scalar::pack_signs(&v), "{:?}", level);
+                    let mut from_dense = vec![f32::NAN; dim];
+                    kge_compress::one_bit_dequantize_from(&v, pos, neg, &mut from_dense);
+                    let mut from_row = vec![f32::NAN; dim];
+                    q.dequantize_into(&mut from_row);
+                    prop_assert_eq!(bits(&from_dense), bits(&from_row), "rule {:?}", rule);
+                    let want = scalar::dequantize_from(&v, pos, neg);
+                    prop_assert_eq!(bits(&from_dense), bits(&want), "rule {:?} {:?}", rule, level);
                 }
-                let mut from_dense = vec![f32::NAN; dim];
-                kge_compress::one_bit_dequantize_from(&v, pos, neg, &mut from_dense);
-                let mut from_row = vec![f32::NAN; dim];
-                q.dequantize_into(&mut from_row);
-                prop_assert_eq!(bits(&from_dense), bits(&from_row), "rule {:?}", rule);
             }
+            set_level(None);
         }
-        set_level(None);
     }
 
     #[test]
     fn simd_and_scalar_codec_arms_bit_identical(dim in 1usize..70, seed in any::<u64>()) {
         // Quantize → encode → decode (through the byte-expanded /
-        // AVX2-blend fast paths) at every dispatch level: wire bytes,
+        // AVX2-select fast paths) at every dispatch level: wire bytes,
         // dequantized values, accumulated values and error-feedback rows
-        // must all be bit-identical.
-        let v = det_row(dim, seed);
-        for rule in RULES {
-            let fmt = fmt_for(rule);
-            let mut runs = Vec::new();
-            for &level in Level::detected() {
-                set_level(Some(level));
-                let mut buf = Vec::new();
-                let mut enc = RowEncoder::new(fmt, dim, &mut buf);
-                let (pos, neg) = enc.push_one_bit(9, &v, rule).unwrap();
-                enc.finish();
-                let mut dec = RowDecoder::new(&buf).unwrap();
-                let r = dec.next_row().unwrap().unwrap();
-                let mut deq = vec![f32::NAN; dim];
-                r.dequantize_into(&mut deq);
-                let mut acc = vec![0.5f32; dim];
-                r.add_into(&mut acc);
-                let mut ef = vec![f32::NAN; dim];
-                kge_compress::one_bit_dequantize_from(&v, pos, neg, &mut ef);
-                runs.push((buf.clone(), bits(&deq), bits(&acc), bits(&ef)));
-            }
-            set_level(None);
-            for run in &runs[1..] {
-                prop_assert_eq!(&runs[0], run, "rule {:?}", rule);
+        // must all be bit-identical to the portable loops in `scalar`, on
+        // rows with signed zeros, denormals and NaNs as well.
+        for v in [det_row(dim, seed), special_row(dim, seed)] {
+            for rule in RULES {
+                let fmt = fmt_for(rule);
+                let (pos, neg) = scalar::scales(rule, &v);
+                let signs = scalar::pack_signs(&v);
+                let want_deq = scalar::expand(&signs, pos, neg, dim);
+                let want = (
+                    encode_rows(fmt, dim, &[RowPayload {
+                        row: 9,
+                        data: QuantizedRow::OneBit {
+                            signs: v.iter().map(|&x| x >= 0.0).collect(),
+                            pos_scale: pos,
+                            neg_scale: neg,
+                        },
+                    }]),
+                    bits(&want_deq),
+                    bits(&want_deq.iter().map(|&x| 0.5 + x).collect::<Vec<_>>()),
+                    bits(&scalar::dequantize_from(&v, pos, neg)),
+                );
+                for &level in Level::detected() {
+                    set_level(Some(level));
+                    let mut buf = Vec::new();
+                    let mut enc = RowEncoder::new(fmt, dim, &mut buf);
+                    let packed = enc.push_one_bit(9, &v, rule);
+                    let rejected = (packed.is_err(), want.0.is_err());
+                    prop_assert_eq!(rejected.0, rejected.1, "rule {:?} {:?}", rule, level);
+                    let Ok((pos, neg)) = packed else { continue };
+                    enc.finish();
+                    let mut dec = RowDecoder::new(&buf).unwrap();
+                    let r = dec.next_row().unwrap().unwrap();
+                    let mut deq = vec![f32::NAN; dim];
+                    r.dequantize_into(&mut deq);
+                    let mut acc = vec![0.5f32; dim];
+                    r.add_into(&mut acc);
+                    let mut ef = vec![f32::NAN; dim];
+                    kge_compress::one_bit_dequantize_from(&v, pos, neg, &mut ef);
+                    let got = (Ok(buf), bits(&deq), bits(&acc), bits(&ef));
+                    prop_assert_eq!(&got, &want, "rule {:?} {:?}", rule, level);
+                }
+                set_level(None);
             }
         }
     }
@@ -368,4 +414,85 @@ fn det_row(dim: usize, seed: u64) -> Vec<f32> {
             ((x % 4001) as f32 - 2000.0) / 100.0
         })
         .collect()
+}
+
+/// Values a finite mid-range row never holds: signed zeros, denormals,
+/// the smallest normal, large magnitudes and NaN of either sign.
+const SPECIALS: [f32; 10] = [
+    0.0, -0.0, 1e-40, -1e-42, f32::MIN_POSITIVE, 1e30, -1e30, 1.0, f32::NAN, -f32::NAN,
+];
+
+/// `dim` values, about one in four drawn from [`SPECIALS`], the rest
+/// uniform in `[-20, 20)` like [`det_row`]'s.
+fn special_row(dim: usize, seed: u64) -> Vec<f32> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..dim)
+        .map(|_| {
+            if rng.gen_range(0..4u32) == 0 {
+                SPECIALS[rng.gen_range(0..SPECIALS.len())]
+            } else {
+                rng.gen_range(-20.0f32..20.0)
+            }
+        })
+        .collect()
+}
+
+/// The codec's portable loops, written out: the reference every dispatch
+/// level must reproduce bit for bit.
+mod scalar {
+    use kge_compress::quant::ScaleRule;
+
+    /// `(pos_scale, neg_scale)`: serial folds in index order.
+    pub fn scales(rule: ScaleRule, v: &[f32]) -> (f32, f32) {
+        let pos = v.iter().filter(|&&x| x >= 0.0);
+        let neg = v.iter().filter(|&&x| x < 0.0);
+        match rule {
+            ScaleRule::Max => {
+                let s = v.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                (s, s)
+            }
+            ScaleRule::Avg => {
+                let s = v.iter().map(|x| x.abs()).sum::<f32>() / v.len() as f32;
+                (s, s)
+            }
+            ScaleRule::PosNegMax => (
+                pos.fold(0.0f32, |m, &x| m.max(x)),
+                neg.fold(0.0f32, |m, &x| m.max(-x)),
+            ),
+            ScaleRule::PosNegAvg => {
+                let (psum, pn) = pos.fold((0.0f32, 0usize), |(s, n), &x| (s + x, n + 1));
+                let (nsum, nn) = neg.fold((0.0f32, 0usize), |(s, n), &x| (s - x, n + 1));
+                (
+                    if pn > 0 { psum / pn as f32 } else { 0.0 },
+                    if nn > 0 { nsum / nn as f32 } else { 0.0 },
+                )
+            }
+        }
+    }
+
+    /// Bit `i` of byte `b` is `v[8b + i] >= 0.0`.
+    pub fn pack_signs(v: &[f32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for chunk in v.chunks(8) {
+            let mut byte = 0u8;
+            for (i, &x) in chunk.iter().enumerate() {
+                if x >= 0.0 {
+                    byte |= 1 << i;
+                }
+            }
+            out.push(byte);
+        }
+        out
+    }
+
+    pub fn dequantize_from(v: &[f32], pos: f32, neg: f32) -> Vec<f32> {
+        v.iter().map(|&x| if x >= 0.0 { pos } else { -neg }).collect()
+    }
+
+    /// The sign bytes through a two-entry value table, element by element.
+    pub fn expand(sign_bytes: &[u8], pos: f32, neg: f32, dim: usize) -> Vec<f32> {
+        let vals = [-neg, pos];
+        (0..dim).map(|k| vals[((sign_bytes[k / 8] >> (k % 8)) & 1) as usize]).collect()
+    }
 }

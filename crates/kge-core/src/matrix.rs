@@ -87,43 +87,12 @@ pub fn l2_norm(v: &[f32]) -> f32 {
     v.iter().map(|&x| x * x).sum::<f32>().sqrt()
 }
 
-/// `out += alpha * v`.
-///
-/// AVX-dispatched: elementwise `o + alpha·x` with mul then add (never
-/// FMA), so the vector arm is bit-identical to the scalar loop and the
-/// `KGE_FORCE_SCALAR` override keeps both paths honest. This runs inside
-/// the fused training block (L2 term and gradient scatter), so it is on
-/// the per-triple hot path.
+/// `out += alpha * v`: elementwise `o + alpha·x`, mul then add.
 #[inline]
 pub fn axpy(alpha: f32, v: &[f32], out: &mut [f32]) {
     debug_assert_eq!(v.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::use_avx() {
-        // SAFETY: AVX presence was just detected at runtime.
-        return unsafe { axpy_avx(alpha, v, out) };
-    }
     for (o, &x) in out.iter_mut().zip(v) {
         *o += alpha * x;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_avx(alpha: f32, v: &[f32], out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = v.len().min(out.len());
-    let n8 = n - n % 8;
-    let va = _mm256_set1_ps(alpha);
-    for k in (0..n8).step_by(8) {
-        let vo = _mm256_loadu_ps(out.as_ptr().add(k));
-        let vx = _mm256_loadu_ps(v.as_ptr().add(k));
-        _mm256_storeu_ps(
-            out.as_mut_ptr().add(k),
-            _mm256_add_ps(vo, _mm256_mul_ps(va, vx)),
-        );
-    }
-    for k in n8..n {
-        out[k] += alpha * v[k];
     }
 }
 

@@ -140,70 +140,58 @@ impl AdamState {
 /// elementwise in index order. Every Adam step in the workspace — dense
 /// chunks, lazy rows, the sharded store's rows, the parameter server — runs it.
 ///
-/// AVX-dispatched: the vector arm uses mul/add/sub/div/sqrt only (never
-/// FMA), in the scalar expression's operation order. IEEE-754 requires all
-/// five to be correctly rounded, `vdivps`/`vsqrtps` included, so each lane
-/// equals the scalar result exactly; the portable loop is both the
-/// `KGE_FORCE_SCALAR` arm and the vector arm's tail.
+/// One body, [`adam_row_body`], compiled twice: as is, and with AVX enabled
+/// at [`crate::simd::Level::Avx`] and above. The update is elementwise
+/// mul/add/sub/div/sqrt, each correctly rounded in any vector width, and
+/// `avx` never licenses a fused multiply-add, so both copies give the same
+/// bits.
 #[inline]
 fn adam_row(a: &Adam, bc: [f32; 2], lr: f32, [m, v, p]: [&mut [f32]; 3], g: &[f32]) {
     let n = p.len();
     assert!(m.len() == n && v.len() == n && g.len() == n);
-    #[allow(unused_mut)]
-    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx() {
-        // SAFETY: AVX presence was just detected at runtime, and all four
-        // slices hold `n` elements (asserted above).
-        done = unsafe { adam_row_avx(a, bc, lr, [m, v, p], g) };
+        // SAFETY: AVX was just detected at runtime.
+        return unsafe { adam_row_avx(a, bc, lr, m, v, p, g) };
     }
-    let (omb1, omb2) = (1.0 - a.beta1, 1.0 - a.beta2);
-    for k in done..n {
-        let gv = g[k];
-        m[k] = a.beta1 * m[k] + omb1 * gv;
-        v[k] = a.beta2 * v[k] + omb2 * gv * gv;
-        let mhat = m[k] / bc[0];
-        let vhat = v[k] / bc[1];
-        p[k] -= lr * mhat / (vhat.sqrt() + a.eps);
-    }
+    adam_row_body(a, bc, lr, m, v, p, g)
 }
 
-/// Vector arm of [`adam_row`] over the largest multiple of 8 elements;
-/// returns how many it updated.
-///
-/// # Safety
-/// The CPU must support AVX, and `m`, `v`, `g` must each hold at least
-/// `p.len()` elements.
+/// [`adam_row_body`] compiled with AVX: the loop vectorizes eight wide.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn adam_row_avx(
+fn adam_row_avx(
     a: &Adam,
     bc: [f32; 2],
     lr: f32,
-    [m, v, p]: [&mut [f32]; 3],
+    m: &mut [f32],
+    v: &mut [f32],
+    p: &mut [f32],
     g: &[f32],
-) -> usize {
-    use std::arch::x86_64::*;
-    let n8 = p.len() - p.len() % 8;
-    let (beta1, omb1) = (_mm256_set1_ps(a.beta1), _mm256_set1_ps(1.0 - a.beta1));
-    let (beta2, omb2) = (_mm256_set1_ps(a.beta2), _mm256_set1_ps(1.0 - a.beta2));
-    let (bc1, bc2) = (_mm256_set1_ps(bc[0]), _mm256_set1_ps(bc[1]));
-    let (lr, eps) = (_mm256_set1_ps(lr), _mm256_set1_ps(a.eps));
-    for k in (0..n8).step_by(8) {
-        let gv = _mm256_loadu_ps(g.as_ptr().add(k));
-        let mk = _mm256_mul_ps(beta1, _mm256_loadu_ps(m.as_ptr().add(k)));
-        let mk = _mm256_add_ps(mk, _mm256_mul_ps(omb1, gv));
-        let vk = _mm256_mul_ps(beta2, _mm256_loadu_ps(v.as_ptr().add(k)));
-        let vk = _mm256_add_ps(vk, _mm256_mul_ps(_mm256_mul_ps(omb2, gv), gv));
-        _mm256_storeu_ps(m.as_mut_ptr().add(k), mk);
-        _mm256_storeu_ps(v.as_mut_ptr().add(k), vk);
-        let mhat = _mm256_div_ps(mk, bc1);
-        let root = _mm256_add_ps(_mm256_sqrt_ps(_mm256_div_ps(vk, bc2)), eps);
-        let step = _mm256_div_ps(_mm256_mul_ps(lr, mhat), root);
-        let pk = _mm256_sub_ps(_mm256_loadu_ps(p.as_ptr().add(k)), step);
-        _mm256_storeu_ps(p.as_mut_ptr().add(k), pk);
+) {
+    adam_row_body(a, bc, lr, m, v, p, g)
+}
+
+/// The update itself. The moments and the row come as separate slices, not
+/// an array of them, so the compiler sees that they do not alias.
+#[inline(always)]
+fn adam_row_body(
+    a: &Adam,
+    bc: [f32; 2],
+    lr: f32,
+    m: &mut [f32],
+    v: &mut [f32],
+    p: &mut [f32],
+    g: &[f32],
+) {
+    let (omb1, omb2) = (1.0 - a.beta1, 1.0 - a.beta2);
+    for (((m, v), p), &gv) in m.iter_mut().zip(v.iter_mut()).zip(p.iter_mut()).zip(g) {
+        *m = a.beta1 * *m + omb1 * gv;
+        *v = a.beta2 * *v + omb2 * gv * gv;
+        let mhat = *m / bc[0];
+        let vhat = *v / bc[1];
+        *p -= lr * mhat / (vhat.sqrt() + a.eps);
     }
-    n8
 }
 
 impl Adam {
@@ -317,43 +305,27 @@ impl AdagradState {
 fn adagrad_row(lr: f32, eps: f32, [acc, p]: [&mut [f32]; 2], g: &[f32]) {
     let n = p.len();
     assert!(acc.len() == n && g.len() == n);
-    #[allow(unused_mut)]
-    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx() {
-        // SAFETY: AVX presence was just detected at runtime, and all three
-        // slices hold `n` elements (asserted above).
-        done = unsafe { adagrad_row_avx(lr, eps, [acc, p], g) };
+        // SAFETY: AVX was just detected at runtime.
+        return unsafe { adagrad_row_avx(lr, eps, acc, p, g) };
     }
-    for k in done..n {
-        let gv = g[k];
-        acc[k] += gv * gv;
-        p[k] -= lr * gv / (acc[k].sqrt() + eps);
-    }
+    adagrad_row_body(lr, eps, acc, p, g)
 }
 
-/// Vector arm of [`adagrad_row`] over the largest multiple of 8 elements;
-/// returns how many it updated.
-///
-/// # Safety
-/// The CPU must support AVX, and `acc` and `g` must each hold at least
-/// `p.len()` elements.
+/// [`adagrad_row_body`] compiled with AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn adagrad_row_avx(lr: f32, eps: f32, [acc, p]: [&mut [f32]; 2], g: &[f32]) -> usize {
-    use std::arch::x86_64::*;
-    let n8 = p.len() - p.len() % 8;
-    let (lr, eps) = (_mm256_set1_ps(lr), _mm256_set1_ps(eps));
-    for k in (0..n8).step_by(8) {
-        let gv = _mm256_loadu_ps(g.as_ptr().add(k));
-        let ak = _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(k)), _mm256_mul_ps(gv, gv));
-        _mm256_storeu_ps(acc.as_mut_ptr().add(k), ak);
-        let root = _mm256_add_ps(_mm256_sqrt_ps(ak), eps);
-        let step = _mm256_div_ps(_mm256_mul_ps(lr, gv), root);
-        let pk = _mm256_sub_ps(_mm256_loadu_ps(p.as_ptr().add(k)), step);
-        _mm256_storeu_ps(p.as_mut_ptr().add(k), pk);
+fn adagrad_row_avx(lr: f32, eps: f32, acc: &mut [f32], p: &mut [f32], g: &[f32]) {
+    adagrad_row_body(lr, eps, acc, p, g)
+}
+
+#[inline(always)]
+fn adagrad_row_body(lr: f32, eps: f32, acc: &mut [f32], p: &mut [f32], g: &[f32]) {
+    for ((acc, p), &gv) in acc.iter_mut().zip(p.iter_mut()).zip(g) {
+        *acc += gv * gv;
+        *p -= lr * gv / (acc.sqrt() + eps);
     }
-    n8
 }
 
 impl Adagrad {

@@ -60,15 +60,11 @@ if grep -nE 'std::arch|unsafe fn' crates/kge-core/src/model.rs; then
 fi
 echo "check: model.rs holds no intrinsics and no unsafe fn"
 
-# Intrinsics stay where they beat the safe loop, and the list only shrinks:
-# the dispatch module (feature detection and the forward's transposed
-# sums), the optimizer rows, axpy and the two codec files.
+# Intrinsics live in the dispatch module alone (feature detection, the
+# forward's transposed sums and the codec's sign-byte select): every other
+# kernel is one safe body compiled per level, and the list does not grow.
 ARCH_ALLOWED=(
   crates/kge-core/src/simd.rs
-  crates/kge-core/src/optim.rs
-  crates/kge-core/src/matrix.rs
-  crates/kge-compress/src/quant.rs
-  crates/kge-compress/src/codec.rs
 )
 arch_users=$(grep -rlE --include='*.rs' '(std|core)::arch' crates src tests examples benchmark/src | sort)
 if unlisted=$(grep -vxF -f <(printf '%s\n' "${ARCH_ALLOWED[@]}") <<<"$arch_users"); then
@@ -76,7 +72,17 @@ if unlisted=$(grep -vxF -f <(printf '%s\n' "${ARCH_ALLOWED[@]}") <<<"$arch_users
   echo "check: std::arch outside the allow-list (${ARCH_ALLOWED[*]})" >&2
   exit 1
 fi
-echo "check: std::arch only in its $(wc -l <<<"$arch_users") allow-listed files"
+echo "check: std::arch only in ${ARCH_ALLOWED[*]}"
+
+# No first-party `unsafe fn`: a per-level copy is a safe #[target_feature]
+# fn. The one exception is the counting allocator, whose GlobalAlloc impl
+# the trait makes unsafe.
+if grep -rnw --include='*.rs' 'unsafe fn' crates/*/src | grep -v '^crates/shim-' \
+  | grep -v '^crates/kge-core/src/alloc_count.rs:'; then
+  echo "check: unsafe fn in first-party crates/*/src outside crates/kge-core/src/alloc_count.rs" >&2
+  exit 1
+fi
+echo "check: no unsafe fn in first-party src but the counting allocator's"
 
 # All CPU feature detection lives in kge-core's simd module.
 if grep -rn --include='*.rs' 'is_x86_feature_detected' crates src tests examples benchmark/src \
@@ -88,7 +94,7 @@ echo "check: feature detection only in kge-core's simd module"
 
 # One 512-bit copy and one only: the one-vs-all driver's. Compiled at that
 # width, the training forward and backward measured slower, so they, the
-# optimizer and the codec stay on their AVX copies.
+# optimizer and the codec stay on their AVX (AVX2) copies.
 wide=$(grep -rn --include='*.rs' -A1 'target_feature.*avx512' crates src tests examples benchmark/src || true)
 if [ "$(grep -c 'target_feature' <<<"$wide")" -ne 1 ] \
   || ! grep -qE '^crates/kge-core/src/model.rs-[0-9]+-fn ova_t_avx512<' <<<"$wide"; then
@@ -119,12 +125,12 @@ echo "check: crates/kge-train/src is $train_lines lines (ratchet 8455)"
 # And so is the amount of unsafe code: the lines of every crate's src,
 # first-party and shim, that name `unsafe` outside a `//` comment.
 unsafe_lines=$({ grep -rnw --include='*.rs' unsafe crates/*/src || true; } | grep -cvE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ "$unsafe_lines" -gt 37 ]; then
+if [ "$unsafe_lines" -gt 29 ]; then
   grep -rnw --include='*.rs' unsafe crates/*/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2
-  echo "check: $unsafe_lines lines use unsafe in crates/*/src; the ratchet is 37" >&2
+  echo "check: $unsafe_lines lines use unsafe in crates/*/src; the ratchet is 29" >&2
   exit 1
 fi
-echo "check: $unsafe_lines lines use unsafe in crates/*/src (ratchet 37)"
+echo "check: $unsafe_lines lines use unsafe in crates/*/src (ratchet 29)"
 
 # Code with no caller outside its own file is deleted or made private, not
 # kept public: scripts/orphans.sh lists the public functions whose name no
