@@ -15,7 +15,7 @@
 //! 1. Every worker assembles its batch, collects the entity/relation row
 //!    ids it needs, and sends a **pull request** to each owning server
 //!    (ownership is derived from the locality-aware triple partition —
-//!    see [`PsOwnership`] — so a row usually lives on the server whose
+//!    see `PsOwnership` — so a row usually lives on the server whose
 //!    partition shard touches it most, not at `row % n_servers`).
 //! 2. Servers answer with the current row values; workers install them in
 //!    their local cache.
@@ -24,37 +24,39 @@
 //! 4. Servers aggregate pushes from all workers (fixed order —
 //!    deterministic) and apply a lazy Adam step to their shard.
 //!
-//! Epoch boundaries reuse the collectives: shards are all-gathered so
-//! every rank holds the full model for validation, keeping the plateau
-//! schedule identical to the all-reduce trainer's.
+//! The epoch loop is the trainer's own: a `PsRank` is the third
+//! placement of `trainer::run_node_inner`, beside the replica and the
+//! sharded store. Its step is one round above; its epoch end all-gathers
+//! the servers' owned rows, so every rank holds the full model for
+//! validation, per-epoch ranking and the final report. Workers are the
+//! ranks that hold triples: they get the uniform partition, set the LR
+//! schedule's world size, and the first of them reports.
 
-use crate::config::TrainConfig;
+use crate::config::{CommMode, StrategyConfig, TrainConfig};
 use crate::exchange::{add_payload_into, gather_table_rows, write_payload_into};
-use crate::lr::PlateauSchedule;
 use crate::neg::sample_negatives;
-use crate::report::{EpochTrace, TrainOutcome, TrainReport};
-use crate::trainer::RunIndexes;
+use crate::report::TrainOutcome;
+use crate::trainer::{EpochSums, StepInputs};
 use kge_compress::codec::RowEncoder;
 use kge_compress::WireFormat;
 use kge_core::loss::logistic_loss_and_grad;
-use kge_core::{Adam, AdamState, BlockScratch, EmbeddingTable, KgeModel, SparseGrad};
-use kge_data::batch::{uniform_shards, EpochShuffler};
+use kge_core::{Adam, AdamState, BlockScratch, EmbeddingTable, SparseGrad};
 use kge_data::{Dataset, Triple};
 use kge_partition::{entity_owners, partition_for, relation_owners};
-use kge_eval::fast_valid_accuracy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simgrid::{Cluster, Communicator, NodeCtx};
+use simgrid::{Cluster, Communicator, NodeCtx, SimError};
 
 /// Which table a message refers to (tag byte on the wire).
 const TAG_ENTITY: u8 = 0;
 const TAG_RELATION: u8 = 1;
 
 /// Train with `n_servers` parameter servers; the remaining
-/// `cluster.size() − n_servers` ranks are workers. Returns the report
-/// from rank 0 (a server) and the assembled model; the report's wire
-/// totals are summed over all ranks and its per-epoch row counts are the
-/// mean over workers (servers pull nothing).
+/// `cluster.size() − n_servers` ranks are workers. Returns the first
+/// worker's report and the assembled model; the report's wire totals are
+/// summed over all ranks. The run carries the sparse all-gather tag on
+/// every epoch and no relation partition; sharded storage and resume are
+/// replica-trainer options it does not run.
 pub fn train_ps(
     dataset: &Dataset,
     cluster: &Cluster,
@@ -66,41 +68,17 @@ pub fn train_ps(
         cluster.size() > n_servers,
         "need at least one worker beside {n_servers} servers"
     );
-    config.validate().expect("invalid training config");
-    dataset.validate().expect("invalid dataset");
-    let indexes = RunIndexes::build(dataset, config);
-    let mut results = cluster.run(|ctx| run_ps_node(ctx, dataset, config, n_servers, &indexes));
-    let wire_sent: u64 = results.iter().map(|r| r.wire_sent).sum();
-    let wire_recv: u64 = results.iter().map(|r| r.wire_recv).sum();
-    let workers = &results[n_servers..];
-    let mean_rows_pulled: Vec<f64> = (0..workers[0].rows_pulled.len())
-        .map(|e| workers.iter().map(|w| w.rows_pulled[e]).sum::<f64>() / workers.len() as f64)
-        .collect();
-    let rank0 = results.swap_remove(0);
-    let mut report = rank0.report.expect("rank 0 returns the report");
-    report.wire_bytes_sent = wire_sent;
-    report.wire_bytes_recv = wire_recv;
-    for (t, &rows) in report.trace.iter_mut().zip(&mean_rows_pulled) {
-        t.mean_nonzero_rows = rows;
-        t.mean_rows_sent = rows;
-    }
-    TrainOutcome {
-        report,
-        entities: rank0.entities,
-        relations: rank0.relations,
-    }
-}
-
-/// What one rank hands back to [`train_ps`].
-struct PsNodeResult {
-    /// Rank 0's report; `None` elsewhere.
-    report: Option<TrainReport>,
-    entities: EmbeddingTable,
-    relations: EmbeddingTable,
-    wire_sent: u64,
-    wire_recv: u64,
-    /// Rows pulled per batch, one entry per epoch (0 on a server).
-    rows_pulled: Vec<f64>,
+    let config = TrainConfig {
+        strategy: StrategyConfig {
+            comm: CommMode::AllGather,
+            relation_partition: false,
+            ..config.strategy
+        },
+        sharded: None,
+        resume_from: None,
+        ..config.clone()
+    };
+    crate::trainer::run(dataset, cluster, &config, None, Some(n_servers))
 }
 
 /// Row → owning-server maps for both tables, derived from the same
@@ -111,6 +89,8 @@ struct PsNodeResult {
 /// most of a worker's pulls land on the server whose partition shard its
 /// triples came from.
 struct PsOwnership {
+    /// Ranks `0..servers` serve; the rest are workers.
+    servers: usize,
     ent: Vec<u32>,
     rel: Vec<u32>,
 }
@@ -119,6 +99,7 @@ impl PsOwnership {
     fn derive(dataset: &Dataset, n_servers: usize) -> Self {
         let part = partition_for(&dataset.train, dataset.n_relations, n_servers, false);
         PsOwnership {
+            servers: n_servers,
             ent: entity_owners(&part, dataset.n_entities),
             rel: relation_owners(&part, dataset.n_relations),
         }
@@ -171,276 +152,32 @@ fn encode_grad(dim: usize, grad: &SparseGrad, server: usize, owners: &[u32]) -> 
     buf
 }
 
-fn run_ps_node(
-    ctx: &mut NodeCtx,
-    dataset: &Dataset,
-    config: &TrainConfig,
-    n_servers: usize,
-    indexes: &RunIndexes,
-) -> PsNodeResult {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    let n_workers = p - n_servers;
-    let is_server = rank < n_servers;
-    let owners = PsOwnership::derive(dataset, n_servers);
-    let model = config.model.build(config.rank);
-    let model: &dyn KgeModel = model.as_ref();
-    let dim = model.storage_dim();
-
-    // Worker shards (workers are ranks n_servers..p).
-    let worker_shards = uniform_shards(&dataset.train, n_workers);
-    let batches_per_epoch = worker_shards
-        .iter()
-        .map(|s| s.len().div_ceil(config.batch_size))
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let mut shard: Vec<Triple> = if is_server {
-        Vec::new()
-    } else {
-        worker_shards[rank - n_servers].clone()
-    };
-
-    let (filter, bias) = (&indexes.filter, indexes.bias.as_ref());
-
-    let mut ps = PsState::new(dataset, config, dim);
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
-    );
-    let shuffler = EpochShuffler::new(config.seed ^ (rank as u64) << 32);
-    let mut schedule = PlateauSchedule::new(
-        n_workers,
-        config.lr_scale_cap,
-        config.lr_decay,
-        config.plateau_tolerance,
-        config.max_lr_drops,
-    );
-
-    let mut trace: Vec<EpochTrace> = Vec::new();
-    let mut pulls_per_epoch: Vec<f64> = Vec::new();
-    let mut converged = false;
-
-    // A worker's per-batch gradient state, cleared and refilled each batch.
-    let mut block: Vec<(u32, u32, u32)> = Vec::new();
-    let mut scratch = BlockScratch::new();
-    let (mut ent_grad, mut rel_grad) = (SparseGrad::new(dim), SparseGrad::new(dim));
-
-    for epoch in 0..config.max_epochs {
-        ctx.comm_mut().barrier();
-        let epoch_start = ctx.comm().clock().now_s();
-        shuffler.shuffle(&mut shard, epoch as u64);
-        let lr_scale = schedule.lr_scale();
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_examples = 0usize;
-        let mut rows_pulled = 0usize;
-
-        for b in 0..batches_per_epoch {
-            if is_server {
-                ps.serve_one_round(ctx.comm_mut(), n_servers, n_workers, lr_scale);
-                continue;
-            }
-            let PsState { ent, rel, .. } = &mut ps;
-            // ---------------- Worker side. ----------------
-            // Assemble the batch and its negative samples up front so the
-            // pull covers every row the backward pass touches.
-            let mut examples: Vec<(Triple, f32)> = Vec::new();
-            if !shard.is_empty() {
-                let bs = config.batch_size.min(shard.len());
-                let start = b * config.batch_size;
-                for i in 0..bs {
-                    let pos = shard[(start + i) % shard.len()];
-                    examples.push((pos, 1.0));
-                    let negs = sample_negatives(
-                        config.strategy.neg,
-                        pos,
-                        model,
-                        ent,
-                        rel,
-                        filter,
-                        bias,
-                        ent.rows(),
-                        &mut rng,
-                    );
-                    for neg in negs.train {
-                        examples.push((neg, -1.0));
-                    }
-                }
-            }
-            let mut ent_ids: Vec<u32> = examples
-                .iter()
-                .flat_map(|(t, _)| [t.head, t.tail])
-                .collect();
-            ent_ids.sort_unstable();
-            ent_ids.dedup();
-            let mut rel_ids: Vec<u32> = examples.iter().map(|(t, _)| t.rel).collect();
-            rel_ids.sort_unstable();
-            rel_ids.dedup();
-            rows_pulled += ent_ids.len() + rel_ids.len();
-
-            // 1. Pull: request rows from each owning server.
-            for server in 0..n_servers {
-                let e: Vec<u32> = ent_ids
-                    .iter()
-                    .copied()
-                    .filter(|&r| owner(r, &owners.ent) == server)
-                    .collect();
-                let r: Vec<u32> = rel_ids
-                    .iter()
-                    .copied()
-                    .filter(|&r| owner(r, &owners.rel) == server)
-                    .collect();
-                ctx.comm_mut()
-                    .send_bytes(server, &encode_ids(TAG_ENTITY, &e))
-                    .expect("pull request (entities)");
-                ctx.comm_mut()
-                    .send_bytes(server, &encode_ids(TAG_RELATION, &r))
-                    .expect("pull request (relations)");
-            }
-            // 2. Install replies. Per-source FIFO ordering guarantees the
-            //    first reply answers the entity request, the second the
-            //    relation request.
-            for server in 0..n_servers {
-                for which in 0..2 {
-                    let msg = ctx.comm_mut().recv_bytes_from(server).expect("pull reply");
-                    let table = if which == 0 { &mut *ent } else { &mut *rel };
-                    write_payload_into(&msg.payload, table, "reply payload");
-                }
-            }
-
-            // 3. Compute gradients locally, through the trainers' block
-            //    kernel: score, loss coefficient, regularized backward.
-            ent_grad.clear();
-            rel_grad.clear();
-            block.clear();
-            block.extend(examples.iter().map(|(t, _)| (t.head, t.rel, t.tail)));
-            let inv = if examples.is_empty() {
-                0.0
-            } else {
-                1.0 / examples.len() as f32
-            };
-            model.score_grad_block(
-                ent,
-                rel,
-                &block,
-                2.0 * config.l2 * inv,
-                &mut scratch,
-                &mut |i, score| {
-                    let (loss, grad) = logistic_loss_and_grad(examples[i].1, score);
-                    epoch_loss += loss as f64;
-                    grad * inv
-                },
-                &mut ent_grad,
-                &mut rel_grad,
-            );
-            epoch_examples += examples.len();
-            ctx.comm_mut()
-                .clock_mut()
-                .charge_flops(examples.len() as f64 * model.score_flops() * 3.0);
-
-            // 4. Push gradients to the owners.
-            for server in 0..n_servers {
-                let e = encode_grad(dim, &ent_grad, server, &owners.ent);
-                let r = encode_grad(dim, &rel_grad, server, &owners.rel);
-                ctx.comm_mut().send_bytes(server, &e).expect("push (entities)");
-                ctx.comm_mut().send_bytes(server, &r).expect("push (relations)");
-            }
-        }
-
-        // ---- Epoch end: assemble the full model on every rank. --------
-        assemble_full_model(ctx, n_servers, &owners, &mut ps.ent, &mut ps.rel);
-
-        let acc = fast_valid_accuracy(
-            model,
-            &ps.ent,
-            &ps.rel,
-            &dataset.valid,
-            filter,
-            dataset.n_entities,
-            config.valid_samples,
-            config.seed ^ (epoch as u64).wrapping_mul(0x2545F4914F6CDD1D),
-        );
-        ctx.comm_mut().clock_mut().charge_flops(
-            (config.valid_samples.min(dataset.valid.len()) * 2) as f64 * model.score_flops(),
-        );
-        // Align clocks (worker/server compute differs) so the schedule and
-        // epoch times are identical everywhere.
-        ctx.comm_mut().barrier();
-        let epoch_time = ctx.comm().clock().now_s() - epoch_start;
-        let loss_sum = ctx.comm_mut().allreduce_sum_f64(epoch_loss);
-        let examples_sum = ctx.comm_mut().allreduce_sum_f64(epoch_examples as f64);
-        pulls_per_epoch.push(rows_pulled as f64 / batches_per_epoch as f64);
-
-        trace.push(EpochTrace {
-            epoch,
-            sim_seconds: epoch_time,
-            comm: crate::comm_select::CommChoice::AllGather, // PS uses p2p; tag as sparse
-            valid_acc: acc,
-            train_loss: if examples_sum > 0.0 {
-                loss_sum / examples_sum
-            } else {
-                0.0
-            },
-            lr_scale,
-            // Filled in by train_ps: the mean over workers.
-            mean_nonzero_rows: 0.0,
-            mean_rows_sent: 0.0,
-            rs_sparsity: 0.0,
-            bytes_sent: 0,
-            // The PS topology has no symmetric communicator for the
-            // sharded eval collective; per-epoch ranking stays off here.
-            ranking: None,
-        });
-        if matches!(schedule.observe(acc), crate::lr::LrDecision::Converged) {
-            converged = true;
-            break;
-        }
-    }
-
-    let report = if rank == 0 {
-        Some(TrainReport {
-            dataset: dataset.name.clone(),
-            nodes: p,
-            epochs: trace.len(),
-            converged,
-            sim_total_seconds: ctx.comm().clock().now_s(),
-            breakdown: ctx.comm().clock().breakdown(),
-            trace,
-            allreduce_epochs: 0,
-            allgather_epochs: 0,
-            pipelined_epochs: 0,
-            // The PS path has no crash-recovery policy (fault tolerance
-            // lives in the collective trainer); wire totals are summed by
-            // train_ps across all ranks.
-            surviving_nodes: p,
-            recoveries: 0,
-            rejoins: 0,
-            checkpoints_written: 0,
-            crashed_ranks: Vec::new(),
-            wire_bytes_sent: 0,
-            wire_bytes_recv: 0,
-            sharded: None,
-        })
-    } else {
-        None
-    };
-    let traffic = ctx.comm().traffic().report();
-    PsNodeResult {
-        report,
-        entities: ps.ent,
-        relations: ps.rel,
-        wire_sent: traffic.total_wire_sent(),
-        wire_recv: traffic.total_wire_recv(),
-        rows_pulled: pulls_per_epoch,
-    }
+/// One parameter-server rank, the trainer's third placement. Every rank
+/// holds full tables: a server treats the rows it owns as the source of
+/// truth, a worker uses its copy as a pull-through cache.
+pub(crate) struct PsRank {
+    model: PsModel,
+    /// This rank's triples, in the running epoch's order (none on a
+    /// server).
+    pub(crate) shard: Vec<Triple>,
+    role: Role,
 }
 
-/// One rank's model and what a server's step needs. Every rank holds full
-/// tables: servers treat their owned rows as the source of truth, workers
-/// use theirs as a pull-through cache. The Adam states and the push
-/// aggregates (reused across rounds) are a server's.
-struct PsState {
+/// The tables and who owns their rows.
+struct PsModel {
+    owners: PsOwnership,
     ent: EmbeddingTable,
     rel: EmbeddingTable,
+}
+
+enum Role {
+    Server(Box<Server>),
+    Worker(Box<Worker>),
+}
+
+/// A server's Adam state over the rows it owns and its push aggregates,
+/// reused across rounds.
+struct Server {
     ent_adam: AdamState,
     rel_adam: AdamState,
     adam: Adam,
@@ -448,42 +185,246 @@ struct PsState {
     rel_agg: SparseGrad,
 }
 
-impl PsState {
-    /// The same Xavier tables on every rank (entity table first), fresh
-    /// Adam states.
-    fn new(dataset: &Dataset, config: &TrainConfig, dim: usize) -> Self {
+/// A worker's node stream and its per-batch gradient state, cleared and
+/// refilled each round.
+struct Worker {
+    rng: StdRng,
+    block: Vec<(u32, u32, u32)>,
+    scratch: BlockScratch,
+    ent_grad: SparseGrad,
+    rel_grad: SparseGrad,
+}
+
+impl PsRank {
+    /// Rank `rank`'s fresh state: the same Xavier tables on every rank
+    /// (entity table first); fresh Adam states on a server, the per-rank
+    /// node stream on a worker.
+    pub(crate) fn new(inputs: &StepInputs, dataset: &Dataset, rank: usize, n_servers: usize) -> Self {
+        let config = inputs.config;
+        let dim = inputs.model.storage_dim();
         let mut init_rng = StdRng::seed_from_u64(config.seed);
-        PsState {
-            ent: EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng),
-            rel: EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng),
-            ent_adam: AdamState::new(dataset.n_entities, dim),
-            rel_adam: AdamState::new(dataset.n_relations, dim),
-            adam: Adam {
-                lr: config.base_lr,
-                ..Adam::default()
+        let ent = EmbeddingTable::xavier(dataset.n_entities, dim, &mut init_rng);
+        let rel = EmbeddingTable::xavier(dataset.n_relations, dim, &mut init_rng);
+        let role = if rank < n_servers {
+            Role::Server(Box::new(Server {
+                ent_adam: AdamState::new(dataset.n_entities, dim),
+                rel_adam: AdamState::new(dataset.n_relations, dim),
+                adam: Adam {
+                    lr: config.base_lr,
+                    ..Adam::default()
+                },
+                ent_agg: SparseGrad::new(dim),
+                rel_agg: SparseGrad::new(dim),
+            }))
+        } else {
+            Role::Worker(Box::new(Worker {
+                rng: StdRng::seed_from_u64(
+                    config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
+                ),
+                block: Vec::new(),
+                scratch: BlockScratch::new(),
+                ent_grad: SparseGrad::new(dim),
+                rel_grad: SparseGrad::new(dim),
+            }))
+        };
+        PsRank {
+            model: PsModel {
+                owners: PsOwnership::derive(dataset, n_servers),
+                ent,
+                rel,
             },
-            ent_agg: SparseGrad::new(dim),
-            rel_agg: SparseGrad::new(dim),
+            shard: Vec::new(),
+            role,
         }
     }
 
+    /// This rank's index among the workers (`None` on a server) and the
+    /// worker count.
+    pub(crate) fn trainers(&self, rank: usize, p: usize) -> (Option<usize>, usize) {
+        let servers = self.model.owners.servers;
+        (rank.checked_sub(servers), p - servers)
+    }
+
+    /// One synchronous round: a worker pulls, computes and pushes batch
+    /// `b`; a server answers every worker's pull and applies the pushes.
+    pub(crate) fn step(
+        &mut self,
+        ctx: &mut NodeCtx,
+        inputs: &StepInputs,
+        lr_scale: f32,
+        b: usize,
+        sums: &mut EpochSums,
+    ) {
+        match &mut self.role {
+            Role::Server(s) => s.serve_one_round(ctx.comm_mut(), &mut self.model, lr_scale),
+            Role::Worker(w) => w.round(ctx, inputs, &mut self.model, &self.shard, b, sums),
+        }
+    }
+
+    /// All-gather each server's owned rows so every rank ends the epoch
+    /// with the full, current model.
+    pub(crate) fn end_epoch(&mut self, ctx: &mut NodeCtx) -> Result<(), SimError> {
+        let rank = ctx.rank();
+        let PsModel { owners, ent, rel } = &mut self.model;
+        for (map, table) in [(&owners.ent, ent), (&owners.rel, rel)] {
+            // Workers own nothing and contribute an empty payload.
+            let rows = if rank < owners.servers { table.rows() as u32 } else { 0 };
+            let owned = (0..rows).filter(|&r| owner(r, map) == rank);
+            gather_table_rows(ctx.comm_mut(), table, owned)?;
+        }
+        Ok(())
+    }
+
+    /// The full tables (current after [`PsRank::end_epoch`]).
+    pub(crate) fn tables(&self) -> (&EmbeddingTable, &EmbeddingTable) {
+        (&self.model.ent, &self.model.rel)
+    }
+
+    pub(crate) fn into_tables(self) -> (EmbeddingTable, EmbeddingTable) {
+        (self.model.ent, self.model.rel)
+    }
+}
+
+impl Worker {
+    /// Batch `b` of the worker's shard: pull every row it touches, compute
+    /// its gradients through the trainers' block kernel, push them to the
+    /// owners.
+    fn round(
+        &mut self,
+        ctx: &mut NodeCtx,
+        inputs: &StepInputs,
+        model: &mut PsModel,
+        shard: &[Triple],
+        b: usize,
+        sums: &mut EpochSums,
+    ) {
+        let (config, kge) = (inputs.config, inputs.model);
+        let PsModel { owners, ent, rel } = model;
+        let n_servers = owners.servers;
+        // Assemble the batch and its negative samples up front so the
+        // pull covers every row the backward pass touches.
+        let mut examples: Vec<(Triple, f32)> = Vec::new();
+        if !shard.is_empty() {
+            let bs = config.batch_size.min(shard.len());
+            let start = b * config.batch_size;
+            for i in 0..bs {
+                let pos = shard[(start + i) % shard.len()];
+                examples.push((pos, 1.0));
+                let negs = sample_negatives(
+                    config.strategy.neg,
+                    pos,
+                    kge,
+                    ent,
+                    rel,
+                    inputs.filter,
+                    inputs.bias,
+                    ent.rows(),
+                    &mut self.rng,
+                );
+                for neg in negs.train {
+                    examples.push((neg, -1.0));
+                }
+            }
+        }
+        let mut ent_ids: Vec<u32> = examples
+            .iter()
+            .flat_map(|(t, _)| [t.head, t.tail])
+            .collect();
+        ent_ids.sort_unstable();
+        ent_ids.dedup();
+        let mut rel_ids: Vec<u32> = examples.iter().map(|(t, _)| t.rel).collect();
+        rel_ids.sort_unstable();
+        rel_ids.dedup();
+        let pulled = ent_ids.len() + rel_ids.len();
+        sums.nonzero_rows += pulled;
+        sums.rows_sent += pulled;
+
+        // 1. Pull: request rows from each owning server.
+        for server in 0..n_servers {
+            let e: Vec<u32> = ent_ids
+                .iter()
+                .copied()
+                .filter(|&r| owner(r, &owners.ent) == server)
+                .collect();
+            let r: Vec<u32> = rel_ids
+                .iter()
+                .copied()
+                .filter(|&r| owner(r, &owners.rel) == server)
+                .collect();
+            ctx.comm_mut()
+                .send_bytes(server, &encode_ids(TAG_ENTITY, &e))
+                .expect("pull request (entities)");
+            ctx.comm_mut()
+                .send_bytes(server, &encode_ids(TAG_RELATION, &r))
+                .expect("pull request (relations)");
+        }
+        // 2. Install replies. Per-source FIFO ordering guarantees the
+        //    first reply answers the entity request, the second the
+        //    relation request.
+        for server in 0..n_servers {
+            for which in 0..2 {
+                let msg = ctx.comm_mut().recv_bytes_from(server).expect("pull reply");
+                let table = if which == 0 { &mut *ent } else { &mut *rel };
+                write_payload_into(&msg.payload, table, "reply payload");
+            }
+        }
+
+        // 3. Compute gradients locally, through the trainers' block
+        //    kernel: score, loss coefficient, regularized backward.
+        let Worker { block, scratch, ent_grad, rel_grad, .. } = self;
+        ent_grad.clear();
+        rel_grad.clear();
+        block.clear();
+        block.extend(examples.iter().map(|(t, _)| (t.head, t.rel, t.tail)));
+        let inv = if examples.is_empty() {
+            0.0
+        } else {
+            1.0 / examples.len() as f32
+        };
+        kge.score_grad_block(
+            ent,
+            rel,
+            block,
+            2.0 * config.l2 * inv,
+            scratch,
+            &mut |i, score| {
+                let (loss, grad) = logistic_loss_and_grad(examples[i].1, score);
+                sums.loss += loss as f64;
+                grad * inv
+            },
+            ent_grad,
+            rel_grad,
+        );
+        sums.examples += examples.len();
+        ctx.comm_mut()
+            .clock_mut()
+            .charge_flops(examples.len() as f64 * kge.score_flops() * 3.0);
+
+        // 4. Push gradients to the owners.
+        let dim = ent.dim();
+        for server in 0..n_servers {
+            let e = encode_grad(dim, ent_grad, server, &owners.ent);
+            let r = encode_grad(dim, rel_grad, server, &owners.rel);
+            ctx.comm_mut().send_bytes(server, &e).expect("push (entities)");
+            ctx.comm_mut().send_bytes(server, &r).expect("push (relations)");
+        }
+    }
+}
+
+impl Server {
     /// One server-side round: answer every worker's pull, then absorb every
     /// worker's push (fixed worker order — deterministic).
-    fn serve_one_round(
-        &mut self,
-        comm: &mut Communicator,
-        n_servers: usize,
-        n_workers: usize,
-        lr_scale: f32,
-    ) {
-        let dim = self.ent.dim();
+    fn serve_one_round(&mut self, comm: &mut Communicator, model: &mut PsModel, lr_scale: f32) {
+        let n_servers = model.owners.servers;
+        let n_workers = comm.size() - n_servers;
+        let dim = model.ent.dim();
         // Pull phase.
         for w in 0..n_workers {
             let worker_rank = n_servers + w;
             for _ in 0..2 {
                 let msg = comm.recv_bytes_from(worker_rank).expect("pull request");
                 let (tag, ids) = decode_ids(&msg.payload);
-                let table = if tag == TAG_ENTITY { &self.ent } else { &self.rel };
+                let table = if tag == TAG_ENTITY { &model.ent } else { &model.rel };
                 let reply = encode_table_rows(dim, table, &ids);
                 comm.send_bytes(worker_rank, &reply).expect("pull reply");
             }
@@ -506,27 +447,8 @@ impl PsState {
             self.ent_adam.lazy_step_flops(self.ent_agg.nnz())
                 + self.rel_adam.lazy_step_flops(self.rel_agg.nnz()),
         );
-        self.adam.step_lazy(&mut self.ent_adam, &mut self.ent, &self.ent_agg, lr_scale);
-        self.adam.step_lazy(&mut self.rel_adam, &mut self.rel, &self.rel_agg, lr_scale);
-    }
-}
-
-/// All-gather each server's owned rows so every rank ends with the full,
-/// current model (used at epoch boundaries for validation and finally for
-/// evaluation).
-fn assemble_full_model(
-    ctx: &mut NodeCtx,
-    n_servers: usize,
-    owners: &PsOwnership,
-    ent: &mut EmbeddingTable,
-    rel: &mut EmbeddingTable,
-) {
-    let rank = ctx.rank();
-    for (map, table) in [(&owners.ent, ent), (&owners.rel, rel)] {
-        // Workers own nothing and contribute an empty payload.
-        let rows = if rank < n_servers { table.rows() as u32 } else { 0 };
-        let owned = (0..rows).filter(|&r| owner(r, map) == rank);
-        gather_table_rows(ctx.comm_mut(), table, owned).expect("shard assembly");
+        self.adam.step_lazy(&mut self.ent_adam, &mut model.ent, &self.ent_agg, lr_scale);
+        self.adam.step_lazy(&mut self.rel_adam, &mut model.rel, &self.rel_agg, lr_scale);
     }
 }
 

@@ -16,13 +16,19 @@
 //! the launch in the same batch. A rank's mutable state is one
 //! [`ReplicaState`].
 //!
-//! One loop, two placements: with [`TrainConfig::sharded`] set, the same
+//! One loop, three placements: with [`TrainConfig::sharded`] set, the same
 //! epoch loop — barrier, shuffle, batches, crash and shrink, trace,
 //! plateau step — drives the owner-sharded entity store of
-//! [`crate::shard`] instead of a replica. The loop's replica-only steps
-//! (resume and rejoin, validation, ranking eval, checkpoint, snapshot
-//! publish, RP relation assembly) are skipped there; `TrainConfig::validate`
-//! rejects their options in sharded mode.
+//! [`crate::shard`] instead of a replica, and under
+//! [`train_ps`](crate::train_ps) the parameter-server ranks of
+//! [`crate::ps`]. Two questions cover what differs for the loop: which
+//! ranks hold triples (`Placement::trainers`: they take the partition,
+//! set the schedule's world size, and the first reports) and whether the
+//! full tables exist after the epoch (`Placement::tables`: validation and
+//! ranking eval run on them). The replica-only steps (resume and rejoin,
+//! checkpoint, snapshot publish, RP relation assembly) are skipped
+//! elsewhere; `TrainConfig::validate` rejects their options in sharded
+//! mode.
 //!
 //! Simulated time: local compute is charged analytically per batch
 //! (forward/backward/optimizer flops) to each node's clock; collectives
@@ -36,6 +42,7 @@ use crate::config::{CommMode, StrategyConfig, TrainConfig, UpdateStyle};
 use crate::exchange::{gather_table_rows, Encoder, GatherBufs, Staged, Wire};
 use crate::lr::{LrDecision, PlateauSchedule};
 use crate::neg::{CorruptionBias, NegSampler, NegScratch};
+use crate::ps::PsRank;
 use crate::report::{EpochTrace, ShardedReport, TrainOutcome, TrainReport};
 use crate::shard::{sharded_batch_step, sharded_epoch_prefetch_drain, RankState};
 use crate::snapshot::{PublishedModel, SnapshotSink};
@@ -101,10 +108,24 @@ pub fn train_with_snapshots(
     config: &TrainConfig,
     sink: Option<&dyn SnapshotSink>,
 ) -> TrainOutcome {
+    run(dataset, cluster, config, sink, None)
+}
+
+/// The one runner behind every entry point: replicas or the sharded store
+/// with `n_servers = None`, the parameter server's ranks with
+/// `Some(n_servers)`.
+pub(crate) fn run(
+    dataset: &Dataset,
+    cluster: &Cluster,
+    config: &TrainConfig,
+    sink: Option<&dyn SnapshotSink>,
+    n_servers: Option<usize>,
+) -> TrainOutcome {
     config.validate().expect("invalid training config");
     dataset.validate().expect("invalid dataset");
     let indexes = RunIndexes::build(dataset, config);
-    let mut results = cluster.run(|ctx| run_node(ctx, dataset, config, sink, &indexes));
+    let mut results =
+        cluster.run(|ctx| run_node(ctx, dataset, config, sink, &indexes, n_servers));
     // Wire-level conservation is global: crashed ranks' pre-crash traffic
     // counts, so sum before discarding the non-reporting nodes. The same
     // holds for the sharded store's per-rank counters.
@@ -194,26 +215,27 @@ fn run_node(
     config: &TrainConfig,
     sink: Option<&dyn SnapshotSink>,
     indexes: &RunIndexes,
+    n_servers: Option<usize>,
 ) -> NodeResult {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(node_pool_threads(ctx.size()))
         .build()
         .expect("node thread pool");
-    pool.install(|| run_node_inner(ctx, dataset, config, sink, indexes))
+    pool.install(|| run_node_inner(ctx, dataset, config, sink, indexes, n_servers))
 }
 
-/// Recompute everything that depends on the world size: the partition,
-/// this node's shard, the relations it owns under RP, and the number of
-/// batches per epoch (the max over shards, so every rank runs the same
-/// count and collectives stay well-formed).
+/// Recompute everything that depends on the world size: the partition
+/// over the `n` ranks that hold triples, this rank's shard (`index` among
+/// them; none on a parameter server), the relations it owns under RP, and
+/// the number of batches per epoch (the max over shards, so every rank
+/// runs the same count and collectives stay well-formed).
 fn distribute(
     dataset: &Dataset,
     relation_disjoint: bool,
-    rank: usize,
-    p: usize,
+    (index, n): (Option<usize>, usize),
     batch_size: usize,
 ) -> (Vec<Triple>, Vec<u32>, usize) {
-    let partition: Partition = partition_for(&dataset.train, dataset.n_relations, p, relation_disjoint);
+    let partition: Partition = partition_for(&dataset.train, dataset.n_relations, n, relation_disjoint);
     let batches_per_epoch = partition
         .shards
         .iter()
@@ -221,7 +243,7 @@ fn distribute(
         .max()
         .unwrap_or(0)
         .max(1);
-    let shard = partition.shards[rank].clone();
+    let shard = index.map_or_else(Vec::new, |i| partition.shards[i].clone());
     let mut owned_rels: Vec<u32> = shard.iter().map(|t| t.rel).collect();
     owned_rels.sort_unstable();
     owned_rels.dedup();
@@ -243,6 +265,7 @@ fn run_node_inner(
     config: &TrainConfig,
     sink: Option<&dyn SnapshotSink>,
     indexes: &RunIndexes,
+    n_servers: Option<usize>,
 ) -> NodeResult {
     let initial_p = ctx.size();
     let model = config.model.build(config.rank);
@@ -254,8 +277,8 @@ fn run_node_inner(
     };
     let model = inputs.model;
     let strategy = config.strategy;
-    let mut place = Placement::new(&inputs, dataset, ctx.rank(), ctx.size());
-    let mut progress = Progress::new(config, ctx.size());
+    let mut place = Placement::new(&inputs, dataset, ctx.rank(), ctx.size(), n_servers);
+    let mut progress = Progress::new(config, place.trainers(ctx.rank(), ctx.size()).1);
     // An epoch's data order is a pure function of `(distribution, epoch)`
     // — never of shuffle history: each epoch copies `base_shard` into the
     // shard and shuffles. Resume and rejoin depend on this: neither
@@ -285,7 +308,7 @@ fn run_node_inner(
         let adopted = adopt.take();
         if let Some(from) = adopted {
             let Placement::Replica(st) = &mut place else {
-                unreachable!("sharded storage neither resumes nor rejoins");
+                unreachable!("only replicas resume or rejoin");
             };
             let ck = match from {
                 Adopt::Resume => read_own_checkpoint(ctx, config),
@@ -323,9 +346,9 @@ fn run_node_inner(
         // --- The one redistribution after the world changed (start,
         // grow, shrink, rejoin). -----------------------------------------
         if world_changed || !rejoined.is_empty() {
-            let (rank, p) = (ctx.rank(), ctx.size());
+            let trainers = place.trainers(ctx.rank(), ctx.size());
             (base_shard, owned_rels, batches_per_epoch) =
-                distribute(dataset, strategy.relation_partition, rank, p, config.batch_size);
+                distribute(dataset, strategy.relation_partition, trainers, config.batch_size);
             world_changed = false;
         }
 
@@ -438,12 +461,12 @@ fn run_node_inner(
         // entity table to validate against (`validate` pins
         // `valid_samples` to 0 there): its signal is the constant 0.0
         // that `fast_valid_accuracy` returns for zero samples. -----------
-        let acc = match &place {
-            Placement::Replica(st) => {
+        let acc = match place.tables() {
+            Some((ent, rel)) => {
                 let acc = fast_valid_accuracy(
                     model,
-                    &st.ent,
-                    &st.rel,
+                    ent,
+                    rel,
                     &dataset.valid,
                     &indexes.filter,
                     dataset.n_entities,
@@ -456,7 +479,7 @@ fn run_node_inner(
                 );
                 acc
             }
-            Placement::Sharded(_) => 0.0,
+            None => 0.0,
         };
 
         let epoch_time = ctx.comm().clock().now_s() - epoch_start;
@@ -470,16 +493,16 @@ fn run_node_inner(
         // compute and collectives still land on the simulated clock (and
         // therefore in `sim_total_seconds`). Collective: every surviving
         // rank reaches this point with the same epoch counter.
-        let ranking = match (eval_state.as_mut(), &place) {
-            (Some((grouped, ws)), Placement::Replica(st))
+        let ranking = match (eval_state.as_mut(), place.tables()) {
+            (Some((grouped, ws)), Some((ent, rel)))
                 if (epoch + 1).is_multiple_of(config.eval_every) && !dataset.valid.is_empty() =>
             {
                 Some(evaluate_ranking_distributed(
                     ctx.comm_mut(),
                     ws,
                     model,
-                    &st.ent,
-                    &st.rel,
+                    ent,
+                    rel,
                     &dataset.valid,
                     grouped,
                     &RankingOptions {
@@ -586,12 +609,14 @@ fn run_node_inner(
     }
 
     // The final model (under sharded storage, the survivors' one gather of
-    // their owned rows, priced before the report reads the clock). After a
-    // shrink the lead survivor holds rank 0 of the new world; the crashed
-    // rank never reports even if it was the original rank 0.
+    // their owned rows, priced before the report reads the clock). The
+    // first rank that holds triples reports: after a shrink the lead
+    // survivor holds rank 0 of the new world, and the crashed rank never
+    // reports even if it was the original rank 0.
     let Progress { tallies, trace, .. } = progress;
+    let leads = place.trainers(ctx.rank(), ctx.size()).0 == Some(0);
     let (entities, relations, sharded) = place.finish(ctx, dataset, config, survived, trace.len());
-    let report = (survived && ctx.rank() == 0).then(|| TrainReport {
+    let report = (survived && leads).then(|| TrainReport {
         dataset: dataset.name.clone(),
         nodes: initial_p,
         epochs: trace.len(),
@@ -652,15 +677,14 @@ fn is_crash<T>(r: Result<T, SimError>) -> bool {
 /// Bytes this rank sent through its training traffic: the replica's
 /// gradient exchanges, RP relation assembly and per-epoch ranking
 /// all-reduce, the sharded store's hot and relation all-gathers and its
-/// pull and push lanes. Neither placement touches the other's buckets,
-/// so one sum serves both.
+/// pull and push lanes, a parameter-server rank's epoch-end assembly. No
+/// placement touches another's lanes, so one sum serves all three; the
+/// parameter server's point-to-point rounds are not counted.
 fn bytes_sent(ctx: &NodeCtx) -> u64 {
     let r = ctx.comm().traffic().report();
     [
         Collective::AllReduce,
         Collective::AllGatherV,
-        Collective::Broadcast,
-        Collective::Gather,
         Collective::ShardPull,
         Collective::ShardPush,
     ]
@@ -713,19 +737,48 @@ impl Progress {
     }
 }
 
-/// Where a rank's entity rows live: a full replica on every rank, or the
-/// owner-sharded store with its hot cache ([`crate::shard`]). The epoch
-/// loop is one; these are the points where the two differ.
+/// Where a rank's entity rows live: a full replica on every rank, the
+/// owner-sharded store with its hot cache ([`crate::shard`]), or a
+/// parameter server's or worker's tables ([`crate::ps`]). The epoch loop
+/// is one; these are the points where the three differ.
 enum Placement {
     Replica(Box<ReplicaState>),
     Sharded(Box<RankState>),
+    Ps(Box<PsRank>),
 }
 
 impl Placement {
-    fn new(inputs: &StepInputs, dataset: &Dataset, rank: usize, p: usize) -> Self {
-        match inputs.config.sharded {
-            None => Placement::Replica(Box::new(ReplicaState::new(inputs, dataset, rank))),
-            Some(_) => Placement::Sharded(Box::new(RankState::new(inputs, dataset, rank, p))),
+    fn new(
+        inputs: &StepInputs,
+        dataset: &Dataset,
+        rank: usize,
+        p: usize,
+        n_servers: Option<usize>,
+    ) -> Self {
+        match (n_servers, inputs.config.sharded) {
+            (Some(s), _) => Placement::Ps(Box::new(PsRank::new(inputs, dataset, rank, s))),
+            (None, None) => Placement::Replica(Box::new(ReplicaState::new(inputs, dataset, rank))),
+            (None, Some(_)) => Placement::Sharded(Box::new(RankState::new(inputs, dataset, rank, p))),
+        }
+    }
+
+    /// This rank's index among the `n` ranks that hold triples (`None` on
+    /// a parameter server) and `n`: every rank of a replica or sharded
+    /// run, the workers of a parameter-server run.
+    fn trainers(&self, rank: usize, p: usize) -> (Option<usize>, usize) {
+        match self {
+            Placement::Ps(st) => st.trainers(rank, p),
+            _ => (Some(rank), p),
+        }
+    }
+
+    /// The full tables after [`Placement::end_epoch`]; `None` when the
+    /// entity rows are sharded.
+    fn tables(&self) -> Option<(&EmbeddingTable, &EmbeddingTable)> {
+        match self {
+            Placement::Replica(st) => Some((&st.ent, &st.rel)),
+            Placement::Sharded(_) => None,
+            Placement::Ps(st) => Some(st.tables()),
         }
     }
 
@@ -734,6 +787,7 @@ impl Placement {
         match self {
             Placement::Replica(st) => &mut st.shard,
             Placement::Sharded(st) => &mut st.shard,
+            Placement::Ps(st) => &mut st.shard,
         }
     }
 
@@ -748,13 +802,18 @@ impl Placement {
         match self {
             Placement::Replica(st) => replica_batch_step(ctx, inputs, st, plan, b, sums),
             Placement::Sharded(st) => sharded_batch_step(ctx, inputs, st, plan, b, sums),
+            Placement::Ps(st) => {
+                st.step(ctx, inputs, plan.lr_scale, b, sums);
+                Ok(())
+            }
         }
     }
 
     /// After the last batch: the replica settles the exchanges still in
     /// flight and, under RP, assembles the relation table from its
     /// owners; the sharded store settles the ring's deferred pushes and
-    /// flushes the hot cache back to the owners.
+    /// flushes the hot cache back to the owners; the parameter server's
+    /// ranks assemble the full model.
     fn end_epoch(
         &mut self,
         ctx: &mut NodeCtx,
@@ -773,6 +832,7 @@ impl Placement {
                 sharded_epoch_prefetch_drain(ctx, st);
                 st.store.flush_epoch();
             }
+            Placement::Ps(st) => st.end_epoch(ctx)?,
         }
         Ok(())
     }
@@ -780,7 +840,8 @@ impl Placement {
     /// A survivor's storage after the shrink: the sharded store drops the
     /// aborted epoch's in-flight ring slots and migrates its rows onto the
     /// new ownership map. Replicas hold every row, and their exchange
-    /// slots are simply relaunched.
+    /// slots are simply relaunched. The parameter server has no recovery
+    /// policy: its rounds panic on a crashed peer.
     fn after_shrink(&mut self, ctx: &mut NodeCtx, dataset: &Dataset, config: &TrainConfig) {
         if let Placement::Sharded(st) = self {
             st.after_shrink(ctx, dataset, config);
@@ -800,6 +861,10 @@ impl Placement {
     ) -> (EmbeddingTable, EmbeddingTable, Option<ShardedReport>) {
         match self {
             Placement::Replica(st) => (st.ent, st.rel, None),
+            Placement::Ps(st) => {
+                let (ent, rel) = st.into_tables();
+                (ent, rel, None)
+            }
             Placement::Sharded(st) => {
                 let (ent, rel, report) = st.finish(ctx, dataset, config, survived, epochs);
                 (ent, rel, Some(report))
@@ -1790,7 +1855,7 @@ mod tests {
         let config = quick_config(StrategyConfig::baseline_allgather(2));
         let indexes = RunIndexes::build(&ds, &config);
         let results = cluster.run(|ctx| {
-            let res = run_node(ctx, &ds, &config, None, &indexes);
+            let res = run_node(ctx, &ds, &config, None, &indexes, None);
             (res.entities, res.relations)
         });
         for (ent, rel) in &results[1..] {

@@ -2,7 +2,7 @@
 //! the trainer's epoch loop, metrics allreduced, recorded on the trace.
 
 use kge_data::synth::{generate, SynthConfig};
-use kge_train::{train, StrategyConfig, TrainConfig};
+use kge_train::{train, train_ps, StrategyConfig, TrainConfig};
 use simgrid::{Cluster, ClusterSpec};
 
 fn dataset() -> kge_data::Dataset {
@@ -67,5 +67,22 @@ fn per_epoch_eval_is_deterministic_and_node_count_invariant_in_count() {
         if let (Some(ma), Some(mc)) = (ea.ranking, ec.ranking) {
             assert_eq!(ma.n_queries, mc.n_queries);
         }
+    }
+}
+
+#[test]
+fn parameter_server_ranks_the_assembled_model_every_epoch() {
+    // Every PS rank holds the full model after the epoch's assembly, so
+    // the ranking eval runs on it like on a replica, across all ranks.
+    let ds = dataset();
+    let mut c = config();
+    c.strategy = StrategyConfig::baseline_allgather(2);
+    c.eval_every = 1;
+    let out = train_ps(&ds, &Cluster::new(3, ClusterSpec::cray_xc40()), &c, 1);
+    assert!(out.report.epochs >= 2);
+    for e in &out.report.trace {
+        let m = e.ranking.expect("every epoch carries ranking metrics");
+        assert_eq!(m.n_queries, 2 * 40.min(ds.valid.len()));
+        assert!(m.mrr > 0.0 && m.mrr <= 1.0);
     }
 }
