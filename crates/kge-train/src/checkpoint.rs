@@ -280,13 +280,13 @@ fn comm_choice_from_tag(t: u8) -> Result<CommChoice, CheckpointError> {
     })
 }
 
+/// Tags 2 and 4 are reserved: they named a broadcast and a gather that
+/// nothing ever recorded, and the decoder rejects them.
 fn collective_tag(c: Collective) -> u8 {
     match c {
         Collective::AllReduce => 0,
         Collective::AllGatherV => 1,
-        Collective::Broadcast => 2,
         Collective::Barrier => 3,
-        Collective::Gather => 4,
         Collective::PointToPoint => 5,
         Collective::ShardPull => 6,
         Collective::ShardPush => 7,
@@ -297,9 +297,7 @@ fn collective_from_tag(t: u8) -> Result<Collective, CheckpointError> {
     Ok(match t {
         0 => Collective::AllReduce,
         1 => Collective::AllGatherV,
-        2 => Collective::Broadcast,
         3 => Collective::Barrier,
-        4 => Collective::Gather,
         5 => Collective::PointToPoint,
         6 => Collective::ShardPull,
         7 => Collective::ShardPush,
@@ -1165,6 +1163,15 @@ mod tests {
         write_file(&path, &bytes).expect("rewrite");
         assert!(read_file(&path).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reserved_collective_tags_are_rejected() {
+        for t in [2u8, 4, 8] {
+            let err = collective_from_tag(t).unwrap_err();
+            let bad = CheckpointError::BadValue { what: "collective", value: t.into() };
+            assert_eq!(err.to_string(), bad.to_string());
+        }
     }
 
     #[test]

@@ -121,10 +121,10 @@ fn build_state(dim: usize, n_ent: usize, n_rel: usize, scheme: usize, seed: u64)
     let traffic: Vec<(Collective, [u64; 6])> = [
         Collective::AllReduce,
         Collective::AllGatherV,
-        Collective::Broadcast,
         Collective::Barrier,
-        Collective::Gather,
         Collective::PointToPoint,
+        Collective::ShardPull,
+        Collective::ShardPush,
     ]
     .into_iter()
     .take(rng.gen_range(0..7usize))

@@ -16,12 +16,8 @@ pub enum Collective {
     AllReduce,
     /// Gather variable-size contributions from every rank to every rank.
     AllGatherV,
-    /// One-to-all of `m` bytes.
-    Broadcast,
     /// Pure synchronization.
     Barrier,
-    /// All-to-one of per-rank contributions.
-    Gather,
     /// Point-to-point message (see `simgrid::p2p`).
     PointToPoint,
     /// Sharded-store sparse pull (p2p row request + reply). Priced like
@@ -120,30 +116,12 @@ impl CostModel {
         }
     }
 
-    /// Binomial-tree broadcast of `bytes` from one root.
-    pub fn broadcast(&self, p: usize, bytes: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        Self::ceil_log2(p) * (self.alpha() + bytes as f64 * self.beta())
-    }
-
     /// Dissemination barrier.
     pub fn barrier(&self, p: usize) -> f64 {
         if p <= 1 {
             return 0.0;
         }
         Self::ceil_log2(p) * self.alpha()
-    }
-
-    /// Binomial-tree gather to a root; priced like a broadcast of the total.
-    pub fn gather(&self, per_rank: &[usize]) -> f64 {
-        let p = per_rank.len();
-        if p <= 1 {
-            return 0.0;
-        }
-        let total: usize = per_rank.iter().sum();
-        Self::ceil_log2(p) * self.alpha() + total as f64 * self.beta()
     }
 
     /// Generic entry point used by the communicator: price `op` moving
@@ -157,12 +135,7 @@ impl CostModel {
                 self.allreduce(p, m)
             }
             Collective::AllGatherV => self.allgatherv(per_rank),
-            Collective::Broadcast => {
-                let m = per_rank.iter().copied().max().unwrap_or(0);
-                self.broadcast(p, m)
-            }
             Collective::Barrier => self.barrier(p),
-            Collective::Gather => self.gather(per_rank),
             Collective::PointToPoint | Collective::ShardPull | Collective::ShardPush => {
                 let m = per_rank.iter().copied().max().unwrap_or(0);
                 self.spec.p2p_time(m)
@@ -184,7 +157,6 @@ mod tests {
         let m = model();
         assert_eq!(m.allreduce(1, 1 << 20), 0.0);
         assert_eq!(m.allgatherv(&[1 << 20]), 0.0);
-        assert_eq!(m.broadcast(1, 1 << 20), 0.0);
         assert_eq!(m.barrier(1), 0.0);
     }
 
@@ -240,7 +212,7 @@ mod tests {
     fn barrier_cheaper_than_any_data_collective() {
         let m = model();
         assert!(m.barrier(16) < m.allreduce(16, 4096));
-        assert!(m.barrier(16) < m.broadcast(16, 4096));
+        assert!(m.barrier(16) < m.allgatherv(&[4096; 16]));
     }
 
     #[test]
@@ -250,8 +222,6 @@ mod tests {
         assert_eq!(m.price(Collective::AllReduce, &per), m.allreduce(8, 4096));
         assert_eq!(m.price(Collective::AllGatherV, &per), m.allgatherv(&per));
         assert_eq!(m.price(Collective::Barrier, &per), m.barrier(8));
-        assert_eq!(m.price(Collective::Broadcast, &per), m.broadcast(8, 4096));
-        assert_eq!(m.price(Collective::Gather, &per), m.gather(&per));
     }
 
     #[test]

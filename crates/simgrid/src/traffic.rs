@@ -180,9 +180,9 @@ mod tests {
     #[test]
     fn unknown_ops_report_zero() {
         let r = TrafficStats::default().report();
-        assert_eq!(r.ops(Collective::Broadcast), 0);
-        assert_eq!(r.bytes_sent(Collective::Broadcast), 0);
-        assert_eq!(r.bytes_recv(Collective::Broadcast), 0);
+        assert_eq!(r.ops(Collective::ShardPull), 0);
+        assert_eq!(r.bytes_sent(Collective::ShardPull), 0);
+        assert_eq!(r.bytes_recv(Collective::ShardPull), 0);
     }
 
     #[test]
@@ -205,17 +205,17 @@ mod tests {
         let mut image = Vec::new();
         t.export_into(&mut image);
         let mut u = TrafficStats::default();
-        u.record(Collective::Broadcast, 9, 9); // overwritten by import
+        u.record(Collective::ShardPush, 9, 9); // overwritten by import
         u.import(&image);
 
         let (a, b) = (t.report(), u.report());
         for op in [
             Collective::AllReduce,
             Collective::AllGatherV,
-            Collective::Broadcast,
             Collective::Barrier,
-            Collective::Gather,
             Collective::PointToPoint,
+            Collective::ShardPull,
+            Collective::ShardPush,
         ] {
             assert_eq!(a.ops(op), b.ops(op));
             assert_eq!(a.bytes_sent(op), b.bytes_sent(op));

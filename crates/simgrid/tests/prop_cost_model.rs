@@ -69,21 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn broadcast_monotone_in_bytes_and_ranks(
-        p in 1usize..=64,
-        dp in 0usize..=16,
-        bytes in 0usize..(1 << 24),
-        extra in 0usize..(1 << 24),
-    ) {
-        for m in models() {
-            let base = m.broadcast(p, bytes);
-            prop_assert!(base >= 0.0 && base.is_finite());
-            prop_assert!(m.broadcast(p, bytes + extra) >= base);
-            prop_assert!(m.broadcast(p + dp, bytes) >= base);
-        }
-    }
-
-    #[test]
     fn price_dispatch_agrees_with_per_op_methods(
         per_rank in proptest::collection::vec(0usize..(1 << 20), 1..=24),
     ) {
@@ -92,9 +77,7 @@ proptest! {
         for m in models() {
             prop_assert_eq!(m.price(Collective::AllReduce, &per_rank), m.allreduce(p, max));
             prop_assert_eq!(m.price(Collective::AllGatherV, &per_rank), m.allgatherv(&per_rank));
-            prop_assert_eq!(m.price(Collective::Broadcast, &per_rank), m.broadcast(p, max));
             prop_assert_eq!(m.price(Collective::Barrier, &per_rank), m.barrier(p));
-            prop_assert_eq!(m.price(Collective::Gather, &per_rank), m.gather(&per_rank));
             prop_assert_eq!(
                 m.price(Collective::PointToPoint, &per_rank),
                 m.spec().p2p_time(max)
@@ -112,7 +95,6 @@ proptest! {
         for m in models() {
             let d = m.degraded(lat_mult, bw_div);
             prop_assert!(d.allreduce(p, bytes) >= m.allreduce(p, bytes));
-            prop_assert!(d.broadcast(p, bytes) >= m.broadcast(p, bytes));
             prop_assert!(d.barrier(p) >= m.barrier(p));
         }
     }
