@@ -77,6 +77,9 @@ pub enum CodecError {
     Truncated { need: usize, have: usize },
     WrongVariant { expected: &'static str },
     DimMismatch { expected: usize, got: usize },
+    /// A one-scale row whose scale is NaN (the `Avg` mean of a row holding
+    /// a NaN): a numeric fault in the row, not a format mismatch.
+    NonFinite,
 }
 
 impl std::fmt::Display for CodecError {
@@ -92,6 +95,7 @@ impl std::fmt::Display for CodecError {
             CodecError::DimMismatch { expected, got } => {
                 write!(f, "row width {got} does not match declared dim {expected}")
             }
+            CodecError::NonFinite => write!(f, "one-scale row with a NaN scale"),
         }
     }
 }
@@ -102,7 +106,9 @@ impl std::error::Error for CodecError {}
 /// buffer — the buffer-reusing counterpart of [`encode_rows`]. The hot
 /// exchange path keeps one `Vec<u8>` per worker and re-encodes into it
 /// every batch; the byte layout is identical to [`encode_rows`], so either
-/// side can decode the other's payloads.
+/// side can decode the other's payloads. Every push checks its row before
+/// it writes a byte, so a rejected row leaves the buffer as it was and the
+/// payload `finish` closes still decodes.
 pub struct RowEncoder<'a> {
     buf: &'a mut Vec<u8>,
     format: WireFormat,
@@ -133,28 +139,42 @@ impl<'a> RowEncoder<'a> {
                 got: data.len(),
             });
         }
-        self.buf.extend_from_slice(&row.to_le_bytes());
         match (data, self.format) {
-            (QuantizedRow::Full(v), WireFormat::F32) => {
+            (QuantizedRow::Full(_), WireFormat::F32)
+            | (QuantizedRow::TwoBit { .. }, WireFormat::TwoBit) => {}
+            (
+                QuantizedRow::OneBit { pos_scale, neg_scale, .. },
+                WireFormat::OneBit { two_scales },
+            ) => {
+                if !two_scales {
+                    one_scale(*pos_scale, *neg_scale)?;
+                }
+            }
+            _ => {
+                return Err(CodecError::WrongVariant {
+                    expected: match self.format {
+                        WireFormat::F32 => "F32",
+                        WireFormat::OneBit { .. } => "OneBit",
+                        WireFormat::TwoBit => "TwoBit",
+                    },
+                })
+            }
+        }
+        self.buf.extend_from_slice(&row.to_le_bytes());
+        match data {
+            QuantizedRow::Full(v) => {
                 for &x in v {
                     self.buf.extend_from_slice(&x.to_le_bytes());
                 }
             }
-            (
-                QuantizedRow::OneBit {
-                    signs,
-                    pos_scale,
-                    neg_scale,
-                },
-                WireFormat::OneBit { two_scales },
-            ) => {
+            QuantizedRow::OneBit {
+                signs,
+                pos_scale,
+                neg_scale,
+            } => {
                 self.buf.extend_from_slice(&pos_scale.to_le_bytes());
-                if two_scales {
+                if self.format == (WireFormat::OneBit { two_scales: true }) {
                     self.buf.extend_from_slice(&neg_scale.to_le_bytes());
-                } else if pos_scale != neg_scale {
-                    return Err(CodecError::WrongVariant {
-                        expected: "one-scale OneBit",
-                    });
                 }
                 for chunk in signs.chunks(8) {
                     let mut byte = 0u8;
@@ -166,7 +186,7 @@ impl<'a> RowEncoder<'a> {
                     self.buf.push(byte);
                 }
             }
-            (QuantizedRow::TwoBit { levels, scale }, WireFormat::TwoBit) => {
+            QuantizedRow::TwoBit { levels, scale } => {
                 self.buf.extend_from_slice(&scale.to_le_bytes());
                 for chunk in levels.chunks(4) {
                     let mut byte = 0u8;
@@ -180,15 +200,6 @@ impl<'a> RowEncoder<'a> {
                     }
                     self.buf.push(byte);
                 }
-            }
-            _ => {
-                return Err(CodecError::WrongVariant {
-                    expected: match self.format {
-                        WireFormat::F32 => "F32",
-                        WireFormat::OneBit { .. } => "OneBit",
-                        WireFormat::TwoBit => "TwoBit",
-                    },
-                })
             }
         }
         self.n_rows += 1;
@@ -221,14 +232,13 @@ impl<'a> RowEncoder<'a> {
             });
         }
         let (pos, neg) = crate::quant::one_bit_scales(rule, v);
+        if !two_scales {
+            one_scale(pos, neg)?;
+        }
         self.buf.extend_from_slice(&row.to_le_bytes());
         self.buf.extend_from_slice(&pos.to_le_bytes());
         if two_scales {
             self.buf.extend_from_slice(&neg.to_le_bytes());
-        } else if pos != neg {
-            return Err(CodecError::WrongVariant {
-                expected: "one-scale OneBit",
-            });
         }
         crate::quant::pack_signs_into(v, self.buf);
         self.n_rows += 1;
@@ -265,6 +275,21 @@ impl<'a> RowEncoder<'a> {
     pub fn finish(self) -> usize {
         self.buf[1..5].copy_from_slice(&self.n_rows.to_le_bytes());
         self.buf.len()
+    }
+}
+
+/// Whether a row's scales fit the one-scale format: they must be one
+/// value, and a NaN (which equals nothing, itself included) is reported as
+/// the numeric fault it is.
+fn one_scale(pos: f32, neg: f32) -> Result<(), CodecError> {
+    if pos.is_nan() || neg.is_nan() {
+        Err(CodecError::NonFinite)
+    } else if pos != neg {
+        Err(CodecError::WrongVariant {
+            expected: "one-scale OneBit",
+        })
+    } else {
+        Ok(())
     }
 }
 
@@ -593,7 +618,7 @@ pub fn decode_rows(bytes: &[u8]) -> Result<(Vec<RowPayload>, usize), CodecError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{quantize_row, QuantScheme};
+    use crate::quant::{quantize_row, QuantScheme, ScaleRule};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -806,6 +831,53 @@ mod tests {
         }
         enc.finish();
         assert_eq!(buf, reference);
+    }
+
+    /// After `reject` fails, the buffer holds what the accepted row before
+    /// it left, and the encoder still closes a payload of that one row.
+    fn assert_rejection_leaves_no_bytes(
+        fmt: WireFormat,
+        reject: impl FnOnce(&mut RowEncoder) -> Result<(), CodecError>,
+        want: CodecError,
+    ) {
+        let mut buf = Vec::new();
+        let mut enc = RowEncoder::new(fmt, 4, &mut buf);
+        enc.push_one_bit(3, &[1.0, -2.0, 0.5, -0.25], ScaleRule::Avg).unwrap();
+        let before = enc.buf.clone();
+        assert_eq!(reject(&mut enc), Err(want));
+        assert_eq!(*enc.buf, before, "a rejected row wrote bytes");
+        enc.finish();
+        let (rows, dim) = decode_rows(&buf).unwrap();
+        assert_eq!((rows.len(), dim, rows[0].row), (1, 4, 3));
+    }
+
+    #[test]
+    fn push_rejects_a_row_before_writing_it() {
+        let fmt = WireFormat::OneBit { two_scales: false };
+        let nan_mean = QuantizedRow::OneBit {
+            signs: vec![true; 4],
+            pos_scale: f32::NAN,
+            neg_scale: f32::NAN,
+        };
+        assert_rejection_leaves_no_bytes(fmt, |e| e.push(7, &nan_mean), CodecError::NonFinite);
+        let two = QuantizedRow::OneBit {
+            signs: vec![true; 4],
+            pos_scale: 1.0,
+            neg_scale: 2.0,
+        };
+        let want = CodecError::WrongVariant { expected: "one-scale OneBit" };
+        assert_rejection_leaves_no_bytes(fmt, |e| e.push(7, &two), want);
+        let full = QuantizedRow::Full(vec![0.0; 4]);
+        let want = CodecError::WrongVariant { expected: "OneBit" };
+        assert_rejection_leaves_no_bytes(fmt, |e| e.push(7, &full), want);
+    }
+
+    #[test]
+    fn push_one_bit_rejects_a_nan_mean_before_writing_it() {
+        let fmt = WireFormat::OneBit { two_scales: false };
+        let row = [1.0, f32::NAN, -0.5, 2.0];
+        let push = |e: &mut RowEncoder| e.push_one_bit(7, &row, ScaleRule::Avg).map(|_| ());
+        assert_rejection_leaves_no_bytes(fmt, push, CodecError::NonFinite);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the compression stack: codec roundtrips, sign
 //! preservation, error-feedback conservation, and selection invariants.
 
-use kge_compress::codec::{decode_rows, encode_rows, RowDecoder, RowEncoder, RowPayload};
+use kge_compress::codec::{decode_rows, encode_rows, CodecError, RowDecoder, RowEncoder, RowPayload};
 use kge_compress::quant::{quantize_row, QuantScheme, QuantizedRow, ScaleRule};
 use kge_compress::row_select::{select_rows, RowSelector};
 use kge_compress::{ResidualStore, WireFormat};
@@ -288,12 +288,13 @@ proptest! {
                     let mut buf = Vec::new();
                     let mut enc = RowEncoder::new(fmt, dim, &mut buf);
                     let packed = enc.push_one_bit(42, &v, rule);
-                    // A NaN mean is not one scale (`NaN != NaN`): every path
-                    // rejects the row under the one-scale format.
-                    let rejected = (packed.is_err(), written_out.is_err());
-                    prop_assert_eq!(rejected.0, rejected.1, "rule {:?} {:?}", rule, level);
+                    // A NaN mean is a numeric fault: every path rejects the
+                    // row under the one-scale format as `NonFinite`.
+                    let rejected = (packed.clone().err(), written_out.clone().err());
+                    prop_assert_eq!(&rejected.0, &rejected.1, "rule {:?} {:?}", rule, level);
                     let Ok((pos, neg)) = packed else {
-                        prop_assert!(reference.is_err(), "rule {:?} {:?}", rule, level);
+                        prop_assert_eq!(rejected.0, Some(CodecError::NonFinite), "rule {:?}", rule);
+                        prop_assert_eq!(reference.err(), Some(CodecError::NonFinite), "{:?}", level);
                         continue;
                     };
                     enc.finish();
