@@ -520,28 +520,17 @@ impl Communicator {
         }
         let bytes = payload.len();
         let plan = Arc::clone(&self.world.plan);
-        if plan.is_inert() {
-            let alpha = self.cost.spec().latency_s;
-            let t_send = self.clock.now_s();
-            let arrival = t_send + self.cost.spec().p2p_time(bytes);
-            self.clock.charge_comm_seconds(alpha);
-            self.traffic.record(op, bytes, 0);
-            self.traffic.record_wire(op, bytes, 0);
-            self.world.post.deposit(
-                dst,
-                Message {
-                    src: self.rank,
-                    op,
-                    payload: payload.to_vec(),
-                    arrival_s: arrival,
-                },
-            );
-            return Ok(());
-        }
-        let dst_orig = self.world.orig_ranks[dst];
-        let seq = self.p2p_seq[dst_orig];
-        self.p2p_seq[dst_orig] += 1;
-        let fails = plan.p2p_failed_attempts(self.orig, dst_orig, seq);
+        // An inert plan loses no attempt and degrades no link (factors 1.0
+        // leave α and β bit-for-bit), and its sends leave the
+        // per-destination sequence counters where they are.
+        let fails = if plan.is_inert() {
+            0
+        } else {
+            let dst_orig = self.world.orig_ranks[dst];
+            let seq = self.p2p_seq[dst_orig];
+            self.p2p_seq[dst_orig] += 1;
+            plan.p2p_failed_attempts(self.orig, dst_orig, seq)
+        };
         if fails > 0 {
             let mut waited = 0.0;
             for i in 0..fails {
@@ -559,13 +548,8 @@ impl Communicator {
         }
         let healthy_alpha = self.cost.spec().latency_s;
         let (lat_mult, bw_div) = plan.link_factors(self.clock.now_s());
-        let eff_spec = if lat_mult > 1.0 || bw_div > 1.0 {
-            self.cost.spec().degraded(lat_mult, bw_div)
-        } else {
-            self.cost.spec().clone()
-        };
-        let t_send = self.clock.now_s();
-        let arrival = t_send + eff_spec.p2p_time(bytes);
+        let eff_spec = self.cost.spec().degraded(lat_mult, bw_div);
+        let arrival = self.clock.now_s() + eff_spec.p2p_time(bytes);
         self.clock.charge_comm_seconds(healthy_alpha);
         if eff_spec.latency_s > healthy_alpha {
             self.clock
