@@ -108,16 +108,6 @@ pub fn corrupt(
     cand
 }
 
-/// Outcome of negative generation for one positive triple.
-#[derive(Debug, Clone, Default)]
-pub struct NegBatch {
-    /// Negatives to train on.
-    pub train: Vec<Triple>,
-    /// Candidates that were scored but discarded (counted for the
-    /// simulated forward-pass cost).
-    pub scored_discarded: usize,
-}
-
 /// Reusable buffers of [`NegSampler::sample`]. One per worker; capacities
 /// persist across calls, so the steady state allocates nothing — with or
 /// without selection.
@@ -252,37 +242,10 @@ impl NegSampler<'_> {
     }
 }
 
-/// Generate negatives for `positive` under `policy`.
-///
-/// With selection enabled this performs the extra forward passes on
-/// `model`/tables; the caller charges `scored_discarded + train.len()`
-/// forward-pass flops to the simulated clock.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_negatives(
-    policy: NegSampling,
-    positive: Triple,
-    model: &dyn KgeModel,
-    ent: &EmbeddingTable,
-    rel: &EmbeddingTable,
-    filter: &FilterIndex,
-    bias: Option<&CorruptionBias>,
-    n_entities: usize,
-    rng: &mut StdRng,
-) -> NegBatch {
-    let mut scratch = NegScratch::default();
-    let mut train = Vec::new();
-    let scored_discarded = sample_negatives_into(
-        policy, positive, model, ent, rel, filter, bias, n_entities, rng, &mut scratch, &mut train,
-    );
-    NegBatch {
-        train,
-        scored_discarded,
-    }
-}
-
-/// Buffer-reusing [`sample_negatives`] — the one-positive case of
+/// Negatives for one `positive` under `policy` — the one-positive case of
 /// [`NegSampler::sample`]: appends the kept negatives to `out` and returns
-/// the number of scored-but-discarded candidates.
+/// the number of scored-but-discarded candidates (counted for the
+/// simulated forward-pass cost).
 #[allow(clippy::too_many_arguments)]
 pub fn sample_negatives_into(
     policy: NegSampling,
@@ -322,24 +285,27 @@ mod tests {
         (model, ent, rel, filter)
     }
 
+    /// The kept negatives of positive `(1, 0, 2)` over `setup()`'s tables
+    /// and its scored-but-discarded count.
+    fn sample(policy: NegSampling, rng: &mut StdRng) -> (Vec<Triple>, usize) {
+        let (model, ent, rel, filter) = setup();
+        let mut train = Vec::new();
+        let pos = Triple::new(1, 0, 2);
+        let mut scratch = NegScratch::default();
+        let discarded = sample_negatives_into(
+            policy, pos, &model, &ent, &rel, &filter, None, 10, rng, &mut scratch, &mut train,
+        );
+        (train, discarded)
+    }
+
     #[test]
     fn uniform_policy_returns_pool_unscored() {
-        let (model, ent, rel, filter) = setup();
+        let (_, _, _, filter) = setup();
         let mut rng = StdRng::seed_from_u64(0);
-        let nb = sample_negatives(
-            NegSampling::uniform(5),
-            Triple::new(1, 0, 2),
-            &model,
-            &ent,
-            &rel,
-            &filter,
-            None,
-            10,
-            &mut rng,
-        );
-        assert_eq!(nb.train.len(), 5);
-        assert_eq!(nb.scored_discarded, 0);
-        for t in &nb.train {
+        let (train, discarded) = sample(NegSampling::uniform(5), &mut rng);
+        assert_eq!(train.len(), 5);
+        assert_eq!(discarded, 0);
+        for t in &train {
             assert!(!filter.contains(*t));
             assert_ne!(*t, Triple::new(1, 0, 2));
         }
@@ -358,19 +324,9 @@ mod tests {
             let pool: Vec<Triple> = (0..8)
                 .map(|_| corrupt(Triple::new(1, 0, 2), 10, &filter, None, &mut rng2))
                 .collect();
-            let nb = sample_negatives(
-                policy,
-                Triple::new(1, 0, 2),
-                &model,
-                &ent,
-                &rel,
-                &filter,
-                None,
-                10,
-                &mut rng,
-            );
-            assert_eq!(nb.train.len(), 1);
-            assert_eq!(nb.scored_discarded, 7);
+            let (train, discarded) = sample(policy, &mut rng);
+            assert_eq!(train.len(), 1);
+            assert_eq!(discarded, 7);
             let best = pool
                 .iter()
                 .map(|t| {
@@ -382,9 +338,9 @@ mod tests {
                 })
                 .fold(f32::NEG_INFINITY, f32::max);
             let kept = model.score(
-                ent.row(nb.train[0].head as usize),
+                ent.row(train[0].head as usize),
                 rel.row(0),
-                ent.row(nb.train[0].tail as usize),
+                ent.row(train[0].tail as usize),
             );
             assert_eq!(kept, best, "seed {seed}");
         }
@@ -392,23 +348,12 @@ mod tests {
 
     #[test]
     fn selection_m_of_n_keeps_m_sorted_hard() {
-        let (model, ent, rel, filter) = setup();
+        let (model, ent, rel, _) = setup();
         let mut rng = StdRng::seed_from_u64(3);
-        let nb = sample_negatives(
-            NegSampling::select(3, 10),
-            Triple::new(1, 0, 2),
-            &model,
-            &ent,
-            &rel,
-            &filter,
-            None,
-            10,
-            &mut rng,
-        );
-        assert_eq!(nb.train.len(), 3);
-        assert_eq!(nb.scored_discarded, 7);
-        let scores: Vec<f32> = nb
-            .train
+        let (train, discarded) = sample(NegSampling::select(3, 10), &mut rng);
+        assert_eq!(train.len(), 3);
+        assert_eq!(discarded, 7);
+        let scores: Vec<f32> = train
             .iter()
             .map(|t| {
                 model.score(

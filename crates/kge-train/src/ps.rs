@@ -34,9 +34,9 @@
 
 use crate::config::{CommMode, StrategyConfig, TrainConfig};
 use crate::exchange::{add_payload_into, gather_table_rows, write_payload_into};
-use crate::neg::sample_negatives;
+use crate::neg::{NegSampler, NegScratch};
 use crate::report::TrainOutcome;
-use crate::trainer::{EpochSums, StepInputs};
+use crate::trainer::{chunk_positives, EpochSums, StepInputs};
 use kge_compress::codec::RowEncoder;
 use kge_compress::WireFormat;
 use kge_core::loss::logistic_loss_and_grad;
@@ -170,6 +170,7 @@ struct PsModel {
     rel: EmbeddingTable,
 }
 
+/// What a rank does in each round: serve its rows, or train on triples.
 enum Role {
     Server(Box<Server>),
     Worker(Box<Worker>),
@@ -185,10 +186,13 @@ struct Server {
     rel_agg: SparseGrad,
 }
 
-/// A worker's node stream and its per-batch gradient state, cleared and
-/// refilled each round.
+/// A worker's node stream and its per-batch state, cleared and refilled
+/// each round: the staged examples (each positive, then its negatives)
+/// with their labels, and the kernel's scratch and gradients.
 struct Worker {
     rng: StdRng,
+    negs: NegScratch,
+    labels: Vec<f32>,
     block: Vec<(u32, u32, u32)>,
     scratch: BlockScratch,
     ent_grad: SparseGrad,
@@ -221,6 +225,8 @@ impl PsRank {
                 rng: StdRng::seed_from_u64(
                     config.seed ^ (rank as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
                 ),
+                negs: NegScratch::default(),
+                labels: Vec::new(),
                 block: Vec::new(),
                 scratch: BlockScratch::new(),
                 ent_grad: SparseGrad::new(dim),
@@ -280,6 +286,7 @@ impl PsRank {
         (&self.model.ent, &self.model.rel)
     }
 
+    /// The final model.
     pub(crate) fn into_tables(self) -> (EmbeddingTable, EmbeddingTable) {
         (self.model.ent, self.model.rel)
     }
@@ -301,38 +308,29 @@ impl Worker {
         let (config, kge) = (inputs.config, inputs.model);
         let PsModel { owners, ent, rel } = model;
         let n_servers = owners.servers;
-        // Assemble the batch and its negative samples up front so the
-        // pull covers every row the backward pass touches.
-        let mut examples: Vec<(Triple, f32)> = Vec::new();
+        let Worker { rng, negs, labels, block, scratch, ent_grad, rel_grad } = self;
+        // Stage the batch and its negatives up front so the pull covers
+        // every row the backward pass touches.
+        labels.clear();
+        block.clear();
         if !shard.is_empty() {
-            let bs = config.batch_size.min(shard.len());
             let start = b * config.batch_size;
-            for i in 0..bs {
-                let pos = shard[(start + i) % shard.len()];
-                examples.push((pos, 1.0));
-                let negs = sample_negatives(
-                    config.strategy.neg,
-                    pos,
-                    kge,
-                    ent,
-                    rel,
-                    inputs.filter,
-                    inputs.bias,
-                    ent.rows(),
-                    &mut self.rng,
-                );
-                for neg in negs.train {
-                    examples.push((neg, -1.0));
-                }
-            }
+            let positives = chunk_positives(shard, start..start + config.batch_size.min(shard.len()));
+            let sampler = NegSampler {
+                policy: config.strategy.neg,
+                model: kge,
+                ent,
+                rel,
+                filter: inputs.filter,
+                bias: inputs.bias,
+                n_entities: ent.rows(),
+            };
+            sampler.stage(positives, rng, negs, labels, block);
         }
-        let mut ent_ids: Vec<u32> = examples
-            .iter()
-            .flat_map(|(t, _)| [t.head, t.tail])
-            .collect();
+        let mut ent_ids: Vec<u32> = block.iter().flat_map(|&(h, _, t)| [h, t]).collect();
         ent_ids.sort_unstable();
         ent_ids.dedup();
-        let mut rel_ids: Vec<u32> = examples.iter().map(|(t, _)| t.rel).collect();
+        let mut rel_ids: Vec<u32> = block.iter().map(|&(_, r, _)| r).collect();
         rel_ids.sort_unstable();
         rel_ids.dedup();
         let pulled = ent_ids.len() + rel_ids.len();
@@ -371,16 +369,9 @@ impl Worker {
 
         // 3. Compute gradients locally, through the trainers' block
         //    kernel: score, loss coefficient, regularized backward.
-        let Worker { block, scratch, ent_grad, rel_grad, .. } = self;
         ent_grad.clear();
         rel_grad.clear();
-        block.clear();
-        block.extend(examples.iter().map(|(t, _)| (t.head, t.rel, t.tail)));
-        let inv = if examples.is_empty() {
-            0.0
-        } else {
-            1.0 / examples.len() as f32
-        };
+        let inv = if block.is_empty() { 0.0 } else { 1.0 / block.len() as f32 };
         kge.score_grad_block(
             ent,
             rel,
@@ -388,17 +379,17 @@ impl Worker {
             2.0 * config.l2 * inv,
             scratch,
             &mut |i, score| {
-                let (loss, grad) = logistic_loss_and_grad(examples[i].1, score);
+                let (loss, grad) = logistic_loss_and_grad(labels[i], score);
                 sums.loss += loss as f64;
                 grad * inv
             },
             ent_grad,
             rel_grad,
         );
-        sums.examples += examples.len();
+        sums.examples += block.len();
         ctx.comm_mut()
             .clock_mut()
-            .charge_flops(examples.len() as f64 * kge.score_flops() * 3.0);
+            .charge_flops(block.len() as f64 * kge.score_flops() * 3.0);
 
         // 4. Push gradients to the owners.
         let dim = ent.dim();

@@ -151,19 +151,19 @@ pub(crate) fn run(
 }
 
 /// The read-only lookup structures of one run. They depend on the dataset
-/// and config alone, so each training entry point builds them once, before
-/// `Cluster::run`, and every rank closure borrows them: one build and one
-/// resident copy per run, not one per rank.
-pub(crate) struct RunIndexes {
-    pub(crate) filter: FilterIndex,
+/// and config alone, so [`run`] builds them once, before `Cluster::run`,
+/// and every rank closure borrows them: one build and one resident copy
+/// per run, not one per rank.
+struct RunIndexes {
+    filter: FilterIndex,
     /// `bern` head-vs-tail corruption bias, when the strategy asks for it.
-    pub(crate) bias: Option<CorruptionBias>,
+    bias: Option<CorruptionBias>,
     /// The filter grouped for ranking, when per-epoch eval is on.
     grouped: Option<GroupedFilter>,
 }
 
 impl RunIndexes {
-    pub(crate) fn build(dataset: &Dataset, config: &TrainConfig) -> Self {
+    fn build(dataset: &Dataset, config: &TrainConfig) -> Self {
         let filter = FilterIndex::build(dataset);
         RunIndexes {
             bias: config.strategy.bern.then(|| CorruptionBias::fit(dataset)),
