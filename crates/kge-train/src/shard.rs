@@ -155,6 +155,10 @@ pub struct ShardedStore {
     lookups: u64,
     touches: u64,
     row_buf: Vec<f32>,
+    /// One row of the arena's kind: an evicted value is stored and read
+    /// back through it, so an [`EvictSink`] captures what the owner's
+    /// arena holds after the write-back.
+    evict_row: RowArena,
 }
 
 impl ShardedStore {
@@ -221,6 +225,7 @@ impl ShardedStore {
             lookups: 0,
             touches: 0,
             row_buf: vec![0.0; dim],
+            evict_row: RowArena::new(kind, 1, dim),
         }
     }
 
@@ -410,10 +415,10 @@ impl ShardedStore {
     }
 
     /// Evict the least-recently-used row and return its freed slot. If a
-    /// prefetch slot registered an [`EvictSink`], the victim's cache
-    /// value is captured into it first (the prefetched batch classified
-    /// the row as cached at launch and must still read the same f32
-    /// value the synchronous path would have).
+    /// prefetch slot registered an [`EvictSink`], the victim's value is
+    /// captured into it first, as the owner's arena stores it: the
+    /// prefetched batch classified the row as cached at launch and must
+    /// read what a batch launched after the eviction would have read.
     fn evict_one(&mut self, sink: &mut Option<EvictSink<'_>>) -> usize {
         loop {
             debug_assert!(self.evq_head < self.evq.len(), "LRU queue underflow");
@@ -423,7 +428,9 @@ impl ShardedStore {
             if slot != NO_SLOT && self.cache_used[slot as usize] == used {
                 let s = slot as usize;
                 if let Some(sink) = sink.as_mut() {
-                    sink.capture(id, &self.cache_val[s * self.dim..(s + 1) * self.dim]);
+                    self.evict_row.store(0, &self.cache_val[s * self.dim..(s + 1) * self.dim]);
+                    self.evict_row.load_into(0, &mut self.row_buf);
+                    sink.capture(id, &self.row_buf);
                 }
                 self.write_back(s, id);
                 self.cache_slot[id as usize] = NO_SLOT;
@@ -606,9 +613,10 @@ const CLASS_LIMBO: u8 = 3;
 
 /// Capture target for rows a launched batch classified as cached but that
 /// the batch before it evicts in its admission pass. The victim's
-/// post-update cache value — bit-for-bit what a batch launched after the
-/// eviction would have read (or pulled back from the owner's write-back)
-/// — is copied straight into the slot's batch-local table.
+/// post-update value as the owner's arena stores it — bit-for-bit what a
+/// batch launched after the eviction would have read (or pulled back from
+/// the owner's write-back) — is copied straight into the slot's
+/// batch-local table.
 pub struct EvictSink<'a> {
     g2l: &'a [u32],
     class: &'a mut [u8],
@@ -1805,6 +1813,35 @@ mod tests {
         // Row 2 was never synced: its arena value must be untouched.
         s.read_owned_into(2, &mut out);
         assert_eq!(out, [3.0, 3.0], "unsynced admission never writes back");
+    }
+
+    #[test]
+    fn evicted_int8_row_reads_back_as_the_arena_stores_it() {
+        // A launched slot classed row 0 as cached; the admission of row 1
+        // evicts it. The slot must hold the value the owner's int8 arena
+        // returns after the write-back, not the unquantized cache copy.
+        let dim = 3;
+        let mut s = ShardedStore::new(ArenaKind::Int8, dim, 0, vec![0; 4], &[9, 8, 1, 1], 1, 1e-3);
+        s.admit_with_sink(0, 0, &mut None);
+        let value = [0.3f32, -1.7, 0.01];
+        fill(&mut s, 0, 1, &value, &[0.0; 3], &[0.0; 3]);
+        let mut g2l = vec![NO_SLOT; 4];
+        g2l[0] = 0;
+        let mut class = [CLASS_CACHED];
+        let mut local_tab = EmbeddingTable::zeros(1, dim);
+        let mut sink = Some(EvictSink {
+            g2l: &g2l,
+            class: &mut class,
+            local_tab: &mut local_tab,
+        });
+        s.admit_with_sink(1, 1, &mut sink);
+        assert!(!s.is_cached(0) && s.is_cached(1));
+        assert_eq!(class, [CLASS_LIMBO]);
+        let mut stored = [0f32; 3];
+        s.read_owned_into(0, &mut stored);
+        assert_ne!(stored, value, "the int8 arena must round this row");
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(local_tab.row(0)), bits(&stored), "captured row differs from the arena's");
     }
 
     #[test]

@@ -207,12 +207,14 @@ fn sharded_int8_cold_storage_is_deterministic() {
         "int8 cold tier drifted {max_abs} from the f32 model"
     );
 
-    // Prefetch over int8 follows its own trajectory (a limbo capture
-    // holds the pre-quantization value a sync pull would re-quantize),
-    // but it must still be deterministic across thread counts.
+    // Prefetch over int8 trains the same model: an evicted row is
+    // captured as the owner's arena stores it, which is what a
+    // synchronous pull reads back. And it is deterministic across thread
+    // counts.
     let pcfg = Some(sharded_cfg(32, true, PrefetchMode::On));
     let pa = run(4, 1, 64, pcfg, None);
     let pb = run(4, 4, 64, pcfg, None);
+    assert_same_model(&a, &pa, "int8 Off vs On");
     assert_same_model(&pa, &pb, "int8 prefetch threads=1 vs 4");
     assert_eq!(
         pa.report.sim_total_seconds.to_bits(),
