@@ -207,13 +207,11 @@ impl OptimizerKind {
     }
 }
 
-/// Pipelining policy for the sharded pull/push lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Pipelining of the sharded pull/push lane. The lane has one schedule,
+/// so this has one value; it is kept because the benchmark's sharded
+/// workload names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchMode {
-    /// Lookahead 0 — the synchronous per-batch round-trip: pull, compute,
-    /// push, every batch blocking in turn.
-    #[default]
-    Off,
     /// Lookahead 1 — while batch *b* computes, batch *b+1*'s touched rows
     /// are already requested and in flight and batch *b*'s gradient push
     /// settles behind the next compute window.
@@ -235,8 +233,7 @@ pub struct ShardedConfig {
     /// Deterministic but lossy: the trajectory diverges from the
     /// full-replica trainer while staying identical run-to-run.
     pub cold_int8: bool,
-    /// Pull/push pipelining policy: the synchronous per-batch round-trip
-    /// or the one-batch-ahead prefetch ring.
+    /// Pull/push pipelining: the one-batch-ahead prefetch ring.
     pub prefetch: PrefetchMode,
 }
 
@@ -493,7 +490,7 @@ mod tests {
             c.sharded = Some(ShardedConfig {
                 hot_cache_rows: 8,
                 cold_int8: false,
-                prefetch: PrefetchMode::Off,
+                prefetch: PrefetchMode::On,
             });
             c
         };

@@ -126,14 +126,11 @@ pub struct ShardedReport {
     /// gradient sends/receives plus deferred settlement).
     pub push_lane_s: f64,
     /// Of `pull_lane_s`, the seconds hidden behind compute by the
-    /// prefetch ring (always 0 on the synchronous path).
+    /// prefetch ring.
     pub hidden_pull_s: f64,
     /// Of `push_lane_s`, the seconds hidden behind the next batch's
-    /// compute window (always 0 on the synchronous path).
+    /// compute window.
     pub hidden_push_s: f64,
-    /// Epochs that ran one batch ahead (equals `epochs` with
-    /// `PrefetchMode::On`, 0 with `Off`).
-    pub prefetch_epochs: usize,
 }
 
 impl ShardedReport {

@@ -59,25 +59,23 @@
 //! the trainer's epoch loop re-grows only replicas, so a crashed rank
 //! parks until the survivors close the lobby.
 //!
-//! ## One step, a lookahead
+//! ## One schedule, one batch ahead
 //!
-//! Every batch runs through the same [`sharded_batch_step`] over a ring
-//! of `lookahead + 1` slots ([`PrefetchRing`]). At lookahead 0
-//! ([`crate::PrefetchMode::Off`]) a batch's slot is launched — staged,
-//! its touched union collected and classified, its pull requests sent —
-//! answered and used inside the batch itself: the synchronous round-trip.
-//! At lookahead 1 ([`crate::PrefetchMode::On`]) batch `b + 1` launches
-//! while batch `b` computes, classified against the cache state *as of
-//! its launch*. Its responses settle with overlap pricing against the
-//! launch anchor (`Communicator::recv_bytes_from_as_overlapped`), so a
-//! pull-bound epoch approaches `max(compute, pull)`; cold pushes for
-//! batch `b` are consumed in place but priced behind batch `b + 1`'s
-//! compute window. Resident rows are read at *use* time and evictions
-//! between launch and use are captured into the slot ([`EvictSink`]),
-//! which is what keeps f32 runs bit-identical at either lookahead — and
-//! therefore to the replica trainer.
+//! Every batch runs through [`sharded_batch_step`] over a ring of two
+//! slots ([`PrefetchRing`]): batch `b + 1` is launched — staged, its
+//! touched union collected and classified against the cache state *as of
+//! its launch*, its pull requests sent — while batch `b` computes. An
+//! epoch's first batch is launched and answered in the foreground. The
+//! responses settle with overlap pricing against the launch anchor
+//! (`Communicator::charge_p2p_deferred`), so a pull-bound epoch
+//! approaches `max(compute, pull)`; cold pushes for batch `b` are
+//! consumed in place but priced behind batch `b + 1`'s compute window.
+//! Resident rows are read at *use* time and evictions between launch and
+//! use are captured into the slot as the owner's arena stores them
+//! ([`EvictSink`]), so a run trains the model a synchronous round-trip
+//! would — bit-identical to the replica trainer under f32.
 
-use crate::config::{PrefetchMode, TrainConfig};
+use crate::config::TrainConfig;
 use crate::exchange::{add_payload_into, gather_into, gather_table_rows};
 use crate::report::ShardedReport;
 use crate::trainer::{
@@ -671,10 +669,8 @@ struct PrefetchSlot {
     class: Vec<u8>,
     req_ids: Vec<Vec<u32>>,
     /// Start of the window the pull responses may hide behind: the clock
-    /// reading just before the requests went out a batch early, or `None`
-    /// when the batch was launched where it is used — then every response
-    /// is a priced synchronous receive.
-    anchor: Option<f64>,
+    /// reading just before the requests went out.
+    anchor: f64,
     batch_idx: usize,
     bs: usize,
     n_chunks: usize,
@@ -701,12 +697,9 @@ struct PendingPush {
     items: Vec<(f64, usize)>,
 }
 
-/// The batches in flight on the pull/push lane: `lookahead + 1` slots,
-/// batch `b` in slot `b % (lookahead + 1)`. At lookahead 0
-/// ([`PrefetchMode::Off`]) the one slot is launched, answered and used
-/// inside its own batch — the synchronous round-trip; at lookahead 1
-/// ([`PrefetchMode::On`]) batch `b + 1` launches while batch `b`
-/// computes. Owned by the epoch loop (not by [`ShardedBufs`]) so a crash
+/// The batches in flight on the pull/push lane: two slots, batch `b` in
+/// slot `b % 2`, batch `b + 1` launched while batch `b` computes. Owned
+/// by the epoch loop (not by [`ShardedBufs`]) so a crash
 /// can drop every in-flight slot without touching the batch buffers; all
 /// buffers reach steady size after one warm epoch and are reused.
 pub struct PrefetchRing {
@@ -721,10 +714,6 @@ pub struct PrefetchRing {
 
 impl PrefetchRing {
     pub fn new(dim: usize, n_entities: usize, p: usize, config: &TrainConfig) -> Self {
-        let lookahead = match config.sharded.expect("a sharded config").prefetch {
-            PrefetchMode::Off => 0,
-            PrefetchMode::On => 1,
-        };
         let n_chunks = config.batch_size.div_ceil(GRAD_CHUNK).max(1);
         let max_touched =
             (2 * config.batch_size * (1 + config.strategy.neg.train)).min(n_entities).max(1);
@@ -736,14 +725,14 @@ impl PrefetchRing {
             g2l: vec![NO_SLOT; n_entities],
             class: vec![CLASS_REMOTE; max_touched],
             req_ids: (0..p).map(|_| Vec::new()).collect(),
-            anchor: None,
+            anchor: 0.0,
             batch_idx: 0,
             bs: 0,
             n_chunks: 0,
             live: false,
         };
         PrefetchRing {
-            slots: (0..=lookahead).map(slot).collect(),
+            slots: (0..2).map(slot).collect(),
             req_stash: (0..p).map(|_| Vec::new()).collect(),
             pending_push: PendingPush {
                 anchor_s: 0.0,
@@ -752,21 +741,9 @@ impl PrefetchRing {
         }
     }
 
-    /// How many batches ahead of the computing one the lane runs.
-    fn lookahead(&self) -> usize {
-        self.slots.len() - 1
-    }
-
     /// Index of the slot that carries `batch_idx`.
     fn slot_of(&self, batch_idx: usize) -> usize {
         batch_idx % self.slots.len()
-    }
-
-    /// The batch to launch while `batch_idx` computes: the one `lookahead`
-    /// ahead, when that is another batch and the epoch still has it.
-    fn batch_ahead(&self, batch_idx: usize, n_batches: usize) -> Option<usize> {
-        let ahead = batch_idx + self.lookahead();
-        (ahead > batch_idx && ahead < n_batches).then_some(ahead)
     }
 
     /// Drop every in-flight slot and deferred charge: the epoch-boundary
@@ -825,7 +802,6 @@ fn launch(
     batch_idx: usize,
 ) -> Result<(), SimError> {
     let RankState { store, rel, bufs, ring, shard, .. } = st;
-    let lookahead = ring.lookahead();
     let slot = ring.slot_of(batch_idx);
     let slot = &mut ring.slots[slot];
     debug_assert!(slot.seen.iter().all(|&w| w == 0));
@@ -870,11 +846,9 @@ fn launch(
         };
     }
 
-    // Lookahead branch (iii): a batch launched early hides its responses
-    // behind everything from here on — its own request round included,
-    // when it is the epoch's first; a batch launched where it is used has
-    // no window.
-    slot.anchor = (lookahead > 0).then(|| now_s(ctx));
+    // The responses hide behind everything from here on — the request
+    // round included, for an epoch's first batch.
+    slot.anchor = now_s(ctx);
     for dst in peers(ctx) {
         bufs.req_wire.clear();
         for &id in &slot.req_ids[dst] {
@@ -946,12 +920,12 @@ fn serve_requests(ctx: &mut NodeCtx, st: &mut RankState) -> Result<(), SimError>
     Ok(())
 }
 
-/// Launch `batch_idx` when no earlier batch did — every batch at
-/// lookahead 0, an epoch's first at lookahead 1 — and run its
-/// request/answer round in the foreground: there is no earlier compute to
-/// hide it behind. Async deposit keeps it deadlock-free: every rank first
-/// sends all its requests, then hears and answers its peers'. Returns the
-/// clock reading from which the pull lane is still unaccounted.
+/// Launch an epoch's first batch and run its request/answer round in the
+/// foreground: there is no earlier compute to hide it behind. Async
+/// deposit keeps it deadlock-free: every rank first sends all its
+/// requests, then hears everyone's, then answers everyone, as it does in
+/// every later batch. Returns the clock reading from which the pull lane
+/// is still unaccounted.
 fn prime(
     ctx: &mut NodeCtx,
     run: &StepInputs,
@@ -961,18 +935,6 @@ fn prime(
 ) -> Result<f64, SimError> {
     let lane_t0 = now_s(ctx);
     launch(ctx, run, st, epoch, batch_idx)?;
-    // Lookahead branch (ii): the synchronous round-trip answers each peer
-    // right after hearing from it and is one lane span up to its last
-    // response; the ring's epoch start hears everyone, then answers
-    // everyone, as it does in every later batch. (The clocks differ from
-    // three ranks up.)
-    if st.ring.lookahead() == 0 {
-        for src in peers(ctx) {
-            stash_request(ctx, &mut st.ring, src)?;
-            serve_one(ctx, st, src)?;
-        }
-        return Ok(lane_t0);
-    }
     st.bufs.lane.pull_s += now_s(ctx) - lane_t0;
     let lane_t0 = now_s(ctx);
     for src in peers(ctx) {
@@ -997,21 +959,15 @@ fn settle_pulls(
         let mut hidden = 0.0f64;
         let mut pulled = 0usize;
         for src in peers(ctx) {
-            // Lookahead branch (i): "no window" is per message — a priced
-            // receive each; one shared anchor would hide the second peer's
-            // bytes behind the first peer's idle wait and occupancy.
-            let msg = match slot.anchor {
-                None => ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPull)?,
-                Some(anchor_s) => {
-                    let (msg, stats) = ctx.comm_mut().recv_bytes_from_as_overlapped(
-                        src,
-                        Collective::ShardPull,
-                        anchor_s,
-                    )?;
-                    hidden += stats.hidden_s;
-                    msg
-                }
-            };
+            let comm = ctx.comm_mut();
+            let msg = comm.recv_bytes_from_as_unpriced(src, Collective::ShardPull)?;
+            let stats = comm.charge_p2p_deferred(
+                Collective::ShardPull,
+                msg.arrival_s,
+                msg.payload.len(),
+                slot.anchor,
+            );
+            hidden += stats.hidden_s;
             let mut dec = RowDecoder::new(&msg.payload).expect("pull response payload");
             while let Some(r) = dec.next_row() {
                 let r = r.expect("pull response payload");
@@ -1339,14 +1295,13 @@ fn settle_pending_push(ctx: &mut NodeCtx, pending: &mut PendingPush, lane: &mut 
 }
 
 /// Run one full sharded batch: pull → compute → exchange → push → apply →
-/// cache admission, over the ring's slot for `batch_idx`. At lookahead 0
-/// that slot is launched here, at the top of its own batch, and nothing
-/// is in flight between batches; at lookahead 1 it was launched while the
-/// previous batch computed (an epoch's first batch excepted), the next
-/// batch launches before this compute, and this batch's pushes are priced
-/// behind the next compute. The arithmetic — staging seeds, touched
-/// order, gradient summation, admission stream — is the same at either
-/// lookahead; only *when* rows move changes. The batch's loss, examples,
+/// cache admission, over the ring's slot for `batch_idx`. That slot was
+/// launched while the previous batch computed (an epoch's first batch
+/// excepted), the next batch launches before this compute, and this
+/// batch's pushes are priced behind the next compute. The arithmetic —
+/// staging seeds, touched order, gradient summation, admission stream —
+/// is the synchronous round-trip's; only *when* rows move changes. The
+/// batch's loss, examples,
 /// nonzero and sent rows are added into `sums`; a `RankCrashed` from any
 /// collective propagates so the epoch loop can run the recovery policy.
 ///
@@ -1365,7 +1320,7 @@ pub fn sharded_batch_step(
     let p = ctx.size();
     let dim = st.store.dim;
     let cur = st.ring.slot_of(batch_idx);
-    let next = st.ring.batch_ahead(batch_idx, n_batches);
+    let next = (batch_idx + 1 < n_batches).then_some(batch_idx + 1);
 
     // --- Pull: launch this batch now unless the previous one did, then
     // receive its rows and fill the batch-local table. ------------------
@@ -1430,20 +1385,13 @@ pub fn sharded_batch_step(
             add_payload_into(&st.bufs.cold_wire[rank], &mut st.bufs.cold_agg, "cold payload");
             continue;
         }
-        // Lookahead branch (iv): with no batch to hide it behind, a push
-        // is priced where it is received; otherwise the payload is
-        // consumed unpriced and its occupancy deferred to the next
+        // Consumed unpriced; the occupancy is deferred to the next
         // batch's window — an epoch's last batch included (the drain
         // settles it).
-        let msg = if st.ring.lookahead() == 0 {
-            ctx.comm_mut().recv_bytes_from_as(src, Collective::ShardPush)?
-        } else {
-            let msg = ctx
-                .comm_mut()
-                .recv_bytes_from_as_unpriced(src, Collective::ShardPush)?;
-            st.ring.pending_push.items.push((msg.arrival_s, msg.payload.len()));
-            msg
-        };
+        let msg = ctx
+            .comm_mut()
+            .recv_bytes_from_as_unpriced(src, Collective::ShardPush)?;
+        st.ring.pending_push.items.push((msg.arrival_s, msg.payload.len()));
         add_payload_into(&msg.payload, &mut st.bufs.cold_agg, "cold payload");
     }
     st.bufs.lane.push_s += now_s(ctx) - lane_t0;
@@ -1528,7 +1476,6 @@ pub(crate) fn sum_rank_reports<'a>(
         agg.push_lane_s = agg.push_lane_s.max(r.push_lane_s);
         agg.hidden_pull_s = agg.hidden_pull_s.max(r.hidden_pull_s);
         agg.hidden_push_s = agg.hidden_push_s.max(r.hidden_push_s);
-        agg.prefetch_epochs = agg.prefetch_epochs.max(r.prefetch_epochs);
     }
     agg
 }
@@ -1587,14 +1534,12 @@ impl RankState {
     /// over the deterministic init base, so the outcome carries the table
     /// the replica API promises (the one transient full-table allocation
     /// the steady state never pays); a crashed rank returns a placeholder.
-    /// `epochs` is the number of completed epochs.
     pub(crate) fn finish(
         self,
         ctx: &mut NodeCtx,
         dataset: &Dataset,
         config: &TrainConfig,
         survived: bool,
-        epochs: usize,
     ) -> (EmbeddingTable, EmbeddingTable, ShardedReport) {
         let RankState { mut store, rel, bufs, .. } = self;
         let (n_entities, dim) = (dataset.n_entities, store.dim);
@@ -1630,11 +1575,6 @@ impl RankState {
             push_lane_s: bufs.lane.push_s,
             hidden_pull_s: bufs.lane.hidden_pull_s,
             hidden_push_s: bufs.lane.hidden_push_s,
-            // Every completed epoch ran at the configured lookahead.
-            prefetch_epochs: match config.sharded.expect("a sharded config").prefetch {
-                PrefetchMode::Off => 0,
-                PrefetchMode::On => epochs,
-            },
         };
         (entities, rel, report)
     }

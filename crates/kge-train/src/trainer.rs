@@ -615,7 +615,7 @@ fn run_node_inner(
     // reports even if it was the original rank 0.
     let Progress { tallies, trace, .. } = progress;
     let leads = place.trainers(ctx.rank(), ctx.size()).0 == Some(0);
-    let (entities, relations, sharded) = place.finish(ctx, dataset, config, survived, trace.len());
+    let (entities, relations, sharded) = place.finish(ctx, dataset, config, survived);
     let report = (survived && leads).then(|| TrainReport {
         dataset: dataset.name.clone(),
         nodes: initial_p,
@@ -857,7 +857,6 @@ impl Placement {
         dataset: &Dataset,
         config: &TrainConfig,
         survived: bool,
-        epochs: usize,
     ) -> (EmbeddingTable, EmbeddingTable, Option<ShardedReport>) {
         match self {
             Placement::Replica(st) => (st.ent, st.rel, None),
@@ -866,7 +865,7 @@ impl Placement {
                 (ent, rel, None)
             }
             Placement::Sharded(st) => {
-                let (ent, rel, report) = st.finish(ctx, dataset, config, survived, epochs);
+                let (ent, rel, report) = st.finish(ctx, dataset, config, survived);
                 (ent, rel, Some(report))
             }
         }

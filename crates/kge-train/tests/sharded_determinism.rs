@@ -15,11 +15,11 @@ use kge_data::synth::{generate, SynthConfig, SynthPreset};
 use kge_train::{train, PrefetchMode, ShardedConfig, StrategyConfig, TrainConfig, TrainOutcome};
 use simgrid::{Cluster, ClusterSpec, FaultPlan};
 
-fn sharded_cfg(hot_cache_rows: usize, cold_int8: bool, prefetch: PrefetchMode) -> ShardedConfig {
+fn sharded_cfg(hot_cache_rows: usize, cold_int8: bool) -> ShardedConfig {
     ShardedConfig {
         hot_cache_rows,
         cold_int8,
-        prefetch,
+        prefetch: PrefetchMode::On,
     }
 }
 
@@ -87,37 +87,6 @@ fn assert_same_model(a: &TrainOutcome, b: &TrainOutcome, tag: &str) {
 }
 
 #[test]
-fn sharded_f32_matches_replica_bit_for_bit() {
-    // Cache disabled and enabled: both must reproduce the replica
-    // trainer exactly — hot rows only change which aggregate carries a
-    // gradient, never its f32 summation order.
-    for p in [1usize, 4] {
-        let replica = run(p, 1, 64, None, None);
-        for cache in [0usize, 32] {
-            for threads in [1usize, 4] {
-                let sharded = run(
-                    p,
-                    threads,
-                    64,
-                    Some(sharded_cfg(cache, false, PrefetchMode::Off)),
-                    None,
-                );
-                let tag = format!("p={p} cache={cache} threads={threads}");
-                assert_same_model(&replica, &sharded, &tag);
-                let sh = sharded.report.sharded.expect("sharded report attached");
-                assert!(
-                    sh.resident_model_bytes < sh.replica_model_bytes || p == 1,
-                    "{tag}: sharding must shrink the per-rank resident model"
-                );
-                if cache > 0 && p > 1 {
-                    assert!(sh.cache_accesses > 0, "{tag}: touch counter dead");
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn sharded_config_sweep_matches_replica() {
     // Small proptest-style sweep over (world size, batch size, cache
     // capacity): every cell must agree with its replica reference.
@@ -128,48 +97,40 @@ fn sharded_config_sweep_matches_replica() {
         (4, 32, 128),
     ] {
         let replica = run(p, 1, batch, None, None);
-        let sharded = run(
-            p,
-            1,
-            batch,
-            Some(sharded_cfg(cache, false, PrefetchMode::Off)),
-            None,
-        );
+        let sharded = run(p, 1, batch, Some(sharded_cfg(cache, false)), None);
         assert_same_model(&replica, &sharded, &format!("p={p} batch={batch} cache={cache}"));
     }
 }
 
 #[test]
-fn sharded_prefetch_f32_matches_replica_bit_for_bit() {
-    // The prefetch ring changes *when* rows move, never what is
-    // computed: with f32 storage, prefetch-on runs — any thread count,
-    // cache on or off — must still be bit-identical to the full-replica
-    // trainer, and their simulated timelines must agree across thread
+fn sharded_f32_matches_replica_bit_for_bit() {
+    // The prefetch ring changes *when* rows move, never what is computed:
+    // with f32 storage, sharded runs — any thread count, cache on or off
+    // — must be bit-identical to the full-replica trainer (hot rows only
+    // change which aggregate carries a gradient, never its f32 summation
+    // order), and their simulated timelines must agree across thread
     // counts.
     for p in [1usize, 4] {
         let replica = run(p, 1, 64, None, None);
         for cache in [0usize, 32] {
             let mut sim_bits = None;
             for threads in [1usize, 4] {
-                let prefetched = run(
-                    p,
-                    threads,
-                    64,
-                    Some(sharded_cfg(cache, false, PrefetchMode::On)),
-                    None,
-                );
-                let tag = format!("prefetch p={p} cache={cache} threads={threads}");
-                assert_same_model(&replica, &prefetched, &tag);
-                let bits = prefetched.report.sim_total_seconds.to_bits();
+                let sharded = run(p, threads, 64, Some(sharded_cfg(cache, false)), None);
+                let tag = format!("p={p} cache={cache} threads={threads}");
+                assert_same_model(&replica, &sharded, &tag);
+                let bits = sharded.report.sim_total_seconds.to_bits();
                 if let Some(prev) = sim_bits {
                     assert_eq!(prev, bits, "{tag}: timeline diverged across threads");
                 }
                 sim_bits = Some(bits);
-                let sh = prefetched.report.sharded.expect("sharded report attached");
-                assert_eq!(
-                    sh.prefetch_epochs, prefetched.report.epochs,
-                    "{tag}: PrefetchMode::On must run the ring every epoch"
+                let sh = sharded.report.sharded.expect("sharded report attached");
+                assert!(
+                    sh.resident_model_bytes < sh.replica_model_bytes || p == 1,
+                    "{tag}: sharding must shrink the per-rank resident model"
                 );
+                if cache > 0 && p > 1 {
+                    assert!(sh.cache_accesses > 0, "{tag}: touch counter dead");
+                }
                 if p > 1 {
                     assert!(
                         sh.hidden_pull_s > 0.0,
@@ -190,10 +151,15 @@ fn sharded_int8_cold_storage_is_deterministic() {
     // Int8-at-rest quantizes the cold tier, so it is *not* bit-equal to
     // the replica — but two runs (across thread counts) must agree
     // exactly, and the trained model must stay close to the f32 one.
-    let cfg = Some(sharded_cfg(32, true, PrefetchMode::Off));
+    let cfg = Some(sharded_cfg(32, true));
     let a = run(4, 1, 64, cfg, None);
     let b = run(4, 4, 64, cfg, None);
     assert_same_model(&a, &b, "int8 threads=1 vs 4");
+    assert_eq!(
+        a.report.sim_total_seconds.to_bits(),
+        b.report.sim_total_seconds.to_bits(),
+        "int8 timeline diverged"
+    );
 
     let f32_run = run(4, 1, 64, None, None);
     let (qa, fa) = (a.entities.as_slice(), f32_run.entities.as_slice());
@@ -206,64 +172,20 @@ fn sharded_int8_cold_storage_is_deterministic() {
         max_abs < 0.05,
         "int8 cold tier drifted {max_abs} from the f32 model"
     );
-
-    // Prefetch over int8 trains the same model: an evicted row is
-    // captured as the owner's arena stores it, which is what a
-    // synchronous pull reads back. And it is deterministic across thread
-    // counts.
-    let pcfg = Some(sharded_cfg(32, true, PrefetchMode::On));
-    let pa = run(4, 1, 64, pcfg, None);
-    let pb = run(4, 4, 64, pcfg, None);
-    assert_same_model(&a, &pa, "int8 Off vs On");
-    assert_same_model(&pa, &pb, "int8 prefetch threads=1 vs 4");
-    assert_eq!(
-        pa.report.sim_total_seconds.to_bits(),
-        pb.report.sim_total_seconds.to_bits(),
-        "int8 prefetch timeline diverged"
-    );
 }
 
 #[test]
 fn sharded_crash_recovery_shrinks_and_stays_deterministic() {
-    // Crash rank 2 partway through: survivors must shrink, migrate
-    // cached + exchanged rows onto the new ownership map, and finish;
-    // and the whole recovery trajectory must be bit-reproducible.
+    // Crash rank 2 partway through, while the prefetch ring has a
+    // launched slot and deferred push charges in flight: the shrink drops
+    // the undelivered wire messages with the old world (each counted
+    // received by its addressee, so wire bytes stay conserved) and the
+    // ring resets; survivors migrate cached + exchanged rows onto the new
+    // ownership map and finish — and the whole recovery trajectory stays
+    // bit-reproducible across thread counts.
     let fault_free = run(4, 1, 64, None, None);
     let total = fault_free.report.sim_total_seconds;
-    let cfg = Some(sharded_cfg(32, false, PrefetchMode::Off));
-    let plan = || FaultPlan::seeded(7).with_crash(2, 0.4 * total);
-    let a = run(4, 1, 64, cfg, Some(plan()));
-    let b = run(4, 4, 64, cfg, Some(plan()));
-    assert_eq!(a.report.recoveries, 1, "the crash must trigger a shrink");
-    assert_eq!(a.report.surviving_nodes, 3);
-    assert_eq!(a.report.crashed_ranks, vec![2]);
-    assert!(
-        a.report.epochs > 0,
-        "survivors must keep training after the shrink"
-    );
-    assert_eq!(
-        a.report.wire_bytes_sent, a.report.wire_bytes_recv,
-        "crash recovery lost wire bytes"
-    );
-    assert_same_model(&a, &b, "crash recovery threads=1 vs 4");
-    assert_eq!(
-        a.report.sim_total_seconds.to_bits(),
-        b.report.sim_total_seconds.to_bits(),
-        "recovery timeline diverged"
-    );
-}
-
-#[test]
-fn sharded_crash_mid_ring_discards_in_flight_slots_deterministically() {
-    // Crash while the prefetch ring has a launched slot and deferred
-    // push charges in flight: the shrink drops the undelivered wire
-    // messages with the old world (each counted received by its
-    // addressee, so wire bytes stay conserved) and the ring resets, so
-    // survivors recover exactly as in the synchronous path — and the
-    // whole trajectory stays bit-reproducible across thread counts.
-    let fault_free = run(4, 1, 64, None, None);
-    let total = fault_free.report.sim_total_seconds;
-    let cfg = Some(sharded_cfg(32, false, PrefetchMode::On));
+    let cfg = Some(sharded_cfg(32, false));
     let plan = || FaultPlan::seeded(7).with_crash(2, 0.4 * total);
     let a = run(4, 1, 64, cfg, Some(plan()));
     let b = run(4, 4, 64, cfg, Some(plan()));
@@ -296,35 +218,30 @@ fn sharded_crash_and_rejoin_plan_shrinks_without_regrowing() {
     let total = run(4, 1, 64, None, None).report.sim_total_seconds;
     let plan = || FaultPlan::seeded(7).with_crash_and_rejoin(2, 0.4 * total, 0.5 * total);
     for cache in [0usize, 32] {
-        for mode in [PrefetchMode::Off, PrefetchMode::On] {
-            let cfg = Some(sharded_cfg(cache, false, mode));
-            let a = run(4, 1, 64, cfg, Some(plan()));
-            let b = run(4, 1, 64, cfg, Some(plan()));
-            let tag = format!("cache={cache} {mode:?} crash+rejoin");
-            let r = &a.report;
-            assert_eq!(
-                (r.rejoins, r.recoveries, r.surviving_nodes),
-                (0, 1, 3),
-                "{tag}: rejoins, recoveries, surviving ranks"
-            );
-            assert_eq!(r.wire_bytes_sent, r.wire_bytes_recv, "{tag}: wire bytes not conserved");
-            assert_same_model(&a, &b, &tag);
-            assert_eq!(golden_line(&tag, &a), golden_line(&tag, &b), "{tag}: reports differ");
-        }
+        let cfg = Some(sharded_cfg(cache, false));
+        let a = run(4, 1, 64, cfg, Some(plan()));
+        let b = run(4, 1, 64, cfg, Some(plan()));
+        let tag = format!("cache={cache} crash+rejoin");
+        let r = &a.report;
+        assert_eq!(
+            (r.rejoins, r.recoveries, r.surviving_nodes),
+            (0, 1, 3),
+            "{tag}: rejoins, recoveries, surviving ranks"
+        );
+        assert_eq!(r.wire_bytes_sent, r.wire_bytes_recv, "{tag}: wire bytes not conserved");
+        assert_same_model(&a, &b, &tag);
+        assert_eq!(golden_line(&tag, &a), golden_line(&tag, &b), "{tag}: reports differ");
     }
 }
 
 #[test]
 fn prefetch_hides_the_pull_bound_lane() {
-    // The synchronous lane against the one-batch-ahead ring on a
-    // pull-bound shape; everything asserted is on the simulated clock or
-    // in bytes, so it is exact. 4 ranks on the stock Cray interconnect with
-    // the hot cache *disabled*, so every touched row rides the pull/push
-    // lane — where the synchronous round-trip hurts most. Cache off also
-    // pins the two arms to exactly equal wire bytes (a warm cache admitted
-    // between launch and use would let the prefetched arm pull a row the
-    // synchronous arm reads locally). f32 arms are bit-identical in what
-    // they compute, so the comparison is pure schedule.
+    // The one-batch-ahead ring on a pull-bound shape; everything asserted
+    // is on the simulated clock, so it is exact. 4 ranks on the stock Cray
+    // interconnect with the hot cache *disabled*, so every touched row
+    // rides the pull/push lane. The ring must hide seconds on both lanes,
+    // and at least a fifth of the run's priced time: the clock reads at
+    // most 0.8x what it would with nothing hidden.
     let ds = generate(&SynthConfig {
         name: "pull-bound".into(),
         n_entities: 2_000,
@@ -337,50 +254,25 @@ fn prefetch_hides_the_pull_bound_lane() {
         test_frac: 0.02,
         seed: 5,
     });
-    let arm = |prefetch| {
-        let mut c = TrainConfig::new(32, 500, StrategyConfig::baseline_allgather(1));
-        c.max_epochs = 2;
-        c.plateau_tolerance = 1;
-        c.max_lr_drops = 1;
-        c.valid_samples = 0;
-        c.base_lr = 5e-3;
-        c.sharded = Some(sharded_cfg(0, false, prefetch));
-        train(&ds, &Cluster::new(4, ClusterSpec::cray_xc40()), &c)
-    };
-    let (sync, ring) = (arm(PrefetchMode::Off), arm(PrefetchMode::On));
-    assert_same_model(&sync, &ring, "Off vs On");
-    let (sync_s, ring_s) = (sync.report.sim_total_seconds, ring.report.sim_total_seconds);
-    let (sync_sh, ring_sh) = (sync.report.sharded.unwrap(), ring.report.sharded.unwrap());
-    assert!(ring_s <= 0.8 * sync_s, "prefetch run {ring_s:.4} sim-s exceeds 0.8x sync {sync_s:.4}");
-    // The saturating resource is either compute or the pull lane; the
-    // ring cannot beat whichever dominates, and 1.15x leaves room for
-    // the un-overlapped epoch-boundary prime and the drain.
-    let lower_bound = sync.report.breakdown.compute_s.max(sync_sh.pull_lane_s);
+    let mut c = TrainConfig::new(32, 500, StrategyConfig::baseline_allgather(1));
+    c.max_epochs = 2;
+    c.plateau_tolerance = 1;
+    c.max_lr_drops = 1;
+    c.valid_samples = 0;
+    c.base_lr = 5e-3;
+    c.sharded = Some(sharded_cfg(0, false));
+    let ring = train(&ds, &Cluster::new(4, ClusterSpec::cray_xc40()), &c);
+    let sh = ring.report.sharded.unwrap();
     assert!(
-        ring_s <= 1.15 * lower_bound,
-        "prefetch run {ring_s:.4} sim-s exceeds 1.15x max(compute, pull lane) = {lower_bound:.4}"
-    );
-    assert_eq!(
-        (ring_sh.pull_wire_bytes, ring_sh.push_wire_bytes),
-        (sync_sh.pull_wire_bytes, sync_sh.push_wire_bytes),
-        "prefetch arm moved different wire bytes than the synchronous arm"
-    );
-    assert_eq!(
-        (ring_sh.cache_hits, ring_sh.cache_accesses, ring_sh.entity_touches),
-        (sync_sh.cache_hits, sync_sh.cache_accesses, sync_sh.entity_touches),
-        "prefetch arm changed the cache hit profile"
-    );
-    assert!(
-        ring_sh.hidden_pull_s > 0.0 && ring_sh.hidden_push_s > 0.0,
+        sh.hidden_pull_s > 0.0 && sh.hidden_push_s > 0.0,
         "prefetch ring hid no lane seconds"
     );
-    assert_eq!(ring_sh.prefetch_epochs, ring.report.epochs, "On runs one batch ahead every epoch");
-    assert_eq!(
-        (sync_sh.hidden_pull_s, sync_sh.hidden_push_s, sync_sh.prefetch_epochs),
-        (0.0, 0.0, 0),
-        "Off hides nothing"
+    let ring_s = ring.report.sim_total_seconds;
+    let unhidden_s = ring_s + ring.report.breakdown.hidden_comm_s;
+    assert!(
+        ring_s <= 0.8 * unhidden_s,
+        "prefetch run {ring_s:.4} sim-s exceeds 0.8x its unhidden {unhidden_s:.4}"
     );
-    assert_eq!(sync.report.breakdown.hidden_comm_s, 0.0, "Off hides nothing");
 }
 
 #[test]
@@ -404,7 +296,7 @@ fn sharding_breaks_the_replica_memory_wall_at_fb250k_scale() {
         c.valid_samples = 0;
         c.seed = 7;
         c.base_lr = 5e-3;
-        c.sharded = Some(sharded_cfg(hot_cache_rows, cold_int8, PrefetchMode::Off));
+        c.sharded = Some(sharded_cfg(hot_cache_rows, cold_int8));
         let out = train(&ds, &Cluster::new(4, ClusterSpec::cray_xc40()), &c);
         assert_eq!(out.report.epochs, 1, "the sharded epoch did not complete");
         out.report.sharded.expect("sharded report attached")
@@ -468,7 +360,7 @@ fn golden_line(cell: &str, out: &TrainOutcome) -> String {
         .collect();
     format!(
         "{cell} | sim={} breakdown={} ent={:016x} rel={:016x} wire={}/{} hits={}/{}/{} lanes={} hidden={} \
-         prefetch_epochs={} epochs={} recoveries={} allgather_epochs={} surviving={} crashed={:?} \
+         epochs={} recoveries={} allgather_epochs={} surviving={} crashed={:?} \
          converged={} wire_total={}/{} footprint={}/{}/{}/{}/{} trace={}",
         bits(&[r.sim_total_seconds]),
         bits(&[
@@ -490,7 +382,6 @@ fn golden_line(cell: &str, out: &TrainOutcome) -> String {
         sh.entity_touches,
         bits(&[sh.pull_lane_s, sh.push_lane_s]),
         bits(&[sh.hidden_pull_s, sh.hidden_push_s]),
-        sh.prefetch_epochs,
         r.epochs,
         r.recoveries,
         r.allgather_epochs,
@@ -511,8 +402,8 @@ fn golden_line(cell: &str, out: &TrainOutcome) -> String {
 #[test]
 fn sharded_golden() {
     // The contract of the one-step refactor (PR 19), pinned at its parent
-    // commit: 32 cells p x cache x storage x prefetch plus a mid-run
-    // crash + shrink under each mode must reproduce the recorded clock,
+    // commit: 16 cells p x cache x storage plus a mid-run crash + shrink
+    // must reproduce the recorded clock,
     // breakdown, model, wire bytes, counters and lane seconds to the bit.
     // The model hashes go through the host's `exp`/`ln`, so the table is
     // tied to this toolchain and libm; to regenerate it after an
@@ -525,21 +416,17 @@ fn sharded_golden() {
     for p in [1usize, 2, 3, 4] {
         for cache in [0usize, 32] {
             for int8 in [false, true] {
-                for mode in [PrefetchMode::Off, PrefetchMode::On] {
-                    let out = run(p, 1, 64, Some(sharded_cfg(cache, int8, mode)), None);
-                    let storage = if int8 { "int8" } else { "f32" };
-                    lines.push(golden_line(&format!("p={p} cache={cache} {storage} {mode:?}"), &out));
-                }
+                let out = run(p, 1, 64, Some(sharded_cfg(cache, int8)), None);
+                let storage = if int8 { "int8" } else { "f32" };
+                lines.push(golden_line(&format!("p={p} cache={cache} {storage} On"), &out));
             }
         }
     }
     let total = run(4, 1, 64, None, None).report.sim_total_seconds;
-    for mode in [PrefetchMode::Off, PrefetchMode::On] {
-        let plan = FaultPlan::seeded(7).with_crash(2, 0.4 * total);
-        let out = run(4, 1, 64, Some(sharded_cfg(32, false, mode)), Some(plan));
-        assert_eq!(out.report.recoveries, 1, "the crash must trigger a shrink");
-        lines.push(golden_line(&format!("p=4 cache=32 f32 {mode:?} crash"), &out));
-    }
+    let plan = FaultPlan::seeded(7).with_crash(2, 0.4 * total);
+    let out = run(4, 1, 64, Some(sharded_cfg(32, false)), Some(plan));
+    assert_eq!(out.report.recoveries, 1, "the crash must trigger a shrink");
+    lines.push(golden_line("p=4 cache=32 f32 On crash", &out));
     for line in &lines {
         println!("{line}");
     }

@@ -8,8 +8,7 @@
 //! decode, relation exchange, lazy Adam on arena and cache rows, the
 //! cache admission/eviction machinery and, one batch ahead, eviction
 //! capture into the launched slot, deferred-push settlement and the epoch
-//! drain — must perform **zero** heap allocations, at lookahead 0
-//! (`PrefetchMode::Off`) and at lookahead 1 (`PrefetchMode::On`).
+//! drain — must perform **zero** heap allocations.
 //!
 //! Scope: per-rank and single-thread, like the replica guarantee.
 //! Multi-rank runs move p2p payloads through channels (`Message` owns
@@ -38,22 +37,20 @@ use simgrid::{Cluster, ClusterSpec};
 
 /// The allocation counter is process-global, and the test harness runs the
 /// `#[test]`s of one binary on parallel threads (and allocates itself when
-/// one finishes): two tests here would count each other's set-up. So the
-/// two lookaheads run one after the other inside a single test.
+/// one finishes): two tests here would count each other's set-up. So this
+/// binary holds one test.
 #[test]
 fn steady_state_sharded_loops_allocate_nothing() {
-    for prefetch in [PrefetchMode::Off, PrefetchMode::On] {
-        let delta = steady_state_epoch(prefetch);
-        assert_eq!(
-            delta.allocs, 0,
-            "steady-state sharded batch loop ({prefetch:?}) allocated {} times ({} bytes)",
-            delta.allocs, delta.bytes
-        );
-    }
+    let delta = steady_state_epoch();
+    assert_eq!(
+        delta.allocs, 0,
+        "steady-state sharded batch loop allocated {} times ({} bytes)",
+        delta.allocs, delta.bytes
+    );
 }
 
 /// One warm-up epoch, then the allocations of a second epoch.
-fn steady_state_epoch(prefetch: PrefetchMode) -> alloc_count::AllocSnapshot {
+fn steady_state_epoch() -> alloc_count::AllocSnapshot {
     let ds = generate(&SynthConfig {
         name: "sharded-alloc-probe".into(),
         n_entities: 300,
@@ -71,7 +68,7 @@ fn steady_state_epoch(prefetch: PrefetchMode) -> alloc_count::AllocSnapshot {
     config.sharded = Some(ShardedConfig {
         hot_cache_rows: 48,
         cold_int8: false,
-        prefetch,
+        prefetch: PrefetchMode::On,
     });
     config.validate().expect("valid sharded config");
 
