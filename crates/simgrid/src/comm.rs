@@ -447,7 +447,7 @@ impl Communicator {
         counts.clear();
         counts.extend(self.world.byte_slots.iter().map(|s| s.read().len()));
         let total: usize = counts.iter().sum();
-        let stats = self.align_and_charge(Collective::AllGatherV, &counts, anchor.is_some());
+        let stats = self.align_and_charge(Collective::AllGatherV, &counts);
         self.bytes_scratch = counts;
         if let Err(e) = self.apply_faults(Collective::AllGatherV, "allgatherv_bytes") {
             self.world.barrier.wait();
@@ -597,7 +597,7 @@ impl Communicator {
     fn charge_receive(&mut self, msg: &Message, op: Collective) {
         self.clock.charge_idle_until(msg.arrival_s);
         let occupancy = msg.payload.len() as f64 / self.cost.spec().bandwidth_bps;
-        self.clock.charge_comm_seconds(occupancy);
+        self.charge_split(occupancy, 0.0);
         self.traffic.record(op, 0, msg.payload.len());
         self.traffic.record_wire(op, 0, msg.payload.len());
     }
@@ -664,31 +664,27 @@ impl Communicator {
         let window = (self.clock.now_s() - eff_anchor).max(0.0);
         self.clock.charge_idle_until(arrival_s);
         let occupancy = bytes as f64 / self.cost.spec().bandwidth_bps;
-        let hidden = occupancy.min(window);
-        let visible = occupancy - hidden;
+        let stats = self.charge_split(occupancy, window);
+        self.p2p_cursors[lane] = eff_anchor + stats.hidden_s;
+        stats
+    }
+
+    /// Split `price` seconds against an overlap `window`: up to `window`
+    /// of it hides in `hidden_comm_s`, the window is recorded in
+    /// `overlap_s`, and the rest is charged to `comm_s`. A zero-width
+    /// window is the synchronous charge: it adds `+0.0` to the two
+    /// informational buckets, which moves no bit.
+    fn charge_split(&mut self, price: f64, window: f64) -> OverlapStats {
+        let hidden = price.min(window);
+        let visible = price - hidden;
         self.clock.charge_hidden_comm_seconds(hidden);
         self.clock.record_overlap_window_seconds(window);
         self.clock.charge_comm_seconds(visible);
-        self.p2p_cursors[lane] = eff_anchor + hidden;
         OverlapStats {
             hidden_s: hidden,
             visible_s: visible,
             window_s: window,
         }
-    }
-
-    /// Receive from `src` and immediately settle against the window open
-    /// since `anchor_s`: [`Communicator::recv_bytes_from_as_unpriced`]
-    /// followed by [`Communicator::charge_p2p_deferred`].
-    pub fn recv_bytes_from_as_overlapped(
-        &mut self,
-        src: usize,
-        op: Collective,
-        anchor_s: f64,
-    ) -> Result<(Message, OverlapStats), SimError> {
-        let msg = self.recv_bytes_from_as_unpriced(src, op)?;
-        let stats = self.charge_p2p_deferred(op, msg.arrival_s, msg.payload.len(), anchor_s);
-        Ok((msg, stats))
     }
 
     /// [`Communicator::sync_clocks`] for collectives where every rank moves
@@ -719,80 +715,52 @@ impl Communicator {
     ) -> OverlapStats {
         self.deposit_clock(anchor);
         self.world.barrier.wait();
-        self.align_and_charge(op, per_rank_bytes, anchor.is_some())
+        self.align_and_charge(op, per_rank_bytes)
     }
 
-    /// Publish this rank's arrival time, and the launch time of the
-    /// exchange it is completing when that exchange was pipelined.
+    /// Publish this rank's arrival time and the launch time of the
+    /// exchange it is completing: the pipelined launch's `anchor`, or the
+    /// arrival itself for a synchronous collective, whose window is then
+    /// zero-width.
     fn deposit_clock(&mut self, anchor: Option<f64>) {
-        if let Some(a) = anchor {
-            *self.world.anchor_slots[self.rank].lock() = a;
-        }
-        *self.world.clock_slots[self.rank].lock() = self.clock.now_s();
+        let now = self.clock.now_s();
+        *self.world.anchor_slots[self.rank].lock() = anchor.unwrap_or(now);
+        *self.world.clock_slots[self.rank].lock() = now;
     }
 
     /// Clock alignment + pricing; assumes the deposits are visible (a
-    /// barrier has been crossed since every rank wrote its slots). With
-    /// `overlapped == false` the whole price lands in `comm_s`. With
-    /// `overlapped == true`, every rank has also deposited a launch
-    /// anchor; the shared window `max(arrival) − max(anchor)` hides up to
-    /// `window` seconds of the price (bookkept in `hidden_comm_s`), and
-    /// only the remainder advances the clock. Window and price are
-    /// computed from shared deposits, so all ranks leave at the same
-    /// simulated time — the invariant every synchronous collective relies
-    /// on.
-    fn align_and_charge(
-        &mut self,
-        op: Collective,
-        per_rank_bytes: &[usize],
-        overlapped: bool,
-    ) -> OverlapStats {
+    /// barrier has been crossed since every rank wrote its slots). The
+    /// shared window `max(arrival) − max(anchor)` hides up to `window`
+    /// seconds of the price (bookkept in `hidden_comm_s`), and only the
+    /// remainder advances the clock; a synchronous collective's window is
+    /// zero. Window and price are computed from shared deposits, so all
+    /// ranks leave at the same simulated time — the invariant every
+    /// synchronous collective relies on.
+    fn align_and_charge(&mut self, op: Collective, per_rank_bytes: &[usize]) -> OverlapStats {
         let mut t_max = f64::NEG_INFINITY;
+        let mut anchor_max = f64::NEG_INFINITY;
         for r in 0..self.size() {
             t_max = t_max.max(*self.world.clock_slots[r].lock());
+            anchor_max = anchor_max.max(*self.world.anchor_slots[r].lock());
         }
-        let window = if overlapped {
-            let mut anchor_max = f64::NEG_INFINITY;
-            for r in 0..self.size() {
-                anchor_max = anchor_max.max(*self.world.anchor_slots[r].lock());
-            }
-            // Each rank's arrival is at or past its own anchor, so the
-            // window is non-negative; the guard is belt-and-braces.
-            (t_max - anchor_max).max(0.0)
-        } else {
-            0.0
-        };
+        // Each rank's arrival is at or past its own anchor, so the window
+        // is non-negative; the guard is belt-and-braces.
+        let window = (t_max - anchor_max).max(0.0);
         self.clock.charge_idle_until(t_max);
         let price = self.cost.price(op, per_rank_bytes);
-        let hidden = price.min(window);
-        let visible = price - hidden;
-        if overlapped {
-            self.clock.charge_hidden_comm_seconds(hidden);
-            self.clock.record_overlap_window_seconds(window);
-        }
-        let stats = OverlapStats {
-            hidden_s: hidden,
-            visible_s: visible,
-            window_s: window,
-        };
-        let plan = Arc::clone(&self.world.plan);
-        if plan.is_inert() {
-            self.clock.charge_comm_seconds(visible);
-            return stats;
-        }
         // Clocks are aligned (everyone sits at t_max), so the link factors
         // — and therefore the surcharge — are identical on every rank.
-        let (lat_mult, bw_div) = plan.link_factors(self.clock.now_s());
+        let plan = Arc::clone(&self.world.plan);
+        let (lat_mult, bw_div) =
+            if plan.is_inert() { (1.0, 1.0) } else { plan.link_factors(self.clock.now_s()) };
+        let stats = self.charge_split(price, window);
         if lat_mult > 1.0 || bw_div > 1.0 {
             let degraded = self.cost.degraded(lat_mult, bw_div).price(op, per_rank_bytes);
-            self.clock.charge_comm_seconds(visible);
             // The degradation surplus is never hidden: the overlap budget
             // was sized for the healthy price.
             if degraded > price {
                 self.clock.charge_fault_seconds(degraded - price);
             }
-        } else {
-            self.clock.charge_comm_seconds(visible);
         }
         stats
     }
@@ -1386,9 +1354,13 @@ mod tests {
                 let comm = ctx.comm_mut();
                 let anchor = comm.clock().now_s();
                 comm.clock_mut().charge_compute_seconds(1.0); // ≫ arrival + occupancy
-                let (msg, stats) = comm
-                    .recv_bytes_from_as_overlapped(0, Collective::ShardPull, anchor)
-                    .unwrap();
+                let msg = comm.recv_bytes_from_as_unpriced(0, Collective::ShardPull).unwrap();
+                let stats = comm.charge_p2p_deferred(
+                    Collective::ShardPull,
+                    msg.arrival_s,
+                    msg.payload.len(),
+                    anchor,
+                );
                 assert_eq!(msg.payload.len(), 1_000_000);
                 Some((stats, comm.clock().now_s(), comm.clock().breakdown()))
             }
@@ -1419,9 +1391,13 @@ mod tests {
                     let comm = ctx.comm_mut();
                     if overlapped {
                         let anchor = comm.clock().now_s();
-                        let (_, stats) = comm
-                            .recv_bytes_from_as_overlapped(0, Collective::ShardPull, anchor)
-                            .unwrap();
+                        let msg = comm.recv_bytes_from_as_unpriced(0, Collective::ShardPull).unwrap();
+                        let stats = comm.charge_p2p_deferred(
+                            Collective::ShardPull,
+                            msg.arrival_s,
+                            msg.payload.len(),
+                            anchor,
+                        );
                         assert_eq!(stats.hidden_s, 0.0);
                     } else {
                         comm.recv_bytes_from_as(0, Collective::ShardPull).unwrap();
@@ -1461,14 +1437,12 @@ mod tests {
                 let comm = ctx.comm_mut();
                 let anchor = comm.clock().now_s();
                 comm.clock_mut().charge_compute_seconds(window);
-                let (m1, s1) = comm
-                    .recv_bytes_from_as_overlapped(0, Collective::ShardPull, anchor)
-                    .unwrap();
-                let (m2, s2) = comm
-                    .recv_bytes_from_as_overlapped(0, Collective::ShardPull, anchor)
-                    .unwrap();
-                assert_eq!(m1.payload.len() + m2.payload.len(), 2_000_000);
-                Some((s1, s2))
+                let mut settle = || {
+                    let m = comm.recv_bytes_from_as_unpriced(0, Collective::ShardPull).unwrap();
+                    assert_eq!(m.payload.len(), 1_000_000);
+                    comm.charge_p2p_deferred(Collective::ShardPull, m.arrival_s, m.payload.len(), anchor)
+                };
+                Some((settle(), settle()))
             }
         });
         let (s1, s2) = out[1].unwrap();
@@ -1502,13 +1476,11 @@ mod tests {
                 let comm = ctx.comm_mut();
                 let anchor = comm.clock().now_s();
                 comm.clock_mut().charge_compute_seconds(1.0);
-                let (_, s1) = comm
-                    .recv_bytes_from_as_overlapped(0, Collective::ShardPull, anchor)
-                    .unwrap();
-                let (_, s2) = comm
-                    .recv_bytes_from_as_overlapped(0, Collective::ShardPush, anchor)
-                    .unwrap();
-                Some((s1, s2))
+                let mut settle = |op| {
+                    let m = comm.recv_bytes_from_as_unpriced(0, op).unwrap();
+                    comm.charge_p2p_deferred(op, m.arrival_s, m.payload.len(), anchor)
+                };
+                Some((settle(Collective::ShardPull), settle(Collective::ShardPush)))
             }
         });
         let (s1, s2) = out[1].unwrap();
