@@ -27,10 +27,11 @@ pub struct EpochTrace {
     pub mean_rows_sent: f64,
     /// Fraction of rows dropped by row selection (Fig. 3b).
     pub rs_sparsity: f64,
-    /// Bytes this node sent through collectives this epoch: the gradient
-    /// exchanges, plus — when on — the RP relation assembly and the
-    /// per-epoch ranking all-reduce (the sharded trainer counts its pull
-    /// and push lanes instead of the last two).
+    /// Bytes this node sent through its training traffic this epoch: the
+    /// gradient exchanges, plus — when on — the RP relation assembly and
+    /// the per-epoch ranking all-reduce (the sharded trainer counts its
+    /// pull and push lanes instead of the last two, a parameter-server
+    /// rank its point-to-point rounds).
     pub bytes_sent: u64,
     /// Full filtered-ranking metrics, present on epochs where the opt-in
     /// distributed evaluation ran (`TrainConfig::eval_every`).

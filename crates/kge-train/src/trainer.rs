@@ -677,9 +677,10 @@ fn is_crash<T>(r: Result<T, SimError>) -> bool {
 /// Bytes this rank sent through its training traffic: the replica's
 /// gradient exchanges, RP relation assembly and per-epoch ranking
 /// all-reduce, the sharded store's hot and relation all-gathers and its
-/// pull and push lanes, a parameter-server rank's epoch-end assembly. No
-/// placement touches another's lanes, so one sum serves all three; the
-/// parameter server's point-to-point rounds are not counted.
+/// pull and push lanes, a parameter-server rank's point-to-point pull and
+/// push rounds and its epoch-end assembly. No placement touches another's
+/// lanes, so one sum serves all three. (A replica's rejoin state also
+/// moves point-to-point, but before an epoch's first reading.)
 fn bytes_sent(ctx: &NodeCtx) -> u64 {
     let r = ctx.comm().traffic().report();
     [
@@ -687,6 +688,7 @@ fn bytes_sent(ctx: &NodeCtx) -> u64 {
         Collective::AllGatherV,
         Collective::ShardPull,
         Collective::ShardPush,
+        Collective::PointToPoint,
     ]
     .into_iter()
     .map(|op| r.bytes_sent(op))
