@@ -278,7 +278,7 @@ fn posneg_max(v: &[f32]) -> (f32, f32) {
     (pos, neg)
 }
 
-/// Public [`scales`]: the codec's packed encode fast path
+/// Public `scales`: the codec's packed encode fast path
 /// ([`crate::codec::RowEncoder::push_one_bit`]) derives scales straight
 /// from the dense row without building a [`QuantizedRow`].
 pub fn one_bit_scales(rule: ScaleRule, v: &[f32]) -> (f32, f32) {

@@ -8,7 +8,7 @@
 //!   compiled once as is and once more per level under
 //!   `#[target_feature]`. The forward and the block kernel have `Scalar`
 //!   and `Avx` copies; the `Avx` forward adds its groups' summands with
-//!   [`row_sums_8`]. The one-vs-all sweep (evaluation and serving) has a
+//!   `row_sums_8`. The one-vs-all sweep (evaluation and serving) has a
 //!   third, `Avx512`, copy.
 //! - The optimizer rows (`optim.rs`) and the 1-bit codec's kernels
 //!   (`kge_compress`'s `quant.rs` and `codec.rs`) are the same: one safe
@@ -16,7 +16,7 @@
 //!   behind [`use_avx`] / [`use_avx2`]. The codec's AVX2 decode expands
 //!   each sign byte with [`sign_select_8`].
 //!
-//! [`row_sums_8`] and [`sign_select_8`] are the workspace's only
+//! `row_sums_8` and [`sign_select_8`] are the workspace's only
 //! intrinsics: the 8-lane steps no safe loop kept pace with.
 //!
 //! Every copy of a kernel gives the same bits, so the level only decides

@@ -1585,9 +1585,9 @@ impl BatchWorkspace {
     /// Accumulate one batch's gradients into the workspace accumulators
     /// (cleared first). Returns `(summed loss, trained examples)`.
     ///
-    /// The batch is split into fixed-size chunks of [`GRAD_CHUNK`]
+    /// The batch is split into fixed-size chunks of `GRAD_CHUNK`
     /// positives. Each chunk samples its negatives from its own seeded
-    /// RNG stream (see [`chunk_seed`]) and runs the fused block kernel
+    /// RNG stream (see `chunk_seed`) and runs the fused block kernel
     /// into pooled chunk-local accumulators; chunks are then merged **in
     /// chunk order**, so the result is bit-identical at any thread
     /// count. On a single-thread pool the chunks run inline with no
