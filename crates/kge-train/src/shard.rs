@@ -426,7 +426,8 @@ impl ShardedStore {
             if slot != NO_SLOT && self.cache_used[slot as usize] == used {
                 let s = slot as usize;
                 if let Some(sink) = sink.as_mut() {
-                    self.evict_row.store(0, &self.cache_val[s * self.dim..(s + 1) * self.dim]);
+                    self.evict_row
+                        .store(0, &self.cache_val[s * self.dim..(s + 1) * self.dim]);
                     self.evict_row.load_into(0, &mut self.row_buf);
                     sink.capture(id, &self.row_buf);
                 }
@@ -699,11 +700,11 @@ struct PendingPush {
 
 /// The batches in flight on the pull/push lane: two slots, batch `b` in
 /// slot `b % 2`, batch `b + 1` launched while batch `b` computes. Owned
-/// by the epoch loop (not by [`ShardedBufs`]) so a crash
-/// can drop every in-flight slot without touching the batch buffers; all
-/// buffers reach steady size after one warm epoch and are reused.
+/// by the epoch loop (not by [`ShardedBufs`]) so a crash can drop every
+/// in-flight slot without touching the batch buffers; all buffers reach
+/// steady size after one warm epoch and are reused.
 pub struct PrefetchRing {
-    slots: Vec<PrefetchSlot>,
+    slots: [PrefetchSlot; 2],
     /// Pull-request payloads per peer, kept between hearing a request and
     /// answering it (for a batch launched early: popped in FIFO position
     /// at the cold-aggregation phase and served after the admission sync,
@@ -732,7 +733,7 @@ impl PrefetchRing {
             live: false,
         };
         PrefetchRing {
-            slots: (0..2).map(slot).collect(),
+            slots: std::array::from_fn(slot),
             req_stash: (0..p).map(|_| Vec::new()).collect(),
             pending_push: PendingPush {
                 anchor_s: 0.0,
@@ -1301,9 +1302,9 @@ fn settle_pending_push(ctx: &mut NodeCtx, pending: &mut PendingPush, lane: &mut 
 /// batch's pushes are priced behind the next compute. The arithmetic —
 /// staging seeds, touched order, gradient summation, admission stream —
 /// is the synchronous round-trip's; only *when* rows move changes. The
-/// batch's loss, examples,
-/// nonzero and sent rows are added into `sums`; a `RankCrashed` from any
-/// collective propagates so the epoch loop can run the recovery policy.
+/// batch's loss, examples, nonzero and sent rows are added into `sums`; a
+/// `RankCrashed` from any collective propagates so the epoch loop can run
+/// the recovery policy.
 ///
 /// Public so the allocation-regression test drives the exact code the
 /// sharded trainer runs.

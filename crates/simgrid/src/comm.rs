@@ -751,8 +751,11 @@ impl Communicator {
         // Clocks are aligned (everyone sits at t_max), so the link factors
         // — and therefore the surcharge — are identical on every rank.
         let plan = Arc::clone(&self.world.plan);
-        let (lat_mult, bw_div) =
-            if plan.is_inert() { (1.0, 1.0) } else { plan.link_factors(self.clock.now_s()) };
+        let (lat_mult, bw_div) = if plan.is_inert() {
+            (1.0, 1.0)
+        } else {
+            plan.link_factors(self.clock.now_s())
+        };
         let stats = self.charge_split(price, window);
         if lat_mult > 1.0 || bw_div > 1.0 {
             let degraded = self.cost.degraded(lat_mult, bw_div).price(op, per_rank_bytes);
@@ -1354,7 +1357,9 @@ mod tests {
                 let comm = ctx.comm_mut();
                 let anchor = comm.clock().now_s();
                 comm.clock_mut().charge_compute_seconds(1.0); // ≫ arrival + occupancy
-                let msg = comm.recv_bytes_from_as_unpriced(0, Collective::ShardPull).unwrap();
+                let msg = comm
+                    .recv_bytes_from_as_unpriced(0, Collective::ShardPull)
+                    .unwrap();
                 let stats = comm.charge_p2p_deferred(
                     Collective::ShardPull,
                     msg.arrival_s,
@@ -1391,7 +1396,9 @@ mod tests {
                     let comm = ctx.comm_mut();
                     if overlapped {
                         let anchor = comm.clock().now_s();
-                        let msg = comm.recv_bytes_from_as_unpriced(0, Collective::ShardPull).unwrap();
+                        let msg = comm
+                            .recv_bytes_from_as_unpriced(0, Collective::ShardPull)
+                            .unwrap();
                         let stats = comm.charge_p2p_deferred(
                             Collective::ShardPull,
                             msg.arrival_s,
@@ -1438,9 +1445,16 @@ mod tests {
                 let anchor = comm.clock().now_s();
                 comm.clock_mut().charge_compute_seconds(window);
                 let mut settle = || {
-                    let m = comm.recv_bytes_from_as_unpriced(0, Collective::ShardPull).unwrap();
+                    let m = comm
+                        .recv_bytes_from_as_unpriced(0, Collective::ShardPull)
+                        .unwrap();
                     assert_eq!(m.payload.len(), 1_000_000);
-                    comm.charge_p2p_deferred(Collective::ShardPull, m.arrival_s, m.payload.len(), anchor)
+                    comm.charge_p2p_deferred(
+                        Collective::ShardPull,
+                        m.arrival_s,
+                        m.payload.len(),
+                        anchor,
+                    )
                 };
                 Some((settle(), settle()))
             }

@@ -59,7 +59,10 @@ fn main() {
             ps.report.mean_epoch_seconds(),
             ps.report.trace.last().unwrap().valid_acc
         );
-        epoch_s.push((ar.report.mean_epoch_seconds(), ps.report.mean_epoch_seconds()));
+        epoch_s.push((
+            ar.report.mean_epoch_seconds(),
+            ps.report.mean_epoch_seconds(),
+        ));
     }
     let ((ar2, ps2), (ar8, ps8)) = (epoch_s[0], epoch_s[2]);
     println!("\nepoch time at 8 workers / at 2 workers:");
