@@ -428,8 +428,7 @@ impl ShardedStore {
                 if let Some(sink) = sink.as_mut() {
                     self.evict_row
                         .store(0, &self.cache_val[s * self.dim..(s + 1) * self.dim]);
-                    self.evict_row.load_into(0, &mut self.row_buf);
-                    sink.capture(id, &self.row_buf);
+                    sink.capture(id, &self.evict_row);
                 }
                 self.write_back(s, id);
                 self.cache_slot[id as usize] = NO_SLOT;
@@ -623,14 +622,14 @@ pub struct EvictSink<'a> {
 }
 
 impl EvictSink<'_> {
-    fn capture(&mut self, id: u32, value: &[f32]) {
+    fn capture(&mut self, id: u32, row: &RowArena) {
         let li = self.g2l[id as usize];
         if li == NO_SLOT {
             return;
         }
         let li = li as usize;
         if self.class[li] == CLASS_CACHED {
-            self.local_tab.row_mut(li).copy_from_slice(value);
+            row.load_into(0, self.local_tab.row_mut(li));
             self.class[li] = CLASS_LIMBO;
         }
     }
