@@ -11,7 +11,7 @@
 //!   small rows still get through occasionally, which preserves
 //!   convergence while introducing substantial sparsity (Fig. 3).
 
-use kge_core::matrix::l2_norm;
+use kge_core::matrix::l2_norms;
 use kge_core::SparseGrad;
 use rand::Rng;
 
@@ -60,12 +60,13 @@ impl RowSelection {
 /// Apply the policy to `grad` in place, dropping (and optionally
 /// rescaling) rows. Returns before/after row counts.
 ///
-/// Each row's norm is computed once into `grad`'s per-slot scratch and then
+/// Each row's norm is computed into `grad`'s per-slot scratch (twice under
+/// [`RowSelector::TopK`], whose cut ranks them in place) and then
 /// overwritten by the row's weight — `0.0` drops the row, anything else
 /// keeps it scaled by that weight. Whatever depends on an order (the mean's
 /// f32 sum, the Bernoulli draws) walks the rows ascending, off the sorted
-/// cache this builds first. Nothing is allocated once the scratch is warm,
-/// [`RowSelector::TopK`]'s ranking copy aside.
+/// cache this builds first. The norms are [`l2_norms`]', eight rows at a
+/// time on AVX hosts. Nothing is allocated once the scratch is warm.
 pub fn select_rows<R: Rng>(
     selector: RowSelector,
     grad: &mut SparseGrad,
@@ -80,8 +81,9 @@ pub fn select_rows<R: Rng>(
     }
     grad.ensure_sorted();
     let mut weights = std::mem::take(grad.slot_scratch_mut());
-    weights.clear();
-    weights.extend((0..rows_before).map(|slot| l2_norm(grad.entry(slot).1)));
+    weights.resize(rows_before, 0.0);
+    let dim = grad.dim();
+    l2_norms(grad.slab_mut(), dim, &mut weights);
     // Mean of row 2-norms (the paper's C).
     let mean = grad.sorted_slots().map(|s| weights[s]).sum::<f32>() / rows_before as f32;
     let keep = |kept: bool| if kept { 1.0 } else { 0.0 };
@@ -96,10 +98,12 @@ pub fn select_rows<R: Rng>(
         RowSelector::TopK { keep_fraction } => {
             let n_keep = ((rows_before as f32 * keep_fraction).ceil() as usize)
                 .clamp(1, rows_before);
-            // The keep-th largest norm is the cut.
-            let mut by_norm = weights.clone();
-            by_norm.sort_by(|a, b| b.partial_cmp(a).expect("finite norms"));
-            let cut = by_norm[n_keep - 1];
+            // The keep-th largest norm is the cut; ranking the weights in
+            // place reorders them, so the norms are computed again.
+            let (_, &mut cut, _) = weights.select_nth_unstable_by(n_keep - 1, |a, b| {
+                b.partial_cmp(a).expect("finite norms")
+            });
+            l2_norms(grad.slab_mut(), dim, &mut weights);
             // `>= cut` may keep a few extra ties; acceptable and simple.
             weights.iter_mut().for_each(|w| *w = keep(*w >= cut));
         }

@@ -263,6 +263,44 @@ proptest! {
     }
 
     #[test]
+    fn selection_keeps_the_same_rows_and_weights_at_every_level(
+        dim in 1usize..20,
+        rows in proptest::collection::vec((0u32..400, 0usize..4, any::<u64>()), 0..90),
+        seed in any::<u64>(),
+    ) {
+        // Row norms come eight rows at a time at the AVX level and one row
+        // at a time at the scalar one: every row length mod 8, row counts
+        // off a multiple of 8, and the kept rows, their rescaled values and
+        // the draws must not tell the two apart.
+        let mut grad = SparseGrad::new(dim);
+        for &(row, kind, s) in &rows {
+            let scale = [0.0, 1e-3, 1.0, 1.0][kind];
+            for (d, x) in grad.row_mut(row).iter_mut().zip(det_row(dim, s)) {
+                *d += scale * x;
+            }
+        }
+        let selectors = [
+            RowSelector::Threshold { factor: 1.0 },
+            RowSelector::Bernoulli { rescale: false },
+            RowSelector::Bernoulli { rescale: true },
+            RowSelector::TopK { keep_fraction: 0.25 },
+        ];
+        for selector in selectors {
+            let mut want = grad.clone();
+            let mut want_rng = StdRng::seed_from_u64(seed);
+            select_rows_reference(selector, &mut want, &mut want_rng);
+            for &level in Level::detected() {
+                set_level(Some(level));
+                let (mut got, mut got_rng) = (grad.clone(), StdRng::seed_from_u64(seed));
+                select_rows(selector, &mut got, &mut got_rng);
+                prop_assert_eq!(entries(&got), entries(&want), "{:?} at {:?}", selector, level);
+                prop_assert_eq!(got_rng.state(), want_rng.state(), "RNG, {:?} at {:?}", selector, level);
+            }
+            set_level(None);
+        }
+    }
+
+    #[test]
     fn packed_one_bit_encode_matches_scalar_codec(dim in 1usize..70, seed in any::<u64>()) {
         // The packed fast path (scales + sign packing straight into wire
         // bytes) must be byte-identical to quantizing into a `QuantizedRow`

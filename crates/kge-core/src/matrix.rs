@@ -87,6 +87,34 @@ pub fn l2_norm(v: &[f32]) -> f32 {
     v.iter().map(|&x| x * x).sum::<f32>().sqrt()
 }
 
+/// The Euclidean norms of the rows of `rows`, `dim` floats each, into
+/// `out` (one per row): `out[i]` is [`l2_norm`] of row `i`, to the bit.
+/// At [`crate::simd::Level::Avx`] and above eight rows are squared and
+/// added at a time through `simd::row_sums_8`'s register transpose, each
+/// row still its own in-order chain from `+0.0`; the rows past the last
+/// eight, and every row of the baseline copy, go through [`l2_norm`].
+pub fn l2_norms(rows: &[f32], dim: usize, out: &mut [f32]) {
+    assert_eq!(rows.len(), out.len() * dim, "one norm per row");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::use_avx() && dim > 0 {
+        // SAFETY: AVX was just detected at runtime.
+        return unsafe { l2_norms_avx(rows, dim, out) };
+    }
+    out.iter_mut().enumerate().for_each(|(i, o)| *o = l2_norm(&rows[i * dim..][..dim]));
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn l2_norms_avx(rows: &[f32], dim: usize, out: &mut [f32]) {
+    let (mut groups, mut outs) = (rows.chunks_exact(8 * dim), out.chunks_exact_mut(8));
+    for (group, out) in (&mut groups).zip(&mut outs) {
+        let sums = crate::simd::row_sums_8::<true>(group, dim);
+        out.iter_mut().zip(sums).for_each(|(o, s)| *o = s.sqrt());
+    }
+    let rest = groups.remainder().chunks_exact(dim);
+    outs.into_remainder().iter_mut().zip(rest).for_each(|(o, row)| *o = l2_norm(row));
+}
+
 /// `out += alpha * v`: elementwise `o + alpha·x`, mul then add.
 #[inline]
 pub fn axpy(alpha: f32, v: &[f32], out: &mut [f32]) {

@@ -180,7 +180,7 @@ fn score_triples_avx<const P: usize>(
     scratch: &mut Vec<f32>,
     scores: &mut [f32],
 ) {
-    let k = k.with_sums(|terms: &[f32], n| crate::simd::row_sums_8(terms, n));
+    let k = k.with_sums(|terms: &[f32], n| crate::simd::row_sums_8::<false>(terms, n));
     score_triples_body(k, tables, triples, scratch, scores)
 }
 
@@ -450,7 +450,7 @@ fn grad_block_avx<const P: usize>(
     coeff_of: &mut dyn FnMut(usize, f32) -> f32,
     out: (&mut SparseGrad, &mut SparseGrad),
 ) {
-    let k = k.with_sums(|terms: &[f32], n| crate::simd::row_sums_8(terms, n));
+    let k = k.with_sums(|terms: &[f32], n| crate::simd::row_sums_8::<false>(terms, n));
     grad_block_body(k, tables, triples, forward, l2, coeff_of, out)
 }
 

@@ -10,6 +10,9 @@
 //!   and `Avx` copies; the `Avx` forward adds its groups' summands with
 //!   `row_sums_8`. The one-vs-all sweep (evaluation and serving) has a
 //!   third, `Avx512`, copy.
+//! - `matrix::l2_norms` (row selection's gradient-row norms) has a scalar
+//!   copy, one `l2_norm` per row, and an `Avx` copy that squares and adds
+//!   eight rows at a time through `row_sums_8`.
 //! - The optimizer rows (`optim.rs`) and the 1-bit codec's kernels
 //!   (`kge_compress`'s `quant.rs` and `codec.rs`) are the same: one safe
 //!   body each, compiled as is and in a `#[target_feature]` wrapper taken
@@ -125,22 +128,25 @@ pub fn use_avx2() -> bool {
 }
 
 /// The in-order sums of eight rows of `n` floats, row `j` at
-/// `rows[j * n..][..n]`: `out[j]` is `+0.0 + rows[j][0] + rows[j][1] + …`,
-/// added left to right — the training forward's per-example sum
-/// (`model.rs`'s `score_triples`), eight examples at once.
+/// `rows[j * n..][..n]`, or with `SQUARED` the sums of their squares:
+/// `out[j]` is `+0.0 + rows[j][0] + rows[j][1] + …` (each term `x * x`
+/// under `SQUARED`), added left to right — the training forward's
+/// per-example sum (`model.rs`'s `score_triples`) and the row norms of
+/// `matrix::l2_norms`, eight rows at once.
 ///
-/// Each 8×8 block of the rows is transposed in registers, so column `k`
-/// holds element `k` of every row, and the columns are added to one vector
-/// accumulator, `k` ascending. Lane `j` is still row `j`'s own chain: the
-/// same additions in the same order as the scalar loop, so the same bits.
-/// The `n % 8` elements past the last block are added after it, in order.
-/// The transpose is the only intrinsic here: the safe loops that keep the
-/// sums in order measured slower than the scalar one (EXPERIMENTS.md, "the
-/// training kernel at its bound").
+/// Each 8×8 block of the rows is transposed in registers (squared first
+/// under `SQUARED`, elementwise, so with the scalar product's bits), so
+/// column `k` holds element `k` of every row, and the columns are added to
+/// one vector accumulator, `k` ascending. Lane `j` is still row `j`'s own
+/// chain: the same additions in the same order as the scalar loop, so the
+/// same bits. The `n % 8` elements past the last block are added after it,
+/// in order. The transpose is the only intrinsic here: the safe loops that
+/// keep the sums in order measured slower than the scalar one
+/// (EXPERIMENTS.md, "the training kernel at its bound").
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 #[inline]
-pub(crate) fn row_sums_8(rows: &[f32], n: usize) -> [f32; 8] {
+pub(crate) fn row_sums_8<const SQUARED: bool>(rows: &[f32], n: usize) -> [f32; 8] {
     use std::arch::x86_64::*;
     let rows = &rows[..8 * n];
     let mut acc = _mm256_setzero_ps();
@@ -150,6 +156,9 @@ pub(crate) fn row_sums_8(rows: &[f32], n: usize) -> [f32; 8] {
         for (j, r) in r.iter_mut().enumerate() {
             // SAFETY: `j * n + 8 * b + 8 <= 7 * n + n`, the length of `rows`.
             *r = unsafe { _mm256_loadu_ps(rows.as_ptr().add(j * n + 8 * b)) };
+            if SQUARED {
+                *r = _mm256_mul_ps(*r, *r);
+            }
         }
         // Pairs of rows interleaved, then quads: `q[k]` holds columns
         // `8 * b + k` (low half) and `8 * b + k + 4` (high half) of rows 0–3,
@@ -186,7 +195,8 @@ pub(crate) fn row_sums_8(rows: &[f32], n: usize) -> [f32; 8] {
     unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
     for k in 8 * blocks..n {
         for (j, o) in out.iter_mut().enumerate() {
-            *o += rows[j * n + k];
+            let x = rows[j * n + k];
+            *o += if SQUARED { x * x } else { x };
         }
     }
     out
@@ -246,8 +256,8 @@ mod tests {
         let _ = level();
     }
 
-    /// The transposed sums against the scalar loop, to the bit, for every
-    /// tail length: on values of mixed sign and magnitude, where any other
+    /// The transposed sums, and sums of squares, against the scalar loop,
+    /// to the bit, for every tail length: on values of mixed sign and magnitude, where any other
     /// order rounds differently, and on signed zeros, denormals and
     /// magnitudes that overflow.
     #[cfg(target_arch = "x86_64")]
@@ -266,15 +276,17 @@ mod tests {
                     _ => rng.gen_range(-1.0f32..1.0) * [1e-6, 1.0, 1e6][rng.gen_range(0..3usize)],
                 })
                 .collect();
-            let mut want = [0.0f32; 8];
-            for (j, w) in want.iter_mut().enumerate() {
+            let (mut want, mut want_sq) = ([0.0f32; 8], [0.0f32; 8]);
+            for j in 0..8 {
                 for &x in &rows[j * n..][..n] {
-                    *w += x;
+                    want[j] += x;
+                    want_sq[j] += x * x;
                 }
             }
             // SAFETY: AVX was detected above.
-            let got = unsafe { row_sums_8(&rows, n) };
-            assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "n = {n}");
+            let got = unsafe { [row_sums_8::<false>(&rows, n), row_sums_8::<true>(&rows, n)] };
+            assert_eq!(got[0].map(f32::to_bits), want.map(f32::to_bits), "n = {n}");
+            assert_eq!(got[1].map(f32::to_bits), want_sq.map(f32::to_bits), "squares, n = {n}");
         }
     }
 

@@ -4,14 +4,26 @@
 use crate::dataset::Dataset;
 use crate::hash::IdSet;
 use crate::triple::Triple;
+use std::hash::BuildHasher;
 
 /// Index over every triple of a dataset (train + valid + test):
 /// membership (`contains`), for rejecting corrupted triples that are
 /// accidentally true. The known completions of a query side, for filtered
 /// ranking without scanning, are [`GroupedFilter`]'s.
+///
+/// A blocked Bloom filter sits in front of the hash set: each triple sets
+/// two bits of one `u64` word, and `contains` probes the set only when
+/// both of its bits are set. A corruption draw is almost always absent, so
+/// most probes end in a bitset that stays in L2 (8 to 16 bits per triple,
+/// 128 KB on the benchmark's FB15K-shaped graph) instead of a cache miss
+/// into the set. A set bit is never cleared, so the prefilter gives no
+/// false negative: the answers are the set's.
 #[derive(Debug, Clone, Default)]
 pub struct FilterIndex {
     all: IdSet<Triple>,
+    /// The prefilter: a power-of-two number of words, one per eight
+    /// triples rounded up (empty in a `Default` index).
+    bloom: Vec<u64>,
 }
 
 impl FilterIndex {
@@ -22,15 +34,37 @@ impl FilterIndex {
 
     /// Build from an explicit triple stream.
     pub fn from_triples(triples: impl Iterator<Item = Triple>) -> Self {
-        FilterIndex {
+        let mut idx = FilterIndex {
             all: triples.collect(),
+            bloom: Vec::new(),
+        };
+        idx.bloom = vec![0; idx.all.len().div_ceil(8).next_power_of_two()];
+        for &t in &idx.all {
+            let (word, bits) = idx.bloom_probe(t);
+            idx.bloom[word] |= bits;
         }
+        idx
+    }
+
+    /// The prefilter word of `t` and its two bits: the set's own hash of
+    /// `t` multiplied once more, the word from bits 20 up and each bit from
+    /// six of the top twelve. The index is out of range only when the
+    /// bitset is empty.
+    #[inline]
+    fn bloom_probe(&self, t: Triple) -> (usize, u64) {
+        let x = self.all.hasher().hash_one(t).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let word = (x >> 20) as usize & self.bloom.len().wrapping_sub(1);
+        (word, 1 << (x >> 58) | 1 << (x >> 52 & 63))
     }
 
     /// Is `(h, r, t)` a known true triple?
     #[inline]
     pub fn contains(&self, t: Triple) -> bool {
-        self.all.contains(&t)
+        let (word, bits) = self.bloom_probe(t);
+        match self.bloom.get(word) {
+            Some(&w) if w & bits == bits => self.all.contains(&t),
+            _ => false,
+        }
     }
 
     /// Number of indexed triples.

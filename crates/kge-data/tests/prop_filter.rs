@@ -3,13 +3,20 @@
 //! footprint on the benchmark's FB15K-shaped graph pinned by a counting
 //! allocator: bytes retained per distinct triple, and a number of
 //! allocations that does not grow with the number of query sides.
+//!
+//! `FilterIndex::contains` against a plain `std::collections::HashSet` on
+//! every indexed triple, exhaustive and random probes, duplicate inputs,
+//! ids next to `u32::MAX`, the empty and the `Default` index, and the
+//! benchmark's graph: its Bloom prefilter must never turn a member away.
+//! (The negative-selection suite's reference draws through the same index,
+//! so it could not see a prefilter false negative.)
 
 use kge_data::synth::generate;
 use kge_data::{FilterIndex, GroupedFilter, SynthPreset, Triple};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 thread_local! {
     /// Live heap bytes and allocation events (allocs + reallocs) of this
@@ -105,6 +112,98 @@ proptest! {
         }
         prop_assert_eq!(a.n_tail_groups(), b.n_tail_groups());
     }
+}
+
+/// Triples over 64 entities and 8 relations, about half of them with an id
+/// moved to the top of the `u32` range, and the first third repeated.
+fn triples_at_both_ends() -> impl Strategy<Value = Vec<Triple>> {
+    proptest::collection::vec((0u32..64, 0u32..8, 0u32..64, 0u32..4), 0..600).prop_map(|raw| {
+        let mut v: Vec<Triple> = raw
+            .into_iter()
+            .map(|(h, r, t, k)| match k {
+                0 => Triple::new(u32::MAX - h, r, t),
+                1 => Triple::new(h, u32::MAX - r, u32::MAX - t),
+                _ => Triple::new(h, r, t),
+            })
+            .collect();
+        v.extend_from_within(..v.len() / 3);
+        v
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn filter_index_answers_as_a_hash_set(
+        triples in triples_at_both_ends(),
+        probes in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..300),
+    ) {
+        let want: HashSet<Triple> = triples.iter().copied().collect();
+        let idx = FilterIndex::from_triples(triples.iter().copied());
+        prop_assert_eq!(idx.len(), want.len());
+        prop_assert_eq!(idx.is_empty(), want.is_empty());
+        for t in &triples {
+            prop_assert!(idx.contains(*t), "{:?} indexed but not contained", t);
+            // Near misses: one id off either way (wrapping at the ends).
+            for miss in [
+                t.with_head(t.head.wrapping_add(1)),
+                t.with_tail(t.tail.wrapping_sub(1)),
+                Triple::new(t.head, t.rel ^ 1, t.tail),
+            ] {
+                prop_assert_eq!(idx.contains(miss), want.contains(&miss), "{:?}", miss);
+            }
+        }
+        // Every triple of the low id box, the same box at the top of the
+        // id range, and random ids anywhere.
+        for h in 0..64u32 {
+            for r in 0..8u32 {
+                for t in 0..64u32 {
+                    for probe in [Triple::new(h, r, t), Triple::new(u32::MAX - h, r, t),
+                                  Triple::new(h, u32::MAX - r, u32::MAX - t)] {
+                        prop_assert_eq!(idx.contains(probe), want.contains(&probe), "{:?}", probe);
+                    }
+                }
+            }
+        }
+        for probe in probes.into_iter().map(Triple::from) {
+            prop_assert_eq!(idx.contains(probe), want.contains(&probe), "{:?}", probe);
+        }
+    }
+}
+
+#[test]
+fn empty_and_default_indexes_contain_nothing() {
+    let probes = [Triple::new(0, 0, 0), Triple::new(1, 2, 3), Triple::new(u32::MAX, u32::MAX, u32::MAX)];
+    for idx in [FilterIndex::default(), FilterIndex::from_triples(std::iter::empty())] {
+        assert!(idx.is_empty());
+        assert_eq!(idx.len(), 0);
+        for t in probes {
+            assert!(!idx.contains(t), "{t:?}");
+        }
+    }
+}
+
+#[test]
+fn filter_index_on_the_benchmark_graph_answers_as_a_hash_set() {
+    use rand::{Rng, SeedableRng};
+    let ds = generate(&SynthPreset::Fb15kLike.config(0.15, 2022));
+    let idx = FilterIndex::build(&ds);
+    let want: HashSet<Triple> = ds.all_triples().collect();
+    assert_eq!(idx.len(), want.len());
+    assert!(want.iter().all(|&t| idx.contains(t)));
+    // Corruptions as the negative sampler draws them: one side replaced
+    // by a uniform entity, so some are known triples and most are not.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+    let (mut known, n) = (0usize, 400_000);
+    for i in 0..n {
+        let t = ds.train[rng.gen_range(0..ds.train.len())];
+        let e = rng.gen_range(0..ds.n_entities) as u32;
+        let c = if i % 2 == 0 { t.with_head(e) } else { t.with_tail(e) };
+        assert_eq!(idx.contains(c), want.contains(&c), "{c:?}");
+        known += usize::from(want.contains(&c));
+    }
+    assert!(known > 0 && known < n / 10, "{known} of {n} corruptions are known triples");
 }
 
 /// `(bytes retained, allocation events)` of one `from_index` on this

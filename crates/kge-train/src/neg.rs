@@ -169,8 +169,9 @@ impl NegSampler<'_> {
     /// then scored in one [`KgeModel::score_triples`] call, and each
     /// positive keeps the first `train` entries of its pool's stable
     /// descending order — `train` rounds of arg-max where the earliest draw
-    /// wins a tie, each winner rotated to the front so the rest keep their
-    /// draw order.
+    /// wins a tie, each winner but the last rotated to the front so the
+    /// rest keep their draw order — and the kept examples are packed in the
+    /// same pass.
     pub fn sample(
         &self,
         positives: impl Iterator<Item = Triple>,
@@ -195,27 +196,35 @@ impl NegSampler<'_> {
         scratch.scores.resize(scratch.cands.len(), 0.0);
         let NegScratch { cands, scores, terms, .. } = scratch;
         self.model.score_triples(self.ent, self.rel, cands, terms, scores);
-        let stride = 1 + pool;
-        for (cands, scores) in cands.chunks_exact_mut(stride).zip(scores.chunks_exact_mut(stride)) {
-            let (cands, scores) = (&mut cands[1..], &mut scores[1..]);
+        // One pass: each positive's pool is selected in place, then the
+        // positive and its kept candidates are copied down to their packed
+        // slots, in example order. A copy lands at or before its source,
+        // over pools already packed, so ascending copies read every source
+        // before it is overwritten.
+        let (stride, n) = (1 + pool, cands.len() / (1 + pool));
+        for i in 0..n {
+            let (src, dst) = (i * stride, i * (1 + train));
+            let (c, s) = (&mut cands[src + 1..src + stride], &mut scores[src + 1..src + stride]);
             for round in 0..train {
                 let mut best = round;
-                for i in round + 1..pool {
-                    let order = scores[i].partial_cmp(&scores[best]).expect("finite scores");
+                for k in round + 1..pool {
+                    let order = s[k].partial_cmp(&s[best]).expect("finite scores");
                     if order == std::cmp::Ordering::Greater {
-                        best = i;
+                        best = k;
                     }
                 }
-                cands[round..=best].rotate_right(1);
-                scores[round..=best].rotate_right(1);
+                if round + 1 < train {
+                    c[round..=best].rotate_right(1);
+                    s[round..=best].rotate_right(1);
+                } else {
+                    // The last round's loser in this slot is dropped.
+                    (c[round], s[round]) = (c[best], s[best]);
+                }
             }
-        }
-        // Each positive with its kept candidates, packed in example order:
-        // a copy lands at or before its source, over pools already packed.
-        let n = cands.len() / stride;
-        for i in 0..n {
-            cands.copy_within(i * stride..i * stride + 1 + train, i * (1 + train));
-            scores.copy_within(i * stride..i * stride + 1 + train, i * (1 + train));
+            for k in 0..=train {
+                cands[dst + k] = cands[src + k];
+                scores[dst + k] = scores[src + k];
+            }
         }
         cands.truncate(n * (1 + train));
         scores.truncate(n * (1 + train));

@@ -109,35 +109,15 @@ pub fn par_for_each_mut<T: Send, F: Fn(usize, &mut T) + Sync>(items: &mut [T], f
 }
 
 /// Compute `f(i)` for every index in parallel and return the results in
-/// index order — the deterministic-collect primitive.
+/// index order — the deterministic-collect primitive. Each result lands in
+/// its own slot through [`par_for_each_mut`], so no `unsafe` is needed.
 pub fn par_map_index<U: Send, F: Fn(usize) -> U + Sync>(n: usize, f: F) -> Vec<U> {
-    use std::mem::MaybeUninit;
-
-    let threads = current_num_threads().min(n);
-    if threads <= 1 || n <= 1 {
+    if current_num_threads().min(n) <= 1 {
         return (0..n).map(f).collect();
     }
-
-    struct OutPtr<U>(*mut MaybeUninit<U>);
-    unsafe impl<U: Send> Sync for OutPtr<U> {}
-
-    let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
-    // Slots are written exactly once each (every index is claimed by one
-    // worker) before being reinterpreted as initialized below.
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(n);
-    }
-    let ptr = OutPtr(out.as_mut_ptr());
-    let ptr = &ptr;
-    par_for_each_index(n, move |i| {
-        let v = f(i);
-        unsafe {
-            ptr.0.add(i).write(MaybeUninit::new(v));
-        }
-    });
-    let mut out = std::mem::ManuallyDrop::new(out);
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut U, n, out.capacity()) }
+    let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    par_for_each_mut(&mut out, |i, slot| *slot = Some(f(i)));
+    out.into_iter().map(|v| v.expect("every slot is written")).collect()
 }
 
 /// Thread-count handle mirroring `rayon::ThreadPool`. The shim does not

@@ -26,24 +26,31 @@
 # after the pairs, and prints BENCHMARK.json's per-layer metrics side by
 # side: both values, head/base and the direction that is better. One pass
 # each carries no noise band; it attributes a change, it does not judge one.
+# `--aligned` builds both sides with every function and loop aligned to
+# 64 bytes (RUSTFLAGS="-C llvm-args=-align-all-functions=6 -C
+# llvm-args=-align-loops=64"), so code the change did not touch keeps its
+# alignment wherever the linker puts it: a metric that moves on one side
+# of a plain A/B but not of an aligned one moved by placement, not by
+# code. It measures the aligned builds, not the ones the benchmark runs.
 # Exit status 1 if any verdict is `worse`, one of those three differs, a
 # claim is not a gain, or a run is missing, incorrect or has a failed
 # operation.
 #
 # Usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]... [--layers]
-#                      <base-rev> [workload...]   (default: every workload)
+#                      [--aligned] <base-rev> [workload...]   (default: every workload)
 #        scripts/ab.sh HEAD replica_dense         (A/A: the noise floor)
 # About 5 minutes per workload on a 2-vCPU host, plus two builds (and
 # about a minute per workload for --layers).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage() {
-  echo "usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]... [--layers] <base-rev> [workload...]" >&2
+  echo "usage: scripts/ab.sh [--seed N] [--pairs N] [--claim workload:metric]... [--layers] [--aligned] <base-rev> [workload...]" >&2
   exit 2
 }
 SEED=1
 PAIRS=10
 LAYERS=0
+RUSTFLAGS_AB=
 claims=()
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -51,6 +58,7 @@ while [ $# -gt 0 ]; do
     --pairs) [[ "${2:-}" =~ ^[1-9][0-9]*$ ]] || usage; PAIRS=$2; shift 2 ;;
     --claim) [[ "${2:-}" == *:* ]] || usage; claims+=("$2"); shift 2 ;;
     --layers) LAYERS=1; shift ;;
+    --aligned) RUSTFLAGS_AB="-C llvm-args=-align-all-functions=6 -C llvm-args=-align-loops=64"; shift ;;
     -*) usage ;;
     *) break ;;
   esac
@@ -71,7 +79,8 @@ for side in base head; do
   echo "ab: building $side ${!side}" >&2
   mkdir -p "$tmp/$side" "$tmp/runs"
   git archive "${!side}" | tar -x -C "$tmp/$side"
-  CARGO_TARGET_DIR="$tmp/$side.target" cargo build --release --offline --quiet \
+  env ${RUSTFLAGS_AB:+"RUSTFLAGS=$RUSTFLAGS_AB"} CARGO_TARGET_DIR="$tmp/$side.target" \
+    cargo build --release --offline --quiet \
     --manifest-path "$tmp/$side/benchmark/Cargo.toml"
 done
 
@@ -97,7 +106,7 @@ if [ "$LAYERS" -eq 1 ]; then
   done
 fi
 
-echo "base $base  head $head  ($PAIRS pairs per workload, seed $SEED)"
+echo "base $base  head $head  ($PAIRS pairs per workload, seed $SEED${RUSTFLAGS_AB:+, aligned builds: RUSTFLAGS=\"$RUSTFLAGS_AB\"})"
 python3 - "$tmp/runs" "$PAIRS" "$(IFS=,; echo "${claims[*]}")" "$LAYERS" "${workloads[@]}" <<'PY'
 import json, statistics as st, sys
 

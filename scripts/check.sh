@@ -143,12 +143,12 @@ echo "check: one epoch loop (shuffler, schedule, validation and report built onc
 # And so is the amount of unsafe code: the lines of every crate's src,
 # first-party and shim, that name `unsafe` outside a `//` comment.
 unsafe_lines=$({ grep -rnw --include='*.rs' unsafe crates/*/src || true; } | grep -cvE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ "$unsafe_lines" -gt 29 ]; then
+if [ "$unsafe_lines" -gt 26 ]; then
   grep -rnw --include='*.rs' unsafe crates/*/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2
-  echo "check: $unsafe_lines lines use unsafe in crates/*/src; the ratchet is 29" >&2
+  echo "check: $unsafe_lines lines use unsafe in crates/*/src; the ratchet is 26" >&2
   exit 1
 fi
-echo "check: $unsafe_lines lines use unsafe in crates/*/src (ratchet 29)"
+echo "check: $unsafe_lines lines use unsafe in crates/*/src (ratchet 26)"
 
 # Code with no caller outside its own file is deleted or made private, not
 # kept public: scripts/orphans.sh lists the public functions whose name no
@@ -173,8 +173,9 @@ echo "check: no serde dependency"
 # Every test target of every first-party crate: its in-file unit tests,
 # every file under its tests/ and its doctests. The kernel suites
 # (prop_score_kernel, prop_train_kernels, prop_optim_kernels,
-# prop_roundtrip, prop_neg_selection, prop_eval, prop_topk and the
-# zero_alloc_* suites) run each case at every detected level in-process.
+# prop_norm_kernel, prop_roundtrip, prop_neg_selection, prop_eval,
+# prop_topk and the zero_alloc_* suites) run each case at every detected
+# level in-process.
 for c in "${CRATES[@]}"; do
   cargo test -p "$c" --release
   echo "check: $c: every test target passes"
