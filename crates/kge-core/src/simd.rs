@@ -257,9 +257,9 @@ mod tests {
     }
 
     /// The transposed sums, and sums of squares, against the scalar loop,
-    /// to the bit, for every tail length: on values of mixed sign and magnitude, where any other
-    /// order rounds differently, and on signed zeros, denormals and
-    /// magnitudes that overflow.
+    /// to the bit, for every tail length: on values of mixed sign and
+    /// magnitude, where any other order rounds differently, and on signed
+    /// zeros, denormals and magnitudes that overflow.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn row_sums_8_adds_each_row_in_order() {

@@ -34,11 +34,11 @@ impl FilterIndex {
 
     /// Build from an explicit triple stream.
     pub fn from_triples(triples: impl Iterator<Item = Triple>) -> Self {
+        let all: IdSet<Triple> = triples.collect();
         let mut idx = FilterIndex {
-            all: triples.collect(),
-            bloom: Vec::new(),
+            bloom: vec![0; all.len().div_ceil(8).next_power_of_two()],
+            all,
         };
-        idx.bloom = vec![0; idx.all.len().div_ceil(8).next_power_of_two()];
         for &t in &idx.all {
             let (word, bits) = idx.bloom_probe(t);
             idx.bloom[word] |= bits;
