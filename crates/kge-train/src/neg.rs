@@ -43,32 +43,23 @@ impl CorruptionBias {
     /// Fit tph/hpt statistics on the training split.
     pub fn fit(ds: &Dataset) -> Self {
         use std::collections::HashMap;
-        let mut tails_per_head: HashMap<(u32, u32), usize> = HashMap::new();
-        let mut heads_per_tail: HashMap<(u32, u32), usize> = HashMap::new();
-        for t in &ds.train {
-            *tails_per_head.entry((t.rel, t.head)).or_default() += 1;
-            *heads_per_tail.entry((t.rel, t.tail)).or_default() += 1;
-        }
-        let mut tph_sum = vec![0.0f64; ds.n_relations];
-        let mut tph_cnt = vec![0usize; ds.n_relations];
-        for (&(rel, _), &c) in &tails_per_head {
-            tph_sum[rel as usize] += c as f64;
-            tph_cnt[rel as usize] += 1;
-        }
-        let mut hpt_sum = vec![0.0f64; ds.n_relations];
-        let mut hpt_cnt = vec![0usize; ds.n_relations];
-        for (&(rel, _), &c) in &heads_per_tail {
-            hpt_sum[rel as usize] += c as f64;
-            hpt_cnt[rel as usize] += 1;
-        }
-        let head_prob = (0..ds.n_relations)
-            .map(|r| {
-                if tph_cnt[r] == 0 || hpt_cnt[r] == 0 {
-                    return 0.5;
-                }
-                let tph = tph_sum[r] / tph_cnt[r] as f64;
-                let hpt = hpt_sum[r] / hpt_cnt[r] as f64;
-                tph / (tph + hpt)
+        // Per relation, the mean size of its (rel, key) groups: tails per
+        // head keyed on the head, heads per tail keyed on the tail.
+        let mean_group = |key: fn(&Triple) -> u32| {
+            let mut groups: HashMap<(u32, u32), usize> = HashMap::new();
+            ds.train.iter().for_each(|t| *groups.entry((t.rel, key(t))).or_default() += 1);
+            let mut sum_cnt = vec![(0.0f64, 0usize); ds.n_relations];
+            for (&(rel, _), &c) in &groups {
+                let (sum, cnt) = &mut sum_cnt[rel as usize];
+                (*sum, *cnt) = (*sum + c as f64, *cnt + 1);
+            }
+            sum_cnt.into_iter().map(|(sum, cnt)| (cnt > 0).then(|| sum / cnt as f64))
+        };
+        let head_prob = mean_group(|t| t.head)
+            .zip(mean_group(|t| t.tail))
+            .map(|means| match means {
+                (Some(tph), Some(hpt)) => tph / (tph + hpt),
+                _ => 0.5,
             })
             .collect();
         CorruptionBias { head_prob }
@@ -170,8 +161,7 @@ impl NegSampler<'_> {
     /// positive keeps the first `train` entries of its pool's stable
     /// descending order — `train` rounds of arg-max where the earliest draw
     /// wins a tie, each winner but the last rotated to the front so the
-    /// rest keep their draw order — and the kept examples are packed in the
-    /// same pass.
+    /// rest keep their draw order — packed in the same pass.
     pub fn sample(
         &self,
         positives: impl Iterator<Item = Triple>,
@@ -196,11 +186,9 @@ impl NegSampler<'_> {
         scratch.scores.resize(scratch.cands.len(), 0.0);
         let NegScratch { cands, scores, terms, .. } = scratch;
         self.model.score_triples(self.ent, self.rel, cands, terms, scores);
-        // One pass: each positive's pool is selected in place, then the
-        // positive and its kept candidates are copied down to their packed
-        // slots, in example order. A copy lands at or before its source,
-        // over pools already packed, so ascending copies read every source
-        // before it is overwritten.
+        // Per positive: pick in place (the last winner moves over a loser
+        // instead of rotating), then copy the positive and its picks down to
+        // their packed slots, which lie at or before their sources.
         let (stride, n) = (1 + pool, cands.len() / (1 + pool));
         for i in 0..n {
             let (src, dst) = (i * stride, i * (1 + train));
@@ -208,8 +196,7 @@ impl NegSampler<'_> {
             for round in 0..train {
                 let mut best = round;
                 for k in round + 1..pool {
-                    let order = s[k].partial_cmp(&s[best]).expect("finite scores");
-                    if order == std::cmp::Ordering::Greater {
+                    if s[k].partial_cmp(&s[best]).expect("finite scores").is_gt() {
                         best = k;
                     }
                 }
@@ -217,13 +204,11 @@ impl NegSampler<'_> {
                     c[round..=best].rotate_right(1);
                     s[round..=best].rotate_right(1);
                 } else {
-                    // The last round's loser in this slot is dropped.
                     (c[round], s[round]) = (c[best], s[best]);
                 }
             }
             for k in 0..=train {
-                cands[dst + k] = cands[src + k];
-                scores[dst + k] = scores[src + k];
+                (cands[dst + k], scores[dst + k]) = (cands[src + k], scores[src + k]);
             }
         }
         cands.truncate(n * (1 + train));
