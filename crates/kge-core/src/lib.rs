@@ -39,4 +39,4 @@ pub use optim::{
     Adagrad, AdagradOptimizer, AdagradState, Adam, AdamOptimizer, AdamState, OptimStateView,
     RowOptimizer,
 };
-pub use scratch::{BlockScratch, ScratchPool};
+pub use scratch::BlockScratch;

@@ -11,74 +11,41 @@
 
 use crate::grad::SparseGrad;
 use crate::matrix::EmbeddingTable;
-use rayon::par_for_each_index;
-use std::slice::from_raw_parts_mut;
+use rayon::par_split_mut;
 
-/// Base pointer of a buffer that [`par_windows`] cuts into per-worker windows.
-struct SendPtr(*mut f32);
-// SAFETY: only dereferenced inside `par_windows`, which gives every claimed
-// index a window no other index touches.
-unsafe impl Sync for SendPtr {}
-
-/// Elements per work item in parallel dense steps. The update rule is
-/// applied element-by-element in index order inside each chunk, so the
-/// result is bit-identical to the sequential loop for any thread count.
+/// Elements per unit of a parallel dense step: the split never cuts finer,
+/// so a small table runs on one thread. The update is elementwise, so the
+/// bits do not depend on where the runs are cut.
 const DENSE_CHUNK: usize = 8192;
 
-/// Run `f(i, windows)` for every `i in 0..n` across the worker pool, where
-/// `windows[k]` is `bufs[k][window(i)]`; all buffers have one length.
-///
-/// Windows of distinct `i` must not overlap. The two callers, right below,
-/// guarantee it: [`par_chunks`] passes consecutive chunks, [`par_rows`] the
-/// pairwise-distinct rows of a [`SparseGrad`].
-fn par_windows<const K: usize>(
-    bufs: [&mut [f32]; K],
-    n: usize,
-    window: impl Fn(usize) -> std::ops::Range<usize> + Sync,
-    f: impl Fn(usize, [&mut [f32]; K]) + Sync,
-) {
-    let total = bufs[0].len();
-    assert!(bufs.iter().all(|b| b.len() == total));
-    let ptrs = &bufs.map(|b| SendPtr(b.as_mut_ptr()));
-    par_for_each_index(n, move |i| {
-        let w = window(i);
-        assert!(w.start <= w.end && w.end <= total, "bad window {w:?}");
-        // SAFETY: `w` lies inside every buffer (just asserted); the buffers
-        // are distinct `&mut` borrows and windows of distinct `i` are disjoint
-        // (contract above), so each element has exactly one live `&mut`.
-        let cut = |p: &SendPtr| unsafe { from_raw_parts_mut(p.0.add(w.start), w.len()) };
-        f(i, ptrs.each_ref().map(cut));
-    });
-}
-
-/// Dense fan-out: `f(windows, g)` for every [`DENSE_CHUNK`] chunk `g` of
-/// `grad` and the matching windows of `bufs`.
-fn par_chunks<const K: usize>(
-    bufs: [&mut [f32]; K],
-    grad: &[f32],
-    f: impl Fn([&mut [f32]; K], &[f32]) + Sync,
-) {
-    assert_eq!(grad.len(), bufs[0].len());
-    let chunk = |c: usize| c * DENSE_CHUNK..((c + 1) * DENSE_CHUNK).min(grad.len());
-    let n = grad.len().div_ceil(DENSE_CHUNK);
-    par_windows(bufs, n, chunk, |c, w| f(w, &grad[chunk(c)]));
-}
-
-/// Lazy fan-out: `f(row, windows, g)` for every stored row of `grad`, in
-/// insertion order straight off the slab (no per-step collect). Row updates
-/// are disjoint and self-contained, so order does not affect the result bits.
-fn par_rows<const K: usize>(
+/// Lazy fan-out: `f(row, rows, g)` for every stored row of `grad`, where
+/// `rows[k]` is that row of `bufs[k]`. The buffers are split by row range
+/// into one run per thread, and each run applies the gradient entries whose
+/// rows fall inside it, in insertion order straight off the slab. Row
+/// updates are disjoint and self-contained, so the bits are the same at any
+/// width.
+fn for_each_grad_row<const K: usize>(
     bufs: [&mut [f32]; K],
     grad: &SparseGrad,
     f: impl Fn(u32, [&mut [f32]; K], &[f32]) + Sync,
 ) {
-    let (dim, rows) = (grad.dim(), bufs[0].len() / grad.dim().max(1));
-    let row = |i: usize| grad.entry(i).0;
+    let dim = grad.dim().max(1);
+    let rows = bufs[0].len() / dim;
     for i in 0..grad.nnz() {
-        assert!((row(i) as usize) < rows, "gradient row {} out of range", row(i));
+        let row = grad.entry(i).0;
+        assert!((row as usize) < rows, "gradient row {row} out of range");
     }
-    let window = |i: usize| row(i) as usize * dim..(row(i) as usize + 1) * dim;
-    par_windows(bufs, grad.nnz(), window, |i, w| f(row(i), w, grad.entry(i).1));
+    par_split_mut(bufs, dim, |start, mut run| {
+        let first = start / dim;
+        let span = first..first + run[0].len() / dim;
+        for i in 0..grad.nnz() {
+            let (row, g) = grad.entry(i);
+            if span.contains(&(row as usize)) {
+                let at = (row as usize - first) * dim;
+                f(row, run.each_mut().map(|b| &mut b[at..at + dim]), g);
+            }
+        }
+    });
 }
 
 /// Adam hyper-parameters.
@@ -214,7 +181,11 @@ impl Adam {
         state.t += 1;
         let (bc, lr) = (self.bias_correction(state.t as i32), self.lr * lr_scale);
         let bufs = [&mut state.m[..], &mut state.v[..], table.as_mut_slice()];
-        par_chunks(bufs, grad, |w, g| adam_row(self, bc, lr, w, g));
+        assert_eq!(grad.len(), bufs[0].len());
+        par_split_mut(bufs, DENSE_CHUNK, |start, w| {
+            let g = &grad[start..][..w[0].len()];
+            adam_row(self, bc, lr, w, g)
+        });
     }
 
     /// The lazy update for a single row: bump its step counter, decay the
@@ -258,7 +229,7 @@ impl Adam {
         }
         let bufs = [&mut state.m[..], &mut state.v[..], table.as_mut_slice()];
         let bc = |row: u32| self.bias_correction(row_t[row as usize] as i32);
-        par_rows(bufs, grad, |row, w, g| adam_row(self, bc(row), lr, w, g));
+        for_each_grad_row(bufs, grad, |row, w, g| adam_row(self, bc(row), lr, w, g));
     }
 }
 
@@ -340,7 +311,7 @@ impl Adagrad {
         assert_eq!(grad.dim(), table.dim());
         let (lr, eps) = (self.lr * lr_scale, self.eps);
         let bufs = [&mut state.accum[..], table.as_mut_slice()];
-        par_rows(bufs, grad, |_, w, g| adagrad_row(lr, eps, w, g));
+        for_each_grad_row(bufs, grad, |_, w, g| adagrad_row(lr, eps, w, g));
     }
 
     /// Dense step over the full table.
@@ -353,7 +324,11 @@ impl Adagrad {
     ) {
         let (lr, eps) = (self.lr * lr_scale, self.eps);
         let bufs = [&mut state.accum[..], table.as_mut_slice()];
-        par_chunks(bufs, grad, |w, g| adagrad_row(lr, eps, w, g));
+        assert_eq!(grad.len(), bufs[0].len());
+        par_split_mut(bufs, DENSE_CHUNK, |start, w| {
+            let g = &grad[start..][..w[0].len()];
+            adagrad_row(lr, eps, w, g)
+        });
     }
 }
 

@@ -1,50 +1,6 @@
-//! Reusable scratch buffers for the allocation-free hot path.
-//!
-//! The shim rayon pool spawns scoped workers per parallel region, so
-//! thread-locals cannot carry scratch across batches. Instead a
-//! [`ScratchPool`] checks boxed scratch objects in and out: a chunk worker
-//! acquires one (allocating only on pool miss, i.e. during warm-up),
-//! fills it, and the driver releases it after the merge. After one epoch
-//! the pool holds as many scratches as the peak concurrency and the
-//! steady state recycles them with zero heap traffic.
-
-use std::sync::Mutex;
-
-/// A check-in/check-out pool of reusable scratch objects.
-pub struct ScratchPool<T> {
-    free: Mutex<Vec<Box<T>>>,
-}
-
-impl<T> Default for ScratchPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ScratchPool<T> {
-    pub fn new() -> Self {
-        ScratchPool {
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Check out a scratch, building a fresh one with `init` on pool miss.
-    pub fn acquire_with(&self, init: impl FnOnce() -> T) -> Box<T> {
-        let pooled = self.free.lock().expect("scratch pool poisoned").pop();
-        pooled.unwrap_or_else(|| Box::new(init()))
-    }
-
-    /// Return a scratch for reuse. The caller is responsible for leaving
-    /// it in a reusable state (cleared, capacities intact).
-    pub fn release(&self, item: Box<T>) {
-        self.free.lock().expect("scratch pool poisoned").push(item);
-    }
-
-    /// Number of scratches currently checked in.
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("scratch pool poisoned").len()
-    }
-}
+//! Reusable scratch for the allocation-free hot path: the block kernel's
+//! [`BlockScratch`]. Callers own their scratches (one per thread of a
+//! parallel region) and reuse them across batches.
 
 /// Scratch of one [`crate::model::KgeModel::score_grad_block`] call. The
 /// kernel reads embedding rows from the tables and adds gradients straight
@@ -66,21 +22,6 @@ impl BlockScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_recycles_objects() {
-        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
-        assert_eq!(pool.idle(), 0);
-        let mut a = pool.acquire_with(|| Vec::with_capacity(64));
-        a.push(1);
-        let cap = a.capacity();
-        pool.release(a);
-        assert_eq!(pool.idle(), 1);
-        let b = pool.acquire_with(Vec::new);
-        // Same object comes back, capacity intact.
-        assert_eq!(b.capacity(), cap);
-        assert_eq!(pool.idle(), 0);
-    }
 
     /// The kernel's scratch is a function of `rank` alone: a block of 1280
     /// examples leaves one 8-lane group of summands — no `n × dim` arena,

@@ -80,9 +80,7 @@ impl Dataset {
             ent_degree[t.tail as usize] += 1;
         }
         let max_rel = rel_counts.iter().copied().max().unwrap_or(0);
-        let max_deg = ent_degree.iter().copied().max().unwrap_or(0);
         let nonzero_rels = rel_counts.iter().filter(|&&c| c > 0).count();
-        let active_ents = ent_degree.iter().filter(|&&d| d > 0).count();
         DatasetStats {
             n_entities: self.n_entities,
             n_relations: self.n_relations,
@@ -90,10 +88,8 @@ impl Dataset {
             n_valid: self.valid.len(),
             n_test: self.test.len(),
             max_relation_count: max_rel,
-            max_entity_degree: max_deg,
             nonempty_relations: nonzero_rels,
             relation_counts: rel_counts,
-            active_entities: active_ents,
             entity_degrees: ent_degree,
         }
     }
@@ -108,13 +104,10 @@ pub struct DatasetStats {
     pub n_valid: usize,
     pub n_test: usize,
     pub max_relation_count: usize,
-    pub max_entity_degree: usize,
     pub nonempty_relations: usize,
     /// Triple count per relation id (train split) — the array the paper's
     /// relation-partition strategy prefix-sums (§4.4).
     pub relation_counts: Vec<usize>,
-    /// Entities with train degree > 0.
-    pub active_entities: usize,
     /// Train-split degree (head + tail occurrences) per entity id — the
     /// array hot-cache sizing and degree-aware ownership consume.
     pub entity_degrees: Vec<usize>,
@@ -243,11 +236,9 @@ mod tests {
         assert_eq!(s.relation_counts, vec![2, 1]);
         assert_eq!(s.nonempty_relations, 2);
         assert_eq!(s.max_relation_count, 2);
-        // entity 1 and 2 appear twice each in train
-        assert_eq!(s.max_entity_degree, 2);
         assert!(s.relation_skew() > 1.0);
+        // entity 1 and 2 appear twice each in train
         assert_eq!(s.entity_degrees, vec![1, 2, 2, 1]);
-        assert_eq!(s.active_entities, 4);
     }
 
     #[test]
@@ -259,7 +250,10 @@ mod tests {
         let ds = crate::synth::generate(&cfg);
         let s = ds.stats();
         // Max degree over mean degree of the active entities.
-        let skew = s.max_entity_degree as f64 * s.active_entities as f64 / (2 * s.n_train) as f64;
+        let degs = &s.entity_degrees;
+        let active = degs.iter().filter(|&&d| d > 0).count();
+        let max = degs.iter().copied().max().unwrap_or(0);
+        let skew = max as f64 * active as f64 / (2 * s.n_train) as f64;
         assert!(skew > 3.0, "entity skew = {skew}");
         // Top-10% of entities must cover well over 10% of the touch mass
         // (uniform would give exactly 10%).

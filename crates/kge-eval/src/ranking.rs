@@ -18,14 +18,14 @@
 //!   written for the true entity and the known completions in that tile,
 //!   so they count as neither better nor tied — the scalar path's
 //!   skip-before-score, with nothing scored twice;
-//! - all state lives in a reusable [`RankingWorkspace`] (ScratchPool
-//!   check-in/check-out, same discipline as the training batch loop) —
-//!   steady-state evaluation allocates nothing on the single-thread path
-//!   and runs units in parallel under rayon otherwise, with bit-identical
+//! - all state lives in a reusable [`RankingWorkspace`], which owns one
+//!   scratch per thread, as the training batch loop does: each thread
+//!   ranks one contiguous run of units, and steady-state evaluation
+//!   allocates nothing on the single-thread path, with bit-identical
 //!   results at any thread count.
 
 use crate::transpose::TransposedTable;
-use kge_core::{EmbeddingTable, KgeModel, ReplaceDir, ScratchPool};
+use kge_core::{EmbeddingTable, KgeModel, ReplaceDir};
 use kge_data::{FilterIndex, GroupedFilter, RelationCategory, Triple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,22 +153,24 @@ pub fn rank_of_scalar(
 /// still load-balance across the pool.
 const UNIT_QUERIES: usize = 8;
 
-/// Per-worker scratch for one unit of queries (pooled; both buffers grow
-/// to a high-water mark during warm-up and are reused verbatim afterwards).
+/// Per-thread scratch for one run of query units (every buffer grows to a
+/// high-water mark during warm-up and is reused verbatim afterwards).
 #[derive(Default)]
 struct EvalScratch {
     /// One candidate tile's scores.
     tile_scores: Vec<f32>,
-    /// Output: `(subsample slot, head rank, tail rank)` per query.
+    /// Output of one unit: `(subsample slot, head rank, tail rank)` per query.
     ranks: Vec<(u32, usize, usize)>,
+    /// Every unit's `ranks` of the run, merged after the parallel region.
+    run: Vec<(u32, usize, usize)>,
 }
 
 /// Reusable state for [`evaluate_ranking_with`]: the query subsample, the
-/// evaluation order, pooled per-worker scratches, and the per-query rank
+/// evaluation order, one scratch per thread, and the per-query rank
 /// buffers. Steady-state reuse allocates nothing on the single-thread path.
 #[derive(Default)]
 pub struct RankingWorkspace {
-    pool: ScratchPool<EvalScratch>,
+    scratches: Vec<EvalScratch>,
     idx: Vec<usize>,
     subsample: Vec<Triple>,
     /// Subsample slots sorted by `(rel, slot)`, cut into work units of
@@ -395,7 +397,7 @@ fn evaluate_ranks_into(
     grouped: Option<&GroupedFilter>,
 ) {
     let RankingWorkspace {
-        pool,
+        scratches,
         subsample,
         order,
         head_ranks,
@@ -425,34 +427,25 @@ fn evaluate_ranks_into(
     let sweep = Sweep { model, ent, ent_t, rel, grouped };
     let n_units = n.div_ceil(UNIT_QUERIES);
     let unit = |u: usize| &order[u * UNIT_QUERIES..((u + 1) * UNIT_QUERIES).min(n)];
-    let mut merge = |s: &EvalScratch| {
-        for &(slot, hr, tr) in &s.ranks {
-            head_ranks[slot as usize] = hr;
-            tail_ranks[slot as usize] = tr;
+    let width = rayon::current_num_threads().min(n_units).max(1);
+    if scratches.len() < width {
+        scratches.resize_with(width, EvalScratch::default);
+    }
+    // One contiguous run of units per thread. Units write disjoint slots,
+    // so the merge order is immaterial for the result — ranks are
+    // bit-identical at any thread count.
+    let per = n_units.div_ceil(width);
+    let scratches = &mut scratches[..width];
+    rayon::par_for_each_mut(scratches, |t, s| {
+        s.run.clear();
+        for u in t * per..((t + 1) * per).min(n_units) {
+            sweep.rank_unit(subsample, unit(u), s);
+            s.run.extend_from_slice(&s.ranks);
         }
-    };
-
-    // Units write disjoint slots, so the merge order is immaterial for the
-    // result — ranks are bit-identical at any thread count. The
-    // single-thread branch reuses one pooled scratch with no collection
-    // (the zero-steady-state-allocation path).
-    if rayon::current_num_threads() <= 1 || n_units <= 1 {
-        let mut s = pool.acquire_with(EvalScratch::default);
-        for u in 0..n_units {
-            sweep.rank_unit(subsample, unit(u), &mut s);
-            merge(&s);
-        }
-        pool.release(s);
-    } else {
-        let done: Vec<Box<EvalScratch>> = rayon::par_map_index(n_units, |u| {
-            let mut s = pool.acquire_with(EvalScratch::default);
-            sweep.rank_unit(subsample, unit(u), &mut s);
-            s
-        });
-        for s in done {
-            merge(&s);
-            pool.release(s);
-        }
+    });
+    for &(slot, hr, tr) in scratches.iter().flat_map(|s| &s.run) {
+        head_ranks[slot as usize] = hr;
+        tail_ranks[slot as usize] = tr;
     }
 }
 

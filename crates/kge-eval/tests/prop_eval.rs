@@ -1,6 +1,7 @@
 //! Property tests for evaluation: metric bounds, filtering monotonicity,
-//! threshold-fit optimality, and blocked ranks equal to the scalar oracle's
-//! at every dispatch level the host has.
+//! threshold-fit optimality, blocked ranks equal to the scalar oracle's
+//! at every dispatch level the host has, and ranks independent of the
+//! worker pool's width.
 
 use std::sync::Mutex;
 
@@ -79,6 +80,37 @@ const WIDE_RELS: u32 = 4;
 /// Entities past the wide cell's three full tiles: the ragged fourth tile
 /// is one padded lane chunk of 1, 17, 21 or 31 candidates.
 const WIDE_RAGGED: [usize; 4] = [1, 17, 21, 31];
+
+/// Each thread ranks one contiguous run of units and the runs' ranks are
+/// merged after the region, so every rank and every metric bit must be the
+/// same at any pool width. 275 queries make 35 units of eight, a count that
+/// no width above one divides, so some run is short.
+#[test]
+fn ranks_are_bit_identical_at_every_pool_width() {
+    let (model, ent, rel) = world(23, 61, 5);
+    let mut rng = StdRng::seed_from_u64(29);
+    let queries: Vec<Triple> = (0..275)
+        .map(|_| Triple::new(rng.gen_range(0..61), rng.gen_range(0..5), rng.gen_range(0..61)))
+        .collect();
+    assert_eq!(queries.len().div_ceil(8), 35);
+    let grouped = GroupedFilter::from_triples(queries.iter().copied());
+    for filtered in [false, true] {
+        let opts = RankingOptions { filtered, max_queries: None, seed: 0 };
+        let mut ws = RankingWorkspace::new();
+        let mut at_width = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let m = pool.install(|| {
+                evaluate_ranking_with(&mut ws, &model, &ent, &rel, &queries, &grouped, &opts)
+            });
+            (m.mrr.to_bits(), m.mean_rank.to_bits(), ws.ranks().to_vec())
+        };
+        let want = at_width(1);
+        for threads in [2usize, 3, 8] {
+            let got = at_width(threads);
+            assert!(want == got, "ranks diverge at {threads} threads, filtered={filtered}");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

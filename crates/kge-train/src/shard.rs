@@ -79,7 +79,7 @@ use crate::config::TrainConfig;
 use crate::exchange::{add_payload_into, gather_into, gather_table_rows};
 use crate::report::ShardedReport;
 use crate::trainer::{
-    chunk_positives, chunk_seed, compute_chunk, fold_chunk, stage_chunk, ChunkScratch, EpochPlan,
+    chunk_positives, chunk_seed, compute_chunk, fold_chunks, stage_chunk, ChunkScratch, EpochPlan,
     EpochSums, StepInputs, GRAD_CHUNK, ZERO_ROW_EPS,
 };
 use kge_compress::codec::{RowDecoder, RowEncoder, WireFormat};
@@ -1012,8 +1012,8 @@ fn remap_and_count(slot: &mut PrefetchSlot, store: &mut ShardedStore) {
 }
 
 /// Compute chunks in parallel (fixed chunk structure, chunk-ordered
-/// merge — thread-count independent), then merge into the batch
-/// gradients. Returns `(loss, examples)`.
+/// fold — thread-count independent) into the batch gradients. Returns
+/// `(loss, examples)`.
 fn compute_and_merge(
     ctx: &mut NodeCtx,
     run: &StepInputs,
@@ -1034,17 +1034,12 @@ fn compute_and_merge(
     });
     bufs.ent_grad.clear();
     bufs.rel_grad.clear();
-    let mut loss = 0.0f64;
-    let mut examples = 0usize;
-    for (c, cs) in chunks.iter_mut().enumerate() {
-        loss += cs.loss;
-        examples += cs.examples;
-        fold_chunk(c, cs, &mut bufs.ent_grad, &mut bufs.rel_grad);
-    }
+    let mut sums = (0.0f64, 0usize);
+    fold_chunks(0, chunks, (&mut bufs.ent_grad, &mut bufs.rel_grad), &mut sums);
     ctx.comm_mut()
         .clock_mut()
-        .charge_flops(examples as f64 * model.score_flops() * 3.0);
-    (loss, examples)
+        .charge_flops(sums.1 as f64 * model.score_flops() * 3.0);
+    sums
 }
 
 /// Encode the cold rows of the entity gradient per owner, the own-rank

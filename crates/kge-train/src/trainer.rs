@@ -50,7 +50,7 @@ use kge_compress::quant::QuantScheme;
 use kge_compress::row_select::select_rows;
 use kge_compress::ResidualStore;
 use kge_core::loss::logistic_loss_and_grad;
-use kge_core::{BlockScratch, EmbeddingTable, Forward, KgeModel, RowOptimizer, ScratchPool, SparseGrad};
+use kge_core::{BlockScratch, EmbeddingTable, Forward, KgeModel, RowOptimizer, SparseGrad};
 use kge_data::batch::EpochShuffler;
 use kge_data::{Dataset, FilterIndex, GroupedFilter, Triple};
 use kge_eval::{evaluate_ranking_distributed, fast_valid_accuracy, RankingOptions, RankingWorkspace};
@@ -1374,7 +1374,7 @@ fn encode_rank_state(
 /// One chunk's reusable working state: the example staging arrays fed to
 /// the fused block kernel, the kernel's scratch, the
 /// negative-sampling scratch, and the chunk-local gradient accumulators.
-/// Instances live in a [`ScratchPool`] so every buffer is reused across
+/// The workspaces own their instances, so every buffer is reused across
 /// chunks, batches, and epochs — after warmup, processing a chunk
 /// performs no heap allocation.
 pub(crate) struct ChunkScratch {
@@ -1541,36 +1541,42 @@ pub(crate) fn compute_chunk(
     inputs.model.grad_block(tables, triples, forward, l2, &mut coeff_of, (ent_g, rel_g));
 }
 
-/// Fold chunk `c`'s accumulators into the batch's, chunks in order. The
-/// first chunk's are handed over by swap — the batch's are empty then, and
+/// Fold the chunks `first..first + chunks.len()` into the batch's
+/// accumulators and `sums` (loss, examples), in chunk order. Chunk 0's
+/// accumulators are handed over by swap — the batch's are empty then, and
 /// adding a chunk sum to a zeroed slab changes no bit: a slab element
 /// starts at +0.0 and `x + y` is −0.0 only when both are, so a chunk sum
 /// is never −0.0 and `0.0 + v == v`. Rows, values and insertion order come
 /// out exactly as a merge leaves them.
-pub(crate) fn fold_chunk(
-    c: usize,
-    cs: &mut ChunkScratch,
-    ent_grad: &mut SparseGrad,
-    rel_grad: &mut SparseGrad,
+pub(crate) fn fold_chunks(
+    first: usize,
+    chunks: &mut [ChunkScratch],
+    (ent_grad, rel_grad): (&mut SparseGrad, &mut SparseGrad),
+    sums: &mut (f64, usize),
 ) {
-    if c == 0 {
-        debug_assert!(ent_grad.is_empty() && rel_grad.is_empty());
-        std::mem::swap(ent_grad, &mut cs.ent);
-        std::mem::swap(rel_grad, &mut cs.rel);
-    } else {
-        ent_grad.merge(&cs.ent);
-        rel_grad.merge(&cs.rel);
+    for (c, cs) in (first..).zip(chunks) {
+        sums.0 += cs.loss;
+        sums.1 += cs.examples;
+        if c == 0 {
+            debug_assert!(ent_grad.is_empty() && rel_grad.is_empty());
+            std::mem::swap(ent_grad, &mut cs.ent);
+            std::mem::swap(rel_grad, &mut cs.rel);
+        } else {
+            ent_grad.merge(&cs.ent);
+            rel_grad.merge(&cs.rel);
+        }
     }
 }
 
 /// Reusable workspace for the batch-gradient hot path: the per-batch
-/// entity/relation accumulators plus the pool of per-chunk scratch
-/// state. Public so benches and the allocation-regression test can drive
-/// the exact code the trainer runs.
+/// entity/relation accumulators plus one chunk scratch per thread. Public
+/// so benches and the allocation-regression test can drive the exact code
+/// the trainer runs.
 pub struct BatchWorkspace {
     ent_grad: SparseGrad,
     rel_grad: SparseGrad,
-    chunk_pool: ScratchPool<ChunkScratch>,
+    /// `min(threads, chunks)` of the widest batch so far.
+    chunks: Vec<ChunkScratch>,
 }
 
 impl BatchWorkspace {
@@ -1578,7 +1584,7 @@ impl BatchWorkspace {
         BatchWorkspace {
             ent_grad: SparseGrad::new(dim),
             rel_grad: SparseGrad::new(dim),
-            chunk_pool: ScratchPool::new(),
+            chunks: Vec::new(),
         }
     }
 
@@ -1588,10 +1594,11 @@ impl BatchWorkspace {
     /// The batch is split into fixed-size chunks of `GRAD_CHUNK`
     /// positives. Each chunk samples its negatives from its own seeded
     /// RNG stream (see `chunk_seed`) and runs the fused block kernel
-    /// into pooled chunk-local accumulators; chunks are then merged **in
-    /// chunk order**, so the result is bit-identical at any thread
-    /// count. On a single-thread pool the chunks run inline with no
-    /// intermediate collection, so steady-state batches allocate nothing.
+    /// into chunk-local accumulators. The chunks run in waves, one chunk
+    /// per thread, and each wave is folded **in chunk order**, so the
+    /// result is bit-identical at any thread count. On a single-thread
+    /// pool every wave is one chunk run inline, so steady-state batches
+    /// allocate nothing and hold one chunk's scratch.
     #[allow(clippy::too_many_arguments)]
     pub fn batch_gradients_into(
         &mut self,
@@ -1613,13 +1620,15 @@ impl BatchWorkspace {
         }
         let bs = config.batch_size.min(shard.len());
         let start = batch_idx * config.batch_size;
-        let dim = ent.dim();
         // Every positive trains against exactly `neg.train` negatives
         // (`NegSampler::sample` keeps `train` out of `pool ≥ train`),
         // so the batch normalizer is known before any chunk runs.
         let inv_batch = 1.0f32 / (bs * (1 + config.strategy.neg.train)) as f32;
         let n_chunks = bs.div_ceil(GRAD_CHUNK);
-        let pool = &self.chunk_pool;
+        let width = rayon::current_num_threads().min(n_chunks);
+        if self.chunks.len() < width {
+            self.chunks.resize_with(width, || ChunkScratch::new(ent.dim()));
+        }
         let inputs = StepInputs {
             model,
             config,
@@ -1627,14 +1636,11 @@ impl BatchWorkspace {
             bias,
         };
 
-        let mut loss_sum = 0.0f64;
-        let mut examples = 0usize;
-        if rayon::current_num_threads() <= 1 || n_chunks == 1 {
-            // Sequential fast path: one pooled scratch processes the
-            // chunks in order and merges each immediately — same chunk
-            // seeds, same merge order, no intermediate collection.
-            let mut cs = pool.acquire_with(|| ChunkScratch::new(dim));
-            for c in 0..n_chunks {
+        let mut sums = (0.0f64, 0usize);
+        for first in (0..n_chunks).step_by(width) {
+            let wave = &mut self.chunks[..width.min(n_chunks - first)];
+            rayon::par_for_each_mut(wave, |j, cs| {
+                let c = first + j;
                 let lo = c * GRAD_CHUNK;
                 let hi = (lo + GRAD_CHUNK).min(bs);
                 process_chunk(
@@ -1644,37 +1650,12 @@ impl BatchWorkspace {
                     chunk_positives(shard, start + lo..start + hi),
                     inv_batch,
                     chunk_seed(config.seed, rank, epoch, batch_idx, c),
-                    &mut cs,
+                    cs,
                 );
-                loss_sum += cs.loss;
-                examples += cs.examples;
-                fold_chunk(c, &mut cs, &mut self.ent_grad, &mut self.rel_grad);
-            }
-            pool.release(cs);
-        } else {
-            let chunks: Vec<Box<ChunkScratch>> = rayon::par_map_index(n_chunks, |c| {
-                let mut cs = pool.acquire_with(|| ChunkScratch::new(dim));
-                let lo = c * GRAD_CHUNK;
-                let hi = (lo + GRAD_CHUNK).min(bs);
-                process_chunk(
-                    &inputs,
-                    ent,
-                    rel,
-                    chunk_positives(shard, start + lo..start + hi),
-                    inv_batch,
-                    chunk_seed(config.seed, rank, epoch, batch_idx, c),
-                    &mut cs,
-                );
-                cs
             });
-            for (c, mut cs) in chunks.into_iter().enumerate() {
-                loss_sum += cs.loss;
-                examples += cs.examples;
-                fold_chunk(c, &mut cs, &mut self.ent_grad, &mut self.rel_grad);
-                pool.release(cs);
-            }
+            fold_chunks(first, wave, (&mut self.ent_grad, &mut self.rel_grad), &mut sums);
         }
-        (loss_sum, examples)
+        sums
     }
 
     /// The entity-gradient accumulator from the last batch.

@@ -1,20 +1,19 @@
 //! Offline stand-in for the slice of `rayon` the workspace uses: real
 //! intra-process data parallelism with a deterministic,
-//! thread-count-independent result contract. The surface is two index
-//! primitives ([`par_for_each_index`], [`par_map_index`]), one slice
-//! primitive ([`par_for_each_mut`]), [`current_num_threads`] and a
-//! [`ThreadPoolBuilder`] whose pool scopes the thread count through
-//! [`ThreadPool::install`].
+//! thread-count-independent result contract. The surface is one splitting
+//! primitive, [`par_split_mut`], its one-slice case [`par_for_each_mut`],
+//! [`current_num_threads`] and a [`ThreadPoolBuilder`] whose pool scopes
+//! the thread count through [`ThreadPool::install`].
 //!
 //! The execution model is simpler than rayon's work-stealing deques —
-//! each parallel region spawns scoped `std` threads that claim item
-//! indices from a shared atomic counter, or, for the slice primitive, take
-//! one contiguous run of the slice each — but the *output* contract is
-//! the one this repo's determinism tests rely on and is stronger than
-//! a naive port: results are always assembled **in index order**, so
-//! `par_map_index(n, f)` is bit-identical to the sequential
-//! `(0..n).map(f).collect()` for any thread count, provided `f` itself
-//! is a pure function of the index.
+//! each parallel region cuts its slices into one contiguous run per
+//! thread and hands each run to a scoped `std` thread — but the contract is
+//! the one this repo's determinism tests rely on: every element is visited
+//! exactly once, by one call, and the cut points depend only on the length,
+//! the `unit` and the thread count. A caller whose per-element work does
+//! not depend on the cut (an elementwise update, a chunk with its own
+//! seed, a disjoint output slot) gets the same bits at any thread count.
+//! At one thread the region is a plain inline call.
 //!
 //! Thread-count resolution, in priority order:
 //! 1. the innermost [`ThreadPool::install`] scope on this thread,
@@ -26,7 +25,6 @@
 //! for a simulator whose outer loop is already threads-as-nodes).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
     /// Thread-count override installed by [`ThreadPool::install`].
@@ -53,71 +51,54 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Run `f(i)` for every `i in 0..n`, fanning out across worker threads.
-/// Each index is claimed by exactly one worker; `f` must be safe to call
-/// concurrently for distinct indices.
-pub fn par_for_each_index<F: Fn(usize) + Sync>(n: usize, f: F) {
-    let threads = current_num_threads().min(n);
-    if threads <= 1 || n <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    f(i);
-                }
-            });
-        }
-    });
-}
-
-/// Run `f(i, &mut items[i])` for every item, fanning out across worker
-/// threads: `items` is split into one contiguous run per thread, so each
-/// item is visited by exactly one thread and no `unsafe` is needed.
-pub fn par_for_each_mut<T: Send, F: Fn(usize, &mut T) + Sync>(items: &mut [T], f: F) {
-    let threads = current_num_threads().min(items.len());
+/// Cut the `K` equal-length `slices` at the same points into one
+/// contiguous run per thread and call `f(start, runs)` on each run, where
+/// `start` is the run's offset and `runs[k]` is `slices[k][start..]` up to
+/// the next cut. Every cut falls on a multiple of `unit` (the last run takes
+/// the remainder), so a run never splits a `unit`-long record such as a
+/// table row. Each element lies in exactly one run, so no `unsafe` is
+/// needed. At one thread, or with at most one `unit`, `f` runs once on the
+/// calling thread over the whole slices: no spawn and no allocation.
+pub fn par_split_mut<T: Send, const K: usize, F: Fn(usize, [&mut [T]; K]) + Sync>(
+    slices: [&mut [T]; K],
+    unit: usize,
+    f: F,
+) {
+    assert!(unit > 0, "par_split_mut: unit must be positive");
+    let len = slices.first().map_or(0, |s| s.len());
+    assert!(slices.iter().all(|s| s.len() == len), "par_split_mut: slice lengths differ");
+    let units = len.div_ceil(unit);
+    let threads = current_num_threads().min(units);
     if threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
+        return f(0, slices);
     }
-    let run = items.len().div_ceil(threads);
-    let f = &f;
+    let run = units.div_ceil(threads) * unit;
+    let (f, mut rest, mut start) = (&f, slices, 0);
     std::thread::scope(|s| {
-        for (r, part) in items.chunks_mut(run).enumerate() {
+        while start < len {
+            let take = run.min(len - start);
+            let runs = rest.each_mut().map(|r| {
+                let (head, tail) = std::mem::take(r).split_at_mut(take);
+                *r = tail;
+                head
+            });
             s.spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
-                for (j, item) in part.iter_mut().enumerate() {
-                    f(r * run + j, item);
-                }
+                f(start, runs)
             });
+            start += take;
         }
     });
 }
 
-/// Compute `f(i)` for every index in parallel and return the results in
-/// index order — the deterministic-collect primitive. Each result lands in
-/// its own slot through [`par_for_each_mut`], so no `unsafe` is needed.
-pub fn par_map_index<U: Send, F: Fn(usize) -> U + Sync>(n: usize, f: F) -> Vec<U> {
-    if current_num_threads().min(n) <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    par_for_each_mut(&mut out, |i, slot| *slot = Some(f(i)));
-    out.into_iter().map(|v| v.expect("every slot is written")).collect()
+/// Run `f(i, &mut items[i])` for every item, one contiguous run of items
+/// per thread: [`par_split_mut`] over one slice with a `unit` of one item.
+pub fn par_for_each_mut<T: Send, F: Fn(usize, &mut T) + Sync>(items: &mut [T], f: F) {
+    par_split_mut([items], 1, |start, [run]| {
+        for (j, item) in run.iter_mut().enumerate() {
+            f(start + j, item);
+        }
+    });
 }
 
 /// Thread-count handle mirroring `rayon::ThreadPool`. The shim does not
@@ -173,38 +154,71 @@ impl ThreadPoolBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    fn pool(threads: usize) -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
+    }
+
+    /// Split `K` slices of `len` elements at `unit` under a `threads`-wide
+    /// pool, recording each call's start and thread; every element counts
+    /// its visits (the same in every slice) and the run lengths agree.
+    fn split<const K: usize>(threads: usize, len: usize, unit: usize) -> Vec<(usize, ThreadId)> {
+        let mut bufs: [Vec<u32>; K] = std::array::from_fn(|_| vec![0; len]);
+        let calls = Mutex::new(Vec::new());
+        pool(threads).install(|| {
+            par_split_mut(bufs.each_mut().map(|b| &mut b[..]), unit, |start, runs| {
+                assert!(runs.iter().all(|r| r.len() == runs[0].len()));
+                for r in runs {
+                    r.iter_mut().for_each(|x| *x += 1);
+                }
+                calls.lock().unwrap().push((start, std::thread::current().id()));
+            })
+        });
+        for (k, b) in bufs.iter().enumerate() {
+            let cell = format!("K={K} k={k} threads={threads} len={len} unit={unit}");
+            assert!(b.iter().all(|&x| x == 1), "{cell}");
+        }
+        calls.into_inner().unwrap()
+    }
 
     #[test]
-    fn par_for_each_index_visits_every_index_once() {
-        for threads in [1usize, 2, 4, 8] {
-            let hits: Vec<AtomicU32> = (0..1003).map(|_| AtomicU32::new(0)).collect();
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                par_for_each_index(hits.len(), |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                })
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "threads={threads}"
-            );
+    fn par_split_mut_visits_every_element_once_at_unit_aligned_starts() {
+        for threads in [1usize, 2, 3, 8] {
+            for unit in [1usize, 4, 7] {
+                // Not a multiple of the unit, shorter than one unit, empty.
+                for len in [0usize, 3, 6, 29, 64, 1003] {
+                    let runs = [
+                        split::<1>(threads, len, unit),
+                        split::<2>(threads, len, unit),
+                        split::<3>(threads, len, unit),
+                    ];
+                    for calls in runs {
+                        assert!(calls.iter().all(|&(s, _)| s % unit == 0 && (s < len || s == 0)));
+                        assert!(calls.len() <= threads.max(1));
+                    }
+                }
+            }
         }
     }
 
     #[test]
+    fn par_split_mut_at_width_one_runs_once_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        for len in [0usize, 5, 1003] {
+            assert_eq!(split::<3>(1, len, 4), vec![(0, me)]);
+        }
+        // One unit is not split either, at any width.
+        assert_eq!(split::<2>(8, 4, 4), vec![(0, me)]);
+    }
+
+    #[test]
     fn par_for_each_mut_visits_every_item_once() {
-        for threads in [1usize, 2, 4, 8] {
+        for threads in [1usize, 2, 3, 8] {
             for n in [0usize, 1, 3, 1003] {
                 let mut items = vec![0usize; n];
-                let pool = ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                pool.install(|| par_for_each_mut(&mut items, |i, x| *x += i + 1));
+                pool(threads).install(|| par_for_each_mut(&mut items, |i, x| *x += i + 1));
                 let want: Vec<usize> = (1..=n).collect();
                 assert_eq!(items, want, "threads={threads} n={n}");
             }
@@ -213,30 +227,15 @@ mod tests {
 
     #[test]
     fn install_scopes_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let inside = pool.install(current_num_threads);
+        let inside = pool(2).install(current_num_threads);
         assert_eq!(inside, 2);
     }
 
     #[test]
     fn nested_regions_run_sequentially() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let nested_counts: Vec<usize> =
-            pool.install(|| par_map_index(8, |_| current_num_threads()));
+        let mut nested_counts = vec![0usize; 8];
+        pool(4).install(|| par_for_each_mut(&mut nested_counts, |_, n| *n = current_num_threads()));
         // Inside a worker, nested parallelism is sequential.
         assert!(nested_counts.iter().all(|&n| n == 1));
-    }
-
-    #[test]
-    fn par_map_index_is_order_stable_under_threads() {
-        for threads in [1usize, 2, 4, 8] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let got = pool.install(|| par_map_index(100, |i| i * i));
-            let want: Vec<usize> = (0..100).map(|i| i * i).collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
     }
 }

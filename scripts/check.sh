@@ -118,11 +118,11 @@ echo "check: $allows too_many_arguments allows in first-party src (ratchet 9)"
 # sharded store and the parameter server, and a second copy does not come
 # back.
 train_lines=$(cat crates/kge-train/src/*.rs | wc -l)
-if [ "$train_lines" -gt 8352 ]; then
-  echo "check: crates/kge-train/src is $train_lines lines; the ratchet is 8352" >&2
+if [ "$train_lines" -gt 8328 ]; then
+  echo "check: crates/kge-train/src is $train_lines lines; the ratchet is 8328" >&2
   exit 1
 fi
-echo "check: crates/kge-train/src is $train_lines lines (ratchet 8352)"
+echo "check: crates/kge-train/src is $train_lines lines (ratchet 8328)"
 
 # One epoch loop: the data order, the LR schedule, the validation signal
 # and the report are each built once in the trainer crate's code (its test
@@ -143,12 +143,24 @@ echo "check: one epoch loop (shuffler, schedule, validation and report built onc
 # And so is the amount of unsafe code: the lines of every crate's src,
 # first-party and shim, that name `unsafe` outside a `//` comment.
 unsafe_lines=$({ grep -rnw --include='*.rs' unsafe crates/*/src || true; } | grep -cvE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ "$unsafe_lines" -gt 26 ]; then
+if [ "$unsafe_lines" -gt 24 ]; then
   grep -rnw --include='*.rs' unsafe crates/*/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2
-  echo "check: $unsafe_lines lines use unsafe in crates/*/src; the ratchet is 26" >&2
+  echo "check: $unsafe_lines lines use unsafe in crates/*/src; the ratchet is 24" >&2
   exit 1
 fi
-echo "check: $unsafe_lines lines use unsafe in crates/*/src (ratchet 26)"
+echo "check: $unsafe_lines lines use unsafe in crates/*/src (ratchet 24)"
+
+# One parallel mechanism: every parallel loop runs through the rayon shim's
+# par_split_mut (or its one-slice case par_for_each_mut) over scratches its
+# caller owns, and its one-thread case is the region itself, not a second
+# code path. The retired index primitives, the scratch pool, the raw-pointer
+# split and a branch on a one-thread pool do not come back.
+if grep -rnE --include='*.rs' 'par_map_index|par_for_each_index|ScratchPool|SendPtr|current_num_threads\(\) *<= *1' crates/*/src \
+  | grep -v '^crates/shim-'; then
+  echo "check: a retired parallel primitive or a one-thread branch in first-party crates/*/src" >&2
+  exit 1
+fi
+echo "check: one parallel mechanism (no retired primitive, no one-thread branch)"
 
 # Code with no caller outside its own file is deleted or made private, not
 # kept public: scripts/orphans.sh lists the public functions whose name no
